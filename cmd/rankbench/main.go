@@ -7,39 +7,13 @@
 //	rankbench -fig 12                 # one figure at defaults
 //	rankbench -fig all -m 2000        # the whole evaluation, bigger data
 //	rankbench -fig updates -queries 20
-//	rankbench -cluster-bench BENCH_cluster.json   # 1- vs 8-shard scatter-gather
-//	rankbench -serve-bench BENCH_serve.json -serve-concurrency 8
-//	rankbench -restart-bench BENCH_restart.json   # rebuild vs snapshot restore
-//	rankbench -mixed-bench BENCH_mixed.json       # reads racing a frontier writer
 //	rankbench -snapshot-write snapdir/ && rankbench -snapshot-check snapdir/
 //
 // Figures: 11 12 13 14 15 16 17 18 19 20 updates ablations all
 //
-// -cluster-bench skips the figures and instead measures the sharded
-// Cluster query path (ops/sec and p50 latency at 1 and 8 shards),
-// writing the JSON report CI uploads as a perf-trajectory artifact.
-//
-// -serve-bench measures the serving read path instead: a zipfian
-// repeated-query workload at -serve-concurrency clients through a
-// Planner, uncached versus result-cached (ops/sec, p50/p99 latency,
-// cache hit ratio), plus the lock-striped buffer pool against the seed
-// single-mutex pool on a concurrent read workload. The report is the
-// BENCH_serve.json trajectory artifact.
-//
-// -mixed-bench measures the write-optimized ingest path: the same
-// zipfian read workload first alone, then racing a sustained frontier
-// writer whose appends land in the memtable delta layer and drain
-// through background compactions (read p99 must stay close to the
-// read-only p99 — readers never block on ingest), plus a scoped-vs-
-// coarse cache-invalidation A/B under a hot writer. The report is the
-// BENCH_mixed.json trajectory artifact.
-//
-// -restart-bench measures cold-start cost across dataset sizes:
-// building every index from the raw dataset versus restoring the same
-// state from a durable snapshot (restore replays saved pages, it never
-// rebuilds). The report is the BENCH_restart.json trajectory artifact.
-// -snapshot-write / -snapshot-check are the CI restart smoke: the
-// write half checkpoints a deterministic cluster and records probe
+// -snapshot-write / -snapshot-check skip the figures; they are the CI
+// restart smoke (and seed scripts/dist_smoke.sh's tier): the write
+// half checkpoints a deterministic cluster and records probe
 // answers; the check half restores it in a fresh process and verifies
 // every answer bit for bit.
 package main
@@ -66,24 +40,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "RNG seed (0 = default)")
 		frac      = flag.Float64("frac", 0, "query interval as fraction of T (0 = default)")
 		blockSize = flag.Int("block", 0, "device block size in bytes (0 = 4096)")
-		cbench    = flag.String("cluster-bench", "", "write the 1- vs 8-shard cluster benchmark to this JSON file instead of running figures")
-		sbench    = flag.String("serve-bench", "", "write the serving read-path benchmark (zipfian repeated queries, cached vs uncached, buffer pool) to this JSON file instead of running figures")
-		sconc     = flag.Int("serve-concurrency", 8, "concurrent clients for -serve-bench")
-		squeries  = flag.Int("serve-queries", 4000, "total queries per -serve-bench run")
-		sdistinct = flag.Int("serve-distinct", 64, "distinct query templates for -serve-bench")
-		szipf     = flag.Float64("serve-zipf", 1.2, "zipf skew for -serve-bench query repetition (> 1)")
-		scache    = flag.Int("serve-cache", 256, "result cache entries for the cached -serve-bench run")
-		mbench    = flag.String("mixed-bench", "", "write the mixed read/write ingest benchmark (memtable delta layer + scoped invalidation) to this JSON file instead of running figures")
-		mconc     = flag.Int("mixed-concurrency", 8, "concurrent readers for -mixed-bench")
-		mqueries  = flag.Int("mixed-queries", 4000, "queries per measured phase for -mixed-bench")
-		mdistinct = flag.Int("mixed-distinct", 64, "distinct query templates for -mixed-bench")
-		mzipf     = flag.Float64("mixed-zipf", 1.2, "zipf skew for -mixed-bench query repetition (> 1)")
-		mcache    = flag.Int("mixed-cache", 32, "result cache entries for -mixed-bench (kept below -mixed-distinct so the measured tail includes the miss path)")
-		mflush    = flag.Int("mixed-flush", 4096, "memtable flush threshold in segments for -mixed-bench (0 = default)")
-		rstBench  = flag.String("restart-bench", "", "write the rebuild-vs-restore cold-start benchmark (across dataset sizes) to this JSON file instead of running figures")
-		dbench    = flag.String("dist-bench", "", "write the distributed serving benchmark (2x2 shardserver tier behind a RemoteCluster, hedged vs unhedged reads) to this JSON file instead of running figures")
-		dconc     = flag.Int("dist-concurrency", 8, "concurrent clients for -dist-bench")
-		dqueries  = flag.Int("dist-queries", 2000, "total queries per -dist-bench run")
 		snapWrite = flag.String("snapshot-write", "", "build a small deterministic cluster, checkpoint it into this directory, and record probe answers (CI restart smoke, write half)")
 		snapCheck = flag.String("snapshot-check", "", "restore the cluster written by -snapshot-write from this directory in a fresh process and verify every recorded probe answer (CI restart smoke, check half)")
 	)
@@ -119,28 +75,6 @@ func main() {
 		p.BlockSize = *blockSize
 	}
 
-	if *mbench != "" {
-		cfg := mixedBenchConfig{
-			Concurrency: *mconc,
-			Queries:     *mqueries,
-			Distinct:    *mdistinct,
-			ZipfS:       *mzipf,
-			CacheSize:   *mcache,
-			Flush:       *mflush,
-		}
-		if err := runMixedBench(*mbench, p, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "rankbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *rstBench != "" {
-		if err := runRestartBench(*rstBench, p); err != nil {
-			fmt.Fprintln(os.Stderr, "rankbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *snapWrite != "" {
 		if err := runSnapshotWrite(*snapWrite, p); err != nil {
 			fmt.Fprintln(os.Stderr, "rankbench:", err)
@@ -150,35 +84,6 @@ func main() {
 	}
 	if *snapCheck != "" {
 		if err := runSnapshotCheck(*snapCheck, p); err != nil {
-			fmt.Fprintln(os.Stderr, "rankbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dbench != "" {
-		cfg := distBenchConfig{Concurrency: *dconc, Queries: *dqueries}
-		if err := runDistBench(*dbench, p, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "rankbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cbench != "" {
-		if err := runClusterBench(*cbench, p); err != nil {
-			fmt.Fprintln(os.Stderr, "rankbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sbench != "" {
-		cfg := serveBenchConfig{
-			Concurrency: *sconc,
-			Queries:     *squeries,
-			Distinct:    *sdistinct,
-			ZipfS:       *szipf,
-			CacheSize:   *scache,
-		}
-		if err := runServeBench(*sbench, p, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "rankbench:", err)
 			os.Exit(1)
 		}

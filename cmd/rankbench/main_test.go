@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"temporalrank/internal/exp"
@@ -31,61 +28,5 @@ func TestRunSingleFigures(t *testing.T) {
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run("99", tiny()); err == nil {
 		t.Error("unknown figure accepted")
-	}
-}
-
-func TestRunMixedBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_mixed.json")
-	cfg := mixedBenchConfig{
-		Concurrency: 2,
-		Queries:     256,
-		Distinct:    8,
-		ZipfS:       1.2,
-		CacheSize:   4,
-		Flush:       64,
-	}
-	if err := runMixedBench(path, tiny(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report mixedBenchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bad report JSON: %v", err)
-	}
-	if report.ReadOnly.ReadOpsPerSec <= 0 || report.Mixed.ReadOpsPerSec <= 0 {
-		t.Fatalf("degenerate read measurement: %+v", report)
-	}
-	if report.Mixed.Appends <= 0 {
-		t.Fatalf("mixed phase recorded no appends: %+v", report.Mixed)
-	}
-	if report.Invalidation.ScopedHitRatio <= report.Invalidation.CoarseHitRatio {
-		t.Fatalf("scoped hit ratio %.3f not better than coarse %.3f",
-			report.Invalidation.ScopedHitRatio, report.Invalidation.CoarseHitRatio)
-	}
-}
-
-func TestRunClusterBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	if err := runClusterBench(path, tiny()); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report clusterBenchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bad report JSON: %v", err)
-	}
-	if len(report.Runs) != 2 || report.Runs[0].Shards != 1 || report.Runs[1].Shards != 8 {
-		t.Fatalf("report runs: %+v", report.Runs)
-	}
-	for _, r := range report.Runs {
-		if r.OpsPerSec <= 0 || r.P50LatencyNS <= 0 {
-			t.Fatalf("degenerate measurement: %+v", r)
-		}
 	}
 }

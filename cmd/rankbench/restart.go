@@ -15,138 +15,12 @@ import (
 	"temporalrank/internal/gen"
 )
 
-// restartMethods is the index set every restart measurement builds and
+// restartMethods is the index set the restart smoke builds and
 // restores: the strongest exact index plus an approximate one, the
 // configuration a production rankserver would run.
 var restartMethods = []temporalrank.Options{
 	{Method: temporalrank.MethodExact3},
 	{Method: temporalrank.MethodAppx2},
-}
-
-// restartRun is one dataset size's rebuild-vs-restore measurement.
-type restartRun struct {
-	Objects       int     `json:"objects"`
-	AvgSegments   int     `json:"avg_segments"`
-	Segments      int     `json:"segments"`
-	BuildMS       float64 `json:"build_ms"`
-	CheckpointMS  float64 `json:"checkpoint_ms"`
-	RestoreMS     float64 `json:"restore_ms"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	Speedup       float64 `json:"speedup"` // build_ms / restore_ms
-}
-
-// restartReport is the BENCH_restart.json artifact: cold-start cost of
-// rebuilding every index from the raw dataset versus restoring a
-// checkpoint, across dataset sizes.
-type restartReport struct {
-	Methods []string     `json:"methods"`
-	Shards  int          `json:"shards"`
-	Runs    []restartRun `json:"runs"`
-}
-
-// runRestartBench measures, for each dataset size, (a) the time to
-// build the cluster's indexes from the raw dataset — what every boot
-// pays today — and (b) the time to restore the same state from a
-// checkpoint, verifying the restored cluster answers a probe query
-// identically before trusting the numbers.
-func runRestartBench(path string, p exp.Params) error {
-	sizes := []struct{ m, navg int }{
-		{p.M / 4, p.Navg},
-		{p.M, p.Navg},
-		{p.M * 4, p.Navg},
-	}
-	report := restartReport{Shards: 1}
-	for _, o := range restartMethods {
-		report.Methods = append(report.Methods, string(o.Method))
-	}
-	dir, err := os.MkdirTemp("", "rankbench-restart-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	for i, sz := range sizes {
-		ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: sz.m, Navg: sz.navg, Seed: p.Seed, Span: 1000})
-		if err != nil {
-			return err
-		}
-		db := temporalrank.NewDBFromDataset(ds)
-
-		buildStart := time.Now()
-		c, err := temporalrank.NewClusterFromDB(db, temporalrank.ClusterOptions{
-			Shards:  1,
-			Indexes: restartMethods,
-		})
-		if err != nil {
-			return fmt.Errorf("restart bench build m=%d: %w", sz.m, err)
-		}
-		buildMS := float64(time.Since(buildStart)) / float64(time.Millisecond)
-
-		snapDir := filepath.Join(dir, fmt.Sprintf("size-%d", i))
-		ckStart := time.Now()
-		if err := c.Checkpoint(snapDir); err != nil {
-			return fmt.Errorf("restart bench checkpoint m=%d: %w", sz.m, err)
-		}
-		ckMS := float64(time.Since(ckStart)) / float64(time.Millisecond)
-		bytes, err := dirBytes(snapDir)
-		if err != nil {
-			return err
-		}
-
-		restoreStart := time.Now()
-		restored, err := temporalrank.OpenClusterSnapshot(snapDir, temporalrank.ClusterOptions{})
-		if err != nil {
-			return fmt.Errorf("restart bench restore m=%d: %w", sz.m, err)
-		}
-		restoreMS := float64(time.Since(restoreStart)) / float64(time.Millisecond)
-
-		if err := compareClusters(c, restored, p.Seed); err != nil {
-			return fmt.Errorf("restart bench m=%d: %w", sz.m, err)
-		}
-
-		run := restartRun{
-			Objects:       sz.m,
-			AvgSegments:   sz.navg,
-			Segments:      db.NumSegments(),
-			BuildMS:       buildMS,
-			CheckpointMS:  ckMS,
-			RestoreMS:     restoreMS,
-			SnapshotBytes: bytes,
-			Speedup:       buildMS / restoreMS,
-		}
-		report.Runs = append(report.Runs, run)
-		fmt.Printf("restart m=%d navg=%d: build %.1fms, checkpoint %.1fms, restore %.1fms (%.0fx)\n",
-			sz.m, sz.navg, buildMS, ckMS, restoreMS, run.Speedup)
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// dirBytes sums the sizes of the snapshot files under dir.
-func dirBytes(dir string) (int64, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, temporalrank.SnapshotFilePattern))
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
 }
 
 // smokeQueries derives a deterministic probe workload from a cluster's
@@ -165,40 +39,6 @@ func smokeQueries(start, end float64, k int, seed int64) []temporalrank.Query {
 		qs = append(qs, temporalrank.SumQuery(k, t1, t2), temporalrank.AvgQuery(k, t1, t2))
 	}
 	return qs
-}
-
-// compareClusters requires the two clusters to answer the probe
-// workload identically, bit for bit — restore replays saved state, it
-// does not recompute, so even float scores must match exactly.
-func compareClusters(want, got *temporalrank.Cluster, seed int64) error {
-	ctx := context.Background()
-	for _, q := range smokeQueries(want.Start(), want.End(), 10, seed) {
-		a, err := want.Run(ctx, q)
-		if err != nil {
-			return fmt.Errorf("probe on original: %w", err)
-		}
-		b, err := got.Run(ctx, q)
-		if err != nil {
-			return fmt.Errorf("probe on restored: %w", err)
-		}
-		if err := sameAnswer(a.Results, b.Results); err != nil {
-			return fmt.Errorf("restored cluster diverges on %+v: %w", q, err)
-		}
-	}
-	return nil
-}
-
-func sameAnswer(want, got []temporalrank.Result) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("%d vs %d results", len(want), len(got))
-	}
-	for i := range want {
-		if want[i].ID != got[i].ID || want[i].Score != got[i].Score {
-			return fmt.Errorf("rank %d: want %d/%v, got %d/%v",
-				i, want[i].ID, want[i].Score, got[i].ID, got[i].Score)
-		}
-	}
-	return nil
 }
 
 // smokeAnswer is one probe query and its expected ranking, recorded by

@@ -32,10 +32,7 @@
 //
 // Endpoints (all JSON):
 //
-//	GET  /query?agg=sum&k=10&t1=50&t2=120&eps=0.05   primary: declarative query
-//	GET  /topk?k=10&t1=50&t2=120   top-k(t1,t2,sum)  (deprecated: /query)
-//	GET  /avg?k=10&t1=50&t2=120    top-k(t1,t2,avg)  (deprecated: /query)
-//	GET  /instant?k=10&t=75        instant top-k(t)  (deprecated: /query)
+//	GET  /query?agg=sum&k=10&t1=50&t2=120&eps=0.05   declarative query (agg=sum|avg|instant)
 //	GET  /score?id=3&t1=50&t2=120  one object's σ(t1,t2); 404 not_materialized
 //	POST /append                    {"id":3,"t":130.5,"v":42.0} routed to the owning shard
 //	POST /checkpoint                write a durable snapshot generation now (-data DIR mode)

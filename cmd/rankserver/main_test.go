@@ -67,7 +67,7 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 // TestParallelTopKMatchesReference is the load-style acceptance test:
-// many goroutines issue /topk requests concurrently and every response
+// many goroutines issue /query requests concurrently and every response
 // must match the brute-force DB.TopK reference answer.
 func TestParallelTopKMatchesReference(t *testing.T) {
 	_, db, ts := testServer(t, temporalrank.MethodExact3)
@@ -88,7 +88,7 @@ func TestParallelTopKMatchesReference(t *testing.T) {
 				t1 := db.Start() + rng.Float64()*span*0.8
 				t2 := t1 + rng.Float64()*span*0.2
 				var got queryResponse
-				url := fmt.Sprintf("%s/topk?k=5&t1=%g&t2=%g", ts.URL, t1, t2)
+				url := fmt.Sprintf("%s/query?agg=sum&k=5&t1=%g&t2=%g", ts.URL, t1, t2)
 				resp, err := http.Get(url)
 				if err != nil {
 					errs <- err
@@ -143,22 +143,38 @@ func TestEndpoints(t *testing.T) {
 	_, db, ts := testServer(t, temporalrank.MethodAppx2P)
 	mid := (db.Start() + db.End()) / 2
 
+	// The server's only index is approximate, so every query states a
+	// tolerance (eps=1 admits any ε in (0,1)); without one the planner
+	// falls back to the exact reference scan.
 	var q queryResponse
-	if code := getJSON(t, fmt.Sprintf("%s/topk?k=3&t1=%g&t2=%g", ts.URL, db.Start(), db.End()), &q); code != http.StatusOK {
-		t.Fatalf("/topk status %d", code)
+	if code := getJSON(t, fmt.Sprintf("%s/query?agg=sum&eps=1&k=3&t1=%g&t2=%g", ts.URL, db.Start(), db.End()), &q); code != http.StatusOK {
+		t.Fatalf("/query agg=sum status %d", code)
 	}
 	if len(q.Results) != 3 || q.Method != "APPX2+" {
-		t.Fatalf("bad /topk response: %+v", q)
+		t.Fatalf("bad /query agg=sum response: %+v", q)
 	}
-	if code := getJSON(t, fmt.Sprintf("%s/avg?k=3&t1=%g&t2=%g", ts.URL, db.Start(), db.End()), &q); code != http.StatusOK {
-		t.Fatalf("/avg status %d", code)
+	if code := getJSON(t, fmt.Sprintf("%s/query?agg=avg&eps=1&k=3&t1=%g&t2=%g", ts.URL, db.Start(), db.End()), &q); code != http.StatusOK {
+		t.Fatalf("/query agg=avg status %d", code)
 	}
-	if code := getJSON(t, fmt.Sprintf("%s/instant?k=3&t=%g", ts.URL, mid), &q); code != http.StatusOK {
-		t.Fatalf("/instant status %d", code)
+	if code := getJSON(t, fmt.Sprintf("%s/query?agg=instant&eps=1&k=3&t=%g", ts.URL, mid), &q); code != http.StatusOK {
+		t.Fatalf("/query agg=instant status %d", code)
+	}
+
+	// The per-aggregate routes are retired: /query is the only query
+	// endpoint.
+	for _, old := range []string{"/topk?k=3&t1=0&t2=1", "/avg?k=3&t1=0&t2=1", "/instant?k=3&t=0"} {
+		resp, err := http.Get(ts.URL + old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", old, resp.StatusCode)
+		}
 	}
 
 	// Appends racing queries: writer posts /append while readers hit
-	// /topk (the server-side mirror of the -race regression test).
+	// /query (the server-side mirror of the -race regression test).
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -181,12 +197,12 @@ func TestEndpoints(t *testing.T) {
 	}()
 	for i := 0; i < 20; i++ {
 		var r queryResponse
-		getJSON(t, fmt.Sprintf("%s/topk?k=3&t1=%g&t2=%g", ts.URL, db.Start(), mid), &r)
+		getJSON(t, fmt.Sprintf("%s/query?agg=sum&eps=1&k=3&t1=%g&t2=%g", ts.URL, db.Start(), mid), &r)
 	}
 	wg.Wait()
 
 	// Error paths.
-	resp, err := http.Get(ts.URL + "/topk?k=3&t1=oops&t2=1")
+	resp, err := http.Get(ts.URL + "/query?agg=sum&k=3&t1=oops&t2=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +212,7 @@ func TestEndpoints(t *testing.T) {
 	}
 	// An inverted interval is now a typed ErrBadInterval, mapped to 400
 	// (it was a 422 before the unified query API).
-	resp, err = http.Get(ts.URL + "/topk?k=3&t1=5&t2=1")
+	resp, err = http.Get(ts.URL + "/query?agg=sum&k=3&t1=5&t2=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +223,7 @@ func TestEndpoints(t *testing.T) {
 
 	// k guards: non-positive k rejected, huge k clamped to m (a DoS
 	// guard — k sizes the top-k heap).
-	resp, err = http.Get(ts.URL + "/topk?k=0&t1=0&t2=1")
+	resp, err = http.Get(ts.URL + "/query?agg=sum&k=0&t1=0&t2=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +232,7 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("k=0: status %d, want 400", resp.StatusCode)
 	}
 	var clamped queryResponse
-	if code := getJSON(t, fmt.Sprintf("%s/topk?k=2000000000&t1=%g&t2=%g", ts.URL, db.Start(), mid), &clamped); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s/query?agg=sum&eps=1&k=2000000000&t1=%g&t2=%g", ts.URL, db.Start(), mid), &clamped); code != http.StatusOK {
 		t.Fatalf("huge k: status %d, want 200", code)
 	}
 	if len(clamped.Results) > db.NumSeries() {

@@ -37,9 +37,7 @@ type backend interface {
 // /query is the primary endpoint: the caller states aggregate, k,
 // interval and error tolerance; each shard's planner picks the
 // cheapest index that satisfies them and the per-shard answers are
-// merged deterministically. The older per-aggregate routes (/topk,
-// /avg, /instant) delegate to the same code path with a fixed
-// aggregate.
+// merged deterministically.
 type server struct {
 	backend backend
 	// cluster is the local shard set; nil in -router mode, where
@@ -48,9 +46,9 @@ type server struct {
 	cluster *temporalrank.Cluster
 	router  *temporalrank.RemoteCluster
 	// primary is the first index of the first non-empty shard (nil when
-	// the cluster runs brute-force): the structure /score reports and
-	// the deprecated routes inherit their ε tolerance from. Shards are
-	// built homogeneously, so it is representative of every shard.
+	// the cluster runs brute-force): the structure /score reports.
+	// Shards are built homogeneously, so it is representative of every
+	// shard.
 	primary *temporalrank.Index
 	exec    *engine.Executor
 	mux     *http.ServeMux
@@ -84,8 +82,7 @@ func newServer(cluster *temporalrank.Cluster, workers int, timeout time.Duration
 // newRouterServer fronts a RemoteCluster: same endpoints, but queries
 // scatter to shardserver replicas instead of local planners. There is
 // no local primary index (the structures live on the shard nodes), so
-// /score reports the reference method and the deprecated routes carry
-// no implied ε tolerance.
+// /score reports the reference method.
 func newRouterServer(router *temporalrank.RemoteCluster, workers int, timeout time.Duration) (*server, error) {
 	s := newBaseServer(router, workers, timeout)
 	s.router = router
@@ -100,10 +97,7 @@ func newBaseServer(b backend, workers int, timeout time.Duration) *server {
 		timeout: timeout,
 		start:   time.Now(),
 	}
-	s.mux.HandleFunc("GET /query", s.handleQuery(""))
-	s.mux.HandleFunc("GET /topk", s.handleQuery(temporalrank.AggSum))
-	s.mux.HandleFunc("GET /avg", s.handleQuery(temporalrank.AggAvg))
-	s.mux.HandleFunc("GET /instant", s.handleQuery(temporalrank.AggInstant))
+	s.mux.HandleFunc("GET /query", s.handleQuery)
 	s.mux.HandleFunc("GET /score", s.handleScore)
 	s.mux.HandleFunc("POST /append", s.handleAppend)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -189,9 +183,8 @@ type resultJSON struct {
 	Score float64 `json:"score"`
 }
 
-// queryResponse is the body of /query and the delegating routes. T2 is
-// a pointer so instant queries omit it while an interval query's t2=0
-// is still echoed.
+// queryResponse is the body of /query. T2 is a pointer so instant
+// queries omit it while an interval query's t2=0 is still echoed.
 type queryResponse struct {
 	Agg       string       `json:"agg"`
 	Method    string       `json:"method"`
@@ -205,21 +198,12 @@ type queryResponse struct {
 	IOs       uint64       `json:"ios"`
 }
 
-// parseQuery assembles a temporalrank.Query from URL parameters. A
-// fixed agg pins the aggregate (the deprecated routes, which also
-// inherit the primary index's ε as their tolerance — preserving the
-// pre-planner behavior where those routes answered through the
-// server's own index, whatever its guarantee); otherwise the agg
-// parameter chooses, defaulting to sum.
-func (s *server) parseQuery(r *http.Request, fixed temporalrank.Agg) (temporalrank.Query, error) {
-	q := temporalrank.Query{Agg: fixed}
+// parseQuery assembles a temporalrank.Query from URL parameters; the
+// agg parameter chooses the aggregate, defaulting to sum.
+func (s *server) parseQuery(r *http.Request) (temporalrank.Query, error) {
+	q := temporalrank.Query{Agg: temporalrank.Agg(r.URL.Query().Get("agg"))}
 	if q.Agg == "" {
-		q.Agg = temporalrank.Agg(r.URL.Query().Get("agg"))
-		if q.Agg == "" {
-			q.Agg = temporalrank.AggSum
-		}
-	} else if s.primary != nil {
-		q.MaxEpsilon = s.primary.Epsilon()
+		q.Agg = temporalrank.AggSum
 	}
 	switch q.Agg {
 	case temporalrank.AggSum, temporalrank.AggAvg, temporalrank.AggInstant:
@@ -270,40 +254,38 @@ func (s *server) parseQuery(r *http.Request, fixed temporalrank.Agg) (temporalra
 	return q, nil
 }
 
-func (s *server) handleQuery(fixed temporalrank.Agg) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		q, err := s.parseQuery(r, fixed)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		ctx, cancel := s.queryCtx(r)
-		defer cancel()
-		ans, err := s.exec.Run(ctx, q)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		out := queryResponse{
-			Agg:       string(q.Agg),
-			Method:    string(ans.Method),
-			Exact:     ans.Exact,
-			Epsilon:   ans.Epsilon,
-			K:         q.K,
-			T1:        q.T1,
-			Results:   make([]resultJSON, len(ans.Results)),
-			LatencyNS: int64(ans.Latency),
-			IOs:       ans.IOs,
-		}
-		if q.Agg != temporalrank.AggInstant {
-			t2 := q.T2
-			out.T2 = &t2
-		}
-		for i, res := range ans.Results {
-			out.Results[i] = resultJSON{ID: res.ID, Score: res.Score}
-		}
-		writeJSON(w, http.StatusOK, out)
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	q, err := s.parseQuery(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	ctx, cancel := s.queryCtx(r)
+	defer cancel()
+	ans, err := s.exec.Run(ctx, q)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	out := queryResponse{
+		Agg:       string(q.Agg),
+		Method:    string(ans.Method),
+		Exact:     ans.Exact,
+		Epsilon:   ans.Epsilon,
+		K:         q.K,
+		T1:        q.T1,
+		Results:   make([]resultJSON, len(ans.Results)),
+		LatencyNS: int64(ans.Latency),
+		IOs:       ans.IOs,
+	}
+	if q.Agg != temporalrank.AggInstant {
+		t2 := q.T2
+		out.T2 = &t2
+	}
+	for i, res := range ans.Results {
+		out.Results[i] = resultJSON{ID: res.ID, Score: res.Score}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // scoreResponse is the body of /score.

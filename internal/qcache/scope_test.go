@@ -80,20 +80,6 @@ func TestJournalEvictionConservative(t *testing.T) {
 	}
 }
 
-func TestJournalCoarse(t *testing.T) {
-	j := NewJournal(8)
-	j.SetCoarse(true)
-	j.Advance(Scope{Series: 5, T1: 100, T2: 101})
-	if _, ok := j.Unchanged(0, Scope{Series: 6, T1: 0, T2: 1}); ok {
-		t.Fatal("coarse mode must record ScopeAll: unrelated scope validated")
-	}
-	j.SetCoarse(false)
-	j.Advance(Scope{Series: 5, T1: 100, T2: 101})
-	if _, ok := j.Unchanged(1, Scope{Series: 6, T1: 0, T2: 1}); !ok {
-		t.Fatal("scoped mode resumed, unrelated scope should validate")
-	}
-}
-
 // TestDoScopedProperty is the randomized model check for scoped
 // invalidation: against a replayable model of every journal event, a
 // cached answer is served iff no event recorded since the entry's
@@ -234,17 +220,21 @@ func TestDoScopedDoInterplay(t *testing.T) {
 // TestDoScopedHitRatioBeatsCoarse is the regression the scoped design
 // exists for: under a frontier-writer workload (appends always past
 // the cached windows), scoped invalidation keeps serving hits while
-// the coarse global-nuke baseline misses on every post-append lookup.
+// a coarse global-nuke baseline (every event recorded as ScopeAll)
+// misses on every post-append lookup.
 func TestDoScopedHitRatioBeatsCoarse(t *testing.T) {
 	run := func(coarse bool) Stats {
 		c := New[string, int](16)
 		j := NewJournal(0)
-		j.SetCoarse(coarse)
 		ctx := context.Background()
 		frontier := 1000.0
 		for i := 0; i < 200; i++ {
 			// One append at the frontier, then two queries about the past.
-			j.Advance(Scope{Series: i % 8, T1: frontier, T2: frontier + 1})
+			ev := Scope{Series: i % 8, T1: frontier, T2: frontier + 1}
+			if coarse {
+				ev = ScopeAll
+			}
+			j.Advance(ev)
 			frontier++
 			for _, key := range []string{"old-a", "old-b"} {
 				scope := Scope{Series: -1, T1: 0, T2: 100}

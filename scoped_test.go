@@ -10,9 +10,8 @@ import (
 // This file pins the planner-level contract of scoped cache
 // invalidation: a cached answer is served iff no append since it was
 // stored overlaps its (series, time-range) footprint — so frontier
-// writes keep answers about the past hot — and the scoped policy's hit
-// ratio strictly beats the coarse global-nuke baseline on a mixed
-// workload.
+// writes keep answers about the past hot, so the hit ratio stays near
+// 1 on a mixed workload.
 
 func scopedFixture(t *testing.T, memtable bool) (*temporalrank.DB, *temporalrank.Planner) {
 	t.Helper()
@@ -102,44 +101,36 @@ func TestScopedInvalidationServesIffNoOverlap(t *testing.T) {
 	}
 }
 
-// TestScopedHitRatioBeatsCoarsePlanner is the end-to-end A/B: the same
-// frontier-writer mixed workload, scoped vs SetCoarseInvalidation, and
-// the scoped hit ratio must be strictly better.
+// TestScopedHitRatioBeatsCoarsePlanner is the end-to-end check on a
+// frontier-writer mixed workload: whole-cache invalidation would miss
+// after every append, scoped invalidation must keep hitting. (The
+// scoped-vs-coarse A/B itself is qcache's TestDoScopedHitRatioBeatsCoarse.)
 func TestScopedHitRatioBeatsCoarsePlanner(t *testing.T) {
-	run := func(coarse bool) float64 {
-		db, p := scopedFixture(t, true)
-		p.SetCoarseInvalidation(coarse)
-		ctx := context.Background()
-		mid := db.Start() + db.Span()*0.5
-		queries := []temporalrank.Query{
-			temporalrank.SumQuery(5, db.Start(), mid),
-			temporalrank.AvgQuery(3, db.Start(), mid*0.7),
-			temporalrank.InstantQuery(4, mid*0.3),
+	db, p := scopedFixture(t, true)
+	ctx := context.Background()
+	mid := db.Start() + db.Span()*0.5
+	queries := []temporalrank.Query{
+		temporalrank.SumQuery(5, db.Start(), mid),
+		temporalrank.AvgQuery(3, db.Start(), mid*0.7),
+		temporalrank.InstantQuery(4, mid*0.3),
+	}
+	tt := db.End()
+	for i := 0; i < 50; i++ {
+		tt += 0.5
+		if err := p.Append(i%db.NumSeries(), tt, 1); err != nil {
+			t.Fatal(err)
 		}
-		tt := db.End()
-		for i := 0; i < 50; i++ {
-			tt += 0.5
-			if err := p.Append(i%db.NumSeries(), tt, 1); err != nil {
+		for _, q := range queries {
+			if _, err := p.Run(ctx, q); err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range queries {
-				if _, err := p.Run(ctx, q); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		st, ok := p.CacheStats()
-		if !ok {
-			t.Fatal("cache stats unavailable")
-		}
-		return st.HitRatio()
 	}
-	scoped := run(false)
-	coarse := run(true)
-	if scoped <= coarse {
-		t.Fatalf("scoped hit ratio %.3f not strictly better than coarse %.3f", scoped, coarse)
+	st, ok := p.CacheStats()
+	if !ok {
+		t.Fatal("cache stats unavailable")
 	}
-	if scoped < 0.9 {
+	if scoped := st.HitRatio(); scoped < 0.9 {
 		t.Fatalf("frontier writes should barely disturb past-window queries: scoped ratio %.3f", scoped)
 	}
 }

@@ -1,8 +1,8 @@
 // The dynamic backstop for the //tr:hotpath annotations: the static
 // hotalloc analyzer waives sanctioned allocations line by line, and
-// this test proves the waivers honest by measuring the cached read
-// path end to end. CI enforces the same property on
-// BenchmarkPlannerCachedRun/cached via -benchmem.
+// these tests prove the waivers honest by measuring the read path end
+// to end, cached and uncached. CI enforces the cached property on
+// BenchmarkPlannerCachedRun/cached via -benchmem as well.
 //
 // The race detector instruments allocations, so the measurement only
 // holds in a normal build.
@@ -18,12 +18,13 @@ import (
 	"temporalrank"
 )
 
-// TestPlannerCachedRunZeroAllocs asserts the steady-state cached
-// Planner.Run path — cacheKey, the qcache hit, the version load —
-// allocates nothing per query.
-func TestPlannerCachedRunZeroAllocs(t *testing.T) {
+// plannerRunAllocs warms a rotation of eight distinct queries through
+// a benchPlanner with the given result-cache size, then reports the
+// steady-state allocations per Planner.Run over that rotation.
+func plannerRunAllocs(t *testing.T, resultCache int) float64 {
+	t.Helper()
 	ctx := context.Background()
-	db, p := benchPlanner(t, 64)
+	db, p := benchPlanner(t, resultCache)
 	span := db.Span()
 	qs := make([]temporalrank.Query, 8)
 	for i := range qs {
@@ -36,13 +37,29 @@ func TestPlannerCachedRunZeroAllocs(t *testing.T) {
 		}
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	return testing.AllocsPerRun(200, func() {
 		if _, err := p.Run(ctx, qs[i%len(qs)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	if allocs != 0 {
+}
+
+// TestPlannerCachedRunZeroAllocs asserts the steady-state cached
+// Planner.Run path — cacheKey, the qcache hit, the version load —
+// allocates nothing per query.
+func TestPlannerCachedRunZeroAllocs(t *testing.T) {
+	if allocs := plannerRunAllocs(t, 64); allocs != 0 {
 		t.Errorf("cached Planner.Run allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPlannerUncachedRunAllocs is the dynamic backstop for the pagecopy
+// analyzer: with no result cache every query walks the index through
+// zero-copy page views, and must stay under the 27 allocs/op the
+// copy-per-page read path cost before the view conversion.
+func TestPlannerUncachedRunAllocs(t *testing.T) {
+	if allocs := plannerRunAllocs(t, 0); allocs >= 27 {
+		t.Errorf("uncached Planner.Run allocates %.1f allocs/op, want < 27", allocs)
 	}
 }
