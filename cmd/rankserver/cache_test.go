@@ -135,3 +135,58 @@ func TestCachedServerAppendInvalidates(t *testing.T) {
 			after.Results[0].ID, loser)
 	}
 }
+
+// TestStatsReportsCompactionPerShard: on a -memtable server /stats
+// says, shard by shard, how long the last background compaction took
+// (and would carry its error); shards that have not compacted say
+// nothing.
+func TestStatsReportsCompactionPerShard(t *testing.T) {
+	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: 20, Navg: 10, Seed: 5, Span: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := temporalrank.NewDBFromDataset(ds)
+	cluster, err := temporalrank.NewClusterFromDB(db, temporalrank.ClusterOptions{
+		Shards:   2,
+		Indexes:  []temporalrank.Options{{Method: temporalrank.MethodExact3}},
+		Memtable: &temporalrank.MemtableOptions{FlushSegments: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(cluster, 2, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+
+	body := fmt.Sprintf(`{"id":0,"t":%g,"v":1}`, db.End()+1)
+	if code, err := httpPost(ts.URL+"/append", body); err != nil || code != 200 {
+		t.Fatalf("append: status %d, %v", code, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var st statsResponse
+		if code := getJSON(t, ts.URL+"/stats", &st); code != 200 {
+			t.Fatalf("/stats status %d", code)
+		}
+		compacted := 0
+		for _, sh := range st.PerShard {
+			if sh.LastCompactionError != "" {
+				t.Fatalf("shard %d: compaction failed: %s", sh.Shard, sh.LastCompactionError)
+			}
+			if sh.LastCompactionSeconds > 0 {
+				compacted++
+			}
+		}
+		if compacted == 1 { // the shard that owns series 0, and only it
+			return
+		}
+		if compacted > 1 || time.Now().After(deadline) {
+			t.Fatalf("%d shards report a compaction, want 1: %+v", compacted, st.PerShard)
+		}
+	}
+}

@@ -373,11 +373,15 @@ type indexStatsJSON struct {
 	DeviceIOs  uint64  `json:"device_ios"`
 }
 
-// shardStatsJSON is one shard's slice of the data.
+// shardStatsJSON is one shard's slice of the data and, on a -memtable
+// server, how its most recent compaction went: a background compaction
+// has nowhere else to report a failure.
 type shardStatsJSON struct {
-	Shard    int `json:"shard"`
-	Objects  int `json:"objects"`
-	Segments int `json:"segments"`
+	Shard                 int     `json:"shard"`
+	Objects               int     `json:"objects"`
+	Segments              int     `json:"segments"`
+	LastCompactionSeconds float64 `json:"last_compaction_seconds,omitempty"`
+	LastCompactionError   string  `json:"last_compaction_error,omitempty"`
 }
 
 // resultCacheJSON is the /stats view of the versioned result cache
@@ -487,6 +491,13 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		})
 		if planners[shard] == nil {
 			continue
+		}
+		if mt, ok := planners[shard].MemtableStats(); ok {
+			sj := &out.PerShard[len(out.PerShard)-1]
+			sj.LastCompactionSeconds = mt.LastCompaction.Seconds()
+			if mt.LastError != nil {
+				sj.LastCompactionError = mt.LastError.Error()
+			}
 		}
 		for _, ix := range planners[shard].Indexes() {
 			ist := ix.Stats()

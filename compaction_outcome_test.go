@@ -1,0 +1,120 @@
+package temporalrank_test
+
+import (
+	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"temporalrank"
+)
+
+// TestCompactionOutcomeReported: a background compaction has no caller
+// to hand its error to, so MemtableStats must report it — and must
+// survive two failures of different concrete types in a row, which the
+// atomic.Value this replaced answered with a panic on the compaction
+// goroutine. The planner's one index lives in a file; swapping its
+// directory for a regular file makes the next generation's build fail
+// with an *fs.PathError, and putting it back lets the retry succeed.
+func TestCompactionOutcomeReported(t *testing.T) {
+	inputs := clusterInputs(t, 6, 8, 3)
+	db, err := temporalrank.NewDB(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ix")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3, OnDiskPath: filepath.Join(dir, "e3.idx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every append finds the flush threshold reached and starts a
+	// background compaction unless one is running.
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{FlushSegments: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	at := inputs[0].Times[len(inputs[0].Times)-1]
+	appendAndSettle := func() temporalrank.MemtableStats {
+		t.Helper()
+		at++
+		if err := p.Append(0, at, 1); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, ok := p.MemtableStats()
+			if !ok {
+				t.Fatal("memtable stats unavailable")
+			}
+			if !st.Compacting {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("background compaction did not finish")
+			}
+		}
+	}
+
+	st := appendAndSettle()
+	if st.Generations != 1 || st.LastError != nil || st.LastCompaction <= 0 {
+		t.Fatalf("after a clean compaction: %+v", st)
+	}
+
+	// Break the path: the next generation's file cannot be created.
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st = appendAndSettle()
+	var pathErr *fs.PathError
+	if st.Generations != 1 || !errors.As(st.LastError, &pathErr) || st.FrozenSegments == 0 {
+		t.Fatalf("after a compaction that could not write its index: %+v", st)
+	}
+	first := st.LastError
+
+	// A second failure, of another concrete type, replaces the first.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := p.Compact(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compact under a cancelled context: %v", err)
+	}
+	st, _ = p.MemtableStats()
+	if !errors.Is(st.LastError, context.Canceled) {
+		t.Fatalf("after a cancelled compaction: %+v", st)
+	}
+	if reflect.TypeOf(st.LastError) == reflect.TypeOf(first) {
+		t.Fatalf("both failures are %T; the test needs two concrete types", first)
+	}
+
+	// Repair the path: the retry drains the frozen table and clears the
+	// error.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	st = appendAndSettle()
+	if st.Generations != 2 || st.LastError != nil || st.FrozenSegments != 0 {
+		t.Fatalf("after the retry: %+v", st)
+	}
+	if err := p.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ = p.MemtableStats(); st.ActiveSegments != 0 || st.LastError != nil {
+		t.Fatalf("not drained: %+v", st)
+	}
+}

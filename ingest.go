@@ -52,6 +52,13 @@ type MemtableStats struct {
 	Generations uint64
 	// Compacting reports whether a background compaction is running.
 	Compacting bool
+	// LastCompaction is how long the most recent compaction ran, and
+	// LastError what it failed with: nil when it succeeded, so a
+	// success clears an earlier failure. Both are zero until a
+	// compaction has had something to drain. A background compaction
+	// has no caller to return its error to; this is where it shows.
+	LastCompaction time.Duration
+	LastError      error
 }
 
 // ingestState is the planner's memtable mode: a generation layer in
@@ -78,7 +85,16 @@ type ingestState struct {
 	compacting atomic.Bool
 	gens       atomic.Uint64
 	diskGen    atomic.Uint64
-	lastErr    atomic.Value // most recent background compaction error
+	// last is the most recent compaction's outcome, written by Compact
+	// and read by MemtableStats. One struct type behind the pointer
+	// whatever the error's concrete type.
+	last atomic.Pointer[compactionOutcome]
+}
+
+// compactionOutcome is what MemtableStats reports of a compaction.
+type compactionOutcome struct {
+	took time.Duration
+	err  error
 }
 
 // EnableMemtable switches the planner to write-optimized ingest: from
@@ -160,6 +176,9 @@ func (p *Planner) MemtableStats() (stats MemtableStats, ok bool) {
 	if g.Frozen != nil {
 		stats.FrozenSegments = g.Frozen.Segments()
 	}
+	if last := ing.last.Load(); last != nil {
+		stats.LastCompaction, stats.LastError = last.took, last.err
+	}
 	return stats, true
 }
 
@@ -196,9 +215,9 @@ func (p *Planner) maybeCompact(ing *ingestState) {
 	}
 	go func() {
 		defer ing.compacting.Store(false)
-		if err := p.Compact(context.Background()); err != nil {
-			ing.lastErr.Store(err)
-		}
+		// Nobody to return the error to: Compact records its outcome
+		// and MemtableStats reports it.
+		_ = p.Compact(context.Background())
 	}()
 }
 
@@ -237,7 +256,9 @@ func (p *Planner) Compact(ctx context.Context) error {
 	if g.Frozen == nil {
 		return nil
 	}
+	start := time.Now()
 	newBase, err := rebuildBase(ctx, ing, g.Base, g.Frozen)
+	ing.last.Store(&compactionOutcome{took: time.Since(start), err: err})
 	if err != nil {
 		return err
 	}

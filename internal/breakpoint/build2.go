@@ -1,9 +1,9 @@
 package breakpoint
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"temporalrank/internal/tsdata"
@@ -15,14 +15,14 @@ import (
 // baseline (BREAKPOINTS2-B): after each cut, every object's running
 // integral is recomputed, costing O(rm) on top of the O(N log N) sweep.
 func Build2Baseline(ds *tsdata.Dataset, eps float64) (*Set, error) {
-	return build2(ds, eps, false)
+	return newSweep(ds).build2(eps, false, math.MaxInt)
 }
 
 // Build2 constructs BREAKPOINTS2 with the lazy-refinement candidate
 // heap (BREAKPOINTS2-E): identical output to Build2Baseline, without
 // the per-cut O(m) reset.
 func Build2(ds *tsdata.Dataset, eps float64) (*Set, error) {
-	return build2(ds, eps, true)
+	return newSweep(ds).build2(eps, true, math.MaxInt)
 }
 
 // objState tracks one object during the sweep.
@@ -44,174 +44,283 @@ type candidate struct {
 	epoch int
 }
 
+// candHeap is a min-heap on candidate.t. push and pop make the
+// comparisons container/heap's Push and Pop make and leave the array as
+// its swaps would, so candidates with equal times still leave in the
+// order they always have and the sweep places the same breakpoints;
+// what they save is boxing every candidate into an interface{}, and
+// half the writes by moving the sifted entry once rather than swapping
+// it level by level.
 type candHeap []candidate
 
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].t < h[j].t }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *candHeap) push(c candidate) {
+	s := append(*h, c)
+	*h = s
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(c.t < s[i].t) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = c
 }
 
-func build2(ds *tsdata.Dataset, eps float64, lazy bool) (*Set, error) {
+// pop removes the minimum, (*h)[0].
+func (h *candHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	c := s[n] // takes the root's place and sinks
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].t < s[j].t {
+			j = j2
+		}
+		if !(s[j].t < c.t) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = c
+	*h = s[:n]
+}
+
+// sweep is one dataset prepared for BREAKPOINTS2: its segments in
+// FlatSegments order, which every pass reads and none changes, and the
+// scratch a pass works in, so that a search over ε sorts once and
+// allocates once however many passes it makes.
+type sweep struct {
+	flat       []tsdata.SegmentRef
+	start, end float64
+	mass       float64 // the dataset's M
+
+	states []objState
+	cands  candHeap
+	times  []float64
+
+	// Set by build2 for the pass in progress.
+	threshold float64
+	lazy      bool
+	limit     int
+	epoch     int
+	lastBP    float64
+}
+
+func newSweep(ds *tsdata.Dataset) *sweep {
+	return &sweep{
+		flat:   ds.FlatSegments(),
+		start:  ds.Start(),
+		end:    ds.End(),
+		mass:   ds.M(),
+		states: make([]objState, ds.NumSeries()),
+	}
+}
+
+// build2 runs one max-rule pass at eps. A pass that places more than
+// limit breakpoints is abandoned and returns a nil set: a search that
+// already holds a closer set only needs to know that this ε is too
+// small.
+func (sw *sweep) build2(eps float64, lazy bool, limit int) (*Set, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("breakpoint: eps must be positive, got %g", eps)
 	}
-	M := ds.M()
-	threshold := eps * M
-	if threshold <= 0 {
+	sw.threshold = eps * sw.mass
+	if sw.threshold <= 0 {
 		return nil, fmt.Errorf("breakpoint: zero-mass dataset")
 	}
-	flat := ds.FlatSegments()
-	m := ds.NumSeries()
-
-	states := make([]objState, m)
-	for i := range states {
-		states[i].resetAt = ds.Start()
+	sw.lazy, sw.limit = lazy, limit
+	for i := range sw.states {
+		sw.states[i] = objState{resetAt: sw.start}
 	}
-	var cands candHeap
-	epoch := 0
-	lastBP := ds.Start()
-	times := []float64{ds.Start()}
+	sw.cands = sw.cands[:0]
+	sw.epoch = 0
+	sw.lastBP = sw.start
+	sw.times = append(sw.times[:0], sw.start)
 
-	// refresh recomputes object i's exact candidate under the current
-	// breakpoint and pushes it; it also re-bases acc to lastBP.
-	refresh := func(i int) {
-		st := &states[i]
-		if !st.hasCur {
-			return
+	for i := range sw.flat {
+		ref := &sw.flat[i]
+		if !sw.fireBefore(ref.Segment.T1) {
+			return nil, nil
 		}
-		if st.resetAt < lastBP {
-			// Drop the part of acc that precedes the current breakpoint.
-			// Only the current segment can straddle lastBP (any earlier
-			// segment of this object ended before some segment started
-			// at or before lastBP).
-			st.acc = st.cur.AbsIntegralOver(lastBP, st.cur.T2)
-			st.resetAt = lastBP
-		}
-		if st.acc < threshold {
-			return
-		}
-		// The crossing lies within the current segment's processed span.
-		from := math.Max(lastBP, st.cur.T1)
-		already := st.acc - st.cur.AbsIntegralOver(from, st.cur.T2)
-		t, ok := st.cur.SolveAbsIntegralForward(from, threshold-already)
-		if !ok {
-			return
-		}
-		st.seq++
-		heap.Push(&cands, candidate{t: t, obj: tsdata.SeriesID(i), seq: st.seq, epoch: epoch})
-	}
-
-	// nextFire returns the exact earliest crossing among candidates,
-	// lazily re-keying stale entries (whose times are valid lower
-	// bounds, since cuts only push crossings later).
-	nextFire := func() (candidate, bool) {
-		for len(cands) > 0 {
-			top := cands[0]
-			st := &states[top.obj]
-			if top.seq != st.seq {
-				heap.Pop(&cands) // superseded
-				continue
-			}
-			if top.epoch == epoch {
-				return top, true
-			}
-			// Stale: recompute under the current breakpoint.
-			heap.Pop(&cands)
-			refresh(int(top.obj))
-		}
-		return candidate{}, false
-	}
-
-	// emit places a breakpoint at bp and resets accounting.
-	emit := func(bp float64) {
-		if bp <= times[len(times)-1] {
-			return // numeric noise; never move backwards
-		}
-		times = append(times, bp)
-		lastBP = bp
-		epoch++
-		if !lazy {
-			// Baseline: recompute every object immediately (O(m) per cut).
-			for i := range states {
-				states[i].seq++ // invalidate all outstanding candidates
-			}
-			cands = cands[:0]
-			for i := range states {
-				refresh(i)
-			}
-		}
-		// Lazy mode: outstanding candidates stay as lower bounds and are
-		// re-keyed on demand by nextFire.
-	}
-
-	// fireBefore emits every crossing that occurs strictly before limit.
-	fireBefore := func(limit float64) {
-		for {
-			c, ok := nextFire()
-			if !ok || c.t >= limit {
-				return
-			}
-			emit(c.t)
-			// The firing object may cross again within its current
-			// segment under the new breakpoint.
-			refresh(int(c.obj))
-		}
-	}
-
-	for _, ref := range flat {
-		fireBefore(ref.Segment.T1)
-		st := &states[ref.Series]
+		st := &sw.states[ref.Series]
 		// Fold the new segment into the object's accumulator.
-		if st.resetAt < lastBP {
+		if st.resetAt < sw.lastBP {
 			if st.hasCur {
-				st.acc = st.cur.AbsIntegralOver(lastBP, st.cur.T2)
+				st.acc = st.cur.AbsIntegralOver(sw.lastBP, st.cur.T2)
 			} else {
 				st.acc = 0
 			}
-			st.resetAt = lastBP
+			st.resetAt = sw.lastBP
 		}
-		st.acc += ref.Segment.AbsIntegralOver(math.Max(lastBP, ref.Segment.T1), ref.Segment.T2)
+		st.acc += ref.Segment.AbsIntegralOver(math.Max(sw.lastBP, ref.Segment.T1), ref.Segment.T2)
 		st.cur = ref.Segment
 		st.hasCur = true
-		if st.acc >= threshold {
-			refresh(int(ref.Series))
+		if st.acc >= sw.threshold {
+			sw.refresh(int(ref.Series))
 		}
 	}
-	fireBefore(math.Inf(1))
-
-	if last := times[len(times)-1]; last < ds.End() {
-		times = append(times, ds.End())
+	if !sw.fireBefore(math.Inf(1)) {
+		return nil, nil
 	}
-	return &Set{Times: times, Epsilon: eps, M: M}, nil
+
+	if last := sw.times[len(sw.times)-1]; last < sw.end {
+		sw.times = append(sw.times, sw.end)
+	}
+	return &Set{Times: slices.Clone(sw.times), Epsilon: eps, M: sw.mass}, nil
 }
 
-// Build2WithTargetR bisects ε so that Build2 yields approximately r
-// breakpoints (within the given tolerance or 40 iterations). This is
-// how the §5 experiments compare B1 and B2 "given the same budget r":
-// BREAKPOINTS1 fixes r = 1/ε+1, while BREAKPOINTS2's r depends on the
-// data, so the effective ε achieving a budget must be searched.
+// refresh recomputes object i's exact candidate under the current
+// breakpoint and pushes it; it also re-bases acc to lastBP.
+func (sw *sweep) refresh(i int) {
+	st := &sw.states[i]
+	if !st.hasCur {
+		return
+	}
+	if st.resetAt < sw.lastBP {
+		// Drop the part of acc that precedes the current breakpoint.
+		// Only the current segment can straddle lastBP (any earlier
+		// segment of this object ended before some segment started
+		// at or before lastBP).
+		st.acc = st.cur.AbsIntegralOver(sw.lastBP, st.cur.T2)
+		st.resetAt = sw.lastBP
+	}
+	if st.acc < sw.threshold {
+		return
+	}
+	// The crossing lies within the current segment's processed span.
+	from := math.Max(sw.lastBP, st.cur.T1)
+	already := st.acc - st.cur.AbsIntegralOver(from, st.cur.T2)
+	t, ok := st.cur.SolveAbsIntegralForward(from, sw.threshold-already)
+	if !ok {
+		return
+	}
+	st.seq++
+	sw.cands.push(candidate{t: t, obj: tsdata.SeriesID(i), seq: st.seq, epoch: sw.epoch})
+}
+
+// nextFire returns the exact earliest crossing among candidates,
+// lazily re-keying stale entries (whose times are valid lower
+// bounds, since cuts only push crossings later).
+func (sw *sweep) nextFire() (candidate, bool) {
+	for len(sw.cands) > 0 {
+		top := sw.cands[0]
+		if top.seq != sw.states[top.obj].seq {
+			sw.cands.pop() // superseded
+			continue
+		}
+		if top.epoch == sw.epoch {
+			return top, true
+		}
+		// Stale: recompute under the current breakpoint.
+		sw.cands.pop()
+		sw.refresh(int(top.obj))
+	}
+	return candidate{}, false
+}
+
+// emit places a breakpoint at bp and resets accounting.
+func (sw *sweep) emit(bp float64) {
+	if bp <= sw.times[len(sw.times)-1] {
+		return // numeric noise; never move backwards
+	}
+	sw.times = append(sw.times, bp)
+	sw.lastBP = bp
+	sw.epoch++
+	if !sw.lazy {
+		// Baseline: recompute every object immediately (O(m) per cut).
+		for i := range sw.states {
+			sw.states[i].seq++ // invalidate all outstanding candidates
+		}
+		sw.cands = sw.cands[:0]
+		for i := range sw.states {
+			sw.refresh(i)
+		}
+	}
+	// Lazy mode: outstanding candidates stay as lower bounds and are
+	// re-keyed on demand by nextFire.
+}
+
+// fireBefore emits every crossing that occurs strictly before until,
+// and reports false once more than limit breakpoints stand.
+func (sw *sweep) fireBefore(until float64) bool {
+	for {
+		c, ok := sw.nextFire()
+		if !ok || c.t >= until {
+			return true
+		}
+		sw.emit(c.t)
+		if len(sw.times) > sw.limit {
+			return false
+		}
+		// The firing object may cross again within its current
+		// segment under the new breakpoint.
+		sw.refresh(int(c.obj))
+	}
+}
+
+// Build2WithTargetR searches for the ε at which BREAKPOINTS2 (Build2
+// when lazy, Build2Baseline otherwise) yields r breakpoints, and
+// returns the set built at it: exactly r breakpoints when some probe
+// of a 40-step geometric bisection of ε over [1e-12, 1] hits r, the
+// probe that came closest otherwise. This is how the §5 experiments
+// compare B1 and B2 "given the same budget r": BREAKPOINTS1 fixes
+// r = 1/ε+1, while BREAKPOINTS2's r depends on the data, so the
+// effective ε achieving a budget must be searched.
 func Build2WithTargetR(ds *tsdata.Dataset, r int, lazy bool) (*Set, error) {
-	if r < 2 {
-		return nil, fmt.Errorf("breakpoint: target r must be >= 2, got %d", r)
+	sets, err := Build2WithTargetRs(ds, []int{r}, lazy)
+	if err != nil {
+		return nil, err
 	}
-	builder := Build2
-	if !lazy {
-		builder = Build2Baseline
+	return sets[0], nil
+}
+
+// Build2WithTargetRs is Build2WithTargetR for several budgets over one
+// dataset: sets[i] is what Build2WithTargetR(ds, rs[i], lazy) returns,
+// and the segments are put in time order once for all of them.
+func Build2WithTargetRs(ds *tsdata.Dataset, rs []int, lazy bool) ([]*Set, error) {
+	for _, r := range rs {
+		if r < 2 {
+			return nil, fmt.Errorf("breakpoint: target r must be >= 2, got %d", r)
+		}
 	}
+	sw := newSweep(ds)
+	sets := make([]*Set, len(rs))
+	for i, r := range rs {
+		s, err := sw.searchR(r, lazy)
+		if err != nil {
+			return nil, err
+		}
+		sets[i] = s
+	}
+	return sets, nil
+}
+
+// searchR is the bisection behind Build2WithTargetR.
+func (sw *sweep) searchR(r int, lazy bool) (*Set, error) {
 	lo, hi := 1e-12, 1.0 // ε range; smaller ε -> more breakpoints
 	var best *Set
 	for iter := 0; iter < 40; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection over magnitudes
-		s, err := builder(ds, mid)
+		// Once a best is in hand, a probe that passes r by more than
+		// best misses it can only end as "R > r, not best".
+		limit := math.MaxInt
+		if best != nil {
+			limit = r + absInt(best.R()-r)
+		}
+		s, err := sw.build2(mid, lazy, limit)
 		if err != nil {
 			return nil, err
+		}
+		if s == nil {
+			lo = mid
+			continue
 		}
 		if best == nil || absInt(s.R()-r) < absInt(best.R()-r) {
 			best = s

@@ -59,25 +59,31 @@ func BuildExact3(dev blockio.Device, ds *tsdata.Dataset) (*Exact3, error) {
 	lo := ds.Start() - pad
 	hi := ds.End() + pad
 
+	// Every payload is carved from one slab: the tree copies them onto
+	// its pages and keeps none.
 	intervals := make([]itree.Interval, 0, ds.NumSegments()+2*m)
+	slab := make([]byte, cap(intervals)*exact3PayloadSize)
+	add := func(id tsdata.SeriesID, lo, hi, v1, v2, prefix float64) {
+		p := slab[:exact3PayloadSize:exact3PayloadSize]
+		slab = slab[exact3PayloadSize:]
+		putSeriesID(p[0:], id)
+		putF64(p[4:], v1)
+		putF64(p[12:], v2)
+		putF64(p[20:], prefix)
+		intervals = append(intervals, itree.Interval{Lo: lo, Hi: hi, Payload: p})
+	}
 	for _, s := range ds.AllSeries() {
-		n := s.NumSegments()
 		// Left sentinel: zero function before the object begins.
 		if s.Start() > lo {
-			intervals = append(intervals, sentinelInterval(s.ID, lo, s.Start(), 0))
+			add(s.ID, lo, s.Start(), 0, 0, 0)
 		}
-		for j := 0; j < n; j++ {
+		for j := 0; j < s.NumSegments(); j++ {
 			seg := s.Segment(j)
-			p := make([]byte, exact3PayloadSize)
-			putSeriesID(p[0:], s.ID)
-			putF64(p[4:], seg.V1)
-			putF64(p[12:], seg.V2)
-			putF64(p[20:], s.Prefix(j+1))
-			intervals = append(intervals, itree.Interval{Lo: seg.T1, Hi: seg.T2, Payload: p})
+			add(s.ID, seg.T1, seg.T2, seg.V1, seg.V2, s.Prefix(j+1))
 		}
 		// Right sentinel: zero function after the object ends, carrying
 		// the full prefix.
-		intervals = append(intervals, sentinelInterval(s.ID, s.End(), hi, s.Total()))
+		add(s.ID, s.End(), hi, 0, 0, s.Total())
 	}
 	tree, err := itree.Build(dev, exact3PayloadSize, intervals)
 	if err != nil {
@@ -99,15 +105,6 @@ func BuildExact3(dev blockio.Device, ds *tsdata.Dataset) (*Exact3, error) {
 		builtEnd: builtEnd,
 		tails:    make([][]tailEntry, ds.NumSeries()),
 	}, nil
-}
-
-func sentinelInterval(id tsdata.SeriesID, lo, hi, prefix float64) itree.Interval {
-	p := make([]byte, exact3PayloadSize)
-	putSeriesID(p[0:], id)
-	putF64(p[4:], 0)
-	putF64(p[12:], 0)
-	putF64(p[20:], prefix)
-	return itree.Interval{Lo: lo, Hi: hi, Payload: p}
 }
 
 // Name implements Method.

@@ -33,7 +33,13 @@ func Fig11(w io.Writer, p Params, rSweep []int) (*Table, error) {
 			"sz:APPX1-B", "sz:APPX2-B", "sz:APPX1", "sz:APPX2", "sz:APPX2+", "sz:EXACT3",
 			"bld:APPX1-B", "bld:APPX2-B", "bld:APPX1", "bld:APPX2", "bld:APPX2+", "bld:EXACT3"},
 	}
-	for _, r := range rSweep {
+	// Find B2's effective eps for each r budget: every search runs over
+	// the one time-ordered segment array.
+	b2s, err := breakpoint.Build2WithTargetRs(ds, rSweep, true)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rSweep {
 		eps1 := breakpoint.EpsilonForR1(r)
 		start := time.Now()
 		b1, err := breakpoint.Build1(ds, eps1)
@@ -42,11 +48,7 @@ func Fig11(w io.Writer, p Params, rSweep []int) (*Table, error) {
 		}
 		tB1 := time.Since(start)
 
-		// Find B2's effective eps for the same r budget.
-		b2, err := breakpoint.Build2WithTargetR(ds, r, true)
-		if err != nil {
-			return nil, err
-		}
+		b2 := b2s[i]
 		start = time.Now()
 		if _, err := breakpoint.Build2Baseline(ds, b2.Epsilon); err != nil {
 			return nil, err
@@ -136,17 +138,17 @@ func Fig12(w io.Writer, p Params, rSweep []int) (*Table, error) {
 			p.Dataset, p.M, p.Navg, p.K),
 		Columns: []string{"r", "method", "prec/recall", "ratio", "IOs", "time"},
 	}
-	for _, r := range rSweep {
+	b2s, err := breakpoint.Build2WithTargetRs(ds, rSweep, true)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rSweep {
 		eps1 := breakpoint.EpsilonForR1(r)
 		b1, err := breakpoint.Build1(ds, eps1)
 		if err != nil {
 			return nil, err
 		}
-		b2, err := breakpoint.Build2WithTargetR(ds, r, true)
-		if err != nil {
-			return nil, err
-		}
-		methods, err := buildApproxSet(ds, b1, b2, p)
+		methods, err := buildApproxSet(ds, b1, b2s[i], p)
 		if err != nil {
 			return nil, err
 		}

@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"temporalrank/internal/blockio"
@@ -71,8 +73,13 @@ func Build(dev blockio.Device, payloadSize int, intervals []Interval) (*Tree, er
 		}
 	}
 	t.numIntervals = len(intervals)
-	work := append([]Interval(nil), intervals...)
-	root, height, err := t.build(work, 0)
+	b := &builder{
+		t:    t,
+		page: make([]byte, dev.BlockSize()),
+		ends: make([]float64, 2*len(intervals)),
+		part: make([]Interval, len(intervals)),
+	}
+	root, height, err := b.build(slices.Clone(intervals), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -124,117 +131,202 @@ func (t *Tree) Height() int { return t.height }
 // any balanced shape for in-range inputs.
 const maxDepth = 64
 
-func (t *Tree) build(ivs []Interval, depth int) (blockio.PageID, int, error) {
+// builder is Build's working state: the tree under construction and
+// scratch sized once for the whole input, which every node of the
+// recursion uses in turn and none holds on to.
+type builder struct {
+	t     *Tree
+	page  []byte           // the one page image every node and list page is laid out in
+	ends  []float64        // pickCenter's endpoints
+	part  []Interval       // a node's partition, then its lists being sorted
+	pages []blockio.PageID // the chain writeList is laying out
+}
+
+// build lays out the subtree over ivs, which it reorders.
+func (b *builder) build(ivs []Interval, depth int) (blockio.PageID, int, error) {
 	if len(ivs) == 0 {
 		return blockio.InvalidPage, 0, nil
 	}
 	if depth > maxDepth {
 		return blockio.InvalidPage, 0, fmt.Errorf("itree: degenerate recursion (depth %d, %d intervals)", depth, len(ivs))
 	}
-	center := pickCenter(ivs)
-	var left, mid, right []Interval
+	center := pickCenter(ivs, b.ends[:2*len(ivs)])
+
+	// Partition ivs into left | mid | right, each keeping its input
+	// order.
+	nl, nm := 0, 0
+	for i := range ivs {
+		switch {
+		case ivs[i].Hi <= center:
+			nl++
+		case ivs[i].Lo > center:
+		default:
+			nm++
+		}
+	}
+	if nm == 0 && (nl == len(ivs) || nl == 0) {
+		return blockio.InvalidPage, 0, fmt.Errorf("itree: center %g did not split %d intervals", center, len(ivs))
+	}
+	part := b.part[:len(ivs)]
+	l, m, r := 0, nl, nl+nm
 	for _, iv := range ivs {
 		switch {
 		case iv.Hi <= center:
-			left = append(left, iv)
+			part[l] = iv
+			l++
 		case iv.Lo > center:
-			right = append(right, iv)
+			part[r] = iv
+			r++
 		default:
-			mid = append(mid, iv)
+			part[m] = iv
+			m++
 		}
 	}
-	if len(mid) == 0 && (len(left) == len(ivs) || len(right) == len(ivs)) {
-		return blockio.InvalidPage, 0, fmt.Errorf("itree: center %g did not split %d intervals", center, len(ivs))
-	}
+	copy(ivs, part)
+	left, mid, right := ivs[:nl], ivs[nl:nl+nm], ivs[nl+nm:]
 
-	leftPage, lh, err := t.build(left, depth+1)
+	leftPage, lh, err := b.build(left, depth+1)
 	if err != nil {
 		return blockio.InvalidPage, 0, err
 	}
-	rightPage, rh, err := t.build(right, depth+1)
+	rightPage, rh, err := b.build(right, depth+1)
 	if err != nil {
 		return blockio.InvalidPage, 0, err
 	}
 
 	// Lists: ascending lo, and descending hi.
-	byLo := append([]Interval(nil), mid...)
-	sort.Slice(byLo, func(a, b int) bool { return byLo[a].Lo < byLo[b].Lo })
-	byHi := append([]Interval(nil), mid...)
-	sort.Slice(byHi, func(a, b int) bool { return byHi[a].Hi > byHi[b].Hi })
+	list := b.part[:nm]
+	copy(list, mid)
+	sort.Sort(byLo(list))
+	lHead, err := b.writeList(list)
+	if err != nil {
+		return blockio.InvalidPage, 0, err
+	}
+	copy(list, mid)
+	sort.Sort(byHiDesc(list))
+	rHead, err := b.writeList(list)
+	if err != nil {
+		return blockio.InvalidPage, 0, err
+	}
 
-	lHead, err := t.writeList(byLo)
+	page, err := b.t.dev.Alloc()
 	if err != nil {
 		return blockio.InvalidPage, 0, err
 	}
-	rHead, err := t.writeList(byHi)
-	if err != nil {
-		return blockio.InvalidPage, 0, err
-	}
-
-	page, err := t.dev.Alloc()
-	if err != nil {
-		return blockio.InvalidPage, 0, err
-	}
-	buf := make([]byte, t.dev.BlockSize())
+	buf := b.page
+	clear(buf)
 	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(center))
 	putPageID(buf[8:], leftPage)
 	putPageID(buf[16:], rightPage)
 	putPageID(buf[24:], lHead)
-	binary.LittleEndian.PutUint32(buf[32:], uint32(len(mid)))
+	binary.LittleEndian.PutUint32(buf[32:], uint32(nm))
 	putPageID(buf[36:], rHead)
-	binary.LittleEndian.PutUint32(buf[44:], uint32(len(mid)))
-	if err := t.dev.Write(page, buf); err != nil {
+	binary.LittleEndian.PutUint32(buf[44:], uint32(nm))
+	if err := b.t.dev.Write(page, buf); err != nil {
 		return blockio.InvalidPage, 0, err
 	}
-	h := 1
-	if lh+1 > h {
-		h = lh + 1
-	}
-	if rh+1 > h {
-		h = rh + 1
-	}
-	return page, h, nil
+	return page, 1 + max(lh, rh), nil
 }
 
-// pickCenter returns the midpoint of the two middle endpoints, which
-// balances endpoint counts across children.
-func pickCenter(ivs []Interval) float64 {
-	eps := make([]float64, 0, 2*len(ivs))
-	for _, iv := range ivs {
-		eps = append(eps, iv.Lo, iv.Hi)
+type byLo []Interval
+
+func (s byLo) Len() int           { return len(s) }
+func (s byLo) Less(i, j int) bool { return s[i].Lo < s[j].Lo }
+func (s byLo) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+type byHiDesc []Interval
+
+func (s byHiDesc) Len() int           { return len(s) }
+func (s byHiDesc) Less(i, j int) bool { return s[i].Hi > s[j].Hi }
+func (s byHiDesc) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// pickCenter returns the midpoint of the two middle endpoints of ivs,
+// which balances endpoint counts across children: with the 2n
+// endpoints in ascending order as e, exactly (e[n-1]+e[n])/2. It finds
+// the two by selection in scratch, which must hold 2n floats, rather
+// than by sorting; the result must be that float and no other (the
+// center decides which node every interval lands on), and the identity
+// test holds it to a sort-based reference.
+func pickCenter(ivs []Interval, scratch []float64) float64 {
+	for i, iv := range ivs {
+		scratch[2*i], scratch[2*i+1] = iv.Lo, iv.Hi
 	}
-	sort.Float64s(eps)
-	k := len(eps) / 2
-	return (eps[k-1] + eps[k]) / 2
+	k := len(ivs)
+	selectKth(scratch, k)
+	return (slices.Max(scratch[:k]) + scratch[k]) / 2
+}
+
+// selectKth reorders a so that a[k] is the element a full ascending
+// sort would put there, nothing before it is greater and nothing after
+// it is smaller. Quickselect with a median-of-three pivot, linear in
+// expectation; a window that survives more rounds than a balanced
+// split sequence allows is sorted outright, which keeps the worst case
+// at O(n log n).
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 16 && budget > 0; budget-- {
+		// Median of three to a[lo+1], with a[lo] <= pivot <= a[hi] as
+		// sentinels for the scans below.
+		mid := lo + (hi-lo)/2
+		a[mid], a[lo+1] = a[lo+1], a[mid]
+		if a[lo] > a[hi] {
+			a[lo], a[hi] = a[hi], a[lo]
+		}
+		if a[lo+1] > a[hi] {
+			a[lo+1], a[hi] = a[hi], a[lo+1]
+		}
+		if a[lo] > a[lo+1] {
+			a[lo], a[lo+1] = a[lo+1], a[lo]
+		}
+		pivot := a[lo+1]
+		i, j := lo+1, hi
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; a[j] > pivot; j-- {
+			}
+			if j < i {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		a[lo+1], a[j] = a[j], pivot
+		if j >= k {
+			hi = j - 1
+		}
+		if j <= k {
+			lo = i
+		}
+	}
+	if lo < hi {
+		slices.Sort(a[lo : hi+1])
+	}
 }
 
 // writeList serializes intervals into a chain of list pages, returning
 // the head page (InvalidPage when empty). Page order preserves slice
 // order so scan early-exit works.
-func (t *Tree) writeList(ivs []Interval) (blockio.PageID, error) {
+func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
 	if len(ivs) == 0 {
 		return blockio.InvalidPage, nil
 	}
+	t := b.t
 	// Allocate pages first so each page can point at its successor.
 	numPages := (len(ivs) + t.listCap - 1) / t.listCap
-	pages := make([]blockio.PageID, numPages)
-	for i := range pages {
+	pages := b.pages[:0]
+	for i := 0; i < numPages; i++ {
 		p, err := t.dev.Alloc()
 		if err != nil {
 			return blockio.InvalidPage, err
 		}
-		pages[i] = p
+		pages = append(pages, p)
 	}
-	buf := make([]byte, t.dev.BlockSize())
+	b.pages = pages
+	buf := b.page
 	for pi := 0; pi < numPages; pi++ {
 		start := pi * t.listCap
-		end := start + t.listCap
-		if end > len(ivs) {
-			end = len(ivs)
-		}
-		for i := range buf {
-			buf[i] = 0
-		}
+		end := min(start+t.listCap, len(ivs))
+		clear(buf)
 		binary.LittleEndian.PutUint16(buf[0:], uint16(end-start))
 		next := blockio.InvalidPage
 		if pi+1 < numPages {

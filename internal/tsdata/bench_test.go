@@ -1,0 +1,22 @@
+package tsdata_test
+
+import (
+	"testing"
+
+	"temporalrank/internal/gen"
+)
+
+// BenchmarkFlatSegments is the sort stage of an index build at the
+// shard shape a compaction rebuilds (1,000 × 100).
+func BenchmarkFlatSegments(b *testing.B) {
+	ds, err := gen.Temp(gen.TempConfig{M: 1000, Navg: 100, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if got := ds.FlatSegments(); len(got) != ds.NumSegments() {
+			b.Fatalf("%d refs for %d segments", len(got), ds.NumSegments())
+		}
+	}
+}

@@ -3,7 +3,6 @@ package tsdata
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dataset is the full temporal database: m objects with N total
@@ -126,29 +125,58 @@ type SegmentRef struct {
 	Segment Segment
 }
 
-// FlatSegments returns every segment of every object, sorted by left
-// endpoint time (ties broken by series then index). This is the input
-// ordering required by EXACT1 bulk-loading and breakpoint construction;
-// the sort mirrors the paper's external sort (at our scale it runs
-// in memory, the IO-metered variant lives in internal/extsort).
+// FlatSegments returns every segment of every object in the total
+// order (left endpoint time, series, index) — no two refs compare equal,
+// so the result does not depend on how it is produced. This is the
+// input ordering required by EXACT1 bulk-loading and breakpoint
+// construction, the in-memory counterpart of the paper's external sort
+// (the IO-metered variant lives in internal/extsort).
 func (d *Dataset) FlatSegments() []SegmentRef {
+	// Laid out series by series, the refs form one run per series, each
+	// already in order (a series' left endpoints strictly increase).
+	// Merging neighbouring runs pairwise keeps every run a block of
+	// consecutive series, so on equal times the ref from the left run
+	// has the smaller series and goes first; no further tie-break is
+	// needed.
 	out := make([]SegmentRef, 0, d.totalSegments)
+	runs := make([]int, 0, len(d.series)+1) // run k is out[runs[k]:runs[k+1]]
 	for _, s := range d.series {
+		runs = append(runs, len(out))
 		for j := 0; j < s.NumSegments(); j++ {
 			out = append(out, SegmentRef{Series: s.ID, Index: int32(j), Segment: s.Segment(j)})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		sa, sb := out[a], out[b]
-		if sa.Segment.T1 != sb.Segment.T1 {
-			return sa.Segment.T1 < sb.Segment.T1
+	runs = append(runs, len(out))
+	tmp := make([]SegmentRef, len(out))
+	for len(runs) > 2 {
+		merged := runs[:0] // run k of the next round starts where run 2k did
+		for k := 0; k+1 < len(runs); k += 2 {
+			lo, end := runs[k], len(out)
+			mid := end
+			if k+2 < len(runs) {
+				mid, end = runs[k+1], runs[k+2]
+			}
+			merged = append(merged, lo)
+			mergeByT1(tmp[lo:end], out[lo:mid], out[mid:end])
 		}
-		if sa.Series != sb.Series {
-			return sa.Series < sb.Series
-		}
-		return sa.Index < sb.Index
-	})
+		runs = append(merged, len(out))
+		out, tmp = tmp, out
+	}
 	return out
+}
+
+// mergeByT1 merges a and b, each ascending in T1, into dst, taking from
+// a on equal times.
+func mergeByT1(dst, a, b []SegmentRef) {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Segment.T1 < a[0].Segment.T1 {
+			dst[0], b = b[0], b[1:]
+		} else {
+			dst[0], a = a[0], a[1:]
+		}
+		dst = dst[1:]
+	}
+	copy(dst[copy(dst, a):], b)
 }
 
 // Clone deep-copies the dataset (used by update benchmarks so appends

@@ -2,6 +2,7 @@ package tsdata
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -134,6 +135,65 @@ func TestDatasetClone(t *testing.T) {
 		t2 := a.Start() + (a.End()-a.Start())*0.75
 		if !approxEq(a.Range(t1, t2), b.Range(t1, t2), 1e-12) {
 			t.Fatalf("series %d clone range mismatch", i)
+		}
+	}
+}
+
+// TestFlatSegmentsMatchesSortReference holds FlatSegments to a
+// sort.Slice over the order it documents, (T1, series, index), on data
+// where the tie-breaks decide: series sampled on a shared integer grid,
+// so most left endpoints recur across series. Series counts around
+// powers of two cover the merge's unpaired last run.
+func TestFlatSegmentsMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, m := range []int{1, 2, 3, 7, 8, 9, 64, 65, 200} {
+		series := make([]*Series, m)
+		for i := range series {
+			n := 1 + rng.Intn(12)
+			times := make([]float64, n+1)
+			values := make([]float64, n+1)
+			at := rng.Intn(4)
+			for j := range times {
+				times[j] = float64(at)
+				values[j] = rng.Float64()*100 - 50
+				at += 1 + rng.Intn(3)
+			}
+			series[i] = mustSeries(t, SeriesID(i), times, values)
+		}
+		d := mustDataset(t, series...)
+
+		var want []SegmentRef
+		for _, s := range d.AllSeries() {
+			for j := 0; j < s.NumSegments(); j++ {
+				want = append(want, SegmentRef{Series: s.ID, Index: int32(j), Segment: s.Segment(j)})
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			sa, sb := want[a], want[b]
+			if sa.Segment.T1 != sb.Segment.T1 {
+				return sa.Segment.T1 < sb.Segment.T1
+			}
+			if sa.Series != sb.Series {
+				return sa.Series < sb.Series
+			}
+			return sa.Index < sb.Index
+		})
+
+		got := d.FlatSegments()
+		if len(got) != len(want) {
+			t.Fatalf("m=%d: %d refs, want %d", m, len(got), len(want))
+		}
+		ties := 0
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("m=%d: ref %d is %+v, reference %+v", m, i, got[i], want[i])
+			}
+			if i > 0 && want[i].Segment.T1 == want[i-1].Segment.T1 {
+				ties++
+			}
+		}
+		if m > 3 && ties == 0 {
+			t.Fatalf("m=%d: no left endpoint recurs; the test data lost its ties", m)
 		}
 	}
 }
