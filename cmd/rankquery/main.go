@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -90,10 +91,11 @@ func run(data string, binary bool, method string, k int, t1, t2 float64, r, kmax
 
 	idx.ResetStats()
 	queryStart := time.Now()
-	results, err := idx.TopK(k, t1, t2)
+	ans, err := idx.Run(context.Background(), temporalrank.SumQuery(k, t1, t2))
 	if err != nil {
 		return err
 	}
+	results := ans.Results
 	elapsed := time.Since(queryStart)
 	ios := idx.Stats().DeviceIOs
 

@@ -84,7 +84,6 @@ type config struct {
 	memtable int
 	pprof    string
 	router   string
-	hedge    time.Duration
 }
 
 func main() {
@@ -107,7 +106,6 @@ func main() {
 	flag.IntVar(&cfg.memtable, "memtable", 0, "enable the memtable ingest path on every shard, flushing after this many buffered segments (0 = off); appends become lock-light memtable inserts compacted in the background")
 	flag.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty = off (the default — profiling endpoints are never exposed on the main listener)")
 	flag.StringVar(&cfg.router, "router", "", "route queries to remote shardservers instead of hosting shards: replica addresses comma-separated, shard groups semicolon-separated, e.g. \"h1:7070,h2:7070;h3:7070,h4:7070\"")
-	flag.DurationVar(&cfg.hedge, "hedge", 0, "-router mode: delay before hedging a slow shard read to another replica (0 = library default, negative = off)")
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -137,10 +135,6 @@ var localOnlyFlags = []string{
 	"memtable",
 }
 
-// routerOnlyFlags tune the remote read path and do nothing for local
-// shards.
-var routerOnlyFlags = []string{"hedge"}
-
 // validateConfig rejects bad flag combinations with a one-line error
 // before any dataset is loaded or index built. set holds the names of
 // flags explicitly present on the command line, so defaults never
@@ -154,11 +148,6 @@ func validateConfig(c config, set map[string]bool) error {
 		}
 		_, err := parseRouterGroups(c.router)
 		return err
-	}
-	for _, name := range routerOnlyFlags {
-		if set[name] {
-			return fmt.Errorf("-%s only applies to -router mode", name)
-		}
 	}
 	if c.shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", c.shards)
@@ -224,7 +213,7 @@ func parseRouterGroups(spec string) ([][]string, error) {
 }
 
 // runRouter serves the HTTP API over a RemoteCluster: every query
-// scatters to one replica per shard group (hedging slow reads),
+// scatters to one replica per shard group (failing over dead ones),
 // appends replicate synchronously, and POST /checkpoint fans out to
 // the shard primaries. The endpoints and wire format are identical to
 // local mode, so clients cannot tell a router from a single node.
@@ -234,7 +223,6 @@ func runRouter(cfg config) error {
 		return err
 	}
 	rc, err := temporalrank.NewRemoteCluster(groups, temporalrank.RemoteClusterOptions{
-		HedgeDelay:  cfg.hedge,
 		CallTimeout: cfg.timeout,
 	})
 	if err != nil {

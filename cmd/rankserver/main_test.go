@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,16 @@ import (
 	"temporalrank"
 	"temporalrank/internal/gen"
 )
+
+// sumReference is the brute-force top-k(t1, t2, sum) answer.
+func sumReference(t *testing.T, db *temporalrank.DB, k int, t1, t2 float64) []temporalrank.Result {
+	t.Helper()
+	ans, err := db.Run(context.Background(), temporalrank.SumQuery(k, t1, t2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Results
+}
 
 func testServer(t *testing.T, methods ...temporalrank.Method) (*server, *temporalrank.DB, *httptest.Server) {
 	return testShardedServer(t, 1, methods...)
@@ -105,7 +116,12 @@ func TestParallelTopKMatchesReference(t *testing.T) {
 					errs <- fmt.Errorf("status %d for %s", code, url)
 					return
 				}
-				want := db.TopK(5, t1, t2)
+				ref, err := db.Run(context.Background(), temporalrank.SumQuery(5, t1, t2))
+				if err != nil {
+					errs <- err
+					return
+				}
+				want := ref.Results
 				if len(got.Results) != len(want) {
 					errs <- fmt.Errorf("got %d results, want %d", len(got.Results), len(want))
 					return
@@ -259,7 +275,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if !exactResp.Exact || temporalrank.Method(exactResp.Method).IsApprox() {
 		t.Fatalf("exact query answered by %q (exact=%v)", exactResp.Method, exactResp.Exact)
 	}
-	want := db.TopK(5, t1, t2)
+	want := sumReference(t, db, 5, t1, t2)
 	for j := range want {
 		if exactResp.Results[j].ID != want[j].ID {
 			t.Fatalf("rank %d: got object %d, want %d", j, exactResp.Results[j].ID, want[j].ID)
@@ -461,7 +477,7 @@ func TestShardedServer(t *testing.T) {
 	if q.Method != string(temporalrank.MethodExact3) || !q.Exact {
 		t.Fatalf("merged metadata: %+v", q)
 	}
-	want := db.TopK(5, t1, t2)
+	want := sumReference(t, db, 5, t1, t2)
 	for j := range want {
 		if q.Results[j].ID != want[j].ID {
 			t.Fatalf("rank %d: got object %d, want %d", j, q.Results[j].ID, want[j].ID)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -45,11 +47,6 @@ func TestValidateConfig(t *testing.T) {
 			set:  []string{"router"},
 		},
 		{
-			name: "router with hedge is valid",
-			cfg:  config{router: "h1:7070", shards: 1},
-			set:  []string{"router", "hedge"},
-		},
-		{
 			name:    "zero shards",
 			cfg:     config{genSpec: "100x10", shards: 0},
 			set:     []string{"gen", "shards"},
@@ -89,12 +86,6 @@ func TestValidateConfig(t *testing.T) {
 			cfg:     config{router: "h1:7070", method: "APPX2+", shards: 1},
 			set:     []string{"router", "method"},
 			wantErr: "-method configures locally hosted shards",
-		},
-		{
-			name:    "hedge without router",
-			cfg:     config{genSpec: "100x10", shards: 1},
-			set:     []string{"gen", "hedge"},
-			wantErr: "-hedge only applies to -router mode",
 		},
 		{
 			name:    "router with empty group",
@@ -139,6 +130,25 @@ func TestValidateConfig(t *testing.T) {
 			}
 		})
 	}
+	// rankserver has no -hedge flag: the flag parser itself must reject
+	// it, so this case runs main in a child process (flag errors exit 2).
+	t.Run("hedge is an unknown flag", func(t *testing.T) {
+		if os.Getenv("RANKSERVER_RUN_MAIN") == "1" {
+			os.Args = []string{"rankserver", "-router", "h1:7070", "-hedge", "1ms"}
+			main()
+			return
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^TestValidateConfig$/^hedge_is_an_unknown_flag$")
+		cmd.Env = append(os.Environ(), "RANKSERVER_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("rankserver -hedge: err = %v, want exit status 2; output:\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: -hedge") {
+			t.Fatalf("rankserver -hedge output = %q, want an undefined-flag error", out)
+		}
+	})
 }
 
 // TestValidateConfigCreatesSnapshotDir checks the -gen + fresh -data

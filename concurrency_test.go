@@ -1,6 +1,7 @@
 package temporalrank_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // These tests are the -race regression net for the concurrent query
-// engine: many goroutines querying one Index (TopK, InstantTopK,
+// engine: many goroutines querying one Index (sum and instant Run,
 // Score, Stats) while a writer interleaves Appends at the time
 // frontier. Run with `go test -race` (CI does).
 
@@ -39,6 +40,7 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 	start, end := db.Start(), db.End()
 	span := end - start
 
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, readers+1)
 
@@ -52,12 +54,12 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 				t2 := t1 + rng.Float64()*span*0.2
 				switch q % 4 {
 				case 0, 1:
-					if _, err := ix.TopK(5, t1, t2); err != nil {
+					if _, err := ix.Run(ctx, temporalrank.SumQuery(5, t1, t2)); err != nil {
 						errs <- err
 						return
 					}
 				case 2:
-					if _, err := ix.InstantTopK(5, t1); err != nil {
+					if _, err := ix.Run(ctx, temporalrank.InstantQuery(5, t1)); err != nil {
 						errs <- err
 						return
 					}
@@ -106,15 +108,20 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 	// own guarantee tests, so just require a well-formed answer).
 	t1 := start + span*0.3
 	t2 := start + span*0.6
-	got, err := ix.TopK(5, t1, t2)
+	ans, err := ix.Run(ctx, temporalrank.SumQuery(5, t1, t2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := ans.Results
 	if len(got) != 5 {
 		t.Fatalf("got %d results, want 5", len(got))
 	}
 	if !ix.Method().IsApprox() {
-		want := db.TopK(5, t1, t2)
+		ref, err := db.Run(ctx, temporalrank.SumQuery(5, t1, t2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Results
 		for i := range want {
 			if got[i].ID != want[i].ID {
 				t.Fatalf("rank %d: got object %d, want %d (got=%v want=%v)", i, got[i].ID, want[i].ID, got, want)
@@ -175,8 +182,12 @@ func TestConcurrentDBReadsDuringAppend(t *testing.T) {
 				default:
 				}
 				t1 := db.Start() + rng.Float64()*50
-				_ = db.TopK(3, t1, t1+10)
-				_ = db.InstantTopK(3, t1)
+				for _, q := range []temporalrank.Query{temporalrank.SumQuery(3, t1, t1+10), temporalrank.InstantQuery(3, t1)} {
+					if _, err := db.Run(context.Background(), q); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 				if _, err := db.Score(int(rng.Int31n(int32(db.NumSeries()))), t1, t1+10); err != nil {
 					t.Error(err)
 					return

@@ -11,7 +11,7 @@ import (
 // The three objects of this example follow Figure 2 of the paper: o1
 // (index 0 here) is never the instant leader on [t2,t3] yet wins the
 // aggregate query there.
-func ExampleDB_TopK() {
+func ExampleDB_Run() {
 	db, err := temporalrank.NewDB([]temporalrank.SeriesInput{
 		{Times: []float64{0, 2, 4}, Values: []float64{6, 6, 6}}, // steady o1
 		{Times: []float64{0, 2, 4}, Values: []float64{9, 1, 9}}, // dipping o2
@@ -20,7 +20,11 @@ func ExampleDB_TopK() {
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range db.TopK(2, 1, 3) {
+	ans, err := db.Run(context.Background(), temporalrank.SumQuery(2, 1, 3))
+	if err != nil {
+		panic(err)
+	}
+	for _, r := range ans.Results {
 		fmt.Printf("object %d: %.1f\n", r.ID, r.Score)
 	}
 	// Output:
@@ -28,7 +32,7 @@ func ExampleDB_TopK() {
 	// object 0: 12.0
 }
 
-func ExampleIndex_TopK() {
+func ExampleIndex_Run_sum() {
 	db, err := temporalrank.NewDB([]temporalrank.SeriesInput{
 		{Times: []float64{0, 1, 2}, Values: []float64{3, 5, 4}},
 		{Times: []float64{0, 1, 2}, Values: []float64{6, 1, 2}},
@@ -40,16 +44,16 @@ func ExampleIndex_TopK() {
 	if err != nil {
 		panic(err)
 	}
-	top, err := idx.TopK(1, 0.5, 1.5)
+	top, err := idx.Run(context.Background(), temporalrank.SumQuery(1, 0.5, 1.5))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("winner: object %d\n", top[0].ID)
+	fmt.Printf("winner: object %d\n", top.Results[0].ID)
 	// Output:
 	// winner: object 0
 }
 
-func ExampleIndex_TopKAvg() {
+func ExampleIndex_Run_avg() {
 	db, err := temporalrank.NewDB([]temporalrank.SeriesInput{
 		{Times: []float64{0, 10}, Values: []float64{4, 4}},
 		{Times: []float64{0, 10}, Values: []float64{1, 5}},
@@ -61,16 +65,16 @@ func ExampleIndex_TopKAvg() {
 	if err != nil {
 		panic(err)
 	}
-	avg, err := idx.TopKAvg(1, 0, 10)
+	avg, err := idx.Run(context.Background(), temporalrank.AvgQuery(1, 0, 10))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("object %d averages %.1f\n", avg[0].ID, avg[0].Score)
+	fmt.Printf("object %d averages %.1f\n", avg.Results[0].ID, avg.Results[0].Score)
 	// Output:
 	// object 0 averages 4.0
 }
 
-func ExampleIndex_InstantTopK() {
+func ExampleIndex_Run_instant() {
 	db, err := temporalrank.NewDB([]temporalrank.SeriesInput{
 		{Times: []float64{0, 2}, Values: []float64{0, 10}}, // rising
 		{Times: []float64{0, 2}, Values: []float64{10, 0}}, // falling
@@ -82,9 +86,10 @@ func ExampleIndex_InstantTopK() {
 	if err != nil {
 		panic(err)
 	}
-	early, _ := idx.InstantTopK(1, 0.5)
-	late, _ := idx.InstantTopK(1, 1.5)
-	fmt.Printf("at t=0.5 object %d leads; at t=1.5 object %d leads\n", early[0].ID, late[0].ID)
+	ctx := context.Background()
+	early, _ := idx.Run(ctx, temporalrank.InstantQuery(1, 0.5))
+	late, _ := idx.Run(ctx, temporalrank.InstantQuery(1, 1.5))
+	fmt.Printf("at t=0.5 object %d leads; at t=1.5 object %d leads\n", early.Results[0].ID, late.Results[0].ID)
 	// Output:
 	// at t=0.5 object 1 leads; at t=1.5 object 0 leads
 }
@@ -210,7 +215,7 @@ func ExampleErrNotMaterialized() {
 			break
 		}
 	}
-	if _, err := idx.TopK(10, 2, 18); errors.Is(err, temporalrank.ErrKTooLarge) {
+	if _, err := idx.Run(context.Background(), temporalrank.SumQuery(10, 2, 18)); errors.Is(err, temporalrank.ErrKTooLarge) {
 		fmt.Println("k=10 exceeds kmax=3")
 	}
 	// Output:

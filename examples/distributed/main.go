@@ -8,7 +8,7 @@
 //  1. Transparency: RemoteCluster implements Querier, and its answers
 //     are bit-identical to the local cluster's.
 //  2. Fault tolerance: killing a replica mid-flight degrades nothing;
-//     reads fail over (and slow reads hedge) to the survivor.
+//     reads fail over to the survivor.
 //  3. Replicated ingest: appends go to every replica synchronously,
 //     so failover never serves stale data.
 //

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -44,6 +45,7 @@ func main() {
 	const k = 20
 	rng := rand.New(rand.NewSource(1))
 	span := db.End() - db.Start()
+	ctx := context.Background()
 
 	var prApx, prPlus float64
 	var ioApx, ioPlus uint64
@@ -51,19 +53,23 @@ func main() {
 	for q := 0; q < trials; q++ {
 		t1 := db.Start() + rng.Float64()*span*0.7
 		t2 := t1 + span*0.2
-		want := db.TopK(k, t1, t2)
+		q := temporalrank.SumQuery(k, t1, t2)
+		want, err := db.Run(ctx, q)
+		if err != nil {
+			log.Fatal(err)
+		}
 		set := map[int]bool{}
-		for _, w := range want {
+		for _, w := range want.Results {
 			set[w.ID] = true
 		}
 		count := func(idx *temporalrank.Index) (float64, uint64) {
 			idx.ResetStats()
-			got, err := idx.TopK(k, t1, t2)
+			got, err := idx.Run(ctx, q)
 			if err != nil {
 				log.Fatal(err)
 			}
 			hits := 0
-			for _, g := range got {
+			for _, g := range got.Results {
 				if set[g.ID] {
 					hits++
 				}
@@ -86,12 +92,12 @@ func main() {
 	// Show one concrete answer: the hottest memes of mid-season.
 	t1 := db.Start() + span*0.45
 	t2 := t1 + span*0.1
-	top, err := plus.TopK(5, t1, t2)
+	top, err := plus.Run(ctx, temporalrank.SumQuery(5, t1, t2))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntop-5 phrases by total coverage in days [%.1f, %.1f]:\n", t1, t2)
-	for rank, r := range top {
+	for rank, r := range top.Results {
 		fmt.Printf("  %d. phrase %-6d coverage %.1f\n", rank+1, r.ID, r.Score)
 	}
 }

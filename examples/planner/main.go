@@ -81,7 +81,7 @@ func main() {
 	}
 
 	// Typed errors classify failures across every layer.
-	if _, err := coarse.TopK(500, 20, 120); errors.Is(err, temporalrank.ErrKTooLarge) {
+	if _, err := coarse.Run(ctx, temporalrank.SumQuery(500, 20, 120)); errors.Is(err, temporalrank.ErrKTooLarge) {
 		fmt.Println("k=500 exceeds the approximate index's kmax — typed, not stringly")
 	}
 	if _, err := planner.Run(ctx, temporalrank.SumQuery(5, 120, 20)); errors.Is(err, temporalrank.ErrBadInterval) {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -58,12 +59,12 @@ func main() {
 
 	// Trailing-3-day volume leaders before the live period.
 	show := func(label string, t1, t2 float64) {
-		res, err := idx.TopK(topK, t1, t2)
+		ans, err := idx.Run(context.Background(), temporalrank.SumQuery(topK, t1, t2))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s — top-%d by total volume over days [%.0f, %.0f]:\n", label, topK, t1, t2)
-		for rank, r := range res {
+		for rank, r := range ans.Results {
 			fmt.Printf("  %2d. stock %-4d volume %.3g\n", rank+1, r.ID, r.Score)
 		}
 	}

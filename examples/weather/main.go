@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -46,10 +47,11 @@ func main() {
 	run := func(name string, idx *temporalrank.Index) []temporalrank.Result {
 		idx.ResetStats()
 		start := time.Now()
-		res, err := idx.TopK(k, t1, t2)
+		ans, err := idx.Run(context.Background(), temporalrank.SumQuery(k, t1, t2))
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := ans.Results
 		fmt.Printf("\n%s: top-%d stations by avg temperature, days [%g,%g] — %d IOs, %v\n",
 			name, k, t1, t2, idx.Stats().DeviceIOs, time.Since(start))
 		for rank, r := range res {

@@ -94,17 +94,10 @@ func segmentObjects(objects [][]Sample, method SegmentationMethod, errBudget flo
 	return inputs, nil
 }
 
-// TopKAvg ranks by the average score avg_i(t1,t2) = σ_i(t1,t2)/(t2−t1).
+// topKAvg ranks by the average score avg_i(t1,t2) = σ_i(t1,t2)/(t2−t1).
 // Since the divisor is shared, the ranking equals the sum ranking (§4:
 // sum "automatically implies support for the avg aggregation"); only
 // the reported scores are rescaled.
-//
-// Deprecated: use Run with a Query{Agg: AggAvg}. TopKAvg remains as a
-// thin wrapper.
-func (ix *Index) TopKAvg(k int, t1, t2 float64) ([]Result, error) {
-	return ix.topKAvg(k, t1, t2)
-}
-
 func (ix *Index) topKAvg(k int, t1, t2 float64) ([]Result, error) {
 	if t2 <= t1 {
 		return nil, fmt.Errorf("temporalrank: %w: avg needs t2 > t1, got [%g,%g]", ErrBadInterval, t1, t2)
@@ -117,17 +110,10 @@ func (ix *Index) topKAvg(k int, t1, t2 float64) ([]Result, error) {
 	return res, nil
 }
 
-// InstantTopK answers the instant query top-k(t): the k objects with
+// instantTopK answers the instant query top-k(t): the k objects with
 // the largest g_i(t). Supported natively by EXACT3 (one stabbing
 // query); other methods fall back to the in-memory data, since the
 // paper treats instants as its predecessor's problem.
-//
-// Deprecated: use Run with a Query{Agg: AggInstant}. InstantTopK
-// remains as a thin wrapper.
-func (ix *Index) InstantTopK(k int, t float64) ([]Result, error) {
-	return ix.instantTopK(k, t)
-}
-
 func (ix *Index) instantTopK(k int, t float64) ([]Result, error) {
 	ix.mu.RLock()
 	if e3, ok := ix.m.(*exact.Exact3); ok {
@@ -139,14 +125,11 @@ func (ix *Index) instantTopK(k int, t float64) ([]Result, error) {
 		return toResults(items), nil
 	}
 	ix.mu.RUnlock()
-	return ix.db.InstantTopK(k, t), nil
+	return ix.db.instantTopK(k, t), nil
 }
 
-// InstantTopK computes the instant query against the in-memory data.
-//
-// Deprecated: use Run with a Query{Agg: AggInstant}. InstantTopK
-// remains as a thin wrapper.
-func (db *DB) InstantTopK(k int, t float64) []Result {
+// instantTopK computes the instant query against the in-memory data.
+func (db *DB) instantTopK(k int, t float64) []Result {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	c := topk.GetCollector(k)

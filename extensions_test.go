@@ -114,8 +114,8 @@ func TestNewDBFromSamplesBoundAllMethods(t *testing.T) {
 		// The drift bound also caps how far top-k scores can move: the
 		// top-1 aggregate under segmentation stays within the bound of
 		// the true top-1 aggregate.
-		refTop := full.TopK(1, full.Start(), full.End())
-		segTop := db.TopK(1, full.Start(), full.End())
+		refTop := mustRun(t, full, SumQuery(1, full.Start(), full.End()))
+		segTop := mustRun(t, db, SumQuery(1, full.Start(), full.End()))
 		if d := math.Abs(refTop[0].Score - segTop[0].Score); d > maxDrift*span+1e-9 {
 			t.Fatalf("method %d: top-1 score drift %g > %g", method, d, maxDrift*span)
 		}
@@ -141,11 +141,11 @@ func TestTopKAvg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums, err := idx.TopK(2, 1, 2)
+	sums, err := runResults(idx, SumQuery(2, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgs, err := idx.TopKAvg(2, 1, 2)
+	avgs, err := runResults(idx, AvgQuery(2, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestTopKAvg(t *testing.T) {
 		}
 	}
 	// Wider interval: avg = sum / width.
-	sums, _ = idx.TopK(1, 0, 3)
-	avgs, _ = idx.TopKAvg(1, 0, 3)
+	sums, _ = runResults(idx, SumQuery(1, 0, 3))
+	avgs, _ = runResults(idx, AvgQuery(1, 0, 3))
 	if !floatsClose(avgs[0].Score, sums[0].Score/3) {
 		t.Errorf("avg = %g, want %g", avgs[0].Score, sums[0].Score/3)
 	}
-	if _, err := idx.TopKAvg(1, 2, 2); err == nil {
+	if _, err := runResults(idx, AvgQuery(1, 2, 2)); err == nil {
 		t.Error("zero-width avg accepted")
 	}
 }
@@ -175,7 +175,7 @@ func floatsClose(a, b float64) bool {
 func TestInstantTopK(t *testing.T) {
 	db := smallDB(t)
 	// At t=1: object 0 scores 5, object 1 scores 1, object 2 scores 10.
-	want := db.InstantTopK(2, 1)
+	want := mustRun(t, db, InstantQuery(2, 1))
 	if want[0].ID != 2 || want[1].ID != 0 {
 		t.Fatalf("reference instant ranking wrong: %v", want)
 	}
@@ -184,7 +184,7 @@ func TestInstantTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e3.InstantTopK(2, 1)
+	got, err := runResults(e3, InstantQuery(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestInstantTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = e1.InstantTopK(2, 1)
+	got, err = runResults(e1, InstantQuery(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestInstantTopKAgainstDenseScan(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		at := db.Start() + rng.Float64()*(db.End()-db.Start())
-		got, err := idx.InstantTopK(5, at)
+		got, err := runResults(idx, InstantQuery(5, at))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := db.InstantTopK(5, at)
+		want := mustRun(t, db, InstantQuery(5, at))
 		for i := range want {
 			if got[i].ID != want[i].ID {
 				t.Fatalf("t=%g rank %d: %d vs %d", at, i, got[i].ID, want[i].ID)

@@ -48,10 +48,6 @@ type appxBase struct {
 	rebuildCount int
 	frontier     []vertex
 	rebuild      func() error
-	// sealFn, when set by a variant's Seal, is re-applied after every
-	// amortized rebuild: the rebuild swaps in a fresh build device, so
-	// a sealed index reseals each generation to stay an arena.
-	sealFn func() error
 }
 
 type vertex struct{ t, v float64 }
@@ -122,29 +118,8 @@ func (a *appxBase) append(id tsdata.SeriesID, t, v float64, applyDS bool) error 
 		a.buildM = a.ds.M()
 		a.pendingMass = 0
 		a.pendingSegs = 0
-		if a.sealFn != nil {
-			if err := a.sealFn(); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// sealDevice swaps a.dev for a sealed arena holding the same page
-// image and closes the old device, returning the arena so the variant
-// can re-seat its query structures.
-func (a *appxBase) sealDevice() (*blockio.Arena, error) {
-	ar, err := blockio.Seal(a.dev)
-	if err != nil {
-		return nil, err
-	}
-	old := a.dev
-	a.dev = ar
-	if err := old.Close(); err != nil {
-		return nil, err
-	}
-	return ar, nil
 }
 
 // buildBreaks constructs the configured breakpoint flavour.
@@ -210,19 +185,6 @@ func (a *Appx1) initRebuild() {
 		a.bps, a.dev, a.q = bps, dev, q
 		return nil
 	}
-}
-
-// Seal implements exact.Sealer. The sealed state survives amortized
-// rebuilds: each rebuild's fresh device is resealed before the append
-// that triggered it returns.
-func (a *Appx1) Seal() error {
-	ar, err := a.sealDevice()
-	if err != nil {
-		return err
-	}
-	a.q.setDevice(ar)
-	a.sealFn = a.Seal
-	return nil
 }
 
 // TopK implements exact.Method.
@@ -295,17 +257,6 @@ func (a *Appx2) initRebuild() {
 		a.bps, a.dev, a.q = bps, dev, q
 		return nil
 	}
-}
-
-// Seal implements exact.Sealer (see Appx1.Seal).
-func (a *Appx2) Seal() error {
-	ar, err := a.sealDevice()
-	if err != nil {
-		return err
-	}
-	a.q.setDevice(ar)
-	a.sealFn = a.Seal
-	return nil
 }
 
 // TopK implements exact.Method.
@@ -408,23 +359,6 @@ func (a *Appx2Plus) initRebuild() {
 		a.bps, a.dev, a.q, a.e2 = bps, dev, q, e2
 		return nil
 	}
-}
-
-// Seal implements exact.Sealer. The dyadic lists and the EXACT2
-// rescoring forest share one device, so one arena serves both; the
-// forest is re-seated via Exact2.SetDevice. Incremental appends
-// between rebuilds fail once sealed (the forest inserts), so a sealed
-// APPX2+ belongs behind the memtable like the exact write-path
-// methods.
-func (a *Appx2Plus) Seal() error {
-	ar, err := a.sealDevice()
-	if err != nil {
-		return err
-	}
-	a.q.setDevice(ar)
-	a.e2.SetDevice(ar)
-	a.sealFn = a.Seal
-	return nil
 }
 
 // TopK implements exact.Method: dyadic candidates, exact rescoring.

@@ -61,24 +61,24 @@ func decodeListRef(b []byte) listRef {
 	}
 }
 
-// listArena packs top-k lists densely into device pages. Each page
+// listPacker packs top-k lists densely into device pages. Each page
 // begins with a next-page pointer; a list is (head page, offset,
-// count) and may span any number of consecutive arena pages.
-type listArena struct {
+// count) and may span any number of consecutive list pages.
+type listPacker struct {
 	dev  blockio.Device
 	buf  []byte
 	page blockio.PageID
 	off  int
 }
 
-func newListArena(dev blockio.Device) (*listArena, error) {
+func newListPacker(dev blockio.Device) (*listPacker, error) {
 	if dev.BlockSize() < arenaHeaderSize+listEntrySize {
 		return nil, fmt.Errorf("approx: block size %d too small for list entries", dev.BlockSize())
 	}
 	if dev.BlockSize() > 1<<16 {
 		return nil, fmt.Errorf("approx: block size %d exceeds list offset range", dev.BlockSize())
 	}
-	return &listArena{
+	return &listPacker{
 		dev:  dev,
 		buf:  make([]byte, dev.BlockSize()),
 		page: blockio.InvalidPage,
@@ -86,9 +86,9 @@ func newListArena(dev blockio.Device) (*listArena, error) {
 	}, nil
 }
 
-// advance allocates the next arena page, chaining it from the current
+// advance allocates the next list page, chaining it from the current
 // one, and flushes the current page.
-func (a *listArena) advance() error {
+func (a *listPacker) advance() error {
 	p, err := a.dev.Alloc()
 	if err != nil {
 		return err
@@ -109,7 +109,7 @@ func (a *listArena) advance() error {
 }
 
 // Put appends a list (already rank-ordered) and returns its reference.
-func (a *listArena) Put(items []topk.Item) (listRef, error) {
+func (a *listPacker) Put(items []topk.Item) (listRef, error) {
 	if len(items) == 0 {
 		return listRef{head: blockio.InvalidPage}, nil
 	}
@@ -133,7 +133,7 @@ func (a *listArena) Put(items []topk.Item) (listRef, error) {
 }
 
 // Flush writes the trailing partial page; call once after all Puts.
-func (a *listArena) Flush() error {
+func (a *listPacker) Flush() error {
 	if a.page == blockio.InvalidPage {
 		return nil
 	}

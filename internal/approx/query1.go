@@ -43,7 +43,7 @@ func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 	r := bps.R()
 	prefix := prefixAtBreakpoints(ds, bps.Times)
 	m := ds.NumSeries()
-	arena, err := newListArena(dev)
+	packer, err := newListPacker(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 				for i := 0; i < m; i++ {
 					c.Add(tsdata.SeriesID(i), prefix[i][jp]-prefix[i][j])
 				}
-				ref, err = arena.Put(c.Results())
+				ref, err = packer.Put(c.Results())
 				if err != nil {
 					return nil, err
 				}
@@ -77,7 +77,7 @@ func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 		binary.LittleEndian.PutUint32(tv, uint32(j))
 		topEntries[j] = bptree.Entry{Key: bps.Times[j], Value: tv}
 	}
-	if err := arena.Flush(); err != nil {
+	if err := packer.Flush(); err != nil {
 		return nil, err
 	}
 	tt, err := bptree.BulkLoad(dev, topValueSize, topEntries)
@@ -93,16 +93,6 @@ func (q *Query1) KMax() int { return q.kmax }
 
 // Breakpoints returns the underlying breakpoint set.
 func (q *Query1) Breakpoints() *breakpoint.Set { return q.bps }
-
-// setDevice re-seats the structure (both tree levels and the packed
-// lists) onto a device holding the same page image — the seal path.
-func (q *Query1) setDevice(dev blockio.Device) {
-	q.dev = dev
-	q.ttop.SetDevice(dev)
-	for _, t := range q.lower {
-		t.SetDevice(dev)
-	}
-}
 
 // TopK answers the approximate query by snapping [t1,t2] to
 // [B(t1),B(t2)] through the two tree levels and reading the

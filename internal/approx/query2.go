@@ -44,7 +44,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 	}
 	prefix := prefixAtBreakpoints(ds, bps.Times)
 	m := ds.NumSeries()
-	arena, err := newListArena(dev)
+	packer, err := newListPacker(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 		for i := 0; i < m; i++ {
 			c.Add(tsdata.SeriesID(i), prefix[i][hi]-prefix[i][lo])
 		}
-		ref, err := arena.Put(c.Results())
+		ref, err := packer.Put(c.Results())
 		if err != nil {
 			return 0, err
 		}
@@ -83,7 +83,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 	if err != nil {
 		return nil, err
 	}
-	if err := arena.Flush(); err != nil {
+	if err := packer.Flush(); err != nil {
 		return nil, err
 	}
 	q.root = root
@@ -95,11 +95,6 @@ func (q *Query2) KMax() int { return q.kmax }
 
 // Breakpoints returns the underlying breakpoint set.
 func (q *Query2) Breakpoints() *breakpoint.Set { return q.bps }
-
-// setDevice re-seats the packed lists onto a device holding the same
-// page image — the seal path (the node directory is in memory and
-// carries over unchanged).
-func (q *Query2) setDevice(dev blockio.Device) { q.dev = dev }
 
 // NumNodes returns the number of dyadic intervals (diagnostics; < 2r).
 func (q *Query2) NumNodes() int { return len(q.nodes) }

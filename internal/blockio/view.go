@@ -4,11 +4,10 @@ package blockio
 //
 // The copy-based Device.Read contract charges every page access a full
 // block memcpy into caller scratch, even when the page is already
-// resident (a buffer-pool hit, a MemDevice page, an Arena slab). A
-// PageView instead lends the caller the resident bytes themselves:
-// read-only, valid until Release. Post-build index traversals decode
-// fields in place from the view, so a warm top-k query does no page
-// copies at all.
+// resident (a buffer-pool hit, a MemDevice page). A PageView instead
+// lends the caller the resident bytes themselves: read-only, valid
+// until Release. Post-build index traversals decode fields in place
+// from the view, so a warm top-k query does no page copies at all.
 //
 // Lifetime discipline. A view must be released exactly once, promptly
 // (a buffer-pool view pins its frame, and a pinned frame is exempt

@@ -3,7 +3,6 @@ package blockio
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -275,138 +274,4 @@ func TestViewPinsBalancedConcurrent(t *testing.T) {
 		}
 		checkTestPage(t, buf, id)
 	}
-}
-
-// TestArenaSealEquivalence: sealing preserves every live page
-// bit-for-bit (via both Read and View), the extent, and the freed set.
-func TestArenaSealEquivalence(t *testing.T) {
-	dev := NewMemDevice(64)
-	const pages = 17
-	buf := make([]byte, 64)
-	for i := 0; i < pages; i++ {
-		id, _ := dev.Alloc()
-		fillTestPage(buf, id, byte(10+i))
-		if err := dev.Write(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dev.Free(5); err != nil {
-		t.Fatal(err)
-	}
-	ar, err := Seal(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ar.Extent() != DeviceExtent(dev) || ar.NumPages() != dev.NumPages() {
-		t.Fatalf("arena extent/pages %d/%d, dev %d/%d",
-			ar.Extent(), ar.NumPages(), DeviceExtent(dev), dev.NumPages())
-	}
-	want := make([]byte, 64)
-	got := make([]byte, 64)
-	for id := PageID(0); id < pages; id++ {
-		if id == 5 {
-			if _, err := ar.View(id); !errors.Is(err, ErrPageFreed) {
-				t.Fatalf("freed page view: %v", err)
-			}
-			continue
-		}
-		if err := dev.Read(id, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := ar.Read(id, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("page %d differs after seal", id)
-		}
-		before := ar.Stats().Reads
-		v, err := ar.View(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(v.Data(), want) {
-			t.Fatalf("page %d view differs after seal", id)
-		}
-		if ar.Stats().Reads != before+1 {
-			t.Fatal("arena view not counted as a read")
-		}
-		v.Release()
-	}
-	if got, want := ar.FreedPages(), DeviceFreed(dev); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("freed list %v, want %v", got, want)
-	}
-}
-
-// TestArenaReadOnly: every mutating operation fails typed, and Close
-// shuts off reads.
-func TestArenaReadOnly(t *testing.T) {
-	dev := NewMemDevice(64)
-	if _, err := dev.Alloc(); err != nil {
-		t.Fatal(err)
-	}
-	ar, err := Seal(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ar.Alloc(); !errors.Is(err, ErrReadOnlyDevice) {
-		t.Fatalf("Alloc: %v", err)
-	}
-	if err := ar.Write(0, make([]byte, 64)); !errors.Is(err, ErrReadOnlyDevice) {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := ar.Free(0); !errors.Is(err, ErrReadOnlyDevice) {
-		t.Fatalf("Free: %v", err)
-	}
-	if _, err := ar.View(99); !errors.Is(err, ErrPageBounds) {
-		t.Fatalf("bounds: %v", err)
-	}
-	if err := ar.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ar.View(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed view: %v", err)
-	}
-	if err := ar.Read(0, make([]byte, 64)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed read: %v", err)
-	}
-}
-
-// TestArenaViewConcurrent: lock-free arena views are safe under -race
-// from many goroutines.
-func TestArenaViewConcurrent(t *testing.T) {
-	dev := NewMemDevice(64)
-	const pages = 32
-	buf := make([]byte, 64)
-	for i := 0; i < pages; i++ {
-		id, _ := dev.Alloc()
-		fillTestPage(buf, id, 3)
-		if err := dev.Write(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ar, err := Seal(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 5000; i++ {
-				id := PageID(rng.Intn(pages))
-				v, err := ar.View(id)
-				if err != nil {
-					t.Errorf("View(%d): %v", id, err)
-					return
-				}
-				if v.Data()[0] != byte(id) {
-					t.Errorf("view of %d shows page %d", id, v.Data()[0])
-				}
-				v.Release()
-			}
-		}(int64(w))
-	}
-	wg.Wait()
 }

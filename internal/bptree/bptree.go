@@ -351,11 +351,6 @@ func (c *Cursor) Close() { c.view.Release() }
 // Err returns the IO error that stopped iteration, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// SetDevice re-seats the tree onto a device holding the same page
-// image — the seal path swaps the build device for an Arena. The
-// caller must guarantee no operation is in flight.
-func (t *Tree) SetDevice(dev blockio.Device) { t.dev = dev }
-
 // --- bulk load -------------------------------------------------------
 
 // BulkLoad builds a tree from entries already sorted by key (ties

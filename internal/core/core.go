@@ -23,15 +23,14 @@ type MethodName string
 
 // The eight methods of the paper's evaluation (§5).
 const (
-	Exact1  MethodName = "EXACT1"
-	Exact2  MethodName = "EXACT2"
-	Exact3  MethodName = "EXACT3"
-	Appx1B  MethodName = "APPX1-B"
-	Appx2B  MethodName = "APPX2-B"
-	Appx1   MethodName = "APPX1"
-	Appx2   MethodName = "APPX2"
-	Appx2P  MethodName = "APPX2+"
-	Exact1N MethodName = "EXACT1" // alias kept for readability in tables
+	Exact1 MethodName = "EXACT1"
+	Exact2 MethodName = "EXACT2"
+	Exact3 MethodName = "EXACT3"
+	Appx1B MethodName = "APPX1-B"
+	Appx2B MethodName = "APPX2-B"
+	Appx1  MethodName = "APPX1"
+	Appx2  MethodName = "APPX2"
+	Appx2P MethodName = "APPX2+"
 )
 
 // AllMethods lists every method in the paper's presentation order.

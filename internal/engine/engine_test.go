@@ -19,6 +19,16 @@ func testDB(t *testing.T) *temporalrank.DB {
 	return temporalrank.NewDBFromDataset(ds)
 }
 
+// mustRun answers q through qr, failing the test on error.
+func mustRun(t *testing.T, qr temporalrank.Querier, q temporalrank.Query) []temporalrank.Result {
+	t.Helper()
+	ans, err := qr.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Results
+}
+
 func sameIDs(a, b []temporalrank.Result) bool {
 	if len(a) != len(b) {
 		return false
@@ -56,7 +66,7 @@ func TestExecBatchMatchesReference(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		want := db.TopK(qs[i].K, qs[i].T1, qs[i].T2)
+		want := mustRun(t, db, qs[i])
 		if !sameIDs(r.Answer.Results, want) {
 			t.Fatalf("query %d: got %v want %v", i, r.Answer.Results, want)
 		}
@@ -118,16 +128,18 @@ func TestBuildIndexesParallel(t *testing.T) {
 	db := testDB(t)
 	t1 := db.Start() + (db.End()-db.Start())*0.3
 	t2 := db.Start() + (db.End()-db.Start())*0.7
-	want := db.TopK(5, t1, t2)
+	q := temporalrank.SumQuery(5, t1, t2)
+	want := mustRun(t, db, q)
 	for _, m := range temporalrank.Methods() {
 		ix, err := db.BuildIndex(temporalrank.Options{Method: m, TargetR: 80, KMax: 50, BuildWorkers: 4})
 		if err != nil {
 			t.Fatalf("build %s: %v", m, err)
 		}
-		got, err := ix.TopK(5, t1, t2)
+		ans, err := ix.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
+		got := ans.Results
 		if len(got) != len(want) {
 			t.Fatalf("%s: got %d results, want %d", m, len(got), len(want))
 		}
@@ -155,14 +167,8 @@ func TestExact2ParallelBuildMatchesSequential(t *testing.T) {
 	for q := 0; q < 50; q++ {
 		t1 := db.Start() + rng.Float64()*span*0.8
 		t2 := t1 + rng.Float64()*span*0.2
-		a, err := seq.TopK(7, t1, t2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := par.TopK(7, t1, t2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustRun(t, seq, temporalrank.SumQuery(7, t1, t2))
+		b := mustRun(t, par, temporalrank.SumQuery(7, t1, t2))
 		if !sameIDs(a, b) {
 			t.Fatalf("query %d: sequential %v parallel %v", q, a, b)
 		}
@@ -199,7 +205,7 @@ func TestRunBatchQueries(t *testing.T) {
 		if !r.Answer.Exact {
 			t.Fatalf("query %d: exact index answered approximately", i)
 		}
-		if !sameIDs(r.Answer.Results, db.TopK(qs[i].K, qs[i].T1, qs[i].T2)) {
+		if !sameIDs(r.Answer.Results, mustRun(t, db, qs[i])) {
 			t.Fatalf("query %d: wrong answer", i)
 		}
 	}

@@ -46,18 +46,6 @@ type Method interface {
 	Append(id tsdata.SeriesID, t, v float64) error
 }
 
-// Sealer is implemented by indexes whose post-build page image can be
-// sealed into a read-only blockio.Arena: one contiguous slab, lock-
-// and refcount-free zero-copy views, flat GC cost. Sealing freezes the
-// device — methods that write pages on Append (EXACT1, EXACT2, and
-// APPX2+'s rescoring forest) fail with blockio.ErrReadOnlyDevice once
-// sealed, so sealing pairs with the memtable ingest path, where
-// appends buffer above the index and each compacted generation is
-// rebuilt and resealed.
-type Sealer interface {
-	Seal() error
-}
-
 // collectTopK runs the shared final step of every method: push all m
 // aggregate scores through a size-k priority queue (pooled — this runs
 // once per query on every exact path).

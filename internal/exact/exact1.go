@@ -143,22 +143,6 @@ func (e *Exact1) Device() blockio.Device { return e.dev }
 // IndexPages implements Method.
 func (e *Exact1) IndexPages() int { return e.dev.NumPages() }
 
-// Seal implements Sealer: the tree's page image is packed into a
-// read-only arena and the index re-seated onto it; the old device is
-// closed. Append fails with blockio.ErrReadOnlyDevice afterwards
-// (EXACT1 inserts into the sealed tree), so seal only ingest-quiesced
-// generations — the memtable path does.
-func (e *Exact1) Seal() error {
-	ar, err := blockio.Seal(e.dev)
-	if err != nil {
-		return err
-	}
-	old := e.dev
-	e.dev = ar
-	e.tree.SetDevice(ar)
-	return old.Close()
-}
-
 // TopK implements Method.
 func (e *Exact1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	sums, err := e.runningSums(t1, t2)

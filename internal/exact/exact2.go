@@ -137,29 +137,6 @@ func (e *Exact2) Device() blockio.Device { return e.dev }
 // IndexPages implements Method.
 func (e *Exact2) IndexPages() int { return e.dev.NumPages() }
 
-// SetDevice re-seats the forest — and every per-object tree — onto a
-// device holding the same page image. Exported because Appx2Plus's
-// rescoring forest shares its device with the dyadic lists: when that
-// combined device is sealed, the forest must be re-seated by the
-// sealer. Callers must guarantee no operation is in flight.
-func (e *Exact2) SetDevice(dev blockio.Device) {
-	e.dev = dev
-	for _, t := range e.trees {
-		t.SetDevice(dev)
-	}
-}
-
-// Seal implements Sealer (see Exact1.Seal: Append fails once sealed).
-func (e *Exact2) Seal() error {
-	ar, err := blockio.Seal(e.dev)
-	if err != nil {
-		return err
-	}
-	old := e.dev
-	e.SetDevice(ar)
-	return old.Close()
-}
-
 // TopK implements Method.
 func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	if err := validateQuery(t1, t2); err != nil {

@@ -116,21 +116,6 @@ func (e *Exact3) Device() blockio.Device { return e.dev }
 // IndexPages implements Method.
 func (e *Exact3) IndexPages() int { return e.dev.NumPages() }
 
-// Seal implements Sealer. EXACT3 is the natural sealing target: the
-// interval tree is static by construction (appends land in the
-// in-memory tail), so a sealed EXACT3 keeps full Append support while
-// every stab runs lock-free over one contiguous slab.
-func (e *Exact3) Seal() error {
-	ar, err := blockio.Seal(e.dev)
-	if err != nil {
-		return err
-	}
-	old := e.dev
-	e.dev = ar
-	e.tree.SetDevice(ar)
-	return old.Close()
-}
-
 // TopK implements Method: two stabbing queries then the shared top-k
 // pass.
 func (e *Exact3) TopK(k int, t1, t2 float64) ([]topk.Item, error) {

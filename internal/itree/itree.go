@@ -457,11 +457,6 @@ func (t *Tree) scanList(head blockio.PageID, fn func(iv Interval) (bool, bool)) 
 	return false, nil
 }
 
-// SetDevice re-seats the tree onto a device holding the same page
-// image — the seal path swaps the build device for an Arena. The
-// caller must guarantee no operation is in flight.
-func (t *Tree) SetDevice(dev blockio.Device) { t.dev = dev }
-
 func getPageID(b []byte) blockio.PageID {
 	return blockio.PageID(int64(binary.LittleEndian.Uint64(b)))
 }

@@ -116,8 +116,8 @@ func (c *Client) Call(ctx context.Context, addr, method string, in, out any) err
 
 // CallOnce is Call without retries — for non-idempotent methods
 // (append) and for callers running their own failover loop (the
-// hedged-read path), where a transparent retry would double-apply or
-// double-count.
+// router's replica reads), where a transparent retry would double-apply
+// or double-count.
 func (c *Client) CallOnce(ctx context.Context, addr, method string, in, out any) error {
 	return c.do(ctx, addr, method, in, out, 0)
 }

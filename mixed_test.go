@@ -150,10 +150,7 @@ func checkApprox(t *testing.T, label string, got, want temporalrank.Answer, mass
 // Planner over every index method, with the memtable enabled and
 // disabled, and demands brute-force-equivalent answers at every step.
 // With the memtable on, compactions are forced at random points —
-// including concurrently with the query they race. The sealed mode
-// re-proves the same equivalence over arena-backed indexes: sealing
-// is forced on at build time and re-applied by every compaction
-// rebuild, so each generation the queries hit lives in a sealed slab.
+// including concurrently with the query they race.
 func TestMixedWorkloadEquivalence(t *testing.T) {
 	const targetR = 60
 	methods := []struct {
@@ -170,11 +167,9 @@ func TestMixedWorkloadEquivalence(t *testing.T) {
 	modes := []struct {
 		name     string
 		memtable bool
-		sealed   bool
 	}{
-		{"direct", false, false},
-		{"memtable", true, false},
-		{"memtable-sealed", true, true},
+		{"direct", false},
+		{"memtable", true},
 	}
 	ctx := context.Background()
 	for _, mc := range methods {
@@ -188,7 +183,7 @@ func TestMixedWorkloadEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ix, err := db.BuildIndex(temporalrank.Options{Method: mc.m, TargetR: targetR, KMax: 24, SealIndexes: mode.sealed})
+				ix, err := db.BuildIndex(temporalrank.Options{Method: mc.m, TargetR: targetR, KMax: 24})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -199,7 +199,7 @@ func TestPlannerEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(ans.Results, db.TopK(4, db.Start(), db.End())) {
+	if !sameIDs(ans.Results, mustRun(t, db, SumQuery(4, db.Start(), db.End()))) {
 		t.Fatal("empty planner disagrees with reference")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"temporalrank/internal/core"
 	"temporalrank/internal/gen"
 )
 
@@ -64,7 +65,7 @@ func TestQueryValidate(t *testing.T) {
 }
 
 // TestDBRunMatchesLegacy: the unified path answers exactly what the
-// deprecated per-aggregate entry points answer.
+// per-aggregate reference routines answer.
 func TestDBRunMatchesLegacy(t *testing.T) {
 	db := genDB(t)
 	ctx := context.Background()
@@ -78,8 +79,8 @@ func TestDBRunMatchesLegacy(t *testing.T) {
 	if !ans.Exact || ans.Method != MethodReference {
 		t.Fatalf("brute force misreported: %+v", ans)
 	}
-	if !sameIDs(ans.Results, db.TopK(5, t1, t2)) {
-		t.Fatal("sum: Run disagrees with TopK")
+	if !sameIDs(ans.Results, toResults(core.Reference(db.ds, 5, t1, t2))) {
+		t.Fatal("sum: Run disagrees with core.Reference")
 	}
 
 	avg, err := db.Run(ctx, AvgQuery(5, t1, t2))
@@ -97,13 +98,13 @@ func TestDBRunMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(inst.Results, db.InstantTopK(5, mid)) {
-		t.Fatal("instant: Run disagrees with InstantTopK")
+	if !sameIDs(inst.Results, db.instantTopK(5, mid)) {
+		t.Fatal("instant: Run disagrees with instantTopK")
 	}
 }
 
 // TestIndexRunAllMethods runs the unified path through every method
-// and cross-checks the deprecated wrappers and the Answer metadata.
+// and checks the Answer metadata.
 func TestIndexRunAllMethods(t *testing.T) {
 	db := genDB(t)
 	ctx := context.Background()
@@ -125,13 +126,6 @@ func TestIndexRunAllMethods(t *testing.T) {
 		}
 		if m.IsApprox() && ans.Epsilon <= 0 {
 			t.Errorf("%s: epsilon %g, want > 0", m, ans.Epsilon)
-		}
-		legacy, err := ix.TopK(5, t1, t2)
-		if err != nil {
-			t.Fatalf("%s: TopK: %v", m, err)
-		}
-		if !sameIDs(ans.Results, legacy) {
-			t.Errorf("%s: Run disagrees with TopK", m)
 		}
 		// Instant answers are exact regardless of method.
 		inst, err := ix.Run(ctx, InstantQuery(3, (t1+t2)/2))
@@ -180,8 +174,8 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 	if _, err := exactIx.Score(-1, 0, 1); !errors.Is(err, ErrUnknownSeries) {
 		t.Errorf("Index.Score: got %v, want ErrUnknownSeries", err)
 	}
-	if _, err := exactIx.TopK(3, 10, 5); !errors.Is(err, ErrBadInterval) {
-		t.Errorf("inverted TopK: got %v, want ErrBadInterval", err)
+	if _, err := exactIx.Run(context.Background(), SumQuery(3, 10, 5)); !errors.Is(err, ErrBadInterval) {
+		t.Errorf("inverted interval: got %v, want ErrBadInterval", err)
 	}
 	if err := exactIx.Append(db.NumSeries(), db.End()+1, 0); !errors.Is(err, ErrUnknownSeries) {
 		t.Errorf("Append: got %v, want ErrUnknownSeries", err)
@@ -191,7 +185,7 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := apxIx.TopK(50, db.Start(), db.End()); !errors.Is(err, ErrKTooLarge) {
+	if _, err := apxIx.Run(context.Background(), SumQuery(50, db.Start(), db.End())); !errors.Is(err, ErrKTooLarge) {
 		t.Errorf("k>kmax: got %v, want ErrKTooLarge", err)
 	}
 

@@ -19,11 +19,12 @@ import (
 // the in-process Cluster (the placement is fixed by the snapshots the
 // shard nodes restored); each group is served by R replica addresses,
 // any one of which can answer a read. A query scatters over the
-// groups, each group answers through a hedged fastest-of-two read
-// across its live replicas, and the per-group top-k lists — already in
-// global IDs — k-way merge through the same deterministic mergeGather
-// as the in-process Cluster, so a RemoteCluster answers bit-identically
-// to a single node over the same data.
+// groups, each group answers from the first of its live replicas
+// (tried in rotated order) that responds, and the per-group top-k
+// lists — already in global IDs — k-way merge through the same
+// deterministic mergeGather as the in-process Cluster, so a
+// RemoteCluster answers bit-identically to a single node over the same
+// data.
 //
 // Failure semantics:
 //
@@ -48,7 +49,6 @@ type RemoteCluster struct {
 	groups    []*remoteGroup
 	shardOf   []int // global series ID → group index
 	workers   int
-	hedge     time.Duration
 	callTO    time.Duration
 
 	stop    chan struct{}
@@ -121,11 +121,6 @@ type RemoteClusterOptions struct {
 	// Workers bounds how many groups one Run queries concurrently
 	// (default: all of them).
 	Workers int
-	// HedgeDelay is how long a group read waits on its first replica
-	// before launching the hedge request at a second one; the faster
-	// answer wins and the loser is canceled. 0 selects the 2ms default;
-	// a negative value disables hedging.
-	HedgeDelay time.Duration
 	// HealthInterval is the period of the background health sweep that
 	// probes replicas and re-bootstraps lagging ones. 0 selects the 1s
 	// default; a negative value disables the loop (HealthCheck can
@@ -138,11 +133,6 @@ type RemoteClusterOptions struct {
 	// Nil builds a private one, closed with the cluster.
 	Client *remote.Client
 }
-
-// defaultHedgeDelay is the fastest-of-two trigger: long enough that the
-// common-case answer arrives first and no hedge is sent, short enough
-// to cut a straggler's tail.
-const defaultHedgeDelay = 2 * time.Millisecond
 
 // NewRemoteCluster connects to the given shard groups — groups[i]
 // lists the replica addresses serving shard i — probes the topology,
@@ -165,12 +155,8 @@ func NewRemoteClusterContext(ctx context.Context, groups [][]string, opts Remote
 	c := &RemoteCluster{
 		client:  opts.Client,
 		workers: opts.Workers,
-		hedge:   opts.HedgeDelay,
 		callTO:  opts.CallTimeout,
 		stop:    make(chan struct{}),
-	}
-	if c.hedge == 0 {
-		c.hedge = defaultHedgeDelay
 	}
 	if c.client == nil {
 		c.client = remote.NewClient(remote.ClientOptions{})
@@ -313,9 +299,9 @@ func (c *RemoteCluster) Close() error {
 }
 
 // Run implements Querier by scatter-gather over the shard groups: each
-// group answers through a hedged read across its live replicas, and
-// the per-group lists merge deterministically — identical semantics to
-// the in-process Cluster, over sockets.
+// group answers from one of its live replicas, and the per-group lists
+// merge deterministically — identical semantics to the in-process
+// Cluster, over sockets.
 func (c *RemoteCluster) Run(ctx context.Context, q Query) (Answer, error) {
 	q = q.withDefaults()
 	if err := q.Validate(); err != nil {
@@ -324,10 +310,11 @@ func (c *RemoteCluster) Run(ctx context.Context, q Query) (Answer, error) {
 	g := getGather(len(c.groups))
 	defer putGather(g)
 	err := scatter.Run(ctx, len(c.groups), c.queryWorkers(), func(ctx context.Context, i int) error {
-		ans, err := c.groupRead(ctx, c.groups[i], q)
-		if err != nil {
+		var rep rpcQueryReply
+		if err := c.groupRead(ctx, c.groups[i], "query", rpcQueryReq{Shard: c.groups[i].shard, Query: q}, &rep); err != nil {
 			return err
 		}
+		ans := rep.Answer
 		// Shard nodes answer in global IDs already (remapped through the
 		// ascending manifest list), so the answer is merge-ready as-is.
 		items := make([]topk.Item, len(ans.Results))
@@ -353,105 +340,36 @@ func (c *RemoteCluster) queryWorkers() int {
 	return len(c.groups)
 }
 
-// laneResult is one read lane's outcome.
-type laneResult struct {
-	ans Answer
-	ok  bool
-	err error
-}
-
-// groupRead answers q from one group: the first lane queries the first
-// live replica immediately; if the answer has not arrived within the
-// hedge delay, a second lane queries the next replica and the faster
-// answer wins (the loser is canceled). Both lanes fail over on
-// transport errors — a dead replica is marked Down and the lane moves
-// to the next candidate — while application errors are final.
-func (c *RemoteCluster) groupRead(ctx context.Context, g *remoteGroup, q Query) (Answer, error) {
-	cands := g.liveReplicas()
-	if len(cands) == 0 {
-		return Answer{}, fmt.Errorf("temporalrank: shard %d has no live replica: %w", g.shard, ErrShardUnavailable)
-	}
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int32
-	results := make(chan laneResult, 2) // buffered: a losing lane's send never blocks
-	lane := func() {
-		var lastErr error
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(cands) {
-				results <- laneResult{err: lastErr}
-				return
-			}
-			r := cands[i]
-			var rep rpcQueryReply
-			err := c.client.CallOnce(lctx, r.addr, "query", rpcQueryReq{Shard: g.shard, Query: q}, &rep)
-			if err == nil {
-				results <- laneResult{ans: rep.Answer, ok: true}
-				return
-			}
-			if lctx.Err() != nil {
-				results <- laneResult{err: err}
-				return
-			}
-			switch {
-			case remote.Retryable(err):
-				// Transport failure: the replica may be dead. Stop routing
-				// to it and fail over within the lane.
-				r.store(ReplicaDown)
-				lastErr = err
-			case errors.Is(err, ErrShardUnavailable):
-				// Reachable but not hosting the shard (restarted empty):
-				// mark for re-bootstrap and fail over.
-				r.store(ReplicaSyncing)
-				lastErr = err
-			default:
-				results <- laneResult{err: err} // application error: final
-				return
-			}
+// groupRead issues one read RPC to group g, trying its live replicas
+// in rotated order, one at a time, until one answers into rep. A
+// transport failure marks the replica Down and a replica not hosting
+// the shard (restarted empty) is marked for re-bootstrap; both fail
+// over to the next replica. Application errors are final — every
+// replica would answer the same — and a done ctx wins over both.
+func (c *RemoteCluster) groupRead(ctx context.Context, g *remoteGroup, method string, req, rep any) error {
+	var lastErr error
+	for _, r := range g.liveReplicas() {
+		err := c.client.CallOnce(ctx, r.addr, method, req, rep)
+		if err == nil {
+			return nil
 		}
-	}
-	lanes := 1
-	go lane()
-	if c.hedge >= 0 && len(cands) > 1 {
-		lanes = 2
-		go func() {
-			t := time.NewTimer(c.hedge)
-			defer t.Stop()
-			select {
-			case <-lctx.Done():
-				results <- laneResult{err: lctx.Err()}
-				return
-			case <-t.C:
-			}
-			lane()
-		}()
-	}
-	var appErr, transportErr error
-	for i := 0; i < lanes; i++ {
-		lr := <-results
-		if lr.ok {
-			return lr.ans, nil
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return ctxErr
 		}
-		var re *remote.Error
 		switch {
-		case lr.err == nil:
-		case errors.As(lr.err, &re) && !errors.Is(lr.err, ErrShardUnavailable):
-			appErr = lr.err
+		case remote.Retryable(err):
+			r.store(ReplicaDown)
+		case errors.Is(err, ErrShardUnavailable):
+			r.store(ReplicaSyncing)
 		default:
-			transportErr = lr.err
+			return err
 		}
+		lastErr = err
 	}
-	if appErr != nil {
-		return Answer{}, appErr
+	if lastErr == nil {
+		return fmt.Errorf("temporalrank: shard %d has no live replica: %w", g.shard, ErrShardUnavailable)
 	}
-	if err := ctx.Err(); err != nil {
-		return Answer{}, err
-	}
-	if transportErr != nil {
-		return Answer{}, fmt.Errorf("temporalrank: shard %d has no answering replica: %w: %w", g.shard, transportErr, ErrShardUnavailable)
-	}
-	return Answer{}, fmt.Errorf("temporalrank: shard %d has no answering replica: %w", g.shard, ErrShardUnavailable)
+	return fmt.Errorf("temporalrank: shard %d has no answering replica: %w: %w", g.shard, lastErr, ErrShardUnavailable)
 }
 
 // Append extends global object id with a new segment ending at (t, v).
@@ -519,8 +437,8 @@ func (c *RemoteCluster) Append(id int, t, v float64) error {
 	return nil
 }
 
-// Score returns σ_id(t1,t2) as answered by the owning group (first
-// live replica, with transport failover).
+// Score returns σ_id(t1,t2) as answered by the owning group (its live
+// replicas in rotated order, with transport failover).
 func (c *RemoteCluster) Score(id int, t1, t2 float64) (float64, error) {
 	if id < 0 || id >= len(c.shardOf) {
 		return 0, fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
@@ -528,27 +446,11 @@ func (c *RemoteCluster) Score(id int, t1, t2 float64) (float64, error) {
 	g := c.groups[c.shardOf[id]]
 	ctx, cancel := c.callCtx()
 	defer cancel()
-	var lastErr error
-	for _, r := range g.liveReplicas() {
-		var rep rpcScoreReply
-		err := c.client.CallOnce(ctx, r.addr, "score", rpcScoreReq{Shard: g.shard, ID: id, T1: t1, T2: t2}, &rep)
-		switch {
-		case err == nil:
-			return rep.Score, nil
-		case remote.Retryable(err):
-			r.store(ReplicaDown)
-			lastErr = err
-		case errors.Is(err, ErrShardUnavailable):
-			r.store(ReplicaSyncing)
-			lastErr = err
-		default:
-			return 0, err
-		}
+	var rep rpcScoreReply
+	if err := c.groupRead(ctx, g, "score", rpcScoreReq{Shard: g.shard, ID: id, T1: t1, T2: t2}, &rep); err != nil {
+		return 0, err
 	}
-	if lastErr != nil {
-		return 0, fmt.Errorf("temporalrank: score on shard %d: %w: %w", g.shard, lastErr, ErrShardUnavailable)
-	}
-	return 0, fmt.Errorf("temporalrank: score on shard %d: %w", g.shard, ErrShardUnavailable)
+	return rep.Score, nil
 }
 
 // Checkpoint asks every reachable replica to persist its hosted shard

@@ -199,7 +199,7 @@ func TestRemoteClusterEquivalence(t *testing.T) {
 // typed error propagation across the wire.
 func TestRemoteClusterScoreAndErrors(t *testing.T) {
 	inputs := clusterInputs(t, 30, 15, 5)
-	nodes, _ := buildTier(t, inputs, 2, 1, []temporalrank.Options{{Method: temporalrank.MethodExact3}})
+	nodes, _ := buildTier(t, inputs, 2, 2, []temporalrank.Options{{Method: temporalrank.MethodExact3}})
 	rc, err := temporalrank.NewRemoteCluster(groupAddrs(nodes), temporalrank.RemoteClusterOptions{HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -243,6 +243,18 @@ func TestRemoteClusterScoreAndErrors(t *testing.T) {
 	// error.
 	if _, err := rc.Run(context.Background(), temporalrank.Query{K: 1, T1: 10, T2: 5}); !errors.Is(err, temporalrank.ErrBadInterval) {
 		t.Fatalf("inverted interval: %v", err)
+	}
+	// Run rejects that interval before any RPC; Score's reaches a replica.
+	if _, err := rc.Score(0, 10, 5); !errors.Is(err, temporalrank.ErrBadInterval) {
+		t.Fatalf("inverted score interval: %v", err)
+	}
+	// An application error neither demotes a replica nor fails over.
+	for g, gh := range rc.Health() {
+		for j, rh := range gh.Replicas {
+			if rh.State != "live" {
+				t.Errorf("group %d replica %d (%s): state %q after an application error, want \"live\"", g, j, rh.Addr, rh.State)
+			}
+		}
 	}
 }
 
@@ -312,9 +324,25 @@ func TestRemoteClusterKillReplicaMidRun(t *testing.T) {
 	for err := range failures {
 		t.Error(err)
 	}
-	// With one replica per group gone, queries must still answer.
-	if _, err := rc.Run(ctx, temporalrank.SumQuery(5, db.Start(), db.End())); err != nil {
-		t.Fatalf("query after kill: %v", err)
+	// With one replica per group gone, queries must still answer. Two
+	// reads, because the read order rotates: one of them starts at the
+	// killed replica if nothing has marked it down yet.
+	for i := 0; i < 2; i++ {
+		if _, err := rc.Run(ctx, temporalrank.SumQuery(5, db.Start(), db.End())); err != nil {
+			t.Fatalf("query after kill: %v", err)
+		}
+	}
+	// Failover demoted exactly the killed replicas.
+	for g, gh := range rc.Health() {
+		for j, rh := range gh.Replicas {
+			want := "live"
+			if j == 1 {
+				want = "down"
+			}
+			if rh.State != want {
+				t.Errorf("group %d replica %d (%s): state %q, want %q", g, j, rh.Addr, rh.State, want)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,7 @@
 //	    {Times: []float64{0, 1, 2}, Values: []float64{6, 1, 2}},
 //	})
 //	idx, _ := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3})
-//	top, _ := idx.TopK(1, 0.5, 1.5)
+//	ans, _ := idx.Run(context.Background(), temporalrank.SumQuery(1, 0.5, 1.5))
 package temporalrank
 
 import (
@@ -142,19 +142,9 @@ func NewDBFromDataset(ds *tsdata.Dataset) *DB {
 	return &DB{ds: ds, journal: qcache.NewJournal(0)}
 }
 
-// Dataset exposes the underlying dataset for advanced use.
-//
-// Deprecated: the returned dataset is NOT protected by the DB's lock —
-// reading it concurrently with Index.Append is a data race. Use
-// Snapshot for a safe copy, or the Querier/accessor methods which lock
-// internally. Kept for callers that own the DB exclusively (the
-// generators and the experiment harness).
-func (db *DB) Dataset() *tsdata.Dataset { return db.ds }
-
 // Snapshot returns a deep copy of the underlying dataset taken under
 // the read lock, safe to use (and mutate) regardless of concurrent
-// appends — the accessor the generators and the experiment harness
-// should prefer over Dataset.
+// appends.
 func (db *DB) Snapshot() *tsdata.Dataset {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -217,17 +207,6 @@ func (db *DB) Append(id int, t, v float64) error {
 	return appendLocked(db, nil, id, t, v)
 }
 
-// TopK computes the exact answer by brute force over the in-memory
-// data — the reference all indexes are measured against.
-//
-// Deprecated: use Run with a Query; it adds context cancellation and a
-// typed Answer. TopK remains as a thin wrapper.
-func (db *DB) TopK(k int, t1, t2 float64) []Result {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return toResults(core.Reference(db.ds, k, t1, t2))
-}
-
 // Options configures BuildIndex.
 type Options struct {
 	// Method selects the index; default MethodExact3 (the paper's best
@@ -249,28 +228,15 @@ type Options struct {
 	BuildWorkers int
 	// OnDiskPath stores the index in a file instead of memory.
 	OnDiskPath string
-	// SealIndexes packs the index's pages into a read-only arena
-	// (blockio.Arena) after the build: one contiguous slab whose
-	// zero-copy views need no locks or pin refcounts, and whose GC
-	// footprint is a single heap object regardless of dataset size.
-	// Sealing freezes the index's device, so direct Index.Append fails
-	// with blockio.ErrReadOnlyDevice for methods that write pages on
-	// append (EXACT1, EXACT2, APPX2+ between rebuilds); pair sealing
-	// with the memtable ingest path, which buffers appends above the
-	// index and rebuilds (and reseals) each compacted generation.
-	// EXACT3 and the pure approximate methods keep full Append support
-	// when sealed. A buffer pool (CacheBlocks) is pointless over an
-	// arena and is dropped at seal time along with the build device.
-	SealIndexes bool
 }
 
 // Index is a built aggregate top-k index.
 //
-// Index is safe for concurrent use: queries (TopK, Score, TopKAvg,
-// InstantTopK, Stats) run in parallel under a shared lock, while
-// Append takes the exclusive lock — both on the index (whose
-// structures it grows or, for approximate methods, rebuilds) and on
-// the DB (whose dataset it extends).
+// Index is safe for concurrent use: queries (Run, Score, Stats) run
+// in parallel under a shared lock, while Append takes the exclusive
+// lock — both on the index (whose structures it grows or, for
+// approximate methods, rebuilds) and on the DB (whose dataset it
+// extends).
 type Index struct {
 	// mu guards m's internal structures. Queries hold it shared; Append
 	// holds it exclusively. Lock ordering: mu before db.mu.
@@ -310,29 +276,7 @@ func (db *DB) BuildIndex(opts Options) (*Index, error) {
 		return nil, err
 	}
 	opts.Method = Method(name)
-	ix := &Index{m: m, db: db, opts: opts}
-	if opts.SealIndexes {
-		if err := ix.Seal(); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
-}
-
-// Seal packs the index's live pages into a read-only arena and
-// re-seats the index onto it (see Options.SealIndexes for the
-// trade-offs). Sealing an already-sealed index reseals it — a cheap
-// no-op-shaped copy — and an index whose method cannot be sealed
-// returns ErrUnsupported. Safe to call concurrently with queries: the
-// swap happens under the exclusive lock.
-func (ix *Index) Seal() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s, ok := ix.m.(exact.Sealer)
-	if !ok {
-		return fmt.Errorf("temporalrank: method %s cannot be sealed: %w", ix.m.Name(), ErrBadConfig)
-	}
-	return s.Seal()
+	return &Index{m: m, db: db, opts: opts}, nil
 }
 
 // Method returns the index's method name.
@@ -375,15 +319,7 @@ func (ix *Index) breakpoints() int {
 	return 0
 }
 
-// TopK answers top-k(t1, t2, sum) through the index.
-//
-// Deprecated: use Run with a Query; it adds context cancellation,
-// per-query latency/IO measurement, and a typed Answer. TopK remains
-// as a thin wrapper.
-func (ix *Index) TopK(k int, t1, t2 float64) ([]Result, error) {
-	return ix.topK(k, t1, t2)
-}
-
+// topK answers top-k(t1, t2, sum) through the index.
 func (ix *Index) topK(k int, t1, t2 float64) ([]Result, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

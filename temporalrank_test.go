@@ -1,6 +1,7 @@
 package temporalrank
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -20,6 +21,23 @@ func smallDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// mustRun answers q through qr, failing the test on error.
+func mustRun(t *testing.T, qr Querier, q Query) []Result {
+	t.Helper()
+	ans, err := qr.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Results
+}
+
+// runResults answers q through qr, returning the ranked results and
+// the error for the caller to check.
+func runResults(qr Querier, q Query) ([]Result, error) {
+	ans, err := qr.Run(context.Background(), q)
+	return ans.Results, err
 }
 
 func TestNewDBValidation(t *testing.T) {
@@ -61,7 +79,7 @@ func TestDBScore(t *testing.T) {
 
 func TestDBTopKReference(t *testing.T) {
 	db := smallDB(t)
-	res := db.TopK(2, 1, 2)
+	res := mustRun(t, db, SumQuery(2, 1, 2))
 	if len(res) != 2 {
 		t.Fatalf("len = %d", len(res))
 	}
@@ -89,13 +107,13 @@ func TestEveryMethodThroughPublicAPI(t *testing.T) {
 	db := NewDBFromDataset(ds)
 	t1 := db.Start() + (db.End()-db.Start())*0.2
 	t2 := db.Start() + (db.End()-db.Start())*0.7
-	want := db.TopK(5, t1, t2)
+	want := mustRun(t, db, SumQuery(5, t1, t2))
 	for _, method := range Methods() {
 		idx, err := db.BuildIndex(Options{Method: method, TargetR: 40, KMax: 10})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		got, err := idx.TopK(5, t1, t2)
+		got, err := runResults(idx, SumQuery(5, t1, t2))
 		if err != nil {
 			t.Fatalf("%s query: %v", method, err)
 		}
@@ -151,7 +169,7 @@ func TestOnDiskIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := idx.TopK(1, 1, 2)
+	res, err := runResults(idx, SumQuery(1, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +185,7 @@ func TestStatsAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.ResetStats()
-	if _, err := idx.TopK(1, 0, 3); err != nil {
+	if _, err := runResults(idx, SumQuery(1, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Stats().DeviceIOs == 0 {
@@ -191,11 +209,11 @@ func TestApproxQualityThroughPublicAPI(t *testing.T) {
 		span := db.End() - db.Start()
 		t1 := db.Start() + rng.Float64()*span*0.6
 		t2 := t1 + span*0.2
-		got, err := idx.TopK(10, t1, t2)
+		got, err := runResults(idx, SumQuery(10, t1, t2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := db.TopK(10, t1, t2)
+		want := mustRun(t, db, SumQuery(10, t1, t2))
 		set := map[int]bool{}
 		for _, w := range want {
 			set[w.ID] = true
