@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"temporalrank/internal/qcache"
 	"temporalrank/internal/scatter"
-	"temporalrank/internal/topk"
-	"temporalrank/internal/tsdata"
 )
 
 // Cluster is the scale-out Querier: it hash-partitions series across N
@@ -47,48 +44,24 @@ import (
 // owning shard and advances every index on that shard consistently
 // through Planner.Append.
 //
+// Run, Append, Score and the routing come from the coordinator a
+// RemoteCluster shares (coordinator.go); Cluster adds what is local:
+// the shard stacks, their stats and the on-disk checkpoint.
+//
 // Cluster is safe for concurrent use; its shards inherit the DB/Index
 // locking rules.
 type Cluster struct {
-	part    Partitioner
-	workers int
-	shards  []*clusterShard
-	// shardOf / localOf map a global series ID to its shard and its
-	// position inside that shard's DB. Immutable after construction.
-	shardOf []int
-	localOf []int
-	// cache is the cluster-level result cache (nil when disabled): it
-	// stores merged answers, so a repeated query skips the scatter AND
-	// the k-way merge. Entries are validated against the per-shard
-	// append journals below, scoped by the query's time window — an
-	// append on any shard invalidates exactly the cached answers whose
-	// window overlaps it, and stale merged answers stay unreachable by
-	// construction.
-	cache *qcache.Cache[queryKey, Answer]
-	// journals are the non-empty shards' append journals, in shard
-	// order. Immutable after construction.
-	journals []*qcache.Journal
-}
-
-// clusterShard is one partition: an independent single-node stack. db
-// and planner are nil when no series routed to the shard.
-type clusterShard struct {
-	db      *DB
-	planner *Planner
-	indexes []*Index
-	// global maps the shard's local series IDs back to global IDs. It is
-	// ascending (series are routed in global-ID order), so a shard's
-	// tie-broken local order remaps to the correct global tie order.
-	global []int
+	coordinator
+	// locals are the per-shard stacks the coordinator scatters over, nil
+	// for an empty shard, typed for the local-only accessors. Immutable
+	// after construction.
+	locals []*localShard
 }
 
 // MethodMixed marks a cluster Answer whose shards answered with
 // different methods (for example, one shard's planner routed to an
 // approximate index while another fell back to brute force).
 const MethodMixed Method = "MIXED"
-
-// Compile-time check: the cluster is a Querier like everything else.
-var _ Querier = (*Cluster)(nil)
 
 // ClusterOptions configures NewCluster and friends.
 type ClusterOptions struct {
@@ -146,42 +119,31 @@ func NewClusterContext(ctx context.Context, series []SeriesInput, opts ClusterOp
 	if part == nil {
 		part = HashPartition
 	}
-	c := &Cluster{
-		part:    part,
-		workers: opts.Workers,
-		shards:  make([]*clusterShard, n),
-		shardOf: make([]int, len(series)),
-		localOf: make([]int, len(series)),
-	}
-	if opts.ResultCache > 0 {
-		c.cache = qcache.New[queryKey, Answer](opts.ResultCache)
-	}
+	// Series are routed in global-ID order, so every shard's global-ID
+	// list comes out ascending.
+	globals := make([][]int, n)
 	inputs := make([][]SeriesInput, n)
-	for i := range c.shards {
-		c.shards[i] = &clusterShard{}
-	}
 	for id, in := range series {
 		s, err := checkPartition(part, id, n)
 		if err != nil {
 			return nil, err
 		}
-		sh := c.shards[s]
-		c.shardOf[id] = s
-		c.localOf[id] = len(sh.global)
-		sh.global = append(sh.global, id)
+		globals[s] = append(globals[s], id)
 		inputs[s] = append(inputs[s], in)
 	}
 	// Phase 1: shard DBs, in parallel. Each task writes only its own
-	// shard slot.
+	// shard slot; an empty shard (fewer series than shards) keeps a nil
+	// DB.
+	dbs := make([]*DB, n)
 	err := scatter.Run(ctx, n, runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 		if len(inputs[i]) == 0 {
-			return nil // empty shard: fewer series than shards
+			return nil
 		}
 		db, err := NewDB(inputs[i])
 		if err != nil {
 			return fmt.Errorf("temporalrank: cluster shard %d: %w", i, err)
 		}
-		c.shards[i].db = db
+		dbs[i] = db
 		return nil
 	})
 	if err != nil {
@@ -192,57 +154,73 @@ func NewClusterContext(ctx context.Context, series []SeriesInput, opts ClusterOp
 	// many-shard one.
 	type buildJob struct{ shard, opt int }
 	var jobs []buildJob
-	for i, sh := range c.shards {
-		if sh.db == nil {
+	indexes := make([][]*Index, n)
+	for i, db := range dbs {
+		if db == nil {
 			continue
 		}
-		sh.indexes = make([]*Index, len(opts.Indexes))
+		indexes[i] = make([]*Index, len(opts.Indexes))
 		for j := range opts.Indexes {
 			jobs = append(jobs, buildJob{shard: i, opt: j})
 		}
 	}
 	err = scatter.Run(ctx, len(jobs), runtime.GOMAXPROCS(0), func(_ context.Context, j int) error {
 		b := jobs[j]
-		ix, err := c.shards[b.shard].db.BuildIndex(opts.Indexes[b.opt])
+		ix, err := dbs[b.shard].BuildIndex(opts.Indexes[b.opt])
 		if err != nil {
 			return fmt.Errorf("temporalrank: cluster shard %d index %q: %w", b.shard, opts.Indexes[b.opt].Method, err)
 		}
-		c.shards[b.shard].indexes[b.opt] = ix
+		indexes[b.shard][b.opt] = ix
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Phase 3: one planner per shard routes exactly like a single node.
-	for i, sh := range c.shards {
-		if sh.db == nil {
+	locals := make([]*localShard, n)
+	for i, db := range dbs {
+		if db == nil {
 			continue
 		}
-		p, err := NewPlanner(sh.db, sh.indexes...)
+		p, err := NewPlanner(db, indexes[i]...)
 		if err != nil {
 			return nil, fmt.Errorf("temporalrank: cluster shard %d: %w", i, err)
 		}
-		if opts.Memtable != nil {
-			if err := p.EnableMemtable(*opts.Memtable); err != nil {
-				return nil, fmt.Errorf("temporalrank: cluster shard %d: %w", i, err)
-			}
+		sm := &shardManifest{Shard: i, NumShards: n, NumSeries: len(series), Global: globals[i]}
+		if locals[i], err = newLocalShard(p, sm, opts.Memtable); err != nil {
+			return nil, err
 		}
-		sh.planner = p
 	}
-	c.initJournals()
-	return c, nil
+	return assembleCluster(locals, len(series), opts, ErrBadConfig)
 }
 
-// initJournals collects the non-empty shards' append journals for
-// scoped cache validation. Called once construction (or restore) has
-// built every shard planner.
-func (c *Cluster) initJournals() {
-	c.journals = c.journals[:0]
-	for _, sh := range c.shards {
-		if sh.planner != nil {
-			c.journals = append(c.journals, sh.planner.journalRef())
+// assembleCluster builds a Cluster over its per-shard stacks (nil for an
+// empty shard), routing by their manifests' global-ID lists; a routing
+// violation wraps sentinel. Of opts only the runtime knobs Workers and
+// ResultCache apply here.
+func assembleCluster(locals []*localShard, numSeries int, opts ClusterOptions, sentinel error) (*Cluster, error) {
+	c := &Cluster{locals: locals}
+	c.shards = make([]shard, len(locals))
+	c.primary = make([]Method, len(locals))
+	globals := make([][]int, len(locals))
+	for i, sh := range locals {
+		if sh == nil {
+			continue
 		}
+		c.shards[i] = sh
+		c.primary[i] = sh.primaryMethod()
+		globals[i] = sh.meta.Global
+		c.journals = append(c.journals, sh.planner.journalRef())
 	}
+	var err error
+	if c.shardOf, err = routeTable(numSeries, globals, sentinel); err != nil {
+		return nil, err
+	}
+	c.workers = opts.Workers
+	if opts.ResultCache > 0 {
+		c.cache = qcache.New[queryKey, Answer](opts.ResultCache)
+	}
+	return c, nil
 }
 
 // NewClusterFromSamples builds a sharded database from raw per-object
@@ -291,19 +269,13 @@ func NewClusterFromDBContext(ctx context.Context, db *DB, opts ClusterOptions) (
 	return NewClusterContext(ctx, series, opts)
 }
 
-// NumShards returns the number of partitions (including empty ones).
-func (c *Cluster) NumShards() int { return len(c.shards) }
-
-// NumSeries returns the global object count m.
-func (c *Cluster) NumSeries() int { return len(c.shardOf) }
-
 // NumSegments returns the global segment count N (in memtable mode,
 // of the compacted bases — segments still in a memtable are counted
 // after their compaction).
 func (c *Cluster) NumSegments() int {
 	total := 0
-	for _, sh := range c.shards {
-		if sh.planner != nil {
+	for _, sh := range c.locals {
+		if sh != nil {
 			total += sh.planner.DB().NumSegments()
 		}
 	}
@@ -312,40 +284,43 @@ func (c *Cluster) NumSegments() int {
 
 // Start returns the left end of the global temporal domain.
 func (c *Cluster) Start() float64 {
-	v, set := 0.0, false
-	for _, sh := range c.shards {
-		if sh.planner == nil {
-			continue
-		}
-		if s := sh.planner.DB().Start(); !set || s < v {
-			v, set = s, true
-		}
-	}
-	return v
+	start, _ := c.domain()
+	return start
 }
 
 // End returns the right end of the global temporal domain (of the
 // compacted bases, in memtable mode).
 func (c *Cluster) End() float64 {
-	v, set := 0.0, false
-	for _, sh := range c.shards {
-		if sh.planner == nil {
+	_, end := c.domain()
+	return end
+}
+
+// domain spans the non-empty shards' temporal domains.
+func (c *Cluster) domain() (start, end float64) {
+	set := false
+	for _, sh := range c.locals {
+		if sh == nil {
 			continue
 		}
-		if e := sh.planner.DB().End(); !set || e > v {
-			v, set = e, true
+		db := sh.planner.DB()
+		if s, e := db.Start(), db.End(); !set {
+			start, end, set = s, e, true
+		} else {
+			start, end = min(start, s), max(end, e)
 		}
 	}
-	return v
+	return start, end
 }
 
 // Planners returns the per-shard planners, indexed by shard; entries
 // are nil for empty shards. Through a planner callers reach each
 // shard's DB and indexes for stats and direct queries.
 func (c *Cluster) Planners() []*Planner {
-	out := make([]*Planner, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.planner
+	out := make([]*Planner, len(c.locals))
+	for i, sh := range c.locals {
+		if sh != nil {
+			out[i] = sh.planner
+		}
 	}
 	return out
 }
@@ -358,191 +333,6 @@ func (c *Cluster) CacheStats() (stats CacheStats, ok bool) {
 	}
 	s := c.cache.Stats()
 	return CacheStats{Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced}, true
-}
-
-// Run implements Querier by scatter-gather: every non-empty shard
-// answers q through its own planner on a bounded worker pool
-// (first-error-wins, context-cancellable), and the per-shard top-k
-// lists are merged deterministically. With ClusterOptions.ResultCache
-// set, repeated identical queries at the same data version are served
-// from the stored merged answer and concurrent identical queries
-// coalesce into one scatter. See the type docs for the merged Answer
-// semantics.
-//
-//tr:hotpath
-func (c *Cluster) Run(ctx context.Context, q Query) (Answer, error) {
-	q = q.withDefaults()
-	if err := q.Validate(); err != nil {
-		return Answer{}, err
-	}
-	if c.cache == nil {
-		return c.run(ctx, q)
-	}
-	// Journal versions are snapshotted before the scatter: an append
-	// landing mid-run at worst wastes the entry (invalidated on the
-	// next lookup), never serves stale data.
-	//tr:alloc-ok miss-only closure: on the cached path DoScoped returns before calling it
-	ans, _, err := c.cache.DoScoped(ctx, q.cacheKey(), c.journals, q.scope(), func() (Answer, error) {
-		return c.run(ctx, q)
-	})
-	return ans, err
-}
-
-// gather is one Run's scatter scratch: per-shard answers, remapped
-// top-k lists, and the answered mask. Pooled — the slices are reused
-// across Runs with their backing arrays intact.
-type gather struct {
-	answers  []Answer
-	lists    [][]topk.Item
-	answered []bool
-}
-
-var gatherPool = sync.Pool{New: func() any { return new(gather) }}
-
-// getGather returns a zeroed gather sized for n shards.
-func getGather(n int) *gather {
-	g := gatherPool.Get().(*gather)
-	if cap(g.answers) < n {
-		g.answers = make([]Answer, n)
-		g.lists = make([][]topk.Item, n)
-		g.answered = make([]bool, n)
-		return g
-	}
-	g.answers = g.answers[:n]
-	g.lists = g.lists[:n]
-	g.answered = g.answered[:n]
-	for i := 0; i < n; i++ {
-		g.answers[i] = Answer{}
-		g.lists[i] = nil
-		g.answered[i] = false
-	}
-	return g
-}
-
-// putGather clears the result references (so pooled scratch does not
-// pin per-query slices) and returns g to the pool.
-func putGather(g *gather) {
-	for i := range g.answers {
-		g.answers[i] = Answer{}
-		g.lists[i] = nil
-	}
-	gatherPool.Put(g)
-}
-
-// run executes one scatter-gather (the uncached Run body).
-func (c *Cluster) run(ctx context.Context, q Query) (Answer, error) {
-	// Single-shard fast path: local IDs equal global IDs (everything
-	// routed to shard 0) and there is nothing to merge, so the shard
-	// planner's answer is already the cluster answer — no scatter
-	// machinery on the default -shards 1 hot path.
-	if len(c.shards) == 1 && c.shards[0].db != nil {
-		return c.shards[0].planner.Run(ctx, q)
-	}
-	g := getGather(len(c.shards))
-	defer putGather(g)
-	err := scatter.Run(ctx, len(c.shards), c.queryWorkers(), func(ctx context.Context, i int) error {
-		sh := c.shards[i]
-		if sh.db == nil {
-			return nil
-		}
-		ans, err := sh.planner.Run(ctx, q)
-		if err != nil {
-			return fmt.Errorf("temporalrank: cluster shard %d: %w", i, err)
-		}
-		// Remap local result IDs to global inside the shard goroutine.
-		// sh.global is ascending, so the shard's tie order (ascending
-		// local ID) is the correct global tie order and the list stays in
-		// merge order. The per-shard IO delta in ans was likewise
-		// snapshotted here, against this shard's own device.
-		items := make([]topk.Item, len(ans.Results))
-		for j, r := range ans.Results {
-			items[j] = topk.Item{ID: tsdata.SeriesID(sh.global[r.ID]), Score: r.Score}
-		}
-		g.lists[i] = items
-		g.answers[i] = ans
-		g.answered[i] = true
-		return nil
-	})
-	if err != nil {
-		return Answer{}, err
-	}
-	return mergeGather(q.K, g), nil
-}
-
-// mergeGather deterministically merges the per-shard answers collected
-// in g into one cluster-level Answer for k: lists k-way merge with the
-// global-ID tie-break, Exact ANDs, Epsilon and Latency take the worst
-// shard, IOs sum, and Method is the shards' common method or
-// MethodMixed. Shared by the in-process Cluster and the RemoteCluster
-// router so both merge with identical semantics.
-func mergeGather(k int, g *gather) Answer {
-	merged := Answer{
-		Results: toResults(topk.Merge(k, g.lists...)),
-		Exact:   true,
-	}
-	first := true
-	for i := range g.answers {
-		if !g.answered[i] {
-			continue
-		}
-		ans := g.answers[i]
-		if first {
-			merged.Method = ans.Method
-			first = false
-		} else if merged.Method != ans.Method {
-			merged.Method = MethodMixed
-		}
-		merged.Exact = merged.Exact && ans.Exact
-		if ans.Epsilon > merged.Epsilon {
-			merged.Epsilon = ans.Epsilon
-		}
-		merged.IOs += ans.IOs
-		if ans.Latency > merged.Latency {
-			merged.Latency = ans.Latency
-		}
-	}
-	return merged
-}
-
-// queryWorkers resolves the scatter bound for one Run.
-func (c *Cluster) queryWorkers() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Append extends global object id with a new segment ending at (t, v):
-// the segment is routed to the owning shard and applied there through
-// Planner.Append, which advances the shard DB and every shard index in
-// one consistent step. Shards are independent, so appends to different
-// shards proceed in parallel.
-func (c *Cluster) Append(id int, t, v float64) error {
-	sh, local, err := c.route(id)
-	if err != nil {
-		return err
-	}
-	return sh.planner.Append(local, t, v)
-}
-
-// Score returns the cluster's estimate of σ_id(t1,t2), answered by the
-// owning shard's primary (first-registered) index, or its DB when the
-// shard runs index-less. Approximate primaries answer with their stored
-// estimate or ErrNotMaterialized, exactly as Index.Score.
-func (c *Cluster) Score(id int, t1, t2 float64) (float64, error) {
-	sh, local, err := c.route(id)
-	if err != nil {
-		return 0, err
-	}
-	return sh.planner.Score(local, t1, t2)
-}
-
-// route maps a global series ID to its shard and local ID.
-func (c *Cluster) route(id int) (*clusterShard, int, error) {
-	if id < 0 || id >= len(c.shardOf) {
-		return nil, 0, fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
-	}
-	return c.shards[c.shardOf[id]], c.localOf[id], nil
 }
 
 // ClusterStats summarizes one cluster's shape and per-shard load.
@@ -565,12 +355,12 @@ type ShardStats struct {
 // objects and what each shard's indexes cost.
 func (c *Cluster) Stats() ClusterStats {
 	out := ClusterStats{
-		Shards:   len(c.shards),
+		Shards:   len(c.locals),
 		Objects:  len(c.shardOf),
-		PerShard: make([]ShardStats, len(c.shards)),
+		PerShard: make([]ShardStats, len(c.locals)),
 	}
-	for i, sh := range c.shards {
-		if sh.planner == nil {
+	for i, sh := range c.locals {
+		if sh == nil {
 			continue
 		}
 		db := sh.planner.DB()

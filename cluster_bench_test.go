@@ -11,19 +11,21 @@ import (
 )
 
 // benchCluster builds a shard-count-parameterized cluster over one
-// shared random-walk dataset (EXACT3 per shard, the serving default).
-func benchCluster(b *testing.B, shards int) *temporalrank.Cluster {
-	b.Helper()
+// shared random-walk dataset (EXACT3 per shard, the serving default),
+// with a result cache of resultCache entries (0 = none).
+func benchCluster(tb testing.TB, shards, resultCache int) *temporalrank.Cluster {
+	tb.Helper()
 	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: 400, Navg: 60, Seed: 4, Span: 1000})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := temporalrank.NewClusterFromDB(temporalrank.NewDBFromDataset(ds), temporalrank.ClusterOptions{
-		Shards:  shards,
-		Indexes: []temporalrank.Options{{Method: temporalrank.MethodExact3}},
+		Shards:      shards,
+		Indexes:     []temporalrank.Options{{Method: temporalrank.MethodExact3}},
+		ResultCache: resultCache,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
 }
@@ -33,7 +35,7 @@ func benchCluster(b *testing.B, shards int) *temporalrank.Cluster {
 func BenchmarkClusterRun(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := benchCluster(b, shards)
+			c := benchCluster(b, shards, 0)
 			ctx := context.Background()
 			rng := rand.New(rand.NewSource(9))
 			span := c.End() - c.Start()
@@ -51,7 +53,7 @@ func BenchmarkClusterRun(b *testing.B) {
 
 // BenchmarkClusterAppend measures the sharded ingest path.
 func BenchmarkClusterAppend(b *testing.B) {
-	c := benchCluster(b, 8)
+	c := benchCluster(b, 8, 0)
 	rng := rand.New(rand.NewSource(10))
 	tcur := c.End()
 	b.ReportAllocs()

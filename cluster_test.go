@@ -412,6 +412,30 @@ func TestClusterMoreShardsThanSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "sparse cluster", got.Results, want.Results)
+
+	// The checkpoint holds no file for an empty shard; restoring it with
+	// a memtable must still give a cluster that queries and appends.
+	dir := t.TempDir()
+	if err := c.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := temporalrank.OpenClusterSnapshot(dir, temporalrank.ClusterOptions{
+		Memtable: &temporalrank.MemtableOptions{FlushSegments: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.NumShards() != 8 {
+		t.Fatalf("restored %d shards, want 8", restored.NumShards())
+	}
+	got, err = restored.Run(ctx, temporalrank.SumQuery(3, db.Start(), db.End()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "restored sparse cluster", got.Results, want.Results)
+	if err := restored.Append(1, db.End()+1, 5); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestPlannerAppendMultiIndex: the single-node half of the sharded

@@ -39,15 +39,9 @@ func testCachedServer(t *testing.T, shards, entries int) (*server, *temporalrank
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cluster, 8, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cluster, 8, 30*time.Second)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, db, ts
 }
 
@@ -154,15 +148,9 @@ func TestStatsReportsCompactionPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cluster, 2, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cluster, 2, 30*time.Second)
 	ts := httptest.NewServer(srv)
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
+	defer ts.Close()
 
 	body := fmt.Sprintf(`{"id":0,"t":%g,"v":1}`, db.End()+1)
 	if code, err := httpPost(ts.URL+"/append", body); err != nil || code != 200 {

@@ -1,8 +1,7 @@
 // Command rankserver serves aggregate top-k queries over HTTP: it
 // loads (or generates) a temporal dataset, builds one or more of the
 // paper's eight indexes, and answers queries through an adaptive
-// Planner and the concurrent engine (internal/engine) so many clients
-// can be in flight at once.
+// Planner, with up to -workers queries in flight at once.
 //
 // Usage:
 //
@@ -36,12 +35,12 @@
 //	GET  /score?id=3&t1=50&t2=120  one object's σ(t1,t2); 404 not_materialized
 //	POST /append                    {"id":3,"t":130.5,"v":42.0} routed to the owning shard
 //	POST /checkpoint                write a durable snapshot generation now (-data DIR mode)
-//	GET  /stats                     dataset + per-shard + per-index + engine statistics
+//	GET  /stats                     dataset + per-shard + per-index + query statistics
 //	GET  /healthz                   liveness probe
 //
-// Every query runs under a -timeout deadline propagated through the
-// worker pool; SIGINT/SIGTERM drain in-flight requests before exit
-// (graceful shutdown).
+// Every query runs under a -timeout deadline, which also bounds its
+// wait for a free query slot; SIGINT/SIGTERM drain in-flight requests
+// before exit (graceful shutdown).
 package main
 
 import (
@@ -97,7 +96,7 @@ func main() {
 	flag.IntVar(&cfg.r, "r", 500, "breakpoint budget for approximate methods")
 	flag.IntVar(&cfg.kmax, "kmax", 200, "max k supported by approximate methods")
 	flag.IntVar(&cfg.cache, "cache", 0, "LRU buffer pool size in pages (0 = none)")
-	flag.IntVar(&cfg.workers, "workers", 0, "query worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.workers, "workers", 0, "maximum /query requests running at once (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.build, "build-workers", 0, "parallel build workers for per-series construction (0 = sequential)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the dataset across this many shards")
 	flag.IntVar(&cfg.swork, "shard-workers", 0, "per-query shard fan-out bound (0 = GOMAXPROCS; lower it to trade idle latency for less oversubscription under full load)")
@@ -229,12 +228,9 @@ func runRouter(cfg config) error {
 		return fmt.Errorf("connect shard groups %q: %w", cfg.router, err)
 	}
 	defer rc.Close()
-	srv, err := newRouterServer(rc, cfg.workers, cfg.timeout)
-	if err != nil {
-		return err
-	}
+	srv := newServer(rc, cfg.workers, cfg.timeout)
 	log.Printf("routing %d objects across %d shard groups", rc.NumSeries(), rc.NumShards())
-	banner := fmt.Sprintf("routing on %s with %d workers", cfg.addr, srv.exec.Workers())
+	banner := fmt.Sprintf("routing on %s with %d workers", cfg.addr, cap(srv.slots))
 	return serveHTTP(cfg.addr, cfg.pprof, banner, srv, nil)
 }
 
@@ -324,13 +320,10 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 		}
 	}
 
-	srv, err := newServer(cluster, workers, timeout)
-	if err != nil {
-		return err
-	}
+	srv := newServer(cluster, workers, timeout)
 	var onShutdown func() error
 	if snapDir != "" {
-		srv.enableCheckpoint(snapDir)
+		srv.snapDir = snapDir
 		onShutdown = func() error {
 			elapsed, err := srv.checkpointNow()
 			if err != nil {
@@ -340,16 +333,14 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 			return nil
 		}
 	}
-	banner := fmt.Sprintf("serving %s on %s with %d workers", methods, addr, srv.exec.Workers())
+	banner := fmt.Sprintf("serving %s on %s with %d workers", methods, addr, cap(srv.slots))
 	return serveHTTP(addr, pprofAddr, banner, srv, onShutdown)
 }
 
 // serveHTTP runs srv on addr with opt-in side-listener profiling and
 // graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
-// requests, stops the worker pool, then runs onShutdown (local mode's
-// exit checkpoint).
+// requests, then runs onShutdown (local mode's exit checkpoint).
 func serveHTTP(addr, pprofAddr, banner string, srv *server, onShutdown func() error) error {
-	defer srv.Close()
 	httpSrv := &http.Server{Addr: addr, Handler: srv}
 
 	// Opt-in profiling on a side listener, never on the query address.

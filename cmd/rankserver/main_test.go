@@ -52,15 +52,9 @@ func testShardedServer(t *testing.T, shards int, methods ...temporalrank.Method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cluster, 8, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cluster, 8, 30*time.Second)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, db, ts
 }
 
@@ -390,15 +384,9 @@ func testServerKMax(t *testing.T, method temporalrank.Method, kmax int) (*server
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(cluster, 4, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(cluster, 4, 30*time.Second)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, db, ts
 }
 
@@ -546,7 +534,7 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	srv.enableCheckpoint(dir)
+	srv.snapDir = dir
 	var ck struct {
 		Status string `json:"status"`
 		Dir    string `json:"dir"`
@@ -571,15 +559,9 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := newServer(restored, 4, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newServer(restored, 4, 30*time.Second)
 	ts2 := httptest.NewServer(srv2)
-	defer func() {
-		ts2.Close()
-		srv2.Close()
-	}()
+	defer ts2.Close()
 
 	span := db.End() - db.Start()
 	rng := rand.New(rand.NewSource(31))

@@ -67,14 +67,10 @@ func testRouterServer(t *testing.T) (*temporalrank.Cluster, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newRouterServer(rc, 4, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(rc, 4, 30*time.Second)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close()
 		rc.Close()
 	})
 	return cluster, ts
@@ -149,6 +145,9 @@ func TestRouterModeServesSameAPI(t *testing.T) {
 	}
 	if sc.Score != wantScore {
 		t.Fatalf("score after append = %g, reference %g", sc.Score, wantScore)
+	}
+	if sc.Method != "EXACT3" || !sc.Exact {
+		t.Fatalf("score labelled method %q exact %v; the shards answer through EXACT3", sc.Method, sc.Exact)
 	}
 
 	resp, err = ts.Client().Post(ts.URL+"/checkpoint", "application/json", nil)

@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"temporalrank"
-	"temporalrank/internal/engine"
 )
 
 // backend is the slice of cluster behavior the HTTP handlers need.
@@ -23,13 +24,14 @@ type backend interface {
 	temporalrank.Querier
 	Append(id int, t, v float64) error
 	Score(id int, t1, t2 float64) (float64, error)
+	PrimaryMethod(id int) temporalrank.Method
 	NumSeries() int
 }
 
 // server is the HTTP front end over a backend — either a local
 // Cluster (one or more shards, each an independent DB + indexes +
-// Planner) or a RemoteCluster routing to shardserver replicas —
-// executed through the concurrent query engine. A single-node
+// Planner) or a RemoteCluster routing to shardserver replicas — with
+// at most -workers queries in flight at once. A single-node
 // deployment is simply the 1-shard cluster, so every request flows
 // through the same Querier path regardless of -shards. It implements
 // http.Handler, so tests mount it on httptest servers.
@@ -41,22 +43,25 @@ type backend interface {
 type server struct {
 	backend backend
 	// cluster is the local shard set; nil in -router mode, where
-	// router carries the remote topology instead. Exactly one of the
+	// router carries the remote topology instead. At most one of the
 	// two is non-nil.
 	cluster *temporalrank.Cluster
 	router  *temporalrank.RemoteCluster
-	// primary is the first index of the first non-empty shard (nil when
-	// the cluster runs brute-force): the structure /score reports.
-	// Shards are built homogeneously, so it is representative of every
-	// shard.
-	primary *temporalrank.Index
-	exec    *engine.Executor
+	// slots is the -workers semaphore: a /query holds one slot while the
+	// backend runs it, and waits for one (up to its deadline) otherwise.
+	slots   chan struct{}
 	mux     *http.ServeMux
 	timeout time.Duration
 	start   time.Time
 
-	// snapDir, when set by enableCheckpoint, is the durable snapshot
-	// directory POST /checkpoint and the shutdown path write to. snapMu
+	// The /stats query counters: completed queries (failed ones
+	// included), failed ones, queries running now, and their summed
+	// backend time.
+	queries, queryErrors atomic.Uint64
+	busy, queryNanos     atomic.Int64
+
+	// snapDir, when set (durable mode), is the snapshot directory
+	// POST /checkpoint and the shutdown path write to. snapMu
 	// serializes checkpoints: the paged store is single-writer per
 	// device, so a signal-triggered checkpoint must not interleave with
 	// an endpoint-triggered one on the same files.
@@ -64,38 +69,24 @@ type server struct {
 	snapMu  sync.Mutex
 }
 
-func newServer(cluster *temporalrank.Cluster, workers int, timeout time.Duration) (*server, error) {
-	s := newBaseServer(cluster, workers, timeout)
-	s.cluster = cluster
-	for _, p := range cluster.Planners() {
-		if p == nil {
-			continue
-		}
-		if ixs := p.Indexes(); len(ixs) > 0 {
-			s.primary = ixs[0]
-		}
-		break
+// newServer wires the routes over b, a local Cluster or (in -router
+// mode) a RemoteCluster; workers <= 0 selects GOMAXPROCS query slots.
+func newServer(b backend, workers int, timeout time.Duration) *server {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return s, nil
-}
-
-// newRouterServer fronts a RemoteCluster: same endpoints, but queries
-// scatter to shardserver replicas instead of local planners. There is
-// no local primary index (the structures live on the shard nodes), so
-// /score reports the reference method.
-func newRouterServer(router *temporalrank.RemoteCluster, workers int, timeout time.Duration) (*server, error) {
-	s := newBaseServer(router, workers, timeout)
-	s.router = router
-	return s, nil
-}
-
-func newBaseServer(b backend, workers int, timeout time.Duration) *server {
 	s := &server{
 		backend: b,
-		exec:    engine.NewQuerier(b, workers),
+		slots:   make(chan struct{}, workers),
 		mux:     http.NewServeMux(),
 		timeout: timeout,
 		start:   time.Now(),
+	}
+	switch b := b.(type) {
+	case *temporalrank.Cluster:
+		s.cluster = b
+	case *temporalrank.RemoteCluster:
+		s.router = b
 	}
 	s.mux.HandleFunc("GET /query", s.handleQuery)
 	s.mux.HandleFunc("GET /score", s.handleScore)
@@ -107,10 +98,6 @@ func newBaseServer(b backend, workers int, timeout time.Duration) *server {
 	})
 	return s
 }
-
-// enableCheckpoint arms the durable-snapshot paths (POST /checkpoint
-// and the shutdown checkpoint) with their target directory.
-func (s *server) enableCheckpoint(dir string) { s.snapDir = dir }
 
 // checkpointNow writes one snapshot generation for every shard,
 // serialized against concurrent checkpoint requests. Queries keep
@@ -165,11 +152,8 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the worker pool (after the HTTP server has drained).
-func (s *server) Close() { s.exec.Close() }
-
 // queryCtx derives the per-request context, applying the server's
-// timeout so slow scans cannot pin workers forever.
+// timeout so slow scans cannot pin query slots forever.
 func (s *server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.timeout <= 0 {
 		return r.Context(), func() {}
@@ -262,7 +246,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	ans, err := s.exec.Run(ctx, q)
+	ans, err := s.runQuery(ctx, q)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -286,6 +270,30 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		out.Results[i] = resultJSON{ID: res.ID, Score: res.Score}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// runQuery answers q through the backend once a query slot is free. A
+// request whose context ends while it waits returns ctx.Err() without
+// running.
+func (s *server) runQuery(ctx context.Context, q temporalrank.Query) (temporalrank.Answer, error) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		s.queries.Add(1)
+		s.queryErrors.Add(1)
+		return temporalrank.Answer{}, ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	s.busy.Add(1)
+	start := time.Now()
+	ans, err := s.backend.Run(ctx, q)
+	s.queryNanos.Add(int64(time.Since(start)))
+	s.busy.Add(-1)
+	s.queries.Add(1)
+	if err != nil {
+		s.queryErrors.Add(1)
+	}
+	return ans, err
 }
 
 // scoreResponse is the body of /score.
@@ -318,15 +326,12 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	method := temporalrank.MethodReference
-	if s.primary != nil {
-		method = s.primary.Method()
-	}
 	score, err := s.backend.Score(id, t1, t2)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
+	method := s.backend.PrimaryMethod(id)
 	writeJSON(w, http.StatusOK, scoreResponse{
 		ID: id, T1: t1, T2: t2, Score: score,
 		Method: string(method), Exact: !method.IsApprox(),
@@ -439,19 +444,18 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	est := s.exec.Stats()
+	out := statsResponse{
+		Workers:       cap(s.slots),
+		Queries:       s.queries.Load(),
+		QueryErrors:   s.queryErrors.Load(),
+		BusyWorkers:   s.busy.Load(),
+		QueryTimeNS:   s.queryNanos.Load(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
+	}
 	if s.router != nil {
-		out := statsResponse{
-			Method:        "REMOTE",
-			Shards:        s.router.NumShards(),
-			Objects:       s.router.NumSeries(),
-			Workers:       s.exec.Workers(),
-			Queries:       est.Queries,
-			QueryErrors:   est.Errors,
-			BusyWorkers:   est.Busy,
-			QueryTimeNS:   int64(est.TotalTime),
-			UptimeSeconds: time.Since(s.start).Seconds(),
-		}
+		out.Method = "REMOTE"
+		out.Shards = s.router.NumShards()
+		out.Objects = s.router.NumSeries()
 		for _, g := range s.router.Health() {
 			rg := routerGroupJSON{Shard: g.Shard}
 			for _, rep := range g.Replicas {
@@ -463,19 +467,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	cst := s.cluster.Stats()
-	out := statsResponse{
-		Shards:        cst.Shards,
-		Objects:       cst.Objects,
-		Segments:      cst.Segments,
-		DomainStart:   s.cluster.Start(),
-		DomainEnd:     s.cluster.End(),
-		Workers:       s.exec.Workers(),
-		Queries:       est.Queries,
-		QueryErrors:   est.Errors,
-		BusyWorkers:   est.Busy,
-		QueryTimeNS:   int64(est.TotalTime),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-	}
+	out.Shards = cst.Shards
+	out.Objects = cst.Objects
+	out.Segments = cst.Segments
+	out.DomainStart = s.cluster.Start()
+	out.DomainEnd = s.cluster.End()
 	if cs, ok := s.cluster.CacheStats(); ok {
 		out.ResultCache = &resultCacheJSON{
 			Hits:      cs.Hits,

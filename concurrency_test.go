@@ -10,8 +10,8 @@ import (
 	"temporalrank/internal/gen"
 )
 
-// These tests are the -race regression net for the concurrent query
-// engine: many goroutines querying one Index (sum and instant Run,
+// These tests are the -race regression net for the concurrent read
+// path: many goroutines querying one Index (sum and instant Run,
 // Score, Stats) while a writer interleaves Appends at the time
 // frontier. Run with `go test -race` (CI does).
 

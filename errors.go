@@ -3,8 +3,8 @@ package temporalrank
 import "temporalrank/internal/trerr"
 
 // The package's typed sentinel errors. Every layer — the brute-force
-// DB, the eight index implementations, the Planner, and the query
-// engine — wraps these values, so callers can classify failures with
+// DB, the eight index implementations, the Planner, and the cluster
+// coordinators — wraps these values, so callers can classify failures with
 // errors.Is regardless of which component produced them:
 //
 //	_, err := idx.Score(id, t1, t2)

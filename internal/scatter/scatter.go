@@ -1,8 +1,8 @@
 // Package scatter is the shared bounded fan-out primitive: run n tasks
 // on at most w goroutines, stop early on the first error, and respect
-// context cancellation. It is the concurrency core under the Cluster's
-// scatter-gather query path and the engine's parallel index builds —
-// deliberately free of temporalrank imports so both layers can use it.
+// context cancellation. It is the concurrency core under the shard
+// coordinator's scatter-gather and the parallel cluster builds —
+// deliberately free of temporalrank imports so every layer can use it.
 package scatter
 
 import (

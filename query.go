@@ -15,9 +15,8 @@ import (
 // describing *what* the caller wants (aggregate, k, interval, error
 // tolerance, IO budget) and the Querier interface implemented by every
 // component that can answer one — the brute-force DB, every Index, the
-// Planner, and engine.Executor. The older method-per-aggregate entry
-// points (TopK, TopKAvg, InstantTopK) remain as thin deprecated
-// wrappers over the same internals.
+// Planner, and the Cluster and RemoteCluster coordinators. Run is the
+// only query entry point.
 
 // Agg selects a Query's aggregate, the paper's operator family
 // top-k(t1, t2, agg).
@@ -201,7 +200,7 @@ type Answer struct {
 }
 
 // Querier is anything that can answer a Query: the brute-force DB,
-// every Index, the Planner, and engine.Executor. Run respects ctx —
+// every Index, the Planner, Cluster and RemoteCluster. Run respects ctx —
 // cancellation and deadlines abort promptly with ctx.Err().
 type Querier interface {
 	Run(ctx context.Context, q Query) (Answer, error)
@@ -213,6 +212,7 @@ var (
 	_ Querier = (*Index)(nil)
 	_ Querier = (*Planner)(nil)
 	_ Querier = (*Cluster)(nil)
+	_ Querier = (*RemoteCluster)(nil)
 )
 
 // ctxCheckStride bounds how many series a brute-force scan processes

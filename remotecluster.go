@@ -10,8 +10,6 @@ import (
 
 	"temporalrank/internal/remote"
 	"temporalrank/internal/scatter"
-	"temporalrank/internal/topk"
-	"temporalrank/internal/tsdata"
 )
 
 // RemoteCluster is the distributed Querier: the router half of the
@@ -22,9 +20,10 @@ import (
 // groups, each group answers from the first of its live replicas
 // (tried in rotated order) that responds, and the per-group top-k
 // lists — already in global IDs — k-way merge through the same
-// deterministic mergeGather as the in-process Cluster, so a
+// coordinator as the in-process Cluster (coordinator.go), so a
 // RemoteCluster answers bit-identically to a single node over the same
-// data.
+// data. RemoteCluster adds what is remote: topology discovery, replica
+// health, and checkpoints on the nodes.
 //
 // Failure semantics:
 //
@@ -44,12 +43,9 @@ import (
 //
 // RemoteCluster is safe for concurrent use.
 type RemoteCluster struct {
-	client    *remote.Client
-	ownClient bool
-	groups    []*remoteGroup
-	shardOf   []int // global series ID → group index
-	workers   int
-	callTO    time.Duration
+	coordinator
+	client *remote.Client
+	groups []*remoteGroup
 
 	stop    chan struct{}
 	healthW sync.WaitGroup
@@ -89,9 +85,12 @@ type remoteReplica struct {
 func (r *remoteReplica) load() ReplicaState   { return ReplicaState(r.state.Load()) }
 func (r *remoteReplica) store(s ReplicaState) { r.state.Store(int32(s)) }
 
-// remoteGroup is one shard's replica set.
+// remoteGroup is one shard's replica set, read through its live
+// replicas in rotated order.
 type remoteGroup struct {
 	shard    int
+	client   *remote.Client
+	callTO   time.Duration // see RemoteClusterOptions.CallTimeout
 	replicas []*remoteReplica
 	// appendMu serializes appends and resyncs within the group: appends
 	// replay synchronously to every live replica under it, and a resync
@@ -118,9 +117,6 @@ func (g *remoteGroup) liveReplicas() []*remoteReplica {
 
 // RemoteClusterOptions configures NewRemoteCluster.
 type RemoteClusterOptions struct {
-	// Workers bounds how many groups one Run queries concurrently
-	// (default: all of them).
-	Workers int
 	// HealthInterval is the period of the background health sweep that
 	// probes replicas and re-bootstraps lagging ones. 0 selects the 1s
 	// default; a negative value disables the loop (HealthCheck can
@@ -129,9 +125,6 @@ type RemoteClusterOptions struct {
 	// CallTimeout bounds RPCs issued by methods without a caller
 	// context (Append, Score). 0 leaves the Client's own guard (10s).
 	CallTimeout time.Duration
-	// Client overrides the RPC client (shared pools, custom timeouts).
-	// Nil builds a private one, closed with the cluster.
-	Client *remote.Client
 }
 
 // NewRemoteCluster connects to the given shard groups — groups[i]
@@ -153,21 +146,14 @@ func NewRemoteClusterContext(ctx context.Context, groups [][]string, opts Remote
 		return nil, fmt.Errorf("temporalrank: remote cluster needs >= 1 shard group: %w", ErrBadConfig)
 	}
 	c := &RemoteCluster{
-		client:  opts.Client,
-		workers: opts.Workers,
-		callTO:  opts.CallTimeout,
-		stop:    make(chan struct{}),
+		groups: make([]*remoteGroup, len(groups)),
+		stop:   make(chan struct{}),
 	}
-	if c.client == nil {
-		c.client = remote.NewClient(remote.ClientOptions{})
-		c.ownClient = true
-	}
-	c.groups = make([]*remoteGroup, len(groups))
 	for i, addrs := range groups {
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("temporalrank: shard group %d has no replicas: %w", i, ErrBadConfig)
 		}
-		g := &remoteGroup{shard: i, replicas: make([]*remoteReplica, len(addrs))}
+		g := &remoteGroup{shard: i, callTO: opts.CallTimeout, replicas: make([]*remoteReplica, len(addrs))}
 		for j, addr := range addrs {
 			if addr == "" {
 				return nil, fmt.Errorf("temporalrank: shard group %d has an empty address: %w", i, ErrBadConfig)
@@ -176,10 +162,12 @@ func NewRemoteClusterContext(ctx context.Context, groups [][]string, opts Remote
 		}
 		c.groups[i] = g
 	}
+	c.client = remote.NewClient(remote.ClientOptions{})
+	for _, g := range c.groups {
+		g.client = c.client
+	}
 	if err := c.discover(ctx); err != nil {
-		if c.ownClient {
-			c.client.Close()
-		}
+		c.client.Close()
 		return nil, err
 	}
 	interval := opts.HealthInterval
@@ -194,26 +182,24 @@ func NewRemoteClusterContext(ctx context.Context, groups [][]string, opts Remote
 }
 
 // discover probes every replica, validates the cluster shape, and
-// builds the global routing table.
+// builds the coordinator over the groups: the global routing table and
+// each group's primary method.
 func (c *RemoteCluster) discover(ctx context.Context) error {
 	numShards, numSeries := -1, -1
 	routing := make([][]int, len(c.groups))
+	primary := make([]Method, len(c.groups))
 	for _, g := range c.groups {
+		probes, err := c.probe(ctx, g)
+		if err != nil {
+			return err
+		}
 		found := false
-		for _, r := range g.replicas {
-			var meta rpcMetaReply
-			if err := c.client.Call(ctx, r.addr, "meta", nil, &meta); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				r.store(ReplicaDown)
+		for _, p := range probes {
+			if !p.hosting {
+				p.r.store(ReplicaSyncing) // reachable, not hosting yet
 				continue
 			}
-			info, ok := findShardInfo(meta.Shards, g.shard)
-			if !ok {
-				r.store(ReplicaSyncing) // reachable, not hosting yet
-				continue
-			}
+			r, info := p.r, p.info
 			if numShards == -1 {
 				numShards, numSeries = info.NumShards, info.NumSeries
 			}
@@ -228,6 +214,7 @@ func (c *RemoteCluster) discover(ctx context.Context) error {
 					return fmt.Errorf("temporalrank: routing for shard %d from %s: %w", g.shard, r.addr, err)
 				}
 				routing[g.shard] = rt.Global
+				primary[g.shard] = info.Method
 				found = true
 			}
 		}
@@ -239,117 +226,82 @@ func (c *RemoteCluster) discover(ctx context.Context) error {
 		return fmt.Errorf("temporalrank: snapshots describe %d shards but %d groups were given: %w",
 			numShards, len(c.groups), ErrBadConfig)
 	}
-	c.shardOf = make([]int, numSeries)
-	for g := range c.shardOf {
-		c.shardOf[g] = -1
+	shardOf, err := routeTable(numSeries, routing, ErrBadConfig)
+	if err != nil {
+		return err
 	}
-	for shard, global := range routing {
-		prev := -1
-		for _, id := range global {
-			if id < 0 || id >= numSeries || c.shardOf[id] != -1 {
-				return fmt.Errorf("temporalrank: shard %d routes series %d twice or out of range: %w", shard, id, ErrBadConfig)
-			}
-			if id <= prev {
-				return fmt.Errorf("temporalrank: shard %d global-ID list not ascending: %w", shard, ErrBadConfig)
-			}
-			c.shardOf[id] = shard
-			prev = id
-		}
+	shards := make([]shard, len(c.groups))
+	for i, g := range c.groups {
+		shards[i] = g
 	}
-	for id, s := range c.shardOf {
-		if s == -1 {
-			return fmt.Errorf("temporalrank: no shard group owns series %d: %w", id, ErrBadConfig)
-		}
-	}
+	// Every group is queried at once: a group read is one RPC wait, not
+	// CPU work.
+	c.coordinator = coordinator{shards: shards, shardOf: shardOf, primary: primary, workers: len(c.groups)}
 	return nil
 }
 
-// findShardInfo locates one shard's entry in a meta reply.
-func findShardInfo(infos []rpcShardInfo, shard int) (rpcShardInfo, bool) {
-	for _, info := range infos {
-		if info.Shard == shard {
-			return info, true
-		}
-	}
-	return rpcShardInfo{}, false
+// replicaProbe is one reachable replica's answer to a "meta" probe:
+// whether it hosts the group's shard and, if so, that shard's info.
+type replicaProbe struct {
+	r       *remoteReplica
+	hosting bool
+	info    rpcShardInfo
 }
 
-// Compile-time check: the remote cluster is a Querier like everything
-// else in the stack.
-var _ Querier = (*RemoteCluster)(nil)
+// probe calls "meta" on every replica of g, marks the unreachable ones
+// Down, and reports the others. A done ctx aborts the probe.
+func (c *RemoteCluster) probe(ctx context.Context, g *remoteGroup) ([]replicaProbe, error) {
+	probes := make([]replicaProbe, 0, len(g.replicas))
+	for _, r := range g.replicas {
+		var meta rpcMetaReply
+		if err := c.client.Call(ctx, r.addr, "meta", nil, &meta); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
+			}
+			r.store(ReplicaDown)
+			continue
+		}
+		p := replicaProbe{r: r}
+		for _, info := range meta.Shards {
+			if info.Shard == g.shard {
+				p.hosting, p.info = true, info
+			}
+		}
+		probes = append(probes, p)
+	}
+	return probes, nil
+}
 
-// NumShards returns the number of shard groups.
-func (c *RemoteCluster) NumShards() int { return len(c.groups) }
-
-// NumSeries returns the global object count m.
-func (c *RemoteCluster) NumSeries() int { return len(c.shardOf) }
-
-// Close stops the health loop and releases the private RPC client (a
-// caller-supplied Client is left open).
+// Close stops the health loop and releases the RPC client.
 func (c *RemoteCluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(c.stop)
 	c.healthW.Wait()
-	if c.ownClient {
-		return c.client.Close()
-	}
-	return nil
+	return c.client.Close()
 }
 
-// Run implements Querier by scatter-gather over the shard groups: each
-// group answers from one of its live replicas, and the per-group lists
-// merge deterministically — identical semantics to the in-process
-// Cluster, over sockets.
-func (c *RemoteCluster) Run(ctx context.Context, q Query) (Answer, error) {
-	q = q.withDefaults()
-	if err := q.Validate(); err != nil {
+// run answers q from one of the group's live replicas. Shard nodes
+// answer in global IDs already, so the answer is merge-ready as-is.
+func (g *remoteGroup) run(ctx context.Context, q Query) (Answer, error) {
+	var rep rpcQueryReply
+	if err := g.read(ctx, "query", rpcQueryReq{Shard: g.shard, Query: q}, &rep); err != nil {
 		return Answer{}, err
 	}
-	g := getGather(len(c.groups))
-	defer putGather(g)
-	err := scatter.Run(ctx, len(c.groups), c.queryWorkers(), func(ctx context.Context, i int) error {
-		var rep rpcQueryReply
-		if err := c.groupRead(ctx, c.groups[i], "query", rpcQueryReq{Shard: c.groups[i].shard, Query: q}, &rep); err != nil {
-			return err
-		}
-		ans := rep.Answer
-		// Shard nodes answer in global IDs already (remapped through the
-		// ascending manifest list), so the answer is merge-ready as-is.
-		items := make([]topk.Item, len(ans.Results))
-		for j, r := range ans.Results {
-			items[j] = topk.Item{ID: tsdata.SeriesID(r.ID), Score: r.Score}
-		}
-		g.lists[i] = items
-		g.answers[i] = ans
-		g.answered[i] = true
-		return nil
-	})
-	if err != nil {
-		return Answer{}, err
-	}
-	return mergeGather(q.K, g), nil
+	return rep.Answer, nil
 }
 
-// queryWorkers resolves the scatter bound for one Run.
-func (c *RemoteCluster) queryWorkers() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return len(c.groups)
-}
-
-// groupRead issues one read RPC to group g, trying its live replicas
-// in rotated order, one at a time, until one answers into rep. A
+// read issues one read RPC to the group, trying its live replicas in
+// rotated order, one at a time, until one answers into rep. A
 // transport failure marks the replica Down and a replica not hosting
 // the shard (restarted empty) is marked for re-bootstrap; both fail
 // over to the next replica. Application errors are final — every
 // replica would answer the same — and a done ctx wins over both.
-func (c *RemoteCluster) groupRead(ctx context.Context, g *remoteGroup, method string, req, rep any) error {
+func (g *remoteGroup) read(ctx context.Context, method string, req, rep any) error {
 	var lastErr error
 	for _, r := range g.liveReplicas() {
-		err := c.client.CallOnce(ctx, r.addr, method, req, rep)
+		err := g.client.CallOnce(ctx, r.addr, method, req, rep)
 		if err == nil {
 			return nil
 		}
@@ -366,26 +318,27 @@ func (c *RemoteCluster) groupRead(ctx context.Context, g *remoteGroup, method st
 		}
 		lastErr = err
 	}
-	if lastErr == nil {
-		return fmt.Errorf("temporalrank: shard %d has no live replica: %w", g.shard, ErrShardUnavailable)
-	}
-	return fmt.Errorf("temporalrank: shard %d has no answering replica: %w: %w", g.shard, lastErr, ErrShardUnavailable)
+	return unavailable("read", g.shard, lastErr)
 }
 
-// Append extends global object id with a new segment ending at (t, v).
-// The segment is applied on the owning group's primary (its first live
-// replica) and replayed synchronously to the group's other live
+// unavailable is the error of an operation no replica of shard served:
+// it wraps the last replica's error, if any, and ErrShardUnavailable.
+func unavailable(op string, shard int, lastErr error) error {
+	if lastErr == nil {
+		return fmt.Errorf("temporalrank: %s shard %d: no live replica: %w", op, shard, ErrShardUnavailable)
+	}
+	return fmt.Errorf("temporalrank: %s shard %d: %w: %w", op, shard, lastErr, ErrShardUnavailable)
+}
+
+// append applies the segment on the group's primary (its first live
+// replica) and replays it synchronously to the group's other live
 // replicas, so any live replica serves reads that include it. A
 // follower that fails the replay or diverges is marked for resync and
 // stops serving until the health loop re-bootstraps it.
-func (c *RemoteCluster) Append(id int, t, v float64) error {
-	if id < 0 || id >= len(c.shardOf) {
-		return fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
-	}
-	g := c.groups[c.shardOf[id]]
+func (g *remoteGroup) append(id int, t, v float64) error {
 	g.appendMu.Lock()
 	defer g.appendMu.Unlock()
-	ctx, cancel := c.callCtx()
+	ctx, cancel := g.callCtx()
 	defer cancel()
 	req := rpcAppendReq{Shard: g.shard, ID: id, T: t, V: v}
 	var (
@@ -402,7 +355,7 @@ func (c *RemoteCluster) Append(id int, t, v float64) error {
 		// is never retried transparently — the replica is marked for
 		// resync instead, which converges it whether or not the lost
 		// call applied.
-		err := c.client.CallOnce(ctx, r.addr, "append", req, &rep)
+		err := g.client.CallOnce(ctx, r.addr, "append", req, &rep)
 		if primary == nil {
 			switch {
 			case err == nil:
@@ -429,25 +382,18 @@ func (c *RemoteCluster) Append(id int, t, v float64) error {
 		}
 	}
 	if primary == nil {
-		if lastErr != nil {
-			return fmt.Errorf("temporalrank: append to shard %d: %w: %w", g.shard, lastErr, ErrShardUnavailable)
-		}
-		return fmt.Errorf("temporalrank: append to shard %d: %w", g.shard, ErrShardUnavailable)
+		return unavailable("append to", g.shard, lastErr)
 	}
 	return nil
 }
 
-// Score returns σ_id(t1,t2) as answered by the owning group (its live
-// replicas in rotated order, with transport failover).
-func (c *RemoteCluster) Score(id int, t1, t2 float64) (float64, error) {
-	if id < 0 || id >= len(c.shardOf) {
-		return 0, fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
-	}
-	g := c.groups[c.shardOf[id]]
-	ctx, cancel := c.callCtx()
+// score answers from the group's live replicas in rotated order, with
+// transport failover.
+func (g *remoteGroup) score(id int, t1, t2 float64) (float64, error) {
+	ctx, cancel := g.callCtx()
 	defer cancel()
 	var rep rpcScoreReply
-	if err := c.groupRead(ctx, g, "score", rpcScoreReq{Shard: g.shard, ID: id, T1: t1, T2: t2}, &rep); err != nil {
+	if err := g.read(ctx, "score", rpcScoreReq{Shard: g.shard, ID: id, T1: t1, T2: t2}, &rep); err != nil {
 		return 0, err
 	}
 	return rep.Score, nil
@@ -472,20 +418,17 @@ func (c *RemoteCluster) Checkpoint(ctx context.Context) error {
 			persisted = true
 		}
 		if !persisted {
-			if lastErr != nil {
-				return fmt.Errorf("temporalrank: checkpoint shard %d: %w", g.shard, lastErr)
-			}
-			return fmt.Errorf("temporalrank: checkpoint shard %d: %w", g.shard, ErrShardUnavailable)
+			return unavailable("checkpoint", g.shard, lastErr)
 		}
 		return nil
 	})
 }
 
 // callCtx builds the context for RPCs issued by methods without a
-// caller context (Append, Score).
-func (c *RemoteCluster) callCtx() (context.Context, context.CancelFunc) {
-	if c.callTO > 0 {
-		return context.WithTimeout(context.Background(), c.callTO)
+// caller context (append, score).
+func (g *remoteGroup) callCtx() (context.Context, context.CancelFunc) {
+	if g.callTO > 0 {
+		return context.WithTimeout(context.Background(), g.callTO)
 	}
 	return context.WithCancel(context.Background())
 }
@@ -532,29 +475,14 @@ func (c *RemoteCluster) HealthCheck(ctx context.Context) error {
 func (c *RemoteCluster) checkGroup(ctx context.Context, g *remoteGroup) error {
 	g.appendMu.Lock()
 	defer g.appendMu.Unlock()
-	type probe struct {
-		r       *remoteReplica
-		hosting bool
-		version uint64
+	probes, err := c.probe(ctx, g)
+	if err != nil {
+		return err
 	}
-	probes := make([]probe, 0, len(g.replicas))
-	var best *probe
-	for _, r := range g.replicas {
-		var meta rpcMetaReply
-		if err := c.client.Call(ctx, r.addr, "meta", nil, &meta); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			r.store(ReplicaDown)
-			continue
-		}
-		p := probe{r: r}
-		if info, ok := findShardInfo(meta.Shards, g.shard); ok {
-			p.hosting, p.version = true, info.Version
-		}
-		probes = append(probes, p)
-		if p.hosting && (best == nil || p.version > best.version) {
-			best = &probes[len(probes)-1]
+	var best *replicaProbe
+	for i, p := range probes {
+		if p.hosting && (best == nil || p.info.Version > best.info.Version) {
+			best = &probes[i]
 		}
 	}
 	if best == nil {
@@ -562,7 +490,7 @@ func (c *RemoteCluster) checkGroup(ctx context.Context, g *remoteGroup) error {
 		for _, p := range probes {
 			p.r.store(ReplicaSyncing)
 		}
-		return fmt.Errorf("temporalrank: shard %d has no live replica: %w", g.shard, ErrShardUnavailable)
+		return unavailable("repair", g.shard, nil)
 	}
 	best.r.store(ReplicaLive)
 	for i := range probes {
@@ -570,7 +498,7 @@ func (c *RemoteCluster) checkGroup(ctx context.Context, g *remoteGroup) error {
 		if p.r == best.r {
 			continue
 		}
-		if p.hosting && p.version == best.version {
+		if p.hosting && p.info.Version == best.info.Version {
 			p.r.store(ReplicaLive)
 			continue
 		}
@@ -584,7 +512,7 @@ func (c *RemoteCluster) checkGroup(ctx context.Context, g *remoteGroup) error {
 			p.r.store(ReplicaSyncing)
 			continue
 		}
-		if rep.Version == best.version {
+		if rep.Version == best.info.Version {
 			p.r.store(ReplicaLive)
 		} else {
 			p.r.store(ReplicaSyncing)

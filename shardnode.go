@@ -23,10 +23,11 @@ import (
 // the replica bootstrap/catch-up path). cmd/shardserver is a thin main
 // around this type.
 //
-// Every query answer leaves the node with GLOBAL series IDs: the node
-// remaps its planner's local IDs through the shard manifest's
-// ascending Global list, which preserves tie order, so the router's
-// merge is plain topk.Merge — bit-identical to the in-process Cluster.
+// A hosted shard is the same localShard a Cluster scatters over, so
+// every query answer leaves the node in GLOBAL series IDs (remapped
+// through the manifest's ascending Global list, which preserves tie
+// order) and the router merges it exactly as the in-process Cluster
+// merges its own shards.
 
 // RPC request/reply DTOs. All fields exported for gob.
 
@@ -36,6 +37,7 @@ type rpcShardInfo struct {
 	NumShards int
 	NumSeries int    // global object count m
 	Version   uint64 // the shard DB's append counter
+	Method    Method // the primary method Score answers from
 }
 
 // rpcMetaReply answers the "meta" probe: every shard the node hosts.
@@ -90,13 +92,6 @@ type rpcRestoreReq struct {
 	From  string
 }
 
-// nodeShard is one hosted shard: a restored single-node stack plus the
-// manifest that carries its global routing.
-type nodeShard struct {
-	planner *Planner
-	meta    *shardManifest
-}
-
 // ShardNode hosts shard replicas and serves the distributed tier's
 // RPCs. Construct with NewShardNode, serve with Serve (usually on its
 // own goroutine), stop with Close. Safe for concurrent use: queries
@@ -109,7 +104,7 @@ type ShardNode struct {
 	client *remote.Client
 
 	mu     sync.RWMutex
-	shards map[int]*nodeShard
+	shards map[int]*localShard
 }
 
 // ShardNodeOptions are a node's runtime knobs — applied to every shard
@@ -140,37 +135,21 @@ func NewShardNodeWithOptions(dir string, opts ShardNodeOptions) (*ShardNode, err
 		opts:   opts,
 		srv:    remote.NewServer(0),
 		client: remote.NewClient(remote.ClientOptions{}),
-		shards: make(map[int]*nodeShard),
+		shards: make(map[int]*localShard),
 	}
-	paths, err := listShardSnapshots(dir)
+	paths, err := listSnapshotFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, path := range paths {
-		dev, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
+		sh, err := openShardFile(path, opts.Memtable)
 		if err != nil {
-			return nil, fmt.Errorf("temporalrank: shard node open %s: %w", path, err)
+			return nil, err
 		}
-		p, sm, perr := openSnapshotStore(dev)
-		cerr := dev.Close()
-		if perr != nil {
-			return nil, fmt.Errorf("temporalrank: shard node restore %s: %w", path, perr)
+		if _, dup := n.shards[sh.meta.Shard]; dup {
+			return nil, fmt.Errorf("temporalrank: duplicate snapshot for shard %d under %s: %w", sh.meta.Shard, dir, ErrBadSnapshot)
 		}
-		if cerr != nil {
-			return nil, fmt.Errorf("temporalrank: shard node restore %s: %w", path, cerr)
-		}
-		if sm == nil {
-			return nil, fmt.Errorf("temporalrank: %s is not a cluster shard snapshot: %w", path, ErrBadSnapshot)
-		}
-		if _, dup := n.shards[sm.Shard]; dup {
-			return nil, fmt.Errorf("temporalrank: duplicate snapshot for shard %d under %s: %w", sm.Shard, dir, ErrBadSnapshot)
-		}
-		if opts.Memtable != nil {
-			if err := p.EnableMemtable(*opts.Memtable); err != nil {
-				return nil, fmt.Errorf("temporalrank: shard node %s: %w", path, err)
-			}
-		}
-		n.shards[sm.Shard] = &nodeShard{planner: p, meta: sm}
+		n.shards[sh.meta.Shard] = sh
 	}
 	n.register()
 	return n, nil
@@ -214,15 +193,19 @@ func (n *ShardNode) Shards() []int {
 	return out
 }
 
-// shard fetches one hosted shard; a miss reports ErrShardUnavailable
-// (the replica does not have the shard — the router fails over, or
-// triggers a restore).
-func (n *ShardNode) shard(id int) (*nodeShard, error) {
+// decodeShard decodes an RPC body into req and fetches the hosted shard
+// its Shard field (at shard, inside req) names. A shard the node does
+// not host reports ErrShardUnavailable: the router fails over, or
+// triggers a restore.
+func (n *ShardNode) decodeShard(body []byte, req any, shard *int) (*localShard, error) {
+	if err := remote.DecodeBody(body, req); err != nil {
+		return nil, err
+	}
 	n.mu.RLock()
-	sh := n.shards[id]
+	sh := n.shards[*shard]
 	n.mu.RUnlock()
 	if sh == nil {
-		return nil, fmt.Errorf("temporalrank: shard %d not hosted: %w", id, ErrShardUnavailable)
+		return nil, fmt.Errorf("temporalrank: shard %d not hosted: %w", *shard, ErrShardUnavailable)
 	}
 	return sh, nil
 }
@@ -237,6 +220,7 @@ func (n *ShardNode) handleMeta(ctx context.Context, body []byte) (any, error) {
 			NumShards: sh.meta.NumShards,
 			NumSeries: sh.meta.NumSeries,
 			Version:   sh.planner.DataVersion(),
+			Method:    sh.primaryMethod(),
 		})
 	}
 	sort.Slice(rep.Shards, func(i, j int) bool { return rep.Shards[i].Shard < rep.Shards[j].Shard })
@@ -245,10 +229,7 @@ func (n *ShardNode) handleMeta(ctx context.Context, body []byte) (any, error) {
 
 func (n *ShardNode) handleRouting(ctx context.Context, body []byte) (any, error) {
 	var req rpcShardReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return nil, err
 	}
@@ -257,52 +238,24 @@ func (n *ShardNode) handleRouting(ctx context.Context, body []byte) (any, error)
 
 func (n *ShardNode) handleQuery(ctx context.Context, body []byte) (any, error) {
 	var req rpcQueryReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := sh.planner.Run(ctx, req.Query)
+	ans, err := sh.run(ctx, req.Query)
 	if err != nil {
 		return nil, err
 	}
-	// Remap local result IDs to global into a fresh slice — ans.Results
-	// may alias the planner's result cache and must stay untouched. The
-	// ascending Global list preserves tie order, so this list merges at
-	// the router exactly like an in-process shard's.
-	global := make([]Result, len(ans.Results))
-	for i, r := range ans.Results {
-		global[i] = Result{ID: sh.meta.Global[r.ID], Score: r.Score}
-	}
-	ans.Results = global
 	return rpcQueryReply{Answer: ans}, nil
-}
-
-// localID maps a global series ID onto the shard's local ID space.
-func (sh *nodeShard) localID(global int) (int, error) {
-	i := sort.SearchInts(sh.meta.Global, global)
-	if i >= len(sh.meta.Global) || sh.meta.Global[i] != global {
-		return 0, fmt.Errorf("temporalrank: series %d not on shard %d: %w", global, sh.meta.Shard, ErrUnknownSeries)
-	}
-	return i, nil
 }
 
 func (n *ShardNode) handleAppend(ctx context.Context, body []byte) (any, error) {
 	var req rpcAppendReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return nil, err
 	}
-	local, err := sh.localID(req.ID)
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.planner.Append(local, req.T, req.V); err != nil {
+	if err := sh.append(req.ID, req.T, req.V); err != nil {
 		return nil, err
 	}
 	return rpcAppendReply{Version: sh.planner.DataVersion()}, nil
@@ -310,18 +263,11 @@ func (n *ShardNode) handleAppend(ctx context.Context, body []byte) (any, error) 
 
 func (n *ShardNode) handleScore(ctx context.Context, body []byte) (any, error) {
 	var req rpcScoreReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return nil, err
 	}
-	local, err := sh.localID(req.ID)
-	if err != nil {
-		return nil, err
-	}
-	score, err := sh.planner.Score(local, req.T1, req.T2)
+	score, err := sh.score(req.ID, req.T1, req.T2)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +276,7 @@ func (n *ShardNode) handleScore(ctx context.Context, body []byte) (any, error) {
 
 func (n *ShardNode) handleCheckpoint(ctx context.Context, body []byte) (any, error) {
 	var req rpcShardReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return nil, err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return nil, err
 	}
@@ -349,10 +292,7 @@ func (n *ShardNode) handleCheckpoint(ctx context.Context, body []byte) (any, err
 // snapshot.ReadDevicePages + the ordinary snapshot restore.
 func (n *ShardNode) handleSnapshot(ctx context.Context, body []byte, w io.Writer) error {
 	var req rpcShardReq
-	if err := remote.DecodeBody(body, &req); err != nil {
-		return err
-	}
-	sh, err := n.shard(req.Shard)
+	sh, err := n.decodeShard(body, &req, &req.Shard)
 	if err != nil {
 		return err
 	}
@@ -378,13 +318,12 @@ func (n *ShardNode) handleRestore(ctx context.Context, body []byte) (any, error)
 	if err != nil {
 		return nil, fmt.Errorf("temporalrank: restore shard %d from %s: %w", req.Shard, req.From, err)
 	}
-	mem, rerr := snapshot.ReadDevicePages(rc)
-	cerr := rc.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("temporalrank: restore shard %d from %s: %w", req.Shard, req.From, rerr)
+	mem, err := snapshot.ReadDevicePages(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
 	}
-	if cerr != nil {
-		return nil, fmt.Errorf("temporalrank: restore shard %d from %s: %w", req.Shard, req.From, cerr)
+	if err != nil {
+		return nil, fmt.Errorf("temporalrank: restore shard %d from %s: %w", req.Shard, req.From, err)
 	}
 	p, sm, err := openSnapshotStore(mem)
 	if err != nil {
@@ -393,12 +332,10 @@ func (n *ShardNode) handleRestore(ctx context.Context, body []byte) (any, error)
 	if sm == nil || sm.Shard != req.Shard {
 		return nil, fmt.Errorf("temporalrank: peer %s streamed the wrong shard: %w", req.From, ErrBadSnapshot)
 	}
-	if n.opts.Memtable != nil {
-		if err := p.EnableMemtable(*n.opts.Memtable); err != nil {
-			return nil, fmt.Errorf("temporalrank: restore shard %d: %w", req.Shard, err)
-		}
+	sh, err := newLocalShard(p, sm, n.opts.Memtable)
+	if err != nil {
+		return nil, fmt.Errorf("temporalrank: restore shard %d: %w", req.Shard, err)
 	}
-	sh := &nodeShard{planner: p, meta: sm}
 	if err := commitShardSnapshotFile(n.dir, req.Shard, p, sm); err != nil {
 		return nil, fmt.Errorf("temporalrank: restore shard %d: persist: %w", req.Shard, err)
 	}
@@ -406,14 +343,4 @@ func (n *ShardNode) handleRestore(ctx context.Context, body []byte) (any, error)
 	n.shards[req.Shard] = sh
 	n.mu.Unlock()
 	return rpcAppendReply{Version: p.DataVersion()}, nil
-}
-
-// listShardSnapshots globs dir for shard snapshot files, sorted.
-func listShardSnapshots(dir string) ([]string, error) {
-	paths, err := listSnapshotFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
 }

@@ -13,7 +13,6 @@ import (
 	"temporalrank/internal/approx"
 	"temporalrank/internal/blockio"
 	"temporalrank/internal/exact"
-	"temporalrank/internal/qcache"
 	"temporalrank/internal/scatter"
 	"temporalrank/internal/snapshot"
 )
@@ -385,10 +384,11 @@ func shardSnapshotPath(dir string, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.trsnap", shard))
 }
 
-// listSnapshotFiles returns the shard snapshot files under dir
-// (unsorted, as globbed).
+// listSnapshotFiles returns the shard snapshot files under dir, sorted.
 func listSnapshotFiles(dir string) ([]string, error) {
-	return filepath.Glob(filepath.Join(dir, SnapshotFilePattern))
+	paths, err := filepath.Glob(filepath.Join(dir, SnapshotFilePattern))
+	sort.Strings(paths)
+	return paths, err
 }
 
 // openSnapshotDevice opens the file device backing one shard snapshot
@@ -405,12 +405,11 @@ func writeShardSnapshotFile(path string, p *Planner, sm *shardManifest) error {
 	if err != nil {
 		return err
 	}
-	werr := p.checkpointWith(dev, sm)
-	cerr := dev.Close()
-	if werr != nil {
-		return werr
+	err = p.checkpointWith(dev, sm)
+	if cerr := dev.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }
 
 // commitShardSnapshotFile writes shard's snapshot under dir atomically:
@@ -445,7 +444,7 @@ func (c *Cluster) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("temporalrank: cluster checkpoint: %w", err)
 	}
-	tmps := make([]string, len(c.shards))
+	tmps := make([]string, len(c.locals))
 	removeTemps := func() {
 		for _, tmp := range tmps {
 			if tmp != "" {
@@ -453,19 +452,13 @@ func (c *Cluster) Checkpoint(dir string) error {
 			}
 		}
 	}
-	err := scatter.Run(context.Background(), len(c.shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-		sh := c.shards[i]
-		if sh.db == nil {
+	err := scatter.Run(context.Background(), len(c.locals), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+		sh := c.locals[i]
+		if sh == nil {
 			return nil
 		}
 		tmp := shardSnapshotPath(dir, i) + ".tmp"
-		sm := &shardManifest{
-			Shard:     i,
-			NumShards: len(c.shards),
-			NumSeries: len(c.shardOf),
-			Global:    sh.global,
-		}
-		if err := writeShardSnapshotFile(tmp, sh.planner, sm); err != nil {
+		if err := writeShardSnapshotFile(tmp, sh.planner, sh.meta); err != nil {
 			os.Remove(tmp)
 			return fmt.Errorf("temporalrank: cluster checkpoint shard %d: %w", i, err)
 		}
@@ -480,12 +473,11 @@ func (c *Cluster) Checkpoint(dir string) error {
 		if tmp == "" {
 			continue
 		}
+		tmps[i] = ""
 		if err := os.Rename(tmp, shardSnapshotPath(dir, i)); err != nil {
-			tmps[i] = ""
 			removeTemps()
 			return fmt.Errorf("temporalrank: cluster checkpoint shard %d: %w", i, err)
 		}
-		tmps[i] = ""
 	}
 	return nil
 }
@@ -494,9 +486,9 @@ func (c *Cluster) Checkpoint(dir string) error {
 // files Cluster.Checkpoint wrote under dir. The shard count, the
 // series-to-shard routing, and every shard's DB, indexes, and planner
 // come from the snapshots; only the runtime knobs of opts are applied
-// (Workers, ResultCache, Partitioner, Memtable — the rest is ignored,
-// since the partitioning is already fixed in the files). Shards
-// restore in parallel. Like every restore path, no index is rebuilt.
+// (Workers, ResultCache, Memtable — the rest is ignored, since the
+// partitioning is already fixed in the files). Shards restore in
+// parallel. Like every restore path, no index is rebuilt.
 func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 	paths, err := listSnapshotFiles(dir)
 	if err != nil {
@@ -505,30 +497,11 @@ func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("temporalrank: no %s files in %s: %w", SnapshotFilePattern, dir, ErrBadSnapshot)
 	}
-	sort.Strings(paths)
-	type loadedShard struct {
-		planner *Planner
-		meta    *shardManifest
-	}
-	loaded := make([]loadedShard, len(paths))
+	loaded := make([]*localShard, len(paths))
 	err = scatter.Run(context.Background(), len(paths), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-		dev, err := blockio.OpenFileDeviceAt(paths[i], blockio.DefaultBlockSize)
-		if err != nil {
-			return fmt.Errorf("temporalrank: open %s: %w", paths[i], err)
-		}
-		p, sm, perr := openSnapshotStore(dev)
-		cerr := dev.Close()
-		if perr != nil {
-			return fmt.Errorf("temporalrank: restore %s: %w", paths[i], perr)
-		}
-		if cerr != nil {
-			return fmt.Errorf("temporalrank: restore %s: %w", paths[i], cerr)
-		}
-		if sm == nil {
-			return fmt.Errorf("temporalrank: %s is not a cluster shard snapshot: %w", paths[i], ErrBadSnapshot)
-		}
-		loaded[i] = loadedShard{planner: p, meta: sm}
-		return nil
+		sh, err := openShardFile(paths[i], opts.Memtable)
+		loaded[i] = sh
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -538,25 +511,9 @@ func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 		return nil, fmt.Errorf("temporalrank: implausible cluster shape %d shards / %d series: %w",
 			numShards, numSeries, ErrBadSnapshot)
 	}
-	part := opts.Partitioner
-	if part == nil {
-		part = HashPartition
-	}
-	c := &Cluster{
-		part:    part,
-		workers: opts.Workers,
-		shards:  make([]*clusterShard, numShards),
-		shardOf: make([]int, numSeries),
-		localOf: make([]int, numSeries),
-	}
-	for i := range c.shards {
-		c.shards[i] = &clusterShard{}
-	}
-	for g := range c.shardOf {
-		c.shardOf[g] = -1
-	}
-	for i, ld := range loaded {
-		sm := ld.meta
+	locals := make([]*localShard, numShards)
+	for i, sh := range loaded {
+		sm := sh.meta
 		if sm.NumShards != numShards || sm.NumSeries != numSeries {
 			return nil, fmt.Errorf("temporalrank: %s disagrees on cluster shape (%d/%d vs %d/%d): %w",
 				paths[i], sm.NumShards, sm.NumSeries, numShards, numSeries, ErrBadSnapshot)
@@ -564,48 +521,37 @@ func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 		if sm.Shard < 0 || sm.Shard >= numShards {
 			return nil, fmt.Errorf("temporalrank: %s names shard %d of %d: %w", paths[i], sm.Shard, numShards, ErrBadSnapshot)
 		}
-		sh := c.shards[sm.Shard]
-		if sh.db != nil {
+		if locals[sm.Shard] != nil {
 			return nil, fmt.Errorf("temporalrank: duplicate snapshot for shard %d: %w", sm.Shard, ErrBadSnapshot)
 		}
-		if len(sm.Global) != ld.planner.DB().NumSeries() {
-			return nil, fmt.Errorf("temporalrank: %s routes %d series but holds %d: %w",
-				paths[i], len(sm.Global), ld.planner.DB().NumSeries(), ErrBadSnapshot)
-		}
-		for local, g := range sm.Global {
-			if g < 0 || g >= numSeries || c.shardOf[g] != -1 {
-				return nil, fmt.Errorf("temporalrank: %s routes series %d twice or out of range: %w",
-					paths[i], g, ErrBadSnapshot)
-			}
-			if local > 0 && sm.Global[local-1] >= g {
-				return nil, fmt.Errorf("temporalrank: %s shard ID list not ascending at %d: %w",
-					paths[i], local, ErrBadSnapshot)
-			}
-			c.shardOf[g] = sm.Shard
-			c.localOf[g] = local
-		}
-		sh.db = ld.planner.DB()
-		sh.planner = ld.planner
-		sh.indexes = ld.planner.Indexes()
-		sh.global = sm.Global
+		locals[sm.Shard] = sh
 	}
-	for g, s := range c.shardOf {
-		if s == -1 {
-			return nil, fmt.Errorf("temporalrank: no shard snapshot holds series %d: %w", g, ErrBadSnapshot)
-		}
+	return assembleCluster(locals, numSeries, opts, ErrBadSnapshot)
+}
+
+// openShardFile restores one shard snapshot file into a shard stack
+// (see newLocalShard for mt). No index is rebuilt; the file is closed
+// before returning.
+func openShardFile(path string, mt *MemtableOptions) (*localShard, error) {
+	dev, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
+	if err != nil {
+		return nil, fmt.Errorf("temporalrank: open %s: %w", path, err)
 	}
-	if opts.Memtable != nil {
-		for _, sh := range c.shards {
-			if err := sh.planner.EnableMemtable(*opts.Memtable); err != nil {
-				return nil, err
-			}
-		}
+	p, sm, err := openSnapshotStore(dev)
+	if cerr := dev.Close(); err == nil {
+		err = cerr
 	}
-	if opts.ResultCache > 0 {
-		c.cache = qcache.New[queryKey, Answer](opts.ResultCache)
+	if err != nil {
+		return nil, fmt.Errorf("temporalrank: restore %s: %w", path, err)
 	}
-	c.initJournals()
-	return c, nil
+	if sm == nil {
+		return nil, fmt.Errorf("temporalrank: %s is not a cluster shard snapshot: %w", path, ErrBadSnapshot)
+	}
+	sh, err := newLocalShard(p, sm, mt)
+	if err != nil {
+		return nil, fmt.Errorf("temporalrank: restore %s: %w", path, err)
+	}
+	return sh, nil
 }
 
 // writeGobStream encodes v as one gob-typed stream of the checkpoint.

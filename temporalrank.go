@@ -92,11 +92,11 @@ type Result struct {
 // DB is an immutable-by-default temporal database; objects can only
 // grow at their time frontier via Append (the paper's update model).
 //
-// DB is safe for concurrent use: reads (TopK, Score, InstantTopK, and
-// the accessors) take a shared lock, and Index.Append takes the
-// exclusive lock while it mutates the underlying dataset. When several
-// indexes are built over one DB, route all appends through a single
-// index — each index tracks its own per-object frontier.
+// DB is safe for concurrent use: reads (Run, Score, and the accessors)
+// take a shared lock, and appends take the exclusive lock while they
+// mutate the underlying dataset. When several indexes are built over
+// one DB, append through a Planner holding all of them: each index
+// tracks its own per-object frontier.
 type DB struct {
 	// mu guards ds. Lock ordering: an Index always acquires its own
 	// mutex before this one.
@@ -455,7 +455,7 @@ func (ix *Index) ResetStats() {
 // DeviceIOs returns the device's cumulative IO count (Stats().Total()).
 // Unlike Index.Stats it skips IndexPages(), whose NumPages() call takes
 // the device mutex — this touches only the atomic counters, so it is
-// the accessor the query engine samples around each call.
+// the accessor Run samples around each query.
 func (ix *Index) DeviceIOs() uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

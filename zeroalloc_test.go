@@ -1,7 +1,8 @@
 // The dynamic backstop for the //tr:hotpath annotations: the static
 // hotalloc analyzer waives sanctioned allocations line by line, and
 // these tests prove the waivers honest by measuring the read path end
-// to end, cached and uncached. CI enforces the cached property on
+// to end, cached and uncached, on a Planner and on a Cluster's shard
+// coordinator. CI enforces the cached property on
 // BenchmarkPlannerCachedRun/cached via -benchmem as well.
 //
 // The race detector instruments allocations, so the measurement only
@@ -18,27 +19,33 @@ import (
 	"temporalrank"
 )
 
-// plannerRunAllocs warms a rotation of eight distinct queries through
-// a benchPlanner with the given result-cache size, then reports the
-// steady-state allocations per Planner.Run over that rotation.
+// plannerRunAllocs reports steadyRunAllocs for a benchPlanner with the
+// given result-cache size.
 func plannerRunAllocs(t *testing.T, resultCache int) float64 {
 	t.Helper()
-	ctx := context.Background()
 	db, p := benchPlanner(t, resultCache)
-	span := db.Span()
+	return steadyRunAllocs(t, p, db.Start(), db.Span())
+}
+
+// steadyRunAllocs warms a rotation of eight distinct queries over the
+// domain [start, start+span] through qr, then reports the steady-state
+// allocations per Run over that rotation.
+func steadyRunAllocs(t *testing.T, qr temporalrank.Querier, start, span float64) float64 {
+	t.Helper()
+	ctx := context.Background()
 	qs := make([]temporalrank.Query, 8)
 	for i := range qs {
-		t1 := db.Start() + span*float64(i)/16
+		t1 := start + span*float64(i)/16
 		qs[i] = temporalrank.SumQuery(10, t1, t1+span/4)
 	}
 	for _, q := range qs {
-		if _, err := p.Run(ctx, q); err != nil {
+		if _, err := qr.Run(ctx, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {
-		if _, err := p.Run(ctx, qs[i%len(qs)]); err != nil {
+		if _, err := qr.Run(ctx, qs[i%len(qs)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -61,5 +68,28 @@ func TestPlannerCachedRunZeroAllocs(t *testing.T) {
 func TestPlannerUncachedRunAllocs(t *testing.T) {
 	if allocs := plannerRunAllocs(t, 0); allocs >= 27 {
 		t.Errorf("uncached Planner.Run allocates %.1f allocs/op, want < 27", allocs)
+	}
+}
+
+// TestClusterRunAllocs pins the shard coordinator's allocation profile
+// over benchCluster's data: a cached Cluster.Run allocates nothing at
+// any shard count, and an uncached one stays within what the scatter,
+// the per-shard ID remap and the merge cost before the coordinator was
+// shared with RemoteCluster.
+func TestClusterRunAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		shards   int
+		uncached float64
+	}{{1, 2}, {2, 20}, {8, 38}} {
+		c := benchCluster(t, tc.shards, 64)
+		if allocs := steadyRunAllocs(t, c, c.Start(), c.End()-c.Start()); allocs != 0 {
+			t.Errorf("shards=%d: cached Cluster.Run allocates %.1f allocs/op, want 0", tc.shards, allocs)
+		}
+		c = benchCluster(t, tc.shards, 0)
+		allocs := steadyRunAllocs(t, c, c.Start(), c.End()-c.Start())
+		if allocs > tc.uncached {
+			t.Errorf("shards=%d: uncached Cluster.Run allocates %.1f allocs/op, want <= %.0f", tc.shards, allocs, tc.uncached)
+		}
+		t.Logf("shards=%d: uncached Cluster.Run %.1f allocs/op", tc.shards, allocs)
 	}
 }
