@@ -39,6 +39,7 @@ func cachePlanner(t *testing.T) (*temporalrank.DB, *temporalrank.Planner) {
 // query must return the post-append answer, not the stored one.
 func TestResultCachePostAppend(t *testing.T) {
 	db, p := cachePlanner(t)
+	ref := db.Snapshot()
 	ctx := context.Background()
 	q := temporalrank.SumQuery(5, db.Start(), db.End())
 
@@ -62,11 +63,15 @@ func TestResultCachePostAppend(t *testing.T) {
 	if err := p.Append(loser, db.End()+10, 1e7); err != nil {
 		t.Fatal(err)
 	}
+	refDB := temporalrank.NewDBFromDataset(ref)
+	if err := refDB.Append(loser, db.End()+10, 1e7); err != nil {
+		t.Fatal(err)
+	}
 	after, err := p.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(ctx, q)
+	want, err := refDB.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +81,10 @@ func TestResultCachePostAppend(t *testing.T) {
 	}
 }
 
-// TestResultCacheAppendThroughAnyPath: appends that bypass the planner
-// (DB.Append on an index-less planner's DB) still bump the version the
-// cache keys on.
+// TestResultCacheAppendThroughAnyPath: both append paths bump their
+// version — Planner.Append on an index-less planner invalidates its
+// cached answer, and DB.Append on the standalone reference fed the
+// same segment bumps the DB's.
 func TestResultCacheAppendThroughAnyPath(t *testing.T) {
 	inputs := clusterInputs(t, 20, 15, 9)
 	db, err := temporalrank.NewDB(inputs)
@@ -95,22 +101,33 @@ func TestResultCacheAppendThroughAnyPath(t *testing.T) {
 	if _, err := p.Run(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	v := db.DataVersion()
-	if err := db.Append(0, db.End()+5, 1e6); err != nil {
+	ref, err := temporalrank.NewDB(inputs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.DataVersion(); got != v+1 {
-		t.Fatalf("DataVersion = %d after DB.Append, want %d", got, v+1)
+	pv, rv := p.DataVersion(), ref.DataVersion()
+	tNew := db.End() + 5
+	if err := p.Append(0, tNew, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Append(0, tNew, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.DataVersion(); got != pv+1 {
+		t.Fatalf("planner DataVersion = %d after Planner.Append, want %d", got, pv+1)
+	}
+	if got := ref.DataVersion(); got != rv+1 {
+		t.Fatalf("DataVersion = %d after DB.Append, want %d", got, rv+1)
 	}
 	after, err := p.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(ctx, q)
+	want, err := ref.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "post-DB.Append", after.Results, want.Results)
+	sameRanking(t, "post-append", after.Results, want.Results)
 }
 
 // TestResultCacheCoalescedIdentical: concurrent identical queries on a

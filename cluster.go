@@ -41,15 +41,15 @@ import (
 // total. As on a single node, the budget never relaxes correctness.
 //
 // Ingest is sharded the same way: Append routes one segment to its
-// owning shard and advances every index on that shard consistently
-// through Planner.Append.
+// owning shard, whose Planner.Append buffers it in that shard's
+// memtable.
 //
 // Run, Append, Score and the routing come from the coordinator a
 // RemoteCluster shares (coordinator.go); Cluster adds what is local:
 // the shard stacks, their stats and the on-disk checkpoint.
 //
-// Cluster is safe for concurrent use; its shards inherit the DB/Index
-// locking rules.
+// Cluster is safe for concurrent use; its shards inherit the Planner's
+// rules.
 type Cluster struct {
 	coordinator
 	// locals are the per-shard stacks the coordinator scatters over, nil
@@ -85,10 +85,10 @@ type ClusterOptions struct {
 	// (scoped invalidation), so cached answers are never stale.
 	// 0 disables caching.
 	ResultCache int
-	// Memtable, when non-nil, enables the write-optimized ingest path
-	// on every shard planner (see Planner.EnableMemtable): appends
-	// become lock-light memtable inserts and background compaction
-	// rebuilds shard indexes without blocking readers.
+	// Memtable sets the options of every shard planner's memtable (see
+	// Planner.EnableMemtable), which every append lands in before
+	// background compaction rebuilds the shard's indexes. nil keeps the
+	// defaults.
 	Memtable *MemtableOptions
 }
 
@@ -210,7 +210,7 @@ func assembleCluster(locals []*localShard, numSeries int, opts ClusterOptions, s
 		c.shards[i] = sh
 		c.primary[i] = sh.primaryMethod()
 		globals[i] = sh.meta.Global
-		c.journals = append(c.journals, sh.planner.journalRef())
+		c.journals = append(c.journals, sh.planner.ingest.journal)
 	}
 	var err error
 	if c.shardOf, err = routeTable(numSeries, globals, sentinel); err != nil {
@@ -269,9 +269,9 @@ func NewClusterFromDBContext(ctx context.Context, db *DB, opts ClusterOptions) (
 	return NewClusterContext(ctx, series, opts)
 }
 
-// NumSegments returns the global segment count N (in memtable mode,
-// of the compacted bases — segments still in a memtable are counted
-// after their compaction).
+// NumSegments returns the global segment count N of the compacted
+// bases: segments still in a memtable are counted after their
+// compaction.
 func (c *Cluster) NumSegments() int {
 	total := 0
 	for _, sh := range c.locals {
@@ -288,8 +288,8 @@ func (c *Cluster) Start() float64 {
 	return start
 }
 
-// End returns the right end of the global temporal domain (of the
-// compacted bases, in memtable mode).
+// End returns the right end of the global temporal domain of the
+// compacted bases.
 func (c *Cluster) End() float64 {
 	_, end := c.domain()
 	return end

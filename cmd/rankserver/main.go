@@ -102,7 +102,7 @@ func main() {
 	flag.IntVar(&cfg.swork, "shard-workers", 0, "per-query shard fan-out bound (0 = GOMAXPROCS; lower it to trade idle latency for less oversubscription under full load)")
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-query deadline (0 = none)")
 	flag.IntVar(&cfg.rcache, "result-cache", 0, "versioned result cache size in entries (0 = off); repeated identical queries are answered from cache and concurrent identical queries coalesce into one run")
-	flag.IntVar(&cfg.memtable, "memtable", 0, "enable the memtable ingest path on every shard, flushing after this many buffered segments (0 = off); appends become lock-light memtable inserts compacted in the background")
+	flag.IntVar(&cfg.memtable, "memtable", 0, "memtable flush threshold of every shard: appends land in the shard's memtable and a background compaction rebuilds its indexes once this many segments are buffered (0 = the default, 4096)")
 	flag.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty = off (the default — profiling endpoints are never exposed on the main listener)")
 	flag.StringVar(&cfg.router, "router", "", "route queries to remote shardservers instead of hosting shards: replica addresses comma-separated, shard groups semicolon-separated, e.g. \"h1:7070,h2:7070;h3:7070,h4:7070\"")
 	flag.Parse()
@@ -239,10 +239,7 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 	if err != nil {
 		return err
 	}
-	var mtOpts *temporalrank.MemtableOptions
-	if memtable > 0 {
-		mtOpts = &temporalrank.MemtableOptions{FlushSegments: memtable}
-	}
+	mtOpts := &temporalrank.MemtableOptions{FlushSegments: memtable}
 	var cluster *temporalrank.Cluster
 	if snapDir != "" && hasSnapshotFiles(snapDir) {
 		restoreStart := time.Now()

@@ -346,10 +346,8 @@ type appendRequest struct {
 }
 
 // handleAppend routes one segment to its owning shard, where
-// Planner.Append advances the shard DB and every shard index in one
-// consistent step — multi-index servers accept appends now (the old 409
-// restriction existed because a single Index.Append would silently
-// stale its siblings).
+// Planner.Append buffers it in the shard's memtable: queries see it at
+// once, and compaction folds it into every shard index alike.
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
 	dec := json.NewDecoder(r.Body)
@@ -378,9 +376,9 @@ type indexStatsJSON struct {
 	DeviceIOs  uint64  `json:"device_ios"`
 }
 
-// shardStatsJSON is one shard's slice of the data and, on a -memtable
-// server, how its most recent compaction went: a background compaction
-// has nowhere else to report a failure.
+// shardStatsJSON is one shard's slice of the data (its compacted base)
+// and how its most recent compaction went: a background compaction has
+// nowhere else to report a failure.
 type shardStatsJSON struct {
 	Shard                 int     `json:"shard"`
 	Objects               int     `json:"objects"`
@@ -488,12 +486,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		if planners[shard] == nil {
 			continue
 		}
-		if mt, ok := planners[shard].MemtableStats(); ok {
-			sj := &out.PerShard[len(out.PerShard)-1]
-			sj.LastCompactionSeconds = mt.LastCompaction.Seconds()
-			if mt.LastError != nil {
-				sj.LastCompactionError = mt.LastError.Error()
-			}
+		mt, _ := planners[shard].MemtableStats()
+		sj := &out.PerShard[len(out.PerShard)-1]
+		sj.LastCompactionSeconds = mt.LastCompaction.Seconds()
+		if mt.LastError != nil {
+			sj.LastCompactionError = mt.LastError.Error()
 		}
 		for _, ix := range planners[shard].Indexes() {
 			ist := ix.Stats()

@@ -40,7 +40,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":7070", "RPC listen address")
 		data     = flag.String("data", "", "snapshot directory holding this node's shard-NNNN.trsnap files (created if missing; may start empty)")
-		memtable = flag.Int("memtable", 0, "enable the memtable ingest path on every hosted shard, flushing after this many buffered segments (0 disables)")
+		memtable = flag.Int("memtable", 0, "memtable flush threshold of every hosted shard: replicated appends land in the shard's memtable and a background compaction rebuilds its indexes once this many segments are buffered (0 = the default, 4096)")
 	)
 	flag.Parse()
 	if err := run(*addr, *data, *memtable); err != nil {
@@ -53,11 +53,9 @@ func run(addr, data string, memtable int) error {
 	if data == "" {
 		return fmt.Errorf("-data is required (snapshot directory)")
 	}
-	var opts temporalrank.ShardNodeOptions
-	if memtable > 0 {
-		opts.Memtable = &temporalrank.MemtableOptions{FlushSegments: memtable}
-	}
-	node, err := temporalrank.NewShardNodeWithOptions(data, opts)
+	node, err := temporalrank.NewShardNodeWithOptions(data, temporalrank.ShardNodeOptions{
+		Memtable: &temporalrank.MemtableOptions{FlushSegments: memtable},
+	})
 	if err != nil {
 		return err
 	}

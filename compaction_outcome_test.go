@@ -118,3 +118,68 @@ func TestCompactionOutcomeReported(t *testing.T) {
 		t.Fatalf("not drained: %+v", st)
 	}
 }
+
+// TestCompactionRemovesSupersededIndexFiles: every compaction of an
+// on-disk index builds the next generation in a file of its own; once
+// that generation is installed, the superseded file is unlinked, so the
+// directory never holds more than one file per index.
+func TestCompactionRemovesSupersededIndexFiles(t *testing.T) {
+	inputs := clusterInputs(t, 12, 10, 5)
+	db, err := temporalrank.NewDB(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := temporalrank.NewDB(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3, OnDiskPath: filepath.Join(dir, "e3.idx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tEnd := db.End()
+	for gen := 1; gen <= 5; gen++ {
+		for id := 0; id < db.NumSeries(); id += 3 {
+			tEnd++
+			if err := p.Append(id, tEnd, float64(gen*id)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Append(id, tEnd, float64(gen*id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Fatalf("after compaction %d the directory holds %v, want one index file", gen, names)
+		}
+		q := temporalrank.SumQuery(4, ref.Start(), ref.End())
+		got, err := p.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanking(t, "compacted on-disk index", got.Results, want.Results)
+	}
+}

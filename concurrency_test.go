@@ -11,9 +11,10 @@ import (
 )
 
 // These tests are the -race regression net for the concurrent read
-// path: many goroutines querying one Index (sum and instant Run,
-// Score, Stats) while a writer interleaves Appends at the time
-// frontier. Run with `go test -race` (CI does).
+// path: many goroutines querying one Planner (sum and instant Run,
+// Score, index Stats) while a writer interleaves Appends at the time
+// frontier and background compactions swap in rebuilt generations.
+// Run with `go test -race` (CI does).
 
 func concurrencyDB(t *testing.T) *temporalrank.DB {
 	t.Helper()
@@ -24,12 +25,26 @@ func concurrencyDB(t *testing.T) *temporalrank.DB {
 	return temporalrank.NewDBFromDataset(ds)
 }
 
-func hammerIndex(t *testing.T, method temporalrank.Method) {
+func hammerPlanner(t *testing.T, method temporalrank.Method) {
 	t.Helper()
 	db := concurrencyDB(t)
+	ref := concurrencyDB(t)
 	ix, err := db.BuildIndex(temporalrank.Options{Method: method, TargetR: 60, KMax: 50})
 	if err != nil {
 		t.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A small flush threshold makes background compactions swap the
+	// generation under the readers several times.
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{FlushSegments: 32}); err != nil {
+		t.Fatal(err)
+	}
+	maxEps := 0.0
+	if method.IsApprox() {
+		maxEps = 1
 	}
 
 	const (
@@ -54,32 +69,37 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 				t2 := t1 + rng.Float64()*span*0.2
 				switch q % 4 {
 				case 0, 1:
-					if _, err := ix.Run(ctx, temporalrank.SumQuery(5, t1, t2)); err != nil {
+					sum := temporalrank.SumQuery(5, t1, t2)
+					sum.MaxEpsilon = maxEps
+					if _, err := p.Run(ctx, sum); err != nil {
 						errs <- err
 						return
 					}
 				case 2:
-					if _, err := ix.Run(ctx, temporalrank.InstantQuery(5, t1)); err != nil {
+					if _, err := p.Run(ctx, temporalrank.InstantQuery(5, t1)); err != nil {
 						errs <- err
 						return
 					}
 				default:
-					if _, err := ix.Score(int(rng.Int31n(int32(db.NumSeries()))), t1, t2); err != nil {
+					if _, err := p.Score(int(rng.Int31n(int32(db.NumSeries()))), t1, t2); err != nil {
 						errs <- err
 						return
 					}
 				}
-				// Stats and ResetStats race-harmlessly with queries now
-				// that the counters are atomic.
-				_ = ix.Stats()
-				if q%16 == 0 {
-					ix.ResetStats()
+				// Stats and ResetStats race-harmlessly with queries: the
+				// counters are atomic.
+				for _, cur := range p.Indexes() {
+					_ = cur.Stats()
+					if q%16 == 0 {
+						cur.ResetStats()
+					}
 				}
 			}
 		}(int64(r + 1))
 	}
 
-	// One writer appending at the frontier of round-robin objects.
+	// One writer appending at the frontier of round-robin objects,
+	// mirrored into the reference.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -90,7 +110,12 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 		tcur := end
 		for a := 0; a < appends; a++ {
 			tcur += 0.5 + rng.Float64()
-			if err := ix.Append(a%m, tcur, rng.NormFloat64()*5); err != nil {
+			v := rng.NormFloat64() * 5
+			if err := p.Append(a%m, tcur, v); err != nil {
+				errs <- err
+				return
+			}
+			if err := ref.Append(a%m, tcur, v); err != nil {
 				errs <- err
 				return
 			}
@@ -103,71 +128,89 @@ func hammerIndex(t *testing.T, method temporalrank.Method) {
 		t.Fatal(err)
 	}
 
-	// The index must still agree with the reference after the dust
-	// settles (exact methods exactly; approximate methods have their
-	// own guarantee tests, so just require a well-formed answer).
-	t1 := start + span*0.3
-	t2 := start + span*0.6
-	ans, err := ix.Run(ctx, temporalrank.SumQuery(5, t1, t2))
+	// The planner must still agree with the reference after the dust
+	// settles, before and after draining the memtable (exact methods
+	// exactly; approximate methods have their own guarantee tests, so
+	// just require a well-formed answer).
+	q := temporalrank.SumQuery(5, start+span*0.3, ref.End())
+	q.MaxEpsilon = maxEps
+	want, err := ref.Run(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ans.Results
-	if len(got) != 5 {
-		t.Fatalf("got %d results, want 5", len(got))
-	}
-	if !ix.Method().IsApprox() {
-		ref, err := db.Run(ctx, temporalrank.SumQuery(5, t1, t2))
+	for _, stage := range []string{"merged", "compacted"} {
+		ans, err := p.Run(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.Results
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("rank %d: got object %d, want %d (got=%v want=%v)", i, got[i].ID, want[i].ID, got, want)
-			}
+		got := ans.Results
+		if len(got) != 5 {
+			t.Fatalf("%s: got %d results, want 5", stage, len(got))
+		}
+		if ans.Exact {
+			checkExact(t, stage, ans, want)
+		}
+		if err := p.Compact(ctx); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 func TestConcurrentQueriesAndAppendsExact3(t *testing.T) {
-	hammerIndex(t, temporalrank.MethodExact3)
+	hammerPlanner(t, temporalrank.MethodExact3)
 }
 
 func TestConcurrentQueriesAndAppendsAppx2Plus(t *testing.T) {
-	hammerIndex(t, temporalrank.MethodAppx2P)
+	hammerPlanner(t, temporalrank.MethodAppx2P)
 }
 
-// TestApproxAppendRefreshesDB pins the rule that an Append through an
-// approximate index updates the DB-level aggregates immediately, not
-// only at the next amortized rebuild.
+// TestApproxAppendRefreshesDB pins when an append through a planner
+// over an approximate index reaches the DB-level aggregates: queries
+// see it at once, the DB the planner routes over at the next
+// compaction, and the DB the planner was built over never.
 func TestApproxAppendRefreshesDB(t *testing.T) {
 	db := concurrencyDB(t)
 	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodAppx2, TargetR: 60, KMax: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	segsBefore := db.NumSegments()
-	tNew := db.End() + 5
-	if err := ix.Append(0, tNew, 1.0); err != nil {
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.End(); got != tNew {
-		t.Fatalf("db.End() = %g after append, want %g", got, tNew)
+	segsBefore, endBefore := db.NumSegments(), db.End()
+	tNew := endBefore + 5
+	if err := p.Append(0, tNew, 1e6); err != nil {
+		t.Fatal(err)
 	}
-	if got := db.NumSegments(); got != segsBefore+1 {
-		t.Fatalf("db.NumSegments() = %d after append, want %d", got, segsBefore+1)
+	q := temporalrank.SumQuery(1, endBefore, tNew)
+	q.MaxEpsilon = 1
+	ans, err := p.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Results) != 1 || ans.Results[0].ID != 0 {
+		t.Fatalf("the appended spike does not lead its window: %v", ans.Results)
+	}
+	if err := p.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.DB().End(); got != tNew {
+		t.Fatalf("planner DB End() = %g after compaction, want %g", got, tNew)
+	}
+	if got := p.DB().NumSegments(); got != segsBefore+1 {
+		t.Fatalf("planner DB NumSegments() = %d after compaction, want %d", got, segsBefore+1)
+	}
+	if db.End() != endBefore || db.NumSegments() != segsBefore {
+		t.Fatal("the planner's append mutated the DB it was built over")
 	}
 }
 
 // TestConcurrentDBReadsDuringAppend covers the other audited surface:
-// brute-force DB reads racing an index writer over the same dataset.
+// brute-force DB reads racing DB.Append, the standalone reference's
+// in-place writer.
 func TestConcurrentDBReadsDuringAppend(t *testing.T) {
 	db := concurrencyDB(t)
-	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -198,7 +241,7 @@ func TestConcurrentDBReadsDuringAppend(t *testing.T) {
 	tcur := db.End()
 	for a := 0; a < 100; a++ {
 		tcur += 1
-		if err := ix.Append(a%db.NumSeries(), tcur, float64(a%7)); err != nil {
+		if err := db.Append(a%db.NumSeries(), tcur, float64(a%7)); err != nil {
 			t.Fatal(err)
 		}
 	}

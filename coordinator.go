@@ -291,8 +291,8 @@ type localShard struct {
 	identity bool
 }
 
-// newLocalShard pairs a shard's planner with its manifest, enabling the
-// memtable ingest path when mt is non-nil.
+// newLocalShard pairs a shard's planner with its manifest, setting its
+// memtable options when mt is non-nil.
 func newLocalShard(p *Planner, sm *shardManifest, mt *MemtableOptions) (*localShard, error) {
 	if n := p.DB().NumSeries(); len(sm.Global) != n {
 		return nil, fmt.Errorf("temporalrank: shard %d routes %d series but holds %d: %w", sm.Shard, len(sm.Global), n, ErrBadSnapshot)

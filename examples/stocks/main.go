@@ -1,8 +1,9 @@
 // Stocks: the paper's other motivating query — "find the top-20 stocks
 // having the largest total transaction volumes from 02/05/2011 to
 // 02/07/2011" — plus the §4 update model: trading days append new
-// segments at the time frontier, and the index answers queries between
-// appends without rebuilding.
+// segments at the time frontier through the planner, which buffers them
+// in its memtable and answers queries between appends without waiting
+// for a rebuild.
 package main
 
 import (
@@ -48,9 +49,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// EXACT2 is the natural choice under heavy appends: per-object
-	// B+-trees update in O(log_B n_i) and never go stale.
 	idx, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The planner is the write path: appends land in its memtable, and
+	// queries merge them with the index until a background compaction
+	// rebuilds it over the grown data.
+	p, err := temporalrank.NewPlanner(db, idx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func main() {
 
 	// Trailing-3-day volume leaders before the live period.
 	show := func(label string, t1, t2 float64) {
-		ans, err := idx.Run(context.Background(), temporalrank.SumQuery(topK, t1, t2))
+		ans, err := p.Run(context.Background(), temporalrank.SumQuery(topK, t1, t2))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,12 +86,12 @@ func main() {
 			if s == spotlight && d >= liveDays/2 {
 				v *= 50 // sustained frenzy in the spotlight stock
 			}
-			if err := idx.Append(s, day, v); err != nil {
+			if err := p.Append(s, day, v); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	fmt.Printf("\nappended %d live days (%d segments) with O(log n) per append\n",
+	fmt.Printf("\nappended %d live days (%d segments) through the planner\n",
 		liveDays, liveDays*numStocks)
 
 	show("live window", float64(histDays+liveDays/2), float64(histDays+liveDays-1))

@@ -115,17 +115,15 @@ func (ix *Index) topKAvg(k int, t1, t2 float64) ([]Result, error) {
 // query); other methods fall back to the in-memory data, since the
 // paper treats instants as its predecessor's problem.
 func (ix *Index) instantTopK(k int, t float64) ([]Result, error) {
-	ix.mu.RLock()
-	if e3, ok := ix.m.(*exact.Exact3); ok {
-		defer ix.mu.RUnlock()
-		items, err := e3.InstantTopK(k, t)
-		if err != nil {
-			return nil, err
-		}
-		return toResults(items), nil
+	e3, ok := ix.m.(*exact.Exact3)
+	if !ok {
+		return ix.db.instantTopK(k, t), nil
 	}
-	ix.mu.RUnlock()
-	return ix.db.instantTopK(k, t), nil
+	items, err := e3.InstantTopK(k, t)
+	if err != nil {
+		return nil, err
+	}
+	return toResults(items), nil
 }
 
 // instantTopK computes the instant query against the in-memory data.

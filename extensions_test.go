@@ -1,6 +1,7 @@
 package temporalrank
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -230,5 +231,35 @@ func TestInstantTopKAgainstDenseScan(t *testing.T) {
 				t.Fatalf("t=%g rank %d: %d vs %d", at, i, got[i].ID, want[i].ID)
 			}
 		}
+	}
+}
+
+// TestSampledDBUnderCachedPlanner: a DB built from raw samples serves
+// through a result-cached planner like any other. The planner's cache
+// validates entries against the planner's own append journal, never
+// against state the DB constructor had to set up.
+func TestSampledDBUnderCachedPlanner(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	db, err := NewDBFromSamples(sampleObjects(rng, 6, 40), SegmentConnect, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.EnableResultCache(8)
+	q := SumQuery(3, db.Start(), db.End())
+	for i := 0; i < 2; i++ {
+		ans, err := p.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(ans.Results, mustRun(t, db, q)) {
+			t.Fatalf("run %d disagrees with the reference: %v", i, ans.Results)
+		}
+	}
+	if st, _ := p.CacheStats(); st.Hits != 1 {
+		t.Fatalf("cache stats %+v, want the repeat served as a hit", st)
 	}
 }

@@ -3,6 +3,7 @@ package temporalrank
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,15 +24,12 @@ type baseStack struct {
 	indexes []*Index
 }
 
-// MemtableOptions configures the planner's write-optimized ingest
-// path (EnableMemtable).
+// MemtableOptions configures the planner's memtable, the buffer every
+// Planner.Append lands in (see EnableMemtable).
 type MemtableOptions struct {
 	// FlushSegments triggers a background compaction once the active
 	// memtable holds this many segments (<= 0 selects 4096).
 	FlushSegments int
-	// Stripes is the memtable's lock-stripe count, rounded up to a
-	// power of two (<= 0 selects the default, 16).
-	Stripes int
 	// DisableAutoCompact turns the background trigger off; the memtable
 	// then drains only through explicit Planner.Compact calls (or a
 	// Checkpoint, which compacts first). Meant for tests and benchmarks
@@ -61,15 +59,22 @@ type MemtableStats struct {
 	LastError      error
 }
 
-// ingestState is the planner's memtable mode: a generation layer in
-// front of the (now immutable) base stack, plus the scoped invalidation
-// journal and compaction bookkeeping.
+// ingestState is the planner's write path: a generation layer in
+// front of the immutable base stack, plus the scoped invalidation
+// journal and compaction bookkeeping. NewPlanner creates it; it is
+// never replaced.
 type ingestState struct {
-	opts     MemtableOptions
+	// opts are the normalized memtable options; EnableMemtable swaps
+	// them until the first append.
+	opts atomic.Pointer[MemtableOptions]
+	// journal records each append as a (series, time-range) scoped
+	// event; journals is the one-element slice Run hands the result
+	// cache, built once so the cached read path does not allocate.
 	journal  *qcache.Journal
+	journals []*qcache.Journal
 	frontier memtable.FrontierFunc
 	layer    *memtable.Layer[baseStack]
-	// base0 is the DB version when the memtable was enabled; the
+	// base0 is the DB version when the planner was built; the
 	// planner-reported DataVersion is base0 + journal.Version(), a pure
 	// append count independent of compaction timing (replicas applying
 	// the same appends report the same version no matter when each
@@ -97,32 +102,16 @@ type compactionOutcome struct {
 	err  error
 }
 
-// EnableMemtable switches the planner to write-optimized ingest: from
-// now on Append inserts into an in-memory delta layer (lock-light,
-// never touching the index structures), queries merge the delta with
-// the immutable base indexes, and a background compaction periodically
-// rebuilds the base from the accumulated deltas without blocking
-// readers or writers.
-//
-// Call it after registering every index and before sharing the planner
-// across goroutines; AddIndex is rejected afterwards. Appends must then
-// go through Planner.Append (or Cluster.Append above it) — appending
-// directly on the DB or an Index would bypass the delta layer.
-func (p *Planner) EnableMemtable(opts MemtableOptions) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ingest != nil {
-		return fmt.Errorf("temporalrank: memtable already enabled: %w", ErrBadConfig)
-	}
-	if opts.FlushSegments <= 0 {
-		opts.FlushSegments = 4096
-	}
+// newIngestState puts an empty memtable with default options in front
+// of the base stack db + indexes.
+func newIngestState(db *DB, indexes []*Index) *ingestState {
 	ing := &ingestState{
-		opts:    opts,
 		journal: qcache.NewJournal(0),
-		base0:   p.db.version.Load(),
-		m:       p.db.NumSeries(),
+		base0:   db.version.Load(),
+		m:       db.NumSeries(),
 	}
+	ing.journals = []*qcache.Journal{ing.journal}
+	ing.opts.Store(normalizeMemtable(MemtableOptions{}))
 	// The frontier of a series not present in the active table is its
 	// end vertex in the frozen table (if a compaction holds one for it)
 	// or the base dataset. Resolving through the layer keeps the chain
@@ -138,11 +127,36 @@ func (p *Planner) EnableMemtable(opts MemtableOptions) error {
 		return baseFrontier(g.Base.db, id)
 	}
 	ing.layer = memtable.NewLayer(&memtable.Gen[baseStack]{
-		Base:   baseStack{db: p.db, indexes: append([]*Index(nil), p.indexes...)},
-		Active: memtable.NewTable(ing.frontier, opts.Stripes),
+		Base:   baseStack{db: db, indexes: indexes},
+		Active: memtable.NewTable(ing.frontier, 0),
 	})
-	p.ingest = ing
-	p.journals = []*qcache.Journal{ing.journal}
+	return ing
+}
+
+// normalizeMemtable resolves the zero FlushSegments to its default.
+func normalizeMemtable(opts MemtableOptions) *MemtableOptions {
+	if opts.FlushSegments <= 0 {
+		opts.FlushSegments = 4096
+	}
+	return &opts
+}
+
+// EnableMemtable sets the options of the planner's memtable. Every
+// planner ingests through one: Append inserts into an in-memory delta
+// layer (lock-light, never touching the index structures), queries
+// merge the delta with the immutable base indexes, and a background
+// compaction periodically rebuilds the base from the accumulated deltas
+// without blocking readers or writers. A planner that never calls
+// EnableMemtable runs the defaults.
+//
+// Call it before the planner takes its first append; afterwards it
+// returns an error wrapping ErrBadConfig and the options stay as they
+// were.
+func (p *Planner) EnableMemtable(opts MemtableOptions) error {
+	if p.ingest.journal.Version() != 0 {
+		return fmt.Errorf("temporalrank: memtable options set after the first append: %w", ErrBadConfig)
+	}
+	p.ingest.opts.Store(normalizeMemtable(opts))
 	return nil
 }
 
@@ -157,15 +171,10 @@ func baseFrontier(db *DB, id int) (float64, float64, bool) {
 	return s.End(), s.VertexValue(s.NumSegments()), true
 }
 
-// MemtableStats returns the ingest path's current state; ok is false
-// when EnableMemtable has not been called.
+// MemtableStats returns the ingest path's current state. ok is always
+// true: every planner has a memtable.
 func (p *Planner) MemtableStats() (stats MemtableStats, ok bool) {
-	p.mu.RLock()
 	ing := p.ingest
-	p.mu.RUnlock()
-	if ing == nil {
-		return MemtableStats{}, false
-	}
 	g := ing.layer.Load()
 	stats = MemtableStats{
 		ActiveSegments: g.Active.Segments(),
@@ -182,10 +191,14 @@ func (p *Planner) MemtableStats() (stats MemtableStats, ok bool) {
 	return stats, true
 }
 
-// appendMemtable is Planner.Append in memtable mode: insert into the
-// delta layer, record the scoped invalidation event, maybe kick a
-// background compaction. No index or DB lock is taken.
-func (p *Planner) appendMemtable(ing *ingestState, id int, t, v float64) error {
+// Append extends object id with a new segment ending at (t, v); t must
+// be after the object's current end (§4 update model). The segment is
+// inserted into the memtable, where the next query already sees it; it
+// reaches the DB and the indexes only when a compaction builds their
+// successors. No index or DB lock is taken. An append may start a
+// background compaction.
+func (p *Planner) Append(id int, t, v float64) error {
+	ing := p.ingest
 	if id < 0 || id >= ing.m {
 		return fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
 	}
@@ -197,17 +210,19 @@ func (p *Planner) appendMemtable(ing *ingestState, id int, t, v float64) error {
 	// that misses this event can only have read post-insert data, so
 	// entries are at worst invalidated needlessly, never stale.
 	ing.journal.Advance(qcache.Scope{Series: id, T1: prev, T2: t})
-	p.maybeCompact(ing)
+	p.maybeCompact()
 	return nil
 }
 
 // maybeCompact starts a background compaction when the active table
 // has reached the flush threshold and none is already running.
-func (p *Planner) maybeCompact(ing *ingestState) {
-	if ing.opts.DisableAutoCompact {
+func (p *Planner) maybeCompact() {
+	ing := p.ingest
+	opts := ing.opts.Load()
+	if opts.DisableAutoCompact {
 		return
 	}
-	if ing.layer.Load().Active.Segments() < int64(ing.opts.FlushSegments) {
+	if ing.layer.Load().Active.Segments() < int64(opts.FlushSegments) {
 		return
 	}
 	if !ing.compacting.CompareAndSwap(false, true) {
@@ -229,13 +244,13 @@ func (p *Planner) maybeCompact(ing *ingestState) {
 // drained of everything appended before the call began. No-op when the
 // memtable is empty; an error leaves the frozen table in place to be
 // retried by the next Compact.
+//
+// Once the new base is installed, the files of the superseded
+// generation's on-disk indexes are unlinked: readers still pinned to
+// that generation keep their open descriptors, which close when the
+// generation becomes unreachable.
 func (p *Planner) Compact(ctx context.Context) error {
-	p.mu.RLock()
 	ing := p.ingest
-	p.mu.RUnlock()
-	if ing == nil {
-		return fmt.Errorf("temporalrank: Compact without EnableMemtable: %w", ErrBadConfig)
-	}
 	ing.compactMu.Lock()
 	defer ing.compactMu.Unlock()
 
@@ -250,7 +265,7 @@ func (p *Planner) Compact(ctx context.Context) error {
 		return &memtable.Gen[baseStack]{
 			Base:   old.Base,
 			Frozen: old.Active,
-			Active: memtable.NewTable(ing.frontier, ing.opts.Stripes),
+			Active: memtable.NewTable(ing.frontier, 0),
 		}
 	})
 	if g.Frozen == nil {
@@ -266,6 +281,12 @@ func (p *Planner) Compact(ctx context.Context) error {
 		return &memtable.Gen[baseStack]{Base: newBase, Active: old.Active}
 	})
 	ing.gens.Add(1)
+	for _, ix := range g.Base.indexes {
+		if ix.file != "" {
+			// Best effort: the compaction itself has succeeded.
+			_ = os.Remove(ix.file)
+		}
+	}
 	return nil
 }
 
@@ -315,7 +336,7 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 			return e
 		}
 		// Keep the un-suffixed path in opts so the next rotation derives
-		// generation names from the same stem.
+		// generation names from the same stem; ix.file keeps the suffix.
 		ix.opts.OnDiskPath = orig
 		ixs[i] = ix
 		return nil
@@ -327,13 +348,10 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 }
 
 // execute answers q against the current state: straight through the
-// base planner when no memtable (or an empty one) is in play, otherwise
-// by merging memtable deltas with a base answer.
-func (p *Planner) execute(ctx context.Context, q Query, ing *ingestState) (Answer, error) {
-	if ing == nil {
-		return p.Plan(q).Run(ctx, q)
-	}
-	g := ing.layer.Load()
+// base stack while the memtable is empty, otherwise by merging memtable
+// deltas with a base answer.
+func (p *Planner) execute(ctx context.Context, q Query) (Answer, error) {
+	g := p.ingest.layer.Load()
 	if (g.Frozen == nil || g.Frozen.Segments() == 0) && g.Active.Segments() == 0 {
 		return planStack(g.Base, q).Run(ctx, q)
 	}
@@ -434,36 +452,19 @@ func runMerged(ctx context.Context, q Query, g *memtable.Gen[baseStack]) (Answer
 	}, nil
 }
 
-// DataVersion returns the planner's append counter: the DB's version
-// in the default mode, or the memtable journal's logical append count
-// on top of the version at EnableMemtable time. It is a pure function
-// of the applied appends — compaction timing does not move it — so
-// replicas that applied the same appends always agree.
+// DataVersion returns the planner's append counter: the memtable
+// journal's logical append count on top of the DB's version when the
+// planner was built. It is a pure function of the applied appends —
+// compaction timing does not move it — so replicas that applied the
+// same appends always agree.
 func (p *Planner) DataVersion() uint64 {
-	p.mu.RLock()
-	ing := p.ingest
-	p.mu.RUnlock()
-	if ing == nil {
-		return p.db.version.Load()
-	}
-	return ing.base0 + ing.journal.Version()
+	return p.ingest.base0 + p.ingest.journal.Version()
 }
 
 // Score returns the planner's estimate of σ_i(t1,t2) from the primary
-// index (or the DB without one), plus any memtable delta in memtable
-// mode.
+// index (or the DB without one), plus the object's memtable delta.
 func (p *Planner) Score(id int, t1, t2 float64) (float64, error) {
-	p.mu.RLock()
-	ing := p.ingest
-	db, ixs := p.db, p.indexes
-	p.mu.RUnlock()
-	if ing == nil {
-		if len(ixs) > 0 {
-			return ixs[0].Score(id, t1, t2)
-		}
-		return db.Score(id, t1, t2)
-	}
-	g := ing.layer.Load()
+	g := p.ingest.layer.Load()
 	var base float64
 	var err error
 	if len(g.Base.indexes) > 0 {
@@ -479,15 +480,4 @@ func (p *Planner) Score(id int, t1, t2 float64) (float64, error) {
 		d += g.Frozen.Delta(id, t1, t2)
 	}
 	return base + d, nil
-}
-
-// journalRef returns the journal Run validates cache entries against:
-// the memtable journal in memtable mode, the DB's otherwise.
-func (p *Planner) journalRef() *qcache.Journal {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.ingest != nil {
-		return p.ingest.journal
-	}
-	return p.db.journal
 }

@@ -79,20 +79,6 @@ func (a *appxBase) Breaks() *breakpoint.Set { return a.bps }
 // built at buildM — the (ε,α) guarantee degrades to at most (2ε,α)
 // since M grows by at most 2× between rebuilds.
 func (a *appxBase) Append(id tsdata.SeriesID, t, v float64) error {
-	return a.append(id, t, v, true)
-}
-
-// AppendApplied is Append for a segment the caller has already applied
-// to the shared dataset — the multi-index ingest path, where several
-// indexes over one dataset each track their own frontier but the
-// dataset mutation must happen exactly once. Frontier and mass
-// accounting, and the amortized rebuild, run exactly as in Append; only
-// the dataset write is skipped.
-func (a *appxBase) AppendApplied(id tsdata.SeriesID, t, v float64) error {
-	return a.append(id, t, v, false)
-}
-
-func (a *appxBase) append(id tsdata.SeriesID, t, v float64, applyDS bool) error {
 	if id < 0 || int(id) >= a.ds.NumSeries() {
 		return fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
 	}
@@ -101,10 +87,8 @@ func (a *appxBase) append(id tsdata.SeriesID, t, v float64, applyDS bool) error 
 	if err := seg.Validate(); err != nil {
 		return err
 	}
-	if applyDS {
-		if err := a.ds.Series(id).Append(t, v); err != nil {
-			return err
-		}
+	if err := a.ds.Series(id).Append(t, v); err != nil {
+		return err
 	}
 	a.frontier[id] = vertex{t: t, v: v}
 	a.pendingMass += seg.AbsIntegral()
@@ -386,26 +370,12 @@ func (a *Appx2Plus) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 // Append also forwards the new segment to the EXACT2 forest so exact
 // rescoring stays current between rebuilds.
 func (a *Appx2Plus) Append(id tsdata.SeriesID, t, v float64) error {
-	return a.append2p(id, t, v, true)
-}
-
-// AppendApplied mirrors Append for a dataset-already-applied segment
-// (see appxBase.AppendApplied), keeping the rescoring forest in sync.
-func (a *Appx2Plus) AppendApplied(id tsdata.SeriesID, t, v float64) error {
-	return a.append2p(id, t, v, false)
-}
-
-func (a *Appx2Plus) append2p(id tsdata.SeriesID, t, v float64, applyDS bool) error {
-	if id < 0 || int(id) >= a.ds.NumSeries() {
-		return fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
-	}
 	rebuildsBefore := a.rebuildCount
-	if err := a.appxBase.append(id, t, v, applyDS); err != nil {
+	if err := a.appxBase.Append(id, t, v); err != nil {
 		return err
 	}
 	if a.rebuildCount == rebuildsBefore {
-		// No rebuild: keep the forest in sync incrementally. The EXACT2
-		// forest keeps its own frontier, so the applied path forwards too.
+		// No rebuild: keep the forest in sync incrementally.
 		return a.e2.Append(id, t, v)
 	}
 	return nil

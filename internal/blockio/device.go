@@ -248,9 +248,9 @@ func (d *MemDevice) Read(id PageID, buf []byte) error {
 // View implements Viewer: the returned view aliases the page's backing
 // array directly — zero copies, counted as one read. MemDevice mutates
 // page bytes in place on Write, so callers must serialize views
-// against writers of the same page (the indexes hold Index.mu for
-// reading across every traversal, exclusively across appends), and a
-// released view must not be used after a concurrent Write lands.
+// against writers of the same page (the root package's indexes never
+// write a page after their build), and a released view must not be
+// used after a concurrent Write lands.
 //
 //tr:hotpath
 func (d *MemDevice) View(id PageID) (PageView, error) {

@@ -15,9 +15,9 @@ package blockio
 // effective cache). Views are read-only: writing through Data() is a
 // data race against every other reader of the page. Views of mutable
 // devices (MemDevice) additionally require the caller to serialize
-// against writers of the same page — the indexes already do, by
-// holding Index.mu for reading while queries run and exclusively while
-// appends and rebuilds run.
+// against writers of the same page — the root package's indexes do
+// by construction: every page is written while the index is built,
+// before any query can see it, and never again.
 
 // Viewer is implemented by devices that can serve a page as an
 // in-place, read-only view instead of a copy. View counts toward the

@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the randomized mixed-workload acceptance suite for the
-// write-optimized ingest path: interleaved appends and queries, across
-// every index method, with the memtable on and off, must answer
-// exactly like a brute-force DB fed the same appends — at every step,
-// with compactions forced mid-stream. Run under -race.
+// write path: interleaved appends and queries, across every index
+// method, must answer exactly like a brute-force DB fed the same
+// appends — at every step, with compactions forced mid-stream. Run
+// under -race.
 
 // mixedState drives one interleaved workload: it owns the reference DB
 // (brute force over the same appends) and the per-series frontier so
@@ -147,9 +147,8 @@ func checkApprox(t *testing.T, label string, got, want temporalrank.Answer, mass
 }
 
 // TestMixedWorkloadEquivalence interleaves appends and queries on a
-// Planner over every index method, with the memtable enabled and
-// disabled, and demands brute-force-equivalent answers at every step.
-// With the memtable on, compactions are forced at random points —
+// Planner over every index method and demands brute-force-equivalent
+// answers at every step. Compactions are forced at random points —
 // including concurrently with the query they race.
 func TestMixedWorkloadEquivalence(t *testing.T) {
 	const targetR = 60
@@ -164,110 +163,98 @@ func TestMixedWorkloadEquivalence(t *testing.T) {
 		{temporalrank.MethodAppx2, true},
 		{temporalrank.MethodAppx2P, true},
 	}
-	modes := []struct {
-		name     string
-		memtable bool
-	}{
-		{"direct", false},
-		{"memtable", true},
-	}
 	ctx := context.Background()
 	for _, mc := range methods {
-		for _, mode := range modes {
-			memtable := mode.memtable
-			name := string(mc.m) + "/" + mode.name
-			t.Run(name, func(t *testing.T) {
-				inputs := clusterInputs(t, 40, 20, 97)
-				st := newMixedState(t, inputs, int64(len(name))*1009+7)
-				db, err := temporalrank.NewDB(inputs)
+		name := string(mc.m) + "/memtable"
+		t.Run(name, func(t *testing.T) {
+			inputs := clusterInputs(t, 40, 20, 97)
+			st := newMixedState(t, inputs, int64(len(name))*1009+7)
+			db, err := temporalrank.NewDB(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := db.BuildIndex(temporalrank.Options{Method: mc.m, TargetR: targetR, KMax: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := temporalrank.NewPlanner(db, ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.EnableResultCache(64)
+			if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
+				t.Fatal(err)
+			}
+			maxEps := 0.0
+			if mc.approx {
+				maxEps = 1.0
+			}
+			for step := 0; step < 60; step++ {
+				if st.rng.Intn(5) < 3 {
+					st.append(p, name)
+					continue
+				}
+				q := st.query(12, maxEps)
+				var wg sync.WaitGroup
+				if st.rng.Intn(4) == 0 {
+					// Race a compaction against this query: the reader must
+					// keep answering from its pinned generation.
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if err := p.Compact(ctx); err != nil {
+							t.Error(err)
+						}
+					}()
+				}
+				got, err := p.Run(ctx, q)
+				wg.Wait()
+				if err != nil {
+					t.Fatalf("step %d %s: %v", step, q.Agg, err)
+				}
+				want, err := st.ref.Run(ctx, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ix, err := db.BuildIndex(temporalrank.Options{Method: mc.m, TargetR: targetR, KMax: 24})
-				if err != nil {
-					t.Fatal(err)
+				if got.Exact {
+					checkExact(t, name, got, want)
+				} else {
+					checkApprox(t, name, got, want, st.ref.Snapshot().M(), targetR)
 				}
-				p, err := temporalrank.NewPlanner(db, ix)
-				if err != nil {
-					t.Fatal(err)
-				}
-				p.EnableResultCache(64)
-				if memtable {
-					if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				maxEps := 0.0
-				if mc.approx {
-					maxEps = 1.0
-				}
-				for step := 0; step < 60; step++ {
-					if st.rng.Intn(5) < 3 {
-						st.append(p, name)
-						continue
-					}
-					q := st.query(12, maxEps)
-					var wg sync.WaitGroup
-					if memtable && st.rng.Intn(4) == 0 {
-						// Race a compaction against this query: the reader must
-						// keep answering from its pinned generation.
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if err := p.Compact(ctx); err != nil {
-								t.Error(err)
-							}
-						}()
-					}
-					got, err := p.Run(ctx, q)
-					wg.Wait()
-					if err != nil {
-						t.Fatalf("step %d %s: %v", step, q.Agg, err)
-					}
-					want, err := st.ref.Run(ctx, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Exact {
-						checkExact(t, name, got, want)
-					} else {
-						checkApprox(t, name, got, want, st.ref.Snapshot().M(), targetR)
-					}
-				}
-				if memtable {
-					// Drain and re-verify: post-compaction answers must agree too.
-					if err := p.Compact(ctx); err != nil {
-						t.Fatal(err)
-					}
-					q := st.query(12, maxEps)
-					got, err := p.Run(ctx, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := st.ref.Run(ctx, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Exact {
-						checkExact(t, name+"/drained", got, want)
-					} else {
-						checkApprox(t, name+"/drained", got, want, st.ref.Snapshot().M(), targetR)
-					}
-					stats, ok := p.MemtableStats()
-					if !ok || stats.ActiveSegments != 0 || stats.FrozenSegments != 0 {
-						t.Fatalf("memtable not drained after Compact: %+v (ok=%v)", stats, ok)
-					}
-				}
-			})
-		}
+			}
+			// Drain and re-verify: post-compaction answers must agree too.
+			if err := p.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+			q := st.query(12, maxEps)
+			got, err := p.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := st.ref.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Exact {
+				checkExact(t, name+"/drained", got, want)
+			} else {
+				checkApprox(t, name+"/drained", got, want, st.ref.Snapshot().M(), targetR)
+			}
+			stats, ok := p.MemtableStats()
+			if !ok || stats.ActiveSegments != 0 || stats.FrozenSegments != 0 {
+				t.Fatalf("memtable not drained after Compact: %+v (ok=%v)", stats, ok)
+			}
+		})
 	}
 }
 
 // TestMixedClusterEquivalence runs the interleaved workload through a
-// Cluster — shard counts 1 and 8, memtable on and off — against the
-// unpartitioned brute-force reference. With the memtable on, the flush
-// threshold is tiny so background compactions trigger repeatedly
-// mid-workload on their own.
+// Cluster — shard counts 1 and 8 — against the unpartitioned
+// brute-force reference. "direct" leaves ClusterOptions.Memtable nil:
+// the shards keep the default memtable, whose flush threshold this
+// workload never reaches, so every answer merges base and delta.
+// "memtable" sets a tiny threshold so background compactions trigger
+// repeatedly mid-workload on their own.
 func TestMixedClusterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{1, 8} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"temporalrank/internal/qcache"
@@ -22,25 +23,20 @@ import (
 //	p, _ := temporalrank.NewPlanner(db, exact3, appx2)
 //	ans, _ := p.Run(ctx, temporalrank.Query{K: 10, T1: 50, T2: 120, MaxEpsilon: 0.05})
 //
-// Planner is safe for concurrent use; AddIndex may race with Run.
+// The Planner is also the stack's one write path (see ingest.go):
+// Append lands in an in-memory delta layer, queries merge the delta
+// with the immutable base — the DB and indexes given to NewPlanner,
+// until a background compaction replaces them wholesale with a new
+// generation built over the grown data.
 //
-// EnableMemtable (see ingest.go) switches the planner to
-// write-optimized ingest: appends land in an in-memory delta layer and
-// queries merge the delta with the immutable base stack, which
-// background compaction replaces wholesale — so db/indexes below are
-// then the *initial* generation and reads route through the layer's
-// current one.
+// Planner is safe for concurrent use.
 type Planner struct {
-	db *DB
+	// ingest is the write path and the read stack's current generation;
+	// set by NewPlanner, never replaced.
+	ingest *ingestState
 
-	mu      sync.RWMutex
-	indexes []*Index
-	cache   *qcache.Cache[queryKey, Answer]
-	ingest  *ingestState
-	// journals are what Run validates cache entries against; replaced
-	// wholesale (never mutated) so Run can hand the slice to the cache
-	// outside the lock.
-	journals []*qcache.Journal
+	mu    sync.RWMutex
+	cache *qcache.Cache[queryKey, Answer]
 }
 
 // CacheStats summarizes a result cache's effectiveness: Hits were
@@ -92,46 +88,31 @@ func (p *Planner) CacheStats() (stats CacheStats, ok bool) {
 }
 
 // NewPlanner assembles a planner over db and any number of indexes
-// built from it. With no indexes every query falls back to the
-// brute-force reference.
+// built from it, in routing-preference order (the first is the primary
+// index Score answers from). With no indexes every query falls back to
+// the brute-force reference. The planner starts with an empty memtable
+// under default options (see EnableMemtable).
 func NewPlanner(db *DB, indexes ...*Index) (*Planner, error) {
 	if db == nil {
 		return nil, fmt.Errorf("temporalrank: planner needs a DB: %w", ErrBadConfig)
 	}
-	p := &Planner{db: db, journals: []*qcache.Journal{db.journal}}
 	for _, ix := range indexes {
-		if err := p.AddIndex(ix); err != nil {
-			return nil, err
+		if ix == nil {
+			return nil, fmt.Errorf("temporalrank: planner: nil index: %w", ErrBadConfig)
+		}
+		if ix.db != db {
+			return nil, fmt.Errorf("temporalrank: planner: index %s built over a different DB: %w", ix.Method(), ErrBadConfig)
 		}
 	}
-	return p, nil
+	return &Planner{ingest: newIngestState(db, slices.Clone(indexes))}, nil
 }
 
-// AddIndex registers another index. It must be built over the
-// planner's DB so all routes answer from the same data.
-func (p *Planner) AddIndex(ix *Index) error {
-	if ix == nil {
-		return fmt.Errorf("temporalrank: planner: nil index: %w", ErrBadConfig)
-	}
-	if ix.db != p.db {
-		return fmt.Errorf("temporalrank: planner: index %s built over a different DB: %w", ix.Method(), ErrBadConfig)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ingest != nil {
-		return fmt.Errorf("temporalrank: planner: AddIndex after EnableMemtable: %w", ErrBadConfig)
-	}
-	p.indexes = append(p.indexes, ix)
-	return nil
-}
-
-// DB returns the planner's database (the exact fallback path). In
-// memtable mode this is the current generation's compacted database —
-// it reflects drained appends and is replaced by each compaction.
+// DB returns the current generation's database (the exact fallback
+// path): the DB given to NewPlanner until the first compaction, then
+// the compacted one. It reflects drained appends only.
 func (p *Planner) DB() *DB { return p.stack().db }
 
-// Indexes returns a snapshot of the registered indexes (in memtable
-// mode, the current generation's).
+// Indexes returns a snapshot of the current generation's indexes.
 func (p *Planner) Indexes() []*Index {
 	st := p.stack()
 	out := make([]*Index, len(st.indexes))
@@ -139,59 +120,9 @@ func (p *Planner) Indexes() []*Index {
 	return out
 }
 
-// stack returns the read stack queries route over: the planner's own
-// db/indexes, or the current generation's in memtable mode.
-func (p *Planner) stack() baseStack {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.ingest != nil {
-		return p.ingest.layer.Load().Base
-	}
-	return baseStack{db: p.db, indexes: p.indexes}
-}
-
-// Append extends object id with a new segment ending at (t, v) across
-// the DB and every registered index in one consistent step — the
-// multi-index ingest path. Each index tracks its own per-object
-// frontier, so appending through a single Index would silently stale
-// its siblings; Append instead locks every index (in registration
-// order) plus the DB, applies the dataset mutation exactly once, and
-// advances each index's structures. With no indexes it degrades to
-// DB.Append.
-//
-// The segment is validated against the dataset frontier before any
-// structure is touched, so the common failure (t not past the object's
-// end) leaves everything unchanged. A mid-flight structural failure is
-// returned as-is; treat the planner's index set as suspect if one ever
-// occurs.
-func (p *Planner) Append(id int, t, v float64) error {
-	// Hold the planner lock across the whole append: an AddIndex racing
-	// a snapshot-then-append would leave the new index silently missing
-	// the segment — exactly the staleness this method exists to prevent.
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if ing := p.ingest; ing != nil {
-		return p.appendMemtable(ing, id, t, v)
-	}
-	ixs := p.indexes
-	if len(ixs) == 0 {
-		return p.db.Append(id, t, v)
-	}
-	// Lock ordering: planner mu, then every index mu in registration
-	// order, then db.mu — the same "planner before index" order Plan
-	// uses and the same "index before DB" order Index.Append uses.
-	for _, ix := range ixs {
-		ix.mu.Lock()
-	}
-	defer func() {
-		for i := len(ixs) - 1; i >= 0; i-- {
-			ixs[i].mu.Unlock()
-		}
-	}()
-	p.db.mu.Lock()
-	defer p.db.mu.Unlock()
-	return appendLocked(p.db, ixs, id, t, v)
-}
+// stack returns the current generation's base: the read stack queries
+// route over.
+func (p *Planner) stack() baseStack { return p.ingest.layer.Load().Base }
 
 // Plan picks the Querier that will answer q, without running it:
 //
@@ -214,9 +145,8 @@ func (p *Planner) Plan(q Query) Querier {
 	return planStack(p.stack(), q)
 }
 
-// planStack is Plan over an explicit read stack — the routing shared
-// by the default mode (planner's own db/indexes) and memtable mode
-// (a pinned generation's base).
+// planStack is Plan over an explicit read stack: a pinned generation's
+// base.
 func planStack(st baseStack, q Query) Querier {
 	if q.Agg == AggInstant {
 		for _, ix := range st.indexes {
@@ -289,14 +219,14 @@ func (p *Planner) Run(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, err
 	}
 	p.mu.RLock()
-	cache, ing, js := p.cache, p.ingest, p.journals
+	cache := p.cache
 	p.mu.RUnlock()
 	if cache == nil {
-		return p.execute(ctx, q, ing)
+		return p.execute(ctx, q)
 	}
 	//tr:alloc-ok miss-only closure: on the cached path DoScoped returns before calling it
-	ans, _, err := cache.DoScoped(ctx, q.cacheKey(), js, q.scope(), func() (Answer, error) {
-		return p.execute(ctx, q, ing)
+	ans, _, err := cache.DoScoped(ctx, q.cacheKey(), p.ingest.journals, q.scope(), func() (Answer, error) {
+		return p.execute(ctx, q)
 	})
 	return ans, err
 }
@@ -317,8 +247,8 @@ func (p *Planner) EstimateIOs(ix *Index, q Query) float64 {
 }
 
 // estimateIOs is EstimateIOs against an explicit DB (the one the index
-// was built over — in memtable mode each generation's indexes pair
-// with that generation's db).
+// was built over — each generation's indexes pair with that
+// generation's db).
 func estimateIOs(db *DB, ix *Index, q Query) float64 {
 	var (
 		n = float64(db.NumSegments())

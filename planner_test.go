@@ -2,6 +2,7 @@ package temporalrank
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -204,11 +205,11 @@ func TestPlannerEmpty(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlannerMetadataDuringAppend pins the rebuild race: an
-// amortized rebuild (Append past the mass-doubling threshold) swaps
-// the approximate index's breakpoint set under the exclusive lock
-// while the Planner reads Epsilon()/KMax() and its cost model — all of
-// which must take the shared lock. Run under -race.
+// TestConcurrentPlannerMetadataDuringAppend pins the generation-swap
+// race: appends through the planner trigger background compactions that
+// install a rebuilt approximate index while the Planner reads
+// Epsilon()/KMax() and its cost model on whichever generation it
+// pinned. Run under -race.
 func TestConcurrentPlannerMetadataDuringAppend(t *testing.T) {
 	db := genDB(t)
 	ix, err := db.BuildIndex(Options{Method: MethodAppx2, TargetR: 30, KMax: 8})
@@ -219,16 +220,19 @@ func TestConcurrentPlannerMetadataDuringAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.EnableMemtable(MemtableOptions{FlushSegments: 8}); err != nil {
+		t.Fatal(err)
+	}
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Big appended values push the mass past doubling repeatedly,
-		// forcing several breakpoint-set swaps.
+		// Every eighth append starts a compaction unless one is running,
+		// so several generation swaps race the reads below.
 		tcur := db.End()
 		for i := 0; i < 60; i++ {
 			tcur += 2
-			if err := ix.Append(i%db.NumSeries(), tcur, 5000); err != nil {
+			if err := p.Append(i%db.NumSeries(), tcur, 5000); err != nil {
 				t.Error(err)
 				return
 			}
@@ -237,11 +241,55 @@ func TestConcurrentPlannerMetadataDuringAppend(t *testing.T) {
 	q := SumQuery(3, db.Start(), db.End())
 	q.MaxEpsilon = 1
 	for i := 0; i < 200; i++ {
-		_ = ix.Epsilon()
-		_ = ix.KMax()
+		for _, cur := range p.Indexes() {
+			_ = cur.Epsilon()
+			_ = cur.KMax()
+			_ = p.EstimateIOs(cur, q)
+		}
 		if _, err := p.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-done
+	if err := p.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := p.MemtableStats(); st.Generations == 0 {
+		t.Fatal("no compaction ran beside the reads")
+	}
+}
+
+// TestPlannerAppendLandsInMemtable: a planner built with NewPlanner
+// alone ingests through its memtable — the append is buffered there,
+// the index stays as built, and Run merges the delta at once.
+func TestPlannerAppendLandsInMemtable(t *testing.T) {
+	db := genDB(t)
+	ix, err := db.BuildIndex(Options{Method: MethodExact3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := db.End()
+	if err := p.Append(3, end+10, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := p.MemtableStats(); !ok || st.ActiveSegments != 1 {
+		t.Fatalf("MemtableStats = %+v, %v; want the append buffered", st, ok)
+	}
+	if db.End() != end {
+		t.Fatal("the append reached the DB before any compaction")
+	}
+	ans, err := p.Run(context.Background(), SumQuery(1, end, end+10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Results) != 1 || ans.Results[0].ID != 3 {
+		t.Fatalf("Run = %v; want the appended object on top", ans.Results)
+	}
+	if err := p.EnableMemtable(MemtableOptions{FlushSegments: 8}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("EnableMemtable after an append: %v, want ErrBadConfig", err)
+	}
 }

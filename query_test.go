@@ -177,8 +177,12 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 	if _, err := exactIx.Run(context.Background(), SumQuery(3, 10, 5)); !errors.Is(err, ErrBadInterval) {
 		t.Errorf("inverted interval: got %v, want ErrBadInterval", err)
 	}
-	if err := exactIx.Append(db.NumSeries(), db.End()+1, 0); !errors.Is(err, ErrUnknownSeries) {
-		t.Errorf("Append: got %v, want ErrUnknownSeries", err)
+	p, err := NewPlanner(db, exactIx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Append(db.NumSeries(), db.End()+1, 0); !errors.Is(err, ErrUnknownSeries) {
+		t.Errorf("Planner.Append: got %v, want ErrUnknownSeries", err)
 	}
 
 	apxIx, err := db.BuildIndex(Options{Method: MethodAppx2, TargetR: 60, KMax: 5})
@@ -214,16 +218,12 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 // appends do not mutate, unlike the deprecated Dataset accessor.
 func TestSnapshotIsolated(t *testing.T) {
 	db := genDB(t)
-	ix, err := db.BuildIndex(Options{Method: MethodExact2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	snap := db.Snapshot()
 	before := snap.NumSegments()
 	if before != db.NumSegments() {
 		t.Fatalf("snapshot has %d segments, db has %d", before, db.NumSegments())
 	}
-	if err := ix.Append(0, db.End()+1, 42); err != nil {
+	if err := db.Append(0, db.End()+1, 42); err != nil {
 		t.Fatal(err)
 	}
 	if snap.NumSegments() != before {

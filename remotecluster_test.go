@@ -384,13 +384,17 @@ func TestRemoteClusterReplicaCatchUp(t *testing.T) {
 		temporalrank.InstantQuery(5, 1e6+15),
 		{Agg: temporalrank.AggSum, K: 8, T1: 0, T2: 1e6, MaxEpsilon: 0.5},
 	}
-	expected := make([]temporalrank.Answer, len(queries))
-	for i, q := range queries {
-		expected[i], err = rc.Run(ctx, q)
-		if err != nil {
-			t.Fatalf("pre-catch-up query %d: %v", i, err)
+	runAll := func(stage string) []temporalrank.Answer {
+		t.Helper()
+		out := make([]temporalrank.Answer, len(queries))
+		for i, q := range queries {
+			if out[i], err = rc.Run(ctx, q); err != nil {
+				t.Fatalf("%s query %d: %v", stage, i, err)
+			}
 		}
+		return out
 	}
+	pre := runAll("pre-catch-up")
 
 	// Restart the wiped replicas empty, on their original addresses.
 	for g := range nodes {
@@ -408,16 +412,22 @@ func TestRemoteClusterReplicaCatchUp(t *testing.T) {
 			}
 		}
 	}
+	// Each primary drained its memtable into the snapshot it streamed,
+	// so primaries and caught-up replicas now hold one compacted stack.
+	// The exact answers carry the appends exactly as the primaries'
+	// memtables merged them (up to float rounding).
+	expected := runAll("post-catch-up primary")
+	for i := range queries {
+		if expected[i].Exact {
+			sameRanking(t, fmt.Sprintf("compacted query %d", i), expected[i].Results, pre[i].Results)
+		}
+	}
 	// Kill the primaries: the caught-up replicas now serve alone and
 	// must answer bit-identically, appends included.
 	for g := range nodes {
 		nodes[g][0].stop()
 	}
-	for i, q := range queries {
-		got, err := rc.Run(ctx, q)
-		if err != nil {
-			t.Fatalf("post-catch-up query %d: %v", i, err)
-		}
+	for i, got := range runAll("post-catch-up replica") {
 		sameResults(t, fmt.Sprintf("catch-up query %d", i), got.Results, expected[i].Results)
 		if got.Method != expected[i].Method || got.Exact != expected[i].Exact || got.Epsilon != expected[i].Epsilon {
 			t.Fatalf("catch-up query %d: answer metadata diverged", i)

@@ -111,9 +111,9 @@ type ShardNode struct {
 // the node hosts, whether restored at boot or installed later through
 // a restore RPC.
 type ShardNodeOptions struct {
-	// Memtable, when non-nil, enables the write-optimized ingest path on
-	// each hosted shard's planner: replicated appends land in that
-	// shard's memtable delta layer instead of rebuilding indexes inline.
+	// Memtable sets the options of each hosted shard planner's memtable,
+	// which replicated appends land in (see Planner.EnableMemtable). nil
+	// keeps the defaults.
 	Memtable *MemtableOptions
 }
 

@@ -83,8 +83,8 @@ const maxSnapshotIndexes = 4096
 // interrupted checkpoint can lose the new generation but never the old
 // one. Space from dead generations is reclaimed automatically.
 //
-// The DB and index locks are held shared for the duration, so queries
-// proceed concurrently while appends wait.
+// The DB lock is held shared for the duration, so queries proceed
+// concurrently while a DB.Append waits.
 func (db *DB) Checkpoint(dev blockio.Device, indexes ...*Index) error {
 	for _, ix := range indexes {
 		if ix == nil {
@@ -106,52 +106,32 @@ func (p *Planner) Checkpoint(dev blockio.Device) error {
 }
 
 // checkpointWith is Checkpoint with an optional cluster shard manifest
-// riding along. Lock ordering: planner mu, then every index mu in
-// registration order, then db.mu — the same order Planner.Append uses.
+// riding along.
 //
-// With a memtable enabled the delta layer is drained first (one
-// synchronous compaction), so every append acknowledged before this
-// call is part of the checkpointed base. Appends landing during or
-// after the drain go to the next generation's memtable and are simply
-// not in this snapshot — the usual checkpoint semantics.
+// The memtable is drained first (one synchronous compaction), so every
+// append acknowledged before this call is part of the checkpointed
+// base. Appends landing during or after the drain go to the next
+// generation's memtable and are simply not in this snapshot — the
+// usual checkpoint semantics.
 func (p *Planner) checkpointWith(dev blockio.Device, shard *shardManifest) error {
 	p.mu.RLock()
-	ing := p.ingest
 	entries := 0
 	if p.cache != nil {
 		entries = p.cache.Cap()
-	}
-	if ing == nil {
-		defer p.mu.RUnlock()
-		return checkpointIndexes(dev, p.db, p.indexes, entries, shard)
 	}
 	p.mu.RUnlock()
 	if err := p.Compact(context.Background()); err != nil {
 		return err
 	}
-	base := ing.layer.Load().Base
+	base := p.stack()
 	return checkpointIndexes(dev, base.db, base.indexes, entries, shard)
 }
 
-// checkpointIndexes locks the index set (in slice order) and the DB
-// shared, then writes the generation.
+// checkpointIndexes writes one generation of db and its (immutable)
+// indexes, holding db.mu shared.
 func checkpointIndexes(dev blockio.Device, db *DB, ixs []*Index, cacheEntries int, shard *shardManifest) error {
-	for _, ix := range ixs {
-		ix.mu.RLock()
-	}
-	defer func() {
-		for i := len(ixs) - 1; i >= 0; i-- {
-			ixs[i].mu.RUnlock()
-		}
-	}()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return checkpointLocked(dev, db, ixs, cacheEntries, shard)
-}
-
-// checkpointLocked writes one generation. Callers hold each index's mu
-// and db.mu (shared suffices: nothing here mutates the structures).
-func checkpointLocked(dev blockio.Device, db *DB, ixs []*Index, cacheEntries int, shard *shardManifest) error {
 	store, err := snapshot.Open(dev)
 	if err != nil {
 		return err
@@ -207,8 +187,7 @@ func checkpointLocked(dev blockio.Device, db *DB, ixs []*Index, cacheEntries int
 	return cp.Commit()
 }
 
-// indexStateOf captures one index's typed handle state. Callers hold
-// ix.mu (shared).
+// indexStateOf captures one index's typed handle state.
 func indexStateOf(ix *Index) (*indexState, error) {
 	dev := ix.m.Device()
 	st := &indexState{Method: ix.m.Name(), BlockSize: dev.BlockSize()}

@@ -57,8 +57,9 @@ func requireSameAnswers(t *testing.T, label string, qs []temporalrank.Query, wan
 // TestSnapshotRoundTripAllMethods builds one index per method over a
 // randomized dataset, checkpoints the whole planner, restores it, and
 // requires every method to answer every aggregate identically — then
-// appends through both stacks and checks again, so the restored
-// frontiers and amortized-rebuild counters are exercised too.
+// appends through both planners and checks again, before and after a
+// compaction drains them, so the restored data versions, frontiers and
+// build options are exercised too.
 func TestSnapshotRoundTripAllMethods(t *testing.T) {
 	inputs := clusterInputs(t, 30, 20, 42)
 	db, err := temporalrank.NewDB(inputs)
@@ -113,12 +114,13 @@ func TestSnapshotRoundTripAllMethods(t *testing.T) {
 	}
 	requireSameAnswers(t, "planner", qs, p, p2)
 
-	// Append the same segments through both stacks; every frontier,
-	// Exact3 tail, and approximate mass counter must have restored
-	// correctly for the answers to keep agreeing.
+	// Append the same segments through both planners and drain them:
+	// every frontier and every index's build options must have restored
+	// correctly for the rebuilt generations to keep agreeing.
+	tEnd := p.DB().End()
 	for n := 0; n < 10; n++ {
 		id := rng.Intn(db.NumSeries())
-		tEnd := p.DB().End() + 0.5 + rng.Float64()
+		tEnd += 0.5 + rng.Float64()
 		v := rng.Float64()*10 - 5
 		if err := p.Append(id, tEnd, v); err != nil {
 			t.Fatalf("append original: %v", err)
@@ -127,10 +129,19 @@ func TestSnapshotRoundTripAllMethods(t *testing.T) {
 			t.Fatalf("append restored: %v", err)
 		}
 	}
-	qs2 := snapshotQueries(rng, db.Start(), p.DB().End(), 4)
-	for i := range ixs {
-		requireSameAnswers(t, "post-append/"+string(ixs[i].Method()), qs2, ixs[i], ixs2[i])
+	if got, want := p2.DataVersion(), p.DataVersion(); got != want {
+		t.Fatalf("restored planner at version %d after the appends, want %d", got, want)
 	}
+	qs2 := snapshotQueries(rng, db.Start(), tEnd, 4)
+	requireSameAnswers(t, "post-append", qs2, p, p2)
+	ctx := context.Background()
+	if err := p.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	requireSameAnswers(t, "post-compaction", qs2, p, p2)
 }
 
 // TestSnapshotSecondGenerationSupersedes checkpoints, mutates, and
@@ -229,9 +240,10 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 		qs := snapshotQueries(rng, c.Start(), c.End(), 5)
 		requireSameAnswers(t, "cluster", qs, c, c2)
 
+		tEnd := c.End()
 		for n := 0; n < 8; n++ {
 			id := rng.Intn(c.NumSeries())
-			tEnd := c.End() + 0.5 + rng.Float64()
+			tEnd += 0.5 + rng.Float64()
 			v := rng.Float64() * 4
 			if err := c.Append(id, tEnd, v); err != nil {
 				t.Fatalf("shards=%d append original: %v", shards, err)
@@ -240,7 +252,7 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d append restored: %v", shards, err)
 			}
 		}
-		requireSameAnswers(t, "cluster post-append", snapshotQueries(rng, c.Start(), c.End(), 3), c, c2)
+		requireSameAnswers(t, "cluster post-append", snapshotQueries(rng, c.Start(), tEnd, 3), c, c2)
 
 		// Second generation over the same files.
 		if err := c2.Checkpoint(dir); err != nil {
@@ -331,6 +343,11 @@ func TestCheckpointCrashSafety(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Drain first, so ansB comes from the same compacted stack a
+		// committed checkpoint holds.
+		if err := p.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
 		ansB, err := p.Run(ctx, refQuery)
 		if err != nil {
 			t.Fatal(err)
@@ -354,8 +371,8 @@ func TestCheckpointCrashSafety(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget=%d: restored planner query: %v", budget, err)
 		}
-		matchesA := resultsEqual(got.Results, ansA.Results) && p2.DB().NumSegments() == db.NumSegments()-4
-		matchesB := resultsEqual(got.Results, ansB.Results) && p2.DB().NumSegments() == db.NumSegments()
+		matchesA := resultsEqual(got.Results, ansA.Results) && p2.DB().NumSegments() == db.NumSegments()
+		matchesB := resultsEqual(got.Results, ansB.Results) && p2.DB().NumSegments() == db.NumSegments()+4
 		if cerr == nil {
 			if !matchesB {
 				t.Fatalf("budget=%d: committed checkpoint restored stale or wrong data", budget)

@@ -39,7 +39,6 @@ import (
 	"temporalrank/internal/breakpoint"
 	"temporalrank/internal/core"
 	"temporalrank/internal/exact"
-	"temporalrank/internal/qcache"
 	"temporalrank/internal/topk"
 	"temporalrank/internal/tsdata"
 )
@@ -94,26 +93,18 @@ type Result struct {
 //
 // DB is safe for concurrent use: reads (Run, Score, and the accessors)
 // take a shared lock, and appends take the exclusive lock while they
-// mutate the underlying dataset. When several indexes are built over
-// one DB, append through a Planner holding all of them: each index
-// tracks its own per-object frontier.
+// mutate the underlying dataset. A DB with indexes built over it takes
+// writes through a Planner holding them, never directly: an Index is
+// immutable and would not see the append.
 type DB struct {
-	// mu guards ds. Lock ordering: an Index always acquires its own
-	// mutex before this one.
+	// mu guards ds.
 	mu sync.RWMutex
 	ds *tsdata.Dataset
-	// version counts successful appends. Every mutation path (DB.Append,
-	// Index.Append, Planner.Append, Cluster.Append) funnels through
-	// appendLocked, which bumps it while holding mu exclusively — so a
-	// result cache keyed by (query, version) can never serve a
-	// pre-append answer to a post-append reader, regardless of which
-	// entry point performed the append.
+	// version counts the appends the dataset holds: DB.Append bumps it
+	// under mu, and a compaction or snapshot restore sets it on the DB it
+	// builds, so a snapshot manifest records how many appends its data
+	// reflects.
 	version atomic.Uint64
-	// journal records each append as a (series, time-range) scoped
-	// event, also from appendLocked; result caches validate entries
-	// against it so only answers whose window overlaps an append are
-	// invalidated.
-	journal *qcache.Journal
 }
 
 // NewDB validates and assembles a database from raw series.
@@ -133,13 +124,13 @@ func NewDB(series []SeriesInput) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{ds: ds, journal: qcache.NewJournal(0)}, nil
+	return &DB{ds: ds}, nil
 }
 
 // NewDBFromDataset wraps an existing dataset (used by the generators
 // and the experiment harness).
 func NewDBFromDataset(ds *tsdata.Dataset) *DB {
-	return &DB{ds: ds, journal: qcache.NewJournal(0)}
+	return &DB{ds: ds}
 }
 
 // Snapshot returns a deep copy of the underlying dataset taken under
@@ -197,14 +188,24 @@ func (db *DB) Score(id int, t1, t2 float64) (float64, error) {
 	return db.ds.Series(tsdata.SeriesID(id)).Range(t1, t2), nil
 }
 
-// Append extends object id directly on the database — the ingest path
-// for index-less DBs (and Cluster shards running pure brute force). A
-// DB with indexes must append through Index.Append or Planner.Append
-// instead, so the index structures advance with the data.
+// Append extends object id with a new segment ending at (t, v); t must
+// be after the object's current end (§4 update model). It is the
+// ingest of the standalone brute-force reference. A DB under a Planner
+// takes writes through Planner.Append instead, which buffers them in
+// the planner's memtable and leaves the DB and its indexes untouched
+// until a compaction builds their successors.
 func (db *DB) Append(id int, t, v float64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return appendLocked(db, nil, id, t, v)
+	if id < 0 || id >= db.ds.NumSeries() {
+		return fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
+	}
+	if err := db.ds.Series(tsdata.SeriesID(id)).Append(t, v); err != nil {
+		return err
+	}
+	db.ds.Refresh()
+	db.version.Add(1)
+	return nil
 }
 
 // Options configures BuildIndex.
@@ -226,27 +227,28 @@ type Options struct {
 	// BuildWorkers, when > 1, parallelizes construction across series
 	// for methods that build one structure per object (EXACT2).
 	BuildWorkers int
-	// OnDiskPath stores the index in a file instead of memory.
+	// OnDiskPath stores the index in a file instead of memory. Under a
+	// Planner, each compaction builds the next generation in a sibling
+	// file <OnDiskPath>.genN and then unlinks the generation it replaced.
 	OnDiskPath string
 }
 
-// Index is a built aggregate top-k index.
-//
-// Index is safe for concurrent use: queries (Run, Score, Stats) run
-// in parallel under a shared lock, while Append takes the exclusive
-// lock — both on the index (whose structures it grows or, for
-// approximate methods, rebuilds) and on the DB (whose dataset it
-// extends).
+// Index is a built aggregate top-k index. It is immutable once built:
+// nothing changes its structures or its DB's data afterwards, so it is
+// safe for concurrent use without locks. New data reaches an index-
+// backed stack through Planner.Append, whose compactions build fresh
+// indexes over the grown data.
 type Index struct {
-	// mu guards m's internal structures. Queries hold it shared; Append
-	// holds it exclusively. Lock ordering: mu before db.mu.
-	mu sync.RWMutex
 	m  exact.Method
 	db *DB
 	// opts records the build configuration (with Method normalized) so
 	// memtable compaction can rebuild an equivalent index over the
 	// compacted dataset.
 	opts Options
+	// file is the file the index lives in when built with OnDiskPath:
+	// opts.OnDiskPath for a first build, a per-generation sibling of it
+	// for a compaction's rebuild.
+	file string
 }
 
 // BuildIndex constructs an index over the database.
@@ -276,7 +278,7 @@ func (db *DB) BuildIndex(opts Options) (*Index, error) {
 		return nil, err
 	}
 	opts.Method = Method(name)
-	return &Index{m: m, db: db, opts: opts}, nil
+	return &Index{m: m, db: db, opts: opts, file: opts.OnDiskPath}, nil
 }
 
 // Method returns the index's method name.
@@ -284,12 +286,8 @@ func (ix *Index) Method() Method { return Method(ix.m.Name()) }
 
 // Epsilon returns the (ε,α) error parameter the index was built with;
 // 0 for exact methods. The Planner compares it against a Query's
-// MaxEpsilon when routing. The shared lock matters: an amortized
-// rebuild (Append past the mass-doubling threshold) swaps the
-// breakpoint set under the exclusive lock.
+// MaxEpsilon when routing.
 func (ix *Index) Epsilon() float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if a, ok := ix.m.(approx.Index); ok {
 		return a.Epsilon()
 	}
@@ -299,8 +297,6 @@ func (ix *Index) Epsilon() float64 {
 // KMax returns the largest query k the index supports; 0 means
 // unbounded (exact methods). Queries beyond KMax wrap ErrKTooLarge.
 func (ix *Index) KMax() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if a, ok := ix.m.(approx.Index); ok {
 		return a.KMax()
 	}
@@ -308,11 +304,8 @@ func (ix *Index) KMax() int {
 }
 
 // breakpoints returns the size r of the index's breakpoint set (0 for
-// exact methods) — an input to the Planner's cost model. Locked for
-// the same rebuild-swap reason as Epsilon.
+// exact methods) — an input to the Planner's cost model.
 func (ix *Index) breakpoints() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	if b, ok := ix.m.(interface{ Breaks() *breakpoint.Set }); ok {
 		return b.Breaks().R()
 	}
@@ -321,8 +314,6 @@ func (ix *Index) breakpoints() int {
 
 // topK answers top-k(t1, t2, sum) through the index.
 func (ix *Index) topK(k int, t1, t2 float64) ([]Result, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	items, err := ix.m.TopK(k, t1, t2)
 	if err != nil {
 		return nil, err
@@ -336,87 +327,12 @@ func (ix *Index) topK(k int, t1, t2 float64) ([]Result, error) {
 // materialized lists (no estimate exists — callers wanting a value for
 // every object should use DB.Score or an exact index).
 func (ix *Index) Score(id int, t1, t2 float64) (float64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.m.Score(tsdata.SeriesID(id), t1, t2)
 }
 
-// Append extends object id with a new segment ending at (t, v); t must
-// be after the object's current end (§4 update model). The index and
-// the DB stay consistent.
-func (ix *Index) Append(id int, t, v float64) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.db.mu.Lock()
-	defer ix.db.mu.Unlock()
-	return appendLocked(ix.db, []*Index{ix}, id, t, v)
-}
-
-// appendAppliedMethod is satisfied by the approximate index structures:
-// AppendApplied updates frontiers, mass accounting, and the amortized
-// rebuild for a segment the caller already applied to the shared
-// dataset. It is what lets several indexes over one dataset absorb the
-// same append without mutating the dataset more than once.
-type appendAppliedMethod interface {
-	AppendApplied(id tsdata.SeriesID, t, v float64) error
-}
-
-// appendLocked applies one append across the dataset and every index in
-// ixs, mutating the dataset exactly once. Callers hold each index's mu
-// (in slice order) and db.mu. Approximate structures own the dataset
-// mutation, so the first one performs it and the rest take the
-// AppendApplied path; exact structures never touch the dataset, which
-// is written directly when no approximate index did.
-func appendLocked(db *DB, ixs []*Index, id int, t, v float64) error {
-	if id < 0 || id >= db.ds.NumSeries() {
-		return fmt.Errorf("temporalrank: %w: %d", ErrUnknownSeries, id)
-	}
-	// Validate the segment against the dataset frontier up front so a
-	// bad append cannot advance some indexes and leave others behind.
-	s := db.ds.Series(tsdata.SeriesID(id))
-	seg := tsdata.Segment{T1: s.End(), T2: t, V1: s.VertexValue(s.NumSegments()), V2: v}
-	if err := seg.Validate(); err != nil {
-		return err
-	}
-	prevEnd := s.End()
-	applied := false
-	for _, ix := range ixs {
-		var err error
-		if core.IsApprox(core.MethodName(ix.m.Name())) && applied {
-			aa, ok := ix.m.(appendAppliedMethod)
-			if !ok {
-				return fmt.Errorf("temporalrank: index %s cannot share an applied append", ix.Method())
-			}
-			err = aa.AppendApplied(tsdata.SeriesID(id), t, v)
-		} else {
-			err = ix.m.Append(tsdata.SeriesID(id), t, v)
-			if core.IsApprox(core.MethodName(ix.m.Name())) {
-				applied = true
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if !applied {
-		if err := db.ds.Series(tsdata.SeriesID(id)).Append(t, v); err != nil {
-			return err
-		}
-	}
-	db.ds.Refresh()
-	db.version.Add(1)
-	if db.journal != nil {
-		// The new segment covers (prevEnd, t]: only cached answers whose
-		// window overlaps it can have observed different data.
-		db.journal.Advance(qcache.Scope{Series: id, T1: prevEnd, T2: t})
-	}
-	return nil
-}
-
-// DataVersion returns a counter incremented by every successful append,
-// whichever entry point performed it. Result caches (Planner, Cluster,
-// or caller-built) key entries by this value so answers computed before
-// an append are never served after it.
+// DataVersion returns the number of appends the DB's data reflects:
+// each DB.Append adds one, and a DB a compaction or snapshot restore
+// built starts at the count its data carries.
 func (db *DB) DataVersion() uint64 { return db.version.Load() }
 
 // Stats reports index size and cumulative device IO.
@@ -432,8 +348,6 @@ type Stats struct {
 // atomic, so this is safe (and non-blocking) even while queries are in
 // flight.
 func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	bs := ix.m.Device().BlockSize()
 	pages := ix.m.IndexPages()
 	return Stats{
@@ -447,8 +361,6 @@ func (ix *Index) Stats() Stats {
 
 // ResetStats zeroes the device IO counters (for measuring one query).
 func (ix *Index) ResetStats() {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	ix.m.Device().ResetStats()
 }
 
@@ -457,8 +369,6 @@ func (ix *Index) ResetStats() {
 // the device mutex — this touches only the atomic counters, so it is
 // the accessor Run samples around each query.
 func (ix *Index) DeviceIOs() uint64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.m.Device().Stats().Total()
 }
 

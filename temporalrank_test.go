@@ -136,28 +136,47 @@ func TestEveryMethodThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestIndexAppendConsistency: an append through the planner leaves
+// the index and its DB untouched, yet the planner's Score sees the new
+// mass at once and keeps seeing it once a compaction has rebuilt the
+// index over the grown data.
 func TestIndexAppendConsistency(t *testing.T) {
 	db := smallDB(t)
+	ref := smallDB(t)
 	idx, err := db.BuildIndex(Options{Method: MethodExact2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Append(0, 5, 100); err != nil {
-		t.Fatal(err)
-	}
-	// Both the index and the DB must see the new mass on [3,5].
-	fromIdx, err := idx.Score(0, 3, 5)
+	p, err := NewPlanner(db, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDB, err := db.Score(0, 3, 5)
+	if err := p.Append(0, 5, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Append(0, 5, 100); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Score(0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(fromIdx-fromDB) > 1e-9 || fromIdx <= 0 {
-		t.Errorf("index %g vs db %g", fromIdx, fromDB)
+	for _, stage := range []string{"memtable", "compacted"} {
+		got, err := p.Score(0, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 || got <= 0 {
+			t.Errorf("%s: planner %g vs reference %g", stage, got, want)
+		}
+		if err := p.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := idx.Append(99, 10, 1); err == nil {
+	if fromIdx, err := idx.Score(0, 3, 5); err != nil || fromIdx != 0 {
+		t.Errorf("the built index changed: Score = %g, %v", fromIdx, err)
+	}
+	if err := p.Append(99, 10, 1); err == nil {
 		t.Error("unknown id append accepted")
 	}
 }
