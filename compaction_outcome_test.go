@@ -183,3 +183,54 @@ func TestCompactionRemovesSupersededIndexFiles(t *testing.T) {
 		sameRanking(t, "compacted on-disk index", got.Results, want.Results)
 	}
 }
+
+// TestFailedCompactionRemovesSiblingIndexFiles: when one on-disk index
+// of a planner fails to rebuild, the compaction's per-generation files
+// of the indexes that did build are unlinked too, so retries do not
+// pile up orphaned files.
+func TestFailedCompactionRemovesSiblingIndexFiles(t *testing.T) {
+	db, err := temporalrank.NewDB(clusterInputs(t, 12, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	e3, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3, OnDiskPath: filepath.Join(dirA, "a.idx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact1, OnDiskPath: filepath.Join(dirB, "b.idx")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, e3, e1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Append(0, db.End()+1, 5); err != nil {
+		t.Fatal(err)
+	}
+	// EXACT1's next generation cannot be created once its directory is
+	// gone; EXACT3's builds fine each time.
+	if err := os.RemoveAll(dirB); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 1; attempt <= 3; attempt++ {
+		if err := p.Compact(context.Background()); err == nil {
+			t.Fatalf("attempt %d: compaction succeeded without EXACT1's directory", attempt)
+		}
+		entries, err := os.ReadDir(dirA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		if len(names) != 1 || names[0] != "a.idx" {
+			t.Fatalf("after failed compaction %d the directory holds %v, want only a.idx", attempt, names)
+		}
+	}
+}

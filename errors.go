@@ -49,7 +49,7 @@ var (
 	ErrBadSnapshot = trerr.ErrBadSnapshot
 
 	// ErrSnapshotVersion reports a structurally valid snapshot written
-	// by an incompatible (newer) snapshot format version.
+	// by a different (older or newer) snapshot format version.
 	ErrSnapshotVersion = trerr.ErrSnapshotVersion
 
 	// ErrShardUnavailable reports a RemoteCluster shard group with no

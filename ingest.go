@@ -322,6 +322,7 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 	db.version.Store(base.db.version.Load() + applied)
 	gen := ing.diskGen.Add(1)
 	ixs := make([]*Index, len(base.indexes))
+	files := make([]string, len(base.indexes))
 	berr := scatter.Run(ctx, len(base.indexes), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
 		opts := base.indexes[i].opts
 		orig := opts.OnDiskPath
@@ -330,6 +331,7 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 			// serves reads from its own file until the swap (and after,
 			// for readers pinned to the old generation).
 			opts.OnDiskPath = fmt.Sprintf("%s.gen%d", orig, gen)
+			files[i] = opts.OnDiskPath
 		}
 		ix, e := db.BuildIndex(opts)
 		if e != nil {
@@ -342,6 +344,14 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 		return nil
 	})
 	if berr != nil {
+		// No generation will own this attempt's files, built or partly
+		// written, and a retry builds under a new generation number:
+		// unlink them (best effort, as for a superseded generation).
+		for _, f := range files {
+			if f != "" {
+				_ = os.Remove(f)
+			}
+		}
 		return baseStack{}, berr
 	}
 	return baseStack{db: db, indexes: ixs}, nil

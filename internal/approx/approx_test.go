@@ -482,62 +482,6 @@ func TestAppxNegativeScores(t *testing.T) {
 	}
 }
 
-func TestAppxUpdateRebuildOnMDoubling(t *testing.T) {
-	ds := randomDataset(24, 10, 6, false)
-	idx, err := NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.RebuildCount() != 0 {
-		t.Fatal("fresh index claims rebuilds")
-	}
-	// Append heavy segments until M doubles.
-	bigV := 1000.0
-	origEnd := ds.End()
-	end := origEnd
-	for i := 0; i < 100 && idx.RebuildCount() == 0; i++ {
-		end += 1
-		if err := idx.Append(0, end, bigV); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if idx.RebuildCount() == 0 {
-		t.Fatal("no rebuild despite M more than doubling")
-	}
-	// After rebuild the index must see the new data.
-	got, err := idx.TopK(1, origEnd, end)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || got[0].ID != 0 {
-		t.Errorf("after rebuild, object 0 should dominate [%g,%g]: %v", origEnd, end, got)
-	}
-}
-
-func TestAppx2PlusForestStaysFresh(t *testing.T) {
-	ds := randomDataset(25, 8, 6, false)
-	idx, err := NewAppx2Plus(blockio.NewMemDevice(1024), ds, KindB2, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A small append (no rebuild) must still be visible to exact
-	// rescoring via the forest.
-	endT := ds.End()
-	if err := idx.Append(3, endT+1, 50); err != nil {
-		t.Fatal(err)
-	}
-	if idx.RebuildCount() != 0 {
-		t.Skip("mass doubled unexpectedly; covered by the rebuild test")
-	}
-	s, err := idx.Score(3, endT, endT+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s <= 0 {
-		t.Errorf("forest did not see the appended segment: score %g", s)
-	}
-}
-
 func TestAppxInvalidInputs(t *testing.T) {
 	ds := randomDataset(26, 5, 5, false)
 	if _, err := NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, -0.1, 5); err == nil {
@@ -553,8 +497,8 @@ func TestAppxInvalidInputs(t *testing.T) {
 	if _, err := idx.TopK(3, 5, 2); err == nil {
 		t.Error("inverted interval accepted")
 	}
-	if err := idx.Append(tsdata.SeriesID(99), 1e9, 1); err == nil {
-		t.Error("unknown series append accepted")
+	if _, err := idx.Score(tsdata.SeriesID(99), 2, 5); err == nil {
+		t.Error("unknown series score accepted")
 	}
 }
 

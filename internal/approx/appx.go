@@ -31,36 +31,26 @@ type Index interface {
 	KMax() int
 }
 
-// appxBase carries the pieces shared by all APPX variants, including
-// the §4 amortized update machinery: appended segments are tracked and
-// the whole structure is rebuilt when the dataset mass M doubles.
+// appxBase carries the pieces shared by all APPX variants. An index is
+// immutable once built; new data reaches it only through a rebuild
+// over the grown dataset.
 type appxBase struct {
 	name string
 	dev  blockio.Device
-	ds   *tsdata.Dataset
+	m    int // series count, for validating Score's id
 	bps  *breakpoint.Set
 	kmax int
 	kind Kind
-
-	buildM       float64
-	pendingMass  float64
-	pendingSegs  int
-	rebuildCount int
-	frontier     []vertex
-	rebuild      func() error
 }
 
-type vertex struct{ t, v float64 }
-
-func newAppxBase(name string, dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, kmax int, kind Kind) appxBase {
-	fr := make([]vertex, ds.NumSeries())
-	for i, s := range ds.AllSeries() {
-		fr[i] = vertex{t: s.End(), v: s.VertexValue(s.NumSegments())}
+// newAppxBase names the index after its method family, with a "-B"
+// suffix for the basic breakpoint kind.
+func newAppxBase(family string, dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, kmax int, kind Kind) appxBase {
+	name := family
+	if kind == KindB1 {
+		name += "-B"
 	}
-	return appxBase{
-		name: name, dev: dev, ds: ds, bps: bps, kmax: kmax, kind: kind,
-		buildM: ds.M(), frontier: fr,
-	}
+	return appxBase{name: name, dev: dev, m: ds.NumSeries(), bps: bps, kmax: kmax, kind: kind}
 }
 
 func (a *appxBase) Name() string            { return a.name }
@@ -68,43 +58,7 @@ func (a *appxBase) Device() blockio.Device  { return a.dev }
 func (a *appxBase) IndexPages() int         { return a.dev.NumPages() }
 func (a *appxBase) Epsilon() float64        { return a.bps.Epsilon }
 func (a *appxBase) KMax() int               { return a.kmax }
-func (a *appxBase) RebuildCount() int       { return a.rebuildCount }
 func (a *appxBase) Breaks() *breakpoint.Set { return a.bps }
-
-// Append implements the amortized §4 update scheme: the new segment is
-// applied to the backing dataset; when the accumulated mass doubles M,
-// the breakpoints and query structures are rebuilt with the original τ
-// = εM threshold semantics (the rebuild recomputes everything with the
-// current M). Until a rebuild the index answers from the structures
-// built at buildM — the (ε,α) guarantee degrades to at most (2ε,α)
-// since M grows by at most 2× between rebuilds.
-func (a *appxBase) Append(id tsdata.SeriesID, t, v float64) error {
-	if id < 0 || int(id) >= a.ds.NumSeries() {
-		return fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
-	}
-	fr := a.frontier[id]
-	seg := tsdata.Segment{T1: fr.t, T2: t, V1: fr.v, V2: v}
-	if err := seg.Validate(); err != nil {
-		return err
-	}
-	if err := a.ds.Series(id).Append(t, v); err != nil {
-		return err
-	}
-	a.frontier[id] = vertex{t: t, v: v}
-	a.pendingMass += seg.AbsIntegral()
-	a.pendingSegs++
-	if a.buildM+a.pendingMass >= 2*a.buildM {
-		a.ds.Refresh()
-		if err := a.rebuild(); err != nil {
-			return err
-		}
-		a.rebuildCount++
-		a.buildM = a.ds.M()
-		a.pendingMass = 0
-		a.pendingSegs = 0
-	}
-	return nil
-}
 
 // buildBreaks constructs the configured breakpoint flavour.
 func buildBreaks(ds *tsdata.Dataset, kind Kind, eps float64) (*breakpoint.Set, error) {
@@ -139,36 +93,7 @@ func NewAppx1WithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, bps *
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx1{appxBase: newAppxBase(appxName("APPX1", kind), dev, ds, bps, kmax, kind), q: q}
-	a.initRebuild()
-	return a, nil
-}
-
-// appxName maps a method family to its reported name for the kind.
-func appxName(base string, kind Kind) string {
-	if kind == KindB1 {
-		return base + "-B"
-	}
-	return base
-}
-
-// initRebuild installs the §4 amortized-rebuild closure. Shared by the
-// build and restore constructors so a restored index degrades and
-// rebuilds exactly like the original.
-func (a *Appx1) initRebuild() {
-	a.rebuild = func() error {
-		bps, err := buildBreaks(a.ds, a.kind, a.bps.Epsilon)
-		if err != nil {
-			return err
-		}
-		dev := blockio.NewMemDevice(a.dev.BlockSize())
-		q, err := BuildQuery1(dev, a.ds, bps, a.kmax)
-		if err != nil {
-			return err
-		}
-		a.bps, a.dev, a.q = bps, dev, q
-		return nil
-	}
+	return &Appx1{appxBase: newAppxBase("APPX1", dev, ds, bps, kmax, kind), q: q}, nil
 }
 
 // TopK implements exact.Method.
@@ -182,7 +107,7 @@ func (a *Appx1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // materialized lists, and a silent 0.0 would be indistinguishable from
 // a true zero aggregate.
 func (a *Appx1) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
-	if id < 0 || int(id) >= a.ds.NumSeries() {
+	if id < 0 || int(id) >= a.m {
 		return 0, fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
 	}
 	items, err := a.q.TopK(a.kmax, t1, t2)
@@ -220,27 +145,7 @@ func NewAppx2WithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, bps *
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx2{appxBase: newAppxBase(appxName("APPX2", kind), dev, ds, bps, kmax, kind), q: q}
-	a.initRebuild()
-	return a, nil
-}
-
-// initRebuild installs the amortized-rebuild closure (see
-// Appx1.initRebuild).
-func (a *Appx2) initRebuild() {
-	a.rebuild = func() error {
-		bps, err := buildBreaks(a.ds, a.kind, a.bps.Epsilon)
-		if err != nil {
-			return err
-		}
-		dev := blockio.NewMemDevice(a.dev.BlockSize())
-		q, err := BuildQuery2(dev, a.ds, bps, a.kmax)
-		if err != nil {
-			return err
-		}
-		a.bps, a.dev, a.q = bps, dev, q
-		return nil
-	}
+	return &Appx2{appxBase: newAppxBase("APPX2", dev, ds, bps, kmax, kind), q: q}, nil
 }
 
 // TopK implements exact.Method.
@@ -252,7 +157,7 @@ func (a *Appx2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // trerr.ErrNotMaterialized when the object is outside the candidate
 // set, rather than a silent 0.0).
 func (a *Appx2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
-	if id < 0 || int(id) >= a.ds.NumSeries() {
+	if id < 0 || int(id) >= a.m {
 		return 0, fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
 	}
 	cands, err := a.q.Candidates(a.kmax, t1, t2)
@@ -279,9 +184,8 @@ func (a *Appx2) Query2Index() *Query2 { return a.q }
 // cost plus |K| tree lookups.
 type Appx2Plus struct {
 	appxBase
-	q            *Query2
-	e2           *exact.Exact2
-	buildWorkers int
+	q  *Query2
+	e2 *exact.Exact2
 }
 
 // NewAppx2Plus builds APPX2+ (the paper always pairs it with
@@ -302,7 +206,7 @@ func NewAppx2PlusWithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, b
 
 // NewAppx2PlusWithBreaksParallel is NewAppx2PlusWithBreaks with the
 // rescoring forest's per-series construction spread over buildWorkers
-// goroutines (also on the amortized rebuilds triggered by Append).
+// goroutines.
 func NewAppx2PlusWithBreaksParallel(dev blockio.Device, ds *tsdata.Dataset, kind Kind, bps *breakpoint.Set, kmax, buildWorkers int) (*Appx2Plus, error) {
 	q, err := BuildQuery2(dev, ds, bps, kmax)
 	if err != nil {
@@ -312,37 +216,7 @@ func NewAppx2PlusWithBreaksParallel(dev blockio.Device, ds *tsdata.Dataset, kind
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx2Plus{
-		appxBase:     newAppxBase(appxName("APPX2+", kind), dev, ds, bps, kmax, kind),
-		q:            q,
-		e2:           e2,
-		buildWorkers: buildWorkers,
-	}
-	a.initRebuild()
-	return a, nil
-}
-
-// initRebuild installs the amortized-rebuild closure (see
-// Appx1.initRebuild); the rescoring forest rebuilds with the
-// configured worker count.
-func (a *Appx2Plus) initRebuild() {
-	a.rebuild = func() error {
-		bps, err := buildBreaks(a.ds, a.kind, a.bps.Epsilon)
-		if err != nil {
-			return err
-		}
-		dev := blockio.NewMemDevice(a.dev.BlockSize())
-		q, err := BuildQuery2(dev, a.ds, bps, a.kmax)
-		if err != nil {
-			return err
-		}
-		e2, err := exact.BuildExact2Parallel(dev, a.ds, a.buildWorkers)
-		if err != nil {
-			return err
-		}
-		a.bps, a.dev, a.q, a.e2 = bps, dev, q, e2
-		return nil
-	}
+	return &Appx2Plus{appxBase: newAppxBase("APPX2+", dev, ds, bps, kmax, kind), q: q, e2: e2}, nil
 }
 
 // TopK implements exact.Method: dyadic candidates, exact rescoring.
@@ -365,20 +239,6 @@ func (a *Appx2Plus) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // Score implements exact.Method: exact when the object is a candidate.
 func (a *Appx2Plus) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	return a.e2.Score(id, t1, t2)
-}
-
-// Append also forwards the new segment to the EXACT2 forest so exact
-// rescoring stays current between rebuilds.
-func (a *Appx2Plus) Append(id tsdata.SeriesID, t, v float64) error {
-	rebuildsBefore := a.rebuildCount
-	if err := a.appxBase.Append(id, t, v); err != nil {
-		return err
-	}
-	if a.rebuildCount == rebuildsBefore {
-		// No rebuild: keep the forest in sync incrementally.
-		return a.e2.Append(id, t, v)
-	}
-	return nil
 }
 
 var (

@@ -14,10 +14,9 @@ import (
 // This file is the persistence boundary of the approximate methods.
 // The materialized lists and nested trees already live on each index's
 // blockio.Device; the State structs capture the in-memory directory on
-// top of them — breakpoint tables, tree metas, the dyadic node
-// directory, and the §4 amortization counters — so Restore reattaches
-// a fully live index (including its rebuild trigger) without
-// recomputing breakpoints or lists.
+// top of them — breakpoint tables, tree metas and the dyadic node
+// directory — so Restore reattaches a live index without recomputing
+// breakpoints or lists.
 
 // ListRef is the exported form of a packed top-k list locator.
 type ListRef struct {
@@ -117,38 +116,6 @@ func RestoreQuery2(dev blockio.Device, bps *breakpoint.Set, st Query2State) (*Qu
 	return q, nil
 }
 
-// BaseState carries the §4 amortized-update accounting shared by every
-// approximate method.
-type BaseState struct {
-	BuildM       float64
-	PendingMass  float64
-	PendingSegs  int
-	RebuildCount int
-}
-
-func (a *appxBase) baseState() BaseState {
-	return BaseState{
-		BuildM:       a.buildM,
-		PendingMass:  a.pendingMass,
-		PendingSegs:  a.pendingSegs,
-		RebuildCount: a.rebuildCount,
-	}
-}
-
-// restoreBase rebuilds the appxBase around a restored dataset: the
-// frontier is rederived from the series (dataset and index frontiers
-// advance in lockstep through the locked append path) and the
-// amortization counters come from the checkpoint, so the next rebuild
-// triggers exactly where it would have without the restart.
-func restoreBase(name string, dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, kmax int, kind Kind, st BaseState) appxBase {
-	a := newAppxBase(name, dev, ds, bps, kmax, kind)
-	a.buildM = st.BuildM
-	a.pendingMass = st.PendingMass
-	a.pendingSegs = st.PendingSegs
-	a.rebuildCount = st.RebuildCount
-	return a
-}
-
 // restoreBreaks validates and heap-allocates a checkpointed breakpoint
 // table.
 func restoreBreaks(st breakpoint.Set) (*breakpoint.Set, error) {
@@ -161,7 +128,6 @@ func restoreBreaks(st breakpoint.Set) (*breakpoint.Set, error) {
 
 // Appx1State is Appx1's full handle state.
 type Appx1State struct {
-	Base   BaseState
 	Kind   Kind
 	KMax   int
 	Breaks breakpoint.Set
@@ -170,7 +136,7 @@ type Appx1State struct {
 
 // State captures the handle state for checkpointing.
 func (a *Appx1) State() Appx1State {
-	return Appx1State{Base: a.baseState(), Kind: a.kind, KMax: a.kmax, Breaks: *a.bps, Q: a.q.State()}
+	return Appx1State{Kind: a.kind, KMax: a.kmax, Breaks: *a.bps, Q: a.q.State()}
 }
 
 // RestoreAppx1 reattaches an Appx1 to its restored device image.
@@ -183,14 +149,11 @@ func RestoreAppx1(dev blockio.Device, ds *tsdata.Dataset, st Appx1State) (*Appx1
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx1{appxBase: restoreBase(appxName("APPX1", st.Kind), dev, ds, bps, st.KMax, st.Kind, st.Base), q: q}
-	a.initRebuild()
-	return a, nil
+	return &Appx1{appxBase: newAppxBase("APPX1", dev, ds, bps, st.KMax, st.Kind), q: q}, nil
 }
 
 // Appx2State is Appx2's full handle state.
 type Appx2State struct {
-	Base   BaseState
 	Kind   Kind
 	KMax   int
 	Breaks breakpoint.Set
@@ -199,7 +162,7 @@ type Appx2State struct {
 
 // State captures the handle state for checkpointing.
 func (a *Appx2) State() Appx2State {
-	return Appx2State{Base: a.baseState(), Kind: a.kind, KMax: a.kmax, Breaks: *a.bps, Q: a.q.State()}
+	return Appx2State{Kind: a.kind, KMax: a.kmax, Breaks: *a.bps, Q: a.q.State()}
 }
 
 // RestoreAppx2 reattaches an Appx2 to its restored device image.
@@ -212,34 +175,22 @@ func RestoreAppx2(dev blockio.Device, ds *tsdata.Dataset, st Appx2State) (*Appx2
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx2{appxBase: restoreBase(appxName("APPX2", st.Kind), dev, ds, bps, st.KMax, st.Kind, st.Base), q: q}
-	a.initRebuild()
-	return a, nil
+	return &Appx2{appxBase: newAppxBase("APPX2", dev, ds, bps, st.KMax, st.Kind), q: q}, nil
 }
 
 // Appx2PlusState is Appx2Plus's full handle state: the dyadic
 // directory plus the rescoring forest, which share one device.
 type Appx2PlusState struct {
-	Base         BaseState
-	Kind         Kind
-	KMax         int
-	BuildWorkers int
-	Breaks       breakpoint.Set
-	Q            Query2State
-	E2           exact.Exact2State
+	Kind   Kind
+	KMax   int
+	Breaks breakpoint.Set
+	Q      Query2State
+	E2     exact.Exact2State
 }
 
 // State captures the handle state for checkpointing.
 func (a *Appx2Plus) State() Appx2PlusState {
-	return Appx2PlusState{
-		Base:         a.baseState(),
-		Kind:         a.kind,
-		KMax:         a.kmax,
-		BuildWorkers: a.buildWorkers,
-		Breaks:       *a.bps,
-		Q:            a.q.State(),
-		E2:           a.e2.State(),
-	}
+	return Appx2PlusState{Kind: a.kind, KMax: a.kmax, Breaks: *a.bps, Q: a.q.State(), E2: a.e2.State()}
 }
 
 // RestoreAppx2Plus reattaches an Appx2Plus to its restored device
@@ -257,12 +208,5 @@ func RestoreAppx2Plus(dev blockio.Device, ds *tsdata.Dataset, st Appx2PlusState)
 	if err != nil {
 		return nil, err
 	}
-	a := &Appx2Plus{
-		appxBase:     restoreBase(appxName("APPX2+", st.Kind), dev, ds, bps, st.KMax, st.Kind, st.Base),
-		q:            q,
-		e2:           e2,
-		buildWorkers: st.BuildWorkers,
-	}
-	a.initRebuild()
-	return a, nil
+	return &Appx2Plus{appxBase: newAppxBase("APPX2+", dev, ds, bps, st.KMax, st.Kind), q: q, e2: e2}, nil
 }

@@ -2,9 +2,10 @@
 //
 // Keys are float64 time instances; values are fixed-size opaque byte
 // payloads (the caller encodes segments, prefix sums, or page pointers
-// into them). The tree supports bulk-loading from sorted input, ordered
-// insertion with node splits, ceiling search (first entry with key >=
-// x), and forward range scans via leaf sibling links.
+// into them). A tree is built once by bulk-loading sorted input and is
+// read-only afterwards: it supports ceiling search (first entry with
+// key >= x), forward range scans via leaf sibling links, and a lookup
+// of the last entry.
 //
 // This is the workhorse index of the paper: EXACT1 keys all N segments
 // by left endpoint, EXACT2 builds one tree per object keyed by segment
@@ -28,7 +29,7 @@ type Entry struct {
 }
 
 // Tree is a B+-tree handle. The zero value is not usable; create trees
-// with New or BulkLoad.
+// with BulkLoad.
 type Tree struct {
 	dev       blockio.Device
 	valueSize int
@@ -58,9 +59,9 @@ var (
 	ErrBadValueSize = errors.New("bptree: value size mismatch")
 )
 
-// New creates an empty tree on dev whose entries carry valueSize-byte
-// payloads.
-func New(dev blockio.Device, valueSize int) (*Tree, error) {
+// newEmpty creates an empty tree on dev whose entries carry
+// valueSize-byte payloads.
+func newEmpty(dev blockio.Device, valueSize int) (*Tree, error) {
 	t := &Tree{dev: dev, valueSize: valueSize}
 	if err := t.computeCaps(); err != nil {
 		return nil, err
@@ -368,7 +369,7 @@ func BulkLoad(dev blockio.Device, valueSize int, entries []Entry) (*Tree, error)
 		}
 	}
 	if len(entries) == 0 {
-		return New(dev, valueSize)
+		return newEmpty(dev, valueSize)
 	}
 	buf := make([]byte, dev.BlockSize())
 
@@ -447,183 +448,10 @@ func BulkLoad(dev blockio.Device, valueSize int, entries []Entry) (*Tree, error)
 	return t, nil
 }
 
-// --- insert ----------------------------------------------------------
-
-// Insert adds an entry, splitting nodes as needed. Duplicate keys are
-// allowed; the new entry lands after existing equal keys.
-func (t *Tree) Insert(key float64, value []byte) error {
-	if len(value) != t.valueSize {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadValueSize, len(value), t.valueSize)
-	}
-	splitKey, newPage, err := t.insertRec(t.root, key, value)
-	if err != nil {
-		return err
-	}
-	if newPage != blockio.InvalidPage {
-		// Root split: grow the tree by one level.
-		rootPage, err := t.dev.Alloc()
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, t.dev.BlockSize())
-		initInternal(buf)
-		t.setInternalChild(buf, 0, t.root)
-		t.setInternalChild(buf, 1, newPage)
-		t.setInternalKey(buf, 0, splitKey)
-		setInternalCount(buf, 1)
-		if err := t.dev.Write(rootPage, buf); err != nil {
-			return err
-		}
-		t.root = rootPage
-		t.height++
-	}
-	t.numEntries++
-	return nil
-}
-
-// insertRec inserts below page; when page splits it returns the
-// separator key and the new right sibling.
-func (t *Tree) insertRec(page blockio.PageID, key float64, value []byte) (float64, blockio.PageID, error) {
-	buf := make([]byte, t.dev.BlockSize())
-	if err := t.dev.Read(page, buf); err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-	if isLeaf(buf) {
-		return t.insertLeaf(page, buf, key, value)
-	}
-	n := internalCount(buf)
-	j := 0
-	for j < n && t.internalKey(buf, j) <= key {
-		j++
-	}
-	child := t.internalChild(buf, j)
-	splitKey, newChild, err := t.insertRec(child, key, value)
-	if err != nil || newChild == blockio.InvalidPage {
-		return 0, blockio.InvalidPage, err
-	}
-	// Insert (splitKey, newChild) after position j.
-	// Re-read: the recursive call may be deep but does not touch this
-	// page, so buf is still current.
-	if n < t.internalCap {
-		for i := n; i > j; i-- {
-			t.setInternalKey(buf, i, t.internalKey(buf, i-1))
-			t.setInternalChild(buf, i+1, t.internalChild(buf, i))
-		}
-		t.setInternalKey(buf, j, splitKey)
-		t.setInternalChild(buf, j+1, newChild)
-		setInternalCount(buf, n+1)
-		return 0, blockio.InvalidPage, t.dev.Write(page, buf)
-	}
-	// Split the internal node. Build the virtual key/child lists.
-	keys := make([]float64, 0, n+1)
-	children := make([]blockio.PageID, 0, n+2)
-	for i := 0; i <= n; i++ {
-		children = append(children, t.internalChild(buf, i))
-	}
-	for i := 0; i < n; i++ {
-		keys = append(keys, t.internalKey(buf, i))
-	}
-	keys = append(keys[:j], append([]float64{splitKey}, keys[j:]...)...)
-	children = append(children[:j+1], append([]blockio.PageID{newChild}, children[j+1:]...)...)
-
-	mid := len(keys) / 2
-	upKey := keys[mid]
-	leftKeys, rightKeys := keys[:mid], keys[mid+1:]
-	leftChildren, rightChildren := children[:mid+1], children[mid+1:]
-
-	initInternal(buf)
-	for i, c := range leftChildren {
-		t.setInternalChild(buf, i, c)
-	}
-	for i, k := range leftKeys {
-		t.setInternalKey(buf, i, k)
-	}
-	setInternalCount(buf, len(leftKeys))
-	if err := t.dev.Write(page, buf); err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-
-	rightPage, err := t.dev.Alloc()
-	if err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-	initInternal(buf)
-	for i, c := range rightChildren {
-		t.setInternalChild(buf, i, c)
-	}
-	for i, k := range rightKeys {
-		t.setInternalKey(buf, i, k)
-	}
-	setInternalCount(buf, len(rightKeys))
-	if err := t.dev.Write(rightPage, buf); err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-	return upKey, rightPage, nil
-}
-
-func (t *Tree) insertLeaf(page blockio.PageID, buf []byte, key float64, value []byte) (float64, blockio.PageID, error) {
-	n := leafCount(buf)
-	// Position after existing equal keys.
-	pos := 0
-	for pos < n && t.leafKey(buf, pos) <= key {
-		pos++
-	}
-	if n < t.leafCap {
-		for i := n; i > pos; i-- {
-			t.setLeafEntry(buf, i, t.leafKey(buf, i-1), t.leafValue(buf, i-1))
-		}
-		t.setLeafEntry(buf, pos, key, value)
-		setLeafCount(buf, n+1)
-		return 0, blockio.InvalidPage, t.dev.Write(page, buf)
-	}
-	// Split. Gather all n+1 entries.
-	type kv struct {
-		k float64
-		v []byte
-	}
-	all := make([]kv, 0, n+1)
-	for i := 0; i < n; i++ {
-		v := make([]byte, t.valueSize)
-		copy(v, t.leafValue(buf, i))
-		all = append(all, kv{t.leafKey(buf, i), v})
-	}
-	nv := make([]byte, t.valueSize)
-	copy(nv, value)
-	all = append(all[:pos], append([]kv{{key, nv}}, all[pos:]...)...)
-
-	mid := len(all) / 2
-	oldNext := leafNext(buf)
-
-	rightPage, err := t.dev.Alloc()
-	if err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-
-	initLeaf(buf)
-	for i := 0; i < mid; i++ {
-		t.setLeafEntry(buf, i, all[i].k, all[i].v)
-	}
-	setLeafCount(buf, mid)
-	setLeafNext(buf, rightPage)
-	if err := t.dev.Write(page, buf); err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-
-	initLeaf(buf)
-	for i := mid; i < len(all); i++ {
-		t.setLeafEntry(buf, i-mid, all[i].k, all[i].v)
-	}
-	setLeafCount(buf, len(all)-mid)
-	setLeafNext(buf, oldNext)
-	if err := t.dev.Write(rightPage, buf); err != nil {
-		return 0, blockio.InvalidPage, err
-	}
-	return all[mid].k, rightPage, nil
-}
-
-// Last returns the largest entry (key, value) in O(height) IOs; used by
-// EXACT2 updates to fetch σ_i(I_{i,n_i}) from the last entry in T_i.
-// The value is copied out, so no view outlives the call.
+// Last returns the largest entry (key, value) in O(height) IOs; EXACT2
+// queries use it to read an object's full prefix σ_i(I_{i,n_i}) when a
+// search runs past the last key. The value is copied out, so no view
+// outlives the call.
 func (t *Tree) Last() (float64, []byte, error) {
 	page := t.root
 	for {

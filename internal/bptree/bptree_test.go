@@ -52,7 +52,7 @@ func collect(t *testing.T, tr *Tree) []float64 {
 
 func TestEmptyTree(t *testing.T) {
 	dev := blockio.NewMemDevice(256)
-	tr, err := New(dev, 8)
+	tr, err := BulkLoad(dev, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +129,10 @@ func TestBulkLoadMultiLevel(t *testing.T) {
 			t.Fatalf("SearchCeil(%g): key=%g val=%d", keys[i], c.Key(), dec8(c.Value()))
 		}
 	}
+	k, v, err := tr.Last()
+	if err != nil || k != keys[n-1] || dec8(v) != uint64(n-1) {
+		t.Errorf("Last = (%g, %d, %v), want (%g, %d)", k, dec8(v), err, keys[n-1], n-1)
+	}
 }
 
 func TestSearchCeilSemantics(t *testing.T) {
@@ -171,107 +175,12 @@ func TestSearchCeilSemantics(t *testing.T) {
 	}
 }
 
-func TestInsertSequential(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
-	tr, err := New(dev, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(float64(i), val8(uint64(i))); err != nil {
-			t.Fatalf("Insert %d: %v", i, err)
-		}
-	}
-	if tr.Len() != n {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	got := collect(t, tr)
-	if len(got) != n {
-		t.Fatalf("collected %d", len(got))
-	}
-	if !sort.Float64sAreSorted(got) {
-		t.Error("keys not sorted")
-	}
-	k, v, err := tr.Last()
-	if err != nil || k != n-1 || dec8(v) != n-1 {
-		t.Errorf("Last = (%g, %d, %v)", k, dec8(v), err)
-	}
-}
-
-func TestInsertRandomOrder(t *testing.T) {
-	dev := blockio.NewMemDevice(256)
-	tr, err := New(dev, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	keys := rng.Perm(3000)
-	for _, k := range keys {
-		if err := tr.Insert(float64(k), val8(uint64(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := collect(t, tr)
-	if len(got) != len(keys) {
-		t.Fatalf("collected %d, want %d", len(got), len(keys))
-	}
-	for i := range got {
-		if got[i] != float64(i) {
-			t.Fatalf("key %d = %g", i, got[i])
-		}
-	}
-	// Spot-check value association.
-	for probe := 0; probe < 3000; probe += 131 {
-		c, err := tr.SearchCeil(float64(probe))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec8(c.Value()) != uint64(probe) {
-			t.Fatalf("value for %d = %d", probe, dec8(c.Value()))
-		}
-	}
-}
-
-func TestInsertIntoBulkLoaded(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
-	keys := make([]float64, 500)
-	for i := range keys {
-		keys[i] = float64(i * 2) // evens
-	}
-	tr, err := BulkLoad(dev, 8, mkEntries(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		if err := tr.Insert(float64(i*2+1), val8(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := collect(t, tr)
-	if len(got) != 1000 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range got {
-		if got[i] != float64(i) {
-			t.Fatalf("key %d = %g", i, got[i])
-		}
-	}
-}
-
 func TestValueSizeValidation(t *testing.T) {
 	dev := blockio.NewMemDevice(4096)
-	tr, err := New(dev, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Insert(1, make([]byte, 8)); err == nil {
-		t.Error("wrong value size accepted by Insert")
-	}
-	if _, err := BulkLoad(blockio.NewMemDevice(4096), 16, []Entry{{Key: 1, Value: make([]byte, 4)}}); err == nil {
+	if _, err := BulkLoad(dev, 16, []Entry{{Key: 1, Value: make([]byte, 4)}}); err == nil {
 		t.Error("wrong value size accepted by BulkLoad")
 	}
-	if _, err := New(blockio.NewMemDevice(32), 64); err == nil {
+	if _, err := BulkLoad(blockio.NewMemDevice(32), 64, nil); err == nil {
 		t.Error("impossible geometry accepted")
 	}
 }
@@ -279,17 +188,16 @@ func TestValueSizeValidation(t *testing.T) {
 func TestLargeValues(t *testing.T) {
 	dev := blockio.NewMemDevice(4096)
 	vs := 100
-	tr, err := New(dev, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
+	entries := make([]Entry, 300)
+	for i := range entries {
 		v := make([]byte, vs)
 		v[0] = byte(i)
 		v[vs-1] = byte(i * 3)
-		if err := tr.Insert(float64(i), v); err != nil {
-			t.Fatal(err)
-		}
+		entries[i] = Entry{Key: float64(i), Value: v}
+	}
+	tr, err := BulkLoad(dev, vs, entries)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 300; i += 37 {
 		c, err := tr.SearchCeil(float64(i))
@@ -301,64 +209,6 @@ func TestLargeValues(t *testing.T) {
 			t.Fatalf("value payload corrupted at %d", i)
 		}
 	}
-}
-
-// Property: bulk-load and insert produce the same key sequence for any
-// random multiset of keys.
-func TestBulkEqualsInsertProperty(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
-		n := int(sz)%120 + 1
-		rng := rand.New(rand.NewSource(seed))
-		keys := make([]float64, n)
-		for i := range keys {
-			keys[i] = math.Floor(rng.Float64()*50) / 2 // force duplicates
-		}
-		sorted := append([]float64(nil), keys...)
-		sort.Float64s(sorted)
-
-		bl, err := BulkLoad(blockio.NewMemDevice(128), 8, mkEntries(sorted))
-		if err != nil {
-			return false
-		}
-		ins, err := New(blockio.NewMemDevice(128), 8)
-		if err != nil {
-			return false
-		}
-		for i, k := range keys {
-			if err := ins.Insert(k, val8(uint64(i))); err != nil {
-				return false
-			}
-		}
-		a := collectKeys(bl)
-		b := collectKeys(ins)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func collectKeys(tr *Tree) []float64 {
-	c, err := tr.Min()
-	if err != nil {
-		return nil
-	}
-	var keys []float64
-	for {
-		keys = append(keys, c.Key())
-		if !c.Next() {
-			break
-		}
-	}
-	return keys
 }
 
 // Property: SearchCeil agrees with a sorted-slice reference.

@@ -41,9 +41,6 @@ type Method interface {
 	Device() blockio.Device
 	// IndexPages returns the number of live pages the index occupies.
 	IndexPages() int
-	// Append applies the §4 update model: extend object id with a new
-	// segment ending at (t, v).
-	Append(id tsdata.SeriesID, t, v float64) error
 }
 
 // collectTopK runs the shared final step of every method: push all m

@@ -32,14 +32,7 @@ type Exact1 struct {
 	// maxDur look-back makes the sweep provably complete while keeping
 	// the same asymptotics for realistic (short-segment) data.
 	maxDur float64
-
-	// frontier[i] is object i's current last vertex, so Append(id,t,v)
-	// can form the new segment (the §4 update model appends at the
-	// current time instance only).
-	frontier []vertex
 }
-
-type vertex struct{ t, v float64 }
 
 // BuildExact1 bulk-loads the index from the dataset onto dev.
 func BuildExact1(dev blockio.Device, ds *tsdata.Dataset) (*Exact1, error) {
@@ -61,11 +54,7 @@ func BuildExact1(dev blockio.Device, ds *tsdata.Dataset) (*Exact1, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exact1: bulk load: %w", err)
 	}
-	frontier := make([]vertex, ds.NumSeries())
-	for i, s := range ds.AllSeries() {
-		frontier[i] = vertex{t: s.End(), v: s.VertexValue(s.NumSegments())}
-	}
-	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: maxDur, frontier: frontier}, nil
+	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: maxDur}, nil
 }
 
 // BuildExact1External builds the same index through the out-of-core
@@ -127,11 +116,7 @@ func BuildExact1External(dev, scratch blockio.Device, ds *tsdata.Dataset, budget
 	if err != nil {
 		return nil, fmt.Errorf("exact1: bulk load: %w", err)
 	}
-	frontier := make([]vertex, ds.NumSeries())
-	for i, s := range ds.AllSeries() {
-		frontier[i] = vertex{t: s.End(), v: s.VertexValue(s.NumSegments())}
-	}
-	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: maxDur, frontier: frontier}, nil
+	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: maxDur}, nil
 }
 
 // Name implements Method.
@@ -198,30 +183,4 @@ func (e *Exact1) runningSums(t1, t2 float64) ([]float64, error) {
 		return nil, cur.Err()
 	}
 	return sums, nil
-}
-
-// Append implements Method: O(log_B N) insert of the new segment
-// formed by the object's current frontier and the new vertex (t, v).
-func (e *Exact1) Append(id tsdata.SeriesID, t, v float64) error {
-	if int(id) >= e.m || id < 0 {
-		return fmt.Errorf("exact1: %w: %d", trerr.ErrUnknownSeries, id)
-	}
-	fr := e.frontier[id]
-	seg := tsdata.Segment{T1: fr.t, T2: t, V1: fr.v, V2: v}
-	if err := seg.Validate(); err != nil {
-		return err
-	}
-	val := make([]byte, exact1ValueSize)
-	putSeriesID(val[0:], id)
-	putF64(val[4:], seg.T2)
-	putF64(val[12:], seg.V1)
-	putF64(val[20:], seg.V2)
-	if d := seg.Duration(); d > e.maxDur {
-		e.maxDur = d
-	}
-	if err := e.tree.Insert(seg.T1, val); err != nil {
-		return err
-	}
-	e.frontier[id] = vertex{t: t, v: v}
-	return nil
 }

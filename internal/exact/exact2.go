@@ -28,7 +28,6 @@ type Exact2 struct {
 	trees []*bptree.Tree
 	// Per-object domains for query clamping.
 	starts, ends []float64
-	frontier     []vertex
 }
 
 // BuildExact2 bulk-loads the m object trees onto dev.
@@ -47,11 +46,10 @@ func BuildExact2(dev blockio.Device, ds *tsdata.Dataset) (*Exact2, error) {
 func BuildExact2Parallel(dev blockio.Device, ds *tsdata.Dataset, workers int) (*Exact2, error) {
 	m := ds.NumSeries()
 	e := &Exact2{
-		dev:      dev,
-		trees:    make([]*bptree.Tree, m),
-		starts:   make([]float64, m),
-		ends:     make([]float64, m),
-		frontier: make([]vertex, m),
+		dev:    dev,
+		trees:  make([]*bptree.Tree, m),
+		starts: make([]float64, m),
+		ends:   make([]float64, m),
 	}
 	series := ds.AllSeries()
 	// buildTree is the single copy of the per-object entry layout,
@@ -77,7 +75,6 @@ func BuildExact2Parallel(dev blockio.Device, ds *tsdata.Dataset, workers int) (*
 		e.trees[i] = tree
 		e.starts[i] = s.Start()
 		e.ends[i] = s.End()
-		e.frontier[i] = vertex{t: s.End(), v: s.VertexValue(n)}
 		return nil
 	}
 	if workers <= 1 {
@@ -206,35 +203,6 @@ func (e *Exact2) sigmaTo(id tsdata.SeriesID, t float64) (float64, error) {
 	seg := tsdata.Segment{T1: getF64(v[0:]), T2: key, V1: getF64(v[8:]), V2: getF64(v[16:])}
 	prefix := getF64(v[24:])
 	return prefix - seg.IntegralOver(t, key), nil
-}
-
-// Append implements Method: O(log_B n_i) — fetch σ_i(I_{i,n_i}) from
-// the last entry of T_i, extend it with the new trapezoid, insert.
-func (e *Exact2) Append(id tsdata.SeriesID, t, v float64) error {
-	if id < 0 || int(id) >= len(e.trees) {
-		return fmt.Errorf("exact2: %w: %d", trerr.ErrUnknownSeries, id)
-	}
-	fr := e.frontier[id]
-	seg := tsdata.Segment{T1: fr.t, T2: t, V1: fr.v, V2: v}
-	if err := seg.Validate(); err != nil {
-		return err
-	}
-	_, lastVal, err := e.trees[id].Last()
-	if err != nil {
-		return err
-	}
-	prefix := getF64(lastVal[24:]) + seg.Integral()
-	val := make([]byte, exact2ValueSize)
-	putF64(val[0:], seg.T1)
-	putF64(val[8:], seg.V1)
-	putF64(val[16:], seg.V2)
-	putF64(val[24:], prefix)
-	if err := e.trees[id].Insert(seg.T2, val); err != nil {
-		return err
-	}
-	e.frontier[id] = vertex{t: t, v: v}
-	e.ends[id] = t
-	return nil
 }
 
 // NumTrees returns m (diagnostics).

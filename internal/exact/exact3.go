@@ -2,7 +2,6 @@ package exact
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"temporalrank/internal/blockio"
@@ -30,22 +29,6 @@ type Exact3 struct {
 	m    int
 
 	domainLo, domainHi float64
-
-	frontier []vertex
-	// builtEnd[i] is object i's last vertex time at build; appends past
-	// it live in the in-memory tail until the next rebuild (the static
-	// interval tree is read-only; see Append).
-	builtEnd []float64
-	// tails is indexed by series ID (not a map: the stab visitor checks
-	// it once per interval, and a map lookup there puts a hash on the
-	// hot path for every object on every query).
-	tails [][]tailEntry
-}
-
-// tailEntry mirrors an interval-tree entry for appended segments.
-type tailEntry struct {
-	seg    tsdata.Segment
-	prefix float64 // σ_i(t_{i,0}, seg.T2)
 }
 
 // BuildExact3 builds the interval tree for the dataset on dev.
@@ -89,22 +72,7 @@ func BuildExact3(dev blockio.Device, ds *tsdata.Dataset) (*Exact3, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exact3: %w", err)
 	}
-	frontier := make([]vertex, m)
-	builtEnd := make([]float64, m)
-	for i, s := range ds.AllSeries() {
-		frontier[i] = vertex{t: s.End(), v: s.VertexValue(s.NumSegments())}
-		builtEnd[i] = s.End()
-	}
-	return &Exact3{
-		dev:      dev,
-		tree:     tree,
-		m:        m,
-		domainLo: lo,
-		domainHi: hi,
-		frontier: frontier,
-		builtEnd: builtEnd,
-		tails:    make([][]tailEntry, ds.NumSeries()),
-	}, nil
+	return &Exact3{dev: dev, tree: tree, m: m, domainLo: lo, domainHi: hi}, nil
 }
 
 // Name implements Method.
@@ -190,11 +158,11 @@ func (e *Exact3) allScores(t1, t2 float64) (*[]float64, error) {
 	return hi, nil
 }
 
-// clampStatic confines a stab coordinate to where the static tree's
-// sentinels guarantee exactly one interval per object. Values beyond
-// the built domain are snapped just inside the right sentinel, which is
-// correct because every object is flat zero there (appends past the
-// domain are resolved against the tail overlay with the unclamped t).
+// clampStatic confines a stab coordinate to where the tree's sentinels
+// guarantee exactly one interval per object. Values beyond the built
+// domain are snapped just inside the right sentinel, which is correct
+// because every object is flat zero there: its prefix is the object's
+// full total and no segment remains to subtract.
 func (e *Exact3) clampStatic(t float64) float64 {
 	if t < e.domainLo {
 		return e.domainLo
@@ -207,20 +175,13 @@ func (e *Exact3) clampStatic(t float64) float64 {
 
 // stabSigma returns σ_i(t_{i,0}, t) for every object i: a stab at t
 // yields each object's covering interval, whose prefix minus the
-// partial trapezoid beyond t gives the prefix aggregate at t. Appended
-// tails override the static tree's right sentinels.
+// partial trapezoid beyond t gives the prefix aggregate at t.
 func (e *Exact3) stabSigma(t float64) (*[]float64, error) {
 	outp := getScores(e.m)
 	out := *outp
 	stabT := e.clampStatic(t)
 	err := e.tree.Stab(stabT, func(iv itree.Interval) bool {
 		id := getSeriesID(iv.Payload[0:])
-		// If the object has tail segments and t lies at/after the end
-		// of the built data, the tail path computes this value instead.
-		if tail := e.tails[id]; len(tail) > 0 && t >= e.builtEnd[int(id)] {
-			out[id] = tailSigma(tail, t)
-			return true
-		}
 		seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
 		prefix := getF64(iv.Payload[20:])
 		out[id] = prefix - seg.IntegralFrom(stabT)
@@ -231,24 +192,6 @@ func (e *Exact3) stabSigma(t float64) (*[]float64, error) {
 		return nil, err
 	}
 	return outp, nil
-}
-
-// tailSigma evaluates σ up to t against the append tail (sorted by
-// segment start).
-func tailSigma(tail []tailEntry, t float64) float64 {
-	// Before the first tail segment: the prefix at the built end equals
-	// the first tail prefix minus that segment's full area.
-	first := tail[0]
-	if t <= first.seg.T1 {
-		return first.prefix - first.seg.Integral()
-	}
-	// Find the last tail segment starting at or before t.
-	idx := sort.Search(len(tail), func(i int) bool { return tail[i].seg.T1 > t }) - 1
-	te := tail[idx]
-	if t >= te.seg.T2 {
-		return te.prefix
-	}
-	return te.prefix - te.seg.IntegralFrom(t)
 }
 
 // Score implements Method. The interval tree has no single-object
@@ -267,51 +210,6 @@ func (e *Exact3) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	return s, nil
 }
 
-// Append implements Method. New segments land in an in-memory tail
-// overlay consulted by queries; a production deployment would fold the
-// tail into the static tree on rebuild (the paper's amortized
-// O(log_B N) insert uses the dynamic Arge–Vitter tree instead).
-func (e *Exact3) Append(id tsdata.SeriesID, t, v float64) error {
-	if id < 0 || int(id) >= e.m {
-		return fmt.Errorf("exact3: %w: %d", trerr.ErrUnknownSeries, id)
-	}
-	fr := e.frontier[id]
-	seg := tsdata.Segment{T1: fr.t, T2: t, V1: fr.v, V2: v}
-	if err := seg.Validate(); err != nil {
-		return err
-	}
-	var prevPrefix float64
-	if tail := e.tails[id]; len(tail) > 0 {
-		prevPrefix = tail[len(tail)-1].prefix
-	} else {
-		// σ_i at the built end: recover it with a stab just inside the
-		// right sentinel (prefix field of the sentinel).
-		err := e.tree.Stab(e.clampStatic(e.domainHi), func(iv itree.Interval) bool {
-			if getSeriesID(iv.Payload[0:]) == id {
-				prevPrefix = getF64(iv.Payload[20:])
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	e.tails[id] = append(e.tails[id], tailEntry{seg: seg, prefix: prevPrefix + seg.Integral()})
-	e.frontier[id] = vertex{t: t, v: v}
-	return nil
-}
-
-// TailSegments returns the number of segments living in the overlay
-// (diagnostics; large values suggest a rebuild).
-func (e *Exact3) TailSegments() int {
-	n := 0
-	for _, t := range e.tails {
-		n += len(t)
-	}
-	return n
-}
-
 // InstantTopK answers the instant top-k query top-k(t) of the paper's
 // predecessor work (Li, Yi, Le: "Top-k queries on temporal data", VLDB
 // Journal 2010): the k objects with the largest g_i(t) at one time
@@ -327,10 +225,6 @@ func (e *Exact3) InstantTopK(k int, t float64) ([]topk.Item, error) {
 	stabT := e.clampStatic(t)
 	err := e.tree.Stab(stabT, func(iv itree.Interval) bool {
 		id := getSeriesID(iv.Payload[0:])
-		if tail := e.tails[id]; len(tail) > 0 && t >= e.builtEnd[int(id)] {
-			c.Add(id, tailAt(tail, t))
-			return true
-		}
 		seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
 		c.Add(id, seg.At(stabT))
 		return true
@@ -339,14 +233,4 @@ func (e *Exact3) InstantTopK(k int, t float64) ([]topk.Item, error) {
 		return nil, err
 	}
 	return c.Results(), nil
-}
-
-// tailAt evaluates g at t against the append tail (0 beyond it).
-func tailAt(tail []tailEntry, t float64) float64 {
-	for _, te := range tail {
-		if t >= te.seg.T1 && t <= te.seg.T2 {
-			return te.seg.At(t)
-		}
-	}
-	return 0
 }

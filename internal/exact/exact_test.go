@@ -1,12 +1,14 @@
 package exact
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"temporalrank/internal/blockio"
 	"temporalrank/internal/topk"
+	"temporalrank/internal/trerr"
 	"temporalrank/internal/tsdata"
 )
 
@@ -219,79 +221,6 @@ func TestScoreMatchesRange(t *testing.T) {
 	}
 }
 
-// --- updates ----------------------------------------------------------
-
-func TestAppendAllMethods(t *testing.T) {
-	ds := randomDataset(10, 15, 10, false)
-	mirror := ds.Clone()
-	methods := buildAll(t, ds)
-	rng := rand.New(rand.NewSource(11))
-
-	// Apply the same appends to the indexes and the in-memory mirror.
-	for step := 0; step < 60; step++ {
-		id := tsdata.SeriesID(rng.Intn(ds.NumSeries()))
-		s := mirror.Series(id)
-		nt := s.End() + 0.1 + rng.Float64()*2
-		nv := rng.Float64() * 100
-		if err := s.Append(nt, nv); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range methods {
-			if err := m.Append(id, nt, nv); err != nil {
-				t.Fatalf("%s append: %v", m.Name(), err)
-			}
-		}
-	}
-	mirror.Refresh()
-
-	for q := 0; q < 15; q++ {
-		t1 := mirror.Start() + rng.Float64()*mirror.Span()*0.8
-		t2 := t1 + rng.Float64()*(mirror.End()-t1)
-		want := referenceTopK(mirror, 5, t1, t2)
-		for _, m := range methods {
-			got, err := m.TopK(5, t1, t2)
-			if err != nil {
-				t.Fatalf("%s: %v", m.Name(), err)
-			}
-			itemsMatch(t, m.Name()+"(updated)", got, want)
-		}
-	}
-}
-
-func TestAppendValidation(t *testing.T) {
-	ds := randomDataset(12, 5, 5, false)
-	methods := buildAll(t, ds)
-	for _, m := range methods {
-		if err := m.Append(tsdata.SeriesID(99), 1e9, 0); err == nil {
-			t.Errorf("%s: unknown series append accepted", m.Name())
-		}
-		// Append before the frontier must fail.
-		if err := m.Append(0, ds.Start()-100, 0); err == nil {
-			t.Errorf("%s: backwards append accepted", m.Name())
-		}
-	}
-}
-
-func TestExact3TailCounting(t *testing.T) {
-	ds := randomDataset(13, 5, 5, false)
-	e3, err := BuildExact3(blockio.NewMemDevice(512), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3.TailSegments() != 0 {
-		t.Errorf("fresh tail = %d", e3.TailSegments())
-	}
-	if err := e3.Append(0, ds.End()+1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := e3.Append(0, ds.End()+2, 6); err != nil {
-		t.Fatal(err)
-	}
-	if e3.TailSegments() != 2 {
-		t.Errorf("tail = %d, want 2", e3.TailSegments())
-	}
-}
-
 // --- IO behaviour -------------------------------------------------------
 
 // TestIOOrdering verifies the paper's headline comparison: for large m,
@@ -443,19 +372,6 @@ func TestExact3InstantTopK(t *testing.T) {
 		}
 		itemsMatch(t, "InstantTopK", got, want.Results())
 	}
-	// After appends, instants inside the tail must evaluate the tail.
-	id := tsdata.SeriesID(0)
-	end := ds.Series(id).End()
-	if err := e3.Append(id, end+2, 1e6); err != nil {
-		t.Fatal(err)
-	}
-	got, err := e3.InstantTopK(1, end+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || got[0].ID != id {
-		t.Errorf("instant in tail: got %v, want object %d on top", got, id)
-	}
 }
 
 func TestExact3InstantTopKOutsideDomain(t *testing.T) {
@@ -471,6 +387,44 @@ func TestExact3InstantTopKOutsideDomain(t *testing.T) {
 	for _, it := range got {
 		if it.Score != 0 {
 			t.Errorf("score %g beyond domain, want 0", it.Score)
+		}
+	}
+}
+
+// TestRestoreExact3ChecksIntervalCount: a restored Exact3 answers like
+// the original, and a state whose interval count disagrees with the
+// dataset (one sentinel each side per object) is refused.
+func TestRestoreExact3ChecksIntervalCount(t *testing.T) {
+	ds := randomDataset(53, 8, 8, false)
+	dev := blockio.NewMemDevice(512)
+	e3, err := BuildExact3(dev, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e3.State()
+	if want := ds.NumSegments() + 2*ds.NumSeries(); st.Tree.NumIntervals != want {
+		t.Fatalf("built %d intervals, want %d", st.Tree.NumIntervals, want)
+	}
+	restored, err := RestoreExact3(dev, ds, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := ds.Start()+ds.Span()*0.2, ds.Start()+ds.Span()*0.7
+	want, err := e3.TopK(5, t1, t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.TopK(5, t1, t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	itemsMatch(t, "restored EXACT3", got, want)
+
+	for _, delta := range []int{-1, 1} {
+		bad := st
+		bad.Tree.NumIntervals += delta
+		if _, err := RestoreExact3(dev, ds, bad); !errors.Is(err, trerr.ErrBadSnapshot) {
+			t.Errorf("NumIntervals off by %d: err = %v, want ErrBadSnapshot", delta, err)
 		}
 	}
 }

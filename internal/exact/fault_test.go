@@ -87,17 +87,3 @@ func TestBuildFaultPropagation(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendFaultPropagation: failures during appends surface too.
-func TestAppendFaultPropagation(t *testing.T) {
-	ds := randomDataset(42, 10, 10, false)
-	fd := blockio.NewFaultDevice(blockio.NewMemDevice(512), -1)
-	m, err := BuildExact2(fd, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd.Arm(0)
-	if err := m.Append(0, ds.End()+1, 5); !errors.Is(err, blockio.ErrInjected) {
-		t.Errorf("append fault: err = %v, want ErrInjected", err)
-	}
-}

@@ -16,13 +16,11 @@ import (
 // State captured here; Restore reattaches handles to the restored
 // pages without rebuilding anything.
 //
-// Per-object frontiers (and Exact2's start/end clamps) are NOT part of
-// the state: the append path advances the dataset and every index
-// frontier in one locked step, so a checkpointed dataset always agrees
-// with its indexes' frontiers and Restore rederives them from the
-// restored series. Exact3's tail overlay and built-end watermarks are
-// the exception — they encode which appends the static interval tree
-// has not absorbed yet — so they are serialized.
+// An index is immutable once built, so it always covers exactly the
+// dataset it was built over. Whatever an index derives from that
+// dataset (Exact2's per-object start/end clamps) is therefore not part
+// of the state: Restore rederives it from the restored series, and
+// checks the restored structure's entry count against them.
 
 // Exact1State is Exact1's handle state.
 type Exact1State struct {
@@ -45,13 +43,7 @@ func RestoreExact1(dev blockio.Device, ds *tsdata.Dataset, st Exact1State) (*Exa
 		return nil, fmt.Errorf("exact1: restore: tree has %d entries for %d segments: %w",
 			tree.Len(), ds.NumSegments(), trerr.ErrBadSnapshot)
 	}
-	return &Exact1{
-		dev:      dev,
-		tree:     tree,
-		m:        ds.NumSeries(),
-		maxDur:   st.MaxDur,
-		frontier: datasetFrontier(ds),
-	}, nil
+	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: st.MaxDur}, nil
 }
 
 // Exact2State is Exact2's handle state: one tree meta per object.
@@ -75,11 +67,10 @@ func RestoreExact2(dev blockio.Device, ds *tsdata.Dataset, st Exact2State) (*Exa
 		return nil, fmt.Errorf("exact2: restore: %d trees for %d objects: %w", len(st.Trees), m, trerr.ErrBadSnapshot)
 	}
 	e := &Exact2{
-		dev:      dev,
-		trees:    make([]*bptree.Tree, m),
-		starts:   make([]float64, m),
-		ends:     make([]float64, m),
-		frontier: datasetFrontier(ds),
+		dev:    dev,
+		trees:  make([]*bptree.Tree, m),
+		starts: make([]float64, m),
+		ends:   make([]float64, m),
 	}
 	for i, s := range ds.AllSeries() {
 		t, err := bptree.Open(dev, st.Trees[i])
@@ -97,86 +88,36 @@ func RestoreExact2(dev blockio.Device, ds *tsdata.Dataset, st Exact2State) (*Exa
 	return e, nil
 }
 
-// Exact3Tail is the exported form of one tail-overlay entry: a segment
-// appended after the static interval tree was built, with its running
-// prefix σ_i(t_{i,0}, Seg.T2).
-type Exact3Tail struct {
-	Seg    tsdata.Segment
-	Prefix float64
-}
-
-// Exact3State is Exact3's handle state, including the append overlay
-// the static tree has not absorbed.
+// Exact3State is Exact3's handle state.
 type Exact3State struct {
 	Tree               itree.Meta
 	DomainLo, DomainHi float64
-	BuiltEnd           []float64
-	Tails              map[tsdata.SeriesID][]Exact3Tail
 }
 
 // State captures the handle state for checkpointing.
 func (e *Exact3) State() Exact3State {
-	st := Exact3State{
-		Tree:     e.tree.Meta(),
-		DomainLo: e.domainLo,
-		DomainHi: e.domainHi,
-		BuiltEnd: append([]float64(nil), e.builtEnd...),
-		Tails:    make(map[tsdata.SeriesID][]Exact3Tail, len(e.tails)),
-	}
-	for id, tail := range e.tails {
-		if len(tail) == 0 {
-			continue // keep the sparse wire shape: only appended series
-		}
-		out := make([]Exact3Tail, len(tail))
-		for j, te := range tail {
-			out[j] = Exact3Tail{Seg: te.seg, Prefix: te.prefix}
-		}
-		st.Tails[tsdata.SeriesID(id)] = out
-	}
-	return st
+	return Exact3State{Tree: e.tree.Meta(), DomainLo: e.domainLo, DomainHi: e.domainHi}
 }
 
 // RestoreExact3 reattaches an Exact3 to its restored device image.
 func RestoreExact3(dev blockio.Device, ds *tsdata.Dataset, st Exact3State) (*Exact3, error) {
-	m := ds.NumSeries()
-	if len(st.BuiltEnd) != m {
-		return nil, fmt.Errorf("exact3: restore: %d built-end marks for %d objects: %w",
-			len(st.BuiltEnd), m, trerr.ErrBadSnapshot)
-	}
 	tree, err := itree.Open(dev, st.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("exact3: restore: %v: %w", err, trerr.ErrBadSnapshot)
 	}
-	e := &Exact3{
-		dev:      dev,
-		tree:     tree,
-		m:        m,
-		domainLo: st.DomainLo,
-		domainHi: st.DomainHi,
-		frontier: datasetFrontier(ds),
-		builtEnd: append([]float64(nil), st.BuiltEnd...),
-		tails:    make([][]tailEntry, m),
-	}
-	for id, tail := range st.Tails {
-		if int(id) < 0 || int(id) >= m {
-			return nil, fmt.Errorf("exact3: restore: tail for unknown series %d: %w", id, trerr.ErrBadSnapshot)
+	// BuildExact3 stores every segment, one right sentinel per object,
+	// and a left sentinel for each object starting after DomainLo (all
+	// of them, unless rounding swallowed the padding).
+	m := ds.NumSeries()
+	want := ds.NumSegments() + m
+	for _, s := range ds.AllSeries() {
+		if s.Start() > st.DomainLo {
+			want++
 		}
-		in := make([]tailEntry, len(tail))
-		for j, te := range tail {
-			in[j] = tailEntry{seg: te.Seg, prefix: te.Prefix}
-		}
-		e.tails[id] = in
 	}
-	return e, nil
-}
-
-// datasetFrontier derives the per-object append frontier from the
-// dataset (valid because dataset and index frontiers advance in
-// lockstep through the locked append path).
-func datasetFrontier(ds *tsdata.Dataset) []vertex {
-	frontier := make([]vertex, ds.NumSeries())
-	for i, s := range ds.AllSeries() {
-		frontier[i] = vertex{t: s.End(), v: s.VertexValue(s.NumSegments())}
+	if tree.Len() != want {
+		return nil, fmt.Errorf("exact3: restore: tree has %d intervals for %d segments of %d objects: %w",
+			tree.Len(), ds.NumSegments(), m, trerr.ErrBadSnapshot)
 	}
-	return frontier
+	return &Exact3{dev: dev, tree: tree, m: m, domainLo: st.DomainLo, domainHi: st.DomainHi}, nil
 }

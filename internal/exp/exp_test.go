@@ -230,6 +230,12 @@ func TestUpdates(t *testing.T) {
 	if len(tab.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
+	// Every row includes a compaction, which rebuilds the index.
+	for _, row := range tab.Rows {
+		if ios := parseF(t, row[2]); ios <= 0 {
+			t.Errorf("%s: %g IOs per append, want > 0", row[0], ios)
+		}
+	}
 }
 
 func TestAblations(t *testing.T) {

@@ -1,15 +1,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
+	"temporalrank"
 	"temporalrank/internal/breakpoint"
 	"temporalrank/internal/core"
 	"temporalrank/internal/exact"
-	"temporalrank/internal/tsdata"
 )
 
 // Fig19 reproduces the Meme evaluation (Fig. 19a–d): index size, build
@@ -82,22 +83,41 @@ func Fig20(w io.Writer, p Params) (*Table, error) {
 	return t, nil
 }
 
-// Updates reproduces the §4/§5 update study: the amortized per-segment
-// append cost of every method (the paper reports update ∝ build/N,
-// with EXACT1 penalized for single inserts and EXACT2/APPX2+ cheap).
+// Updates reproduces the §4/§5 update study as this system pays for an
+// update: Planner.Append + Compact. For each method it builds a planner
+// over one index, lands numAppends segments in the planner's memtable
+// (auto-compaction off) and drains them with one Compact, which
+// rebuilds the index over the grown data. Time per append is the
+// append loop plus the compaction, over numAppends; IOs per append are
+// the rebuilt index's device IOs (its build) over numAppends. This is
+// the paper's amortized "update ∝ build/N", with one rebuild per batch.
 func Updates(w io.Writer, p Params, numAppends int) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Updates: %d appends — %s m=%d navg=%d", numAppends, p.Dataset, p.M, p.Navg),
+		Title:   fmt.Sprintf("Updates: %d appends + 1 compaction — %s m=%d navg=%d", numAppends, p.Dataset, p.M, p.Navg),
 		Columns: []string{"method", "avg append time", "avg append IOs"},
 	}
+	// Compaction rebuilds over a copy of the data, so one dataset serves
+	// every method.
+	ds, err := p.MakeDataset()
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range core.AllMethods() {
-		// Fresh dataset per method: appends mutate shared state.
-		ds, err := p.MakeDataset()
+		db := temporalrank.NewDBFromDataset(ds)
+		ix, err := db.BuildIndex(temporalrank.Options{
+			Method:    temporalrank.Method(name),
+			BlockSize: p.BlockSize,
+			KMax:      p.KMax,
+			TargetR:   p.R,
+		})
 		if err != nil {
 			return nil, err
 		}
-		m, err := core.Build(name, ds, p.config())
+		pl, err := temporalrank.NewPlanner(db, ix)
 		if err != nil {
+			return nil, err
+		}
+		if err := pl.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(p.Seed + 7))
@@ -105,17 +125,19 @@ func Updates(w io.Writer, p Params, numAppends int) (*Table, error) {
 		for i, s := range ds.AllSeries() {
 			frontier[i] = s.End()
 		}
-		m.Device().ResetStats()
 		start := time.Now()
 		for a := 0; a < numAppends; a++ {
-			id := tsdata.SeriesID(rng.Intn(ds.NumSeries()))
+			id := rng.Intn(ds.NumSeries())
 			frontier[id] += 0.01 + rng.Float64()
-			if err := m.Append(id, frontier[id], 100+rng.Float64()*50); err != nil {
+			if err := pl.Append(id, frontier[id], 100+rng.Float64()*50); err != nil {
 				return nil, fmt.Errorf("%s append: %w", name, err)
 			}
 		}
+		if err := pl.Compact(context.Background()); err != nil {
+			return nil, fmt.Errorf("%s compact: %w", name, err)
+		}
 		elapsed := time.Since(start)
-		ios := m.Device().Stats().Total()
+		ios := pl.Indexes()[0].DeviceIOs()
 		t.Rows = append(t.Rows, []string{
 			string(name),
 			fmtDur(time.Duration(int64(elapsed) / int64(numAppends))),

@@ -14,8 +14,9 @@
 // device pages: one page per node, plus chained list pages. This is a
 // simplification of the Arge–Vitter external interval tree the paper
 // cites — same static query-IO behaviour, simpler construction — which
-// suffices because EXACT3 only appends at the time frontier (handled by
-// a small in-memory tail, see exact.Exact3).
+// suffices because an EXACT3 index is never updated in place: appends
+// buffer in the planner's memtable, and compaction builds a new tree
+// over the grown data.
 package itree
 
 import (

@@ -43,8 +43,11 @@ import (
 
 // FormatVersion is the on-disk format generation this package reads
 // and writes. A valid header with a different version fails with
-// trerr.ErrSnapshotVersion.
-const FormatVersion = 1
+// trerr.ErrSnapshotVersion. Version 2 dropped the index states' update
+// bookkeeping (EXACT3's append overlay, the approximate methods'
+// rebuild counters); gob would silently skip those fields in a
+// version-1 file and restore an EXACT3 without its appended segments.
+const FormatVersion = 2
 
 // magic identifies a snapshot header page.
 const magic = "TRSNAP01"
@@ -73,7 +76,7 @@ const (
 	// TypeDataset tags the serialized dataset vertices.
 	TypeDataset byte = 3
 	// TypeIndexMeta tags an index's typed metadata (tree roots,
-	// breakpoint tables, amortization state, build options).
+	// breakpoint tables, build options).
 	TypeIndexMeta byte = 4
 	// TypeIndexPages tags an index's raw device-page image.
 	TypeIndexPages byte = 5

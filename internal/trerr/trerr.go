@@ -41,7 +41,7 @@ var (
 	ErrBadSnapshot = errors.New("bad snapshot")
 
 	// ErrSnapshotVersion reports a structurally valid snapshot written
-	// by an incompatible (newer) format version of this library.
+	// by a different (older or newer) format version of this library.
 	ErrSnapshotVersion = errors.New("unsupported snapshot format version")
 
 	// ErrShardUnavailable reports a distributed shard group with no

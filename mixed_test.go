@@ -159,6 +159,8 @@ func TestMixedWorkloadEquivalence(t *testing.T) {
 		{temporalrank.MethodExact1, false},
 		{temporalrank.MethodExact2, false},
 		{temporalrank.MethodExact3, false},
+		{temporalrank.MethodAppx1B, true},
+		{temporalrank.MethodAppx2B, true},
 		{temporalrank.MethodAppx1, true},
 		{temporalrank.MethodAppx2, true},
 		{temporalrank.MethodAppx2P, true},
