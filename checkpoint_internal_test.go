@@ -117,6 +117,34 @@ func TestClusterCheckpointPartialFailureAtomic(t *testing.T) {
 	}
 }
 
+// TestClusterCheckpointSyncsDirectory: the renames that publish a
+// cluster checkpoint are durable only once the directory is synced, so
+// a failing directory sync must fail the checkpoint.
+func TestClusterCheckpointSyncsDirectory(t *testing.T) {
+	c, err := NewCluster([]SeriesInput{
+		{Times: []float64{0, 1, 2}, Values: []float64{1, 2, 3}},
+		{Times: []float64{0, 1, 2}, Values: []float64{3, 2, 1}},
+	}, ClusterOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	errSync := errors.New("injected directory sync failure")
+	var synced []string
+	orig := syncDir
+	defer func() { syncDir = orig }()
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return errSync
+	}
+	if err := c.Checkpoint(dir); !errors.Is(err, errSync) {
+		t.Fatalf("Checkpoint with a failing directory sync: got %v, want the sync error", err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("synced %v, want exactly [%s]", synced, dir)
+	}
+}
+
 // readSnapshotFiles maps each shard snapshot file name to its bytes.
 func readSnapshotFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()

@@ -49,7 +49,6 @@ type Device interface {
 	Read(id int, p []byte) error
 	Write(id int, p []byte) error
 	Alloc() (int, error)
-	Free(id int) error
 	Close() error
 }
 

@@ -1,7 +1,7 @@
 // Package lockorder enforces the buffer-pool lock-ordering rule
 // documented on blockio.BufferPool:
 //
-//   - allocation-path device calls (Alloc, Free, Close) must run with
+//   - allocation-path device calls (Alloc, Close) must run with
 //     no shard lock held;
 //   - data-path device calls (Read, Write) may run under at most one
 //     held lock;
@@ -18,7 +18,7 @@
 // memtable's generation-swap lock ranks below its stripe locks).
 //
 // The analyzer self-scopes: it only inspects packages that declare a
-// Device interface with the Read/Write/Alloc/Free/Close method set
+// Device interface with the Read/Write/Alloc/Close method set
 // (in this module, internal/blockio) or at least one //tr:lockrank
 // annotation (internal/memtable), and it skips _test.go files —
 // the invariant governs engine code, not test scaffolding. "Device
@@ -48,7 +48,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var allocPath = map[string]bool{"Alloc": true, "Free": true, "Close": true}
+var allocPath = map[string]bool{"Alloc": true, "Close": true}
 var dataPath = map[string]bool{"Read": true, "Write": true}
 
 // summary is what a package function may do, transitively.
@@ -110,7 +110,7 @@ func (c *checker) testFile(f *ast.File) bool {
 }
 
 // deviceInterface returns the package's Device interface when it has
-// the full Read/Write/Alloc/Free/Close method set, else nil.
+// the full Read/Write/Alloc/Close method set, else nil.
 func deviceInterface(pkg *types.Package) *types.Interface {
 	obj, ok := pkg.Scope().Lookup("Device").(*types.TypeName)
 	if !ok {
@@ -628,7 +628,7 @@ func (c *checker) checkCall(call *ast.CallExpr, st *state) {
 		switch {
 		case kind == "alloc" && anyHeld:
 			c.pass.Reportf(call.Pos(),
-				"allocation-path device call %s while lock %s is held: Alloc/Free/Close must run with no shard lock held",
+				"allocation-path device call %s while lock %s is held: Alloc/Close must run with no shard lock held",
 				desc, heldKey)
 		case kind == "data" && len(st.held) > 1:
 			c.pass.Reportf(call.Pos(),

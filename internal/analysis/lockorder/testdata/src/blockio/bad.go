@@ -30,15 +30,15 @@ func (p *pool) readUnderTwoLocks(id int, buf []byte) error {
 
 // reclaim is clean on its own; the violation appears at the locked
 // call site, through its summary.
-func (p *pool) reclaim(id int) {
-	p.dev.Free(id)
+func (p *pool) reclaim() {
+	p.dev.Close()
 }
 
 func (p *pool) evictLocked(id int) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p.reclaim(id) // want `call to reclaim, which reaches allocation-path device call p\.dev\.Free, while lock sh\.mu is held`
+	p.reclaim() // want `call to reclaim, which reaches allocation-path device call p\.dev\.Close, while lock sh\.mu is held`
 }
 
 func (p *pool) lockShardZero() {

@@ -54,6 +54,6 @@ func (p *pool) background(id int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	go func() {
-		p.dev.Free(id)
+		p.dev.Close()
 	}()
 }

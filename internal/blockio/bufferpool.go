@@ -30,7 +30,7 @@ import (
 //   - Data-path device calls (Read, Write) MAY be made while holding
 //     exactly one shard lock (miss fills and dirty write-back do this).
 //     Shard locks are therefore above the device's internal locks.
-//   - Allocation-path device calls (Alloc, Free, Close) are ALWAYS made
+//   - Allocation-path device calls (Alloc, Close) are ALWAYS made
 //     with no shard lock held. Alloc in particular calls dev.Alloc
 //     first and only then takes the shard lock to install the fresh
 //     page — the pre-sharding pool mixed the two orders, which is the
@@ -87,7 +87,6 @@ type clockFrame struct {
 	id    PageID
 	data  []byte
 	dirty bool
-	live  bool
 	ref   bool
 	pins  int
 }
@@ -377,23 +376,20 @@ func (p *BufferPool) installLocked(sh *poolShard, id PageID, data []byte, dirty 
 	fr.id = id
 	fr.data = data
 	fr.dirty = dirty
-	fr.live = true
 	fr.ref = true
 	sh.slots[id] = slot
 	return slot, nil
 }
 
 // freeSlotLocked returns a ring slot to install into: a fresh slot
-// while the ring is cold, a vacated (Freed) slot when one exists under
-// the hand's sweep, else the first frame the CLOCK hand finds with a
-// clear reference bit (second chance: set bits are cleared and
+// while the ring is cold, else the first frame the CLOCK hand finds
+// with a clear reference bit (second chance: set bits are cleared and
 // skipped). Pinned frames — outstanding PageViews — are never
-// reclaimed and never reused, even when detached by Free: a view's
-// (shard, slot) address must stay valid until Release. The sweep is
-// bounded at two full revolutions (the first clears every unpinned ref
-// bit, the second must then find a victim); if none is found, every
-// frame is pinned and errAllPinned is returned for the caller to
-// degrade gracefully.
+// reclaimed: a view's (shard, slot) address must stay valid until
+// Release. The sweep is bounded at two full revolutions (the first
+// clears every unpinned ref bit, the second must then find a victim);
+// if none is found, every frame is pinned and errAllPinned is returned
+// for the caller to degrade gracefully.
 func (p *BufferPool) freeSlotLocked(sh *poolShard) (int, error) {
 	if len(sh.ring) < sh.cap {
 		sh.ring = append(sh.ring, clockFrame{})
@@ -409,9 +405,6 @@ func (p *BufferPool) freeSlotLocked(sh *poolShard) (int, error) {
 		if fr.pins > 0 {
 			continue
 		}
-		if !fr.live {
-			return slot, nil
-		}
 		if fr.ref {
 			fr.ref = false
 			continue
@@ -422,28 +415,10 @@ func (p *BufferPool) freeSlotLocked(sh *poolShard) (int, error) {
 			}
 		}
 		delete(sh.slots, fr.id)
-		fr.live = false
 		fr.data = nil
 		return slot, nil
 	}
 	return 0, errAllPinned
-}
-
-// Free implements Device; the cached frame is dropped without
-// write-back. dev.Free runs after the shard lock is released
-// (allocation-path order).
-func (p *BufferPool) Free(id PageID) error {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	if slot, ok := sh.slots[id]; ok {
-		fr := &sh.ring[slot]
-		fr.live = false
-		fr.data = nil
-		fr.ref = false
-		delete(sh.slots, id)
-	}
-	sh.mu.Unlock()
-	return p.dev.Free(id)
 }
 
 // Flush writes all dirty frames back to the device (frames stay
@@ -456,7 +431,7 @@ func (p *BufferPool) Flush() error {
 		sh.mu.Lock()
 		for j := range sh.ring {
 			fr := &sh.ring[j]
-			if fr.live && fr.dirty {
+			if fr.dirty {
 				if err := p.dev.Write(fr.id, fr.data); err != nil {
 					sh.mu.Unlock()
 					return err
@@ -478,14 +453,6 @@ func (p *BufferPool) Sync() error {
 	}
 	return SyncDevice(p.dev)
 }
-
-// Extent implements Extenter by delegation. The pool caches page
-// *contents*, never allocation state, so the inner device's extent is
-// authoritative.
-func (p *BufferPool) Extent() int { return DeviceExtent(p.dev) }
-
-// FreedPages implements FreedLister by delegation.
-func (p *BufferPool) FreedPages() []PageID { return DeviceFreed(p.dev) }
 
 // NumPages implements Device.
 func (p *BufferPool) NumPages() int { return p.dev.NumPages() }

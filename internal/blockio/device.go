@@ -32,7 +32,6 @@ type Stats struct {
 	Reads  uint64 // blocks read
 	Writes uint64 // blocks written
 	Allocs uint64 // blocks allocated
-	Frees  uint64 // blocks freed
 }
 
 // Total returns Reads+Writes, the paper's "I/Os" metric.
@@ -45,12 +44,11 @@ func (s Stats) Sub(t Stats) Stats {
 		Reads:  s.Reads - t.Reads,
 		Writes: s.Writes - t.Writes,
 		Allocs: s.Allocs - t.Allocs,
-		Frees:  s.Frees - t.Frees,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("reads=%d writes=%d allocs=%d frees=%d", s.Reads, s.Writes, s.Allocs, s.Frees)
+	return fmt.Sprintf("reads=%d writes=%d allocs=%d", s.Reads, s.Writes, s.Allocs)
 }
 
 // counters is the lock-free accounting shared by all devices: each
@@ -63,7 +61,6 @@ type counters struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
 	allocs atomic.Uint64
-	frees  atomic.Uint64
 }
 
 // Snapshot materializes the counters as a plain Stats value.
@@ -72,7 +69,6 @@ func (c *counters) Snapshot() Stats {
 		Reads:  c.reads.Load(),
 		Writes: c.writes.Load(),
 		Allocs: c.allocs.Load(),
-		Frees:  c.frees.Load(),
 	}
 }
 
@@ -81,13 +77,11 @@ func (c *counters) Reset() {
 	c.reads.Store(0)
 	c.writes.Store(0)
 	c.allocs.Store(0)
-	c.frees.Store(0)
 }
 
 // Common errors.
 var (
 	ErrPageBounds  = errors.New("blockio: page id out of bounds")
-	ErrPageFreed   = errors.New("blockio: page is freed")
 	ErrShortBuffer = errors.New("blockio: buffer smaller than block size")
 	ErrClosed      = errors.New("blockio: device closed")
 )
@@ -112,41 +106,10 @@ func SyncDevice(d Device) error {
 	return nil
 }
 
-// Extenter reports a device's page-slot extent: the total number of
-// page slots ever allocated, live or freed. NumPages, by contrast,
-// counts only live pages. Snapshot serialization needs the extent to
-// copy a device's address space faithfully (page IDs embedded in index
-// nodes must remain valid after restore).
-type Extenter interface {
-	Extent() int
-}
-
-// FreedLister reports the page IDs currently on a device's free list.
-type FreedLister interface {
-	FreedPages() []PageID
-}
-
-// DeviceExtent returns d's page-slot extent, falling back to NumPages
-// for devices that cannot distinguish freed slots (exact whenever no
-// page was ever freed).
-func DeviceExtent(d Device) int {
-	if e, ok := d.(Extenter); ok {
-		return e.Extent()
-	}
-	return d.NumPages()
-}
-
-// DeviceFreed returns the IDs on d's free list, or nil when the device
-// does not track one.
-func DeviceFreed(d Device) []PageID {
-	if f, ok := d.(FreedLister); ok {
-		return f.FreedPages()
-	}
-	return nil
-}
-
 // Device is a block device: a growable array of fixed-size pages with
-// IO accounting. Implementations must be safe for concurrent use.
+// IO accounting. Pages are never freed: an index is written once onto
+// a fresh device and a rebuild writes a new one, so page IDs are dense
+// in [0, NumPages). Implementations must be safe for concurrent use.
 type Device interface {
 	// BlockSize returns the fixed page size in bytes.
 	BlockSize() int
@@ -156,9 +119,8 @@ type Device interface {
 	Read(id PageID, buf []byte) error
 	// Write stores data (len <= BlockSize()) as the page's content.
 	Write(id PageID, data []byte) error
-	// Free releases a page. Reading a freed page is an error.
-	Free(id PageID) error
-	// NumPages returns the number of allocated (live) pages.
+	// NumPages returns the number of allocated pages, which is also
+	// one past the highest valid PageID.
 	NumPages() int
 	// Stats returns the operation counters since creation or the last
 	// ResetStats.
@@ -176,8 +138,6 @@ type MemDevice struct {
 	mu        sync.Mutex
 	blockSize int
 	pages     [][]byte
-	freed     map[PageID]bool
-	freeList  []PageID
 	stats     counters
 	closed    bool
 }
@@ -188,7 +148,7 @@ func NewMemDevice(size int) *MemDevice {
 	if size <= 0 {
 		size = DefaultBlockSize
 	}
-	return &MemDevice{blockSize: size, freed: make(map[PageID]bool)}
+	return &MemDevice{blockSize: size}
 }
 
 // BlockSize implements Device.
@@ -202,16 +162,6 @@ func (d *MemDevice) Alloc() (PageID, error) {
 		return InvalidPage, ErrClosed
 	}
 	d.stats.allocs.Add(1)
-	if n := len(d.freeList); n > 0 {
-		id := d.freeList[n-1]
-		d.freeList = d.freeList[:n-1]
-		delete(d.freed, id)
-		buf := d.pages[id]
-		for i := range buf {
-			buf[i] = 0
-		}
-		return id, nil
-	}
 	id := PageID(len(d.pages))
 	d.pages = append(d.pages, make([]byte, d.blockSize))
 	return id, nil
@@ -223,9 +173,6 @@ func (d *MemDevice) checkLocked(id PageID) error {
 	}
 	if id < 0 || int(id) >= len(d.pages) {
 		return fmt.Errorf("%w: %d of %d", ErrPageBounds, id, len(d.pages))
-	}
-	if d.freed[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
 	}
 	return nil
 }
@@ -282,40 +229,11 @@ func (d *MemDevice) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// Free implements Device.
-func (d *MemDevice) Free(id PageID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
-		return err
-	}
-	d.stats.frees.Add(1)
-	d.freed[id] = true
-	d.freeList = append(d.freeList, id)
-	return nil
-}
-
 // NumPages implements Device.
 func (d *MemDevice) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.pages) - len(d.freeList)
-}
-
-// Extent implements Extenter: total page slots, live plus freed.
-func (d *MemDevice) Extent() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.pages)
-}
-
-// FreedPages implements FreedLister.
-func (d *MemDevice) FreedPages() []PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]PageID, len(d.freeList))
-	copy(out, d.freeList)
-	return out
 }
 
 // Stats implements Device. Lock-free: safe to call while queries are

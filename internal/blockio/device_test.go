@@ -19,6 +19,9 @@ func deviceHarness(t *testing.T, name string, cached bool, mk func(t *testing.T)
 		if err != nil {
 			t.Fatalf("Alloc: %v", err)
 		}
+		if id != 0 || d.NumPages() != 1 {
+			t.Fatalf("first Alloc = page %d with NumPages %d, want page 0 of 1", id, d.NumPages())
+		}
 		buf := make([]byte, d.BlockSize())
 		if err := d.Read(id, buf); err != nil {
 			t.Fatalf("Read fresh: %v", err)
@@ -82,41 +85,6 @@ func deviceHarness(t *testing.T, name string, cached bool, mk func(t *testing.T)
 		if err := d.Write(id, make([]byte, d.BlockSize()+1)); err == nil {
 			t.Error("oversize write accepted")
 		}
-		if err := d.Free(id); err != nil {
-			t.Fatalf("Free: %v", err)
-		}
-		if err := d.Read(id, buf); err == nil {
-			t.Error("read of freed page accepted")
-		}
-		if err := d.Free(id); err == nil {
-			t.Error("double free accepted")
-		}
-	})
-
-	t.Run(name+"/FreeListReuse", func(t *testing.T) {
-		d := mk(t)
-		defer d.Close()
-		a, _ := d.Alloc()
-		if err := d.Write(a, []byte{0xFF}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Free(a); err != nil {
-			t.Fatal(err)
-		}
-		b, err := d.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("freed page not reused: freed %d, got %d", a, b)
-		}
-		buf := make([]byte, d.BlockSize())
-		if err := d.Read(b, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != 0 {
-			t.Error("reused page not zeroed")
-		}
 	})
 
 	t.Run(name+"/Stats", func(t *testing.T) {
@@ -175,10 +143,10 @@ func TestBufferPoolAsDevice(t *testing.T) {
 }
 
 func TestStatsSub(t *testing.T) {
-	a := Stats{Reads: 10, Writes: 5, Allocs: 3, Frees: 1}
-	b := Stats{Reads: 4, Writes: 2, Allocs: 1, Frees: 0}
+	a := Stats{Reads: 10, Writes: 5, Allocs: 3}
+	b := Stats{Reads: 4, Writes: 2, Allocs: 1}
 	got := a.Sub(b)
-	want := Stats{Reads: 6, Writes: 3, Allocs: 2, Frees: 1}
+	want := Stats{Reads: 6, Writes: 3, Allocs: 2}
 	if got != want {
 		t.Errorf("Sub = %v, want %v", got, want)
 	}

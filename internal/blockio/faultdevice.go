@@ -75,14 +75,6 @@ func (d *FaultDevice) Write(id PageID, data []byte) error {
 	return d.inner.Write(id, data)
 }
 
-// Free implements Device.
-func (d *FaultDevice) Free(id PageID) error {
-	if err := d.take(); err != nil {
-		return err
-	}
-	return d.inner.Free(id)
-}
-
 // Sync implements Syncer. It spends one operation from the budget, so
 // crash-safety sweeps also exercise checkpoints interrupted at the
 // fsync barrier itself.
@@ -92,13 +84,6 @@ func (d *FaultDevice) Sync() error {
 	}
 	return SyncDevice(d.inner)
 }
-
-// Extent implements Extenter by delegation. Introspection is free: it
-// models reading the device's size, not an IO against its pages.
-func (d *FaultDevice) Extent() int { return DeviceExtent(d.inner) }
-
-// FreedPages implements FreedLister by delegation (free, as Extent).
-func (d *FaultDevice) FreedPages() []PageID { return DeviceFreed(d.inner) }
 
 // NumPages implements Device.
 func (d *FaultDevice) NumPages() int { return d.inner.NumPages() }

@@ -14,8 +14,6 @@ type FileDevice struct {
 	blockSize int
 	f         *os.File
 	numPages  int
-	freed     map[PageID]bool
-	freeList  []PageID
 	stats     counters
 	closed    bool
 }
@@ -29,16 +27,16 @@ func OpenFileDevice(path string, blockSize int) (*FileDevice, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blockio: open %s: %w", path, err)
 	}
-	return &FileDevice{blockSize: blockSize, f: f, freed: make(map[PageID]bool)}, nil
+	return &FileDevice{blockSize: blockSize, f: f}, nil
 }
 
 // OpenFileDeviceAt opens (or creates) a file-backed device at path
-// WITHOUT truncating it: existing pages stay readable, with the extent
+// WITHOUT truncating it: existing pages stay readable, and NumPages is
 // derived from the file size. A trailing partial page — the signature
-// of a torn write or an external truncation — is excluded from the
-// extent, so reads of the affected ID fail with ErrPageBounds rather
-// than returning garbage. This is the reopen path used by snapshot
-// restore and by incremental re-checkpointing into an existing file.
+// of a torn write or an external truncation — is not counted, so reads
+// of the affected ID fail with ErrPageBounds rather than returning
+// garbage. This is the reopen path used by snapshot restore and by
+// incremental re-checkpointing into an existing file.
 func OpenFileDeviceAt(path string, blockSize int) (*FileDevice, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
@@ -56,7 +54,6 @@ func OpenFileDeviceAt(path string, blockSize int) (*FileDevice, error) {
 		blockSize: blockSize,
 		f:         f,
 		numPages:  int(fi.Size() / int64(blockSize)),
-		freed:     make(map[PageID]bool),
 	}, nil
 }
 
@@ -71,16 +68,6 @@ func (d *FileDevice) Alloc() (PageID, error) {
 		return InvalidPage, ErrClosed
 	}
 	d.stats.allocs.Add(1)
-	if n := len(d.freeList); n > 0 {
-		id := d.freeList[n-1]
-		d.freeList = d.freeList[:n-1]
-		delete(d.freed, id)
-		// Zeroing on alloc is bookkeeping, not a counted write.
-		if err := d.writeRawLocked(id, nil); err != nil {
-			return InvalidPage, err
-		}
-		return id, nil
-	}
 	id := PageID(d.numPages)
 	d.numPages++
 	if err := d.f.Truncate(int64(d.numPages) * int64(d.blockSize)); err != nil {
@@ -95,9 +82,6 @@ func (d *FileDevice) checkLocked(id PageID) error {
 	}
 	if id < 0 || int(id) >= d.numPages {
 		return fmt.Errorf("%w: %d of %d", ErrPageBounds, id, d.numPages)
-	}
-	if d.freed[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
 	}
 	return nil
 }
@@ -130,16 +114,7 @@ func (d *FileDevice) Write(id PageID, data []byte) error {
 	if len(data) > d.blockSize {
 		return fmt.Errorf("blockio: write of %d bytes exceeds block size %d", len(data), d.blockSize)
 	}
-	return d.writeLocked(id, data)
-}
-
-func (d *FileDevice) writeLocked(id PageID, data []byte) error {
 	d.stats.writes.Add(1)
-	return d.writeRawLocked(id, data)
-}
-
-// writeRawLocked stores the page without touching the IO counters.
-func (d *FileDevice) writeRawLocked(id PageID, data []byte) error {
 	page := make([]byte, d.blockSize)
 	copy(page, data)
 	if _, err := d.f.WriteAt(page, int64(id)*int64(d.blockSize)); err != nil {
@@ -148,40 +123,11 @@ func (d *FileDevice) writeRawLocked(id PageID, data []byte) error {
 	return nil
 }
 
-// Free implements Device.
-func (d *FileDevice) Free(id PageID) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
-		return err
-	}
-	d.stats.frees.Add(1)
-	d.freed[id] = true
-	d.freeList = append(d.freeList, id)
-	return nil
-}
-
 // NumPages implements Device.
 func (d *FileDevice) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.numPages - len(d.freeList)
-}
-
-// Extent implements Extenter: total page slots, live plus freed.
-func (d *FileDevice) Extent() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.numPages
-}
-
-// FreedPages implements FreedLister.
-func (d *FileDevice) FreedPages() []PageID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]PageID, len(d.freeList))
-	copy(out, d.freeList)
-	return out
 }
 
 // Stats implements Device. Lock-free.

@@ -54,8 +54,8 @@ func (v *PageView) Release() {
 		v.sh = nil
 		sh.mu.Lock()
 		// Re-derive the frame from (shard, slot): the slot assignment is
-		// stable while pinned (freeSlotLocked never reclaims or reuses a
-		// slot with pins > 0, even after Free detaches it).
+		// stable while pinned (freeSlotLocked never reclaims a slot with
+		// pins > 0).
 		sh.ring[v.slot].pins--
 		sh.mu.Unlock()
 	}

@@ -165,27 +165,25 @@ func (b *Reader) Str() string {
 	return string(p)
 }
 
-// F64s reads n floats into a fresh slice.
+// F64s reads n floats into a fresh slice. The slice starts at no more
+// than maxPrealloc elements and grows as chunks arrive, so a corrupt
+// count costs memory only for the bytes the stream really holds.
 func (b *Reader) F64s(n int) []float64 {
 	if b.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]float64, 0, min(n, maxPrealloc))
 	buf := blockio.GetPageBuf(blockio.DefaultBlockSize)
 	defer blockio.PutPageBuf(buf)
 	chunk := *buf
 	chunk = chunk[:len(chunk)-len(chunk)%8]
-	for i := 0; i < n; {
-		want := (n - i) * 8
-		if want > len(chunk) {
-			want = len(chunk)
-		}
+	for len(out) < n {
+		want := min((n-len(out))*8, len(chunk))
 		if !b.read(chunk[:want]) {
 			return nil
 		}
 		for off := 0; off < want; off += 8 {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[off : off+8]))
-			i++
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(chunk[off:off+8])))
 		}
 	}
 	return out
@@ -208,6 +206,11 @@ func (b *Reader) count(what string, limit int) int {
 // far below anything that could be used to balloon allocations from a
 // corrupt length field.
 const maxCount = 1 << 30
+
+// maxPrealloc caps the capacity a decoder reserves on the strength of
+// a count alone (64 KiB of floats); larger collections grow as their
+// elements are actually decoded.
+const maxPrealloc = 1 << 13
 
 // encodeTOC writes the table of contents.
 func encodeTOC(w io.Writer, toc []StreamInfo) error {
@@ -271,7 +274,7 @@ func ReadDataset(r io.Reader) (*tsdata.Dataset, error) {
 	if b.Err() != nil {
 		return nil, b.Err()
 	}
-	series := make([]*tsdata.Series, 0, m)
+	series := make([]*tsdata.Series, 0, min(m, maxPrealloc))
 	for i := 0; i < m; i++ {
 		n := b.count("vertex", maxCount)
 		times := b.F64s(n)
@@ -295,32 +298,22 @@ func ReadDataset(r io.Reader) (*tsdata.Dataset, error) {
 	return ds, nil
 }
 
-// WriteDevicePages serializes a device's full page image: extent,
-// freed slots, then every live page's raw bytes in ascending ID order
-// (IDs are implicit in that order). Index nodes embed PageIDs, so the
-// image preserves the device's address space exactly — restore
-// rebuilds nothing.
+// WriteDevicePages serializes a device's full page image: block size,
+// page count, then every page's raw bytes in ascending ID order (IDs
+// are implicit in that order). Index nodes embed PageIDs, so the image
+// preserves the device's address space exactly — restore rebuilds
+// nothing.
 func WriteDevicePages(w io.Writer, dev blockio.Device) error {
-	extent := blockio.DeviceExtent(dev)
-	freed := blockio.DeviceFreed(dev)
+	n := dev.NumPages()
 	b := NewWriter(w)
 	b.U32(uint32(dev.BlockSize()))
-	b.I64(int64(extent))
-	b.U32(uint32(len(freed)))
-	freedSet := make(map[blockio.PageID]bool, len(freed))
-	for _, id := range freed {
-		b.I64(int64(id))
-		freedSet[id] = true
-	}
+	b.I64(int64(n))
 	if b.Err() != nil {
 		return b.Err()
 	}
 	buf := blockio.GetPageBuf(dev.BlockSize())
 	defer blockio.PutPageBuf(buf)
-	for id := blockio.PageID(0); int(id) < extent; id++ {
-		if freedSet[id] {
-			continue
-		}
+	for id := blockio.PageID(0); int(id) < n; id++ {
 		if err := dev.Read(id, *buf); err != nil {
 			return fmt.Errorf("snapshot: copy page %d: %w", id, err)
 		}
@@ -330,56 +323,35 @@ func WriteDevicePages(w io.Writer, dev blockio.Device) error {
 }
 
 // ReadDevicePages reconstructs the device image into a fresh
-// MemDevice with a clean IO ledger.
+// MemDevice with a clean IO ledger. Each page is read off the stream
+// before it is allocated, so a corrupt page count costs memory only
+// for the pages the stream really holds.
 func ReadDevicePages(r io.Reader) (*blockio.MemDevice, error) {
 	b := NewReader(r)
 	bs := int(b.U32())
-	extent := b.I64()
+	n := b.I64()
 	if b.Err() != nil {
 		return nil, b.Err()
 	}
 	if bs < MinBlockSize || bs > 1<<24 {
 		return nil, fmt.Errorf("snapshot: implausible index block size %d: %w", bs, trerr.ErrBadSnapshot)
 	}
-	if extent < 0 || extent > maxCount {
-		return nil, fmt.Errorf("snapshot: implausible device extent %d: %w", extent, trerr.ErrBadSnapshot)
-	}
-	nFreed := b.count("freed page", maxCount)
-	freedSet := make(map[blockio.PageID]bool, nFreed)
-	for i := 0; i < nFreed; i++ {
-		id := blockio.PageID(b.I64())
-		if b.Err() != nil {
-			return nil, b.Err()
-		}
-		if id < 0 || int64(id) >= extent {
-			return nil, fmt.Errorf("snapshot: freed page %d outside extent %d: %w", id, extent, trerr.ErrBadSnapshot)
-		}
-		freedSet[id] = true
+	if n < 0 || n > maxCount {
+		return nil, fmt.Errorf("snapshot: implausible device page count %d: %w", n, trerr.ErrBadSnapshot)
 	}
 	dev := blockio.NewMemDevice(bs)
-	for i := int64(0); i < extent; i++ {
-		if _, err := dev.Alloc(); err != nil {
-			return nil, err
-		}
-	}
 	buf := blockio.GetPageBuf(bs)
 	defer blockio.PutPageBuf(buf)
-	for id := blockio.PageID(0); int64(id) < extent; id++ {
-		if freedSet[id] {
-			continue
-		}
+	for i := int64(0); i < n; i++ {
 		if !b.read(*buf) {
 			return nil, b.Err()
 		}
-		if err := dev.Write(id, *buf); err != nil {
+		id, err := dev.Alloc()
+		if err != nil {
 			return nil, err
 		}
-	}
-	for id := blockio.PageID(0); int64(id) < extent; id++ {
-		if freedSet[id] {
-			if err := dev.Free(id); err != nil {
-				return nil, err
-			}
+		if err := dev.Write(id, *buf); err != nil {
+			return nil, err
 		}
 	}
 	dev.ResetStats()

@@ -20,8 +20,8 @@
 // # Commit protocol
 //
 // A checkpoint never writes into pages referenced by the live
-// generation: writers draw from the derived free set (every page below
-// the extent that the live generation does not own) and extend the
+// generation: writers draw from the derived free set (every data page
+// on the device that the live generation does not own) and extend the
 // device when that runs out. Commit then syncs the data pages, writes
 // the new header — generation+1, pointing at the new TOC — into the
 // *standby* slot, and syncs again. A crash at any operation leaves the
@@ -47,7 +47,10 @@ import (
 // bookkeeping (EXACT3's append overlay, the approximate methods'
 // rebuild counters); gob would silently skip those fields in a
 // version-1 file and restore an EXACT3 without its appended segments.
-const FormatVersion = 2
+// Version 3 dropped the freed-slot list from index page images (devices
+// no longer free pages), so a page image is its block size, page count
+// and pages.
+const FormatVersion = 3
 
 // magic identifies a snapshot header page.
 const magic = "TRSNAP01"

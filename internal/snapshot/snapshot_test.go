@@ -70,7 +70,7 @@ func TestStoreRoundTripAndGenerations(t *testing.T) {
 	if s.Generation() != 2 {
 		t.Fatalf("generation = %d, want 2", s.Generation())
 	}
-	extentAfter2 := blockio.DeviceExtent(dev)
+	extentAfter2 := dev.NumPages()
 
 	s2, err := Open(dev)
 	if err != nil {
@@ -91,7 +91,7 @@ func TestStoreRoundTripAndGenerations(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		writeGen(t, s2, "a", payload)
 	}
-	if extent := blockio.DeviceExtent(dev); extent > 2*extentAfter2+8 {
+	if extent := dev.NumPages(); extent > 2*extentAfter2+8 {
 		t.Fatalf("extent grew to %d after 20 generations (was %d after 2): free-set reuse broken", extent, extentAfter2)
 	}
 }
@@ -105,7 +105,7 @@ func TestStoreRejectsCorruptPage(t *testing.T) {
 	// Flip a byte in every data page except the headers; at least one
 	// reopened read must fail with the typed error.
 	var hit bool
-	for id := 2; id < blockio.DeviceExtent(dev); id++ {
+	for id := 2; id < dev.NumPages(); id++ {
 		buf := make([]byte, 128)
 		if err := dev.Read(blockio.PageID(id), buf); err != nil {
 			continue

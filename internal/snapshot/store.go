@@ -51,8 +51,8 @@ func Open(dev blockio.Device) (*Store, error) {
 		return nil, fmt.Errorf("snapshot: block size %d below minimum %d: %w", bs, MinBlockSize, trerr.ErrBadConfig)
 	}
 	s := &Store{dev: dev, bs: bs, slot: -1, live: make(map[blockio.PageID]struct{})}
-	extent := blockio.DeviceExtent(dev)
-	if extent == 0 {
+	numPages := dev.NumPages()
+	if numPages == 0 {
 		return s, nil
 	}
 	var (
@@ -61,7 +61,7 @@ func Open(dev blockio.Device) (*Store, error) {
 		verr     error
 	)
 	buf := make([]byte, bs)
-	for slot := 0; slot < headerSlots && slot < extent; slot++ {
+	for slot := 0; slot < headerSlots && slot < numPages; slot++ {
 		if err := dev.Read(blockio.PageID(slot), buf); err != nil {
 			return nil, fmt.Errorf("snapshot: read header slot %d: %w", slot, err)
 		}
@@ -195,7 +195,7 @@ func (s *Store) Begin() (*Checkpoint, error) {
 	if s.verr != nil {
 		return nil, fmt.Errorf("snapshot: refusing to overwrite newer-format snapshot: %w", s.verr)
 	}
-	for blockio.DeviceExtent(s.dev) < headerSlots {
+	for s.dev.NumPages() < headerSlots {
 		id, err := s.dev.Alloc()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: allocate header page: %w", err)
@@ -205,8 +205,8 @@ func (s *Store) Begin() (*Checkpoint, error) {
 		}
 	}
 	cp := &Checkpoint{s: s}
-	extent := blockio.DeviceExtent(s.dev)
-	for id := blockio.PageID(headerSlots); int(id) < extent; id++ {
+	numPages := s.dev.NumPages()
+	for id := blockio.PageID(headerSlots); int(id) < numPages; id++ {
 		if _, ok := s.live[id]; !ok {
 			cp.free = append(cp.free, id)
 		}

@@ -76,31 +76,14 @@ type shardManifest struct {
 // balloon allocations from a corrupt count.
 const maxSnapshotIndexes = 4096
 
-// Checkpoint writes the database and the given indexes (each built
-// over this DB) to dev as one new snapshot generation. The commit is
-// atomic: until the final header write lands, the device's previous
-// generation — if any — remains the one OpenSnapshot restores, so an
-// interrupted checkpoint can lose the new generation but never the old
-// one. Space from dead generations is reclaimed automatically.
-//
-// The DB lock is held shared for the duration, so queries proceed
-// concurrently while a DB.Append waits.
-func (db *DB) Checkpoint(dev blockio.Device, indexes ...*Index) error {
-	for _, ix := range indexes {
-		if ix == nil {
-			return fmt.Errorf("temporalrank: checkpoint: nil index: %w", ErrBadConfig)
-		}
-		if ix.db != db {
-			return fmt.Errorf("temporalrank: checkpoint: index %s built over a different DB: %w", ix.Method(), ErrBadConfig)
-		}
-	}
-	return checkpointIndexes(dev, db, indexes, 0, nil)
-}
-
 // Checkpoint writes the planner's DB, every registered index, and the
-// result cache configuration to dev as one new snapshot generation,
-// with the same atomicity as DB.Checkpoint. OpenSnapshot on the device
-// yields an equivalent planner.
+// result cache configuration to dev as one new snapshot generation.
+// The commit is atomic: until the final header write lands, the
+// device's previous generation — if any — remains the one OpenSnapshot
+// restores, so an interrupted checkpoint can lose the new generation
+// but never the old one. Space from dead generations is reclaimed
+// automatically. OpenSnapshot on the device yields an equivalent
+// planner.
 func (p *Planner) Checkpoint(dev blockio.Device) error {
 	return p.checkpointWith(dev, nil)
 }
@@ -377,6 +360,21 @@ var openSnapshotDevice = func(path string) (blockio.Device, error) {
 	return blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
 }
 
+// syncDir fsyncs directory dir, making the renames into it durable: a
+// rename only changes the directory, so syncing the renamed file does
+// not commit it. A package variable so tests can inject a failing sync.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeShardSnapshotFile checkpoints one shard stack (planner +
 // manifest) into the file at path.
 func writeShardSnapshotFile(path string, p *Planner, sm *shardManifest) error {
@@ -407,18 +405,20 @@ func commitShardSnapshotFile(dir string, shard int, p *Planner, sm *shardManifes
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(dir)
 }
 
 // Checkpoint writes every non-empty shard's stack to its own snapshot
 // file under dir (created if needed), named shard-<n>.trsnap. Shards
 // checkpoint in parallel, each into a .tmp sibling; only after every
 // shard has written successfully are the temp files renamed into
-// place. A failure on any shard therefore removes all temps and leaves
-// the directory's previous file set untouched — it never holds a
-// mixed-generation cluster snapshot. (The commit window that remains
-// is the rename loop itself: same-directory metadata operations, no
-// data writes.) Appends to a shard wait for that shard's write only.
+// place, and the directory is synced once after the renames so the
+// new file set survives a power failure. A failure on any shard
+// therefore removes all temps and leaves the directory's previous file
+// set untouched — it never holds a mixed-generation cluster snapshot.
+// (The commit window that remains is the rename loop itself:
+// same-directory metadata operations, no data writes.) Appends to a
+// shard wait for that shard's write only.
 func (c *Cluster) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("temporalrank: cluster checkpoint: %w", err)
@@ -457,6 +457,9 @@ func (c *Cluster) Checkpoint(dir string) error {
 			removeTemps()
 			return fmt.Errorf("temporalrank: cluster checkpoint shard %d: %w", i, err)
 		}
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("temporalrank: cluster checkpoint: sync %s: %w", dir, err)
 	}
 	return nil
 }
