@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"temporalrank/internal/exact"
 	"temporalrank/internal/memtable"
 	"temporalrank/internal/qcache"
 	"temporalrank/internal/scatter"
@@ -292,9 +293,13 @@ func (p *Planner) Compact(ctx context.Context) error {
 
 // rebuildBase builds the next generation's base stack: a snapshot of
 // the old dataset with the frozen deltas applied, and an index per old
-// index rebuilt over it with the same build options (the existing build
-// machinery — no incremental index surgery). Runs without any planner,
-// DB, or index locks.
+// index rebuilt over it with the existing build machinery (no
+// incremental index surgery). Each index keeps its build options, with
+// one exception that follows the paper's §4 update model: an
+// approximate index whose ε came from a TargetR search is rebuilt at
+// that same ε, one breakpoint pass instead of a search, until the new
+// dataset's total mass M reaches twice the M of the last search; then
+// the search runs again. Runs without any planner, DB, or index locks.
 func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *memtable.Table) (baseStack, error) {
 	ds := base.db.Snapshot()
 	var applied uint64
@@ -316,6 +321,7 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 		return baseStack{}, err
 	}
 	ds.Refresh()
+	mass := ds.M()
 	db := NewDBFromDataset(ds)
 	// The new base's version reflects the drained appends, so snapshot
 	// manifests written from it stay consistent with the data.
@@ -324,22 +330,30 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 	ixs := make([]*Index, len(base.indexes))
 	files := make([]string, len(base.indexes))
 	berr := scatter.Run(ctx, len(base.indexes), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-		opts := base.indexes[i].opts
-		orig := opts.OnDiskPath
-		if orig != "" {
+		old := base.indexes[i]
+		opts := old.opts
+		fixed := old.searchR > 0 && mass < 2*old.searchM
+		if fixed {
+			opts.Epsilon = old.Epsilon()
+		}
+		if opts.OnDiskPath != "" {
 			// Build against a per-generation file: the old index still
 			// serves reads from its own file until the swap (and after,
 			// for readers pinned to the old generation).
-			opts.OnDiskPath = fmt.Sprintf("%s.gen%d", orig, gen)
+			opts.OnDiskPath = fmt.Sprintf("%s.gen%d", opts.OnDiskPath, gen)
 			files[i] = opts.OnDiskPath
 		}
-		ix, e := db.BuildIndex(opts)
+		ix, e := buildIndex(db, opts)
 		if e != nil {
 			return e
 		}
-		// Keep the un-suffixed path in opts so the next rotation derives
-		// generation names from the same stem; ix.file keeps the suffix.
-		ix.opts.OnDiskPath = orig
+		// Keep the old options, so the next rotation derives generation
+		// names from the same stem (ix.file keeps the suffix) and still
+		// knows whether ε came from a search.
+		ix.opts = old.opts
+		if fixed {
+			ix.searchM, ix.searchR = old.searchM, old.searchR
+		}
 		ixs[i] = ix
 		return nil
 	})
@@ -357,6 +371,10 @@ func rebuildBase(ctx context.Context, ing *ingestState, base baseStack, frozen *
 	return baseStack{db: db, indexes: ixs}, nil
 }
 
+// buildIndex is DB.BuildIndex as rebuildBase calls it. A package
+// variable so tests can count the builds that search for ε.
+var buildIndex = (*DB).BuildIndex
+
 // execute answers q against the current state: straight through the
 // base stack while the memtable is empty, otherwise by merging memtable
 // deltas with a base answer.
@@ -368,10 +386,15 @@ func (p *Planner) execute(ctx context.Context, q Query) (Answer, error) {
 	return runMerged(ctx, q, g)
 }
 
-// runMerged answers q from a pinned generation: find the affected set
-// (series whose memtable runs overlap the window), answer top-(k+|A|)
-// from the base, then rank base candidates and affected series together
-// using their true scores (base + delta).
+// runMerged answers q from a pinned generation whose memtable holds
+// data. A sum or average whose plan is EXACT3 merges the memtable
+// deltas into EXACT3's σ-vector (mergeExact3). Any other query expands:
+// find the affected set A (series whose memtable runs overlap the
+// window), answer top-(k+|A|) from the base, then rank base candidates
+// and affected series together using their true scores (base + delta).
+// When that expanded query's plan is EXACT3 (a tolerant query whose
+// k+|A| exceeds every approximate index's KMax), the σ-vector merge
+// answers instead.
 //
 // Correctness of the expansion: an unaffected series outside the base
 // top-(k+|A|) is dominated by at least k+|A| base candidates, of which
@@ -381,8 +404,13 @@ func (p *Planner) execute(ctx context.Context, q Query) (Answer, error) {
 // candidates get exact scores, unaffected ones keep the base method's
 // bounds.
 func runMerged(ctx context.Context, q Query, g *memtable.Gen[baseStack]) (Answer, error) {
-	start := time.Now()
 	instant := q.Agg == AggInstant
+	if !instant {
+		if ix, e3 := exact3Plan(planStack(g.Base, q)); e3 != nil {
+			return mergeExact3(ctx, q, g, ix, e3)
+		}
+	}
+	start := time.Now()
 	var affected map[int]float64
 	collect := func(id int, x float64) {
 		if affected == nil {
@@ -417,7 +445,13 @@ func runMerged(ctx context.Context, q Query, g *memtable.Gen[baseStack]) (Answer
 	if m := g.Base.db.NumSeries(); qb.K > m {
 		qb.K = m
 	}
-	base, err := planStack(g.Base, qb).Run(ctx, qb)
+	plan := planStack(g.Base, qb)
+	if !instant {
+		if ix, e3 := exact3Plan(plan); e3 != nil {
+			return mergeExact3(ctx, q, g, ix, e3)
+		}
+	}
+	base, err := plan.Run(ctx, qb)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -459,6 +493,55 @@ func runMerged(ctx context.Context, q Query, g *memtable.Gen[baseStack]) (Answer
 		Epsilon: base.Epsilon,
 		IOs:     base.IOs,
 		Latency: time.Since(start),
+	}, nil
+}
+
+// exact3Plan returns the index behind plan and its EXACT3 structure when
+// plan is an EXACT3 index, else nils.
+func exact3Plan(plan Querier) (*Index, *exact.Exact3) {
+	ix, ok := plan.(*Index)
+	if !ok {
+		return nil, nil
+	}
+	e3, _ := ix.m.(*exact.Exact3)
+	return ix, e3
+}
+
+// mergeExact3 answers a sum or average from EXACT3's σ-vector: the two
+// stabs score every object over the base, each memtable run's delta is
+// added into the vector in place, and one top-k pass ranks the merged
+// scores. Nothing here grows with the number of affected series. The
+// answer reports IOs, Method and Exact as Index.Run does.
+//
+//tr:hotpath
+func mergeExact3(ctx context.Context, q Query, g *memtable.Gen[baseStack], ix *Index, e3 *exact.Exact3) (Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return Answer{}, err
+	}
+	before := ix.DeviceIOs()
+	start := time.Now()
+	//tr:alloc-ok stays on the stack: TopKAdjusted only calls adjust
+	items, err := e3.TopKAdjusted(q.K, q.T1, q.T2, func(sums []float64) {
+		//tr:alloc-ok stays on the stack: CollectRange only calls f
+		add := func(id int, delta float64) { sums[id] += delta }
+		if g.Frozen != nil {
+			g.Frozen.CollectRange(q.T1, q.T2, add)
+		}
+		g.Active.CollectRange(q.T1, q.T2, add)
+	})
+	if err != nil {
+		return Answer{}, err
+	}
+	res := toResults(items)
+	if q.Agg == AggAvg {
+		rescaleAvg(res, q.T1, q.T2)
+	}
+	return Answer{
+		Results: res,
+		Method:  ix.Method(),
+		Exact:   true,
+		Latency: time.Since(start),
+		IOs:     ix.iosSince(before),
 	}, nil
 }
 

@@ -55,6 +55,10 @@ func IsApprox(n MethodName) bool {
 	return true
 }
 
+// DefaultTargetR is the breakpoint budget r a build aims for when
+// neither Epsilon nor TargetR is set: 500, the paper's default.
+const DefaultTargetR = 500
+
 // Config carries the build-time knobs shared by all methods.
 type Config struct {
 	// BlockSize is the device page size (default 4096, the paper's
@@ -66,7 +70,7 @@ type Config struct {
 	// Epsilon is the approximation parameter; if 0, TargetR drives ε.
 	Epsilon float64
 	// TargetR aims for approximately this many breakpoints (default
-	// 500, the paper's default; used when Epsilon == 0).
+	// DefaultTargetR; used when Epsilon == 0).
 	TargetR int
 	// CacheBlocks, when > 0, wraps the device in an LRU buffer pool of
 	// that many pages.
@@ -87,7 +91,7 @@ func (c Config) withDefaults() Config {
 		c.KMax = 200
 	}
 	if c.TargetR <= 0 {
-		c.TargetR = 500
+		c.TargetR = DefaultTargetR
 	}
 	if c.NewDevice == nil {
 		c.NewDevice = func(bs int) (blockio.Device, error) { return blockio.NewMemDevice(bs), nil }

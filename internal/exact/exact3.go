@@ -87,9 +87,23 @@ func (e *Exact3) IndexPages() int { return e.dev.NumPages() }
 // TopK implements Method: two stabbing queries then the shared top-k
 // pass.
 func (e *Exact3) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
+	return e.TopKAdjusted(k, t1, t2, nil)
+}
+
+// TopKAdjusted is TopK with a hook between the stabs and the top-k
+// pass: adjust, when non-nil, receives the σ-vector — σ_i(t1,t2) of
+// every object, indexed by series id — and may change entries in place,
+// as a caller does to add mass the index has not seen. The vector is
+// pooled and valid only during the call.
+//
+//tr:hotpath
+func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)) ([]topk.Item, error) {
 	sums, err := e.allScores(t1, t2)
 	if err != nil {
 		return nil, err
+	}
+	if adjust != nil {
+		adjust(*sums)
 	}
 	items := collectTopK(k, *sums)
 	putScores(sums)

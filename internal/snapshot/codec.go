@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"temporalrank/internal/blockio"
 	"temporalrank/internal/trerr"
@@ -189,6 +190,25 @@ func (b *Reader) F64s(n int) []float64 {
 	return out
 }
 
+// grow reads n bytes into a fresh slice. The slice starts at no more
+// than one default block and doubles as bytes arrive, so a corrupt
+// length costs memory only for the bytes the stream really holds.
+func (b *Reader) grow(n int) []byte {
+	buf := make([]byte, min(n, blockio.DefaultBlockSize))
+	if !b.read(buf) {
+		return nil
+	}
+	for len(buf) < n {
+		got := len(buf)
+		more := min(got, n-got)
+		buf = slices.Grow(buf, more)[:got+more]
+		if !b.read(buf[got:]) {
+			return nil
+		}
+	}
+	return buf
+}
+
 // count reads a u32 count and bounds-checks it against limit.
 func (b *Reader) count(what string, limit int) int {
 	n := b.U32()
@@ -324,8 +344,9 @@ func WriteDevicePages(w io.Writer, dev blockio.Device) error {
 
 // ReadDevicePages reconstructs the device image into a fresh
 // MemDevice with a clean IO ledger. Each page is read off the stream
-// before it is allocated, so a corrupt page count costs memory only
-// for the pages the stream really holds.
+// before it is allocated, and the one page buffer grows as the first
+// page's bytes arrive, so a corrupt page count or block size costs
+// memory only for the bytes the stream really holds.
 func ReadDevicePages(r io.Reader) (*blockio.MemDevice, error) {
 	b := NewReader(r)
 	bs := int(b.U32())
@@ -340,17 +361,21 @@ func ReadDevicePages(r io.Reader) (*blockio.MemDevice, error) {
 		return nil, fmt.Errorf("snapshot: implausible device page count %d: %w", n, trerr.ErrBadSnapshot)
 	}
 	dev := blockio.NewMemDevice(bs)
-	buf := blockio.GetPageBuf(bs)
-	defer blockio.PutPageBuf(buf)
+	var page []byte
 	for i := int64(0); i < n; i++ {
-		if !b.read(*buf) {
+		if page == nil {
+			page = b.grow(bs)
+		} else {
+			b.read(page)
+		}
+		if b.Err() != nil {
 			return nil, b.Err()
 		}
 		id, err := dev.Alloc()
 		if err != nil {
 			return nil, err
 		}
-		if err := dev.Write(id, *buf); err != nil {
+		if err := dev.Write(id, page); err != nil {
 			return nil, err
 		}
 	}

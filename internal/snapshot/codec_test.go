@@ -27,6 +27,8 @@ func forged(fields ...any) []byte {
 var (
 	// A 4 KiB-page image claiming 4,096 pages, followed by four bytes.
 	forgedImage = forged(uint32(blockio.DefaultBlockSize), int64(1<<12), uint32(0))
+	// A 16 MiB-page image claiming one page, followed by four bytes.
+	forgedBlockSize = forged(uint32(1<<24), int64(1), uint32(0))
 	// A dataset claiming 2^20 series and holding none.
 	forgedSeries = forged(uint32(1 << 20))
 	// A dataset whose one series claims 2^20 vertices and holds none.
@@ -84,6 +86,7 @@ func TestDecodersBoundForgedCounts(t *testing.T) {
 		input  []byte
 	}{
 		{"page image", decodeImage, forgedImage},
+		{"block size", decodeImage, forgedBlockSize},
 		{"series count", decodeDataset, forgedSeries},
 		{"vertex count", decodeDataset, forgedVertices},
 	} {
@@ -110,6 +113,7 @@ func seedTruncations(f *testing.F, valid []byte) {
 func FuzzReadDevicePages(f *testing.F) {
 	seedTruncations(f, encodedImage(f))
 	f.Add(forgedImage)
+	f.Add(forgedBlockSize)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dev, err := ReadDevicePages(bytes.NewReader(data))
 		if err != nil {

@@ -49,8 +49,10 @@ import (
 // version-1 file and restore an EXACT3 without its appended segments.
 // Version 3 dropped the freed-slot list from index page images (devices
 // no longer free pages), so a page image is its block size, page count
-// and pages.
-const FormatVersion = 3
+// and pages. Version 4 added the last ε search (mass and target r) to
+// approximate index states; a version-3 file would restore them with a
+// pinned ε that never searches again.
+const FormatVersion = 4
 
 // magic identifies a snapshot header page.
 const magic = "TRSNAP01"

@@ -91,3 +91,55 @@ func BenchmarkPlannerCachedRunParallel(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) { run(b, 0) })
 	b.Run("cached", func(b *testing.B) { run(b, 64) })
 }
+
+// mergedPlanner returns an EXACT3 planner over an m × navg random walk
+// whose memtable holds `appends` segments, dealt round-robin to the
+// series from the first on, plus eight latest-window sums ending at the
+// append frontier, whose EXACT3 merge adds every appended run's delta.
+func mergedPlanner(tb testing.TB, m, navg, appends int) (*temporalrank.Planner, []temporalrank.Query) {
+	tb.Helper()
+	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: m, Navg: navg, Seed: 3, Span: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db := temporalrank.NewDBFromDataset(ds)
+	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
+		tb.Fatal(err)
+	}
+	frontier := db.End()
+	for i := 0; i < appends; i++ {
+		frontier = db.End() + 1 + float64(i/m)
+		if err := p.Append(i%m, frontier, 1+float64(i%7)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	qs := make([]temporalrank.Query, 8)
+	for i := range qs {
+		w := (0.01 + 0.09*float64(i)/7) * db.Span()
+		qs[i] = temporalrank.SumQuery(10, frontier-w, frontier)
+	}
+	return p, qs
+}
+
+// BenchmarkPlannerMergedRun measures the latest-window read under a
+// full memtable: a 1,000 × 100 EXACT3 planner with 1,024 appended
+// segments, every query merging about a thousand series' deltas.
+func BenchmarkPlannerMergedRun(b *testing.B) {
+	ctx := context.Background()
+	p, qs := mergedPlanner(b, 1000, 100, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(ctx, qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -290,11 +290,7 @@ func (ix *Index) Run(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, err
 	}
 	elapsed := time.Since(start)
-	after := ix.DeviceIOs()
-	var ios uint64
-	if after > before { // guard against a concurrent ResetStats
-		ios = after - before
-	}
+	ios := ix.iosSince(before)
 	exact := !ix.Method().IsApprox() || q.Agg == AggInstant
 	var eps float64
 	if !exact {
@@ -308,6 +304,15 @@ func (ix *Index) Run(ctx context.Context, q Query) (Answer, error) {
 		Latency: elapsed,
 		IOs:     ios,
 	}, nil
+}
+
+// iosSince returns the index device's IOs since the DeviceIOs reading
+// before: Answer.IOs for a query that ran between the two.
+func (ix *Index) iosSince(before uint64) uint64 {
+	if after := ix.DeviceIOs(); after > before { // guard against a concurrent ResetStats
+		return after - before
+	}
+	return 0
 }
 
 // rescaleAvg converts sum scores into averages over [t1, t2].

@@ -50,10 +50,15 @@ type snapManifest struct {
 // indexState is one index's method tag and typed handle state. Exactly
 // one of the six state pointers is set, matching Method; the raw page
 // image the handles point into travels in the sibling pages stream.
+// SearchM and SearchR are the index's last ε search (zero when none
+// chose its ε), so a restored planner compacts as the one that wrote
+// the snapshot would have.
 type indexState struct {
 	Method      string
 	BlockSize   int
 	CacheBlocks int
+	SearchM     float64
+	SearchR     int
 	E1          *exact.Exact1State
 	E2          *exact.Exact2State
 	E3          *exact.Exact3State
@@ -173,7 +178,7 @@ func checkpointIndexes(dev blockio.Device, db *DB, ixs []*Index, cacheEntries in
 // indexStateOf captures one index's typed handle state.
 func indexStateOf(ix *Index) (*indexState, error) {
 	dev := ix.m.Device()
-	st := &indexState{Method: ix.m.Name(), BlockSize: dev.BlockSize()}
+	st := &indexState{Method: ix.m.Name(), BlockSize: dev.BlockSize(), SearchM: ix.searchM, SearchR: ix.searchR}
 	if bp, ok := dev.(*blockio.BufferPool); ok {
 		st.CacheBlocks = bp.Capacity()
 	}
@@ -327,14 +332,22 @@ func restoreIndex(db *DB, st *indexState, pages io.Reader) (*Index, error) {
 			st.Method, m.Name(), ErrBadSnapshot)
 	}
 	// Reconstruct the build configuration so memtable compaction can
-	// rebuild an equivalent index later. Epsilon (rather than TargetR)
-	// pins approximate methods to the restored error guarantee exactly.
-	opts := Options{Method: Method(st.Method), BlockSize: st.BlockSize, CacheBlocks: st.CacheBlocks}
+	// rebuild an equivalent index later. An ε that came from a TargetR
+	// search keeps its search record, so the restored planner rebuilds
+	// at that ε and searches again when M doubles, as the planner that
+	// wrote the snapshot would; any other ε is pinned as Epsilon.
+	ix := &Index{m: m, db: db}
+	ix.opts = Options{Method: Method(st.Method), BlockSize: st.BlockSize, CacheBlocks: st.CacheBlocks}
 	if a, ok := m.(approx.Index); ok {
-		opts.KMax = a.KMax()
-		opts.Epsilon = a.Epsilon()
+		ix.opts.KMax = a.KMax()
+		if st.SearchR > 0 {
+			ix.opts.TargetR = st.SearchR
+			ix.searchM, ix.searchR = st.SearchM, st.SearchR
+		} else {
+			ix.opts.Epsilon = a.Epsilon()
+		}
 	}
-	return &Index{m: m, db: db, opts: opts}, nil
+	return ix, nil
 }
 
 // SnapshotFilePattern matches the per-shard snapshot files a cluster

@@ -218,9 +218,15 @@ type Options struct {
 	// KMax bounds future query k on approximate methods (default 200).
 	KMax int
 	// Epsilon sets the (ε,α) error parameter directly; when 0, TargetR
-	// is used instead.
+	// is used instead. Under a Planner, every compaction rebuilds the
+	// index at this ε.
 	Epsilon float64
-	// TargetR asks for about this many breakpoints (default 500).
+	// TargetR asks for about this many breakpoints (default 500): the
+	// build searches for the ε that yields them. Under a Planner, a
+	// compaction rebuilds the index at that ε in one pass, and searches
+	// again only once the dataset's total mass M has doubled since the
+	// last search (the paper's §4 rebuild rule). In between, ε and its
+	// (ε,α) bound stay fixed while r drifts with the data.
 	TargetR int
 	// CacheBlocks enables an LRU buffer pool of that many pages.
 	CacheBlocks int
@@ -249,6 +255,13 @@ type Index struct {
 	// opts.OnDiskPath for a first build, a per-generation sibling of it
 	// for a compaction's rebuild.
 	file string
+	// searchM and searchR record the last ε search behind an approximate
+	// index built from TargetR: the dataset's total mass M when it ran
+	// and the r it aimed for. Compactions carry them from generation to
+	// generation until M doubles (see rebuildBase). Both are zero when
+	// no search chose ε: exact methods and a fixed Options.Epsilon.
+	searchM float64
+	searchR int
 }
 
 // BuildIndex constructs an index over the database.
@@ -273,12 +286,20 @@ func (db *DB) BuildIndex(opts Options) (*Index, error) {
 	}
 	db.mu.RLock()
 	m, err := core.Build(name, db.ds, cfg)
+	mass := db.ds.M()
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	opts.Method = Method(name)
-	return &Index{m: m, db: db, opts: opts, file: opts.OnDiskPath}, nil
+	ix := &Index{m: m, db: db, opts: opts, file: opts.OnDiskPath}
+	if _, ok := m.(approx.Index); ok && opts.Epsilon <= 0 {
+		ix.searchM, ix.searchR = mass, opts.TargetR
+		if ix.searchR <= 0 {
+			ix.searchR = core.DefaultTargetR
+		}
+	}
+	return ix, nil
 }
 
 // Method returns the index's method name.

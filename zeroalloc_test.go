@@ -93,3 +93,30 @@ func TestClusterRunAllocs(t *testing.T) {
 		t.Logf("shards=%d: uncached Cluster.Run %.1f allocs/op", tc.shards, allocs)
 	}
 }
+
+// TestPlannerMergedRunAllocs pins the σ-vector merge's allocations: a
+// latest-window exact query over a memtable costs the same few
+// allocations whether 50 or 500 series have runs in the window.
+func TestPlannerMergedRunAllocs(t *testing.T) {
+	allocs := func(affected int) float64 {
+		p, qs := mergedPlanner(t, 1000, 20, affected)
+		ctx := context.Background()
+		for _, q := range qs {
+			if _, err := p.Run(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			if _, err := p.Run(ctx, qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	few, many := allocs(50), allocs(500)
+	t.Logf("merged Planner.Run: %.1f allocs/op at |A|=50, %.1f at |A|=500", few, many)
+	if few != many || many > 4 {
+		t.Errorf("merged Planner.Run allocates %.1f allocs/op at |A|=50 and %.1f at |A|=500, want the same and <= 4", few, many)
+	}
+}
