@@ -2,9 +2,12 @@ package temporalrank
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,6 +145,105 @@ func TestClusterCheckpointSyncsDirectory(t *testing.T) {
 	}
 	if len(synced) != 1 || synced[0] != dir {
 		t.Fatalf("synced %v, want exactly [%s]", synced, dir)
+	}
+}
+
+// TestCheckpointCrashSafety is the fault-injection sweep: a checkpoint
+// over an existing snapshot file is interrupted at every operation
+// budget on its .tmp device, from zero until the first budget at which
+// it completes. After every interruption the path must still hold the
+// previous snapshot byte for byte and restore it bit-exactly, with no
+// .tmp left behind; the completing checkpoint must restore the new data.
+func TestCheckpointCrashSafety(t *testing.T) {
+	const maxBudget = 20000
+	ctx := context.Background()
+	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: 6, Navg: 6, Seed: 21, Span: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDBFromDataset(ds)
+	ix, err := db.BuildIndex(Options{Method: MethodExact3, BlockSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "p.trsnap")
+	if err := p.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refQuery := SumQuery(4, db.Start(), db.End())
+	ansA, err := p.Run(ctx, refQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 4; n++ {
+		if err := p.Append(n, db.End()+1, float64(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drain first, so ansB comes from the same compacted stack a
+	// completed checkpoint holds.
+	if err := p.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ansB, err := p.Run(ctx, refQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orig := openSnapshotDevice
+	defer func() { openSnapshotDevice = orig }()
+	for budget := int64(0); ; budget++ {
+		if budget > maxBudget {
+			t.Fatalf("checkpoint still failing at budget %d", maxBudget)
+		}
+		openSnapshotDevice = func(path string) (blockio.Device, error) {
+			dev, err := orig(path)
+			if err != nil {
+				return nil, err
+			}
+			return blockio.NewFaultDevice(dev, budget), nil
+		}
+		cerr := p.Checkpoint(path)
+		openSnapshotDevice = orig
+		if cerr != nil && !errors.Is(cerr, blockio.ErrInjected) {
+			t.Fatalf("budget=%d: interrupted checkpoint returned untyped error: %v", budget, cerr)
+		}
+		restored, err := OpenSnapshot(path)
+		if err != nil {
+			t.Fatalf("budget=%d: %s unrestorable: %v", budget, path, err)
+		}
+		got, err := restored.Run(ctx, refQuery)
+		if err != nil {
+			t.Fatalf("budget=%d: restored planner query: %v", budget, err)
+		}
+		if cerr == nil {
+			if !slices.Equal(got.Results, ansB.Results) || restored.DB().NumSegments() != db.NumSegments()+4 {
+				t.Fatalf("budget=%d: completed checkpoint restored stale or wrong data", budget)
+			}
+			break // the first completing budget ends the sweep
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("budget=%d: interrupted checkpoint changed %s", budget, path)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("budget=%d: interrupted checkpoint left %s.tmp (stat: %v)", budget, path, err)
+		}
+		if !slices.Equal(got.Results, ansA.Results) || restored.DB().NumSegments() != db.NumSegments() {
+			t.Fatalf("budget=%d: restored data is not the previous snapshot (%d results, %d segments)",
+				budget, len(got.Results), restored.DB().NumSegments())
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func main() {
 	flag.StringVar(&cfg.method, "method", "EXACT3", "comma-separated index methods for the planner (EXACT1/2/3, APPX1-B, APPX2-B, APPX1, APPX2, APPX2+)")
 	flag.IntVar(&cfg.r, "r", 500, "breakpoint budget for approximate methods")
 	flag.IntVar(&cfg.kmax, "kmax", 200, "max k supported by approximate methods")
-	flag.IntVar(&cfg.cache, "cache", 0, "LRU buffer pool size in pages (0 = none)")
+	flag.IntVar(&cfg.cache, "cache", 0, "buffer pool (read cache) size in pages (0 = none)")
 	flag.IntVar(&cfg.workers, "workers", 0, "maximum /query requests running at once (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.build, "build-workers", 0, "parallel build workers for per-series construction (0 = sequential)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the dataset across this many shards")
@@ -235,12 +235,12 @@ func runRouter(cfg config) error {
 }
 
 func run(addr, data string, binary bool, genSpec string, seed int64, methods string, r, kmax, cache, workers, build, shards, shardWorkers, resultCache, memtable int, pprofAddr string, timeout time.Duration) error {
-	snapDir, err := snapshotDir(data, genSpec)
-	if err != nil {
-		return err
-	}
+	snapDir := snapshotDir(data)
 	mtOpts := &temporalrank.MemtableOptions{FlushSegments: memtable}
-	var cluster *temporalrank.Cluster
+	var (
+		cluster *temporalrank.Cluster
+		err     error
+	)
 	if snapDir != "" && hasSnapshotFiles(snapDir) {
 		restoreStart := time.Now()
 		cluster, err = temporalrank.OpenClusterSnapshot(snapDir, temporalrank.ClusterOptions{
@@ -376,30 +376,15 @@ func serveHTTP(addr, pprofAddr, banner string, srv *server, onShutdown func() er
 	return nil
 }
 
-// snapshotDir decides whether -data names a durable snapshot directory
-// rather than a dataset file: an existing directory always does, and a
-// nonexistent path does when -gen supplies the initial data (the
-// directory is created). An existing file is a dataset, as before.
-func snapshotDir(data, genSpec string) (string, error) {
-	if data == "" {
-		return "", nil
+// snapshotDir returns data when it names a durable snapshot directory,
+// and "" when it names a dataset file or is unset. validateConfig has
+// already classified -data (creating a fresh snapshot directory under
+// -gen), so from here on a directory is exactly a snapshot directory.
+func snapshotDir(data string) string {
+	if fi, err := os.Stat(data); err == nil && fi.IsDir() {
+		return data
 	}
-	fi, err := os.Stat(data)
-	switch {
-	case err == nil && fi.IsDir():
-		return data, nil
-	case err == nil:
-		return "", nil // regular file: legacy dataset path
-	case os.IsNotExist(err) && genSpec != "":
-		if err := os.MkdirAll(data, 0o755); err != nil {
-			return "", fmt.Errorf("create snapshot directory: %w", err)
-		}
-		return data, nil
-	case os.IsNotExist(err):
-		return "", nil // let loadDB report the missing dataset file
-	default:
-		return "", err
-	}
+	return ""
 }
 
 // hasSnapshotFiles reports whether dir holds at least one per-shard

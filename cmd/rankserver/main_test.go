@@ -610,27 +610,42 @@ func TestCheckpointEndpointAndRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotDirDetection pins the -data disambiguation rules.
+// TestSnapshotDirDetection pins the -data disambiguation rules:
+// checkDataPath classifies the path (creating a fresh snapshot
+// directory under -gen), then snapshotDir reports whether it is one.
 func TestSnapshotDirDetection(t *testing.T) {
 	dir := t.TempDir()
-	if got, err := snapshotDir(dir, ""); err != nil || got != dir {
-		t.Fatalf("existing dir: got (%q, %v)", got, err)
+	if err := checkDataPath(dir, ""); err != nil {
+		t.Fatalf("existing dir: %v", err)
+	}
+	if got := snapshotDir(dir); got != dir {
+		t.Fatalf("existing dir: snapshotDir = %q, want %q", got, dir)
 	}
 	file := dir + "/data.csv"
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := snapshotDir(file, "10x10"); err != nil || got != "" {
-		t.Fatalf("existing file: got (%q, %v), want legacy dataset mode", got, err)
+	if err := checkDataPath(file, "10x10"); err != nil {
+		t.Fatalf("existing file: %v", err)
+	}
+	if got := snapshotDir(file); got != "" {
+		t.Fatalf("existing file: snapshotDir = %q, want legacy dataset mode", got)
 	}
 	fresh := dir + "/snaps"
-	if got, err := snapshotDir(fresh, "10x10"); err != nil || got != fresh {
-		t.Fatalf("fresh path with -gen: got (%q, %v)", got, err)
+	if err := checkDataPath(fresh, "10x10"); err != nil {
+		t.Fatalf("fresh path with -gen: %v", err)
 	}
 	if fi, err := os.Stat(fresh); err != nil || !fi.IsDir() {
 		t.Fatalf("fresh snapshot dir was not created: %v", err)
 	}
-	if got, err := snapshotDir(dir+"/missing.csv", ""); err != nil || got != "" {
-		t.Fatalf("missing path without -gen: got (%q, %v)", got, err)
+	if got := snapshotDir(fresh); got != fresh {
+		t.Fatalf("fresh path with -gen: snapshotDir = %q, want %q", got, fresh)
+	}
+	missing := dir + "/missing.csv"
+	if err := checkDataPath(missing, ""); err == nil {
+		t.Fatal("missing path without -gen: checkDataPath accepted it")
+	}
+	if got := snapshotDir(missing); got != "" {
+		t.Fatalf("missing path without -gen: snapshotDir = %q, want \"\"", got)
 	}
 }

@@ -25,6 +25,9 @@ func TestValidateConfig(t *testing.T) {
 		cfg     config
 		set     []string
 		wantErr string // substring; empty = must succeed
+		// snapDir: once validated, -data names a snapshot directory
+		// rather than a dataset file.
+		snapDir bool
 	}{
 		{
 			name: "gen only is valid",
@@ -37,9 +40,15 @@ func TestValidateConfig(t *testing.T) {
 			set:  []string{"data"},
 		},
 		{
-			name: "existing writable snapshot dir is valid",
-			cfg:  config{data: dir, shards: 1},
-			set:  []string{"data"},
+			name: "existing dataset file with gen is valid",
+			cfg:  config{data: dataFile, genSpec: "100x10", shards: 1},
+			set:  []string{"data", "gen"},
+		},
+		{
+			name:    "existing writable snapshot dir is valid",
+			cfg:     config{data: dir, shards: 1},
+			set:     []string{"data"},
+			snapDir: true,
 		},
 		{
 			name: "router alone is valid",
@@ -117,6 +126,9 @@ func TestValidateConfig(t *testing.T) {
 				if err != nil {
 					t.Fatalf("validateConfig() = %v, want nil", err)
 				}
+				if got := snapshotDir(tt.cfg.data) != ""; got != tt.snapDir {
+					t.Fatalf("snapshotDir(%q) reports a snapshot directory: %v, want %v", tt.cfg.data, got, tt.snapDir)
+				}
 				return
 			}
 			if err == nil {
@@ -163,6 +175,9 @@ func TestValidateConfigCreatesSnapshotDir(t *testing.T) {
 	fi, err := os.Stat(target)
 	if err != nil || !fi.IsDir() {
 		t.Fatalf("snapshot directory not created: %v", err)
+	}
+	if got := snapshotDir(target); got != target {
+		t.Fatalf("snapshotDir(%q) = %q after validation, want the directory", target, got)
 	}
 }
 

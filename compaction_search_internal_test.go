@@ -2,11 +2,11 @@ package temporalrank
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
-	"temporalrank/internal/blockio"
 	"temporalrank/internal/breakpoint"
 	"temporalrank/internal/gen"
 )
@@ -101,11 +101,11 @@ func compactCounting(t *testing.T, p *Planner, searches *atomic.Int64) int64 {
 func TestCompactionSearchRule(t *testing.T) {
 	searches := countSearches(t)
 	fresh := searchPlanner(t)
-	dev := blockio.NewMemDevice(0)
-	if err := fresh.Checkpoint(dev); err != nil {
+	path := filepath.Join(t.TempDir(), "fresh.trsnap")
+	if err := fresh.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := OpenSnapshot(dev)
+	restored, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"temporalrank"
-	"temporalrank/internal/blockio"
 )
 
 const (
@@ -72,14 +71,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "rank.trsnap")
-	dev, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := planner.Checkpoint(dev); err != nil {
-		log.Fatal(err)
-	}
-	if err := dev.Close(); err != nil {
+	if err := planner.Checkpoint(path); err != nil {
 		log.Fatal(err)
 	}
 	fi, _ := os.Stat(path)
@@ -88,13 +80,8 @@ func main() {
 
 	// "Restart": open the file in what would be a fresh process. No
 	// index is rebuilt — the pages are replayed as written.
-	dev2, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dev2.Close()
 	restoreStart := time.Now()
-	restored, err := temporalrank.OpenSnapshot(dev2)
+	restored, err := temporalrank.OpenSnapshot(path)
 	if err != nil {
 		log.Fatal(err)
 	}

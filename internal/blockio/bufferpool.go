@@ -1,16 +1,16 @@
 package blockio
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 )
 
-// BufferPool wraps a Device with a lock-striped page cache. Hits are
-// served from memory and do not count as device IOs, matching the
-// OS-cache effect the paper mentions in §5 ("which can be attributed to
-// the caching effect by the OS"). Dirty pages are written back on
-// eviction and on Flush/Close.
+// BufferPool wraps a Device with a write-through, lock-striped CLOCK
+// read cache. Hits are served from memory and do not count as device
+// IOs, matching the OS-cache effect the paper mentions in §5 ("which
+// can be attributed to the caching effect by the OS"). Alloc and Write
+// go straight to the device, so no page ever lives only in the pool;
+// a Write also refreshes the page's frame when it is resident.
 //
 // The cache is sharded: pages are striped across a power-of-two number
 // of independent shards by page ID, each with its own mutex, so
@@ -28,17 +28,13 @@ import (
 // Devices must respect its corollary:
 //
 //   - Data-path device calls (Read, Write) MAY be made while holding
-//     exactly one shard lock (miss fills and dirty write-back do this).
-//     Shard locks are therefore above the device's internal locks.
-//   - Allocation-path device calls (Alloc, Close) are ALWAYS made
-//     with no shard lock held. Alloc in particular calls dev.Alloc
-//     first and only then takes the shard lock to install the fresh
-//     page — the pre-sharding pool mixed the two orders, which is the
-//     classic setup for a Flush-during-Read deadlock if a device ever
-//     synchronizes Alloc against Write.
-//   - No operation ever holds two shard locks at once: Flush and Close
-//     visit shards one at a time, in ascending index order, releasing
-//     each before locking the next.
+//     exactly one shard lock (miss fills and Write do this). Shard
+//     locks are therefore above the device's internal locks.
+//   - Allocation-path device calls (Alloc, Sync, Close) are ALWAYS
+//     made with no shard lock held.
+//   - No operation ever holds two shard locks at once: the whole-pool
+//     walks (PinStats, HitMiss, ResetStats) visit shards one at a time,
+//     releasing each before locking the next.
 //   - A Device implementation must never call back into the pool that
 //     wraps it (its locks sit strictly below every shard lock).
 //
@@ -46,8 +42,7 @@ import (
 // pins it (a per-frame refcount, bumped and dropped under the shard
 // lock). CLOCK treats pinned frames as unevictable, so the lent bytes
 // stay valid until Release; if a stripe is ever saturated with pins,
-// fills degrade to uncached service instead of failing (errAllPinned
-// stays internal).
+// fills degrade to uncached service instead of failing.
 //
 // The pool keeps hit/miss counters so ablation benchmarks can report
 // both logical (uncached) and physical (cached) IO. The counters are
@@ -75,28 +70,20 @@ type poolShard struct {
 }
 
 // clockFrame is one cached page. Its data slice is immutable once set:
-// Write and install replace the slice wholesale rather than mutating
-// bytes in place. That invariant is what lets Read copy a hit out —
-// and View lend the slice out — AFTER releasing the shard lock: the
+// Write replaces the slice wholesale with a fresh copy rather than
+// mutating bytes in place. That invariant is what lets Read copy a hit
+// out — and View lend the slice out — AFTER releasing the shard lock: the
 // slice grabbed under the lock can be superseded but never scribbled
 // on. ref is the CLOCK second-chance bit; pins counts outstanding
 // PageViews of the frame (a pinned slot is never reclaimed or reused,
 // so a view's (shard, slot) address stays valid until Release). Every
 // field access happens under the shard lock.
 type clockFrame struct {
-	id    PageID
-	data  []byte
-	dirty bool
-	ref   bool
-	pins  int
+	id   PageID
+	data []byte
+	ref  bool
+	pins int
 }
-
-// errAllPinned reports that every frame in a shard is pinned by
-// outstanding views, so nothing can be evicted to make room. It never
-// escapes the pool's public API: each caller degrades to an uncached
-// fallback (serve the read without installing, write through, return
-// an unpinned copy view).
-var errAllPinned = errors.New("blockio: all frames in shard pinned")
 
 // NewBufferPool creates a pool holding up to capacity pages of dev,
 // striped across a shard count derived from GOMAXPROCS (capped so every
@@ -190,30 +177,9 @@ func (p *BufferPool) shardFor(id PageID) *poolShard {
 // BlockSize implements Device.
 func (p *BufferPool) BlockSize() int { return p.dev.BlockSize() }
 
-// Alloc implements Device. The fresh page is installed in the cache as
-// a dirty zero page, so a subsequent Write does not touch the device.
-// Per the lock-ordering rule, dev.Alloc runs before any shard lock is
-// taken.
-func (p *BufferPool) Alloc() (PageID, error) {
-	id, err := p.dev.Alloc()
-	if err != nil {
-		return id, err
-	}
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, err := p.installLocked(sh, id, make([]byte, p.dev.BlockSize()), true); err != nil {
-		if errors.Is(err, errAllPinned) {
-			// Every frame is pinned by views: skip caching. The device
-			// page is already zeroed per the Alloc contract, so nothing
-			// is lost — the page is just served uncached until a pin
-			// drains.
-			return id, nil
-		}
-		return InvalidPage, err
-	}
-	return id, nil
-}
+// Alloc implements Device: it allocates on the device and caches
+// nothing.
+func (p *BufferPool) Alloc() (PageID, error) { return p.dev.Alloc() }
 
 // Read implements Device.
 //
@@ -287,24 +253,23 @@ func (p *BufferPool) View(id PageID) (PageView, error) {
 	return PageView{data: data, sh: sh, slot: slot}, nil
 }
 
-// fillLocked reads page id from the device into a fresh frame-sized
-// slice and installs it, returning the installed data and slot. When
-// every frame is pinned the fill still succeeds but nothing is
-// cached: the data is returned with slot == -1. The caller holds
-// sh.mu; dev.Read runs under it (data-path order), so misses on other
-// shards proceed in parallel.
+// fillLocked reads page id, which is not resident, from the device into
+// a fresh frame-sized slice and installs it, returning the installed
+// data and slot. When every frame is pinned the fill still succeeds but
+// nothing is cached: the data is returned with slot == -1. The caller
+// holds sh.mu; dev.Read runs under it (data-path order), so misses on
+// other shards proceed in parallel.
 func (p *BufferPool) fillLocked(sh *poolShard, id PageID) ([]byte, int, error) {
 	data := make([]byte, p.dev.BlockSize())
 	if err := p.dev.Read(id, data); err != nil {
 		return nil, -1, err
 	}
-	slot, err := p.installLocked(sh, id, data, false)
-	if err != nil {
-		if errors.Is(err, errAllPinned) {
-			return data, -1, nil
-		}
-		return nil, -1, err
+	slot := p.freeSlotLocked(sh)
+	if slot < 0 {
+		return data, -1, nil
 	}
+	sh.ring[slot] = clockFrame{id: id, data: data, ref: true}
+	sh.slots[id] = slot
 	return data, slot, nil
 }
 
@@ -324,61 +289,23 @@ func (p *BufferPool) PinStats() int {
 	return total
 }
 
-// Write implements Device: the write is buffered and flushed on
-// eviction.
+// Write implements Device: the data goes to the device under the
+// page's shard lock (data-path order), and a resident frame is replaced
+// with a fresh copy, so a concurrent hit sees either the old page or
+// the new one, never a mix.
 func (p *BufferPool) Write(id PageID, data []byte) error {
-	if len(data) > p.dev.BlockSize() {
-		return ErrShortBuffer
-	}
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	page := make([]byte, p.dev.BlockSize())
-	copy(page, data)
-	if slot, ok := sh.slots[id]; ok {
-		sh.hits++
-		fr := &sh.ring[slot]
-		fr.data = page
-		fr.dirty = true
-		fr.ref = true
-		return nil
-	}
-	sh.misses++
-	if _, err := p.installLocked(sh, id, page, true); err != nil {
-		if errors.Is(err, errAllPinned) {
-			// Every frame is pinned by views: write through to the
-			// device instead of caching (data-path order — one shard
-			// lock held across dev.Write).
-			return p.dev.Write(id, page)
-		}
+	if err := p.dev.Write(id, data); err != nil {
 		return err
 	}
-	return nil
-}
-
-// installLocked adds a frame to sh, evicting via the CLOCK hand if the
-// stripe is full, and returns the slot installed into. The caller
-// holds sh.mu exclusively; dirty eviction write-back calls dev.Write
-// under it (data-path order).
-func (p *BufferPool) installLocked(sh *poolShard, id PageID, data []byte, dirty bool) (int, error) {
 	if slot, ok := sh.slots[id]; ok {
-		fr := &sh.ring[slot]
-		fr.data = data
-		fr.dirty = fr.dirty || dirty
-		fr.ref = true
-		return slot, nil
+		page := make([]byte, p.dev.BlockSize())
+		copy(page, data)
+		sh.ring[slot].data = page
 	}
-	slot, err := p.freeSlotLocked(sh)
-	if err != nil {
-		return -1, err
-	}
-	fr := &sh.ring[slot]
-	fr.id = id
-	fr.data = data
-	fr.dirty = dirty
-	fr.ref = true
-	sh.slots[id] = slot
-	return slot, nil
+	return nil
 }
 
 // freeSlotLocked returns a ring slot to install into: a fresh slot
@@ -388,12 +315,12 @@ func (p *BufferPool) installLocked(sh *poolShard, id PageID, data []byte, dirty 
 // reclaimed: a view's (shard, slot) address must stay valid until
 // Release. The sweep is bounded at two full revolutions (the first
 // clears every unpinned ref bit, the second must then find a victim);
-// if none is found, every frame is pinned and errAllPinned is returned
-// for the caller to degrade gracefully.
-func (p *BufferPool) freeSlotLocked(sh *poolShard) (int, error) {
+// if none is found, every frame is pinned and -1 is returned for the
+// caller to degrade gracefully.
+func (p *BufferPool) freeSlotLocked(sh *poolShard) int {
 	if len(sh.ring) < sh.cap {
 		sh.ring = append(sh.ring, clockFrame{})
-		return len(sh.ring) - 1, nil
+		return len(sh.ring) - 1
 	}
 	for spins := 2 * len(sh.ring); spins > 0; spins-- {
 		fr := &sh.ring[sh.hand]
@@ -409,50 +336,16 @@ func (p *BufferPool) freeSlotLocked(sh *poolShard) (int, error) {
 			fr.ref = false
 			continue
 		}
-		if fr.dirty {
-			if err := p.dev.Write(fr.id, fr.data); err != nil {
-				return 0, err
-			}
-		}
 		delete(sh.slots, fr.id)
 		fr.data = nil
-		return slot, nil
+		return slot
 	}
-	return 0, errAllPinned
+	return -1
 }
 
-// Flush writes all dirty frames back to the device (frames stay
-// cached). Shards are visited one at a time in ascending order — Flush
-// never holds two shard locks, so it cannot deadlock against concurrent
-// Reads regardless of which shards they touch.
-func (p *BufferPool) Flush() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for j := range sh.ring {
-			fr := &sh.ring[j]
-			if fr.dirty {
-				if err := p.dev.Write(fr.id, fr.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				fr.dirty = false
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// Sync implements Syncer: flush all dirty frames, then force the
-// backing device's writes to stable storage. Both steps follow the
-// allocation-path rule — no shard lock is held across the inner Sync.
-func (p *BufferPool) Sync() error {
-	if err := p.Flush(); err != nil {
-		return err
-	}
-	return SyncDevice(p.dev)
-}
+// Sync implements Syncer: every Write has already reached the device,
+// so Sync forces the device's writes to stable storage.
+func (p *BufferPool) Sync() error { return SyncDevice(p.dev) }
 
 // NumPages implements Device.
 func (p *BufferPool) NumPages() int { return p.dev.NumPages() }
@@ -486,14 +379,9 @@ func (p *BufferPool) HitMiss() (hits, misses uint64) {
 	return hits, misses
 }
 
-// Close flushes and closes the backing device (no shard lock is held
-// across dev.Close, per the allocation-path rule).
-func (p *BufferPool) Close() error {
-	if err := p.Flush(); err != nil {
-		return err
-	}
-	return p.dev.Close()
-}
+// Close closes the backing device (no shard lock is held across
+// dev.Close, per the allocation-path rule).
+func (p *BufferPool) Close() error { return p.dev.Close() }
 
 var _ Device = (*BufferPool)(nil)
 var _ Device = (*MemDevice)(nil)

@@ -2,7 +2,7 @@
 // disk-based index in this library. It substitutes for the TPIE library
 // the paper's C++ implementation uses: fixed-size blocks, explicit
 // read/write accounting, memory- and file-backed devices, and an
-// optional LRU buffer pool.
+// optional write-through CLOCK read cache (BufferPool).
 //
 // All indexes (internal/bptree, internal/itree, and the approximate
 // query structures) serialize their nodes onto Device pages, so the IO
@@ -87,8 +87,7 @@ var (
 )
 
 // Syncer is implemented by devices whose buffered writes can be forced
-// to stable storage (FileDevice fsyncs; wrapper devices flush and
-// delegate). Purely in-memory devices do not implement it — their
+// to stable storage (FileDevice fsyncs; wrapper devices delegate). Purely in-memory devices do not implement it — their
 // writes are "durable" for the lifetime of the process by construction.
 type Syncer interface {
 	Sync() error
@@ -96,9 +95,8 @@ type Syncer interface {
 
 // SyncDevice makes d's completed writes durable when the device (or the
 // wrapper chain ending at it) supports Sync, and is a no-op otherwise.
-// The snapshot commit protocol calls this between writing a
-// checkpoint's data pages and publishing its header, so the barrier
-// degrades gracefully on memory-backed devices.
+// A snapshot's Commit calls this once its header is written, so the
+// barrier degrades gracefully on memory-backed devices.
 func SyncDevice(d Device) error {
 	if s, ok := d.(Syncer); ok {
 		return s.Sync()

@@ -159,8 +159,11 @@ func TestBufferPoolHitsAvoidDeviceReads(t *testing.T) {
 	if err := pool.Write(id, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
-	dev.ResetStats()
 	buf := make([]byte, 128)
+	if err := pool.Read(id, buf); err != nil { // warm: Write caches nothing
+		t.Fatal(err)
+	}
+	dev.ResetStats()
 	for i := 0; i < 10; i++ {
 		if err := pool.Read(id, buf); err != nil {
 			t.Fatal(err)
@@ -179,20 +182,26 @@ func TestBufferPoolHitsAvoidDeviceReads(t *testing.T) {
 	_ = misses
 }
 
+// TestBufferPoolEvictionWritesBack: pages that have been resident and
+// then evicted from a small pool read back with the content written
+// through it.
 func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	dev := NewMemDevice(128)
 	pool := NewBufferPool(dev, 2)
 	var ids []PageID
+	buf := make([]byte, 128)
 	for i := 0; i < 5; i++ {
 		id, _ := pool.Alloc()
 		if err := pool.Write(id, []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
+		if err := pool.Read(id, buf); err != nil { // make it resident
+			t.Fatal(err)
+		}
 		ids = append(ids, id)
 	}
-	// Pages 0..2 must have been evicted and written back; read them
-	// through the pool and verify content survived.
-	buf := make([]byte, 128)
+	// Pages 0..2 must have been evicted; read them through the pool
+	// and verify content survived.
 	for i, id := range ids {
 		if err := pool.Read(id, buf); err != nil {
 			t.Fatal(err)
@@ -203,6 +212,8 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	}
 }
 
+// TestBufferPoolFlush: after Write and Sync a page's data is on the
+// device, visible without going through the pool.
 func TestBufferPoolFlush(t *testing.T) {
 	dev := NewMemDevice(128)
 	pool := NewBufferPool(dev, 8)
@@ -210,7 +221,7 @@ func TestBufferPoolFlush(t *testing.T) {
 	if err := pool.Write(id, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Flush(); err != nil {
+	if err := pool.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// Read directly from the device, bypassing the pool.
@@ -219,7 +230,43 @@ func TestBufferPoolFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf[0] != 9 {
-		t.Error("flush did not persist dirty page")
+		t.Error("written page did not reach the device")
+	}
+}
+
+// TestBufferPoolWritesThrough: a Write has reached the device when it
+// returns, whether or not its page is resident, and a resident page's
+// frame shows the new data.
+func TestBufferPoolWritesThrough(t *testing.T) {
+	dev := NewMemDevice(128)
+	pool := NewBufferPool(dev, 2)
+	buf := make([]byte, 128)
+	for i := 0; i < 5; i++ {
+		id, _ := pool.Alloc()
+		if err := pool.Write(id, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		// Read directly from the device, bypassing the pool.
+		if err := dev.Read(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(i+1) {
+			t.Fatalf("page %d on the device = %d after Write, want %d", id, buf[0], i+1)
+		}
+	}
+	if err := pool.Read(0, buf); err != nil { // page 0 is now resident
+		t.Fatal(err)
+	}
+	if err := pool.Write(0, []byte{42}); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]Device{"device": dev, "pool": pool} {
+		if err := d.Read(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 42 {
+			t.Errorf("resident page rewritten: %s reads %d, want 42", name, buf[0])
+		}
 	}
 }
 

@@ -30,18 +30,18 @@ func OpenFileDevice(path string, blockSize int) (*FileDevice, error) {
 	return &FileDevice{blockSize: blockSize, f: f}, nil
 }
 
-// OpenFileDeviceAt opens (or creates) a file-backed device at path
-// WITHOUT truncating it: existing pages stay readable, and NumPages is
-// derived from the file size. A trailing partial page — the signature
-// of a torn write or an external truncation — is not counted, so reads
-// of the affected ID fail with ErrPageBounds rather than returning
-// garbage. This is the reopen path used by snapshot restore and by
-// incremental re-checkpointing into an existing file.
+// OpenFileDeviceAt opens the existing file at path as a device WITHOUT
+// truncating it: its pages stay readable, and NumPages is derived from
+// the file size. A trailing partial page — the signature of a torn
+// write or an external truncation — is not counted, so reads of the
+// affected ID fail with ErrPageBounds rather than returning garbage.
+// A missing file is an error. This is the reopen path snapshot restore
+// uses.
 func OpenFileDeviceAt(path string, blockSize int) (*FileDevice, error) {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("blockio: open %s: %w", path, err)
 	}
@@ -138,8 +138,8 @@ func (d *FileDevice) ResetStats() { d.stats.Reset() }
 
 // Sync implements Syncer: fsync, forcing completed WriteAt calls to
 // stable storage. Without it a crash can lose buffered writes — the
-// snapshot commit protocol relies on Sync as its write barrier (data
-// pages must be durable before the header that references them).
+// snapshot commit relies on Sync to make a snapshot durable before its
+// file is renamed into place.
 func (d *FileDevice) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -151,11 +151,6 @@ func (d *FileDevice) Sync() error {
 	}
 	return nil
 }
-
-// Flush makes all completed writes durable. FileDevice writes through
-// on Write, so Flush is exactly Sync; the method exists so callers can
-// treat FileDevice and pool-wrapped devices uniformly.
-func (d *FileDevice) Flush() error { return d.Sync() }
 
 // Close implements Device: syncs, then closes the file, so a clean
 // shutdown never leaves pages only in the OS write cache.

@@ -136,8 +136,9 @@ func TestViewPinBlocksEviction(t *testing.T) {
 }
 
 // TestViewAllPinnedDegradation: when every frame of a stripe is
-// pinned, View/Read/Write/Alloc all keep working via their uncached
-// fallbacks instead of failing or evicting a pinned frame.
+// pinned, View and Read keep working via their uncached fallbacks
+// instead of failing or evicting a pinned frame, and Write and Alloc,
+// which cache nothing, are unaffected.
 func TestViewAllPinnedDegradation(t *testing.T) {
 	p, dev := newTestPool(t, 8, 1, 1) // one frame total
 	v0, err := p.View(0)
@@ -194,7 +195,7 @@ func TestViewAllPinnedDegradation(t *testing.T) {
 }
 
 // TestViewPinsBalancedConcurrent is the -race property test: random
-// concurrent viewers, copy-readers, and a Flusher over a small pool.
+// concurrent viewers, copy-readers, and writers over a small pool.
 // Every view observed must be internally consistent, and when the dust
 // settles every pin must be balanced by a release.
 func TestViewPinsBalancedConcurrent(t *testing.T) {
@@ -211,6 +212,7 @@ func TestViewPinsBalancedConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			buf := make([]byte, p.BlockSize())
+			page := make([]byte, p.BlockSize())
 			var held []PageView
 			for i := 0; i < iters; i++ {
 				id := PageID(rng.Intn(pages))
@@ -244,8 +246,9 @@ func TestViewPinsBalancedConcurrent(t *testing.T) {
 					}
 					v.Release()
 				case 3:
-					if err := p.Flush(); err != nil {
-						t.Errorf("Flush: %v", err)
+					fillTestPage(page, id, byte(i))
+					if err := p.Write(id, page); err != nil {
+						t.Errorf("Write(%d): %v", id, err)
 						return
 					}
 				}

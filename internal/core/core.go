@@ -72,8 +72,8 @@ type Config struct {
 	// TargetR aims for approximately this many breakpoints (default
 	// DefaultTargetR; used when Epsilon == 0).
 	TargetR int
-	// CacheBlocks, when > 0, wraps the device in an LRU buffer pool of
-	// that many pages.
+	// CacheBlocks, when > 0, wraps the device in a write-through buffer
+	// pool (a CLOCK read cache) of that many pages.
 	CacheBlocks int
 	// BuildWorkers, when > 1, parallelizes index construction across
 	// series for methods whose construction decomposes per object

@@ -1,35 +1,30 @@
 // Package snapshot implements the durable on-disk checkpoint format:
 // a page-granular layout written through the blockio.Device
 // abstraction, so the same code path serves memory-backed tests,
-// fault-injection sweeps, and real files (optionally behind a
-// BufferPool).
+// fault-injection sweeps, and real files.
 //
 // # Layout
 //
-// A snapshot device is an array of fixed-size pages:
+// A snapshot device holds exactly one snapshot, as an array of
+// fixed-size pages:
 //
-//	page 0   header slot A ┐ shadow pair: the slot with the highest
-//	page 1   header slot B ┘ valid generation is the live checkpoint
-//	page 2+  chained stream pages (TOC, dataset, index meta, index pages)
+//	page 0   header: format, block size, TOC root, CRC
+//	page 1+  chained stream pages (manifest, dataset, indexes; TOC last)
 //
-// Every data page carries a 16-byte header — type tag, payload length,
+// Every stream page carries a 16-byte header — type tag, payload length,
 // CRC32-C of the payload, and the next page in its chain — so restore
 // verifies integrity page by page and a torn or truncated file is
 // rejected with a typed error rather than decoded into a wrong DB.
 //
-// # Commit protocol
+// # Commit
 //
-// A checkpoint never writes into pages referenced by the live
-// generation: writers draw from the derived free set (every data page
-// on the device that the live generation does not own) and extend the
-// device when that runs out. Commit then syncs the data pages, writes
-// the new header — generation+1, pointing at the new TOC — into the
-// *standby* slot, and syncs again. A crash at any operation leaves the
-// previous generation fully intact: either the old header still has
-// the highest valid generation, or the new header is torn and fails
-// its CRC, falling back to the old slot. Space from dead generations
-// is reclaimed by the next checkpoint's free-set derivation, so the
-// file converges to roughly two generations' footprint.
+// A device is written once. Begin refuses a device that already holds
+// pages; streams extend the device; Commit writes the TOC, then the
+// header, then syncs once. Replacing a snapshot atomically is the
+// caller's job: write the new one to a fresh device (a temporary file),
+// and publish it only after Commit returns — by renaming the file over
+// the old one and syncing the directory. A crash before the rename
+// leaves the old snapshot untouched.
 package snapshot
 
 import (
@@ -51,8 +46,9 @@ import (
 // no longer free pages), so a page image is its block size, page count
 // and pages. Version 4 added the last ε search (mass and target r) to
 // approximate index states; a version-3 file would restore them with a
-// pinned ε that never searches again.
-const FormatVersion = 4
+// pinned ε that never searches again. Version 5 holds one snapshot per
+// device: one header page with no generation number.
+const FormatVersion = 5
 
 // magic identifies a snapshot header page.
 const magic = "TRSNAP01"
@@ -65,13 +61,10 @@ const MinBlockSize = 64
 // length, payload CRC32-C, next-page pointer.
 const pageHeaderSize = 16
 
-// headerSlots is the number of shadow header pages (slots 0 and 1).
-const headerSlots = 2
-
 // Stream page-type tags. Each stream's pages carry its tag, so a chain
 // that wanders into another stream's pages (a corruption mode CRCs
-// alone cannot catch when stale pages hold valid old content) is
-// detected by tag mismatch.
+// alone cannot catch, since those pages are intact) is detected by tag
+// mismatch.
 const (
 	// TypeTOC tags the table-of-contents stream (written last, rooted
 	// in the header).
@@ -92,25 +85,23 @@ const (
 // castagnoli is the CRC32-C table shared by header and page checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// header is the decoded form of a header slot page.
+// header is the decoded form of the header page.
 //
 //	[0:8]   magic "TRSNAP01"
 //	[8:12]  format version (u32 LE)
 //	[12:16] block size (u32 LE)
-//	[16:24] generation (u64 LE)
-//	[24:32] TOC head page (i64 LE)
-//	[32:40] TOC payload byte length (u64 LE)
-//	[40:44] CRC32-C of bytes [0:40]
+//	[16:24] TOC head page (i64 LE)
+//	[24:32] TOC payload byte length (u64 LE)
+//	[32:36] CRC32-C of bytes [0:32]
 type header struct {
 	version   uint32
 	blockSize uint32
-	gen       uint64
 	tocHead   blockio.PageID
 	tocLen    uint64
 }
 
 // headerSize is the encoded header length including its CRC.
-const headerSize = 44
+const headerSize = 36
 
 // encodeHeader writes h into buf (len >= headerSize; the remainder of
 // the page is left as-is and ignored by decode).
@@ -118,15 +109,16 @@ func encodeHeader(buf []byte, h header) {
 	copy(buf[0:8], magic)
 	binary.LittleEndian.PutUint32(buf[8:12], h.version)
 	binary.LittleEndian.PutUint32(buf[12:16], h.blockSize)
-	binary.LittleEndian.PutUint64(buf[16:24], h.gen)
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.tocHead))
-	binary.LittleEndian.PutUint64(buf[32:40], h.tocLen)
-	binary.LittleEndian.PutUint32(buf[40:44], crc32.Checksum(buf[0:40], castagnoli))
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(h.tocHead))
+	binary.LittleEndian.PutUint64(buf[24:32], h.tocLen)
+	binary.LittleEndian.PutUint32(buf[32:36], crc32.Checksum(buf[0:32], castagnoli))
 }
 
-// decodeHeader parses a header slot. A page that is not a (complete,
-// untorn) snapshot header wraps trerr.ErrBadSnapshot; a valid header
-// from an incompatible format wraps trerr.ErrSnapshotVersion.
+// decodeHeader parses the header page. A page that is not a (complete,
+// untorn) snapshot header wraps trerr.ErrBadSnapshot; a header from
+// another format version wraps trerr.ErrSnapshotVersion. The version is
+// checked before the CRC because the CRC's place differs between
+// versions.
 func decodeHeader(buf []byte, blockSize int) (header, error) {
 	if len(buf) < headerSize {
 		return header{}, fmt.Errorf("snapshot: header short: %w", trerr.ErrBadSnapshot)
@@ -134,19 +126,18 @@ func decodeHeader(buf []byte, blockSize int) (header, error) {
 	if string(buf[0:8]) != magic {
 		return header{}, fmt.Errorf("snapshot: bad magic: %w", trerr.ErrBadSnapshot)
 	}
-	if got, want := crc32.Checksum(buf[0:40], castagnoli), binary.LittleEndian.Uint32(buf[40:44]); got != want {
+	if v := binary.LittleEndian.Uint32(buf[8:12]); v != FormatVersion {
+		return header{}, fmt.Errorf("snapshot: format version %d (this build reads %d): %w",
+			v, FormatVersion, trerr.ErrSnapshotVersion)
+	}
+	if got, want := crc32.Checksum(buf[0:32], castagnoli), binary.LittleEndian.Uint32(buf[32:36]); got != want {
 		return header{}, fmt.Errorf("snapshot: header checksum mismatch (torn write): %w", trerr.ErrBadSnapshot)
 	}
 	h := header{
-		version:   binary.LittleEndian.Uint32(buf[8:12]),
+		version:   FormatVersion,
 		blockSize: binary.LittleEndian.Uint32(buf[12:16]),
-		gen:       binary.LittleEndian.Uint64(buf[16:24]),
-		tocHead:   blockio.PageID(binary.LittleEndian.Uint64(buf[24:32])),
-		tocLen:    binary.LittleEndian.Uint64(buf[32:40]),
-	}
-	if h.version != FormatVersion {
-		return header{}, fmt.Errorf("snapshot: format version %d (this build reads %d): %w",
-			h.version, FormatVersion, trerr.ErrSnapshotVersion)
+		tocHead:   blockio.PageID(binary.LittleEndian.Uint64(buf[16:24])),
+		tocLen:    binary.LittleEndian.Uint64(buf[24:32]),
 	}
 	if int(h.blockSize) != blockSize {
 		return header{}, fmt.Errorf("snapshot: written with block size %d, opened with %d: %w",

@@ -10,26 +10,31 @@ import (
 	"temporalrank/internal/trerr"
 )
 
-// writeGen writes one generation holding a single named stream.
-func writeGen(t *testing.T, s *Store, name string, payload []byte) {
+// writeSnapshot writes a snapshot of named manifest-typed streams onto
+// a fresh device with the given block size.
+func writeSnapshot(t testing.TB, bs int, streams ...[]byte) *blockio.MemDevice {
 	t.Helper()
-	cp, err := s.Begin()
+	dev := blockio.NewMemDevice(bs)
+	cp, err := Begin(dev)
 	if err != nil {
 		t.Fatalf("Begin: %v", err)
 	}
-	w, err := cp.Stream(name, TypeManifest)
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	for i, payload := range streams {
+		w, err := cp.Stream(string(rune('a'+i)), TypeManifest)
+		if err != nil {
+			t.Fatalf("Stream: %v", err)
+		}
+		if _, err := w.Write(payload); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 	if err := cp.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
+	return dev
 }
 
 func readStream(t *testing.T, s *Store, name string) []byte {
@@ -45,134 +50,123 @@ func readStream(t *testing.T, s *Store, name string) []byte {
 	return data
 }
 
+// TestStoreRoundTripAndGenerations: a device holds one snapshot. Its
+// streams read back as written, and Begin refuses to write a second
+// generation over it.
 func TestStoreRoundTripAndGenerations(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
-	s, err := Open(dev)
-	if err != nil {
-		t.Fatalf("Open fresh: %v", err)
-	}
-	if err := s.Err(); !errors.Is(err, trerr.ErrBadSnapshot) {
-		t.Fatalf("fresh store Err = %v, want ErrBadSnapshot", err)
+	if _, err := Open(blockio.NewMemDevice(128)); !errors.Is(err, trerr.ErrBadSnapshot) {
+		t.Fatalf("Open of an empty device = %v, want ErrBadSnapshot", err)
 	}
 
-	// Payload spanning several 128-byte pages.
+	// The first payload spans several 128-byte pages.
 	payload := bytes.Repeat([]byte("temporal-rank-snapshot-"), 40)
-	writeGen(t, s, "a", payload)
-	if s.Generation() != 1 {
-		t.Fatalf("generation = %d, want 1", s.Generation())
+	dev := writeSnapshot(t, 128, payload, []byte("second"))
+	s, err := Open(dev)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
 	if got := readStream(t, s, "a"); !bytes.Equal(got, payload) {
 		t.Fatalf("stream a mismatch: %d bytes vs %d", len(got), len(payload))
 	}
-
-	// Second generation through the same store, then a reopen.
-	writeGen(t, s, "b", []byte("second"))
-	if s.Generation() != 2 {
-		t.Fatalf("generation = %d, want 2", s.Generation())
-	}
-	extentAfter2 := dev.NumPages()
-
-	s2, err := Open(dev)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if s2.Generation() != 2 {
-		t.Fatalf("reopened generation = %d, want 2", s2.Generation())
-	}
-	if got := readStream(t, s2, "b"); string(got) != "second" {
+	if got := readStream(t, s, "b"); string(got) != "second" {
 		t.Fatalf("stream b = %q", got)
 	}
-	if _, err := s2.OpenStream("a", TypeManifest); !errors.Is(err, trerr.ErrBadSnapshot) {
-		t.Fatalf("dead generation's stream still visible: %v", err)
+	if _, err := s.OpenStream("c", TypeManifest); !errors.Is(err, trerr.ErrBadSnapshot) {
+		t.Fatalf("OpenStream of a missing stream = %v, want ErrBadSnapshot", err)
 	}
 
-	// Space reclamation: many more generations should not grow the
-	// device much beyond two generations' footprint.
-	for i := 0; i < 20; i++ {
-		writeGen(t, s2, "a", payload)
+	pages := dev.NumPages()
+	if _, err := Begin(dev); !errors.Is(err, trerr.ErrBadConfig) {
+		t.Fatalf("Begin on a written device = %v, want ErrBadConfig", err)
 	}
-	if extent := dev.NumPages(); extent > 2*extentAfter2+8 {
-		t.Fatalf("extent grew to %d after 20 generations (was %d after 2): free-set reuse broken", extent, extentAfter2)
+	if dev.NumPages() != pages {
+		t.Fatalf("refused Begin grew the device from %d to %d pages", pages, dev.NumPages())
+	}
+	if got := readStream(t, s, "a"); !bytes.Equal(got, payload) {
+		t.Fatal("refused Begin changed the snapshot")
 	}
 }
 
+// TestStoreRejectsCorruptPage flips a payload byte in each stream page
+// in turn: every page belongs to the snapshot, so every flip must fail
+// Open or the stream's read with the typed error.
 func TestStoreRejectsCorruptPage(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
-	s, _ := Open(dev)
-	payload := bytes.Repeat([]byte("x"), 500)
-	writeGen(t, s, "a", payload)
-
-	// Flip a byte in every data page except the headers; at least one
-	// reopened read must fail with the typed error.
-	var hit bool
-	for id := 2; id < dev.NumPages(); id++ {
-		buf := make([]byte, 128)
-		if err := dev.Read(blockio.PageID(id), buf); err != nil {
-			continue
+	dev := writeSnapshot(t, 128, bytes.Repeat([]byte("x"), 500))
+	buf := make([]byte, 128)
+	for id := blockio.PageID(1); int(id) < dev.NumPages(); id++ {
+		if err := dev.Read(id, buf); err != nil {
+			t.Fatal(err)
 		}
 		buf[20] ^= 0xff
-		if err := dev.Write(blockio.PageID(id), buf); err != nil {
+		if err := dev.Write(id, buf); err != nil {
 			t.Fatalf("corrupt page %d: %v", id, err)
 		}
-		s2, err := Open(dev)
-		if err != nil {
-			t.Fatalf("Open after corruption: %v", err)
-		}
-		loadErr := s2.Err()
-		if loadErr == nil {
-			r, err := s2.OpenStream("a", TypeManifest)
-			if err == nil {
+		s, err := Open(dev)
+		if err == nil {
+			var r io.Reader
+			if r, err = s.OpenStream("a", TypeManifest); err == nil {
 				_, err = io.ReadAll(r)
 			}
-			loadErr = err
 		}
-		if loadErr != nil {
-			if !errors.Is(loadErr, trerr.ErrBadSnapshot) {
-				t.Fatalf("corruption surfaced as untyped error: %v", loadErr)
-			}
-			hit = true
+		if !errors.Is(err, trerr.ErrBadSnapshot) {
+			t.Fatalf("corrupt page %d: got %v, want ErrBadSnapshot", id, err)
 		}
 		buf[20] ^= 0xff // restore
-		if err := dev.Write(blockio.PageID(id), buf); err != nil {
+		if err := dev.Write(id, buf); err != nil {
 			t.Fatalf("restore page %d: %v", id, err)
 		}
 	}
-	if !hit {
-		t.Fatal("no corruption detected across any data page")
+}
+
+// TestStoreRejectsCyclicChain: a stream whose chain loops back on
+// itself fails once it has read as many pages as the device holds,
+// instead of looping until its forged length runs out.
+func TestStoreRejectsCyclicChain(t *testing.T) {
+	dev := writeSnapshot(t, 128, []byte("x")) // page 1: stream a; page 2: the TOC
+	page := make([]byte, 128)
+	rewrite := func(id blockio.PageID, typ byte, payload []byte, next blockio.PageID) {
+		clear(page)
+		copy(page[pageHeaderSize:], payload)
+		encodePageHeader(page, typ, len(payload), next)
+		if err := dev.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(1, TypeManifest, []byte("x"), 1)
+	// The forged TOC has the length of the real one, so the header
+	// still matches it.
+	var toc bytes.Buffer
+	if err := encodeTOC(&toc, []StreamInfo{{Name: "a", Type: TypeManifest, Head: 1, Len: 1 << 62}}); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(2, TypeTOC, toc.Bytes(), blockio.InvalidPage)
+	s, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.OpenStream("a", TypeManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, r); !errors.Is(err, trerr.ErrBadSnapshot) {
+		t.Fatalf("reading a cyclic chain = %v, want ErrBadSnapshot", err)
 	}
 }
 
-func TestStoreTornHeaderFallsBack(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
-	s, _ := Open(dev)
-	writeGen(t, s, "a", []byte("gen-one"))
-	writeGen(t, s, "a", []byte("gen-two"))
-
-	// Tear the newest header (slot 0 holds gen 1, slot 1 holds gen 2
-	// after two commits; find it by decoding).
-	for slot := 0; slot < 2; slot++ {
-		buf := make([]byte, 128)
-		if err := dev.Read(blockio.PageID(slot), buf); err != nil {
-			t.Fatal(err)
-		}
-		h, err := decodeHeader(buf, 128)
-		if err != nil || h.gen != 2 {
-			continue
-		}
-		buf[41] ^= 0xff // corrupt the header CRC
-		if err := dev.Write(blockio.PageID(slot), buf); err != nil {
-			t.Fatal(err)
-		}
+// TestStoreTornHeaderFails: a device holds one header, so a torn one
+// leaves nothing to fall back to and Open fails with ErrBadSnapshot.
+func TestStoreTornHeaderFails(t *testing.T) {
+	dev := writeSnapshot(t, 128, []byte("only"))
+	buf := make([]byte, 128)
+	if err := dev.Read(0, buf); err != nil {
+		t.Fatal(err)
 	}
-	s2, err := Open(dev)
-	if err != nil {
-		t.Fatalf("Open with torn header: %v", err)
+	buf[headerSize-1] ^= 0xff // corrupt the header CRC
+	if err := dev.Write(0, buf); err != nil {
+		t.Fatal(err)
 	}
-	if s2.Generation() != 1 {
-		t.Fatalf("generation = %d, want fallback to 1", s2.Generation())
-	}
-	if got := readStream(t, s2, "a"); string(got) != "gen-one" {
-		t.Fatalf("fallback content = %q, want gen-one", got)
+	if _, err := Open(dev); !errors.Is(err, trerr.ErrBadSnapshot) {
+		t.Fatalf("Open with a torn header = %v, want ErrBadSnapshot", err)
 	}
 }
 
@@ -181,33 +175,75 @@ func TestVersionGate(t *testing.T) {
 	// drop the fields of an older file's index state that this build's
 	// structs no longer have.
 	for _, version := range []uint32{FormatVersion - 1, FormatVersion + 1} {
-		dev := blockio.NewMemDevice(128)
-		s, _ := Open(dev)
-		writeGen(t, s, "a", []byte("data"))
-
-		// Rewrite both headers claiming the other format version.
-		for slot := 0; slot < 2; slot++ {
-			buf := make([]byte, 128)
-			if err := dev.Read(blockio.PageID(slot), buf); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := decodeHeader(buf, 128); err != nil {
-				continue
-			}
-			encodeHeader(buf, header{version: version, blockSize: 128, gen: 9})
-			if err := dev.Write(blockio.PageID(slot), buf); err != nil {
-				t.Fatal(err)
-			}
+		dev := writeSnapshot(t, 128, []byte("data"))
+		buf := make([]byte, 128)
+		if err := dev.Read(0, buf); err != nil {
+			t.Fatal(err)
 		}
-		s2, err := Open(dev)
-		if err != nil {
-			t.Fatalf("version %d: Open: %v", version, err)
+		encodeHeader(buf, header{version: version, blockSize: 128})
+		if err := dev.Write(0, buf); err != nil {
+			t.Fatal(err)
 		}
-		if err := s2.Err(); !errors.Is(err, trerr.ErrSnapshotVersion) {
-			t.Fatalf("version %d: Err = %v, want ErrSnapshotVersion", version, err)
-		}
-		if _, err := s2.Begin(); !errors.Is(err, trerr.ErrSnapshotVersion) {
-			t.Fatalf("version %d: Begin = %v, want refusal with ErrSnapshotVersion", version, err)
+		if _, err := Open(dev); !errors.Is(err, trerr.ErrSnapshotVersion) {
+			t.Fatalf("version %d: Open = %v, want ErrSnapshotVersion", version, err)
 		}
 	}
+}
+
+// image returns dev's pages end to end, as a snapshot file holds them.
+func image(t testing.TB, dev blockio.Device) []byte {
+	t.Helper()
+	out := make([]byte, dev.NumPages()*dev.BlockSize())
+	for id := 0; id < dev.NumPages(); id++ {
+		if err := dev.Read(blockio.PageID(id), out[id*dev.BlockSize():]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// FuzzOpenStore opens arbitrary bytes as a snapshot device of 64-byte
+// pages, dropping a trailing partial page as a reopened file does, and
+// reads every stream its TOC lists. It must never panic, and every
+// error must be typed.
+func FuzzOpenStore(f *testing.F) {
+	const bs = MinBlockSize
+	valid := image(f, writeSnapshot(f, bs, bytes.Repeat([]byte("fuzz"), 30), []byte("second")))
+	seedTruncations(f, valid)
+	torn := bytes.Clone(valid)
+	torn[headerSize-1] ^= 0xff
+	f.Add(torn)
+	other := bytes.Clone(valid)
+	encodeHeader(other, header{version: FormatVersion + 1, blockSize: bs})
+	f.Add(other)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dev := blockio.NewMemDevice(bs)
+		for len(raw) >= bs {
+			id, err := dev.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.Write(id, raw[:bs]); err != nil {
+				t.Fatal(err)
+			}
+			raw = raw[bs:]
+		}
+		typed := func(err error) {
+			if err != nil && !errors.Is(err, trerr.ErrBadSnapshot) && !errors.Is(err, trerr.ErrSnapshotVersion) {
+				t.Fatalf("untyped error: %v", err)
+			}
+		}
+		s, err := Open(dev)
+		typed(err)
+		if err != nil {
+			return
+		}
+		for _, info := range s.Streams() {
+			r, err := s.OpenStream(info.Name, info.Type)
+			if err == nil {
+				_, err = io.Copy(io.Discard, r)
+			}
+			typed(err)
+		}
+	})
 }

@@ -1,16 +1,15 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"temporalrank/internal/blockio"
 	"temporalrank/internal/trerr"
 )
 
-// StreamInfo describes one named stream of the live generation.
+// StreamInfo describes one named stream of a snapshot.
 type StreamInfo struct {
 	Name string
 	Type byte
@@ -18,146 +17,47 @@ type StreamInfo struct {
 	Len  int64
 }
 
-// Store mediates all access to one snapshot device: it owns the shadow
-// header pair, the live generation's page set, and the derived free
-// set new checkpoints draw from. A Store is single-writer: callers
-// serialize Begin/Commit externally (the public Checkpoint APIs hold
-// the DB/Planner locks across the whole operation anyway).
+// Store reads the one snapshot a device holds.
 type Store struct {
-	dev blockio.Device
-	bs  int
-
-	gen  uint64
-	slot int // header slot of the live generation; -1 when none
-	verr error
-	// degraded: a header decoded but its chains did not — Load fails,
-	// and the next checkpoint reclaims every data page.
-	degraded bool
-	toc      []StreamInfo
-	live     map[blockio.PageID]struct{}
+	dev   blockio.Device
+	bs    int
+	pages int // device size: no stream chain is longer
+	toc   []StreamInfo
 }
 
-// Open reads the shadow headers (when present) and walks the live
-// generation's chains to learn which pages it owns. A fresh or
-// garbage device yields an empty store: Err reports ErrBadSnapshot
-// (nothing to restore) but Begin still works, so the same call serves
-// first-checkpoint and re-checkpoint paths. The one exception is a
-// device holding a *newer-format* snapshot: Open succeeds but both
-// Err and Begin report ErrSnapshotVersion, so an old binary neither
-// misreads nor clobbers it.
+// Open reads dev's header and table of contents. A device that holds
+// no complete snapshot (empty, torn, truncated, or garbage) fails with
+// an error wrapping ErrBadSnapshot, and one written by another format
+// version with ErrSnapshotVersion. Stream pages are verified as
+// OpenStream's readers reach them.
 func Open(dev blockio.Device) (*Store, error) {
 	bs := dev.BlockSize()
 	if bs < MinBlockSize {
 		return nil, fmt.Errorf("snapshot: block size %d below minimum %d: %w", bs, MinBlockSize, trerr.ErrBadConfig)
 	}
-	s := &Store{dev: dev, bs: bs, slot: -1, live: make(map[blockio.PageID]struct{})}
-	numPages := dev.NumPages()
-	if numPages == 0 {
-		return s, nil
+	s := &Store{dev: dev, bs: bs, pages: dev.NumPages()}
+	if s.pages == 0 {
+		return nil, fmt.Errorf("snapshot: empty device: %w", trerr.ErrBadSnapshot)
 	}
-	var (
-		best     header
-		bestSlot = -1
-		verr     error
-	)
 	buf := make([]byte, bs)
-	for slot := 0; slot < headerSlots && slot < numPages; slot++ {
-		if err := dev.Read(blockio.PageID(slot), buf); err != nil {
-			return nil, fmt.Errorf("snapshot: read header slot %d: %w", slot, err)
-		}
-		h, err := decodeHeader(buf, bs)
-		if err != nil {
-			if isVersionErr(err) {
-				verr = err
-			}
-			continue
-		}
-		if bestSlot == -1 || h.gen > best.gen {
-			best, bestSlot = h, slot
-		}
+	if err := dev.Read(0, buf); err != nil {
+		return nil, fmt.Errorf("snapshot: read header: %v: %w", err, trerr.ErrBadSnapshot)
 	}
-	if bestSlot == -1 {
-		// No readable generation. If a newer-format header is present,
-		// refuse to treat the device as free space.
-		s.verr = verr
-		return s, nil
+	h, err := decodeHeader(buf, bs)
+	if err != nil {
+		return nil, err
 	}
-	s.gen, s.slot = best.gen, bestSlot
-	if err := s.loadGeneration(best); err != nil {
-		// The header committed but its chains are unreadable (bit rot or
-		// an externally truncated file). Nothing restorable remains;
-		// remember why so Load can report it, and let the next
-		// checkpoint start from a clean slate.
-		s.degraded = true
-		s.toc = nil
-		s.live = make(map[blockio.PageID]struct{})
+	if s.toc, err = decodeTOC(s.reader(TypeTOC, h.tocHead, int64(h.tocLen))); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-func isVersionErr(err error) bool { return errors.Is(err, trerr.ErrSnapshotVersion) }
+// Streams lists the snapshot's streams in checkpoint order.
+func (s *Store) Streams() []StreamInfo { return slices.Clone(s.toc) }
 
-// loadGeneration walks the TOC and every stream chain, populating
-// s.toc and s.live.
-func (s *Store) loadGeneration(h header) error {
-	tocR := &StreamReader{
-		s:         s,
-		typ:       TypeTOC,
-		next:      h.tocHead,
-		remaining: int64(h.tocLen),
-		visit:     s.visitLive,
-	}
-	toc, err := decodeTOC(tocR)
-	if err != nil {
-		return err
-	}
-	for _, info := range toc {
-		r := &StreamReader{s: s, typ: info.Type, next: info.Head, remaining: info.Len, visit: s.visitLive}
-		if _, err := io.Copy(io.Discard, r); err != nil {
-			return fmt.Errorf("snapshot: stream %q: %w", info.Name, err)
-		}
-	}
-	s.toc = toc
-	return nil
-}
-
-func (s *Store) visitLive(id blockio.PageID) { s.live[id] = struct{}{} }
-
-// Generation returns the live generation number (0 when none).
-func (s *Store) Generation() uint64 { return s.gen }
-
-// Err reports whether the store holds a restorable generation: nil
-// when it does, ErrSnapshotVersion for a newer-format snapshot, and
-// ErrBadSnapshot otherwise (fresh device, torn first checkpoint, or
-// corrupt chains).
-func (s *Store) Err() error {
-	switch {
-	case s.verr != nil:
-		return s.verr
-	case s.slot == -1:
-		return fmt.Errorf("snapshot: no completed checkpoint on device: %w", trerr.ErrBadSnapshot)
-	case s.degraded:
-		return fmt.Errorf("snapshot: generation %d has unreadable pages: %w", s.gen, trerr.ErrBadSnapshot)
-	}
-	return nil
-}
-
-// Streams lists the live generation's streams in checkpoint order.
-func (s *Store) Streams() ([]StreamInfo, error) {
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]StreamInfo, len(s.toc))
-	copy(out, s.toc)
-	return out, nil
-}
-
-// OpenStream returns a verifying reader over the named stream of the
-// live generation.
+// OpenStream returns a verifying reader over the named stream.
 func (s *Store) OpenStream(name string, wantType byte) (io.Reader, error) {
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
 	for _, info := range s.toc {
 		if info.Name != name {
 			continue
@@ -166,64 +66,47 @@ func (s *Store) OpenStream(name string, wantType byte) (io.Reader, error) {
 			return nil, fmt.Errorf("snapshot: stream %q has type %d, want %d: %w",
 				name, info.Type, wantType, trerr.ErrBadSnapshot)
 		}
-		return &StreamReader{s: s, typ: info.Type, next: info.Head, remaining: info.Len}, nil
+		return s.reader(info.Type, info.Head, info.Len), nil
 	}
 	return nil, fmt.Errorf("snapshot: stream %q not in snapshot: %w", name, trerr.ErrBadSnapshot)
 }
 
-// Checkpoint is one in-progress generation write. Streams are written
-// one at a time; Commit atomically publishes them as the new live
-// generation. On any error the caller abandons the Checkpoint — the
-// device still holds the previous generation, and a later Begin
-// reclaims whatever the failed attempt wrote.
+func (s *Store) reader(typ byte, head blockio.PageID, n int64) *StreamReader {
+	return &StreamReader{s: s, typ: typ, next: head, remaining: n}
+}
+
+// Checkpoint writes one snapshot onto a fresh device. Streams are
+// written one at a time; Commit makes the device a complete snapshot.
+// On any error the caller discards the device.
 type Checkpoint struct {
-	s       *Store
-	free    []blockio.PageID // reusable pages, ascending
-	freeIdx int
-	pages   []blockio.PageID // pages written by this checkpoint
-	toc     []StreamInfo
-	cur     *StreamWriter
-	err     error
-	done    bool
+	dev  blockio.Device
+	bs   int
+	toc  []StreamInfo
+	cur  *StreamWriter
+	err  error
+	done bool
 }
 
-// Begin starts a new checkpoint. The header pair is allocated on a
-// fresh device, and the free set is derived as "every data page the
-// live generation does not own" — which transparently reclaims dead
-// generations and the debris of interrupted checkpoints.
-func (s *Store) Begin() (*Checkpoint, error) {
-	if s.verr != nil {
-		return nil, fmt.Errorf("snapshot: refusing to overwrite newer-format snapshot: %w", s.verr)
+// Begin starts writing a snapshot onto dev, which must be empty: a
+// device holds one snapshot and is never rewritten. Page 0 is reserved
+// for the header Commit writes last.
+func Begin(dev blockio.Device) (*Checkpoint, error) {
+	bs := dev.BlockSize()
+	if bs < MinBlockSize {
+		return nil, fmt.Errorf("snapshot: block size %d below minimum %d: %w", bs, MinBlockSize, trerr.ErrBadConfig)
 	}
-	for s.dev.NumPages() < headerSlots {
-		id, err := s.dev.Alloc()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: allocate header page: %w", err)
-		}
-		if int(id) >= headerSlots {
-			return nil, fmt.Errorf("snapshot: device handed page %d for a header slot: %w", id, trerr.ErrBadConfig)
-		}
+	if n := dev.NumPages(); n != 0 {
+		return nil, fmt.Errorf("snapshot: device already holds %d pages: %w", n, trerr.ErrBadConfig)
 	}
-	cp := &Checkpoint{s: s}
-	numPages := s.dev.NumPages()
-	for id := blockio.PageID(headerSlots); int(id) < numPages; id++ {
-		if _, ok := s.live[id]; !ok {
-			cp.free = append(cp.free, id)
-		}
+	if _, err := dev.Alloc(); err != nil {
+		return nil, fmt.Errorf("snapshot: allocate header page: %w", err)
 	}
-	sort.Slice(cp.free, func(i, j int) bool { return cp.free[i] < cp.free[j] })
-	return cp, nil
+	return &Checkpoint{dev: dev, bs: bs}, nil
 }
 
-// alloc hands out the next page for this checkpoint: reuse before
-// extension.
+// alloc extends the device by one page.
 func (cp *Checkpoint) alloc() (blockio.PageID, error) {
-	if cp.freeIdx < len(cp.free) {
-		id := cp.free[cp.freeIdx]
-		cp.freeIdx++
-		return id, nil
-	}
-	id, err := cp.s.dev.Alloc()
+	id, err := cp.dev.Alloc()
 	if err != nil {
 		return blockio.InvalidPage, fmt.Errorf("snapshot: grow device: %w", err)
 	}
@@ -253,17 +136,17 @@ func (cp *Checkpoint) Stream(name string, typ byte) (*StreamWriter, error) {
 		typ:   typ,
 		head:  head,
 		curID: head,
-		buf:   make([]byte, cp.s.bs),
+		buf:   make([]byte, cp.bs),
 		off:   pageHeaderSize,
 	}
 	cp.cur = w
 	return w, nil
 }
 
-// Commit writes the TOC, syncs the data pages, publishes the new
-// header into the standby slot, and syncs again — the two barriers of
-// the shadow-header protocol. On success the store's live generation
-// advances; on failure the previous generation remains the live one.
+// Commit writes the TOC, then the header that points at it, then syncs
+// the device once. The device holds a complete snapshot only once
+// Commit returns nil; publishing it (renaming a file into place) is the
+// caller's job.
 func (cp *Checkpoint) Commit() error {
 	if cp.err != nil {
 		return cp.err
@@ -283,46 +166,23 @@ func (cp *Checkpoint) Commit() error {
 		cp.err = err
 		return err
 	}
-	tocHead, tocLen := w.head, w.n
 	if err := w.Close(); err != nil {
 		return err
 	}
-	cp.toc = toc // drop the TOC's own self-entry appended by Close
-	// Barrier 1: every data page durable before the header points at it.
-	if err := blockio.SyncDevice(cp.s.dev); err != nil {
-		cp.err = err
-		return fmt.Errorf("snapshot: sync data pages: %w", err)
-	}
-	s := cp.s
-	newGen := s.gen + 1
-	slot := 0
-	if s.slot == 0 {
-		slot = 1
-	}
-	hbuf := make([]byte, s.bs)
+	hbuf := make([]byte, cp.bs)
 	encodeHeader(hbuf, header{
 		version:   FormatVersion,
-		blockSize: uint32(s.bs),
-		gen:       newGen,
-		tocHead:   tocHead,
-		tocLen:    uint64(tocLen),
+		blockSize: uint32(cp.bs),
+		tocHead:   w.head,
+		tocLen:    uint64(w.n),
 	})
-	if err := s.dev.Write(blockio.PageID(slot), hbuf); err != nil {
+	if err := cp.dev.Write(0, hbuf); err != nil {
 		cp.err = err
 		return fmt.Errorf("snapshot: write header: %w", err)
 	}
-	// Barrier 2: the new generation is live only once its header is on
-	// stable storage.
-	if err := blockio.SyncDevice(s.dev); err != nil {
+	if err := blockio.SyncDevice(cp.dev); err != nil {
 		cp.err = err
-		return fmt.Errorf("snapshot: sync header: %w", err)
-	}
-	s.gen, s.slot = newGen, slot
-	s.toc = toc
-	s.degraded = false
-	s.live = make(map[blockio.PageID]struct{}, len(cp.pages))
-	for _, id := range cp.pages {
-		s.live[id] = struct{}{}
+		return fmt.Errorf("snapshot: sync: %w", err)
 	}
 	cp.done = true
 	return nil
@@ -378,11 +238,10 @@ func (w *StreamWriter) flush(more bool) error {
 		next = id
 	}
 	encodePageHeader(w.buf, w.typ, w.off-pageHeaderSize, next)
-	if err := w.cp.s.dev.Write(w.curID, w.buf); err != nil {
+	if err := w.cp.dev.Write(w.curID, w.buf); err != nil {
 		w.cp.err = fmt.Errorf("snapshot: write page %d: %w", w.curID, err)
 		return w.cp.err
 	}
-	w.cp.pages = append(w.cp.pages, w.curID)
 	w.curID = next
 	w.off = pageHeaderSize
 	return nil
@@ -417,7 +276,7 @@ type StreamReader struct {
 	buf       []byte
 	off       int
 	avail     int
-	visit     func(blockio.PageID) // optional: live-set collection during Open
+	read      int // pages read so far
 }
 
 // Read implements io.Reader.
@@ -440,6 +299,9 @@ func (r *StreamReader) fill() error {
 	if r.next == blockio.InvalidPage {
 		return fmt.Errorf("snapshot: stream truncated with %d bytes missing: %w", r.remaining, trerr.ErrBadSnapshot)
 	}
+	if r.read == r.s.pages {
+		return fmt.Errorf("snapshot: stream chain longer than the device (a cycle): %w", trerr.ErrBadSnapshot)
+	}
 	if r.buf == nil {
 		r.buf = make([]byte, r.s.bs)
 	}
@@ -454,9 +316,7 @@ func (r *StreamReader) fill() error {
 	if n == 0 || int64(n) > r.remaining {
 		return fmt.Errorf("snapshot: page %d payload %d inconsistent with stream length: %w", id, n, trerr.ErrBadSnapshot)
 	}
-	if r.visit != nil {
-		r.visit(id)
-	}
+	r.read++
 	r.remaining -= int64(n)
 	r.next = next
 	r.off = pageHeaderSize

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"temporalrank/internal/qcache"
 )
@@ -35,8 +35,8 @@ type Planner struct {
 	// set by NewPlanner, never replaced.
 	ingest *ingestState
 
-	mu    sync.RWMutex
-	cache *qcache.Cache[queryKey, Answer]
+	// cache is the result cache, nil when none is attached.
+	cache atomic.Pointer[qcache.Cache[queryKey, Answer]]
 }
 
 // CacheStats summarizes a result cache's effectiveness: Hits were
@@ -65,21 +65,17 @@ func (s CacheStats) HitRatio() float64 {
 // served post-append. entries <= 0 detaches the cache. Existing entries
 // are discarded when called again.
 func (p *Planner) EnableResultCache(entries int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if entries <= 0 {
-		p.cache = nil
+		p.cache.Store(nil)
 		return
 	}
-	p.cache = qcache.New[queryKey, Answer](entries)
+	p.cache.Store(qcache.New[queryKey, Answer](entries))
 }
 
 // CacheStats returns the result cache's counters; ok is false when no
 // cache is attached.
 func (p *Planner) CacheStats() (stats CacheStats, ok bool) {
-	p.mu.RLock()
-	cache := p.cache
-	p.mu.RUnlock()
+	cache := p.cache.Load()
 	if cache == nil {
 		return CacheStats{}, false
 	}
@@ -218,9 +214,7 @@ func (p *Planner) Run(ctx context.Context, q Query) (Answer, error) {
 	if err := q.Validate(); err != nil {
 		return Answer{}, err
 	}
-	p.mu.RLock()
-	cache := p.cache
-	p.mu.RUnlock()
+	cache := p.cache.Load()
 	if cache == nil {
 		return p.execute(ctx, q)
 	}

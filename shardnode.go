@@ -280,7 +280,7 @@ func (n *ShardNode) handleCheckpoint(ctx context.Context, body []byte) (any, err
 	if err != nil {
 		return nil, err
 	}
-	if err := commitShardSnapshotFile(n.dir, req.Shard, sh.planner, sh.meta); err != nil {
+	if err := commitSnapshotFile(shardSnapshotPath(n.dir, req.Shard), sh.planner, sh.meta); err != nil {
 		return nil, fmt.Errorf("temporalrank: checkpoint shard %d: %w", req.Shard, err)
 	}
 	return rpcAppendReply{Version: sh.planner.DataVersion()}, nil
@@ -336,7 +336,7 @@ func (n *ShardNode) handleRestore(ctx context.Context, body []byte) (any, error)
 	if err != nil {
 		return nil, fmt.Errorf("temporalrank: restore shard %d: %w", req.Shard, err)
 	}
-	if err := commitShardSnapshotFile(n.dir, req.Shard, p, sm); err != nil {
+	if err := commitSnapshotFile(shardSnapshotPath(n.dir, req.Shard), p, sm); err != nil {
 		return nil, fmt.Errorf("temporalrank: restore shard %d: persist: %w", req.Shard, err)
 	}
 	n.mu.Lock()

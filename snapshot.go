@@ -19,16 +19,16 @@ import (
 
 // This file wires the internal/snapshot paged store to the public
 // types: Checkpoint serializes a DB, its indexes, and the planner
-// configuration into one atomically-committed generation on a block
-// device; OpenSnapshot reconstructs a fully queryable Planner from it
-// without rebuilding any index (every index's node pages are restored
-// as a raw device image, so even the B+-tree splits come back
-// byte-identical). Commit is atomic at the device level — a crash
-// mid-checkpoint leaves the previous generation live — and every page
-// is CRC-verified on the way back in, so a torn or bit-rotted file
+// configuration into one snapshot file; OpenSnapshot reconstructs a
+// fully queryable Planner from it without rebuilding any index (every
+// index's node pages are restored as a raw device image, so even the
+// B+-tree splits come back byte-identical). A snapshot file is written
+// once, to a .tmp sibling, and renamed into place only after its commit
+// — a crash mid-checkpoint leaves the previous file intact — and every
+// page is CRC-verified on the way back in, so a torn or bit-rotted file
 // fails with ErrBadSnapshot instead of loading wrong.
 //
-// Stream layout of one generation (names are the restore contract):
+// Stream layout of one snapshot (names are the restore contract):
 //
 //	manifest        gob snapManifest: shape, data version, cache config
 //	dataset         flat per-series vertex arrays
@@ -36,7 +36,7 @@ import (
 //	index.<i>.pages raw device page image of index i
 //	shard           gob shardManifest (cluster checkpoints only)
 
-// snapManifest is the generation's table of shape facts: enough to
+// snapManifest is the snapshot's table of shape facts: enough to
 // validate every other stream against, plus the planner state that is
 // not derivable from the data (append counter, result cache bound).
 type snapManifest struct {
@@ -82,19 +82,18 @@ type shardManifest struct {
 const maxSnapshotIndexes = 4096
 
 // Checkpoint writes the planner's DB, every registered index, and the
-// result cache configuration to dev as one new snapshot generation.
-// The commit is atomic: until the final header write lands, the
-// device's previous generation — if any — remains the one OpenSnapshot
-// restores, so an interrupted checkpoint can lose the new generation
-// but never the old one. Space from dead generations is reclaimed
-// automatically. OpenSnapshot on the device yields an equivalent
-// planner.
-func (p *Planner) Checkpoint(dev blockio.Device) error {
-	return p.checkpointWith(dev, nil)
+// result cache configuration to the snapshot file at path, replacing
+// any file there atomically: the snapshot is written to path.tmp and
+// renamed over path only once complete and synced, and the directory is
+// synced after the rename. An interrupted checkpoint can lose the new
+// snapshot but never the old one. OpenSnapshot(path) yields an
+// equivalent planner.
+func (p *Planner) Checkpoint(path string) error {
+	return commitSnapshotFile(path, p, nil)
 }
 
-// checkpointWith is Checkpoint with an optional cluster shard manifest
-// riding along.
+// checkpointWith writes the planner's snapshot onto dev, which must be
+// empty, with an optional cluster shard manifest riding along.
 //
 // The memtable is drained first (one synchronous compaction), so every
 // append acknowledged before this call is part of the checkpointed
@@ -102,12 +101,10 @@ func (p *Planner) Checkpoint(dev blockio.Device) error {
 // generation's memtable and are simply not in this snapshot — the
 // usual checkpoint semantics.
 func (p *Planner) checkpointWith(dev blockio.Device, shard *shardManifest) error {
-	p.mu.RLock()
 	entries := 0
-	if p.cache != nil {
-		entries = p.cache.Cap()
+	if cache := p.cache.Load(); cache != nil {
+		entries = cache.Cap()
 	}
-	p.mu.RUnlock()
 	if err := p.Compact(context.Background()); err != nil {
 		return err
 	}
@@ -115,16 +112,12 @@ func (p *Planner) checkpointWith(dev blockio.Device, shard *shardManifest) error
 	return checkpointIndexes(dev, base.db, base.indexes, entries, shard)
 }
 
-// checkpointIndexes writes one generation of db and its (immutable)
+// checkpointIndexes writes a snapshot of db and its (immutable)
 // indexes, holding db.mu shared.
 func checkpointIndexes(dev blockio.Device, db *DB, ixs []*Index, cacheEntries int, shard *shardManifest) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	store, err := snapshot.Open(dev)
-	if err != nil {
-		return err
-	}
-	cp, err := store.Begin()
+	cp, err := snapshot.Begin(dev)
 	if err != nil {
 		return err
 	}
@@ -207,29 +200,44 @@ func indexStateOf(ix *Index) (*indexState, error) {
 	return st, nil
 }
 
-// OpenSnapshot restores the latest committed generation on dev into a
-// fully queryable Planner — DB, every index, and the result cache
+// OpenSnapshot restores the snapshot file at path into a fully
+// queryable Planner — DB, every index, and the result cache
 // configuration — performing zero index rebuilds: each index's pages
 // are loaded as a raw image and its handles reattached. Every page is
 // CRC-verified; a torn, truncated, or corrupted snapshot fails with an
 // error wrapping ErrBadSnapshot (or ErrSnapshotVersion for a snapshot
-// written by a newer format), never a silently wrong planner.
+// written by another format version), never a silently wrong planner.
+// A missing path is an error, and no file is created.
 //
-// The restored stack lives on in-memory devices: dev is only read, and
-// may be closed once OpenSnapshot returns.
-func OpenSnapshot(dev blockio.Device) (*Planner, error) {
-	p, _, err := openSnapshotStore(dev)
+// The restored stack lives on in-memory devices: the file is only read,
+// and is closed before OpenSnapshot returns.
+func OpenSnapshot(path string) (*Planner, error) {
+	p, _, err := openSnapshotFile(path)
 	return p, err
 }
 
-// openSnapshotStore is OpenSnapshot returning the shard manifest too
-// (nil for single-node snapshots).
-func openSnapshotStore(dev blockio.Device) (*Planner, *shardManifest, error) {
-	store, err := snapshot.Open(dev)
+// openSnapshotFile restores the snapshot file at path, returning its
+// shard manifest too (nil for single-node snapshots).
+func openSnapshotFile(path string) (*Planner, *shardManifest, error) {
+	dev, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := store.Err(); err != nil {
+	p, sm, err := openSnapshotStore(dev)
+	if cerr := dev.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("temporalrank: restore %s: %w", path, err)
+	}
+	return p, sm, nil
+}
+
+// openSnapshotStore restores the snapshot on dev, returning its shard
+// manifest too (nil for single-node snapshots).
+func openSnapshotStore(dev blockio.Device) (*Planner, *shardManifest, error) {
+	store, err := snapshot.Open(dev)
+	if err != nil {
 		return nil, nil, err
 	}
 	var man snapManifest
@@ -275,11 +283,7 @@ func openSnapshotStore(dev blockio.Device) (*Planner, *shardManifest, error) {
 		p.EnableResultCache(man.CacheEntries)
 	}
 	var sm *shardManifest
-	streams, err := store.Streams()
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, info := range streams {
+	for _, info := range store.Streams() {
 		if info.Name == "shard" {
 			sm = new(shardManifest)
 			if err := readGobStream(store, "shard", snapshot.TypeShardMeta, sm); err != nil {
@@ -366,11 +370,12 @@ func listSnapshotFiles(dir string) ([]string, error) {
 	return paths, err
 }
 
-// openSnapshotDevice opens the file device backing one shard snapshot
-// file. A package variable so failure-injection tests can substitute a
+// openSnapshotDevice creates (truncating) the file device a snapshot is
+// written to, so a stale .tmp from a crashed run is never reused. A
+// package variable so failure-injection tests can substitute a
 // FaultDevice-wrapping factory.
 var openSnapshotDevice = func(path string) (blockio.Device, error) {
-	return blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
+	return blockio.OpenFileDevice(path, blockio.DefaultBlockSize)
 }
 
 // syncDir fsyncs directory dir, making the renames into it durable: a
@@ -388,9 +393,9 @@ var syncDir = func(dir string) error {
 	return err
 }
 
-// writeShardSnapshotFile checkpoints one shard stack (planner +
-// manifest) into the file at path.
-func writeShardSnapshotFile(path string, p *Planner, sm *shardManifest) error {
+// writeSnapshotFile checkpoints a planner (and its shard manifest, if
+// any) into a fresh file at path.
+func writeSnapshotFile(path string, p *Planner, sm *shardManifest) error {
 	dev, err := openSnapshotDevice(path)
 	if err != nil {
 		return err
@@ -402,23 +407,23 @@ func writeShardSnapshotFile(path string, p *Planner, sm *shardManifest) error {
 	return err
 }
 
-// commitShardSnapshotFile writes shard's snapshot under dir atomically:
-// the stack lands in a .tmp sibling first and is renamed over the final
-// shard-NNNN.trsnap only once fully written and closed, so a crash or
-// write failure never leaves a torn file under the snapshot name. The
-// .tmp suffix keeps partial files invisible to SnapshotFilePattern.
-func commitShardSnapshotFile(dir string, shard int, p *Planner, sm *shardManifest) error {
-	final := shardSnapshotPath(dir, shard)
-	tmp := final + ".tmp"
-	if err := writeShardSnapshotFile(tmp, p, sm); err != nil {
+// commitSnapshotFile writes a planner's snapshot to path atomically:
+// the stack lands in path.tmp first and is renamed over path only once
+// fully written, synced and closed, so a crash or write failure never
+// leaves a torn file under the snapshot name; the directory is synced
+// after the rename. The .tmp suffix keeps partial files invisible to
+// SnapshotFilePattern.
+func commitSnapshotFile(path string, p *Planner, sm *shardManifest) error {
+	tmp := path + ".tmp"
+	if err := writeSnapshotFile(tmp, p, sm); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return syncDir(filepath.Dir(path))
 }
 
 // Checkpoint writes every non-empty shard's stack to its own snapshot
@@ -450,7 +455,7 @@ func (c *Cluster) Checkpoint(dir string) error {
 			return nil
 		}
 		tmp := shardSnapshotPath(dir, i) + ".tmp"
-		if err := writeShardSnapshotFile(tmp, sh.planner, sh.meta); err != nil {
+		if err := writeSnapshotFile(tmp, sh.planner, sh.meta); err != nil {
 			os.Remove(tmp)
 			return fmt.Errorf("temporalrank: cluster checkpoint shard %d: %w", i, err)
 		}
@@ -528,16 +533,9 @@ func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 // (see newLocalShard for mt). No index is rebuilt; the file is closed
 // before returning.
 func openShardFile(path string, mt *MemtableOptions) (*localShard, error) {
-	dev, err := blockio.OpenFileDeviceAt(path, blockio.DefaultBlockSize)
+	p, sm, err := openSnapshotFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("temporalrank: open %s: %w", path, err)
-	}
-	p, sm, err := openSnapshotStore(dev)
-	if cerr := dev.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("temporalrank: restore %s: %w", path, err)
+		return nil, err
 	}
 	if sm == nil {
 		return nil, fmt.Errorf("temporalrank: %s is not a cluster shard snapshot: %w", path, ErrBadSnapshot)

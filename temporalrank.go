@@ -228,7 +228,8 @@ type Options struct {
 	// last search (the paper's §4 rebuild rule). In between, ε and its
 	// (ε,α) bound stay fixed while r drifts with the data.
 	TargetR int
-	// CacheBlocks enables an LRU buffer pool of that many pages.
+	// CacheBlocks enables a write-through buffer pool (a CLOCK read
+	// cache) of that many pages.
 	CacheBlocks int
 	// BuildWorkers, when > 1, parallelizes construction across series
 	// for methods that build one structure per object (EXACT2).
