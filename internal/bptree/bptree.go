@@ -88,6 +88,11 @@ func (t *Tree) computeCaps() error {
 	if t.leafCap < 2 || t.internalCap < 2 {
 		return fmt.Errorf("bptree: block size %d too small for value size %d", bs, t.valueSize)
 	}
+	// Node pages store their entry counts as uint16.
+	if t.leafCap > math.MaxUint16 || t.internalCap > math.MaxUint16 {
+		return fmt.Errorf("bptree: block size %d fits %d leaf and %d internal entries per page, over the page count's limit of %d",
+			bs, t.leafCap, t.internalCap, math.MaxUint16)
+	}
 	return nil
 }
 

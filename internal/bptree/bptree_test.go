@@ -285,3 +285,36 @@ func TestIOCountsScaleWithHeight(t *testing.T) {
 		t.Errorf("search reads = %d, height = %d: want one read per level", reads, tr.Height())
 	}
 }
+
+// Node pages store their entry counts as uint16, so a block size that
+// would fit more entries than that is refused rather than wrapping the
+// count: about 1 MiB is where an internal node's key capacity passes
+// math.MaxUint16.
+func TestCapsBoundedByCountField(t *testing.T) {
+	const limit = internalHeaderSize + childSize + math.MaxUint16*(keySize+childSize) // 65,535 keys exactly
+	if _, err := BulkLoad(blockio.NewMemDevice(limit+keySize+childSize), 8, nil); err == nil {
+		t.Fatal("internal nodes of 65,536 keys accepted")
+	}
+	if _, err := Open(blockio.NewMemDevice(4<<20), Meta{Height: 1, ValueSize: 8}); err == nil {
+		t.Fatal("Open accepted 4 MiB pages")
+	}
+	keys := make([]float64, 70000)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	tr, err := BulkLoad(blockio.NewMemDevice(limit), 8, mkEntries(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, tr); len(got) != len(keys) {
+		t.Fatalf("scan returned %d of %d entries", len(got), len(keys))
+	}
+	if _, err := tr.SearchCeil(69999.5); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("SearchCeil past the last key: %v", err)
+	}
+	c, err := tr.SearchCeil(68000.5)
+	if err != nil || c.Key() != 68001 || dec8(c.Value()) != 68001 {
+		t.Fatalf("SearchCeil(68000.5): err %v", err)
+	}
+	c.Close()
+}

@@ -110,12 +110,11 @@ func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)
 	return items, nil
 }
 
-// scorePool recycles the per-query σ-vectors (one float64 per object,
-// two vectors per query) — the largest single allocation on the EXACT3
-// read path. It traffics in *[]float64 so Get and Put round-trip the
-// same pointer object: putting the slice value (or a fresh pointer to
-// it) would re-box it on every release, costing an allocation per
-// vector per query.
+// scorePool recycles the per-query σ-vectors (one float64 per object)
+// — the largest single allocation on the EXACT3 read path. It traffics
+// in *[]float64 so Get and Put round-trip the same pointer object:
+// putting the slice value (or a fresh pointer to it) would re-box it on
+// every release, costing an allocation per query.
 var scorePool sync.Pool
 
 // getScores returns a pointer to a zeroed score slice of length m.
@@ -148,28 +147,25 @@ func putScores(p *[]float64) {
 	scorePool.Put(p)
 }
 
-// allScores computes σ_i(t1,t2) for every object via two stabs. The
-// returned vector comes from scorePool; callers release it with
-// putScores once the values are consumed.
+// allScores computes σ_i(t1,t2) for every object via two stabs into
+// one vector: the t2 stab stores σ_i(t_{i,0}, t2) and the t1 stab
+// subtracts σ_i(t_{i,0}, t1) in place. The returned vector comes from
+// scorePool; callers release it with putScores once the values are
+// consumed.
 func (e *Exact3) allScores(t1, t2 float64) (*[]float64, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
-	hi, err := e.stabSigma(t2)
-	if err != nil {
+	sums := getScores(e.m)
+	if err := e.stabSigma(*sums, t2, false); err != nil {
+		putScores(sums)
 		return nil, err
 	}
-	lo, err := e.stabSigma(t1)
-	if err != nil {
-		putScores(hi)
+	if err := e.stabSigma(*sums, t1, true); err != nil {
+		putScores(sums)
 		return nil, err
 	}
-	h, l := *hi, *lo
-	for i := range h {
-		h[i] -= l[i]
-	}
-	putScores(lo)
-	return hi, nil
+	return sums, nil
 }
 
 // clampStatic confines a stab coordinate to where the tree's sentinels
@@ -187,25 +183,38 @@ func (e *Exact3) clampStatic(t float64) float64 {
 	return t
 }
 
-// stabSigma returns σ_i(t_{i,0}, t) for every object i: a stab at t
-// yields each object's covering interval, whose prefix minus the
-// partial trapezoid beyond t gives the prefix aggregate at t.
-func (e *Exact3) stabSigma(t float64) (*[]float64, error) {
-	outp := getScores(e.m)
-	out := *outp
+// exact3RecordSize is the stride of the tree's records: lo, hi, then
+// the payload (series id, V1, V2, prefix).
+const exact3RecordSize = 16 + exact3PayloadSize
+
+// recordSegment decodes the segment of one tree record; its time
+// endpoints are the interval's bounds.
+func recordSegment(r []byte) tsdata.Segment {
+	return tsdata.Segment{T1: getF64(r[0:]), T2: getF64(r[8:]), V1: getF64(r[20:]), V2: getF64(r[28:])}
+}
+
+// stabSigma writes σ_i(t_{i,0}, t) of every object i into out, or
+// subtracts it from out[i] when sub is set: a stab at t yields each
+// object's covering interval, whose prefix minus the partial trapezoid
+// beyond t gives the prefix aggregate at t. Each page's run of hits is
+// scored in one loop over its records.
+//
+//tr:hotpath
+func (e *Exact3) stabSigma(out []float64, t float64, sub bool) error {
 	stabT := e.clampStatic(t)
-	err := e.tree.Stab(stabT, func(iv itree.Interval) bool {
-		id := getSeriesID(iv.Payload[0:])
-		seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
-		prefix := getF64(iv.Payload[20:])
-		out[id] = prefix - seg.IntegralFrom(stabT)
+	//tr:alloc-ok closure captures stay on the stack: StabRuns does not retain run
+	return e.tree.StabRuns(stabT, func(recs []byte) bool {
+		for off := 0; off+exact3RecordSize <= len(recs); off += exact3RecordSize {
+			r := recs[off : off+exact3RecordSize]
+			s := getF64(r[36:]) - recordSegment(r).IntegralFrom(stabT)
+			if id := getSeriesID(r[16:]); sub {
+				out[id] -= s
+			} else {
+				out[id] = s
+			}
+		}
 		return true
 	})
-	if err != nil {
-		putScores(outp)
-		return nil, err
-	}
-	return outp, nil
 }
 
 // Score implements Method. The interval tree has no single-object
@@ -237,10 +246,11 @@ func (e *Exact3) InstantTopK(k int, t float64) ([]topk.Item, error) {
 	c := topk.GetCollector(k)
 	defer c.Release()
 	stabT := e.clampStatic(t)
-	err := e.tree.Stab(stabT, func(iv itree.Interval) bool {
-		id := getSeriesID(iv.Payload[0:])
-		seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
-		c.Add(id, seg.At(stabT))
+	err := e.tree.StabRuns(stabT, func(recs []byte) bool {
+		for off := 0; off+exact3RecordSize <= len(recs); off += exact3RecordSize {
+			r := recs[off : off+exact3RecordSize]
+			c.Add(getSeriesID(r[16:]), recordSegment(r).At(stabT))
+		}
 		return true
 	})
 	if err != nil {

@@ -1,0 +1,184 @@
+package exact
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"temporalrank/internal/blockio"
+	"temporalrank/internal/gen"
+	"temporalrank/internal/itree"
+	"temporalrank/internal/topk"
+	"temporalrank/internal/tsdata"
+)
+
+// referenceScores is EXACT3's per-interval scoring: one Stab per
+// endpoint into its own vector, each reported interval scored with
+// Segment.IntegralFrom, then the t1 vector subtracted from the t2 one.
+func referenceScores(t *testing.T, e *Exact3, t1, t2 float64) []float64 {
+	t.Helper()
+	sigma := func(x float64) []float64 {
+		out := make([]float64, e.m)
+		stabT := e.clampStatic(x)
+		if err := e.tree.Stab(stabT, func(iv itree.Interval) bool {
+			seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
+			out[getSeriesID(iv.Payload)] = getF64(iv.Payload[20:]) - seg.IntegralFrom(stabT)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	h, l := sigma(t2), sigma(t1)
+	for i := range h {
+		h[i] -= l[i]
+	}
+	return h
+}
+
+// plainTopK offers every score to a collector.
+func plainTopK(k int, scores []float64) []topk.Item {
+	c := topk.NewCollector(k)
+	for i, s := range scores {
+		c.Add(tsdata.SeriesID(i), s)
+	}
+	return c.Results()
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func sameItems(a, b []topk.Item) bool {
+	return slices.EqualFunc(a, b, func(x, y topk.Item) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// EXACT3's run-at-a-time scoring into one vector gives the per-interval
+// reference's scores bit for bit, on block sizes small enough that every
+// node list spans many pages.
+func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
+	temp, err := gen.Temp(gen.TempConfig{M: 120, Navg: 20, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasets := map[string]*tsdata.Dataset{
+		"temp":     temp,
+		"random":   randomDataset(35, 90, 25, false),
+		"negative": randomDataset(36, 60, 10, true),
+	}
+	for name, ds := range datasets {
+		for _, bs := range []int{256, 512, 4096} {
+			e3, err := BuildExact3(blockio.NewMemDevice(bs), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(bs)))
+			var windows [][2]float64
+			for i := 0; i < 40; i++ {
+				a := ds.Start() - 0.1*ds.Span() + rng.Float64()*1.2*ds.Span()
+				b := a + rng.Float64()*0.5*ds.Span()
+				windows = append(windows, [2]float64{a, b})
+			}
+			// Segment endpoints, a point window and the whole domain.
+			s := ds.Series(tsdata.SeriesID(rng.Intn(ds.NumSeries())))
+			windows = append(windows,
+				[2]float64{s.VertexTime(0), s.VertexTime(s.NumSegments())},
+				[2]float64{s.VertexTime(1), s.VertexTime(1)},
+				[2]float64{ds.Start(), ds.End()})
+			for _, w := range windows {
+				want := referenceScores(t, e3, w[0], w[1])
+				got, err := e3.allScores(w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(*got, want) {
+					t.Fatalf("%s/%d: scores over [%g,%g] differ from the per-interval reference", name, bs, w[0], w[1])
+				}
+				putScores(got)
+				for _, k := range []int{1, 10, ds.NumSeries() + 5} {
+					items, err := e3.TopK(k, w[0], w[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameItems(items, plainTopK(k, want)) {
+						t.Fatalf("%s/%d: top-%d over [%g,%g] differs from the reference", name, bs, k, w[0], w[1])
+					}
+				}
+				c := topk.NewCollector(10)
+				stabT := e3.clampStatic(w[0])
+				if err := e3.tree.Stab(stabT, func(iv itree.Interval) bool {
+					seg := tsdata.Segment{T1: iv.Lo, T2: iv.Hi, V1: getF64(iv.Payload[4:]), V2: getF64(iv.Payload[12:])}
+					c.Add(getSeriesID(iv.Payload), seg.At(stabT))
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				inst, err := e3.InstantTopK(10, w[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameItems(inst, c.Results()) {
+					t.Fatalf("%s/%d: instant top-10 at %g differs from the reference", name, bs, w[0])
+				}
+			}
+		}
+	}
+}
+
+// collectTopK's threshold skip returns what offering every score would.
+func TestCollectTopKMatchesPlainCollector(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string][]float64{
+		"ties":      {3, 1, 3, 2, 3, 3, 1, 2, 3, 0, 3},
+		"nan":       {nan, 2, 5, nan, 1, 5, nan, 7, nan},
+		"nan-first": {nan, nan, nan, 1, 2, 3},
+		"inf":       {-inf, inf, 0, -inf, inf, 1, -1, inf, -inf},
+		"mixed":     {0, -0.0, nan, inf, -inf, 0, 4, 4, nan, -inf},
+		"empty":     {},
+	}
+	rng := rand.New(rand.NewSource(1))
+	rnd := make([]float64, 500)
+	for i := range rnd {
+		rnd[i] = float64(rng.Intn(20))
+	}
+	cases["random-ties"] = rnd
+	for name, scores := range cases {
+		for _, k := range []int{1, 2, 3, 5, len(scores), len(scores) + 3} {
+			if got, want := collectTopK(k, scores), plainTopK(k, scores); !sameItems(got, want) {
+				t.Errorf("%s k=%d: got %v, want %v", name, k, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkExact3TopK times one EXACT3 top-k query at the shape of the
+// serving benchmark's D-large dataset: 8,000 Temp-like series of about
+// 100 segments, k = 20, random windows.
+func BenchmarkExact3TopK(b *testing.B) {
+	ds, err := gen.Temp(gen.TempConfig{M: 8000, Navg: 100, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := blockio.NewMemDevice(blockio.DefaultBlockSize)
+	e3, err := BuildExact3(dev, ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	windows := make([][2]float64, 1024)
+	for i := range windows {
+		a := ds.Start() + rng.Float64()*ds.Span()
+		windows[i] = [2]float64{a, a + rng.Float64()*(ds.End()-a)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := windows[i%len(windows)]
+		if _, err := e3.TopK(20, w[0], w[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -427,4 +427,9 @@ func TestRestoreExact3ChecksIntervalCount(t *testing.T) {
 			t.Errorf("NumIntervals off by %d: err = %v, want ErrBadSnapshot", delta, err)
 		}
 	}
+	bad := st
+	bad.Tree.PayloadSize += 8
+	if _, err := RestoreExact3(dev, ds, bad); !errors.Is(err, trerr.ErrBadSnapshot) {
+		t.Errorf("payload of %d bytes: err = %v, want ErrBadSnapshot", bad.Tree.PayloadSize, err)
+	}
 }

@@ -101,6 +101,11 @@ func (e *Exact3) State() Exact3State {
 
 // RestoreExact3 reattaches an Exact3 to its restored device image.
 func RestoreExact3(dev blockio.Device, ds *tsdata.Dataset, st Exact3State) (*Exact3, error) {
+	// The stabs decode records at fixed offsets.
+	if st.Tree.PayloadSize != exact3PayloadSize {
+		return nil, fmt.Errorf("exact3: restore: payload of %d bytes, want %d: %w",
+			st.Tree.PayloadSize, exact3PayloadSize, trerr.ErrBadSnapshot)
+	}
 	tree, err := itree.Open(dev, st.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("exact3: restore: %v: %w", err, trerr.ErrBadSnapshot)

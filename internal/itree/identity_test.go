@@ -187,11 +187,8 @@ func readNode(t *testing.T, tr *Tree, page blockio.PageID) nodeImage {
 	}
 	for _, head := range []blockio.PageID{getPageID(buf[24:]), getPageID(buf[36:])} {
 		var list []string
-		if _, err := tr.scanList(head, func(iv Interval) (bool, bool) {
+		for _, iv := range readList(t, tr, head) {
 			list = append(list, fmt.Sprintf("%x:%x:%x", math.Float64bits(iv.Lo), math.Float64bits(iv.Hi), iv.Payload))
-			return false, false
-		}); err != nil {
-			t.Fatal(err)
 		}
 		sort.Strings(list)
 		// Both lists hold the same intervals; keep one, check the other.

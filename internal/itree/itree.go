@@ -61,9 +61,9 @@ const (
 // satisfy Lo < Hi.
 func Build(dev blockio.Device, payloadSize int, intervals []Interval) (*Tree, error) {
 	t := &Tree{dev: dev, payloadSize: payloadSize}
-	t.listCap = (dev.BlockSize() - listHeaderSize) / (intervalSize + payloadSize)
-	if t.listCap < 1 || dev.BlockSize() < nodeSize {
-		return nil, fmt.Errorf("itree: block size %d too small for payload %d", dev.BlockSize(), payloadSize)
+	var err error
+	if t.listCap, err = listCap(dev.BlockSize(), payloadSize); err != nil {
+		return nil, err
 	}
 	for i, iv := range intervals {
 		if !(iv.Lo < iv.Hi) {
@@ -112,14 +112,28 @@ func Open(dev blockio.Device, m Meta) (*Tree, error) {
 		return nil, fmt.Errorf("itree: invalid meta %+v", m)
 	}
 	t := &Tree{dev: dev, payloadSize: m.PayloadSize, root: m.Root, height: m.Height, numIntervals: m.NumIntervals}
-	t.listCap = (dev.BlockSize() - listHeaderSize) / (intervalSize + m.PayloadSize)
-	if t.listCap < 1 || dev.BlockSize() < nodeSize {
-		return nil, fmt.Errorf("itree: block size %d too small for payload %d", dev.BlockSize(), m.PayloadSize)
+	var err error
+	if t.listCap, err = listCap(dev.BlockSize(), m.PayloadSize); err != nil {
+		return nil, err
 	}
 	if m.NumIntervals > 0 && (m.Root == blockio.InvalidPage || m.Height < 1) {
 		return nil, fmt.Errorf("itree: meta claims %d intervals but no root", m.NumIntervals)
 	}
 	return t, nil
+}
+
+// listCap returns how many records of payloadSize bytes fit on a list
+// page, which must be at least one and, since a page stores its count
+// as a uint16, at most math.MaxUint16.
+func listCap(blockSize, payloadSize int) (int, error) {
+	c := (blockSize - listHeaderSize) / (intervalSize + payloadSize)
+	if c < 1 || blockSize < nodeSize {
+		return 0, fmt.Errorf("itree: block size %d too small for payload %d", blockSize, payloadSize)
+	}
+	if c > math.MaxUint16 {
+		return 0, fmt.Errorf("itree: block size %d fits %d records per list page, over the page count's limit of %d", blockSize, c, math.MaxUint16)
+	}
+	return c, nil
 }
 
 // Len returns the number of stored intervals.
@@ -348,18 +362,44 @@ func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
 	return pages[0], nil
 }
 
-// Stab invokes visit for every stored interval containing t. The
+// Stab invokes visit for every stored interval containing x. The
 // payload slice passed to visit aliases the page view of the list page
 // being scanned; it is valid only for the duration of the visit call —
 // copy it to retain. Iteration stops early if visit returns false.
 //
-// Stabs are the EXACT3 hot path (two per top-k query): each node and
-// list page is decoded in place from a zero-copy view, holding at most
-// one view at a time (the node header is decoded to locals and its
-// view released before the lists are scanned).
-//
 //tr:hotpath
 func (t *Tree) Stab(x float64, visit func(iv Interval) bool) error {
+	stride := t.RecordSize()
+	//tr:alloc-ok closure captures stay on the stack: StabRuns does not retain run
+	return t.StabRuns(x, func(recs []byte) bool {
+		for off := 0; off < len(recs); off += stride {
+			r := recs[off : off+stride]
+			if !visit(Interval{Lo: getF64(r), Hi: getF64(r[8:]), Payload: r[intervalSize:]}) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// RecordSize is the stride of the records StabRuns hands out: lo and
+// hi as little-endian float64 bits, then the payload.
+func (t *Tree) RecordSize() int { return intervalSize + t.payloadSize }
+
+// StabRuns reports every stored interval containing x, a list page at a
+// time: run gets the records of one page that contain x, RecordSize
+// bytes each, aliasing the page view (valid only during the call). The
+// stab stops early if run returns false.
+//
+// A node's lists are sorted so the records containing x are a prefix of
+// the chain: all of them when x is the center, else those with lo <= x
+// (ascending-lo list) or hi > x (descending-hi list). A binary search
+// finds where that prefix ends on its last page, so a stab views the
+// pages a record-at-a-time scan would, holding one view at a time.
+//
+//tr:hotpath
+func (t *Tree) StabRuns(x float64, run func(recs []byte) bool) error {
+	stride := t.RecordSize()
 	page := t.root
 	for page != blockio.InvalidPage {
 		v, err := blockio.View(t.dev, page)
@@ -367,96 +407,53 @@ func (t *Tree) Stab(x float64, visit func(iv Interval) bool) error {
 			return err
 		}
 		buf := v.Data()
-		center := math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
-		leftPage := getPageID(buf[8:])
-		rightPage := getPageID(buf[16:])
-		lHead := getPageID(buf[24:])
-		rHead := getPageID(buf[36:])
-		v.Release()
+		center := getF64(buf[0:])
+		next, head, key := getPageID(buf[8:]), getPageID(buf[24:]), -1
 		switch {
 		case x < center:
-			// Ascending-lo list: all entries with lo <= x contain x.
-			//tr:alloc-ok closure captures stay on the stack: scanList does not retain fn
-			done, err := t.scanList(lHead, func(iv Interval) (bool, bool) {
-				if iv.Lo > x {
-					return false, true // stop scanning, continue traversal
-				}
-				return !visit(iv), false
-			})
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-			page = leftPage
+			key = 0 // lo <= x
 		case x > center:
-			// Descending-hi list: all entries with hi > x contain x.
-			//tr:alloc-ok closure captures stay on the stack: scanList does not retain fn
-			done, err := t.scanList(rHead, func(iv Interval) (bool, bool) {
-				if iv.Hi <= x {
-					return false, true
-				}
-				return !visit(iv), false
-			})
-			if err != nil {
+			next, head, key = getPageID(buf[16:]), getPageID(buf[36:]), 8 // hi > x
+		default: // x == center: every interval at this node contains x.
+			next = blockio.InvalidPage
+		}
+		v.Release()
+		for head != blockio.InvalidPage {
+			if v, err = blockio.View(t.dev, head); err != nil {
 				return err
 			}
-			if done {
+			buf := v.Data()
+			count := int(binary.LittleEndian.Uint16(buf[0:]))
+			head = getPageID(buf[2:])
+			recs := buf[listHeaderSize : listHeaderSize+count*stride]
+			n := count
+			if key >= 0 && count > 0 && !contains(recs[(count-1)*stride+key:], key, x) {
+				// The prefix ends on this page.
+				//tr:alloc-ok sort.Search does not retain the closure
+				n = sort.Search(count, func(i int) bool { return !contains(recs[i*stride+key:], key, x) })
+				head = blockio.InvalidPage
+			}
+			more := n == 0 || run(recs[:n*stride])
+			v.Release()
+			if !more {
 				return nil
 			}
-			page = rightPage
-		default: // x == center: every interval at this node contains x.
-			//tr:alloc-ok closure captures stay on the stack: scanList does not retain fn
-			_, err := t.scanList(lHead, func(iv Interval) (bool, bool) {
-				return !visit(iv), false
-			})
-			return err
 		}
+		page = next
 	}
 	return nil
 }
 
-// scanList walks a list chain, decoding entries in place from each
-// page's view (released before the next page is mapped). fn returns
-// (stopAll, stopScan): stopAll aborts the whole stab (visit returned
-// false); stopScan ends this list early (sorted early-exit). Returns
-// stopAll.
-//
-//tr:hotpath
-func (t *Tree) scanList(head blockio.PageID, fn func(iv Interval) (bool, bool)) (bool, error) {
-	page := head
-	for page != blockio.InvalidPage {
-		v, err := blockio.View(t.dev, page)
-		if err != nil {
-			return false, err
-		}
-		buf := v.Data()
-		count := int(binary.LittleEndian.Uint16(buf[0:]))
-		next := getPageID(buf[2:])
-		off := listHeaderSize
-		for i := 0; i < count; i++ {
-			iv := Interval{
-				Lo:      math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])),
-				Hi:      math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:])),
-				Payload: buf[off+16 : off+16+t.payloadSize],
-			}
-			stopAll, stopScan := fn(iv)
-			if !stopAll && !stopScan {
-				off += intervalSize + t.payloadSize
-				continue
-			}
-			v.Release()
-			if stopAll {
-				return true, nil
-			}
-			return false, nil
-		}
-		v.Release()
-		page = next
+// contains reports whether the record field at b — lo when key is 0,
+// hi when it is 8 — puts x inside the record's interval.
+func contains(b []byte, key int, x float64) bool {
+	if key == 0 {
+		return getF64(b) <= x
 	}
-	return false, nil
+	return getF64(b) > x
 }
+
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 func getPageID(b []byte) blockio.PageID {
 	return blockio.PageID(int64(binary.LittleEndian.Uint64(b)))

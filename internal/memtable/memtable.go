@@ -17,6 +17,7 @@ package memtable
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -52,6 +53,10 @@ type Table struct {
 	stripes  []stripe
 	bloom    bloom
 	segs     atomic.Int64
+	// earliest holds the float64 bits of the smallest run start, +Inf
+	// while the table is empty. A run's start never changes, so it is
+	// only lowered, by a first append.
+	earliest atomic.Uint64
 }
 
 // NewTable creates an empty table. stripes is rounded up to a power of
@@ -70,6 +75,7 @@ func NewTable(frontier FrontierFunc, stripes int) *Table {
 		t.stripes[i].runs = make(map[int]*tsdata.Series)
 	}
 	t.bloom.init()
+	t.earliest.Store(math.Float64bits(math.Inf(1)))
 	return t
 }
 
@@ -118,6 +124,13 @@ func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 		st.mu.Unlock()
 		//tr:alloc-ok error path, not reached on successful appends
 		return ft, fmt.Errorf("memtable: series %d: %w", id, err)
+	}
+	// Lowered before the run is published, so no reader can see the run
+	// and a later start.
+	for old := t.earliest.Load(); ft < math.Float64frombits(old); old = t.earliest.Load() {
+		if t.earliest.CompareAndSwap(old, math.Float64bits(ft)) {
+			break
+		}
 	}
 	st.runs[id] = r
 	st.mu.Unlock()
@@ -200,11 +213,12 @@ func (t *Table) At(id int, ts float64) (float64, bool) {
 // CollectRange calls f(id, delta) for every run whose appended mass
 // overlaps the window [t1, t2] (a run's mass lies in (start, end]).
 // f runs with the stripe read lock held and must not call back into the
-// table.
+// table. A window ending by the earliest run start, as every window
+// over history does, returns before the stripe scan.
 //
 //tr:hotpath
 func (t *Table) CollectRange(t1, t2 float64, f func(id int, delta float64)) {
-	if t.segs.Load() == 0 {
+	if t2 <= t.earliestStart() {
 		return
 	}
 	for i := range t.stripes {
@@ -225,7 +239,7 @@ func (t *Table) CollectRange(t1, t2 float64, f func(id int, delta float64)) {
 //
 //tr:hotpath
 func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
-	if t.segs.Load() == 0 {
+	if ts <= t.earliestStart() {
 		return
 	}
 	for i := range t.stripes {
@@ -239,6 +253,12 @@ func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
 		st.mu.RUnlock()
 	}
 }
+
+// earliestStart returns the smallest start of any run, +Inf when the
+// table is empty.
+//
+//tr:hotpath
+func (t *Table) earliestStart() float64 { return math.Float64frombits(t.earliest.Load()) }
 
 // All streams every run's appended vertices (excluding the seed
 // frontier vertex) to f, stripe by stripe. It is meant for compaction

@@ -3,6 +3,7 @@ package memtable
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,6 +147,42 @@ func TestTableCollect(t *testing.T) {
 	sort.Ints(ids)
 	if len(ids) != 4 {
 		t.Fatalf("CollectAt(10) matched %v, want all 4 runs", ids)
+	}
+}
+
+// A window that ends by the earliest run start returns before the
+// stripe scan; one that reaches past it still finds exactly the runs it
+// overlaps.
+func TestTableHistoricalWindowSkipsScan(t *testing.T) {
+	const runs = 750
+	tb := NewTable(func(id int) (float64, float64, bool) {
+		return 100 + float64(id)/10, 1, id >= 0 && id < runs
+	}, 0)
+	if got := tb.earliestStart(); !math.IsInf(got, 1) {
+		t.Fatalf("empty table's earliest start is %g, want +Inf", got)
+	}
+	for id := runs - 1; id >= 0; id-- {
+		if _, err := tb.Append(id, 200+float64(id), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tb.earliestStart(); got != 100 {
+		t.Fatalf("earliest start %g, want 100", got)
+	}
+	calls := 0
+	count := func(int, float64) { calls++ }
+	tb.CollectRange(0, 100, count)
+	tb.CollectAt(100, count)
+	tb.CollectAt(50, count)
+	if calls != 0 {
+		t.Fatalf("historical windows called f %d times", calls)
+	}
+	var ids []int
+	tb.CollectRange(0, 100.15, func(id int, _ float64) { ids = append(ids, id) })
+	tb.CollectAt(100.05, func(id int, _ float64) { ids = append(ids, id) })
+	sort.Ints(ids)
+	if want := []int{0, 0, 1}; !slices.Equal(ids, want) {
+		t.Fatalf("windows past the earliest start found runs %v, want %v", ids, want)
 	}
 }
 
