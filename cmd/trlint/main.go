@@ -1,35 +1,25 @@
 // Command trlint is the engine's project-specific static analysis
 // suite: a multichecker over the analyzers in internal/analysis/...
-// that mechanically enforces the invariants the performance and
-// correctness work of PRs 1-4 established by convention.
+// that mechanically enforces invariants the engine otherwise keeps
+// only by convention.
 //
 // Analyzers:
 //
 //	lockorder  blockio's shard-lock/device-call ordering rule
 //	trerr      sentinel comparisons must use errors.Is; fmt.Errorf must %w errors
 //	ctxflow    context.Background/TODO must not drop an in-scope caller context
-//	hotalloc   //tr:hotpath functions must not allocate (waiver: //tr:alloc-ok)
 //	pagecopy   //tr:hotpath functions must not copy pages where a View exists (waiver: //tr:pagecopy-ok)
 //
-// Standalone usage (what CI runs):
+// Usage (what CI runs; no patterns means ./...):
 //
-//	trlint ./...
-//	trlint -hotalloc=false ./internal/blockio
+//	trlint [packages]
 //
 // Any finding exits nonzero. A finding can be suppressed on its line
 // (or the line above) with `//trlint:ignore <analyzer> <reason>`.
-//
-// The binary also speaks the go vet unit-checker protocol, so it
-// works as a vettool:
-//
-//	go vet -vettool=$(which trlint) ./...
 package main
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,7 +27,6 @@ import (
 	"temporalrank/internal/analysis"
 	"temporalrank/internal/analysis/checker"
 	"temporalrank/internal/analysis/ctxflow"
-	"temporalrank/internal/analysis/hotalloc"
 	"temporalrank/internal/analysis/load"
 	"temporalrank/internal/analysis/lockorder"
 	"temporalrank/internal/analysis/pagecopy"
@@ -49,81 +38,32 @@ var all = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	trerrcheck.Analyzer,
 	ctxflow.Analyzer,
-	hotalloc.Analyzer,
 	pagecopy.Analyzer,
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdout, stderr *os.File) int {
-	fs := flag.NewFlagSet("trlint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	version := fs.String("V", "", "print version and exit (go vet tool protocol)")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	enabled := make(map[string]*bool, len(all))
-	for _, a := range all {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = fs.Bool(a.Name, true, doc)
-	}
-	// go vet probes the tool's flags with a bare -flags argument and
-	// expects a JSON description; trlint exposes none to the driver.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *version != "" {
-		// The go command caches vet results keyed by the tool's content,
-		// so -V=full must end in a buildID derived from the binary; the
-		// line's shape is the one cmd/go parses.
-		if *version == "full" {
-			fmt.Fprintf(stdout, "trlint version devel comments-go-here buildID=%s\n", selfContentID())
-		} else {
-			fmt.Fprintf(stdout, "trlint version devel\n")
-		}
-		return 0
-	}
-	if *list {
-		for _, a := range all {
-			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, doc)
-		}
-		return 0
-	}
-	var analyzers []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
+	patterns := os.Args[1:]
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintln(os.Stderr, "usage: trlint [packages]")
+			os.Exit(2)
 		}
 	}
-
-	// go vet invokes the tool with a single *.cfg argument describing
-	// one package unit.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0], analyzers, stderr)
-	}
-
-	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := Check(".", patterns, analyzers)
+	findings, err := Check(".", patterns, all)
 	if err != nil {
-		fmt.Fprintln(stderr, "trlint:", err)
-		return 2
+		fmt.Fprintln(os.Stderr, "trlint:", err)
+		os.Exit(2)
 	}
 	for _, f := range findings {
-		fmt.Fprintln(stdout, relativize(f))
+		fmt.Println(relativize(f))
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "trlint: %d finding(s)\n", len(findings))
-		return 1
+		fmt.Fprintf(os.Stderr, "trlint: %d finding(s)\n", len(findings))
+		os.Exit(1)
 	}
-	return 0
 }
 
 // Check loads patterns from dir and runs the analyzers — the
@@ -135,26 +75,6 @@ func Check(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]che
 		return nil, err
 	}
 	return checker.Run(units, loader.Fset, analyzers)
-}
-
-// selfContentID hashes the running binary, giving the go command a
-// cache key that changes whenever trlint is rebuilt with different
-// code.
-func selfContentID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%02x", h.Sum(nil))
 }
 
 // relativize shortens a finding's path to the working directory for

@@ -23,18 +23,41 @@ func TestCheckCleanRepo(t *testing.T) {
 
 // TestCheckCatchesInjected builds a scratch module carrying one
 // deliberate violation per analyzer — a lock-order inversion, a
-// hot-path allocation, a sentinel comparison, a dropped context — and
+// sentinel comparison, a dropped context, a hot-path page copy — and
 // proves the real loader-to-checker pipeline catches each, while the
-// //trlint:ignore escape hatch still works.
+// //trlint:ignore and //tr:pagecopy-ok escape hatches still work.
 func TestCheckCatchesInjected(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
 	write("go.mod", "module scratch\n\ngo 1.24\n")
+	// pagecopy exempts the package declaring the view vocabulary, so the
+	// vocabulary lives in its own package and the violation in scratch.
+	write("views/views.go", `// Package views declares the zero-copy page vocabulary.
+package views
+
+type PageID int64
+
+type PageView struct{ data []byte }
+
+func (v *PageView) Data() []byte { return v.data }
+
+type Viewer interface {
+	View(id PageID) (PageView, error)
+}
+
+type Pages interface {
+	Read(id PageID, p []byte) error
+}
+`)
 	write("scratch.go", `// Package scratch deliberately violates every trlint invariant.
 package scratch
 
@@ -43,6 +66,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"scratch/views"
 )
 
 type Device interface {
@@ -64,14 +89,14 @@ func (p *pool) allocUnderLock() (int, error) {
 }
 
 //tr:hotpath
-func hotGrow(n int) []byte {
-	return make([]byte, n) // hotalloc: unwaived allocation
+func hotRead(p views.Pages, buf []byte) error {
+	return p.Read(1, buf) // pagecopy: copy-based page read on a hot path
 }
 
 //tr:hotpath
-func hotWaived(n int) []byte {
-	//tr:alloc-ok scratch for the test
-	return make([]byte, n)
+func hotReadWaived(p views.Pages, buf []byte) error {
+	//tr:pagecopy-ok scratch for the test
+	return p.Read(1, buf)
 }
 
 var ErrGone = errors.New("gone")
@@ -99,13 +124,13 @@ func deadline(ctx context.Context) error {
 	for _, f := range findings {
 		caught[f.Analyzer] = append(caught[f.Analyzer], f.String())
 	}
-	for _, want := range []string{"lockorder", "trerr", "ctxflow", "hotalloc"} {
+	for _, want := range []string{"lockorder", "trerr", "ctxflow", "pagecopy"} {
 		if len(caught[want]) == 0 {
 			t.Errorf("injected %s violation not caught; findings: %v", want, findings)
 		}
 	}
-	// Exactly one finding per analyzer: hotWaived's //tr:alloc-ok and
-	// wrap's //trlint:ignore each silenced their twin violation.
+	// Exactly one finding per analyzer: hotReadWaived's //tr:pagecopy-ok
+	// and wrap's //trlint:ignore each silenced their twin violation.
 	for a, fs := range caught {
 		if len(fs) != 1 {
 			t.Errorf("%s: got %d findings, want 1: %v", a, len(fs), fs)

@@ -114,7 +114,6 @@ func (c *coordinator) Run(ctx context.Context, q Query) (Answer, error) {
 	// Journal versions are snapshotted before the scatter: an append
 	// landing mid-run at worst wastes the entry (invalidated on the
 	// next lookup), never serves stale data.
-	//tr:alloc-ok miss-only closure: on the cached path DoScoped returns before calling it
 	ans, _, err := c.cache.DoScoped(ctx, q.cacheKey(), c.journals, q.scope(), func() (Answer, error) {
 		return c.run(ctx, q)
 	})

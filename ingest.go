@@ -520,9 +520,7 @@ func mergeExact3(ctx context.Context, q Query, g *memtable.Gen[baseStack], ix *I
 	}
 	before := ix.DeviceIOs()
 	start := time.Now()
-	//tr:alloc-ok stays on the stack: TopKAdjusted only calls adjust
 	items, err := e3.TopKAdjusted(q.K, q.T1, q.T2, func(sums []float64) {
-		//tr:alloc-ok stays on the stack: CollectRange only calls f
 		add := func(id int, delta float64) { sums[id] += delta }
 		if g.Frozen != nil {
 			g.Frozen.CollectRange(q.T1, q.T2, add)

@@ -3,8 +3,8 @@
 // type-checked package and reports Diagnostics through its Pass.
 //
 // The engine's project-specific invariants (blockio lock ordering,
-// trerr sentinel discipline, context threading, hot-path allocation
-// hygiene) are encoded as analyzers under internal/analysis/... and
+// trerr sentinel discipline, context threading, zero-copy page reads
+// on the hot path) are encoded as analyzers under internal/analysis/... and
 // driven by cmd/trlint. The API mirrors x/tools closely enough that
 // the analyzers could be ported to a real multichecker by swapping
 // imports, but it is implemented entirely on the standard library so
@@ -18,12 +18,11 @@ import (
 	"go/types"
 )
 
-// Analyzer describes one static check: a name for diagnostics and
-// enable/disable flags, documentation, and the Run function applied to
-// each package.
+// Analyzer describes one static check: a name for diagnostics,
+// documentation, and the Run function applied to each package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. It must be
-	// a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and in
+	// //trlint:ignore comments. It must be a valid Go identifier.
 	Name string
 
 	// Doc is the analyzer's documentation: first line a one-sentence

@@ -2,8 +2,8 @@
 // zero-copy read path: inside a //tr:hotpath function it flags
 // copy-based page access — Device.Read into caller scratch, and
 // GetPageBuf scratch rental — wherever the device vocabulary offers a
-// zero-copy View instead. It is the mechanical guard for the PR-10
-// read-path rework: without it, the next convenient `dev.Read(id,
+// zero-copy View instead. It is the mechanical guard for the
+// view-based read path: without it, the next convenient `dev.Read(id,
 // buf)` quietly reintroduces a full-page memcpy per access on paths
 // the benchmarks assume are copy-free.
 //
@@ -34,8 +34,7 @@
 //
 //	//tr:pagecopy-ok <reason>
 //
-// on (or immediately above) the offending line, mirroring hotalloc's
-// waiver contract.
+// on (or immediately above) the offending line.
 package pagecopy
 
 import (

@@ -168,8 +168,6 @@ func (p *BufferPool) Capacity() int {
 // shardFor stripes a page onto its shard. Page IDs are allocated
 // sequentially, so masking the low bits spreads adjacent pages across
 // different locks.
-//
-//tr:hotpath
 func (p *BufferPool) shardFor(id PageID) *poolShard {
 	return &p.shards[uint64(id)&p.mask]
 }
@@ -182,8 +180,6 @@ func (p *BufferPool) BlockSize() int { return p.dev.BlockSize() }
 func (p *BufferPool) Alloc() (PageID, error) { return p.dev.Alloc() }
 
 // Read implements Device.
-//
-//tr:hotpath
 func (p *BufferPool) Read(id PageID, buf []byte) error {
 	if len(buf) < p.dev.BlockSize() {
 		return ErrShortBuffer
@@ -221,8 +217,6 @@ func (p *BufferPool) Read(id PageID, buf []byte) error {
 // analogue of Read's miss. If every frame in the stripe is pinned the
 // view degrades to an unpinned private copy, so View never fails just
 // because the cache is saturated with pins.
-//
-//tr:hotpath
 func (p *BufferPool) View(id PageID) (PageView, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()

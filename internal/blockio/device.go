@@ -196,8 +196,6 @@ func (d *MemDevice) Read(id PageID, buf []byte) error {
 // against writers of the same page (the root package's indexes never
 // write a page after their build), and a released view must not be
 // used after a concurrent Write lands.
-//
-//tr:hotpath
 func (d *MemDevice) View(id PageID) (PageView, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

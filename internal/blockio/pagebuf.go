@@ -18,8 +18,6 @@ var pagePool sync.Pool
 // size. The contents are unspecified — callers must treat it as
 // uninitialized, exactly like a fresh read target. Release it with
 // PutPageBuf when the scan completes.
-//
-//tr:hotpath
 func GetPageBuf(size int) *[]byte {
 	if v := pagePool.Get(); v != nil {
 		b := v.(*[]byte)
@@ -28,15 +26,12 @@ func GetPageBuf(size int) *[]byte {
 			return b
 		}
 	}
-	//tr:alloc-ok cold start or block-size growth: steady state hits the pool
 	b := make([]byte, size)
 	return &b
 }
 
 // PutPageBuf returns a buffer obtained from GetPageBuf to the pool.
 // The caller must not retain any reference into it afterwards.
-//
-//tr:hotpath
 func PutPageBuf(b *[]byte) {
 	if b == nil || cap(*b) == 0 {
 		return

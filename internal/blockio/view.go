@@ -39,15 +39,11 @@ type PageView struct {
 
 // Data returns the page bytes. The slice is valid until Release and
 // must not be written to.
-//
-//tr:hotpath
 func (v *PageView) Data() []byte { return v.data }
 
 // Release returns the view's resources: a buffer-pool view unpins its
 // frame, a fallback view returns its scratch buffer to the page pool.
 // Idempotent; the view must not be used afterwards.
-//
-//tr:hotpath
 func (v *PageView) Release() {
 	if v.sh != nil {
 		sh := v.sh
@@ -70,8 +66,6 @@ func (v *PageView) Release() {
 // Viewer serve it zero-copy; for any other device the view is a pooled
 // copy (one Read into pool scratch), so callers can use the view API
 // uniformly and still release correctly.
-//
-//tr:hotpath
 func View(d Device, id PageID) (PageView, error) {
 	if v, ok := d.(Viewer); ok {
 		return v.View(id)

@@ -132,7 +132,6 @@ func getScores(m int) *[]float64 {
 			return p
 		}
 	}
-	//tr:alloc-ok one-time growth: steady-state pool reuse keeps the vector
 	s := make([]float64, m)
 	return &s
 }
@@ -202,7 +201,6 @@ func recordSegment(r []byte) tsdata.Segment {
 //tr:hotpath
 func (e *Exact3) stabSigma(out []float64, t float64, sub bool) error {
 	stabT := e.clampStatic(t)
-	//tr:alloc-ok closure captures stay on the stack: StabRuns does not retain run
 	return e.tree.StabRuns(stabT, func(recs []byte) bool {
 		for off := 0; off+exact3RecordSize <= len(recs); off += exact3RecordSize {
 			r := recs[off : off+exact3RecordSize]

@@ -370,7 +370,6 @@ func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
 //tr:hotpath
 func (t *Tree) Stab(x float64, visit func(iv Interval) bool) error {
 	stride := t.RecordSize()
-	//tr:alloc-ok closure captures stay on the stack: StabRuns does not retain run
 	return t.StabRuns(x, func(recs []byte) bool {
 		for off := 0; off < len(recs); off += stride {
 			r := recs[off : off+stride]
@@ -429,7 +428,6 @@ func (t *Tree) StabRuns(x float64, run func(recs []byte) bool) error {
 			n := count
 			if key >= 0 && count > 0 && !contains(recs[(count-1)*stride+key:], key, x) {
 				// The prefix ends on this page.
-				//tr:alloc-ok sort.Search does not retain the closure
 				n = sort.Search(count, func(i int) bool { return !contains(recs[i*stride+key:], key, x) })
 				head = blockio.InvalidPage
 			}

@@ -37,14 +37,12 @@ func probes(key uint64) (uint64, uint64) {
 	return h % bits, (h >> 32) % bits
 }
 
-//tr:hotpath
 func (b *bloom) add(key uint64) {
 	p1, p2 := probes(key)
 	b.words[p1/64].Or(1 << (p1 % 64))
 	b.words[p2/64].Or(1 << (p2 % 64))
 }
 
-//tr:hotpath
 func (b *bloom) mayContain(key uint64) bool {
 	p1, p2 := probes(key)
 	if b.words[p1/64].Load()&(1<<(p1%64)) == 0 {

@@ -39,16 +39,12 @@ func NewLayer[B any](g *Gen[B]) *Layer[B] {
 }
 
 // Load pins and returns the current generation. Lock-free.
-//
-//tr:hotpath
 func (l *Layer[B]) Load() *Gen[B] { return l.gen.Load() }
 
 // Append inserts one segment into the current generation's active
 // table, returning the series' previous end time. The shared swap lock
 // guarantees the insert lands in a table that is still active — a
 // concurrent freeze waits for it.
-//
-//tr:hotpath
 func (l *Layer[B]) Append(id int, t, v float64) (prevEnd float64, err error) {
 	l.swapMu.RLock()
 	prevEnd, err = l.gen.Load().Active.Append(id, t, v)

@@ -83,8 +83,6 @@ func NewTable(frontier FrontierFunc, stripes int) *Table {
 // the series' previous end time (the new segment covers (prevEnd, ts]).
 // The frontier for a first append is resolved with no stripe lock held
 // — the FrontierFunc may itself read another table's stripes.
-//
-//tr:hotpath
 func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 	st := &t.stripes[uint32(id)&t.mask]
 	st.mu.Lock()
@@ -102,7 +100,6 @@ func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 
 	ft, fv, ok := t.frontier(id)
 	if !ok {
-		//tr:alloc-ok error path, not reached on successful appends
 		return 0, fmt.Errorf("memtable: unknown series %d", id)
 	}
 
@@ -118,11 +115,9 @@ func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 		t.segs.Add(1)
 		return prev, nil
 	}
-	//tr:alloc-ok first append to a series creates its run
 	r, err := tsdata.NewSeries(tsdata.SeriesID(id), []float64{ft, ts}, []float64{fv, v})
 	if err != nil {
 		st.mu.Unlock()
-		//tr:alloc-ok error path, not reached on successful appends
 		return ft, fmt.Errorf("memtable: series %d: %w", id, err)
 	}
 	// Lowered before the run is published, so no reader can see the run
@@ -144,15 +139,11 @@ func (t *Table) Segments() int64 { return t.segs.Load() }
 
 // MayContain reports whether the table can hold a run for id; false is
 // definitive.
-//
-//tr:hotpath
 func (t *Table) MayContain(id int) bool {
 	return t.segs.Load() != 0 && t.bloom.mayContain(uint64(id))
 }
 
 // Frontier returns the end vertex of id's run, if the table holds one.
-//
-//tr:hotpath
 func (t *Table) Frontier(id int) (ts, v float64, ok bool) {
 	if !t.MayContain(id) {
 		return 0, 0, false
@@ -172,8 +163,6 @@ func (t *Table) Frontier(id int) (ts, v float64, ok bool) {
 // Delta returns the integral of id's run over [t1, t2] — the mass the
 // base layers are missing for that window. Zero when the table has no
 // overlapping run.
-//
-//tr:hotpath
 func (t *Table) Delta(id int, t1, t2 float64) float64 {
 	if !t.MayContain(id) {
 		return 0
@@ -192,8 +181,6 @@ func (t *Table) Delta(id int, t1, t2 float64) float64 {
 // At returns the value of id's run at ts, and whether the run covers ts
 // — its domain is the half-open (start, end], start being the frontier
 // the base already answers for.
-//
-//tr:hotpath
 func (t *Table) At(id int, ts float64) (float64, bool) {
 	if !t.MayContain(id) {
 		return 0, false
@@ -215,8 +202,6 @@ func (t *Table) At(id int, ts float64) (float64, bool) {
 // f runs with the stripe read lock held and must not call back into the
 // table. A window ending by the earliest run start, as every window
 // over history does, returns before the stripe scan.
-//
-//tr:hotpath
 func (t *Table) CollectRange(t1, t2 float64, f func(id int, delta float64)) {
 	if t2 <= t.earliestStart() {
 		return
@@ -236,8 +221,6 @@ func (t *Table) CollectRange(t1, t2 float64, f func(id int, delta float64)) {
 // CollectAt calls f(id, value) for every run covering the instant ts
 // (domain (start, end]). f runs with the stripe read lock held and must
 // not call back into the table.
-//
-//tr:hotpath
 func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
 	if ts <= t.earliestStart() {
 		return
@@ -256,8 +239,6 @@ func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
 
 // earliestStart returns the smallest start of any run, +Inf when the
 // table is empty.
-//
-//tr:hotpath
 func (t *Table) earliestStart() float64 { return math.Float64frombits(t.earliest.Load()) }
 
 // All streams every run's appended vertices (excluding the seed

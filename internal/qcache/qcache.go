@@ -130,8 +130,6 @@ const maxJoinedFlights = 2
 // (for example because the leader's own context expired mid-run)
 // returns its error only to the leader — waiters with live contexts
 // retry, after maxJoinedFlights failed joins executing fn themselves.
-//
-//tr:hotpath
 func (c *Cache[K, V]) Do(ctx context.Context, key K, version uint64, fn func() (V, error)) (v V, cached bool, err error) {
 	fk := flightKey[K]{key: key, version: version}
 	for joined := 0; ; joined++ {
@@ -178,7 +176,6 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, version uint64, fn func() (
 		if _, occupied := c.flights[fk]; occupied {
 			solo = true
 		} else {
-			//tr:alloc-ok miss path only: the hit path returned above
 			f = &flight[V]{done: make(chan struct{})}
 			c.flights[fk] = f
 		}

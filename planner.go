@@ -218,7 +218,6 @@ func (p *Planner) Run(ctx context.Context, q Query) (Answer, error) {
 	if cache == nil {
 		return p.execute(ctx, q)
 	}
-	//tr:alloc-ok miss-only closure: on the cached path DoScoped returns before calling it
 	ans, _, err := cache.DoScoped(ctx, q.cacheKey(), p.ingest.journals, q.scope(), func() (Answer, error) {
 		return p.execute(ctx, q)
 	})

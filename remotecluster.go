@@ -443,7 +443,6 @@ func (c *RemoteCluster) healthLoop(interval time.Duration) {
 		case <-c.stop:
 			return
 		case <-t.C:
-			//tr:alloc-ok background sweep, not a query path
 			_ = c.HealthCheck(context.Background())
 		}
 	}
