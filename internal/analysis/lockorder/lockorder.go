@@ -15,7 +15,8 @@
 // joins rank class N, and no function may acquire a ranked lock while
 // holding another ranked lock of equal or higher rank — ranks must
 // strictly increase along any acquisition chain (in this module,
-// memtable's generation-swap lock ranks below its stripe locks).
+// memtable's generation-swap lock ranks below each table's writer
+// mutex).
 //
 // The analyzer self-scopes: it only inspects packages that declare a
 // Device interface with the Read/Write/Alloc/Close method set

@@ -9,14 +9,15 @@ import "testing"
 
 // TestReadWriteAllocs pins the memtable's steady state at zero
 // allocations: a Layer append to a series that already has a run, and
-// every read a query makes of the pinned generation's table — the bloom
-// probe, Frontier, Delta, At, and the CollectRange/CollectAt scans of a
-// window the runs overlap.
+// every read a query makes of the pinned generation's table — the
+// header check, Frontier, Delta, At, and the CollectRange/CollectAt
+// scans of a window the runs overlap.
 //
-// Appending grows the run's slices, amortized: each series holds 1,024
-// segments before the measurement, so its slices grow at most once in
-// the 25 appends each gets during it — 24 allocations over 200 runs,
-// which AllocsPerRun's integer average reports as 0.
+// Each series holds 1,024 segments before the measurement, so its block
+// moves at most once in the 25 appends each gets during it. A move cuts
+// the new block from the arena, which allocates only when it takes a
+// new chunk: at most a few allocations over 200 runs, which
+// AllocsPerRun's integer average reports as 0.
 func TestReadWriteAllocs(t *testing.T) {
 	const series = 8
 	tb := NewTable(flatFrontier(series, 10, 1), 0)
@@ -42,8 +43,8 @@ func TestReadWriteAllocs(t *testing.T) {
 		}
 		i++
 		g := l.Load()
-		if !g.Active.MayContain(id) {
-			t.Fatal("MayContain false for a series with a run")
+		if h, _, _, _ := g.Active.run(id); h == 0 {
+			t.Fatal("no header for a series with a run")
 		}
 		ft, _, ok := g.Active.Frontier(id)
 		sink += ft
@@ -64,11 +65,12 @@ func TestReadWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestFirstAppendAllocs pins a series' first append — the frontier
-// lookup, the new run, the bloom insert and the earliest-start update —
-// at the five allocations of the run itself: tsdata.NewSeries' struct
-// and its times, values and prefix slices, and the stripe map's first
-// bucket. Each run measures a fresh table, less the table's own cost.
+// TestFirstAppendAllocs pins a fresh table's first append — the
+// frontier lookup, the run's block, its header and touched entry, and
+// the earliest-start update — at six allocations: the arena's first
+// chunk, the chunk list, the header and touched arrays, and the two
+// layouts that publish them. Each run measures a fresh table, less the
+// table's own cost. Later first appends reuse all six, amortized.
 func TestFirstAppendAllocs(t *testing.T) {
 	front := flatFrontier(8, 10, 1)
 	table := testing.AllocsPerRun(200, func() { _ = NewTable(front, 1) })
@@ -77,7 +79,37 @@ func TestFirstAppendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}) - table
-	if got != 5 {
-		t.Errorf("first append allocates %.1f allocs/op, want 5", got)
+	if got != 6 {
+		t.Errorf("first append allocates %.1f allocs/op, want 6", got)
+	}
+}
+
+// TestExtendAllocs pins an append to a series that already has a run at
+// zero allocations: the segment goes into the run's block, or into a
+// block twice the size cut from the arena's current chunk.
+func TestExtendAllocs(t *testing.T) {
+	const series = 8
+	tb := NewTable(flatFrontier(series, 10, 1), 0)
+	ts := 10.0
+	// 100 segments each: every run moves to a 256-vertex block during
+	// the measurement.
+	for i := 0; i < 100; i++ {
+		ts++
+		for id := 0; id < series; id++ {
+			if _, err := tb.Append(id, ts, float64(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := 0
+	got := testing.AllocsPerRun(400, func() {
+		ts++
+		if _, err := tb.Append(i%series, ts, 3); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got != 0 {
+		t.Errorf("append to an existing run allocates %.1f allocs/op, want 0", got)
 	}
 }

@@ -25,8 +25,7 @@ type Gen[B any] struct {
 // it freezes.
 type Layer[B any] struct {
 	// swapMu orders appends against generation swaps. It ranks above
-	// the table stripe locks: Append acquires a stripe while holding
-	// swapMu.RLock, never the reverse.
+	// a table's writer mutex, which Append takes under swapMu.RLock.
 	swapMu sync.RWMutex //tr:lockrank 1
 	gen    atomic.Pointer[Gen[B]]
 }

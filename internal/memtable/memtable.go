@@ -1,23 +1,18 @@
 // Package memtable is the write-optimized delta layer in front of the
 // immutable indexes: recent appends land in an in-memory table of
-// per-series sorted runs (guarded by striped locks, summarized by a
-// bloom filter) instead of mutating the indexes under an exclusive
-// lock. Queries merge the table's deltas with the frozen base; a
-// background compaction drains a frozen table into freshly built
-// indexes without ever blocking readers or writers.
+// per-series runs in flat float64 columns, never in the indexes. Queries
+// merge the table's deltas with the frozen base; a background compaction
+// drains a frozen table into freshly built indexes.
 //
-// The layer holds generations: an immutable base B (dataset + indexes),
-// an optional frozen table being compacted, and the active table taking
-// writes. Readers pin a generation with one atomic load; compaction
-// publishes a new generation with one atomic store. The only write-path
-// lock is a short striped mutex per series bucket plus a read-lock on
-// the generation-swap mutex, so concurrent appenders to different
-// series never contend.
+// The layer holds generations, swapped atomically: an immutable base B
+// (dataset + indexes), an optional frozen table being compacted, and the
+// active table taking writes. Appends take two brief locks; reads none.
 package memtable
 
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,211 +24,252 @@ import (
 // series, otherwise the base dataset. ok is false for unknown ids.
 type FrontierFunc func(id int) (t, v float64, ok bool)
 
-// stripeCount is the default number of lock stripes (must be a power of
-// two). 16 keeps contention negligible at typical writer counts while
-// costing ~1 KiB per table.
-const stripeCount = 16
+const (
+	// Shared chunks start at minChunk vertices and double up to
+	// chunkVerts, so block offsets fit a header's 12 offset bits; a
+	// larger block gets a chunk of its own. A new run's block holds 4.
+	chunkVerts = 1 << 12
+	minChunk   = 256
+	minBlock   = 4
+)
 
-// stripe is one lock bucket of the table. The stripe mutex ranks below
-// the layer's generation-swap lock: Append holds swapMu.RLock around a
-// stripe acquisition, never the reverse.
-type stripe struct {
-	mu   sync.RWMutex //tr:lockrank 2
-	runs map[int]*tsdata.Series
-}
-
-// Table is one memtable: per-series sorted runs of recently appended
-// segments. Each run is a tsdata.Series whose first vertex is the
-// series' frontier at the time of its first memtable append, so the
-// run's prefix sums are exactly the delta the base is missing. Safe for
-// concurrent use.
+// Table is one memtable: per-series runs of recently appended segments.
+// A run's first vertex is the series' frontier at the time of its first
+// memtable append, so the run's prefix sums are exactly the delta the
+// base is missing. Safe for concurrent use.
+//
+// A run's vertex times, values and running integrals fill a block of an
+// arena of float64 columns, located by a header word per series id: the
+// block's first and last entries are the run's start and end vertices,
+// its last running integral the run's total. touched lists the series
+// with runs, in first-append order. The writer extends a run in place,
+// or copies it to a block twice the size, and stores the header after
+// the vertices it covers, which never change again: readers need no lock.
 type Table struct {
 	frontier FrontierFunc
-	mask     uint32
-	stripes  []stripe
-	bloom    bloom
-	segs     atomic.Int64
+	// mu serializes writers, under Layer.swapMu.
+	mu     sync.Mutex //tr:lockrank 2
+	layout atomic.Pointer[layout]
+	// touched counts the published entries of the layout's touched list.
+	touched atomic.Int32
+	segs    atomic.Int64
 	// earliest holds the float64 bits of the smallest run start, +Inf
-	// while the table is empty. A run's start never changes, so it is
-	// only lowered, by a first append.
+	// while the table is empty. Only a first append lowers it.
 	earliest atomic.Uint64
+	// cur is the shared chunk blocks are cut from, room its free tail
+	// and next the next one's size. Guarded by mu.
+	cur, room, next int
 }
 
-// NewTable creates an empty table. stripes is rounded up to a power of
-// two (<= 0 selects the default); frontier resolves first-append base
-// vertices and must remain valid for the table's lifetime.
+// layout is a table's published geometry. The writer publishes a grown
+// copy whenever one of its slices is full; readers load it once per
+// call. A reader of an older layout sees older headers, never torn ones.
+type layout struct {
+	// heads holds a header word per series id, 0 for no run: the chunk
+	// in bits 44–63, the offset in bits 32–43, the vertex count below.
+	heads   []atomic.Uint64
+	touched []int32
+	chunks  []chunk
+}
+
+// chunk is one arena chunk: a column each of times, values and integrals.
+type chunk struct{ times, values, prefix []float64 }
+
+// NewTable creates an empty table; stripes is ignored. frontier resolves
+// first-append base vertices and must outlive the table.
 func NewTable(frontier FrontierFunc, stripes int) *Table {
-	n := stripeCount
-	if stripes > 0 {
-		n = 1
-		for n < stripes {
-			n <<= 1
-		}
-	}
-	t := &Table{frontier: frontier, mask: uint32(n - 1), stripes: make([]stripe, n)}
-	for i := range t.stripes {
-		t.stripes[i].runs = make(map[int]*tsdata.Series)
-	}
-	t.bloom.init()
+	t := &Table{frontier: frontier}
+	t.layout.Store(&layout{})
 	t.earliest.Store(math.Float64bits(math.Inf(1)))
 	return t
 }
 
 // Append inserts one segment extending series id to (ts, v), returning
 // the series' previous end time (the new segment covers (prevEnd, ts]).
-// The frontier for a first append is resolved with no stripe lock held
-// — the FrontierFunc may itself read another table's stripes.
+// A first append resolves the frontier before taking mu, as the
+// FrontierFunc may read another table.
 func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
-	st := &t.stripes[uint32(id)&t.mask]
-	st.mu.Lock()
-	if r := st.runs[id]; r != nil {
-		prev := r.End()
-		err := r.Append(ts, v)
-		st.mu.Unlock()
-		if err != nil {
-			return prev, err
-		}
-		t.segs.Add(1)
-		return prev, nil
-	}
-	st.mu.Unlock()
-
-	ft, fv, ok := t.frontier(id)
-	if !ok {
-		return 0, fmt.Errorf("memtable: unknown series %d", id)
-	}
-
-	st.mu.Lock()
-	if r := st.runs[id]; r != nil {
-		// Raced with another first appender: the run exists now.
-		prev := r.End()
-		err := r.Append(ts, v)
-		st.mu.Unlock()
-		if err != nil {
-			return prev, err
-		}
-		t.segs.Add(1)
-		return prev, nil
-	}
-	r, err := tsdata.NewSeries(tsdata.SeriesID(id), []float64{ft, ts}, []float64{fv, v})
-	if err != nil {
-		st.mu.Unlock()
-		return ft, fmt.Errorf("memtable: series %d: %w", id, err)
-	}
-	// Lowered before the run is published, so no reader can see the run
-	// and a later start.
-	for old := t.earliest.Load(); ft < math.Float64frombits(old); old = t.earliest.Load() {
-		if t.earliest.CompareAndSwap(old, math.Float64bits(ft)) {
-			break
+	var fv float64
+	if h, _, _, _ := t.run(id); h == 0 {
+		var ok bool
+		if prevEnd, fv, ok = t.frontier(id); !ok || id < 0 {
+			return 0, fmt.Errorf("memtable: unknown series %d", id)
 		}
 	}
-	st.runs[id] = r
-	st.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// A run created since the check above wins; heads never return to 0.
+	h, c, off, last := t.run(id)
+	ch, n := int(h>>44), last-off+1
+	if h != 0 {
+		prevEnd = c.times[last]
+	}
+	if !(ts > prevEnd) || math.IsInf(ts, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
+		return prevEnd, fmt.Errorf("memtable: series %d: append (%g, %g) must be finite and after end %g", id, ts, v, prevEnd)
+	}
+	switch {
+	case h == 0:
+		ch, off = t.alloc(minBlock)
+		c = &t.layout.Load().chunks[ch]
+		c.times[off], c.values[off], c.prefix[off], n = prevEnd, fv, 0, 1
+	case n >= minBlock && n&(n-1) == 0:
+		// The block is full: move the run to one twice the size.
+		old, from := c, off
+		ch, off = t.alloc(2 * n)
+		c = &t.layout.Load().chunks[ch]
+		copy(c.times[off:], old.times[from:from+n])
+		copy(c.values[off:], old.values[from:from+n])
+		copy(c.prefix[off:], old.prefix[from:from+n])
+	}
+	i := off + n
+	seg := tsdata.Segment{T1: prevEnd, T2: ts, V1: c.values[i-1], V2: v}
+	c.times[i], c.values[i], c.prefix[i] = ts, v, c.prefix[i-1]+seg.Integral()
+	if hn := uint64(ch)<<44 | uint64(off)<<32 | uint64(n+1); h == 0 {
+		t.publishRun(id, prevEnd, hn)
+	} else {
+		t.layout.Load().heads[id].Store(hn)
+	}
 	t.segs.Add(1)
-	t.bloom.add(uint64(id))
-	return ft, nil
+	return prevEnd, nil
+}
+
+// publishRun publishes the first header word h of id's run, which starts
+// at start, growing the layout as needed. Called with mu held.
+func (t *Table) publishRun(id int, start float64, h uint64) {
+	n := int(t.touched.Load())
+	l := t.layout.Load()
+	if id >= len(l.heads) || n == len(l.touched) {
+		g := *l
+		if id >= len(l.heads) {
+			g.heads = make([]atomic.Uint64, max(id+1, 2*len(l.heads), 64))
+			copy(g.heads, l.heads) // only this writer stores heads
+		}
+		if n == len(l.touched) {
+			g.touched = make([]int32, max(64, 2*n))
+			copy(g.touched, l.touched)
+		}
+		l = &g
+		t.layout.Store(l)
+	}
+	// Lowered first, so no reader sees the run and a later start.
+	if start < t.earliestStart() {
+		t.earliest.Store(math.Float64bits(start))
+	}
+	l.heads[id].Store(h)
+	l.touched[n] = int32(id)
+	t.touched.Store(int32(n + 1))
+}
+
+// alloc cuts a block of size vertices from the arena, publishing a new
+// chunk when the shared one has no room. Called with mu held.
+func (t *Table) alloc(size int) (ch, off int) {
+	l := t.layout.Load()
+	if size <= t.room {
+		t.room -= size
+		return t.cur, len(l.chunks[t.cur].times) - t.room - size
+	}
+	n := size
+	if size <= chunkVerts {
+		n = min(chunkVerts, max(minChunk, t.next, size))
+		t.cur, t.room, t.next = len(l.chunks), n-size, 2*n
+	}
+	buf := make([]float64, 3*n)
+	g := *l
+	// Appending in place is safe: no published layout reaches the slot.
+	g.chunks = append(l.chunks, chunk{buf[:n:n], buf[n : 2*n : 2*n], buf[2*n:]})
+	t.layout.Store(&g)
+	return len(l.chunks), 0
+}
+
+// run locates id's run: its header word (0 when there is none), chunk,
+// and the column indices of its first and last vertices.
+func (t *Table) run(id int) (h uint64, c *chunk, first, last int) {
+	l := t.layout.Load()
+	if uint(id) < uint(len(l.heads)) {
+		if h = l.heads[id].Load(); h != 0 {
+			c, first, last = t.block(l, h)
+		}
+	}
+	return h, c, first, last
+}
+
+// block locates the run of header word h, loaded from layout l: its
+// chunk and the column indices of its first and last vertices. A chunk
+// newer than l is in the current layout, published before h was.
+func (t *Table) block(l *layout, h uint64) (c *chunk, first, last int) {
+	ch, off := int(h>>44), int(h>>32&0xfff)
+	if ch >= len(l.chunks) {
+		l = t.layout.Load()
+	}
+	return &l.chunks[ch], off, off + int(uint32(h)) - 1
 }
 
 // Segments returns the number of segments appended so far.
 func (t *Table) Segments() int64 { return t.segs.Load() }
 
-// MayContain reports whether the table can hold a run for id; false is
-// definitive.
-func (t *Table) MayContain(id int) bool {
-	return t.segs.Load() != 0 && t.bloom.mayContain(uint64(id))
-}
-
 // Frontier returns the end vertex of id's run, if the table holds one.
 func (t *Table) Frontier(id int) (ts, v float64, ok bool) {
-	if !t.MayContain(id) {
-		return 0, 0, false
+	if h, c, _, last := t.run(id); h != 0 {
+		return c.times[last], c.values[last], true
 	}
-	st := &t.stripes[uint32(id)&t.mask]
-	st.mu.RLock()
-	r := st.runs[id]
-	if r == nil {
-		st.mu.RUnlock()
-		return 0, 0, false
-	}
-	ts, v = r.End(), r.VertexValue(r.NumSegments())
-	st.mu.RUnlock()
-	return ts, v, true
+	return 0, 0, false
 }
 
 // Delta returns the integral of id's run over [t1, t2] — the mass the
 // base layers are missing for that window. Zero when the table has no
 // overlapping run.
 func (t *Table) Delta(id int, t1, t2 float64) float64 {
-	if !t.MayContain(id) {
-		return 0
+	if h, c, first, last := t.run(id); h != 0 {
+		return c.mass(first, last, t1, t2)
 	}
-	st := &t.stripes[uint32(id)&t.mask]
-	st.mu.RLock()
-	r := st.runs[id]
-	var d float64
-	if r != nil {
-		d = r.Range(t1, t2)
-	}
-	st.mu.RUnlock()
-	return d
+	return 0
 }
 
 // At returns the value of id's run at ts, and whether the run covers ts
 // — its domain is the half-open (start, end], start being the frontier
 // the base already answers for.
 func (t *Table) At(id int, ts float64) (float64, bool) {
-	if !t.MayContain(id) {
-		return 0, false
+	if h, c, first, last := t.run(id); h != 0 {
+		return c.at(first, last, ts)
 	}
-	st := &t.stripes[uint32(id)&t.mask]
-	st.mu.RLock()
-	r := st.runs[id]
-	var v float64
-	ok := false
-	if r != nil && r.Start() < ts && ts <= r.End() {
-		v, ok = r.At(ts), true
-	}
-	st.mu.RUnlock()
-	return v, ok
+	return 0, false
 }
 
 // CollectRange calls f(id, delta) for every run whose appended mass
-// overlaps the window [t1, t2] (a run's mass lies in (start, end]).
-// f runs with the stripe read lock held and must not call back into the
-// table. A window ending by the earliest run start, as every window
-// over history does, returns before the stripe scan.
+// overlaps [t1, t2] (a run's mass lies in (start, end]), in first-append
+// order. A window ending by the earliest run start, as every window over
+// history does, returns before the scan.
 func (t *Table) CollectRange(t1, t2 float64, f func(id int, delta float64)) {
 	if t2 <= t.earliestStart() {
 		return
 	}
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		for id, r := range st.runs {
-			if r.Start() < t2 && t1 < r.End() {
-				f(id, r.Range(t1, t2))
-			}
+	n := t.touched.Load()
+	l := t.layout.Load()
+	for _, id := range l.touched[:n] {
+		c, first, last := t.block(l, l.heads[id].Load())
+		switch start, end := c.times[first], c.times[last]; {
+		case t2 <= start || end <= t1:
+		case t1 <= start && end <= t2:
+			f(int(id), c.prefix[last])
+		default:
+			f(int(id), c.mass(first, last, t1, t2))
 		}
-		st.mu.RUnlock()
 	}
 }
 
 // CollectAt calls f(id, value) for every run covering the instant ts
-// (domain (start, end]). f runs with the stripe read lock held and must
-// not call back into the table.
+// (domain (start, end]), in first-append order.
 func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
 	if ts <= t.earliestStart() {
 		return
 	}
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		for id, r := range st.runs {
-			if r.Start() < ts && ts <= r.End() {
-				f(id, r.At(ts))
-			}
+	n := t.touched.Load()
+	l := t.layout.Load()
+	for _, id := range l.touched[:n] {
+		c, first, last := t.block(l, l.heads[id].Load())
+		if v, ok := c.at(first, last, ts); ok {
+			f(int(id), v)
 		}
-		st.mu.RUnlock()
 	}
 }
 
@@ -242,43 +278,59 @@ func (t *Table) CollectAt(ts float64, f func(id int, v float64)) {
 func (t *Table) earliestStart() float64 { return math.Float64frombits(t.earliest.Load()) }
 
 // All streams every run's appended vertices (excluding the seed
-// frontier vertex) to f, stripe by stripe. It is meant for compaction
-// of a frozen table: callers must ensure no concurrent appends, so the
-// vertex slices passed to f are stable snapshots.
+// frontier vertex) to f, in first-append order, for compaction of a
+// frozen table. The slices alias the table's columns, which never
+// change: f must not modify them.
 func (t *Table) All(f func(id int, times, values []float64)) {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		type snap struct {
-			id            int
-			times, values []float64
-		}
-		snaps := make([]snap, 0, len(st.runs))
-		for id, r := range st.runs {
-			n := r.NumSegments()
-			times := make([]float64, n)
-			values := make([]float64, n)
-			for j := 1; j <= n; j++ {
-				times[j-1] = r.VertexTime(j)
-				values[j-1] = r.VertexValue(j)
-			}
-			snaps = append(snaps, snap{id: id, times: times, values: values})
-		}
-		st.mu.RUnlock()
-		for _, s := range snaps {
-			f(s.id, s.times, s.values)
-		}
+	n := t.touched.Load()
+	l := t.layout.Load()
+	for _, id := range l.touched[:n] {
+		c, first, last := t.block(l, l.heads[id].Load())
+		f(int(id), c.times[first+1:last+1:last+1], c.values[first+1:last+1:last+1])
 	}
 }
 
 // NumSeries returns how many series currently hold runs.
-func (t *Table) NumSeries() int {
-	n := 0
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		n += len(st.runs)
-		st.mu.RUnlock()
+func (t *Table) NumSeries() int { return int(t.touched.Load()) }
+
+// seg returns the segment from vertex j to vertex j+1.
+func (c *chunk) seg(j int) tsdata.Segment {
+	return tsdata.Segment{T1: c.times[j], T2: c.times[j+1], V1: c.values[j], V2: c.values[j+1]}
+}
+
+// segAt returns the segment of the run [first, last] whose span holds x,
+// for x strictly inside the run: the largest j with times[j] <= x, as
+// tsdata.Series.SegmentAt. It searches the interior vertices only.
+func (c *chunk) segAt(first, last int, x float64) int {
+	return first + sort.Search(last-first-1, func(i int) bool { return c.times[first+1+i] > x })
+}
+
+// mass returns the integral of the run [first, last] over [t1, t2],
+// clipped to the run. A window reaching the run's end costs the total
+// less the prefix at t1: one search and one partial segment.
+func (c *chunk) mass(first, last int, t1, t2 float64) float64 {
+	a, b := max(t1, c.times[first]), min(t2, c.times[last])
+	if b <= a {
+		return 0
 	}
-	return n
+	lo, hi, right := first, last, 0.0
+	if a > c.times[first] {
+		lo = c.segAt(first, last, a)
+	}
+	if b < c.times[last] {
+		if hi = c.segAt(first, last, b); hi == lo {
+			return c.seg(lo).IntegralOver(a, b)
+		}
+		right = c.seg(hi).IntegralOver(c.times[hi], b)
+	}
+	return c.prefix[hi] - c.prefix[lo+1] + c.seg(lo).IntegralFrom(a) + right
+}
+
+// at evaluates the run [first, last] at ts, and reports whether its
+// domain (start, end] covers ts.
+func (c *chunk) at(first, last int, ts float64) (float64, bool) {
+	if !(c.times[first] < ts && ts <= c.times[last]) {
+		return 0, false
+	}
+	return c.seg(c.segAt(first, last, ts)).At(ts), true
 }

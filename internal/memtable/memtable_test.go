@@ -8,7 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"temporalrank/internal/tsdata"
 )
+
+// near reports got within 1e-12 of want, relative.
+func near(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
 
 // flatFrontier is a FrontierFunc over n series all ending at (t0, v0).
 func flatFrontier(n int, t0, v0 float64) FrontierFunc {
@@ -25,7 +30,7 @@ func TestTableAppendAndFrontier(t *testing.T) {
 	if tb.Segments() != 0 || tb.NumSeries() != 0 {
 		t.Fatal("fresh table not empty")
 	}
-	if tb.MayContain(1) {
+	if _, _, ok := tb.Frontier(1); ok {
 		t.Fatal("empty table claims series 1")
 	}
 
@@ -46,9 +51,6 @@ func TestTableAppendAndFrontier(t *testing.T) {
 	if tb.Segments() != 2 || tb.NumSeries() != 1 {
 		t.Fatalf("got %d segments / %d series, want 2 / 1", tb.Segments(), tb.NumSeries())
 	}
-	if !tb.MayContain(1) {
-		t.Fatal("bloom lost series 1")
-	}
 	ts, v, ok := tb.Frontier(1)
 	if !ok || ts != 14 || v != 6 {
 		t.Fatalf("frontier (%g, %g, %v), want (14, 6, true)", ts, v, ok)
@@ -66,6 +68,17 @@ func TestTableAppendAndFrontier(t *testing.T) {
 	}
 	if _, err := tb.Append(2, 9, 1); err == nil {
 		t.Fatal("first append behind the base frontier accepted")
+	}
+	for _, p := range [][2]float64{{math.NaN(), 1}, {math.Inf(1), 1}, {20, math.NaN()}, {20, math.Inf(-1)}} {
+		if _, err := tb.Append(1, p[0], p[1]); err == nil {
+			t.Fatalf("non-finite append (%g, %g) accepted", p[0], p[1])
+		}
+		if _, err := tb.Append(3, p[0], p[1]); err == nil {
+			t.Fatalf("non-finite first append (%g, %g) accepted", p[0], p[1])
+		}
+	}
+	if ts, _, _ := tb.Frontier(1); ts != 14 || tb.Segments() != 2 {
+		t.Fatalf("rejected appends changed the table: frontier %g, %d segments", ts, tb.Segments())
 	}
 }
 
@@ -259,35 +272,6 @@ func TestTableConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	var b bloom
-	b.init()
-	rng := rand.New(rand.NewSource(7))
-	added := map[uint64]bool{}
-	for i := 0; i < 500; i++ {
-		k := rng.Uint64() % 10000
-		b.add(k)
-		added[k] = true
-	}
-	for k := range added {
-		if !b.mayContain(k) {
-			t.Fatalf("false negative for %d", k)
-		}
-	}
-	// False-positive sanity: with 500 keys in 8192 bits / 2 probes the
-	// rate should stay well under 50% — this guards against a broken
-	// hash collapsing everything onto one word.
-	fp := 0
-	for k := uint64(20000); k < 21000; k++ {
-		if b.mayContain(k) {
-			fp++
-		}
-	}
-	if fp > 500 {
-		t.Fatalf("%d/1000 false positives — filter degenerate", fp)
-	}
-}
-
 func TestLayerGenerations(t *testing.T) {
 	type base struct{ gen int }
 	active := NewTable(flatFrontier(4, 0, 0), 0)
@@ -391,5 +375,270 @@ func TestLayerAppendSwapRace(t *testing.T) {
 	}
 	if drained != appended.Load() {
 		t.Fatalf("drained %d segments, appended %d", drained, appended.Load())
+	}
+}
+
+// TestTableMatchesSeries checks the flat table against tsdata.Series on
+// the same vertices: random runs of 1 to 60 segments, appended
+// interleaved so blocks move while other runs grow, queried over every
+// window shape and at every instant kind. Values are positive, so
+// every nonzero reference is well conditioned at 1e-12 relative.
+func TestTableMatchesSeries(t *testing.T) {
+	const series = 40
+	rng := rand.New(rand.NewSource(11))
+	start := make([]float64, series)
+	for id := range start {
+		start[id] = float64(rng.Intn(50))
+	}
+	tb := NewTable(func(id int) (float64, float64, bool) {
+		return start[id], 5, id >= 0 && id < series
+	}, 0)
+	times := make([][]float64, series)
+	values := make([][]float64, series)
+	left := make([]int, series)
+	for id := range times {
+		times[id], values[id] = []float64{start[id]}, []float64{5}
+		left[id] = 1 + rng.Intn(60)
+		if id < 6 {
+			left[id] = 1 // single-segment runs, the shape between compactions
+		}
+	}
+	for pending := series; pending > 0; {
+		id := rng.Intn(series)
+		if left[id] == 0 {
+			continue
+		}
+		ts := times[id][len(times[id])-1] + 0.25 + rng.Float64()*3
+		v := 1 + rng.Float64()*99
+		if _, err := tb.Append(id, ts, v); err != nil {
+			t.Fatal(err)
+		}
+		times[id], values[id] = append(times[id], ts), append(values[id], v)
+		if left[id]--; left[id] == 0 {
+			pending--
+		}
+	}
+	ref := make([]*tsdata.Series, series)
+	for id := range ref {
+		var err error
+		if ref[id], err = tsdata.NewSeries(tsdata.SeriesID(id), times[id], values[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	checkWindow := func(t1, t2 float64) {
+		t.Helper()
+		got := map[int]float64{}
+		tb.CollectRange(t1, t2, func(id int, d float64) { got[id] = d })
+		for id, r := range ref {
+			want := r.Range(t1, t2)
+			if d := tb.Delta(id, t1, t2); !near(d, want) {
+				t.Fatalf("series %d: Delta(%g, %g) = %.17g, want %.17g", id, t1, t2, d, want)
+			}
+			d, ok := got[id]
+			if overlaps := r.Start() < t2 && t1 < r.End(); ok != overlaps {
+				t.Fatalf("series %d (%g, %g]: CollectRange(%g, %g) reported %v, want %v", id, r.Start(), r.End(), t1, t2, ok, overlaps)
+			}
+			if ok && !near(d, want) {
+				t.Fatalf("series %d: CollectRange(%g, %g) delta %.17g, want %.17g", id, t1, t2, d, want)
+			}
+		}
+	}
+	checkInstant := func(x float64) {
+		t.Helper()
+		got := map[int]float64{}
+		tb.CollectAt(x, func(id int, v float64) { got[id] = v })
+		for id, r := range ref {
+			covered := r.Start() < x && x <= r.End()
+			var want float64
+			if covered {
+				want = r.At(x)
+			}
+			if v, ok := tb.At(id, x); ok != covered || !near(v, want) {
+				t.Fatalf("series %d (%g, %g]: At(%g) = (%g, %v), want (%g, %v)", id, r.Start(), r.End(), x, v, ok, want, covered)
+			}
+			if v, ok := got[id]; ok != covered || !near(v, want) {
+				t.Fatalf("series %d (%g, %g]: CollectAt(%g) = (%g, %v), want (%g, %v)", id, r.Start(), r.End(), x, v, ok, want, covered)
+			}
+		}
+	}
+
+	for id, r := range ref {
+		s, e := r.Start(), r.End()
+		inner := func() float64 { return s + (e-s)*(0.05+0.9*rng.Float64()) }
+		a, b := inner(), inner()
+		a, b = min(a, b), max(a, b)
+		vertex := func() float64 { return times[id][rng.Intn(len(times[id]))] }
+		for _, w := range [][2]float64{
+			{s - 10, s - 1}, // wholly before
+			{s - 5, s},      // ends at the start: no mass
+			{e, e + 5},      // starts at the end: no mass
+			{s - 1, e + 1},  // covering
+			{s, e},          // exactly the run
+			{a, e + 3},      // starting inside
+			{s - 2, a},      // ending inside
+			{a, b},          // both inside
+			{s, b},          // t1 == start
+			{a, e},          // t2 == end
+			{a, a},          // empty
+			{b, a},          // inverted
+			{vertex(), vertex()},
+		} {
+			checkWindow(w[0], w[1])
+		}
+		for _, x := range []float64{s, e, s - 1, e + 1, a, vertex()} {
+			checkInstant(x)
+		}
+		if ts, v, ok := tb.Frontier(id); !ok || ts != e || v != values[id][len(values[id])-1] {
+			t.Fatalf("series %d frontier (%g, %g, %v), want (%g, %g, true)", id, ts, v, ok, e, values[id][len(values[id])-1])
+		}
+	}
+	var order []int
+	tb.All(func(id int, ts, vs []float64) {
+		order = append(order, id)
+		if !slices.Equal(ts, times[id][1:]) || !slices.Equal(vs, values[id][1:]) {
+			t.Fatalf("All: series %d vertices differ from its appends", id)
+		}
+	})
+	if len(order) != series || tb.NumSeries() != series {
+		t.Fatalf("All streamed %d series, NumSeries %d, want %d", len(order), tb.NumSeries(), series)
+	}
+}
+
+// TestTableLockFreeReaders runs readers beside one writer. Every delta a
+// reader sees must equal the reference over some prefix of that
+// series' appends, which a torn header or a half-written vertex would
+// break. Run with -race.
+func TestTableLockFreeReaders(t *testing.T) {
+	const (
+		series  = 4
+		appends = 5000 // enough for a run to outgrow a shared chunk
+		readers = 3
+	)
+	rng := rand.New(rand.NewSource(3))
+	times := make([][]float64, series)
+	values := make([][]float64, series)
+	for id := range times {
+		times[id], values[id] = []float64{0}, []float64{1}
+		for j := 0; j < appends; j++ {
+			times[id] = append(times[id], times[id][j]+0.5+rng.Float64())
+			values[id] = append(values[id], 1+rng.Float64()*9)
+		}
+	}
+	// want[w][id][p] is the mass of series id's first p appends over
+	// window w: the whole run's mass up to its p-th appended vertex.
+	// Positive values make it non-decreasing in p.
+	windows := [][2]float64{{-1, math.Inf(1)}, {float64(appends) / 2, math.Inf(1)}, {-1, float64(appends) / 3}}
+	want := make([][][]float64, len(windows))
+	for w, win := range windows {
+		want[w] = make([][]float64, series)
+		for id := range want[w] {
+			s, err := tsdata.NewSeries(0, times[id], values[id])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[w][id] = make([]float64, appends+1)
+			for p := 1; p <= appends; p++ {
+				want[w][id][p] = s.Range(win[0], min(win[1], times[id][p]))
+			}
+		}
+	}
+	isPrefix := func(w, id int, d float64) bool {
+		ref := want[w][id]
+		p, _ := slices.BinarySearch(ref, d*(1-1e-12))
+		for ; p < len(ref) && ref[p] <= d*(1+1e-12); p++ {
+			if math.Abs(ref[p]-d) <= 1e-12*d {
+				return true
+			}
+		}
+		return d == 0 && ref[0] == 0
+	}
+
+	tb := NewTable(flatFrontier(series, 0, 1), 0)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !done.Load(); i++ {
+				w := (i + r) % len(windows)
+				tb.CollectRange(windows[w][0], windows[w][1], func(id int, d float64) {
+					if !isPrefix(w, id, d) {
+						t.Errorf("CollectRange window %v: series %d delta %.17g is no prefix's", windows[w], id, d)
+					}
+				})
+				id := i % series
+				if d := tb.Delta(id, windows[w][0], windows[w][1]); !isPrefix(w, id, d) {
+					t.Errorf("Delta window %v: series %d delta %.17g is no prefix's", windows[w], id, d)
+				}
+			}
+		}(r)
+	}
+	for j := 1; j <= appends; j++ {
+		for id := 0; id < series; id++ {
+			if _, err := tb.Append(id, times[id][j], values[id][j]); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	for id := 0; id < series; id++ {
+		if d := tb.Delta(id, -1, math.Inf(1)); !near(d, want[0][id][appends]) {
+			t.Fatalf("series %d: final delta %.17g, want %.17g", id, d, want[0][id][appends])
+		}
+	}
+}
+
+// BenchmarkTableCollectRange times the scan every latest-window merge
+// makes, at two shapes: 750 single-segment runs (a table between
+// compactions) and 1,024 segments spread over 2,000 series (the
+// benchmark's memtable rung). Series' base frontiers spread over
+// [100, 110). Both windows reach past every run's end; "cover" starts
+// before every run, as a latest window does, and "inside" starts at
+// 105, inside about half the runs.
+func BenchmarkTableCollectRange(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		series, segs int
+	}{
+		{"runs=750", 750, 750},
+		{"series=2000/segs=1024", 2000, 1024},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		base := make([]float64, tc.series)
+		for id := range base {
+			base[id] = 100 + 10*rng.Float64()
+		}
+		tb := NewTable(func(id int) (float64, float64, bool) {
+			return base[id], 1, id >= 0 && id < tc.series
+		}, 0)
+		now := 110.0
+		for i := 0; i < tc.segs; i++ {
+			id := rng.Intn(tc.series)
+			if tc.segs == tc.series {
+				id = i
+			}
+			now += 0.01
+			if _, err := tb.Append(id, now, 1+rng.Float64()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, w := range []struct {
+			name string
+			t1   float64
+		}{{"cover", 99}, {"inside", 105}} {
+			b.Run(tc.name+"/"+w.name, func(b *testing.B) {
+				var sink float64
+				add := func(_ int, d float64) { sink += d }
+				for b.Loop() {
+					tb.CollectRange(w.t1, now+1, add)
+				}
+				if sink == 0 {
+					b.Fatal("no mass collected")
+				}
+			})
+		}
 	}
 }

@@ -12,10 +12,11 @@ import (
 )
 
 // Run invokes fn(ctx, i) for every i in [0, n), keeping at most workers
-// invocations in flight (workers <= 0 or > n means one goroutine per
-// task). The context passed to fn is derived from ctx and is cancelled
-// as soon as any invocation fails, so cooperative tasks abort promptly;
-// tasks not yet started are skipped once the context is done.
+// invocations in flight (workers <= 0 or > n means one per task). The
+// caller's goroutine is one of the workers, so Run starts workers-1
+// goroutines. The context passed to fn is derived from ctx and is
+// cancelled as soon as any invocation fails, so cooperative tasks abort
+// promptly; tasks not yet started are skipped once the context is done.
 //
 // Run returns after every started task has finished. The result is the
 // first error to occur — a task failure or ctx's own error — and nil
@@ -41,26 +42,30 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 			cancel()
 		})
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				fail(err)
+				return
+			}
+			if err := fn(ctx, i); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := fn(ctx, i); err != nil {
-					fail(err)
-					return
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return first
 }

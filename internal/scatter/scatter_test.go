@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,5 +103,23 @@ func TestRunEmptyAndDoneContext(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("done context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunInlineSingleTask: with one task, fn runs on the caller's
+// goroutine, so the test function's own frame is on fn's stack. On a
+// goroutine Run started, the stack would end at Run's closure.
+func TestRunInlineSingleTask(t *testing.T) {
+	var stack string
+	err := Run(context.Background(), 1, 4, func(context.Context, int) error {
+		buf := make([]byte, 64<<10)
+		stack = string(buf[:runtime.Stack(buf, false)])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stack, "scatter.TestRunInlineSingleTask(") {
+		t.Fatalf("n=1 ran fn on another goroutine:\n%s", stack)
 	}
 }

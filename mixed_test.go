@@ -309,8 +309,8 @@ func TestMixedClusterEquivalence(t *testing.T) {
 
 // TestMixedConcurrentIngest hammers one memtable-backed planner from
 // concurrent writers, readers, and an explicit compaction loop — the
-// -race exercise for the generation swap, the bloom filter, and the
-// scoped cache validation. Answers are checked for well-formedness
+// -race exercise for the generation swap, the memtable's lock-free
+// reads, and the scoped cache validation. Answers are checked for well-formedness
 // (the interleaving is nondeterministic, so exact equivalence is the
 // previous tests' job).
 func TestMixedConcurrentIngest(t *testing.T) {

@@ -81,7 +81,7 @@ func TestClusterRunAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		shards   int
 		uncached float64
-	}{{1, 2}, {2, 17}, {8, 35}} {
+	}{{1, 2}, {2, 16}, {8, 34}} {
 		c := benchCluster(t, tc.shards, 64)
 		if allocs := steadyRunAllocs(t, c, c.Start(), c.End()-c.Start()); allocs != 0 {
 			t.Errorf("shards=%d: cached Cluster.Run allocates %.1f allocs/op, want 0", tc.shards, allocs)
