@@ -4,7 +4,9 @@
 //   - allocation-path device calls (Alloc, Close) must run with
 //     no shard lock held;
 //   - data-path device calls (Read, Write) may run under at most one
-//     held lock;
+//     held lock (the pool is stricter than this check requires: its
+//     misses call Read with no lock held, and only Write runs under a
+//     shard lock);
 //   - no function may hold two locks of the same class (for example
 //     two poolShard mutexes) at once.
 //

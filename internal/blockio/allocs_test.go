@@ -12,8 +12,10 @@ type copyOnly struct{ Device }
 
 // TestViewAllocs pins every way a query reads a page at zero
 // allocations in the steady state: View and Release on a MemDevice, on
-// a buffer-pool hit, and through the pooled-copy fallback (GetPageBuf,
-// Read, PutPageBuf); and a buffer-pool Read hit into caller scratch.
+// a buffer-pool hit, on a buffer-pool miss (the fill reads into the
+// buffer the evicted frame handed back), and through the pooled-copy
+// fallback (GetPageBuf, Read, PutPageBuf); and a buffer-pool Read hit
+// into caller scratch.
 func TestViewAllocs(t *testing.T) {
 	const pages = 8
 	pool, dev := newTestPool(t, pages, pages, 2)
@@ -23,13 +25,17 @@ func TestViewAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Cycling over four times the capacity, every View misses and evicts.
+	missPool, _ := newTestPool(t, 4*pages, pages, 2)
 	for _, tc := range []struct {
 		name string
 		dev  Device
+		span PageID
 	}{
-		{"MemDevice", dev},
-		{"BufferPool hit", pool},
-		{"copy fallback", copyOnly{dev}},
+		{"MemDevice", dev, pages},
+		{"BufferPool hit", pool, pages},
+		{"BufferPool miss", missPool, 4 * pages},
+		{"copy fallback", copyOnly{dev}, pages},
 	} {
 		id := PageID(0)
 		got := testing.AllocsPerRun(200, func() {
@@ -41,7 +47,7 @@ func TestViewAllocs(t *testing.T) {
 				t.Fatalf("page %d: header byte %d", id, v.Data()[0])
 			}
 			v.Release()
-			id = (id + 1) % pages
+			id = (id + 1) % tc.span
 		})
 		if got != 0 {
 			t.Errorf("%s: View/Release allocates %.1f allocs/op, want 0", tc.name, got)
@@ -59,7 +65,10 @@ func TestViewAllocs(t *testing.T) {
 	if hits, misses := pool.HitMiss(); misses != pages || hits == 0 {
 		t.Errorf("pool hits/misses = %d/%d, want only the %d warming misses", hits, misses, pages)
 	}
-	if pins := pool.PinStats(); pins != 0 {
+	if hits, _ := missPool.HitMiss(); hits != 0 {
+		t.Errorf("miss pool served %d hits, want every View to miss", hits)
+	}
+	if pins := pool.PinStats() + missPool.PinStats(); pins != 0 {
 		t.Errorf("%d pins leaked", pins)
 	}
 }

@@ -15,21 +15,30 @@ import (
 // The cache is sharded: pages are striped across a power-of-two number
 // of independent shards by page ID, each with its own mutex, so
 // concurrent readers on different pages never serialize on one global
-// lock (the pre-sharding pool was the read path's dominant contention
-// point under RunParallel load). Within a shard, eviction is CLOCK
-// (second chance): a hit sets a reference bit and grabs the frame's
-// data slice — no LRU list splice — and the page copy happens after
-// the lock is released, so the critical section is a map lookup and
-// two stores. Capacity is divided across shards; the pool holds at
-// most `capacity` pages in total, and CLOCK approximates global LRU
-// because the stripe assignment is uniform.
+// lock. Within a shard, eviction is CLOCK (second chance): a hit sets a
+// reference bit — no LRU list splice — so the critical section is a map
+// lookup and a few stores. Capacity is divided across shards; the pool
+// holds at most `capacity` pages in total, and CLOCK approximates
+// global LRU because the stripe assignment is uniform.
+//
+// Misses read the device with no lock held: the miss is counted, the
+// shard lock is dropped, the page is read into a pooled buffer
+// (GetPageBuf), and the lock is re-taken to install it. A reader that
+// finds the page installed meanwhile shares that frame and returns its
+// buffer; a fill that overlapped a Write to the same shard (the shard's
+// write counter moved) reads again, since its bytes may predate the
+// Write or mix both versions. So a miss never stalls hits, or other
+// misses, of its shard behind a disk read.
 //
 // Lock ordering. The pool follows one rule, and callers implementing
 // Devices must respect its corollary:
 //
-//   - Data-path device calls (Read, Write) MAY be made while holding
-//     exactly one shard lock (miss fills and Write do this). Shard
-//     locks are therefore above the device's internal locks.
+//   - Read-path device calls (Read, from View and Read misses) run with
+//     no shard lock held.
+//   - Write runs its device call under exactly one shard lock, so a
+//     fill whose read it overlapped sees the shard's write counter move
+//     when it re-takes the lock. Shard locks are therefore above the
+//     device's internal locks.
 //   - Allocation-path device calls (Alloc, Sync, Close) are ALWAYS
 //     made with no shard lock held.
 //   - No operation ever holds two shard locks at once: the whole-pool
@@ -43,6 +52,14 @@ import (
 // lock). CLOCK treats pinned frames as unevictable, so the lent bytes
 // stay valid until Release; if a stripe is ever saturated with pins,
 // fills degrade to uncached service instead of failing.
+//
+// Buffer recycling. Every frame owns the pooled buffer it was filled
+// from, and eviction hands the victim's buffer back with PutPageBuf, so
+// a miss in the steady state allocates nothing. This is safe because a
+// frame's bytes are only ever read with the frame pinned or the shard
+// lock held (View pins; Read copies a hit under the lock and a miss
+// while pinned), and CLOCK evicts only unpinned frames. A buffer that
+// Write replaced is never recycled: a pinned view may still hold it.
 //
 // The pool keeps hit/miss counters so ablation benchmarks can report
 // both logical (uncached) and physical (cached) IO. The counters are
@@ -66,20 +83,20 @@ type poolShard struct {
 	hand   int
 	hits   uint64 // guarded by mu (bumped while it is already held)
 	misses uint64 // guarded by mu
+	writes uint64 // guarded by mu; bumped by every Write to the shard
 	_      [64]byte
 }
 
-// clockFrame is one cached page. Its data slice is immutable once set:
-// Write replaces the slice wholesale with a fresh copy rather than
-// mutating bytes in place. That invariant is what lets Read copy a hit
-// out — and View lend the slice out — AFTER releasing the shard lock: the
-// slice grabbed under the lock can be superseded but never scribbled
-// on. ref is the CLOCK second-chance bit; pins counts outstanding
-// PageViews of the frame (a pinned slot is never reclaimed or reused,
-// so a view's (shard, slot) address stays valid until Release). Every
-// field access happens under the shard lock.
+// clockFrame is one cached page. buf is the pooled buffer the frame
+// owns and data is *buf; Write replaces both wholesale with a fresh
+// copy rather than mutating bytes in place, so bytes lent to a view are
+// never scribbled on. ref is the CLOCK second-chance bit; pins counts
+// outstanding PageViews of the frame (a pinned slot is never reclaimed
+// or reused, so a view's (shard, slot) address stays valid until
+// Release). Every field access happens under the shard lock.
 type clockFrame struct {
 	id   PageID
+	buf  *[]byte
 	data []byte
 	ref  bool
 	pins int
@@ -94,9 +111,8 @@ func NewBufferPool(dev Device, capacity int) *BufferPool {
 
 // NewBufferPoolSharded is NewBufferPool with an explicit shard count:
 // shards is rounded up to a power of two and clamped to [1, capacity].
-// shards <= 0 selects the automatic count. One shard approximates the
-// classic global-lock pool (the benchmark baseline keeps the true seed
-// implementation for comparison).
+// shards <= 0 selects the automatic count. One shard gives a pool
+// with a single global lock.
 func NewBufferPoolSharded(dev Device, capacity, shards int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
@@ -179,7 +195,9 @@ func (p *BufferPool) BlockSize() int { return p.dev.BlockSize() }
 // nothing.
 func (p *BufferPool) Alloc() (PageID, error) { return p.dev.Alloc() }
 
-// Read implements Device.
+// Read implements Device. A hit copies the page under the shard lock;
+// a miss fills as View does and copies while the frame is pinned. Both
+// keep the copy clear of buffer recycling (see BufferPool).
 func (p *BufferPool) Read(id PageID, buf []byte) error {
 	if len(buf) < p.dev.BlockSize() {
 		return ErrShortBuffer
@@ -190,37 +208,34 @@ func (p *BufferPool) Read(id PageID, buf []byte) error {
 		fr := &sh.ring[slot]
 		fr.ref = true
 		sh.hits++
-		data := fr.data
+		copy(buf, fr.data)
 		sh.mu.Unlock()
-		// Copy outside the lock: frame data is immutable once installed
-		// (see clockFrame), so the critical section is just the map
-		// lookup, the reference bit, and the counter.
-		copy(buf, data)
 		return nil
 	}
-	defer sh.mu.Unlock()
 	sh.misses++
-	data, _, err := p.fillLocked(sh, id)
+	writes := sh.writes
+	sh.mu.Unlock()
+	v, err := p.fill(sh, id, writes)
 	if err != nil {
 		return err
 	}
-	// One pass: the frame was filled straight from the device and the
-	// caller is served from the installed frame itself — no
-	// intermediate scratch buffer between device and cache.
-	copy(buf, data)
+	copy(buf, v.data)
+	v.Release()
 	return nil
 }
 
 // View implements Viewer. A hit lends out the resident frame and pins
 // it (CLOCK skips pinned frames, so the bytes stay valid until
-// Release); a miss fills a frame once and lends that — the zero-copy
-// analogue of Read's miss. If every frame in the stripe is pinned the
-// view degrades to an unpinned private copy, so View never fails just
-// because the cache is saturated with pins.
+// Release); a miss fills a frame once and lends that. If every frame in
+// the stripe is pinned, the view is the fill's private pooled copy
+// instead, so View never fails just because the cache is saturated with
+// pins.
 func (p *BufferPool) View(id PageID) (PageView, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	if slot, ok := sh.slots[id]; ok {
+		// pinLocked by hand: the call does not inline, and this is the
+		// hot path.
 		fr := &sh.ring[slot]
 		fr.ref = true
 		fr.pins++
@@ -230,41 +245,56 @@ func (p *BufferPool) View(id PageID) (PageView, error) {
 		return PageView{data: data, sh: sh, slot: slot}, nil
 	}
 	sh.misses++
-	data, slot, err := p.fillLocked(sh, id)
-	if err != nil {
-		sh.mu.Unlock()
-		return PageView{}, err
-	}
-	if slot < 0 {
-		// Uncached fill (all frames pinned): data is a private slice no
-		// frame references, so the view needs no pin and no release
-		// bookkeeping beyond GC.
-		sh.mu.Unlock()
-		return PageView{data: data}, nil
-	}
-	sh.ring[slot].pins++
+	writes := sh.writes
 	sh.mu.Unlock()
-	return PageView{data: data, sh: sh, slot: slot}, nil
+	return p.fill(sh, id, writes)
 }
 
-// fillLocked reads page id, which is not resident, from the device into
-// a fresh frame-sized slice and installs it, returning the installed
-// data and slot. When every frame is pinned the fill still succeeds but
-// nothing is cached: the data is returned with slot == -1. The caller
-// holds sh.mu; dev.Read runs under it (data-path order), so misses on
-// other shards proceed in parallel.
-func (p *BufferPool) fillLocked(sh *poolShard, id PageID) ([]byte, int, error) {
-	data := make([]byte, p.dev.BlockSize())
-	if err := p.dev.Read(id, data); err != nil {
-		return nil, -1, err
+// pinLocked pins the frame in slot and lends it out, releasing sh.mu.
+func (sh *poolShard) pinLocked(slot int) PageView {
+	fr := &sh.ring[slot]
+	fr.ref = true
+	fr.pins++
+	data := fr.data
+	sh.mu.Unlock()
+	return PageView{data: data, sh: sh, slot: slot}
+}
+
+// fill serves page id from the device. The caller found it not
+// resident in sh, read writes = sh.writes and released sh.mu, so the
+// device read runs with no lock held. The page goes into a pooled
+// buffer, which is installed in a CLOCK victim's slot (the victim's
+// buffer goes back to the pool). If another reader installed the page
+// during the read, that frame is shared instead. If a Write to the
+// shard ran during the read, the bytes may predate it or mix both
+// versions, so the read is repeated. If every frame is pinned, the
+// buffer is served as an uncached private view.
+func (p *BufferPool) fill(sh *poolShard, id PageID, writes uint64) (PageView, error) {
+	buf := GetPageBuf(p.dev.BlockSize())
+	for {
+		if err := p.dev.Read(id, *buf); err != nil {
+			PutPageBuf(buf)
+			return PageView{}, err
+		}
+		sh.mu.Lock()
+		if slot, ok := sh.slots[id]; ok {
+			PutPageBuf(buf)
+			return sh.pinLocked(slot), nil
+		}
+		if sh.writes == writes {
+			break
+		}
+		writes = sh.writes
+		sh.mu.Unlock()
 	}
-	slot := p.freeSlotLocked(sh)
+	slot := sh.freeSlotLocked()
 	if slot < 0 {
-		return data, -1, nil
+		sh.mu.Unlock()
+		return PageView{data: *buf, buf: buf}, nil
 	}
-	sh.ring[slot] = clockFrame{id: id, data: data, ref: true}
+	sh.ring[slot] = clockFrame{id: id, buf: buf, data: *buf}
 	sh.slots[id] = slot
-	return data, slot, nil
+	return sh.pinLocked(slot), nil
 }
 
 // PinStats returns the number of outstanding frame pins across all
@@ -284,20 +314,24 @@ func (p *BufferPool) PinStats() int {
 }
 
 // Write implements Device: the data goes to the device under the
-// page's shard lock (data-path order), and a resident frame is replaced
-// with a fresh copy, so a concurrent hit sees either the old page or
-// the new one, never a mix.
+// page's shard lock, and a resident frame is replaced with a fresh copy,
+// so a concurrent hit sees either the old page or the new one, never a
+// mix. The replaced buffer is dropped, not recycled: a pinned view may
+// still hold it. Bumping the shard's write counter makes any fill whose
+// device read overlapped this Write read again.
 func (p *BufferPool) Write(id PageID, data []byte) error {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.writes++
 	if err := p.dev.Write(id, data); err != nil {
 		return err
 	}
 	if slot, ok := sh.slots[id]; ok {
-		page := make([]byte, p.dev.BlockSize())
-		copy(page, data)
-		sh.ring[slot].data = page
+		page := GetPageBuf(p.dev.BlockSize())
+		clear((*page)[copy(*page, data):])
+		sh.ring[slot].buf = page
+		sh.ring[slot].data = *page
 	}
 	return nil
 }
@@ -307,11 +341,12 @@ func (p *BufferPool) Write(id PageID, data []byte) error {
 // with a clear reference bit (second chance: set bits are cleared and
 // skipped). Pinned frames — outstanding PageViews — are never
 // reclaimed: a view's (shard, slot) address must stay valid until
-// Release. The sweep is bounded at two full revolutions (the first
-// clears every unpinned ref bit, the second must then find a victim);
-// if none is found, every frame is pinned and -1 is returned for the
-// caller to degrade gracefully.
-func (p *BufferPool) freeSlotLocked(sh *poolShard) int {
+// Release. The victim has no pins, so its buffer goes back to the page
+// pool. The sweep is bounded at two full revolutions (the first clears
+// every unpinned ref bit, the second must then find a victim); if none
+// is found, every frame is pinned and -1 is returned for the caller to
+// degrade gracefully.
+func (sh *poolShard) freeSlotLocked() int {
 	if len(sh.ring) < sh.cap {
 		sh.ring = append(sh.ring, clockFrame{})
 		return len(sh.ring) - 1
@@ -331,7 +366,8 @@ func (p *BufferPool) freeSlotLocked(sh *poolShard) int {
 			continue
 		}
 		delete(sh.slots, fr.id)
-		fr.data = nil
+		PutPageBuf(fr.buf)
+		*fr = clockFrame{}
 		return slot
 	}
 	return -1

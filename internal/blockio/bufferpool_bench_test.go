@@ -64,12 +64,37 @@ func warm(b *testing.B, p Device, ids []PageID) {
 // one shared pool — the serving hot path — on the lock-striped CLOCK
 // pool at its automatic stripe count. The working set is fully resident
 // (the cache steady state this pool exists to serve), so the
-// measurement isolates the hit path: set a reference bit under a
-// striped read lock, copy the page outside it.
+// measurement isolates the hit path: a map lookup, a reference bit and
+// the page copy, all under the page's shard lock.
 func BenchmarkBufferPoolParallel(b *testing.B) {
 	const capacity = benchPages // fully resident
 	b.Run("sharded", func(b *testing.B) {
 		benchPoolReads(b, NewBufferPool(NewMemDevice(benchBlockSize), capacity))
+	})
+}
+
+// BenchmarkBufferPoolParallelMisses measures the miss path under
+// concurrency: View/Release of random pages of a FileDevice whose
+// working set is four times the pool, so about three in four views
+// read the file. Misses read with no shard lock held and recycle the
+// evicted frame's buffer, so they neither serialize on a shard nor
+// allocate.
+func BenchmarkBufferPoolParallelMisses(b *testing.B) {
+	const pages = benchPages
+	dev := newStampedFileDevice(b, pages, DefaultBlockSize)
+	p := NewBufferPool(dev, pages/4)
+	defer p.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := xorshift64(rand.Int63() | 1)
+		for pb.Next() {
+			v, err := p.View(PageID(rng.next() % pages))
+			if err != nil {
+				b.Fatal(err)
+			}
+			v.Release()
+		}
 	})
 }
 

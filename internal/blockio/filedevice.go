@@ -1,21 +1,33 @@
 package blockio
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // FileDevice is a Device backed by a single file, with one page per
 // BlockSize-aligned extent. It gives the benchmarks a real-disk mode;
 // correctness tests use it to verify index persistence end-to-end.
+//
+// Read takes no lock: pread is positional, so concurrent reads share
+// the file freely, and numPages and closed are atomics. mu serializes
+// Alloc, Write, Sync and Close. Alloc publishes a page only once the
+// file has grown to hold it, so a Read that passes the bounds check
+// always reads inside the file. A Read racing Close gets either the
+// page or an error, never a panic (os.File defers the close until
+// in-flight calls return). A Read racing a Write of the same page may
+// see part of each; pages are written before they are read, and
+// BufferPool repeats any fill that a Write overlapped.
 type FileDevice struct {
 	mu        sync.Mutex
 	blockSize int
 	f         *os.File
-	numPages  int
+	numPages  atomic.Int64
 	stats     counters
-	closed    bool
+	closed    atomic.Bool
 }
 
 // OpenFileDevice creates (truncating) a file-backed device at path.
@@ -50,11 +62,9 @@ func OpenFileDeviceAt(path string, blockSize int) (*FileDevice, error) {
 		f.Close()
 		return nil, fmt.Errorf("blockio: stat %s: %w", path, err)
 	}
-	return &FileDevice{
-		blockSize: blockSize,
-		f:         f,
-		numPages:  int(fi.Size() / int64(blockSize)),
-	}, nil
+	d := &FileDevice{blockSize: blockSize, f: f}
+	d.numPages.Store(fi.Size() / int64(blockSize))
+	return d, nil
 }
 
 // BlockSize implements Device.
@@ -64,33 +74,31 @@ func (d *FileDevice) BlockSize() int { return d.blockSize }
 func (d *FileDevice) Alloc() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return InvalidPage, ErrClosed
 	}
 	d.stats.allocs.Add(1)
-	id := PageID(d.numPages)
-	d.numPages++
-	if err := d.f.Truncate(int64(d.numPages) * int64(d.blockSize)); err != nil {
+	n := d.numPages.Load()
+	if err := d.f.Truncate((n + 1) * int64(d.blockSize)); err != nil {
 		return InvalidPage, fmt.Errorf("blockio: grow: %w", err)
 	}
-	return id, nil
+	d.numPages.Store(n + 1)
+	return PageID(n), nil
 }
 
-func (d *FileDevice) checkLocked(id PageID) error {
-	if d.closed {
+func (d *FileDevice) check(id PageID) error {
+	if d.closed.Load() {
 		return ErrClosed
 	}
-	if id < 0 || int(id) >= d.numPages {
-		return fmt.Errorf("%w: %d of %d", ErrPageBounds, id, d.numPages)
+	if n := d.numPages.Load(); id < 0 || int64(id) >= n {
+		return fmt.Errorf("%w: %d of %d", ErrPageBounds, id, n)
 	}
 	return nil
 }
 
-// Read implements Device.
+// Read implements Device. It takes no lock (see FileDevice).
 func (d *FileDevice) Read(id PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
+	if err := d.check(id); err != nil {
 		return err
 	}
 	if len(buf) < d.blockSize {
@@ -98,6 +106,9 @@ func (d *FileDevice) Read(id PageID, buf []byte) error {
 	}
 	d.stats.reads.Add(1)
 	_, err := d.f.ReadAt(buf[:d.blockSize], int64(id)*int64(d.blockSize))
+	if errors.Is(err, os.ErrClosed) { // Close won the race after check
+		return ErrClosed
+	}
 	if err != nil {
 		return fmt.Errorf("blockio: read page %d: %w", id, err)
 	}
@@ -108,7 +119,7 @@ func (d *FileDevice) Read(id PageID, buf []byte) error {
 func (d *FileDevice) Write(id PageID, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
+	if err := d.check(id); err != nil {
 		return err
 	}
 	if len(data) > d.blockSize {
@@ -123,12 +134,8 @@ func (d *FileDevice) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// NumPages implements Device.
-func (d *FileDevice) NumPages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+// NumPages implements Device. Lock-free.
+func (d *FileDevice) NumPages() int { return int(d.numPages.Load()) }
 
 // Stats implements Device. Lock-free.
 func (d *FileDevice) Stats() Stats { return d.stats.Snapshot() }
@@ -143,7 +150,7 @@ func (d *FileDevice) ResetStats() { d.stats.Reset() }
 func (d *FileDevice) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	if err := d.f.Sync(); err != nil {
@@ -157,10 +164,10 @@ func (d *FileDevice) Sync() error {
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return nil
 	}
-	d.closed = true
+	d.closed.Store(true)
 	syncErr := d.f.Sync()
 	closeErr := d.f.Close()
 	if syncErr != nil {

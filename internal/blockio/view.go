@@ -34,7 +34,7 @@ type PageView struct {
 	data []byte
 	sh   *poolShard // non-nil: the view pins a buffer-pool frame
 	slot int
-	buf  *[]byte // non-nil: data is a pooled copy (fallback path)
+	buf  *[]byte // non-nil: data is a pooled copy (fallback path, or a pool fill left uncached)
 }
 
 // Data returns the page bytes. The slice is valid until Release and

@@ -138,9 +138,12 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, version uint64, fn func() (
 			e := el.Value.(*entry[K, V])
 			if e.versions == nil && e.version == version {
 				c.lru.MoveToFront(el)
+				// Read the value before unlocking: storeLocked rewrites
+				// e.val in place.
+				v = e.val
 				c.mu.Unlock()
 				c.hits.Add(1)
-				return e.val, true, nil
+				return v, true, nil
 			}
 			// Version mismatch: the entry can never be served again (the
 			// caller-supplied version is monotone), reclaim its slot now.

@@ -131,9 +131,10 @@ func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope 
 			e := el.Value.(*entry[K, V])
 			if c.scopedValidLocked(e, js) {
 				c.lru.MoveToFront(el)
+				v = e.val // before unlocking: storeScopedLocked rewrites it
 				c.mu.Unlock()
 				c.hits.Add(1)
-				return e.val, true, nil
+				return v, true, nil
 			}
 			// Invalidated by an overlapping event (or stored by the
 			// unscoped Do): reclaim the slot now.
