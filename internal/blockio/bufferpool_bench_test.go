@@ -127,3 +127,36 @@ func BenchmarkBufferPoolParallelWrites(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkMemDeviceViewParallel measures the in-memory read path every
+// built or restored index serves from: View/Release of random pages of
+// one shared MemDevice (4,096 pages of 4 KiB). A view is one atomic
+// load of the page table, a bounds check and the read counter, so
+// parallel readers share no lock.
+func BenchmarkMemDeviceViewParallel(b *testing.B) {
+	const pages = 4096
+	d := NewMemDevice(DefaultBlockSize)
+	buf := make([]byte, DefaultBlockSize)
+	for i := 0; i < pages; i++ {
+		id, err := d.Alloc()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fillTestPage(buf, id, 1)
+		if err := d.Write(id, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := xorshift64(rand.Int63() | 1)
+		for pb.Next() {
+			v, err := d.View(PageID(rng.next() % pages))
+			if err != nil {
+				b.Fatal(err)
+			}
+			v.Release()
+		}
+	})
+}

@@ -132,12 +132,19 @@ type Device interface {
 // MemDevice is an in-memory Device. It is the default substrate for
 // tests and benchmarks: "IOs" are counted exactly as a disk-backed
 // device would count them, without the wall-clock noise of a real disk.
+//
+// Locking. Alloc, Read, Write and Close take the device mutex. Alloc
+// appends the new page under it and then publishes the whole page
+// table with one atomic store, so View and NumPages take no lock: they
+// load the last published table, whose pages never move (a page's
+// bytes are allocated once and only ever overwritten in place by
+// Write). Close publishes a nil table, which every later operation
+// reports as ErrClosed.
 type MemDevice struct {
 	mu        sync.Mutex
 	blockSize int
-	pages     [][]byte
+	pages     atomic.Pointer[[][]byte]
 	stats     counters
-	closed    bool
 }
 
 // NewMemDevice creates an in-memory device with the given block size
@@ -146,78 +153,93 @@ func NewMemDevice(size int) *MemDevice {
 	if size <= 0 {
 		size = DefaultBlockSize
 	}
-	return &MemDevice{blockSize: size}
+	d := &MemDevice{blockSize: size}
+	d.pages.Store(new([][]byte))
+	return d
 }
 
 // BlockSize implements Device.
 func (d *MemDevice) BlockSize() int { return d.blockSize }
 
-// Alloc implements Device.
+// Alloc implements Device. The new page is visible to View and
+// NumPages once Alloc returns.
 func (d *MemDevice) Alloc() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	cur := d.pages.Load()
+	if cur == nil {
 		return InvalidPage, ErrClosed
 	}
 	d.stats.allocs.Add(1)
-	id := PageID(len(d.pages))
-	d.pages = append(d.pages, make([]byte, d.blockSize))
+	id := PageID(len(*cur))
+	// The append may fill a slot past the published table's length in
+	// the backing array the two share; no reader of that table indexes it.
+	next := append(*cur, make([]byte, d.blockSize))
+	d.pages.Store(&next)
 	return id, nil
 }
 
-func (d *MemDevice) checkLocked(id PageID) error {
-	if d.closed {
-		return ErrClosed
+// page returns the bytes of page id in the published table, or the
+// error every operation reports for a closed device or an out-of-range
+// id.
+func (d *MemDevice) page(id PageID) ([]byte, error) {
+	pages := d.pages.Load()
+	if pages == nil {
+		return nil, ErrClosed
 	}
-	if id < 0 || int(id) >= len(d.pages) {
-		return fmt.Errorf("%w: %d of %d", ErrPageBounds, id, len(d.pages))
+	if id < 0 || int(id) >= len(*pages) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrPageBounds, id, len(*pages))
 	}
-	return nil
+	return (*pages)[id], nil
 }
 
-// Read implements Device.
+// Read implements Device. It keeps the mutex, so a copy never
+// overlaps a Write of the same page (a buffer-pool fill may race one).
 func (d *MemDevice) Read(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
+	page, err := d.page(id)
+	if err != nil {
 		return err
 	}
 	if len(buf) < d.blockSize {
 		return ErrShortBuffer
 	}
 	d.stats.reads.Add(1)
-	copy(buf, d.pages[id])
+	copy(buf, page)
 	return nil
 }
 
 // View implements Viewer: the returned view aliases the page's backing
-// array directly — zero copies, counted as one read. MemDevice mutates
+// array directly — zero copies, counted as one read. View takes no
+// lock (see MemDevice), so concurrent queries on one device never
+// contend, and a view taken before Close keeps reading its page's
+// bytes. MemDevice mutates
 // page bytes in place on Write, so callers must serialize views
 // against writers of the same page (the root package's indexes never
 // write a page after their build), and a released view must not be
 // used after a concurrent Write lands.
 func (d *MemDevice) View(id PageID) (PageView, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
+	page, err := d.page(id)
+	if err != nil {
 		return PageView{}, err
 	}
 	d.stats.reads.Add(1)
-	return PageView{data: d.pages[id]}, nil
+	return PageView{data: page}, nil
 }
 
 // Write implements Device.
 func (d *MemDevice) Write(id PageID, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.checkLocked(id); err != nil {
+	page, err := d.page(id)
+	if err != nil {
 		return err
 	}
 	if len(data) > d.blockSize {
 		return fmt.Errorf("blockio: write of %d bytes exceeds block size %d", len(data), d.blockSize)
 	}
 	d.stats.writes.Add(1)
-	page := d.pages[id]
 	copy(page, data)
 	for i := len(data); i < len(page); i++ {
 		page[i] = 0
@@ -225,11 +247,12 @@ func (d *MemDevice) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// NumPages implements Device.
+// NumPages implements Device. Lock-free; 0 once closed.
 func (d *MemDevice) NumPages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pages)
+	if pages := d.pages.Load(); pages != nil {
+		return len(*pages)
+	}
+	return 0
 }
 
 // Stats implements Device. Lock-free: safe to call while queries are
@@ -243,7 +266,6 @@ func (d *MemDevice) ResetStats() { d.stats.Reset() }
 func (d *MemDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.closed = true
-	d.pages = nil
+	d.pages.Store(nil)
 	return nil
 }

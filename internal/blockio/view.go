@@ -13,11 +13,12 @@ package blockio
 // (a buffer-pool view pins its frame, and a pinned frame is exempt
 // from CLOCK eviction — holding views across long pauses shrinks the
 // effective cache). Views are read-only: writing through Data() is a
-// data race against every other reader of the page. Views of mutable
-// devices (MemDevice) additionally require the caller to serialize
-// against writers of the same page — the root package's indexes do
-// by construction: every page is written while the index is built,
-// before any query can see it, and never again.
+// data race against every other reader of the page. A MemDevice view
+// takes no lock (it reads the atomically published page table) and
+// aliases bytes that Write overwrites in place, so the caller must
+// serialize views against writers of the same page — the root
+// package's indexes do by construction: every page is written while
+// the index is built, before any query can see it, and never again.
 
 // Viewer is implemented by devices that can serve a page as an
 // in-place, read-only view instead of a copy. View counts toward the

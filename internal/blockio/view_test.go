@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -74,6 +76,112 @@ func TestMemDeviceView(t *testing.T) {
 	v.Release() // idempotent
 	if _, err := dev.View(99); !errors.Is(err, ErrPageBounds) {
 		t.Fatalf("out-of-bounds view: %v", err)
+	}
+}
+
+// TestMemDeviceViewDuringAlloc: three readers View stamped pages of a
+// MemDevice while one writer Allocs and stamps new ones, and then Close
+// lands under them. View takes no lock, so this is the -race test of
+// the published page table: a reader sees only intact pages, a View at
+// or past NumPages fails with ErrPageBounds, a View after Close fails
+// with ErrClosed, and a view taken before Close still reads its bytes.
+func TestMemDeviceViewDuringAlloc(t *testing.T) {
+	const (
+		initial   = 16
+		total     = 2048
+		blockSize = 256
+		readers   = 3
+	)
+	d := NewMemDevice(blockSize)
+	buf := make([]byte, blockSize)
+	var stamped atomic.Int64 // pages [0, stamped) hold their stamp
+	stamp := func() {
+		id, err := d.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stampPage(buf, id, 0)
+		if err := d.Write(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		stamped.Store(int64(id) + 1)
+	}
+	for i := 0; i < initial; i++ {
+		stamp()
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		// Each reader holds its last good view across the next View, so
+		// the one it holds when Close lands was taken before it.
+		heldID := PageID(r)
+		held, err := d.View(heldID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer held.Release()
+			rng := xorshift64(uint64(r) + 1)
+			for {
+				id := PageID(rng.next() % uint64(stamped.Load()))
+				v, err := d.View(id)
+				if errors.Is(err, ErrClosed) {
+					if msg := stampError(held.Data(), heldID); msg != "" {
+						t.Errorf("view of page %d taken before Close %s after it", heldID, msg)
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("View(%d): %v", id, err)
+					return
+				}
+				if msg := stampError(v.Data(), id); msg != "" {
+					t.Errorf("view of page %d %s", id, msg)
+				}
+				held.Release()
+				held, heldID = v, id
+				// A View at NumPages succeeds only if an Alloc published
+				// page n meanwhile; Alloc counts before it publishes, and
+				// Close does not reset the count.
+				n := d.NumPages()
+				_, err = d.View(PageID(n))
+				switch {
+				case err == nil && d.Stats().Allocs <= uint64(n):
+					t.Errorf("View(%d) succeeded with %d pages allocated", n, n)
+				case err != nil && !errors.Is(err, ErrPageBounds) && !errors.Is(err, ErrClosed):
+					t.Errorf("View(%d) at NumPages: %v, want ErrPageBounds", n, err)
+				}
+			}
+		}(r)
+	}
+	for i := initial; i < total; i++ {
+		stamp()
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	n := d.NumPages()
+	if n != total {
+		t.Errorf("NumPages = %d, want %d", n, total)
+	}
+	for _, id := range []PageID{PageID(n), PageID(n) + 100, -1} {
+		if _, err := d.View(id); !errors.Is(err, ErrPageBounds) {
+			t.Errorf("View(%d) of %d pages: %v, want ErrPageBounds", id, n, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if _, err := d.View(0); !errors.Is(err, ErrClosed) {
+		t.Errorf("View after Close: %v, want ErrClosed", err)
+	}
+	if got := d.NumPages(); got != 0 {
+		t.Errorf("NumPages after Close = %d, want 0", got)
+	}
+	if _, err := d.Alloc(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Alloc after Close: %v, want ErrClosed", err)
 	}
 }
 
