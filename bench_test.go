@@ -203,8 +203,9 @@ func BenchmarkAblation_BufferPool(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ForestVsInterval compares EXACT2's m-tree forest
-// against EXACT3's single interval tree on the same queries.
+// BenchmarkAblation_ForestVsInterval compares EXACT2's m per-object
+// prefix-sum runs (the paper's forest) against EXACT3's single interval
+// tree on the same queries.
 func BenchmarkAblation_ForestVsInterval(b *testing.B) {
 	p := benchParams()
 	ds, err := p.MakeDataset()

@@ -75,7 +75,6 @@ type config struct {
 	kmax     int
 	cache    int
 	workers  int
-	build    int
 	shards   int
 	swork    int
 	timeout  time.Duration
@@ -97,7 +96,6 @@ func main() {
 	flag.IntVar(&cfg.kmax, "kmax", 200, "max k supported by approximate methods")
 	flag.IntVar(&cfg.cache, "cache", 0, "buffer pool (read cache) size in pages (0 = none)")
 	flag.IntVar(&cfg.workers, "workers", 0, "maximum /query requests running at once (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.build, "build-workers", 0, "parallel build workers for per-series construction (0 = sequential)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the dataset across this many shards")
 	flag.IntVar(&cfg.swork, "shard-workers", 0, "per-query shard fan-out bound (0 = GOMAXPROCS; lower it to trade idle latency for less oversubscription under full load)")
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-query deadline (0 = none)")
@@ -116,7 +114,7 @@ func main() {
 	if cfg.router != "" {
 		err = runRouter(cfg)
 	} else {
-		err = run(cfg.addr, cfg.data, cfg.binary, cfg.genSpec, cfg.seed, cfg.method, cfg.r, cfg.kmax, cfg.cache, cfg.workers, cfg.build, cfg.shards, cfg.swork, cfg.rcache, cfg.memtable, cfg.pprof, cfg.timeout)
+		err = run(cfg.addr, cfg.data, cfg.binary, cfg.genSpec, cfg.seed, cfg.method, cfg.r, cfg.kmax, cfg.cache, cfg.workers, cfg.shards, cfg.swork, cfg.rcache, cfg.memtable, cfg.pprof, cfg.timeout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rankserver:", err)
@@ -130,7 +128,7 @@ func main() {
 // expected to matter.
 var localOnlyFlags = []string{
 	"data", "binary", "gen", "seed", "method", "r", "kmax",
-	"cache", "build-workers", "shards", "shard-workers", "result-cache",
+	"cache", "shards", "shard-workers", "result-cache",
 	"memtable",
 }
 
@@ -234,7 +232,7 @@ func runRouter(cfg config) error {
 	return serveHTTP(cfg.addr, cfg.pprof, banner, srv, nil)
 }
 
-func run(addr, data string, binary bool, genSpec string, seed int64, methods string, r, kmax, cache, workers, build, shards, shardWorkers, resultCache, memtable int, pprofAddr string, timeout time.Duration) error {
+func run(addr, data string, binary bool, genSpec string, seed int64, methods string, r, kmax, cache, workers, shards, shardWorkers, resultCache, memtable int, pprofAddr string, timeout time.Duration) error {
 	snapDir := snapshotDir(data)
 	mtOpts := &temporalrank.MemtableOptions{FlushSegments: memtable}
 	var (
@@ -273,11 +271,10 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 				continue
 			}
 			opts = append(opts, temporalrank.Options{
-				Method:       temporalrank.Method(m),
-				TargetR:      r,
-				KMax:         kmax,
-				CacheBlocks:  cache,
-				BuildWorkers: build,
+				Method:      temporalrank.Method(m),
+				TargetR:     r,
+				KMax:        kmax,
+				CacheBlocks: cache,
 			})
 		}
 		if len(opts) == 0 {

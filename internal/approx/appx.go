@@ -160,15 +160,15 @@ func (a *Appx2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if id < 0 || int(id) >= a.m {
 		return 0, fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
 	}
-	cands, err := a.q.Candidates(a.kmax, t1, t2)
+	acc, err := a.q.candidates(a.kmax, t1, t2)
 	if err != nil {
 		return 0, err
 	}
-	s, ok := cands[id]
-	if !ok {
+	defer acc.release()
+	if !acc.has(id) {
 		return 0, fmt.Errorf("%s: %w: series %d outside the candidate set", a.name, trerr.ErrNotMaterialized, id)
 	}
-	return s, nil
+	return acc.sums[id], nil
 }
 
 // Query2Index exposes the underlying dyadic structure (for the
@@ -178,10 +178,11 @@ func (a *Appx2) Query2Index() *Query2 { return a.q }
 // --- APPX2+ -------------------------------------------------------------
 
 // Appx2Plus is APPX2 with exact rescoring: the dyadic candidate set K
-// is re-evaluated through an EXACT2 forest (built on the same device,
-// which is why its index size is O(N/B) like the exact methods), then
-// the k best exact scores win. Empirically near-exact at APPX2 query
-// cost plus |K| tree lookups.
+// is re-evaluated through EXACT2's packed per-object runs, laid out on
+// the same device after the lists (which is why its index size is
+// O(N/B) like the exact methods), then the k best exact scores win.
+// Empirically near-exact at APPX2 query cost plus one or two page views
+// per candidate.
 type Appx2Plus struct {
 	appxBase
 	q  *Query2
@@ -201,32 +202,30 @@ func NewAppx2Plus(dev blockio.Device, ds *tsdata.Dataset, kind Kind, eps float64
 // NewAppx2PlusWithBreaks builds APPX2+ over a precomputed breakpoint
 // set.
 func NewAppx2PlusWithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, bps *breakpoint.Set, kmax int) (*Appx2Plus, error) {
-	return NewAppx2PlusWithBreaksParallel(dev, ds, kind, bps, kmax, 1)
-}
-
-// NewAppx2PlusWithBreaksParallel is NewAppx2PlusWithBreaks with the
-// rescoring forest's per-series construction spread over buildWorkers
-// goroutines.
-func NewAppx2PlusWithBreaksParallel(dev blockio.Device, ds *tsdata.Dataset, kind Kind, bps *breakpoint.Set, kmax, buildWorkers int) (*Appx2Plus, error) {
 	q, err := BuildQuery2(dev, ds, bps, kmax)
 	if err != nil {
 		return nil, err
 	}
-	e2, err := exact.BuildExact2Parallel(dev, ds, buildWorkers)
+	e2, err := exact.BuildExact2(dev, ds)
 	if err != nil {
 		return nil, err
 	}
 	return &Appx2Plus{appxBase: newAppxBase("APPX2+", dev, ds, bps, kmax, kind), q: q, e2: e2}, nil
 }
 
-// TopK implements exact.Method: dyadic candidates, exact rescoring.
+// TopK implements exact.Method: dyadic candidates, exact rescoring in
+// the order the merge first saw them.
+//
+//tr:hotpath
 func (a *Appx2Plus) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
-	cands, err := a.q.Candidates(k, t1, t2)
+	acc, err := a.q.candidates(k, t1, t2)
 	if err != nil {
 		return nil, err
 	}
-	c := topk.NewCollector(k)
-	for id := range cands {
+	defer acc.release()
+	c := topk.GetCollector(k)
+	defer c.Release()
+	for _, id := range acc.touched {
 		s, err := a.e2.Score(id, t1, t2)
 		if err != nil {
 			return nil, err

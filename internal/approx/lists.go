@@ -8,7 +8,7 @@
 //     IOs with Θ(r·kmax/B) space.
 //   - The combined methods APPX1-B, APPX2-B (BREAKPOINTS1-based),
 //     APPX1, APPX2 (BREAKPOINTS2-based), and APPX2+ (APPX2 with exact
-//     rescoring of the candidate set through an EXACT2 forest).
+//     rescoring of the candidate set through EXACT2's packed runs).
 //
 // All structures store their payload on a blockio.Device so query IO
 // follows the paper's cost model. Top-k lists are densely packed into
@@ -146,45 +146,73 @@ func readList(dev blockio.Device, ref listRef, limit int) ([]topk.Item, error) {
 	if ref.head == blockio.InvalidPage || ref.count == 0 || limit == 0 {
 		return nil, nil
 	}
-	want := int(ref.count)
-	if limit > 0 && limit < want {
-		want = limit
-	}
-	out := make([]topk.Item, 0, want)
-	// List reads run once per (query, breakpoint) on the approximate
-	// read path; each chained page is decoded in place from a zero-copy
-	// view, held only while its entries are consumed.
-	v, err := blockio.View(dev, ref.head)
+	out := make([]topk.Item, 0, listLen(ref, limit))
+	err := walkList(dev, ref, limit, func(id tsdata.SeriesID, score float64) error {
+		out = append(out, topk.Item{ID: id, Score: score})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// listLen is the number of entries a read of ref with limit yields.
+func listLen(ref listRef, limit int) int {
+	if ref.head == blockio.InvalidPage || limit == 0 {
+		return 0
+	}
+	n := int(ref.count)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	return n
+}
+
+// walkList hands the first limit entries of a packed list (limit < 0:
+// all of them) to fn in rank order, stopping at fn's first error. List
+// reads run once per (query, list) on the approximate read path; each
+// chained page is decoded in place from a zero-copy view, held only
+// while its entries are consumed.
+//
+//tr:hotpath
+func walkList(dev blockio.Device, ref listRef, limit int, fn func(id tsdata.SeriesID, score float64) error) error {
+	want := listLen(ref, limit)
+	if want == 0 {
+		return nil
+	}
+	v, err := blockio.View(dev, ref.head)
+	if err != nil {
+		return err
+	}
 	buf := v.Data()
 	off := int(ref.off)
-	for len(out) < want {
+	for got := 0; got < want; got++ {
 		if off+listEntrySize > len(buf) {
 			next := blockio.PageID(int64(binary.LittleEndian.Uint64(buf[0:])))
 			if next == blockio.InvalidPage {
 				v.Release()
-				return nil, fmt.Errorf("approx: list truncated at %d of %d entries", len(out), want)
+				return fmt.Errorf("approx: list truncated at %d of %d entries", got, want)
 			}
 			nv, err := blockio.View(dev, next)
 			if err != nil {
 				v.Release()
-				return nil, err
+				return err
 			}
 			v.Release()
 			v = nv
 			buf = v.Data()
 			off = arenaHeaderSize
 		}
-		out = append(out, topk.Item{
-			ID:    tsdata.SeriesID(binary.LittleEndian.Uint32(buf[off:])),
-			Score: math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:])),
-		})
+		id := tsdata.SeriesID(binary.LittleEndian.Uint32(buf[off:]))
+		if err := fn(id, math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))); err != nil {
+			v.Release()
+			return err
+		}
 		off += listEntrySize
 	}
 	v.Release()
-	return out, nil
+	return nil
 }
 
 // prefixAtBreakpoints computes P[i][j] = σ_i(Start, b_j) for every

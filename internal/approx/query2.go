@@ -2,6 +2,7 @@ package approx
 
 import (
 	"fmt"
+	"sync"
 
 	"temporalrank/internal/blockio"
 	"temporalrank/internal/breakpoint"
@@ -20,6 +21,7 @@ type Query2 struct {
 	dev  blockio.Device
 	bps  *breakpoint.Set
 	kmax int
+	m    int // series count: list entries name ids below it
 
 	// Node directory (in memory, O(r); the lists live on the device —
 	// the paper likewise keeps its binary tree over B resident while
@@ -48,7 +50,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 	if err != nil {
 		return nil, err
 	}
-	q := &Query2{dev: dev, bps: bps, kmax: kmax}
+	q := &Query2{dev: dev, bps: bps, kmax: kmax, m: m}
 
 	var build func(lo, hi int) (int, error)
 	build = func(lo, hi int) (int, error) {
@@ -99,53 +101,77 @@ func (q *Query2) Breakpoints() *breakpoint.Set { return q.bps }
 // NumNodes returns the number of dyadic intervals (diagnostics; < 2r).
 func (q *Query2) NumNodes() int { return len(q.nodes) }
 
-// Decompose returns the canonical node cover of gap range [a, b): at
-// most 2·log r nodes (exported for the candidate-set property tests).
-func (q *Query2) Decompose(a, b int) []int {
-	var out []int
-	var rec func(n int)
-	rec = func(n int) {
-		node := q.nodes[n]
+// maxCoverStack bounds the walk's explicit stack. The walk pushes at
+// most one pending right child per level above the current node, and a
+// dyadic tree over fewer than 2^62 gaps is shallower than that.
+const maxCoverStack = 64
+
+// cover hands the canonical node cover of gap range [a, b) — at most
+// 2·log r nodes — to visit, left to right, walking the directory with a
+// fixed stack. The order matters: merged sums are then added in the
+// same order on every call.
+//
+//tr:hotpath
+func (q *Query2) cover(a, b int, visit func(n int) error) error {
+	if a >= b {
+		return nil
+	}
+	var stack [maxCoverStack]int
+	stack[0] = q.root
+	for sp := 1; sp > 0; {
+		sp--
+		n := stack[sp]
+		node := &q.nodes[n]
 		if a <= node.lo && node.hi <= b {
-			out = append(out, n)
-			return
+			if err := visit(n); err != nil {
+				return err
+			}
+			continue
 		}
 		if node.left < 0 {
-			return
+			continue
 		}
 		mid := (node.lo + node.hi) / 2
-		if a < mid {
-			rec(node.left)
+		if sp+2 > len(stack) {
+			return fmt.Errorf("approx: dyadic directory deeper than %d levels", maxCoverStack)
 		}
+		// Push right before left, so the left subtree is walked first.
 		if b > mid {
-			rec(node.right)
+			stack[sp] = node.right
+			sp++
+		}
+		if a < mid {
+			stack[sp] = node.left
+			sp++
 		}
 	}
-	if a < b {
-		rec(q.root)
-	}
-	return out
+	return nil
 }
 
 // TopK answers the approximate query: snap, decompose into dyadic
 // nodes, merge their top-kmax lists by summing per-object scores, and
 // return the k best of the candidate set K (|K| <= 2k·log r).
 func (q *Query2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
-	cands, err := q.Candidates(k, t1, t2)
+	acc, err := q.candidates(k, t1, t2)
 	if err != nil {
 		return nil, err
 	}
-	c := topk.NewCollector(k)
-	for id, score := range cands {
-		c.Add(id, score)
+	defer acc.release()
+	c := topk.GetCollector(k)
+	defer c.Release()
+	for _, id := range acc.touched {
+		c.Add(id, acc.sums[id])
 	}
 	return c.Results(), nil
 }
 
-// Candidates returns the merged candidate set K for a query: object ->
-// summed score over the covering dyadic intervals. APPX2 ranks K by
-// these sums; APPX2+ rescores K exactly.
-func (q *Query2) Candidates(k int, t1, t2 float64) (map[tsdata.SeriesID]float64, error) {
+// candidates merges the candidate set K for a query into a pooled
+// accumulator: for each object in K, its summed score over the covering
+// dyadic intervals. APPX2 ranks K by these sums; APPX2+ rescores K
+// exactly. The caller releases the accumulator.
+//
+//tr:hotpath
+func (q *Query2) candidates(k int, t1, t2 float64) (*mergeAcc, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
@@ -154,18 +180,75 @@ func (q *Query2) Candidates(k int, t1, t2 float64) (map[tsdata.SeriesID]float64,
 	}
 	_, a := q.bps.Snap(t1)
 	_, b := q.bps.Snap(t2)
-	cands := make(map[tsdata.SeriesID]float64)
-	if a >= b {
-		return cands, nil
-	}
-	for _, n := range q.Decompose(a, b) {
-		items, err := readList(q.dev, q.nodes[n].list, k)
-		if err != nil {
-			return nil, err
+	acc := getMergeAcc(q.m)
+	add := func(id tsdata.SeriesID, score float64) error {
+		if id < 0 || int(id) >= q.m {
+			return fmt.Errorf("approx: list entry for series %d of %d", id, q.m)
 		}
-		for _, it := range items {
-			cands[it.ID] += it.Score
-		}
+		acc.add(id, score)
+		return nil
 	}
-	return cands, nil
+	err := q.cover(a, b, func(n int) error {
+		return walkList(q.dev, q.nodes[n].list, k, add)
+	})
+	if err != nil {
+		acc.release()
+		return nil, err
+	}
+	return acc, nil
+}
+
+// mergeAcc accumulates one query's candidate merge without a map: a
+// dense score per object, a bitmap of the objects seen, and the seen
+// ids in first-seen order. Only touched entries are ever dirty, so a
+// reset walks touched instead of all m objects.
+type mergeAcc struct {
+	sums    []float64
+	seen    []uint64
+	touched []tsdata.SeriesID
+}
+
+// mergeAccPool recycles accumulators across queries. A pooled
+// accumulator sized for a larger m serves a smaller one unchanged.
+var mergeAccPool = sync.Pool{New: func() any { return new(mergeAcc) }}
+
+// getMergeAcc returns an empty pooled accumulator for m objects.
+//
+//tr:hotpath
+func getMergeAcc(m int) *mergeAcc {
+	acc := mergeAccPool.Get().(*mergeAcc)
+	if len(acc.sums) < m {
+		acc.sums = make([]float64, m)
+		acc.seen = make([]uint64, (m+63)/64)
+	}
+	return acc
+}
+
+// add sums score into id's entry.
+//
+//tr:hotpath
+func (acc *mergeAcc) add(id tsdata.SeriesID, score float64) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if acc.seen[w]&bit == 0 {
+		acc.seen[w] |= bit
+		acc.sums[id] = 0
+		acc.touched = append(acc.touched, id)
+	}
+	acc.sums[id] += score
+}
+
+// has reports whether id is in the candidate set.
+func (acc *mergeAcc) has(id tsdata.SeriesID) bool {
+	return acc.seen[id>>6]&(uint64(1)<<(id&63)) != 0
+}
+
+// release clears the touched entries and returns acc to the pool.
+//
+//tr:hotpath
+func (acc *mergeAcc) release() {
+	for _, id := range acc.touched {
+		acc.seen[id>>6] = 0
+	}
+	acc.touched = acc.touched[:0]
+	mergeAccPool.Put(acc)
 }

@@ -90,10 +90,12 @@ func (q *Query2) State() Query2State {
 	return st
 }
 
-// RestoreQuery2 reattaches a Query2 to its restored device image,
-// re-validating the directory's structural invariants so a corrupt
-// snapshot cannot smuggle in out-of-range node references.
-func RestoreQuery2(dev blockio.Device, bps *breakpoint.Set, st Query2State) (*Query2, error) {
+// RestoreQuery2 reattaches a Query2 over m series to its restored
+// device image, re-validating the directory's structural invariants so
+// a corrupt snapshot cannot smuggle in out-of-range node references or
+// children that do not halve their parent's span (which could send the
+// cover walk round a cycle).
+func RestoreQuery2(dev blockio.Device, bps *breakpoint.Set, m int, st Query2State) (*Query2, error) {
 	if st.KMax < 1 {
 		return nil, fmt.Errorf("approx: restore query2: kmax %d: %w", st.KMax, trerr.ErrBadSnapshot)
 	}
@@ -101,7 +103,7 @@ func RestoreQuery2(dev blockio.Device, bps *breakpoint.Set, st Query2State) (*Qu
 	if n == 0 || st.Root < 0 || st.Root >= n {
 		return nil, fmt.Errorf("approx: restore query2: root %d of %d nodes: %w", st.Root, n, trerr.ErrBadSnapshot)
 	}
-	q := &Query2{dev: dev, bps: bps, kmax: st.KMax, root: st.Root, nodes: make([]dyadicNode, n)}
+	q := &Query2{dev: dev, bps: bps, kmax: st.KMax, m: m, root: st.Root, nodes: make([]dyadicNode, n)}
 	for i, node := range st.Nodes {
 		if node.Lo < 0 || node.Hi <= node.Lo || node.Hi >= bps.R() {
 			return nil, fmt.Errorf("approx: restore query2: node %d spans gaps [%d,%d) of r=%d: %w",
@@ -110,6 +112,14 @@ func RestoreQuery2(dev blockio.Device, bps *breakpoint.Set, st Query2State) (*Qu
 		if node.Left >= n || node.Right >= n || (node.Left < 0) != (node.Right < 0) {
 			return nil, fmt.Errorf("approx: restore query2: node %d children (%d,%d): %w",
 				i, node.Left, node.Right, trerr.ErrBadSnapshot)
+		}
+		if node.Left >= 0 {
+			mid := (node.Lo + node.Hi) / 2
+			l, r := st.Nodes[node.Left], st.Nodes[node.Right]
+			if l.Lo != node.Lo || l.Hi != mid || r.Lo != mid || r.Hi != node.Hi {
+				return nil, fmt.Errorf("approx: restore query2: node %d children do not split [%d,%d) at %d: %w",
+					i, node.Lo, node.Hi, mid, trerr.ErrBadSnapshot)
+			}
 		}
 		q.nodes[i] = dyadicNode{lo: node.Lo, hi: node.Hi, left: node.Left, right: node.Right, list: node.List.internal()}
 	}
@@ -171,7 +181,7 @@ func RestoreAppx2(dev blockio.Device, ds *tsdata.Dataset, st Appx2State) (*Appx2
 	if err != nil {
 		return nil, err
 	}
-	q, err := RestoreQuery2(dev, bps, st.Q)
+	q, err := RestoreQuery2(dev, bps, ds.NumSeries(), st.Q)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +189,8 @@ func RestoreAppx2(dev blockio.Device, ds *tsdata.Dataset, st Appx2State) (*Appx2
 }
 
 // Appx2PlusState is Appx2Plus's full handle state: the dyadic
-// directory plus the rescoring forest, which share one device.
+// directory plus the rescoring runs' first page, which share one
+// device.
 type Appx2PlusState struct {
 	Kind   Kind
 	KMax   int
@@ -200,7 +211,7 @@ func RestoreAppx2Plus(dev blockio.Device, ds *tsdata.Dataset, st Appx2PlusState)
 	if err != nil {
 		return nil, err
 	}
-	q, err := RestoreQuery2(dev, bps, st.Q)
+	q, err := RestoreQuery2(dev, bps, ds.NumSeries(), st.Q)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,9 @@
 // of the last entry.
 //
 // This is the workhorse index of the paper: EXACT1 keys all N segments
-// by left endpoint, EXACT2 builds one tree per object keyed by segment
-// right endpoints, and QUERY1 nests trees over breakpoints (§2, §3.2).
+// by left endpoint and QUERY1 nests trees over breakpoints (§2, §3.2).
+// (The paper's EXACT2 forest of one tree per object is stored as packed
+// runs instead; see internal/exact.)
 package bptree
 
 import (

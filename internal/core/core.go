@@ -75,10 +75,6 @@ type Config struct {
 	// CacheBlocks, when > 0, wraps the device in a write-through buffer
 	// pool (a CLOCK read cache) of that many pages.
 	CacheBlocks int
-	// BuildWorkers, when > 1, parallelizes index construction across
-	// series for methods whose construction decomposes per object
-	// (currently EXACT2's forest, including the forest inside APPX2+).
-	BuildWorkers int
 	// NewDevice overrides device creation (default: in-memory device).
 	NewDevice func(blockSize int) (blockio.Device, error)
 }
@@ -135,7 +131,7 @@ func Build(name MethodName, ds *tsdata.Dataset, cfg Config) (exact.Method, error
 	case Exact1:
 		return exact.BuildExact1(dev, ds)
 	case Exact2:
-		return exact.BuildExact2Parallel(dev, ds, cfg.BuildWorkers)
+		return exact.BuildExact2(dev, ds)
 	case Exact3:
 		return exact.BuildExact3(dev, ds)
 	case Appx1B, Appx1:
@@ -163,7 +159,7 @@ func Build(name MethodName, ds *tsdata.Dataset, cfg Config) (exact.Method, error
 		if err != nil {
 			return nil, err
 		}
-		return approx.NewAppx2PlusWithBreaksParallel(dev, ds, approx.KindB2, bps, cfg.KMax, cfg.BuildWorkers)
+		return approx.NewAppx2PlusWithBreaks(dev, ds, approx.KindB2, bps, cfg.KMax)
 	default:
 		return nil, fmt.Errorf("core: unknown method %q", name)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"temporalrank/internal/blockio"
+	"temporalrank/internal/tsdata"
 )
 
 // TestExact3TopKAllocs pins an EXACT3 query at exactly one allocation,
@@ -41,5 +42,34 @@ func TestExact3TopKAllocs(t *testing.T) {
 	}
 	if adjusted == 0 {
 		t.Error("adjust never ran")
+	}
+}
+
+// TestExact2ScoreAllocs pins one EXACT2 score at zero allocations: the
+// directory routes each window end to its page, which is viewed in
+// place.
+func TestExact2ScoreAllocs(t *testing.T) {
+	ds := randomDataset(6, 200, 60, false)
+	e, err := BuildExact2(blockio.NewMemDevice(512), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ds.Start(), ds.End()
+	var sum float64
+	i := 0
+	got := testing.AllocsPerRun(200, func() {
+		t1 := lo + (hi-lo)*float64(i%8)/16
+		s, err := e.Score(tsdata.SeriesID(i%ds.NumSeries()), t1, t1+(hi-lo)/4)
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += s
+	})
+	if got != 0 {
+		t.Errorf("Exact2.Score allocates %.1f allocs/op, want 0", got)
+	}
+	if sum == 0 {
+		t.Error("every score was zero")
 	}
 }

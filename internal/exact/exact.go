@@ -4,9 +4,12 @@
 //   - Exact1: one B+-tree over all N segments keyed by left endpoint;
 //     a query scans every segment overlapping [t1,t2] maintaining m
 //     running sums. O(log_B N + Σq_i/B) IOs, degrading to O(N/B).
-//   - Exact2: a forest of m B+-trees, one per object, with prefix sums
-//     σ_i(I_{i,ℓ}) in the leaves; a query does two searches per tree
-//     and applies Eq. (2). O(Σ log_B n_i) IOs.
+//   - Exact2: the paper's forest of m per-object prefix-sum indexes,
+//     stored as one packed run of fixed-size slots per object (key
+//     t_{i,ℓ}, the segment, and σ_i(I_{i,ℓ})) across shared pages, with
+//     an in-memory directory of each run's page-boundary keys. Scoring
+//     one object views the one or two pages holding the ceilings of t1
+//     and t2 and applies Eq. (2): at most 2 IOs per object, 2m per query.
 //   - Exact3: a single external interval tree over the I⁻ interval
 //     decomposition of all objects; a query is two stabbing queries.
 //     O(log_B N + m/B) IOs — the paper's best exact method.

@@ -1,126 +1,131 @@
 package exact
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"temporalrank/internal/blockio"
-	"temporalrank/internal/bptree"
 	"temporalrank/internal/topk"
 	"temporalrank/internal/trerr"
 	"temporalrank/internal/tsdata"
 )
 
-// exact2ValueSize is the per-entry payload of an object tree T_i:
-// V1, V2 of segment g_{i,ℓ} (its endpoints in time are [previous key,
-// key]) plus T1 (the segment's left endpoint, needed because keys of
-// neighbouring entries are not co-resident in a page) and the prefix
-// aggregate σ_i(I_{i,ℓ}). The segment right endpoint t_{i,ℓ} is the
-// tree key.
-const exact2ValueSize = 8 + 8 + 8 + 8 // T1, V1, V2, prefix
+// exact2SlotSize is the stride of one packed entry e_{i,ℓ}: the
+// segment's right endpoint t_{i,ℓ} (the key), its left endpoint T1, its
+// values V1 and V2, and the prefix aggregate σ_i(I_{i,ℓ}). A slot holds
+// the whole segment, so no lookup needs its neighbour.
+const exact2SlotSize = 8 + 8 + 8 + 8 + 8 // T2, T1, V1, V2, prefix
 
-// Exact2 is the "forest of B+-trees" method: one prefix-sum tree per
-// object. A query runs Eq. (2) against every tree.
+// Exact2 is the paper's per-object prefix-sum method (Eq. 2), stored as
+// one packed run of fixed-size slots per object instead of one B+-tree
+// per object. The runs are laid out in series order, each in key order,
+// across consecutive pages of the device with no per-page header or
+// padding: global slot g lives on page first + g/perPage.
+//
+// A small in-memory directory, derived from the dataset, routes a
+// lookup to the one page that holds its key: each run's first slot and,
+// for every page the run crosses but the last, the last key stored on
+// that page. So σ_i(t_{i,0}, t) costs one page view, and Score views a
+// single page when both window ends fall on it.
 type Exact2 struct {
-	dev   blockio.Device
-	trees []*bptree.Tree
+	dev     blockio.Device
+	first   blockio.PageID // page of global slot 0
+	perPage int            // slots per page
+
+	// off[i] is series i's first global slot; off[m] is N.
+	off []int
+	// bnd[bndOff[i]:bndOff[i+1]] are the last keys on each page series
+	// i's run crosses, except the run's last page.
+	bnd    []float64
+	bndOff []int
 	// Per-object domains for query clamping.
 	starts, ends []float64
 }
 
-// BuildExact2 bulk-loads the m object trees onto dev.
-func BuildExact2(dev blockio.Device, ds *tsdata.Dataset) (*Exact2, error) {
-	return BuildExact2Parallel(dev, ds, 1)
-}
-
-// BuildExact2Parallel bulk-loads the m object trees with up to workers
-// goroutines. The forest answers queries identically to the sequential
-// build: each tree is built independently and the device serializes
-// page allocation, so only the interleaving of page IDs across trees
-// differs. Raw-device IO counts match the sequential build too; under
-// a BufferPool the interleaving perturbs LRU order, so cached build
-// IO can differ run to run. workers <= 1 builds sequentially with
-// deterministic page order.
-func BuildExact2Parallel(dev blockio.Device, ds *tsdata.Dataset, workers int) (*Exact2, error) {
+// newExact2Dir derives the directory of a packed layout starting at
+// page first from the dataset alone.
+func newExact2Dir(dev blockio.Device, ds *tsdata.Dataset, first blockio.PageID) (*Exact2, error) {
+	perPage := dev.BlockSize() / exact2SlotSize
+	if perPage < 1 {
+		return nil, fmt.Errorf("exact2: block size %d below one %d-byte slot", dev.BlockSize(), exact2SlotSize)
+	}
 	m := ds.NumSeries()
 	e := &Exact2{
-		dev:    dev,
-		trees:  make([]*bptree.Tree, m),
-		starts: make([]float64, m),
-		ends:   make([]float64, m),
+		dev:     dev,
+		first:   first,
+		perPage: perPage,
+		off:     make([]int, m+1),
+		bndOff:  make([]int, m+1),
+		bnd:     make([]float64, 0, ds.NumSegments()/perPage+m),
+		starts:  make([]float64, m),
+		ends:    make([]float64, m),
 	}
-	series := ds.AllSeries()
-	// buildTree is the single copy of the per-object entry layout,
-	// shared by the sequential and parallel paths. Distinct i never
-	// collide on e's slices, so no locking is needed around the stores.
-	buildTree := func(i int) error {
-		s := series[i]
+	g := 0
+	for i, s := range ds.AllSeries() {
 		n := s.NumSegments()
-		entries := make([]bptree.Entry, n)
-		for j := 0; j < n; j++ {
-			seg := s.Segment(j)
-			v := make([]byte, exact2ValueSize)
-			putF64(v[0:], seg.T1)
-			putF64(v[8:], seg.V1)
-			putF64(v[16:], seg.V2)
-			putF64(v[24:], s.Prefix(j+1))
-			entries[j] = bptree.Entry{Key: seg.T2, Value: v}
+		e.off[i] = g
+		e.bndOff[i] = len(e.bnd)
+		// Global slot p*perPage-1 is the last on page p-1; it belongs to
+		// this run when it falls before the run's last slot.
+		for end := (g/perPage + 1) * perPage; end < g+n; end += perPage {
+			e.bnd = append(e.bnd, s.VertexTime(end-g))
 		}
-		tree, err := bptree.BulkLoad(dev, exact2ValueSize, entries)
-		if err != nil {
-			return fmt.Errorf("exact2: bulk load tree %d: %w", i, err)
-		}
-		e.trees[i] = tree
 		e.starts[i] = s.Start()
 		e.ends[i] = s.End()
+		g += n
+	}
+	e.off[m] = g
+	e.bndOff[m] = len(e.bnd)
+	return e, nil
+}
+
+// BuildExact2 packs every object's entries onto dev in one pass: pages
+// are allocated consecutively and written as they fill.
+func BuildExact2(dev blockio.Device, ds *tsdata.Dataset) (*Exact2, error) {
+	e, err := newExact2Dir(dev, ds, blockio.InvalidPage)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, dev.BlockSize())
+	page, used := blockio.InvalidPage, 0
+	flush := func() error {
+		if page == blockio.InvalidPage {
+			return nil
+		}
+		if err := dev.Write(page, buf); err != nil {
+			return fmt.Errorf("exact2: write page %d: %w", page, err)
+		}
 		return nil
 	}
-	if workers <= 1 {
-		for i := 0; i < m; i++ {
-			if err := buildTree(i); err != nil {
-				return nil, err
+	for _, s := range ds.AllSeries() {
+		for j := 0; j < s.NumSegments(); j++ {
+			if page == blockio.InvalidPage || used == e.perPage {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				p, err := dev.Alloc()
+				if err != nil {
+					return nil, fmt.Errorf("exact2: alloc: %w", err)
+				}
+				if e.first == blockio.InvalidPage {
+					e.first = p
+				} else if p != page+1 {
+					return nil, fmt.Errorf("exact2: page %d allocated after %d: the run must be contiguous", p, page)
+				}
+				page, used = p, 0
+				clear(buf)
 			}
+			seg := s.Segment(j)
+			slot := buf[used*exact2SlotSize:]
+			putF64(slot[0:], seg.T2)
+			putF64(slot[8:], seg.T1)
+			putF64(slot[16:], seg.V1)
+			putF64(slot[24:], seg.V2)
+			putF64(slot[32:], s.Prefix(j+1))
+			used++
 		}
-		return e, nil
 	}
-	if workers > m {
-		workers = m
-	}
-	var (
-		wg     sync.WaitGroup
-		next   = make(chan int)
-		mu     sync.Mutex
-		ferr   error
-		failed atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if failed.Load() {
-					continue // drain without building once a tree failed
-				}
-				if err := buildTree(i); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < m && !failed.Load(); i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if ferr != nil {
-		return nil, ferr
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -139,8 +144,8 @@ func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(e.trees))
-	for i := range e.trees {
+	sums := make([]float64, len(e.starts))
+	for i := range sums {
 		s, err := e.Score(tsdata.SeriesID(i), t1, t2)
 		if err != nil {
 			return nil, err
@@ -150,9 +155,12 @@ func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	return collectTopK(k, sums), nil
 }
 
-// Score implements Method: Eq. (2) with two O(log_B n_i) searches.
+// Score implements Method: Eq. (2) from the run's page (or pages) that
+// hold the ceilings of t1 and t2 — one page view when both share one.
+//
+//tr:hotpath
 func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
-	if id < 0 || int(id) >= len(e.trees) {
+	if id < 0 || int(id) >= len(e.starts) {
 		return 0, fmt.Errorf("exact2: %w: %d", trerr.ErrUnknownSeries, id)
 	}
 	if err := validateQuery(t1, t2); err != nil {
@@ -168,42 +176,66 @@ func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if t2 <= t1 {
 		return 0, nil
 	}
-	hi, err := e.sigmaTo(id, t2)
+	p2 := e.pageOf(id, t2)
+	v, err := blockio.View(e.dev, p2)
 	if err != nil {
 		return 0, err
 	}
-	lo, err := e.sigmaTo(id, t1)
-	if err != nil {
-		return 0, err
+	hi := e.sigmaOn(id, p2, v.Data(), t2)
+	p1 := e.pageOf(id, t1)
+	if p1 != p2 {
+		v.Release()
+		if v, err = blockio.View(e.dev, p1); err != nil {
+			return 0, err
+		}
 	}
+	lo := e.sigmaOn(id, p1, v.Data(), t1)
+	v.Release()
 	return hi - lo, nil
 }
 
-// sigmaTo returns σ_i(t_{i,0}, t) for t within the object's domain:
-// locate the entry e_L whose key t_{i,L} is the first >= t, then
-// subtract the part of segment g_L beyond t from the stored prefix.
-func (e *Exact2) sigmaTo(id tsdata.SeriesID, t float64) (float64, error) {
-	cur, err := e.trees[id].SearchCeil(t)
-	if errors.Is(err, bptree.ErrNotFound) {
-		// t is past the last key: the object's domain was clamped, so
-		// this is only reachable through floating-point equality edge
-		// cases; the full prefix applies.
-		_, v, lerr := e.trees[id].Last()
-		if lerr != nil {
-			return 0, lerr
-		}
-		return getF64(v[24:]), nil
+// pageOf returns the page holding the first key >= t of series id's
+// run, or the run's last page when t is past its last key. Every page
+// before the returned one ends below t, so the ceiling cannot lie
+// earlier; a run crosses few pages, so the scan is linear.
+//
+//tr:hotpath
+func (e *Exact2) pageOf(id tsdata.SeriesID, t float64) blockio.PageID {
+	bnd := e.bnd[e.bndOff[id]:e.bndOff[id+1]]
+	p := 0
+	for p < len(bnd) && bnd[p] < t {
+		p++
 	}
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-	key := cur.Key()
-	v := cur.Value()
-	seg := tsdata.Segment{T1: getF64(v[0:]), T2: key, V1: getF64(v[8:]), V2: getF64(v[16:])}
-	prefix := getF64(v[24:])
-	return prefix - seg.IntegralOver(t, key), nil
+	return e.first + blockio.PageID(e.off[id]/e.perPage+p)
 }
 
-// NumTrees returns m (diagnostics).
-func (e *Exact2) NumTrees() int { return len(e.trees) }
+// sigmaOn returns σ_i(t_{i,0}, t) for t within the object's domain from
+// page, the run's page returned by pageOf: locate the entry e_L whose
+// key t_{i,L} is the first >= t, then subtract the part of segment g_L
+// beyond t from the stored prefix. Past the last key (reachable only
+// through floating-point equality edge cases, as the domain is
+// clamped) the full prefix applies.
+//
+//tr:hotpath
+func (e *Exact2) sigmaOn(id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
+	base := int(page-e.first) * e.perPage
+	lo := max(e.off[id], base) - base
+	hi := min(e.off[id+1], base+e.perPage) - base
+	// Binary search for the first slot in [lo, hi) whose key is >= t.
+	l, h := lo, hi
+	for l < h {
+		mid := int(uint(l+h) >> 1)
+		if getF64(data[mid*exact2SlotSize:]) < t {
+			l = mid + 1
+		} else {
+			h = mid
+		}
+	}
+	if l == hi {
+		return getF64(data[(hi-1)*exact2SlotSize+32:])
+	}
+	slot := data[l*exact2SlotSize:]
+	key := getF64(slot[0:])
+	seg := tsdata.Segment{T1: getF64(slot[8:]), T2: key, V1: getF64(slot[16:]), V2: getF64(slot[24:])}
+	return getF64(slot[32:]) - seg.IntegralOver(t, key)
+}

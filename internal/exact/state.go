@@ -18,9 +18,10 @@ import (
 //
 // An index is immutable once built, so it always covers exactly the
 // dataset it was built over. Whatever an index derives from that
-// dataset (Exact2's per-object start/end clamps) is therefore not part
-// of the state: Restore rederives it from the restored series, and
-// checks the restored structure's entry count against them.
+// dataset (Exact2's per-object start/end clamps and its run
+// directory) is therefore not part of the state: Restore rederives it
+// from the restored series, and checks the restored structure's entry
+// count against them.
 
 // Exact1State is Exact1's handle state.
 type Exact1State struct {
@@ -46,44 +47,54 @@ func RestoreExact1(dev blockio.Device, ds *tsdata.Dataset, st Exact1State) (*Exa
 	return &Exact1{dev: dev, tree: tree, m: ds.NumSeries(), maxDur: st.MaxDur}, nil
 }
 
-// Exact2State is Exact2's handle state: one tree meta per object.
+// Exact2State is Exact2's handle state: the page of the packed run's
+// first slot. The rest of the directory — each run's first slot and the
+// keys at the page boundaries it crosses — is rederived from the
+// dataset.
 type Exact2State struct {
-	Trees []bptree.Meta
+	FirstPage blockio.PageID
 }
 
 // State captures the handle state for checkpointing.
-func (e *Exact2) State() Exact2State {
-	st := Exact2State{Trees: make([]bptree.Meta, len(e.trees))}
-	for i, t := range e.trees {
-		st.Trees[i] = t.Meta()
-	}
-	return st
-}
+func (e *Exact2) State() Exact2State { return Exact2State{FirstPage: e.first} }
 
-// RestoreExact2 reattaches the forest to its restored device image.
+// RestoreExact2 reattaches the packed runs to their restored device
+// image. It rederives the directory from ds, then checks that the
+// slots span exactly NumSegments, that the last slot's page exists, and
+// that the first and last slots hold the dataset's first and last
+// segments, so a forged first page or a short page image is refused.
 func RestoreExact2(dev blockio.Device, ds *tsdata.Dataset, st Exact2State) (*Exact2, error) {
-	m := ds.NumSeries()
-	if len(st.Trees) != m {
-		return nil, fmt.Errorf("exact2: restore: %d trees for %d objects: %w", len(st.Trees), m, trerr.ErrBadSnapshot)
+	e, err := newExact2Dir(dev, ds, st.FirstPage)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", err, trerr.ErrBadSnapshot)
 	}
-	e := &Exact2{
-		dev:    dev,
-		trees:  make([]*bptree.Tree, m),
-		starts: make([]float64, m),
-		ends:   make([]float64, m),
+	n := e.off[len(e.off)-1]
+	if n != ds.NumSegments() {
+		return nil, fmt.Errorf("exact2: restore: %d slots for %d segments: %w", n, ds.NumSegments(), trerr.ErrBadSnapshot)
 	}
-	for i, s := range ds.AllSeries() {
-		t, err := bptree.Open(dev, st.Trees[i])
+	last := st.FirstPage + blockio.PageID((n-1)/e.perPage)
+	if st.FirstPage < 0 || int64(last) >= int64(dev.NumPages()) {
+		return nil, fmt.Errorf("exact2: restore: slots on pages [%d,%d] of %d: %w",
+			st.FirstPage, last, dev.NumPages(), trerr.ErrBadSnapshot)
+	}
+	series := ds.AllSeries()
+	for _, c := range []struct {
+		slot int
+		seg  tsdata.Segment
+	}{
+		{0, series[0].Segment(0)},
+		{n - 1, series[len(series)-1].Segment(series[len(series)-1].NumSegments() - 1)},
+	} {
+		v, err := blockio.View(dev, st.FirstPage+blockio.PageID(c.slot/e.perPage))
 		if err != nil {
-			return nil, fmt.Errorf("exact2: restore tree %d: %v: %w", i, err, trerr.ErrBadSnapshot)
+			return nil, fmt.Errorf("exact2: restore: %v: %w", err, trerr.ErrBadSnapshot)
 		}
-		if t.Len() != s.NumSegments() {
-			return nil, fmt.Errorf("exact2: restore tree %d: %d entries for %d segments: %w",
-				i, t.Len(), s.NumSegments(), trerr.ErrBadSnapshot)
+		b := v.Data()[c.slot%e.perPage*exact2SlotSize:]
+		ok := getF64(b[0:]) == c.seg.T2 && getF64(b[8:]) == c.seg.T1
+		v.Release()
+		if !ok {
+			return nil, fmt.Errorf("exact2: restore: slot %d does not hold its segment: %w", c.slot, trerr.ErrBadSnapshot)
 		}
-		e.trees[i] = t
-		e.starts[i] = s.Start()
-		e.ends[i] = s.End()
 	}
 	return e, nil
 }

@@ -47,8 +47,11 @@ import (
 // and pages. Version 4 added the last ε search (mass and target r) to
 // approximate index states; a version-3 file would restore them with a
 // pinned ε that never searches again. Version 5 holds one snapshot per
-// device: one header page with no generation number.
-const FormatVersion = 5
+// device: one header page with no generation number. Version 6 stores
+// EXACT2 (alone and inside APPX2+) as packed per-object runs whose state
+// is only the first page; gob would drop a version-5 file's per-object
+// tree metas and restore the runs from a page that holds tree nodes.
+const FormatVersion = 6
 
 // magic identifies a snapshot header page.
 const magic = "TRSNAP01"

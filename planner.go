@@ -230,11 +230,16 @@ func (p *Planner) Run(ctx context.Context, q Query) (Answer, error) {
 // methods, not predictions of exact counts.
 //
 //	EXACT1   log_B N + N/B      (leaf sweep)
-//	EXACT2   Σ log_B n_i        (two searches per object tree)
+//	EXACT2   Σ log_B n_i        (two lookups per object)
 //	EXACT3   log_B N + m/B      (two stabbing queries)
 //	APPX1    k/B + log_B r      (one list lookup)
 //	APPX2    k·log r·log_B k    (dyadic merge)
 //	APPX2+   APPX2 + k·log r·log_B n̄ (exact rescoring lookups)
+//
+// EXACT2 and APPX2+ keep the forest's formulas although their per-object
+// lookups now view one or two pages of a packed run (log_B n̄ is 1 at
+// n̄ < B, so the terms still count one page per lookup). The formulas
+// stay until the cost model is recalibrated against measured IOs.
 func (p *Planner) EstimateIOs(ix *Index, q Query) float64 {
 	return estimateIOs(ix.db, ix, q)
 }

@@ -231,9 +231,6 @@ type Options struct {
 	// CacheBlocks enables a write-through buffer pool (a CLOCK read
 	// cache) of that many pages.
 	CacheBlocks int
-	// BuildWorkers, when > 1, parallelizes construction across series
-	// for methods that build one structure per object (EXACT2).
-	BuildWorkers int
 	// OnDiskPath stores the index in a file instead of memory. Under a
 	// Planner, each compaction builds the next generation in a sibling
 	// file <OnDiskPath>.genN and then unlinks the generation it replaced.
@@ -272,12 +269,11 @@ func (db *DB) BuildIndex(opts Options) (*Index, error) {
 		name = core.Exact3
 	}
 	cfg := core.Config{
-		BlockSize:    opts.BlockSize,
-		KMax:         opts.KMax,
-		Epsilon:      opts.Epsilon,
-		TargetR:      opts.TargetR,
-		CacheBlocks:  opts.CacheBlocks,
-		BuildWorkers: opts.BuildWorkers,
+		BlockSize:   opts.BlockSize,
+		KMax:        opts.KMax,
+		Epsilon:     opts.Epsilon,
+		TargetR:     opts.TargetR,
+		CacheBlocks: opts.CacheBlocks,
 	}
 	if opts.OnDiskPath != "" {
 		path := opts.OnDiskPath

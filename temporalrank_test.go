@@ -249,27 +249,22 @@ func TestApproxQualityThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// buildWorkersDB is the dataset the parallel-build tests share.
-func buildWorkersDB(t *testing.T) *DB {
-	t.Helper()
+// TestBuildIndexesParallel builds all eight methods over one dataset
+// and cross-checks one query per index against the reference. (It once
+// also set a per-series build worker pool; the packed EXACT2 build that
+// replaced the pool is a single pass.)
+func TestBuildIndexesParallel(t *testing.T) {
 	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: 60, Navg: 40, Seed: 7, Span: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDBFromDataset(ds)
-}
-
-// TestBuildIndexesParallel builds all eight methods with parallel
-// per-index construction (BuildWorkers) and cross-checks one query per
-// index against the reference.
-func TestBuildIndexesParallel(t *testing.T) {
-	db := buildWorkersDB(t)
+	db := NewDBFromDataset(ds)
 	t1 := db.Start() + (db.End()-db.Start())*0.3
 	t2 := db.Start() + (db.End()-db.Start())*0.7
 	q := SumQuery(5, t1, t2)
 	want := mustRun(t, db, q)
 	for _, m := range Methods() {
-		ix, err := db.BuildIndex(Options{Method: m, TargetR: 80, KMax: 50, BuildWorkers: 4})
+		ix, err := db.BuildIndex(Options{Method: m, TargetR: 80, KMax: 50})
 		if err != nil {
 			t.Fatalf("build %s: %v", m, err)
 		}
@@ -280,31 +275,6 @@ func TestBuildIndexesParallel(t *testing.T) {
 		// Exact methods must match the reference exactly.
 		if !m.IsApprox() && !sameIDs(got, want) {
 			t.Fatalf("%s: got %v want %v", m, got, want)
-		}
-	}
-}
-
-// TestExact2ParallelBuildMatchesSequential verifies the per-series
-// parallel construction answers identically to the sequential build.
-func TestExact2ParallelBuildMatchesSequential(t *testing.T) {
-	db := buildWorkersDB(t)
-	seq, err := db.BuildIndex(Options{Method: MethodExact2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := db.BuildIndex(Options{Method: MethodExact2, BuildWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	span := db.End() - db.Start()
-	for q := 0; q < 50; q++ {
-		t1 := db.Start() + rng.Float64()*span*0.8
-		t2 := t1 + rng.Float64()*span*0.2
-		a := mustRun(t, seq, SumQuery(7, t1, t2))
-		b := mustRun(t, par, SumQuery(7, t1, t2))
-		if !sameIDs(a, b) {
-			t.Fatalf("query %d: sequential %v parallel %v", q, a, b)
 		}
 	}
 }
