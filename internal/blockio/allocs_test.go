@@ -7,12 +7,9 @@ package blockio
 
 import "testing"
 
-// copyOnly hides a device's View, so View falls back to a pooled copy.
-type copyOnly struct{ Device }
-
 // TestViewAllocs pins every way a query reads a page at zero
 // allocations in the steady state: View and Release on a MemDevice, on
-// a buffer-pool hit, on a buffer-pool miss (the fill reads into the
+// a mapped FileDevice, on a buffer-pool hit, on a buffer-pool miss (the fill reads into the
 // buffer the evicted frame handed back), and through the pooled-copy
 // fallback (GetPageBuf, Read, PutPageBuf); and a buffer-pool Read hit
 // into caller scratch.
@@ -27,12 +24,15 @@ func TestViewAllocs(t *testing.T) {
 	}
 	// Cycling over four times the capacity, every View misses and evicts.
 	missPool, _ := newTestPool(t, 4*pages, pages, 2)
+	file := newStampedFileDevice(t, pages, dev.BlockSize())
+	defer file.Close()
 	for _, tc := range []struct {
 		name string
 		dev  Device
 		span PageID
 	}{
 		{"MemDevice", dev, pages},
+		{"FileDevice", file, pages},
 		{"BufferPool hit", pool, pages},
 		{"BufferPool miss", missPool, 4 * pages},
 		{"copy fallback", copyOnly{dev}, pages},

@@ -160,3 +160,27 @@ func BenchmarkMemDeviceViewParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFileDeviceViewParallel measures the read path every on-disk
+// index serves from: View/Release of random pages of one shared
+// FileDevice (4,096 pages of 4 KiB) whose file is mapped. Once the
+// mapping is published, a view is one atomic load of it, a bounds
+// check and the read counter, as on a MemDevice; the page bytes come
+// from the OS page cache.
+func BenchmarkFileDeviceViewParallel(b *testing.B) {
+	const pages = 4096
+	d := newStampedFileDevice(b, pages, DefaultBlockSize)
+	defer d.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := xorshift64(rand.Int63() | 1)
+		for pb.Next() {
+			v, err := View(d, PageID(rng.next()%pages))
+			if err != nil {
+				b.Fatal(err)
+			}
+			v.Release()
+		}
+	})
+}

@@ -14,13 +14,35 @@ import (
 //
 // Read takes no lock: pread is positional, so concurrent reads share
 // the file freely, and numPages and closed are atomics. mu serializes
-// Alloc, Write, Sync and Close. Alloc publishes a page only once the
-// file has grown to hold it, so a Read that passes the bounds check
-// always reads inside the file. A Read racing Close gets either the
-// page or an error, never a panic (os.File defers the close until
-// in-flight calls return). A Read racing a Write of the same page may
-// see part of each; pages are written before they are read, and
-// BufferPool repeats any fill that a Write overlapped.
+// Alloc, Write, Sync, Close and the remapping behind View. Alloc
+// publishes a page only once the file has grown to hold it, so a Read
+// or View that passes the bounds check always reads inside the file. A
+// Read racing Close gets either the page or an error, never a panic
+// (os.File defers the close until in-flight calls return). A Read
+// racing a Write of the same page may see part of each; pages are
+// written before they are read, and BufferPool repeats any fill that a
+// Write overlapped.
+//
+// View (on unix systems only; elsewhere blockio.View falls back to a
+// pooled copy) serves a page in place from a read-only, shared mmap of
+// the file, counted as one read like Read. The mapping is made at the
+// first View and published atomically, so a View of a mapped page
+// takes no lock; a View past its end maps the file again, under mu, at
+// twice the size (mapping past EOF is allowed, and the bounds check
+// keeps every view inside the file). Writes go through pwrite and show
+// through the shared mapping, so views must be serialized against
+// writers of the same page, as MemDevice's are.
+//
+// Mapping lifetime. A view holds a pointer to the mapping it was cut
+// from, and a mapping is unmapped only by a cleanup once neither the
+// device nor any view references it. Close marks the device closed,
+// closes the file and drops the device's reference, but never unmaps:
+// a view that races Close, or the unlink of the file under it, keeps
+// reading valid bytes. One failure differs from Read's: if another
+// process truncates a live file, a view of a page past the new end
+// faults the process, where Read returns an error. Index
+// files belong to the process that built them, and snapshot files,
+// which a restore only Reads, are never mapped.
 type FileDevice struct {
 	mu        sync.Mutex
 	blockSize int
@@ -28,6 +50,16 @@ type FileDevice struct {
 	numPages  atomic.Int64
 	stats     counters
 	closed    atomic.Bool
+	// mapped is the current read-only mapping of the file (nil before
+	// the first View and after Close).
+	mapped atomic.Pointer[mapping]
+}
+
+// mapping is one read-only mmap of a FileDevice's file. It is unmapped
+// once unreachable: views point at it, so it outlives the device's own
+// reference for as long as any of them is held.
+type mapping struct {
+	data []byte
 }
 
 // OpenFileDevice creates (truncating) a file-backed device at path.
@@ -160,7 +192,9 @@ func (d *FileDevice) Sync() error {
 }
 
 // Close implements Device: syncs, then closes the file, so a clean
-// shutdown never leaves pages only in the OS write cache.
+// shutdown never leaves pages only in the OS write cache, and drops the
+// device's reference to its mapping. It never unmaps: views already
+// taken keep reading their pages (see FileDevice).
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -168,6 +202,7 @@ func (d *FileDevice) Close() error {
 		return nil
 	}
 	d.closed.Store(true)
+	d.mapped.Store(nil)
 	syncErr := d.f.Sync()
 	closeErr := d.f.Close()
 	if syncErr != nil {

@@ -1,0 +1,86 @@
+//go:build unix
+
+package blockio
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync/atomic"
+	"syscall"
+)
+
+// liveMappings counts the file mappings made and not yet unmapped.
+var liveMappings atomic.Int64
+
+// LiveMappings reports how many FileDevice mappings are mapped: made by
+// a View and not yet unmapped by their cleanup. Tests read it to check
+// that retired index files do not stay mapped.
+func LiveMappings() int64 { return liveMappings.Load() }
+
+// View implements Viewer: the page as a slice of the file's read-only
+// mapping — zero copies, counted as one read. When the page is already
+// mapped View takes no lock: one atomic load of the published mapping,
+// the bounds check and the read counter. The view keeps its mapping
+// alive until Release, across Close and an unlink of the file (see
+// FileDevice).
+//
+//tr:hotpath
+func (d *FileDevice) View(id PageID) (PageView, error) {
+	if err := d.check(id); err != nil {
+		return PageView{}, err
+	}
+	bs := int64(d.blockSize)
+	off, end := int64(id)*bs, int64(id+1)*bs
+	m := d.mapped.Load()
+	if m == nil || int64(len(m.data)) < end {
+		var err error
+		if m, err = d.remap(end); err != nil {
+			return PageView{}, err
+		}
+	}
+	d.stats.reads.Add(1)
+	return PageView{data: m.data[off:end:end], m: m}, nil
+}
+
+// remap publishes a mapping that reaches at least byte end of the file:
+// the whole file when it is first mapped, and at least twice the
+// previous size after that, so a growing file is mapped O(log n) times.
+// The mapping it replaces stays mapped until its last view is gone.
+func (d *FileDevice) remap(end int64) (*mapping, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed.Load() {
+		return nil, ErrClosed
+	}
+	old := d.mapped.Load()
+	if old != nil && int64(len(old.data)) >= end {
+		return old, nil // another View remapped first
+	}
+	size := max(end, d.numPages.Load()*int64(d.blockSize))
+	if old != nil {
+		size = max(size, 2*int64(len(old.data)))
+	}
+	if size > math.MaxInt {
+		return nil, fmt.Errorf("blockio: map %d bytes: larger than the address space", size)
+	}
+	// Close takes mu too, so the descriptor stays open for the call.
+	data, err := syscall.Mmap(int(d.f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("blockio: map %d bytes: %w", size, err)
+	}
+	m := &mapping{data: data}
+	liveMappings.Add(1)
+	runtime.AddCleanup(m, unmap, data)
+	d.mapped.Store(m)
+	return m, nil
+}
+
+// unmap is a mapping's cleanup: it runs once neither its device nor any
+// view references the mapping.
+func unmap(data []byte) {
+	// Munmap fails only for a slice Mmap did not return, and a cleanup
+	// has no caller to report to.
+	_ = syscall.Munmap(data)
+	liveMappings.Add(-1)
+}

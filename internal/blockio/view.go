@@ -15,10 +15,12 @@ package blockio
 // effective cache). Views are read-only: writing through Data() is a
 // data race against every other reader of the page. A MemDevice view
 // takes no lock (it reads the atomically published page table) and
-// aliases bytes that Write overwrites in place, so the caller must
-// serialize views against writers of the same page — the root
-// package's indexes do by construction: every page is written while
-// the index is built, before any query can see it, and never again.
+// aliases bytes that Write overwrites in place; a FileDevice view is
+// likewise a lock-free slice of the file's shared mapping, which a
+// Write to the file changes in place. So the caller must serialize
+// views against writers of the same page — the root package's indexes
+// do by construction: every page is written while the index is built,
+// before any query can see it, and never again.
 
 // Viewer is implemented by devices that can serve a page as an
 // in-place, read-only view instead of a copy. View counts toward the
@@ -35,7 +37,8 @@ type PageView struct {
 	data []byte
 	sh   *poolShard // non-nil: the view pins a buffer-pool frame
 	slot int
-	buf  *[]byte // non-nil: data is a pooled copy (fallback path, or a pool fill left uncached)
+	buf  *[]byte  // non-nil: data is a pooled copy (fallback path, or a pool fill left uncached)
+	m    *mapping // non-nil: data lies in a FileDevice mapping, kept mapped while the view holds it
 }
 
 // Data returns the page bytes. The slice is valid until Release and
@@ -43,7 +46,8 @@ type PageView struct {
 func (v *PageView) Data() []byte { return v.data }
 
 // Release returns the view's resources: a buffer-pool view unpins its
-// frame, a fallback view returns its scratch buffer to the page pool.
+// frame, a fallback view returns its scratch buffer to the page pool,
+// and a FileDevice view drops its hold on the file mapping.
 // Idempotent; the view must not be used afterwards.
 func (v *PageView) Release() {
 	if v.sh != nil {
@@ -60,7 +64,7 @@ func (v *PageView) Release() {
 		PutPageBuf(v.buf)
 		v.buf = nil
 	}
-	v.data = nil
+	v.data, v.m = nil, nil
 }
 
 // View returns a read-only view of page id on d. Devices implementing

@@ -185,6 +185,9 @@ func TestMemDeviceViewDuringAlloc(t *testing.T) {
 	}
 }
 
+// copyOnly hides a device's View, so View falls back to a pooled copy.
+type copyOnly struct{ Device }
+
 // TestViewFallbackCopies: a device with no Viewer gets a pooled-copy
 // view through the package helper, with identical contents.
 func TestViewFallbackCopies(t *testing.T) {
@@ -199,9 +202,12 @@ func TestViewFallbackCopies(t *testing.T) {
 	if err := fd.Write(id, data); err != nil {
 		t.Fatal(err)
 	}
-	v, err := View(fd, id)
+	v, err := View(copyOnly{fd}, id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v.buf == nil {
+		t.Fatal("view of a device without View is not a pooled copy")
 	}
 	if !bytes.Equal(v.Data(), data) {
 		t.Fatal("fallback view content differs")

@@ -73,3 +73,30 @@ func TestExact2ScoreAllocs(t *testing.T) {
 		t.Error("every score was zero")
 	}
 }
+
+// TestExact2TopKAllocs pins an EXACT2 query at exactly one allocation,
+// the top-k result slice: the pooled σ-vector, the per-object scores
+// viewed in place and the pooled collector allocate nothing.
+func TestExact2TopKAllocs(t *testing.T) {
+	ds := randomDataset(6, 200, 60, false)
+	e, err := BuildExact2(blockio.NewMemDevice(512), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ds.Start(), ds.End()
+	i := 0
+	got := testing.AllocsPerRun(200, func() {
+		t1 := lo + (hi-lo)*float64(i%8)/16
+		i++
+		items, err := e.TopK(10, t1, t1+(hi-lo)/4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(items) != 10 {
+			t.Fatalf("got %d items, want 10", len(items))
+		}
+	})
+	if got != 1 {
+		t.Errorf("Exact2.TopK allocates %.1f allocs/op, want 1", got)
+	}
+}

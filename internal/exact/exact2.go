@@ -139,20 +139,27 @@ func (e *Exact2) Device() blockio.Device { return e.dev }
 // IndexPages implements Method.
 func (e *Exact2) IndexPages() int { return e.dev.NumPages() }
 
-// TopK implements Method.
+// TopK implements Method: every object's score from its own run, into
+// a pooled σ-vector (getScores/putScores, as EXACT3), with the window
+// validated once for the whole query.
+//
+//tr:hotpath
 func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
-	sums := make([]float64, len(e.starts))
-	for i := range sums {
-		s, err := e.Score(tsdata.SeriesID(i), t1, t2)
+	sums := getScores(len(e.starts))
+	for i := range *sums {
+		s, err := e.score(tsdata.SeriesID(i), t1, t2)
 		if err != nil {
+			putScores(sums)
 			return nil, err
 		}
-		sums[i] = s
+		(*sums)[i] = s
 	}
-	return collectTopK(k, sums), nil
+	items := collectTopK(k, *sums)
+	putScores(sums)
+	return items, nil
 }
 
 // Score implements Method: Eq. (2) from the run's page (or pages) that
@@ -166,6 +173,13 @@ func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return 0, err
 	}
+	return e.score(id, t1, t2)
+}
+
+// score is Score for a known series and a validated window.
+//
+//tr:hotpath
+func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	// Clamp to the object's domain; g_i is 0 outside it.
 	if t1 < e.starts[id] {
 		t1 = e.starts[id]

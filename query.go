@@ -190,9 +190,13 @@ type Answer struct {
 	// worker pool excluded).
 	Latency time.Duration
 	// IOs is the device IO delta observed over the call; 0 for the
-	// in-memory brute force. A single index's device is shared by all
-	// in-flight queries, so under concurrency overlapping queries' IOs
-	// may be attributed to each other. Cluster answers avoid the
+	// in-memory brute force. It counts page views and reads on the
+	// index's device: on an in-memory index and on an on-disk one
+	// alike (an on-disk index views its file's mapping in place, so
+	// the count is of logical page accesses, not of disk reads), and
+	// only the misses behind a CacheBlocks pool. A single index's
+	// device is shared by all in-flight queries, so under concurrency
+	// overlapping queries' IOs may be attributed to each other. Cluster answers avoid the
 	// cross-shard version of this: each shard's delta is snapshotted
 	// inside that shard's goroutine against its own private device, and
 	// the merged IOs value is the sum of those per-shard deltas.

@@ -228,12 +228,18 @@ type Options struct {
 	// last search (the paper's §4 rebuild rule). In between, ε and its
 	// (ε,α) bound stay fixed while r drifts with the data.
 	TargetR int
-	// CacheBlocks enables a write-through buffer pool (a CLOCK read
-	// cache) of that many pages.
+	// CacheBlocks puts a write-through buffer pool (a CLOCK read cache)
+	// of that many pages in front of an in-memory index's device. It has
+	// no effect on an index built with OnDiskPath, which is read in
+	// place from a mapping of its file and cached by the OS.
 	CacheBlocks int
-	// OnDiskPath stores the index in a file instead of memory. Under a
-	// Planner, each compaction builds the next generation in a sibling
-	// file <OnDiskPath>.genN and then unlinks the generation it replaced.
+	// OnDiskPath stores the index in a file instead of memory. Queries
+	// read its pages in place from a read-only mmap of the file (on unix
+	// systems; elsewhere each page is read into a pooled copy), so the
+	// OS page cache is the index's only cache. Under a Planner, each
+	// compaction builds the next generation in a sibling file
+	// <OnDiskPath>.genN and then unlinks the generation it replaced;
+	// readers still on the old generation keep its mapping.
 	OnDiskPath string
 }
 
@@ -269,13 +275,14 @@ func (db *DB) BuildIndex(opts Options) (*Index, error) {
 		name = core.Exact3
 	}
 	cfg := core.Config{
-		BlockSize:   opts.BlockSize,
-		KMax:        opts.KMax,
-		Epsilon:     opts.Epsilon,
-		TargetR:     opts.TargetR,
-		CacheBlocks: opts.CacheBlocks,
+		BlockSize: opts.BlockSize,
+		KMax:      opts.KMax,
+		Epsilon:   opts.Epsilon,
+		TargetR:   opts.TargetR,
 	}
-	if opts.OnDiskPath != "" {
+	if opts.OnDiskPath == "" {
+		cfg.CacheBlocks = opts.CacheBlocks
+	} else {
 		path := opts.OnDiskPath
 		cfg.NewDevice = func(bs int) (blockio.Device, error) {
 			return blockio.OpenFileDevice(path, bs)
