@@ -5,10 +5,15 @@
 //
 // Analyzers:
 //
-//	lockorder  blockio's shard-lock/device-call ordering rule
 //	trerr      sentinel comparisons must use errors.Is; fmt.Errorf must %w errors
 //	ctxflow    context.Background/TODO must not drop an in-scope caller context
-//	pagecopy   //tr:hotpath functions must not copy pages where a View exists (waiver: //tr:pagecopy-ok)
+//
+// Rules a test can check are tests, not analyzers: query paths view
+// pages rather than copy them (indexes built on a
+// blockio.ViewOnlyDevice), the buffer pool calls its device with no
+// shard lock held (TestBufferPoolDeviceLockOrder), and the memtable's
+// append-path lock order (the import graph, plus memtable's
+// TestCallbacksRunUnlocked).
 //
 // Usage (what CI runs; no patterns means ./...):
 //
@@ -28,17 +33,13 @@ import (
 	"temporalrank/internal/analysis/checker"
 	"temporalrank/internal/analysis/ctxflow"
 	"temporalrank/internal/analysis/load"
-	"temporalrank/internal/analysis/lockorder"
-	"temporalrank/internal/analysis/pagecopy"
 	trerrcheck "temporalrank/internal/analysis/trerr"
 )
 
 // all is the full analyzer suite, in reporting order.
 var all = []*analysis.Analyzer{
-	lockorder.Analyzer,
 	trerrcheck.Analyzer,
 	ctxflow.Analyzer,
-	pagecopy.Analyzer,
 }
 
 func main() {

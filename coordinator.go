@@ -101,8 +101,6 @@ func (c *coordinator) NumSeries() int { return len(c.shardOf) }
 // queries are served from the stored merged answer and concurrent
 // identical queries coalesce into one scatter. See the Cluster type
 // docs for the merged Answer semantics.
-//
-//tr:hotpath
 func (c *coordinator) Run(ctx context.Context, q Query) (Answer, error) {
 	q = q.withDefaults()
 	if err := q.Validate(); err != nil {

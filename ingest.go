@@ -74,7 +74,7 @@ type ingestState struct {
 	journal  *qcache.Journal
 	journals []*qcache.Journal
 	frontier memtable.FrontierFunc
-	layer    *memtable.Layer[baseStack]
+	layer    *layer[baseStack]
 	// base0 is the DB version when the planner was built; the
 	// planner-reported DataVersion is base0 + journal.Version(), a pure
 	// append count independent of compaction timing (replicas applying
@@ -127,7 +127,7 @@ func newIngestState(db *DB, indexes []*Index) *ingestState {
 		}
 		return baseFrontier(g.Base.db, id)
 	}
-	ing.layer = memtable.NewLayer(&memtable.Gen[baseStack]{
+	ing.layer = newLayer(&generation[baseStack]{
 		Base:   baseStack{db: db, indexes: indexes},
 		Active: memtable.NewTable(ing.frontier, 0),
 	})
@@ -255,7 +255,7 @@ func (p *Planner) Compact(ctx context.Context) error {
 	ing.compactMu.Lock()
 	defer ing.compactMu.Unlock()
 
-	g := ing.layer.Update(func(old *memtable.Gen[baseStack]) *memtable.Gen[baseStack] {
+	g := ing.layer.Update(func(old *generation[baseStack]) *generation[baseStack] {
 		if old.Frozen != nil {
 			// A previous attempt failed after freezing; drain that first.
 			return old
@@ -263,7 +263,7 @@ func (p *Planner) Compact(ctx context.Context) error {
 		if old.Active.Segments() == 0 {
 			return old
 		}
-		return &memtable.Gen[baseStack]{
+		return &generation[baseStack]{
 			Base:   old.Base,
 			Frozen: old.Active,
 			Active: memtable.NewTable(ing.frontier, 0),
@@ -278,8 +278,8 @@ func (p *Planner) Compact(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ing.layer.Update(func(old *memtable.Gen[baseStack]) *memtable.Gen[baseStack] {
-		return &memtable.Gen[baseStack]{Base: newBase, Active: old.Active}
+	ing.layer.Update(func(old *generation[baseStack]) *generation[baseStack] {
+		return &generation[baseStack]{Base: newBase, Active: old.Active}
 	})
 	ing.gens.Add(1)
 	for _, ix := range g.Base.indexes {
@@ -403,7 +403,7 @@ func (p *Planner) execute(ctx context.Context, q Query) (Answer, error) {
 // approximate base methods the (ε,α) guarantee carries over: affected
 // candidates get exact scores, unaffected ones keep the base method's
 // bounds.
-func runMerged(ctx context.Context, q Query, g *memtable.Gen[baseStack]) (Answer, error) {
+func runMerged(ctx context.Context, q Query, g *generation[baseStack]) (Answer, error) {
 	instant := q.Agg == AggInstant
 	if !instant {
 		if ix, e3 := exact3Plan(planStack(g.Base, q)); e3 != nil {
@@ -512,9 +512,7 @@ func exact3Plan(plan Querier) (*Index, *exact.Exact3) {
 // added into the vector in place, and one top-k pass ranks the merged
 // scores. Nothing here grows with the number of affected series. The
 // answer reports IOs, Method and Exact as Index.Run does.
-//
-//tr:hotpath
-func mergeExact3(ctx context.Context, q Query, g *memtable.Gen[baseStack], ix *Index, e3 *exact.Exact3) (Answer, error) {
+func mergeExact3(ctx context.Context, q Query, g *generation[baseStack], ix *Index, e3 *exact.Exact3) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}

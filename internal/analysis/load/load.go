@@ -8,6 +8,12 @@
 // set of analysis units — one per package, plus one per external test
 // package — sharing a single token.FileSet and a consistent
 // types.Package identity for every cross-package reference.
+//
+// An external test package (package x_test) is type-checked against the
+// plain form of x, not x with its in-package test files, so a test hook
+// declared in x's export_test.go is undefined to it and the load fails.
+// Hooks that an external test needs go in a non-test file instead, as
+// blockio.LiveMappings does.
 package load
 
 import (

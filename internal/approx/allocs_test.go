@@ -23,7 +23,7 @@ func TestTopKAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2p, err := NewAppx2PlusWithBreaks(blockio.NewMemDevice(1024), ds, KindB2, bps, 20)
+	a2p, err := NewAppx2PlusWithBreaks(blockio.NewViewOnlyDevice(1024), ds, KindB2, bps, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestQuery1EpsilonOneGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery1(blockio.NewMemDevice(1024), ds, bps, 10)
+	q, err := BuildQuery1(blockio.NewViewOnlyDevice(1024), ds, bps, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestQuery1ExactOnSnappedIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery1(blockio.NewMemDevice(1024), ds, bps, 5)
+	q, err := BuildQuery1(blockio.NewViewOnlyDevice(1024), ds, bps, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestQuery1ExactOnSnappedIntervals(t *testing.T) {
 func TestQuery1KExceedsKmax(t *testing.T) {
 	ds := randomDataset(5, 10, 5, false)
 	bps, _ := breakpoint.Build2(ds, 0.1)
-	q, err := BuildQuery1(blockio.NewMemDevice(1024), ds, bps, 3)
+	q, err := BuildQuery1(blockio.NewViewOnlyDevice(1024), ds, bps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestQuery1KExceedsKmax(t *testing.T) {
 func TestQuery1DegenerateSnap(t *testing.T) {
 	ds := randomDataset(6, 10, 5, false)
 	bps, _ := breakpoint.Build2(ds, 0.1)
-	q, err := BuildQuery1(blockio.NewMemDevice(1024), ds, bps, 3)
+	q, err := BuildQuery1(blockio.NewViewOnlyDevice(1024), ds, bps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestQuery2Guarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery2(blockio.NewMemDevice(1024), ds, bps, 10)
+	q, err := BuildQuery2(blockio.NewViewOnlyDevice(1024), ds, bps, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestQuery2DecomposeProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery2(blockio.NewMemDevice(1024), ds, bps, 3)
+	q, err := BuildQuery2(blockio.NewViewOnlyDevice(1024), ds, bps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestQuery2NodeCountLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery2(blockio.NewMemDevice(1024), ds, bps, 3)
+	q, err := BuildQuery2(blockio.NewViewOnlyDevice(1024), ds, bps, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestQuery2CandidateSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := BuildQuery2(blockio.NewMemDevice(1024), ds, bps, 20)
+	q, err := BuildQuery2(blockio.NewViewOnlyDevice(1024), ds, bps, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,19 +303,19 @@ func buildFive(t *testing.T, ds *tsdata.Dataset, eps float64, kmax int) []Index 
 	}
 	return []Index{
 		mk(func() (Index, error) {
-			return NewAppx1(blockio.NewMemDevice(1024), ds, KindB1, eps, kmax)
+			return NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB1, eps, kmax)
 		}),
 		mk(func() (Index, error) {
-			return NewAppx2(blockio.NewMemDevice(1024), ds, KindB1, eps, kmax)
+			return NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB1, eps, kmax)
 		}),
 		mk(func() (Index, error) {
-			return NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, eps, kmax)
+			return NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB2, eps, kmax)
 		}),
 		mk(func() (Index, error) {
-			return NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, eps, kmax)
+			return NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB2, eps, kmax)
 		}),
 		mk(func() (Index, error) {
-			return NewAppx2Plus(blockio.NewMemDevice(1024), ds, KindB2, eps, kmax)
+			return NewAppx2Plus(blockio.NewViewOnlyDevice(1024), ds, KindB2, eps, kmax)
 		}),
 	}
 }
@@ -367,7 +367,7 @@ func TestAppxHighPrecisionOnRealisticEps(t *testing.T) {
 
 func TestAppx2PlusNearExact(t *testing.T) {
 	ds := randomDataset(17, 40, 20, false)
-	idx, err := NewAppx2Plus(blockio.NewMemDevice(1024), ds, KindB2, 0.01, 20)
+	idx, err := NewAppx2Plus(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.01, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,15 +390,15 @@ func TestAppx2PlusNearExact(t *testing.T) {
 
 func TestAppxQueryIOFarBelowExact3(t *testing.T) {
 	ds := randomDataset(19, 120, 40, false)
-	e3, err := exact.BuildExact3(blockio.NewMemDevice(1024), ds)
+	e3, err := exact.BuildExact3(blockio.NewViewOnlyDevice(1024), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, 0.02, 20)
+	a1, err := NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.02, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, 0.02, 20)
+	a2, err := NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.02, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +441,11 @@ func TestAppxIndexSizeOrdering(t *testing.T) {
 	// Fig. 11c: APPX2 ≪ APPX1 ≪ EXACT3-scale (APPX2+ includes EXACT2).
 	ds := randomDataset(21, 60, 30, false)
 	eps := 0.01
-	a1, err := NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, eps, 50)
+	a1, err := NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB2, eps, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, eps, 50)
+	a2, err := NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB2, eps, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +484,13 @@ func TestAppxNegativeScores(t *testing.T) {
 
 func TestAppxInvalidInputs(t *testing.T) {
 	ds := randomDataset(26, 5, 5, false)
-	if _, err := NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, -0.1, 5); err == nil {
+	if _, err := NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB2, -0.1, 5); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, err := NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, 0.1, 0); err == nil {
+	if _, err := NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.1, 0); err == nil {
 		t.Error("kmax=0 accepted")
 	}
-	idx, err := NewAppx2(blockio.NewMemDevice(1024), ds, KindB2, 0.1, 5)
+	idx, err := NewAppx2(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestApproxFaultPropagation(t *testing.T) {
 			return NewAppx2Plus(dev, ds, KindB2, 0.05, 5)
 		}},
 	} {
-		fd := blockio.NewFaultDevice(blockio.NewMemDevice(512), -1)
+		fd := blockio.NewFaultDevice(blockio.NewViewOnlyDevice(512), -1)
 		idx, err := build.mk(fd)
 		if err != nil {
 			t.Fatalf("%s build: %v", build.name, err)
@@ -541,7 +541,7 @@ func TestApproxFaultPropagation(t *testing.T) {
 			t.Errorf("%s did not recover: %v", build.name, err)
 		}
 		// Build-time faults surface too (budget 0: first device op fails).
-		fb := blockio.NewFaultDevice(blockio.NewMemDevice(512), 0)
+		fb := blockio.NewFaultDevice(blockio.NewViewOnlyDevice(512), 0)
 		if _, err := build.mk(fb); err == nil {
 			t.Errorf("%s: build fault swallowed", build.name)
 		}

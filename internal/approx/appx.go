@@ -215,8 +215,6 @@ func NewAppx2PlusWithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, b
 
 // TopK implements exact.Method: dyadic candidates, exact rescoring in
 // the order the merge first saw them.
-//
-//tr:hotpath
 func (a *Appx2Plus) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	acc, err := a.q.candidates(k, t1, t2)
 	if err != nil {

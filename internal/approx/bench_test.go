@@ -34,7 +34,7 @@ func dLargeAppx2Plus(b *testing.B) (*tsdata.Dataset, *Appx2Plus) {
 			dLarge.err = err
 			return
 		}
-		dLarge.a2p, dLarge.err = NewAppx2PlusWithBreaks(blockio.NewMemDevice(blockio.DefaultBlockSize), dLarge.ds, KindB2, bps, 100)
+		dLarge.a2p, dLarge.err = NewAppx2PlusWithBreaks(blockio.NewViewOnlyDevice(blockio.DefaultBlockSize), dLarge.ds, KindB2, bps, 100)
 	})
 	if dLarge.err != nil {
 		b.Fatal(dLarge.err)

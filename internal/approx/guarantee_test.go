@@ -29,7 +29,7 @@ func TestDefinition2TransferProperty(t *testing.T) {
 			return false
 		}
 		const kmax = 8
-		q, err := BuildQuery1(blockio.NewMemDevice(512), ds, bps, kmax)
+		q, err := BuildQuery1(blockio.NewViewOnlyDevice(512), ds, bps, kmax)
 		if err != nil {
 			return false
 		}
@@ -118,7 +118,7 @@ func TestQuery2LowerBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, err := BuildQuery2(blockio.NewMemDevice(512), ds, bps, 6)
+		q, err := BuildQuery2(blockio.NewViewOnlyDevice(512), ds, bps, 6)
 		if err != nil {
 			return false
 		}
@@ -160,7 +160,7 @@ func frac(x float64) float64 {
 // state is per-call).
 func TestConcurrentQueries(t *testing.T) {
 	ds := randomDataset(55, 30, 20, false)
-	idx, err := NewAppx1(blockio.NewMemDevice(1024), ds, KindB2, 0.01, 10)
+	idx, err := NewAppx1(blockio.NewViewOnlyDevice(1024), ds, KindB2, 0.01, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,8 +174,6 @@ func listLen(ref listRef, limit int) int {
 // reads run once per (query, list) on the approximate read path; each
 // chained page is decoded in place from a zero-copy view, held only
 // while its entries are consumed.
-//
-//tr:hotpath
 func walkList(dev blockio.Device, ref listRef, limit int, fn func(id tsdata.SeriesID, score float64) error) error {
 	want := listLen(ref, limit)
 	if want == 0 {

@@ -110,8 +110,6 @@ const maxCoverStack = 64
 // 2·log r nodes — to visit, left to right, walking the directory with a
 // fixed stack. The order matters: merged sums are then added in the
 // same order on every call.
-//
-//tr:hotpath
 func (q *Query2) cover(a, b int, visit func(n int) error) error {
 	if a >= b {
 		return nil
@@ -169,8 +167,6 @@ func (q *Query2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // accumulator: for each object in K, its summed score over the covering
 // dyadic intervals. APPX2 ranks K by these sums; APPX2+ rescores K
 // exactly. The caller releases the accumulator.
-//
-//tr:hotpath
 func (q *Query2) candidates(k int, t1, t2 float64) (*mergeAcc, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
@@ -213,8 +209,6 @@ type mergeAcc struct {
 var mergeAccPool = sync.Pool{New: func() any { return new(mergeAcc) }}
 
 // getMergeAcc returns an empty pooled accumulator for m objects.
-//
-//tr:hotpath
 func getMergeAcc(m int) *mergeAcc {
 	acc := mergeAccPool.Get().(*mergeAcc)
 	if len(acc.sums) < m {
@@ -225,8 +219,6 @@ func getMergeAcc(m int) *mergeAcc {
 }
 
 // add sums score into id's entry.
-//
-//tr:hotpath
 func (acc *mergeAcc) add(id tsdata.SeriesID, score float64) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	if acc.seen[w]&bit == 0 {
@@ -243,8 +235,6 @@ func (acc *mergeAcc) has(id tsdata.SeriesID) bool {
 }
 
 // release clears the touched entries and returns acc to the pool.
-//
-//tr:hotpath
 func (acc *mergeAcc) release() {
 	for _, id := range acc.touched {
 		acc.seen[id>>6] = 0

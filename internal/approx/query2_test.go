@@ -74,7 +74,7 @@ func TestQuery2MergeMatchesMapMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := blockio.NewMemDevice(256)
+	dev := blockio.NewViewOnlyDevice(256)
 	q, err := BuildQuery2(dev, ds, bps, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestRestoreQuery2RejectsBadSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := blockio.NewMemDevice(512)
+	dev := blockio.NewViewOnlyDevice(512)
 	q, err := BuildQuery2(dev, ds, bps, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,9 @@ import (
 //   - A Device implementation must never call back into the pool that
 //     wraps it (its locks sit strictly below every shard lock).
 //
+// TestBufferPoolDeviceLockOrder checks the rule from inside the device
+// on every pool path.
+//
 // Zero-copy reads: View lends the resident frame out directly and
 // pins it (a per-frame refcount, bumped and dropped under the shard
 // lock). CLOCK treats pinned frames as unevictable, so the lent bytes

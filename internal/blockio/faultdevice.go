@@ -67,6 +67,16 @@ func (d *FaultDevice) Read(id PageID, buf []byte) error {
 	return d.inner.Read(id, buf)
 }
 
+// View implements Viewer. It spends one operation from the budget, as
+// Read does, so query-time fault sweeps exercise the view path that
+// served devices take.
+func (d *FaultDevice) View(id PageID) (PageView, error) {
+	if err := d.take(); err != nil {
+		return PageView{}, err
+	}
+	return View(d.inner, id)
+}
+
 // Write implements Device.
 func (d *FaultDevice) Write(id PageID, data []byte) error {
 	if err := d.take(); err != nil {
@@ -98,3 +108,20 @@ func (d *FaultDevice) ResetStats() { d.inner.ResetStats() }
 func (d *FaultDevice) Close() error { return d.inner.Close() }
 
 var _ Device = (*FaultDevice)(nil)
+var _ Viewer = (*FaultDevice)(nil)
+
+// ErrCopyRead is returned by ViewOnlyDevice.Read.
+var ErrCopyRead = errors.New("blockio: copy-based page read on a view-only device")
+
+// ViewOnlyDevice is a MemDevice whose Read always fails with
+// ErrCopyRead; View and every other method are the MemDevice's. Tests
+// build indexes on it so a query path that copies a page instead of
+// viewing it returns an error.
+type ViewOnlyDevice struct{ *MemDevice }
+
+// NewViewOnlyDevice creates a view-only in-memory device with the given
+// block size (DefaultBlockSize if size <= 0).
+func NewViewOnlyDevice(size int) ViewOnlyDevice { return ViewOnlyDevice{NewMemDevice(size)} }
+
+// Read implements Device: it always fails.
+func (ViewOnlyDevice) Read(PageID, []byte) error { return ErrCopyRead }

@@ -24,8 +24,6 @@ func LiveMappings() int64 { return liveMappings.Load() }
 // the bounds check and the read counter. The view keeps its mapping
 // alive until Release, across Close and an unlink of the file (see
 // FileDevice).
-//
-//tr:hotpath
 func (d *FileDevice) View(id PageID) (PageView, error) {
 	if err := d.check(id); err != nil {
 		return PageView{}, err

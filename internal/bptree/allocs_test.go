@@ -20,7 +20,7 @@ func TestSearchAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = float64(i) * 0.5
 	}
-	tr, err := BulkLoad(blockio.NewMemDevice(128), 8, mkEntries(keys))
+	tr, err := BulkLoad(blockio.NewViewOnlyDevice(128), 8, mkEntries(keys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,8 +242,6 @@ type Cursor struct {
 // the cursor needs no Close on any error return. The descent holds at
 // most one page view at a time (each internal node is released before
 // its child is mapped), so a search never pins more than one frame.
-//
-//tr:hotpath
 func (t *Tree) SearchCeil(x float64) (Cursor, error) {
 	page := t.root
 	var v blockio.PageView
@@ -305,20 +303,14 @@ func (t *Tree) Min() (Cursor, error) {
 }
 
 // Key returns the cursor's current key.
-//
-//tr:hotpath
 func (c *Cursor) Key() float64 { return c.t.leafKey(c.view.Data(), c.idx) }
 
 // Value returns the cursor's current value. The slice aliases the
 // cursor's page view and is invalidated by Next and Close.
-//
-//tr:hotpath
 func (c *Cursor) Value() []byte { return c.t.leafValue(c.view.Data(), c.idx) }
 
 // Next advances to the following entry; it reports false at the end of
 // the tree or on IO error (check Err).
-//
-//tr:hotpath
 func (c *Cursor) Next() bool {
 	c.idx++
 	if c.idx < leafCount(c.view.Data()) {
@@ -327,7 +319,6 @@ func (c *Cursor) Next() bool {
 	return c.advanceLeaf()
 }
 
-//tr:hotpath
 func (c *Cursor) advanceLeaf() bool {
 	next := leafNext(c.view.Data())
 	for next != blockio.InvalidPage {
@@ -351,8 +342,6 @@ func (c *Cursor) advanceLeaf() bool {
 // Close releases the cursor's leaf view. Idempotent; safe on the zero
 // cursor. Every cursor obtained from SearchCeil/Min must be closed
 // once iteration (or value decoding) is done.
-//
-//tr:hotpath
 func (c *Cursor) Close() { c.view.Release() }
 
 // Err returns the IO error that stopped iteration, if any.

@@ -51,7 +51,7 @@ func collect(t *testing.T, tr *Tree) []float64 {
 }
 
 func TestEmptyTree(t *testing.T) {
-	dev := blockio.NewMemDevice(256)
+	dev := blockio.NewViewOnlyDevice(256)
 	tr, err := BulkLoad(dev, 8, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestBulkLoadSmall(t *testing.T) {
-	dev := blockio.NewMemDevice(4096)
+	dev := blockio.NewViewOnlyDevice(4096)
 	keys := []float64{1, 2, 3, 5, 8, 13}
 	tr, err := BulkLoad(dev, 8, mkEntries(keys))
 	if err != nil {
@@ -89,7 +89,7 @@ func TestBulkLoadSmall(t *testing.T) {
 }
 
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
-	dev := blockio.NewMemDevice(4096)
+	dev := blockio.NewViewOnlyDevice(4096)
 	if _, err := BulkLoad(dev, 8, mkEntries([]float64{2, 1})); err == nil {
 		t.Error("unsorted input accepted")
 	}
@@ -97,7 +97,7 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 
 func TestBulkLoadMultiLevel(t *testing.T) {
 	// Small blocks force several levels.
-	dev := blockio.NewMemDevice(128)
+	dev := blockio.NewViewOnlyDevice(128)
 	n := 5000
 	keys := make([]float64, n)
 	for i := range keys {
@@ -136,7 +136,7 @@ func TestBulkLoadMultiLevel(t *testing.T) {
 }
 
 func TestSearchCeilSemantics(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
+	dev := blockio.NewViewOnlyDevice(128)
 	keys := []float64{10, 20, 20, 20, 30, 40}
 	tr, err := BulkLoad(dev, 8, mkEntries(keys))
 	if err != nil {
@@ -176,17 +176,17 @@ func TestSearchCeilSemantics(t *testing.T) {
 }
 
 func TestValueSizeValidation(t *testing.T) {
-	dev := blockio.NewMemDevice(4096)
+	dev := blockio.NewViewOnlyDevice(4096)
 	if _, err := BulkLoad(dev, 16, []Entry{{Key: 1, Value: make([]byte, 4)}}); err == nil {
 		t.Error("wrong value size accepted by BulkLoad")
 	}
-	if _, err := BulkLoad(blockio.NewMemDevice(32), 64, nil); err == nil {
+	if _, err := BulkLoad(blockio.NewViewOnlyDevice(32), 64, nil); err == nil {
 		t.Error("impossible geometry accepted")
 	}
 }
 
 func TestLargeValues(t *testing.T) {
-	dev := blockio.NewMemDevice(4096)
+	dev := blockio.NewViewOnlyDevice(4096)
 	vs := 100
 	entries := make([]Entry, 300)
 	for i := range entries {
@@ -221,7 +221,7 @@ func TestSearchCeilMatchesReferenceProperty(t *testing.T) {
 			keys[i] = math.Floor(rng.Float64() * 100)
 		}
 		sort.Float64s(keys)
-		tr, err := BulkLoad(blockio.NewMemDevice(128), 8, mkEntries(keys))
+		tr, err := BulkLoad(blockio.NewViewOnlyDevice(128), 8, mkEntries(keys))
 		if err != nil {
 			return false
 		}
@@ -267,7 +267,7 @@ func TestTreeOnFileDevice(t *testing.T) {
 }
 
 func TestIOCountsScaleWithHeight(t *testing.T) {
-	dev := blockio.NewMemDevice(128)
+	dev := blockio.NewViewOnlyDevice(128)
 	keys := make([]float64, 20000)
 	for i := range keys {
 		keys[i] = float64(i)
@@ -292,17 +292,17 @@ func TestIOCountsScaleWithHeight(t *testing.T) {
 // math.MaxUint16.
 func TestCapsBoundedByCountField(t *testing.T) {
 	const limit = internalHeaderSize + childSize + math.MaxUint16*(keySize+childSize) // 65,535 keys exactly
-	if _, err := BulkLoad(blockio.NewMemDevice(limit+keySize+childSize), 8, nil); err == nil {
+	if _, err := BulkLoad(blockio.NewViewOnlyDevice(limit+keySize+childSize), 8, nil); err == nil {
 		t.Fatal("internal nodes of 65,536 keys accepted")
 	}
-	if _, err := Open(blockio.NewMemDevice(4<<20), Meta{Height: 1, ValueSize: 8}); err == nil {
+	if _, err := Open(blockio.NewViewOnlyDevice(4<<20), Meta{Height: 1, ValueSize: 8}); err == nil {
 		t.Fatal("Open accepted 4 MiB pages")
 	}
 	keys := make([]float64, 70000)
 	for i := range keys {
 		keys[i] = float64(i)
 	}
-	tr, err := BulkLoad(blockio.NewMemDevice(limit), 8, mkEntries(keys))
+	tr, err := BulkLoad(blockio.NewViewOnlyDevice(limit), 8, mkEntries(keys))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // collector allocate nothing.
 func TestExact3TopKAllocs(t *testing.T) {
 	ds := randomDataset(5, 300, 40, false)
-	e, err := BuildExact3(blockio.NewMemDevice(1024), ds)
+	e, err := BuildExact3(blockio.NewViewOnlyDevice(1024), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExact3TopKAllocs(t *testing.T) {
 // place.
 func TestExact2ScoreAllocs(t *testing.T) {
 	ds := randomDataset(6, 200, 60, false)
-	e, err := BuildExact2(blockio.NewMemDevice(512), ds)
+	e, err := BuildExact2(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExact2ScoreAllocs(t *testing.T) {
 // viewed in place and the pooled collector allocate nothing.
 func TestExact2TopKAllocs(t *testing.T) {
 	ds := randomDataset(6, 200, 60, false)
-	e, err := BuildExact2(blockio.NewMemDevice(512), ds)
+	e, err := BuildExact2(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,6 @@ func (e *Exact2) IndexPages() int { return e.dev.NumPages() }
 // TopK implements Method: every object's score from its own run, into
 // a pooled σ-vector (getScores/putScores, as EXACT3), with the window
 // validated once for the whole query.
-//
-//tr:hotpath
 func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
@@ -164,8 +162,6 @@ func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 
 // Score implements Method: Eq. (2) from the run's page (or pages) that
 // hold the ceilings of t1 and t2 — one page view when both share one.
-//
-//tr:hotpath
 func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if id < 0 || int(id) >= len(e.starts) {
 		return 0, fmt.Errorf("exact2: %w: %d", trerr.ErrUnknownSeries, id)
@@ -177,8 +173,6 @@ func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 }
 
 // score is Score for a known series and a validated window.
-//
-//tr:hotpath
 func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	// Clamp to the object's domain; g_i is 0 outside it.
 	if t1 < e.starts[id] {
@@ -212,8 +206,6 @@ func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 // run, or the run's last page when t is past its last key. Every page
 // before the returned one ends below t, so the ceiling cannot lie
 // earlier; a run crosses few pages, so the scan is linear.
-//
-//tr:hotpath
 func (e *Exact2) pageOf(id tsdata.SeriesID, t float64) blockio.PageID {
 	bnd := e.bnd[e.bndOff[id]:e.bndOff[id+1]]
 	p := 0
@@ -229,8 +221,6 @@ func (e *Exact2) pageOf(id tsdata.SeriesID, t float64) blockio.PageID {
 // beyond t from the stored prefix. Past the last key (reachable only
 // through floating-point equality edge cases, as the domain is
 // clamped) the full prefix applies.
-//
-//tr:hotpath
 func (e *Exact2) sigmaOn(id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
 	base := int(page-e.first) * e.perPage
 	lo := max(e.off[id], base) - base

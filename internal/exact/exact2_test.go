@@ -99,7 +99,7 @@ func TestExact2PackedMatchesRange(t *testing.T) {
 				t.Fatalf("block %d: layout misses %q", bs, c)
 			}
 		}
-		dev := blockio.NewMemDevice(bs)
+		dev := blockio.NewViewOnlyDevice(bs)
 		e, err := BuildExact2(dev, ds)
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestExact2PackedMatchesRange(t *testing.T) {
 // last page.
 func TestRestoreExact2(t *testing.T) {
 	ds := packedLayoutDataset(t, 512/exact2SlotSize, 7)
-	dev := blockio.NewMemDevice(512)
+	dev := blockio.NewViewOnlyDevice(512)
 	// A leading foreign page, as APPX2+'s lists precede its runs.
 	if _, err := dev.Alloc(); err != nil {
 		t.Fatal(err)
@@ -170,16 +170,18 @@ func TestRestoreExact2(t *testing.T) {
 			t.Errorf("first page %d: err = %v, want ErrBadSnapshot", first, err)
 		}
 	}
-	short := blockio.NewMemDevice(512)
-	buf := make([]byte, 512)
+	short := blockio.NewViewOnlyDevice(512)
 	for id := 0; id < dev.NumPages()-1; id++ {
 		if _, err := short.Alloc(); err != nil {
 			t.Fatal(err)
 		}
-		if err := dev.Read(blockio.PageID(id), buf); err != nil {
+		v, err := blockio.View(dev, blockio.PageID(id))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := short.Write(blockio.PageID(id), buf); err != nil {
+		err = short.Write(blockio.PageID(id), v.Data())
+		v.Release()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

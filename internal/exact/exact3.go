@@ -95,8 +95,6 @@ func (e *Exact3) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // every object, indexed by series id — and may change entries in place,
 // as a caller does to add mass the index has not seen. The vector is
 // pooled and valid only during the call.
-//
-//tr:hotpath
 func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)) ([]topk.Item, error) {
 	sums, err := e.allScores(t1, t2)
 	if err != nil {
@@ -118,8 +116,6 @@ func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)
 var scorePool sync.Pool
 
 // getScores returns a pointer to a zeroed score slice of length m.
-//
-//tr:hotpath
 func getScores(m int) *[]float64 {
 	if v := scorePool.Get(); v != nil {
 		p := v.(*[]float64)
@@ -137,8 +133,6 @@ func getScores(m int) *[]float64 {
 }
 
 // putScores returns a pointer obtained from getScores to the pool.
-//
-//tr:hotpath
 func putScores(p *[]float64) {
 	if cap(*p) == 0 {
 		return
@@ -197,8 +191,6 @@ func recordSegment(r []byte) tsdata.Segment {
 // object's covering interval, whose prefix minus the partial trapezoid
 // beyond t gives the prefix aggregate at t. Each page's run of hits is
 // scored in one loop over its records.
-//
-//tr:hotpath
 func (e *Exact3) stabSigma(out []float64, t float64, sub bool) error {
 	stabT := e.clampStatic(t)
 	return e.tree.StabRuns(stabT, func(recs []byte) bool {

@@ -71,7 +71,7 @@ func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
 	}
 	for name, ds := range datasets {
 		for _, bs := range []int{256, 512, 4096} {
-			e3, err := BuildExact3(blockio.NewMemDevice(bs), ds)
+			e3, err := BuildExact3(blockio.NewViewOnlyDevice(bs), ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func BenchmarkExact3TopK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev := blockio.NewMemDevice(blockio.DefaultBlockSize)
+	dev := blockio.NewViewOnlyDevice(blockio.DefaultBlockSize)
 	e3, err := BuildExact3(dev, ds)
 	if err != nil {
 		b.Fatal(err)

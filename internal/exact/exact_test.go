@@ -59,15 +59,15 @@ func referenceTopK(ds *tsdata.Dataset, k int, t1, t2 float64) []topk.Item {
 
 func buildAll(t *testing.T, ds *tsdata.Dataset) []Method {
 	t.Helper()
-	e1, err := BuildExact1(blockio.NewMemDevice(512), ds)
+	e1, err := BuildExact1(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatalf("BuildExact1: %v", err)
 	}
-	e2, err := BuildExact2(blockio.NewMemDevice(512), ds)
+	e2, err := BuildExact2(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatalf("BuildExact2: %v", err)
 	}
-	e3, err := BuildExact3(blockio.NewMemDevice(512), ds)
+	e3, err := BuildExact3(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatalf("BuildExact3: %v", err)
 	}
@@ -228,9 +228,9 @@ func TestScoreMatchesRange(t *testing.T) {
 // EXACT1 the most expensive (Fig. 13c, 16a).
 func TestIOOrdering(t *testing.T) {
 	ds := randomDataset(14, 150, 60, false)
-	e1, _ := BuildExact1(blockio.NewMemDevice(512), ds)
-	e2, _ := BuildExact2(blockio.NewMemDevice(512), ds)
-	e3, _ := BuildExact3(blockio.NewMemDevice(512), ds)
+	e1, _ := BuildExact1(blockio.NewViewOnlyDevice(512), ds)
+	e2, _ := BuildExact2(blockio.NewViewOnlyDevice(512), ds)
+	e3, _ := BuildExact3(blockio.NewViewOnlyDevice(512), ds)
 
 	t1 := ds.Start() + ds.Span()*0.2
 	t2 := ds.Start() + ds.Span()*0.8 // long interval: 60% of T
@@ -255,8 +255,8 @@ func TestIOOrdering(t *testing.T) {
 // interval while EXACT3's does not appreciably (Fig. 16a).
 func TestExact1IntervalSensitivity(t *testing.T) {
 	ds := randomDataset(15, 50, 80, false)
-	e1, _ := BuildExact1(blockio.NewMemDevice(512), ds)
-	e3, _ := BuildExact3(blockio.NewMemDevice(512), ds)
+	e1, _ := BuildExact1(blockio.NewViewOnlyDevice(512), ds)
+	e3, _ := BuildExact3(blockio.NewViewOnlyDevice(512), ds)
 
 	frac := func(m Method, f float64) uint64 {
 		t1 := ds.Start() + ds.Span()*0.1
@@ -328,12 +328,12 @@ func TestSingleSegmentObjects(t *testing.T) {
 
 func TestExact1ExternalMatchesInMemory(t *testing.T) {
 	ds := randomDataset(30, 25, 30, false)
-	inMem, err := BuildExact1(blockio.NewMemDevice(512), ds)
+	inMem, err := BuildExact1(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tiny budget forces run spilling and merging.
-	ext, err := BuildExact1External(blockio.NewMemDevice(512), blockio.NewMemDevice(512), ds, 17)
+	ext, err := BuildExact1External(blockio.NewViewOnlyDevice(512), blockio.NewMemDevice(512), ds, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestExact1ExternalMatchesInMemory(t *testing.T) {
 
 func TestExact3InstantTopK(t *testing.T) {
 	ds := randomDataset(50, 30, 20, false)
-	e3, err := BuildExact3(blockio.NewMemDevice(512), ds)
+	e3, err := BuildExact3(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestExact3InstantTopK(t *testing.T) {
 
 func TestExact3InstantTopKOutsideDomain(t *testing.T) {
 	ds := randomDataset(52, 8, 8, false)
-	e3, err := BuildExact3(blockio.NewMemDevice(512), ds)
+	e3, err := BuildExact3(blockio.NewViewOnlyDevice(512), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestExact3InstantTopKOutsideDomain(t *testing.T) {
 // dataset (one sentinel each side per object) is refused.
 func TestRestoreExact3ChecksIntervalCount(t *testing.T) {
 	ds := randomDataset(53, 8, 8, false)
-	dev := blockio.NewMemDevice(512)
+	dev := blockio.NewViewOnlyDevice(512)
 	e3, err := BuildExact3(dev, ds)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestQueryFaultPropagation(t *testing.T) {
 	t1 := ds.Start() + ds.Span()*0.2
 	t2 := ds.Start() + ds.Span()*0.7
 	for _, b := range builders {
-		fd := blockio.NewFaultDevice(blockio.NewMemDevice(512), -1)
+		fd := blockio.NewFaultDevice(blockio.NewViewOnlyDevice(512), -1)
 		m, err := b.build(fd)
 		if err != nil {
 			t.Fatalf("%s build: %v", b.name, err)
@@ -63,7 +63,7 @@ func TestBuildFaultPropagation(t *testing.T) {
 	ds := randomDataset(41, 10, 10, false)
 	// Learn each build's healthy op count, then fail at fractions of it.
 	healthy := func(build func(dev blockio.Device) error) int64 {
-		dev := blockio.NewMemDevice(512)
+		dev := blockio.NewViewOnlyDevice(512)
 		if err := build(dev); err != nil {
 			t.Fatalf("healthy build failed: %v", err)
 		}
@@ -80,7 +80,7 @@ func TestBuildFaultPropagation(t *testing.T) {
 	for _, b := range builds {
 		ops := healthy(b.f)
 		for _, budget := range []int64{0, 1, ops / 2, ops - 1} {
-			fd := blockio.NewFaultDevice(blockio.NewMemDevice(512), budget)
+			fd := blockio.NewFaultDevice(blockio.NewViewOnlyDevice(512), budget)
 			if err := b.f(fd); !errors.Is(err, blockio.ErrInjected) {
 				t.Errorf("%s build with budget %d/%d: err = %v, want ErrInjected", b.name, budget, ops, err)
 			}

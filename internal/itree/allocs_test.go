@@ -28,7 +28,7 @@ func TestStabAllocs(t *testing.T) {
 		}
 		ivs = append(ivs, Interval{Lo: lo, Hi: 100, Payload: payload(uint32(obj))})
 	}
-	tr, err := Build(blockio.NewMemDevice(512), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(512), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}

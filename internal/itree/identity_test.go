@@ -177,9 +177,7 @@ type nodeImage struct {
 func readNode(t *testing.T, tr *Tree, page blockio.PageID) nodeImage {
 	t.Helper()
 	buf := make([]byte, tr.dev.BlockSize())
-	if err := tr.dev.Read(page, buf); err != nil {
-		t.Fatal(err)
-	}
+	readPage(t, tr.dev, page, buf)
 	n := nodeImage{
 		center: binary.LittleEndian.Uint64(buf[0:]),
 		left:   getPageID(buf[8:]),
@@ -273,7 +271,7 @@ func identityInputs() map[string][]Interval {
 func TestBuildIdenticalToReference(t *testing.T) {
 	for name, ivs := range identityInputs() {
 		for _, bs := range []int{128, 4096} {
-			gdev, wdev := blockio.NewMemDevice(bs), blockio.NewMemDevice(bs)
+			gdev, wdev := blockio.NewViewOnlyDevice(bs), blockio.NewViewOnlyDevice(bs)
 			got, err := Build(gdev, 4, ivs)
 			if err != nil {
 				t.Fatal(err)
@@ -295,12 +293,8 @@ func TestBuildIdenticalToReference(t *testing.T) {
 			// reference's order, so the page images are equal.
 			gb, wb := make([]byte, bs), make([]byte, bs)
 			for p := 0; p < gdev.NumPages(); p++ {
-				if err := gdev.Read(blockio.PageID(p), gb); err != nil {
-					t.Fatal(err)
-				}
-				if err := wdev.Read(blockio.PageID(p), wb); err != nil {
-					t.Fatal(err)
-				}
+				readPage(t, gdev, blockio.PageID(p), gb)
+				readPage(t, wdev, blockio.PageID(p), wb)
 				if !bytes.Equal(gb, wb) {
 					t.Fatalf("%s: page %d differs from the reference", where, p)
 				}
@@ -349,7 +343,7 @@ func BenchmarkItreeBuild(b *testing.B) {
 	ivs := partitionIntervals(rand.New(rand.NewSource(1)), 1000, 100, 28)
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Build(blockio.NewMemDevice(4096), 28, ivs); err != nil {
+		if _, err := Build(blockio.NewViewOnlyDevice(4096), 28, ivs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -366,8 +366,6 @@ func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
 // payload slice passed to visit aliases the page view of the list page
 // being scanned; it is valid only for the duration of the visit call —
 // copy it to retain. Iteration stops early if visit returns false.
-//
-//tr:hotpath
 func (t *Tree) Stab(x float64, visit func(iv Interval) bool) error {
 	stride := t.RecordSize()
 	return t.StabRuns(x, func(recs []byte) bool {
@@ -395,8 +393,6 @@ func (t *Tree) RecordSize() int { return intervalSize + t.payloadSize }
 // (ascending-lo list) or hi > x (descending-hi list). A binary search
 // finds where that prefix ends on its last page, so a stab views the
 // pages a record-at-a-time scan would, holding one view at a time.
-//
-//tr:hotpath
 func (t *Tree) StabRuns(x float64, run func(recs []byte) bool) error {
 	stride := t.RecordSize()
 	page := t.root

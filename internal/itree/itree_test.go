@@ -57,7 +57,7 @@ func eqIDs(a, b []uint32) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr, err := Build(blockio.NewMemDevice(256), 4, nil)
+	tr, err := Build(blockio.NewViewOnlyDevice(256), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSingleInterval(t *testing.T) {
 	ivs := []Interval{{Lo: 1, Hi: 3, Payload: payload(7)}}
-	tr, err := Build(blockio.NewMemDevice(256), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(256), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestSingleInterval(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(blockio.NewMemDevice(256), 4, []Interval{{Lo: 2, Hi: 2, Payload: payload(0)}}); err == nil {
+	if _, err := Build(blockio.NewViewOnlyDevice(256), 4, []Interval{{Lo: 2, Hi: 2, Payload: payload(0)}}); err == nil {
 		t.Error("degenerate interval accepted")
 	}
-	if _, err := Build(blockio.NewMemDevice(256), 4, []Interval{{Lo: 0, Hi: 1, Payload: make([]byte, 8)}}); err == nil {
+	if _, err := Build(blockio.NewViewOnlyDevice(256), 4, []Interval{{Lo: 0, Hi: 1, Payload: make([]byte, 8)}}); err == nil {
 		t.Error("wrong payload size accepted")
 	}
-	if _, err := Build(blockio.NewMemDevice(16), 4, []Interval{{Lo: 0, Hi: 1, Payload: payload(0)}}); err == nil {
+	if _, err := Build(blockio.NewViewOnlyDevice(16), 4, []Interval{{Lo: 0, Hi: 1, Payload: payload(0)}}); err == nil {
 		t.Error("tiny block size accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestDisjointPartitionPerObject(t *testing.T) {
 			ivs = append(ivs, Interval{Lo: cuts[j], Hi: cuts[j+1], Payload: payload(uint32(obj))})
 		}
 	}
-	tr, err := Build(blockio.NewMemDevice(512), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(512), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStabMatchesBruteForceRandom(t *testing.T) {
 			lo := rng.Float64() * 100
 			ivs[i] = Interval{Lo: lo, Hi: lo + 0.01 + rng.Float64()*30, Payload: payload(uint32(i))}
 		}
-		tr, err := Build(blockio.NewMemDevice(256), 4, ivs)
+		tr, err := Build(blockio.NewViewOnlyDevice(256), 4, ivs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -174,7 +174,7 @@ func TestStabEarlyExit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ivs = append(ivs, Interval{Lo: 0, Hi: 100, Payload: payload(uint32(i))})
 	}
-	tr, err := Build(blockio.NewMemDevice(256), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(256), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestIdenticalIntervals(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ivs = append(ivs, Interval{Lo: 5, Hi: 10, Payload: payload(uint32(i))})
 	}
-	tr, err := Build(blockio.NewMemDevice(128), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(128), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestHeightLogarithmic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		ivs = append(ivs, Interval{Lo: float64(i), Hi: float64(i) + 0.5, Payload: payload(uint32(i))})
 	}
-	tr, err := Build(blockio.NewMemDevice(4096), 4, ivs)
+	tr, err := Build(blockio.NewViewOnlyDevice(4096), 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestHeightLogarithmic(t *testing.T) {
 func TestStabIOBounded(t *testing.T) {
 	// For a per-object partition, a stab costs O(height + m/listCap)
 	// page reads, far below reading the whole structure.
-	dev := blockio.NewMemDevice(4096)
+	dev := blockio.NewViewOnlyDevice(4096)
 	var ivs []Interval
 	const m = 100
 	for obj := 0; obj < m; obj++ {
@@ -259,7 +259,7 @@ func TestStabBruteForceProperty(t *testing.T) {
 			lo := math.Floor(rng.Float64()*40) / 2
 			ivs[i] = Interval{Lo: lo, Hi: lo + 0.5 + math.Floor(rng.Float64()*20)/2, Payload: payload(uint32(i))}
 		}
-		tr, err := Build(blockio.NewMemDevice(128), 4, ivs)
+		tr, err := Build(blockio.NewViewOnlyDevice(128), 4, ivs)
 		if err != nil {
 			return false
 		}

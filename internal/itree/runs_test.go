@@ -11,6 +11,18 @@ import (
 	"temporalrank/internal/blockio"
 )
 
+// readPage copies page id of dev into buf through a view, so the
+// reference walks run on a view-only device too.
+func readPage(t *testing.T, dev blockio.Device, id blockio.PageID, buf []byte) {
+	t.Helper()
+	v, err := blockio.View(dev, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, v.Data())
+	v.Release()
+}
+
 // readList decodes a whole list chain by copying each page, with no
 // early exit (the identity test's view of a node's lists).
 func readList(t *testing.T, tr *Tree, head blockio.PageID) []Interval {
@@ -18,9 +30,7 @@ func readList(t *testing.T, tr *Tree, head blockio.PageID) []Interval {
 	var out []Interval
 	buf := make([]byte, tr.dev.BlockSize())
 	for page := head; page != blockio.InvalidPage; page = getPageID(buf[2:]) {
-		if err := tr.dev.Read(page, buf); err != nil {
-			t.Fatal(err)
-		}
+		readPage(t, tr.dev, page, buf)
 		count := int(binary.LittleEndian.Uint16(buf[0:]))
 		for i := 0; i < count; i++ {
 			r := buf[listHeaderSize+i*tr.RecordSize():]
@@ -38,9 +48,7 @@ func referenceStab(t *testing.T, tr *Tree, x float64) (ids []uint32, pages int) 
 	t.Helper()
 	buf := make([]byte, tr.dev.BlockSize())
 	for page := tr.root; page != blockio.InvalidPage; {
-		if err := tr.dev.Read(page, buf); err != nil {
-			t.Fatal(err)
-		}
+		readPage(t, tr.dev, page, buf)
 		pages++
 		center := getF64(buf[0:])
 		left, right, lHead, rHead := getPageID(buf[8:]), getPageID(buf[16:]), getPageID(buf[24:]), getPageID(buf[36:])
@@ -54,9 +62,7 @@ func referenceStab(t *testing.T, tr *Tree, x float64) (ids []uint32, pages int) 
 		lbuf := make([]byte, tr.dev.BlockSize())
 	list:
 		for lp := head; lp != blockio.InvalidPage; lp = getPageID(lbuf[2:]) {
-			if err := tr.dev.Read(lp, lbuf); err != nil {
-				t.Fatal(err)
-			}
+			readPage(t, tr.dev, lp, lbuf)
 			pages++
 			count := int(binary.LittleEndian.Uint16(lbuf[0:]))
 			for i := 0; i < count; i++ {
@@ -76,7 +82,7 @@ func referenceStab(t *testing.T, tr *Tree, x float64) (ids []uint32, pages int) 
 
 // runIDs stabs with StabRuns, checking that every record it is handed
 // contains x, and returns the sorted ids and the pages the stab viewed.
-func runIDs(t *testing.T, tr *Tree, dev *blockio.MemDevice, x float64) (ids []uint32, pages int) {
+func runIDs(t *testing.T, tr *Tree, dev blockio.Device, x float64) (ids []uint32, pages int) {
 	t.Helper()
 	dev.ResetStats()
 	stride := tr.RecordSize()
@@ -120,7 +126,7 @@ func centers(t *testing.T, tr *Tree) []float64 {
 
 // checkRuns holds StabRuns to the brute-force answer and to the
 // reference walk's page count at x.
-func checkRuns(t *testing.T, name string, tr *Tree, dev *blockio.MemDevice, ivs []Interval, x float64) {
+func checkRuns(t *testing.T, name string, tr *Tree, dev blockio.Device, ivs []Interval, x float64) {
 	t.Helper()
 	got, pages := runIDs(t, tr, dev, x)
 	if want := bruteStab(ivs, x); !eqIDs(got, want) {
@@ -154,7 +160,7 @@ func TestStabRunsMatchBruteForce(t *testing.T) {
 	}
 	for name, ivs := range inputs {
 		for _, bs := range []int{128, 256} { // 5 and 12 records per list page
-			dev := blockio.NewMemDevice(bs)
+			dev := blockio.NewViewOnlyDevice(bs)
 			tr, err := Build(dev, 4, ivs)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +185,7 @@ func TestStabRunsEarlyExit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ivs = append(ivs, Interval{Lo: 0, Hi: 100, Payload: payload(uint32(i))})
 	}
-	dev := blockio.NewMemDevice(128) // 5 records per list page
+	dev := blockio.NewViewOnlyDevice(128) // 5 records per list page
 	tr, err := Build(dev, 4, ivs)
 	if err != nil {
 		t.Fatal(err)
@@ -217,14 +223,14 @@ func TestListCapBoundedByCountField(t *testing.T) {
 	for i := range ivs {
 		ivs[i] = Interval{Lo: 0, Hi: 1, Payload: payload(uint32(i))}
 	}
-	if _, err := Build(blockio.NewMemDevice(4<<20), 4, ivs); err == nil {
+	if _, err := Build(blockio.NewViewOnlyDevice(4<<20), 4, ivs); err == nil {
 		t.Fatal("4 MiB list pages accepted")
 	}
-	if _, err := Open(blockio.NewMemDevice(4<<20), Meta{PayloadSize: 4}); err == nil {
+	if _, err := Open(blockio.NewViewOnlyDevice(4<<20), Meta{PayloadSize: 4}); err == nil {
 		t.Fatal("Open accepted 4 MiB list pages")
 	}
 	// The largest accepted page holds exactly math.MaxUint16 records.
-	dev := blockio.NewMemDevice(listHeaderSize + math.MaxUint16*(intervalSize+4))
+	dev := blockio.NewViewOnlyDevice(listHeaderSize + math.MaxUint16*(intervalSize+4))
 	tr, err := Build(dev, 4, ivs)
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,11 @@ package memtable
 import "testing"
 
 // TestReadWriteAllocs pins the memtable's steady state at zero
-// allocations: a Layer append to a series that already has a run, and
-// every read a query makes of the pinned generation's table — the
-// header check, Frontier, Delta, At, and the CollectRange/CollectAt
-// scans of a window the runs overlap.
+// allocations: an append to a series that already has a run, and
+// every read a query makes of the table — the header check, Frontier,
+// Delta, At, and the CollectRange/CollectAt scans of a window the runs
+// overlap. The root package's TestLayerAppendAllocs pins the same
+// append through the generation layer.
 //
 // Each series holds 1,024 segments before the measurement, so its block
 // moves at most once in the 25 appends each gets during it. A move cuts
@@ -21,12 +22,11 @@ import "testing"
 func TestReadWriteAllocs(t *testing.T) {
 	const series = 8
 	tb := NewTable(flatFrontier(series, 10, 1), 0)
-	l := NewLayer(&Gen[struct{}]{Active: tb})
 	ts := 10.0
 	for i := 0; i < 1024; i++ {
 		ts++
 		for id := 0; id < series; id++ {
-			if _, err := l.Append(id, ts, float64(id)); err != nil {
+			if _, err := tb.Append(id, ts, float64(id)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -38,24 +38,23 @@ func TestReadWriteAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() {
 		id := i % series
 		ts++
-		if _, err := l.Append(id, ts, 2); err != nil {
+		if _, err := tb.Append(id, ts, 2); err != nil {
 			t.Fatal(err)
 		}
 		i++
-		g := l.Load()
-		if h, _, _, _ := g.Active.run(id); h == 0 {
+		if h, _, _, _ := tb.run(id); h == 0 {
 			t.Fatal("no header for a series with a run")
 		}
-		ft, _, ok := g.Active.Frontier(id)
+		ft, _, ok := tb.Frontier(id)
 		sink += ft
 		if !ok {
 			t.Fatal("no frontier for a series with a run")
 		}
-		sink += g.Active.Delta(id, 20, ts)
-		v, _ := g.Active.At(id, 500)
+		sink += tb.Delta(id, 20, ts)
+		v, _ := tb.At(id, 500)
 		sink += v
-		g.Active.CollectRange(20, ts, add)
-		g.Active.CollectAt(500, add)
+		tb.CollectRange(20, ts, add)
+		tb.CollectAt(500, add)
 	})
 	if got != 0 {
 		t.Errorf("memtable append + reads allocate %.1f allocs/op, want 0", got)

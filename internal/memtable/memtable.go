@@ -4,9 +4,10 @@
 // merge the table's deltas with the frozen base; a background compaction
 // drains a frozen table into freshly built indexes.
 //
-// The layer holds generations, swapped atomically: an immutable base B
-// (dataset + indexes), an optional frozen table being compacted, and the
-// active table taking writes. Appends take two brief locks; reads none.
+// A Table's appends take one brief lock; its reads take none. The
+// generations that freeze a table and swap in a fresh one live with
+// their swap lock in the root package, which this package cannot
+// import, so no Table code can take that lock.
 package memtable
 
 import (
@@ -47,8 +48,8 @@ const (
 // the vertices it covers, which never change again: readers need no lock.
 type Table struct {
 	frontier FrontierFunc
-	// mu serializes writers, under Layer.swapMu.
-	mu     sync.Mutex //tr:lockrank 2
+	// mu serializes writers. No callback a Table invokes runs under it.
+	mu     sync.Mutex
 	layout atomic.Pointer[layout]
 	// touched counts the published entries of the layout's touched list.
 	touched atomic.Int32

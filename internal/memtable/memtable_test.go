@@ -272,112 +272,6 @@ func TestTableConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestLayerGenerations(t *testing.T) {
-	type base struct{ gen int }
-	active := NewTable(flatFrontier(4, 0, 0), 0)
-	l := NewLayer(&Gen[base]{Base: base{gen: 0}, Active: active})
-
-	if _, err := l.Append(1, 5, 2); err != nil {
-		t.Fatal(err)
-	}
-	g := l.Load()
-	if g.Active != active || g.Frozen != nil || g.Base.gen != 0 {
-		t.Fatal("load returned a different generation")
-	}
-
-	// Freeze: active becomes frozen, a fresh table takes writes.
-	fresh := NewTable(flatFrontier(4, 0, 0), 0)
-	g2 := l.Update(func(old *Gen[base]) *Gen[base] {
-		return &Gen[base]{Base: old.Base, Frozen: old.Active, Active: fresh}
-	})
-	if g2.Frozen != active || g2.Active != fresh {
-		t.Fatal("freeze transition wrong")
-	}
-	if g.Frozen != nil {
-		t.Fatal("previously pinned generation mutated")
-	}
-	// Install: frozen drains into a new base.
-	g3 := l.Update(func(old *Gen[base]) *Gen[base] {
-		return &Gen[base]{Base: base{gen: 1}, Active: old.Active}
-	})
-	if g3.Frozen != nil || g3.Base.gen != 1 || g3.Active != fresh {
-		t.Fatal("install transition wrong")
-	}
-	// Declining a transition returns the argument unchanged.
-	g4 := l.Update(func(old *Gen[base]) *Gen[base] { return old })
-	if g4 != g3 {
-		t.Fatal("declined transition replaced the generation")
-	}
-}
-
-// TestLayerAppendSwapRace freezes generations while writers append;
-// every append must land in exactly one table (none lost, none
-// duplicated). Run with -race.
-func TestLayerAppendSwapRace(t *testing.T) {
-	const series = 16
-	// A fixed base frontier at t=0 keeps every run valid no matter when
-	// a swap resets it: per-series append times only ever grow, so a
-	// fresh table's seed vertex (0, 0) always precedes the next append.
-	frontier := flatFrontier(series, 0, 0)
-	l := NewLayer(&Gen[int]{Active: NewTable(frontier, 0)})
-
-	var writers sync.WaitGroup
-	var appended atomic.Int64
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			// Writer w owns series w*4..w*4+3; each id's times strictly
-			// increase across iterations.
-			for i := 0; i < 200; i++ {
-				id := w*4 + i%4
-				ts := float64(i/4 + 1)
-				if _, err := l.Append(id, ts, 1); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-				appended.Add(1)
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	var swapper sync.WaitGroup
-	var drained int64 // owned by the swapper goroutine; read after Wait
-	swapper.Add(1)
-	go func() {
-		defer swapper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g := l.Update(func(old *Gen[int]) *Gen[int] {
-				if old.Active.Segments() == 0 {
-					return old
-				}
-				return &Gen[int]{Frozen: old.Active, Active: NewTable(frontier, 0)}
-			})
-			if g.Frozen != nil {
-				drained += g.Frozen.Segments()
-				l.Update(func(old *Gen[int]) *Gen[int] {
-					return &Gen[int]{Active: old.Active}
-				})
-			}
-		}
-	}()
-	writers.Wait()
-	close(stop)
-	swapper.Wait()
-	drained += l.Load().Active.Segments()
-	if g := l.Load(); g.Frozen != nil {
-		drained += g.Frozen.Segments()
-	}
-	if drained != appended.Load() {
-		t.Fatalf("drained %d segments, appended %d", drained, appended.Load())
-	}
-}
-
 // TestTableMatchesSeries checks the flat table against tsdata.Series on
 // the same vertices: random runs of 1 to 60 segments, appended
 // interleaved so blocks move while other runs grow, queried over every
@@ -639,6 +533,56 @@ func BenchmarkTableCollectRange(b *testing.B) {
 					b.Fatal("no mass collected")
 				}
 			})
+		}
+	}
+}
+
+// TestCallbacksRunUnlocked runs every callback a Table invokes — the
+// FrontierFunc and the f of CollectRange, CollectAt and All — while
+// appends happen on the same goroutine, and fails if the table's writer
+// mutex is held in any of them. A callback run under mu that took the
+// root package's generation swap lock would invert the append path's
+// lock order (swap lock, then mu).
+func TestCallbacksRunUnlocked(t *testing.T) {
+	const series = 64
+	var tb *Table
+	calls := make(map[string]int)
+	unlocked := func(name string) {
+		calls[name]++
+		if !tb.mu.TryLock() {
+			t.Fatalf("%s ran under the table's writer mutex", name)
+		}
+		tb.mu.Unlock()
+	}
+	tb = NewTable(func(id int) (float64, float64, bool) {
+		unlocked("FrontierFunc")
+		return 10, 1, id >= 0 && id < series
+	}, 0)
+	end := make([]float64, series)
+	next := 0 // the next series without a run
+	// grow appends a first segment to a new series and extends id's run.
+	grow := func(id int) {
+		if next < series {
+			end[next] = 11
+			if _, err := tb.Append(next, end[next], 1); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		end[id]++
+		if _, err := tb.Append(id, end[id], 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for next < 8 {
+		grow(0)
+	}
+	tb.CollectRange(10, 11, func(id int, _ float64) { unlocked("CollectRange"); grow(id) })
+	tb.CollectAt(10.5, func(id int, _ float64) { unlocked("CollectAt"); grow(id) })
+	tb.All(func(id int, _, _ []float64) { unlocked("All"); grow(id) })
+	for _, name := range []string{"FrontierFunc", "CollectRange", "CollectAt", "All"} {
+		if calls[name] == 0 {
+			t.Errorf("%s never ran", name)
 		}
 	}
 }

@@ -161,8 +161,6 @@ func encodePageHeader(buf []byte, typ byte, n int, next blockio.PageID) {
 
 // decodePageHeader validates one stream page — type tag, payload
 // bounds, payload CRC — and returns its payload length and successor.
-//
-//tr:hotpath
 func decodePageHeader(buf []byte, wantType byte) (n int, next blockio.PageID, err error) {
 	if buf[0] != wantType {
 		return 0, blockio.InvalidPage, fmt.Errorf("snapshot: page type %d where %d expected: %w",

@@ -207,8 +207,6 @@ func cheapestIn(st baseStack, q Query, wantApprox bool) *Index {
 // the query executes, so an append landing mid-run at worst wastes the
 // stored entry (invalidated on the next lookup); it can never cause a
 // stale answer.
-//
-//tr:hotpath
 func (p *Planner) Run(ctx context.Context, q Query) (Answer, error) {
 	q = q.withDefaults()
 	if err := q.Validate(); err != nil {

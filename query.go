@@ -105,8 +105,6 @@ type queryKey [41]byte
 // byte-identical after canonicalization. The zero Agg collapses onto
 // AggSum and an instant query's ignored T2 is canonicalized away, so
 // spelling variants of the same request hit the same entry.
-//
-//tr:hotpath
 func (q Query) cacheKey() queryKey {
 	q = q.withDefaults()
 	if q.Agg == AggInstant {
@@ -126,8 +124,6 @@ func (q Query) cacheKey() queryKey {
 // caching: all series over the query window (an instant query stabs a
 // single point). An append overlapping this footprint can change the
 // answer; one outside it cannot.
-//
-//tr:hotpath
 func (q Query) scope() qcache.Scope {
 	if q.Agg == AggInstant {
 		return qcache.Scope{Series: -1, T1: q.T1, T2: q.T1}
