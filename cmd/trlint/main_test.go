@@ -25,11 +25,24 @@ func TestCheckCleanRepo(t *testing.T) {
 // deliberate violation per analyzer — a sentinel comparison and a
 // dropped context — and proves the real loader-to-checker pipeline
 // catches each, while the //trlint:ignore escape hatch still works.
+//
+// The module's external test package also uses the export_test.go
+// idiom: it calls a hook that only the package's own test files
+// declare, and passes it a value of the package's type that it gets
+// through a second package importing the first. Both load only if the
+// external test is checked against the test-augmented package, with
+// the second package checked again against that, and under the
+// pattern "." too, where only the external test imports the second
+// package.
 func TestCheckCatchesInjected(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
 		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
+		name = filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(name), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, []byte(src), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,8 +71,45 @@ func deadline(ctx context.Context) error {
 	_ = sub
 	return ctx.Err()
 }
+
+// Code is a value the external test reaches through package codes.
+type Code int
+
+func name(c Code) string { return fmt.Sprint("code ", int(c)) }
+`)
+	write("export_test.go", `package scratch
+
+// Name exposes name to the external test package.
+var Name = name
+`)
+	write("codes/codes.go", `// Package codes imports scratch, so scratch's external test sees
+// scratch through it as well as directly.
+package codes
+
+import "scratch"
+
+// Default is the scratch.Code the test names.
+func Default() scratch.Code { return 7 }
+`)
+	write("scratch_test.go", `package scratch_test
+
+import (
+	"testing"
+
+	"scratch"
+	"scratch/codes"
+)
+
+func TestName(t *testing.T) {
+	if got := scratch.Name(codes.Default()); got != "code 7" {
+		t.Fatalf("Name = %q", got)
+	}
+}
 `)
 
+	if _, err := Check(dir, []string{"."}, all); err != nil {
+		t.Fatalf("pattern \".\": %v", err)
+	}
 	findings, err := Check(dir, []string{"./..."}, all)
 	if err != nil {
 		t.Fatal(err)

@@ -9,11 +9,15 @@
 // package — sharing a single token.FileSet and a consistent
 // types.Package identity for every cross-package reference.
 //
-// An external test package (package x_test) is type-checked against the
-// plain form of x, not x with its in-package test files, so a test hook
-// declared in x's export_test.go is undefined to it and the load fails.
-// Hooks that an external test needs go in a non-test file instead, as
-// blockio.LiveMappings does.
+// An external test package (package x_test) is type-checked as go test
+// compiles it: against x with its in-package test files, the same
+// types.Package as x's own unit, so a hook declared in x's
+// export_test.go resolves. Every module package it imports that itself
+// imports x, directly or not, is checked again against that form of x,
+// so a type of x reaching the test through one of them is the same
+// type as x's own. That holds under any package pattern: module
+// packages that only a test imports are listed and checked from
+// source as well.
 package load
 
 import (
@@ -29,6 +33,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -165,6 +170,59 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.l.gc.Import(path)
 }
 
+// xtestImporter resolves the imports of x's external test package:
+// x itself to its test-augmented form, each module package that
+// depends on x to a copy checked against that form (go test's
+// "p [x.test]"), and everything else as moduleImporter does.
+type xtestImporter struct {
+	l     *Loader
+	under string                    // x's import path
+	pkgs  map[string]*types.Package // x and the copies checked so far
+	deps  map[string]bool           // memo: does the package depend on x?
+}
+
+func (x *xtestImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := x.pkgs[path]; ok {
+		return pkg, nil
+	}
+	meta, ok := x.l.metas[path]
+	if !ok || !x.dependsOnUnder(path) {
+		return (&moduleImporter{l: x.l}).Import(path)
+	}
+	files, err := x.l.parse(meta.Dir, meta.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	conf := x.l.config()
+	conf.Importer = x
+	pkg, err := conf.Check(path, x.l.Fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("load: %s [%s.test]: %w", path, x.under, err)
+	}
+	x.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// dependsOnUnder reports whether module package path imports x,
+// directly or through other module packages.
+func (x *xtestImporter) dependsOnUnder(path string) bool {
+	if dep, ok := x.deps[path]; ok {
+		return dep
+	}
+	x.deps[path] = false // an import cycle is a load error elsewhere
+	dep := false
+	if meta, ok := x.l.metas[path]; ok {
+		for _, imp := range meta.Imports {
+			if imp == x.under || x.dependsOnUnder(imp) {
+				dep = true
+				break
+			}
+		}
+	}
+	x.deps[path] = dep
+	return dep
+}
+
 // Loader loads and type-checks module packages.
 type Loader struct {
 	Dir  string // module directory (working dir for go commands)
@@ -229,6 +287,34 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	if len(modTargets) == 0 {
 		return nil, fmt.Errorf("load: no module packages match %v", patterns)
 	}
+	// A test may import module packages that no matched package's own
+	// code reaches (blockio's external test imports the root package).
+	// List those with their dependencies too, so that they type-check
+	// from source like the rest, against the test-augmented package
+	// where they depend on it.
+	var extra []string
+	for _, p := range modTargets {
+		for _, imps := range [][]string{p.TestImports, p.XTestImports} {
+			for _, imp := range imps {
+				_, ok := l.metas[imp]
+				if !ok && (imp == p.Module.Path || strings.HasPrefix(imp, p.Module.Path+"/")) {
+					extra = append(extra, imp)
+				}
+			}
+		}
+	}
+	if len(extra) > 0 {
+		slices.Sort(extra)
+		more, err := l.list(append([]string{"list", "-e", "-json", "-deps"}, slices.Compact(extra)...))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range more {
+			if _, ok := l.metas[p.ImportPath]; !ok && !p.Standard && p.Module != nil {
+				l.metas[p.ImportPath] = p
+			}
+		}
+	}
 	// One batched lookup for every non-module import any unit needs.
 	var std []string
 	for _, p := range l.metas {
@@ -246,13 +332,13 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 
 	var units []*Package
 	for _, p := range modTargets {
-		unit, err := l.checkUnit(p, p.Name, append(p.GoFiles, p.TestGoFiles...), false)
+		unit, err := l.checkUnit(p, p.Name, append(p.GoFiles, p.TestGoFiles...), nil)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, unit)
 		if len(p.XTestGoFiles) > 0 {
-			xunit, err := l.checkUnit(p, p.Name+"_test", p.XTestGoFiles, true)
+			xunit, err := l.checkUnit(p, p.Name+"_test", p.XTestGoFiles, unit.Types)
 			if err != nil {
 				return nil, err
 			}
@@ -311,8 +397,10 @@ func (l *Loader) checkSource(path string) (*types.Package, error) {
 }
 
 // checkUnit builds one analysis unit over filenames, first making sure
-// every module import has its plain form checked.
-func (l *Loader) checkUnit(meta *listPkg, name string, filenames []string, xtest bool) (*Package, error) {
+// every module import has its plain form checked. under is nil for a
+// package's own unit; for its external test package it is the
+// package's test-augmented form, which the test's imports resolve to.
+func (l *Loader) checkUnit(meta *listPkg, name string, filenames []string, under *types.Package) (*Package, error) {
 	if len(meta.CgoFiles) > 0 {
 		return nil, fmt.Errorf("load: %s: cgo packages are not supported", meta.ImportPath)
 	}
@@ -340,8 +428,15 @@ func (l *Loader) checkUnit(meta *listPkg, name string, filenames []string, xtest
 	}
 	conf := l.config()
 	path := meta.ImportPath
+	xtest := under != nil
 	if xtest {
 		path += "_test"
+		conf.Importer = &xtestImporter{
+			l:     l,
+			under: meta.ImportPath,
+			pkgs:  map[string]*types.Package{meta.ImportPath: under},
+			deps:  make(map[string]bool),
+		}
 	}
 	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {

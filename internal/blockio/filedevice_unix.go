@@ -13,11 +13,6 @@ import (
 // liveMappings counts the file mappings made and not yet unmapped.
 var liveMappings atomic.Int64
 
-// LiveMappings reports how many FileDevice mappings are mapped: made by
-// a View and not yet unmapped by their cleanup. Tests read it to check
-// that retired index files do not stay mapped.
-func LiveMappings() int64 { return liveMappings.Load() }
-
 // View implements Viewer: the page as a slice of the file's read-only
 // mapping — zero copies, counted as one read. When the page is already
 // mapped View takes no lock: one atomic load of the published mapping,

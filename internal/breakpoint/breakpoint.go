@@ -5,14 +5,15 @@
 //     breakpoints.
 //   - Build2Baseline (BREAKPOINTS2, baseline): cut whenever any single
 //     object's aggregate since the last cut reaches εM; resets all m
-//     running integrals per cut (the O(rm + N log N) construction).
-//   - Build2 (BREAKPOINTS2, efficient): same output, but avoids the
-//     O(rm) reset cost with a lazy-refinement candidate heap. After a
-//     cut, every object's threshold-crossing time can only move later,
-//     so pre-cut candidates remain valid lower bounds and are re-keyed
-//     only when they surface at the top of the heap — the same
-//     O(N log N) bound as Lemma 1 (substituting for the unpublished
-//     bookkeeping of the technical report's §9.1).
+//     running integrals and recomputes every object's next crossing
+//     per cut (the O(rm + N log N) construction).
+//   - Build2 (BREAKPOINTS2, efficient): same output, but after a cut an
+//     object's next crossing is recomputed only once it could come
+//     due. A cut only moves crossings later, so the ones computed
+//     before it remain valid lower bounds (lazy refinement, standing
+//     in for the unpublished bookkeeping of the technical report's
+//     §9.1). The crossings sit in a flat array below a moving horizon
+//     instead of a heap; see Build2.
 //
 // Both constructions guarantee the Lemma 2 property: for any object i
 // and consecutive breakpoints b_j, b_{j+1}, σ_i(b_j, b_{j+1}) ≤ εM —

@@ -3,6 +3,7 @@ package breakpoint
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"temporalrank/internal/tsdata"
@@ -186,6 +187,79 @@ func TestBuild2BaselineEqualsEfficient(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuild2KeepsMinimum drives Build2's key updates directly: a fold
+// that lowers a key below the least makes it the least, one that moves
+// the least key later hands the minimum to the next-least object, and
+// a fold that finds no crossing leaves the object's key standing. On
+// generated data a fold almost never moves the least key (a pending
+// crossing lies before the next segment starts), so the identity tests
+// do not reach the rescan.
+func TestBuild2KeepsMinimum(t *testing.T) {
+	flat := tsdata.Segment{T1: 0, T2: 10, V1: 1, V2: 1} // |g| = 1: crosses a threshold of 1 at t = 1
+	sw := &sweep{
+		states:    make([]objState, 3),
+		keys:      []float64{5, 0.5, 0.8, math.Inf(1)},
+		live:      []int32{0, 1, 2},
+		threshold: 1,
+		minObj:    1,
+	}
+	for i := range sw.states {
+		sw.states[i] = objState{cur: flat, hasCur: true, acc: 10}
+	}
+	check := func(step string, wantT float64, wantObj int) {
+		t.Helper()
+		if gotT, gotObj := sw.keys[sw.minObj], sw.minObj; gotT != wantT || gotObj != wantObj {
+			t.Fatalf("%s: least key (%g, %d), want (%g, %d)", step, gotT, gotObj, wantT, wantObj)
+		}
+	}
+	sw.refresh(1) // the least key moves from 0.5 to 1
+	check("least key moved later", 0.8, 2)
+	sw.states[0].cur = tsdata.Segment{T1: 0, T2: 10, V1: 4, V2: 4}
+	sw.states[0].acc = 40
+	sw.refresh(0) // 5 -> 0.25
+	check("key lowered below the least", 0.25, 0)
+	sw.states[0].acc = 0.5
+	sw.refresh(0) // under the threshold: no crossing
+	check("no crossing", 0.25, 0)
+}
+
+// TestBuild2RekeysBelowHorizon checks what one re-key pass touches:
+// the keys at or past the old horizon and below the new one that were
+// computed under an earlier breakpoint. Keys below the old horizon are
+// exact already, as is a key computed under the last breakpoint; keys
+// past the new one stay lower bounds; an object with no crossing left
+// drops out of the live list.
+func TestBuild2RekeysBelowHorizon(t *testing.T) {
+	seg := tsdata.Segment{T1: 0, T2: 100, V1: 1, V2: 1} // |g| = 1
+	inf := math.Inf(1)
+	sw := &sweep{
+		states:    make([]objState, 6),
+		keys:      []float64{1.5, 3, 3.5, 9, inf, 1.2, inf},
+		live:      []int32{0, 1, 2, 3, 5},
+		threshold: 1,
+		lastBP:    1,
+		horizon:   1.25,
+	}
+	// Every key was computed under the breakpoint at 0 but object 1's.
+	// Under the one at 1 each object would cross again at 2, but object
+	// 2, whose segment ends at 1.5 with only 0.5 accumulated.
+	for i := range sw.states {
+		sw.states[i] = objState{cur: seg, hasCur: true, acc: 100}
+	}
+	sw.states[1].keyedAt = 1
+	sw.states[2].cur.T2 = 1.5
+	sw.rekey(4)
+	if want := []float64{2, 3, inf, 9, inf, 1.2, inf}; !slices.Equal(sw.keys, want) {
+		t.Fatalf("keys after rekey(4) = %v, want %v", sw.keys, want)
+	}
+	if want := []int32{0, 1, 3, 5}; !slices.Equal(sw.live, want) {
+		t.Fatalf("live after rekey(4) = %v, want %v", sw.live, want)
+	}
+	if sw.horizon != 4 || sw.minObj != 5 {
+		t.Fatalf("horizon %g, least key at %d; want 4 and 5", sw.horizon, sw.minObj)
 	}
 }
 

@@ -39,6 +39,26 @@ func referenceFlat(ds *tsdata.Dataset) []tsdata.SegmentRef {
 	return out
 }
 
+// refState is the reference's per-object state: the product's objState
+// as it stood, with the candidate sequence number its heap needs.
+type refState struct {
+	cur     tsdata.Segment
+	hasCur  bool
+	acc     float64
+	resetAt float64
+	seq     int
+}
+
+// candidate is the reference's heap entry: a lower bound on the time
+// object obj next reaches εM of accumulated |aggregate| since the
+// breakpoint current at epoch.
+type candidate struct {
+	t     float64
+	obj   tsdata.SeriesID
+	seq   int
+	epoch int
+}
+
 type refHeap []candidate
 
 func (h refHeap) Len() int            { return len(h) }
@@ -65,7 +85,7 @@ func referenceBuild2(ds *tsdata.Dataset, eps float64, lazy bool) (*Set, error) {
 	flat := referenceFlat(ds)
 	m := ds.NumSeries()
 
-	states := make([]objState, m)
+	states := make([]refState, m)
 	for i := range states {
 		states[i].resetAt = ds.Start()
 	}

@@ -21,6 +21,13 @@ func DefaultRSweep(base int) []int {
 // Fig11 reproduces the preprocessing study (Fig. 11a–d): effective ε of
 // B1 vs B2 at equal r, breakpoint build times (B1, B2-B, B2-E), and
 // index size / build time of the five approximate methods vs EXACT3.
+//
+// tB2-B times breakpoint.Build2Baseline, which recomputes every
+// object's next crossing at each cut. tB2-E times breakpoint.Build2,
+// which places the same breakpoints but recomputes a crossing only
+// once it could come due, so the gap between the columns is the saving
+// of lazy refinement the paper measures. Both keep their crossings in
+// a flat array rather than the paper's heap.
 func Fig11(w io.Writer, p Params, rSweep []int) (*Table, error) {
 	ds, err := p.MakeDataset()
 	if err != nil {
