@@ -3,8 +3,10 @@ package breakpoint
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"temporalrank/internal/tsdata"
 )
@@ -70,10 +72,17 @@ type sweep struct {
 	live  []int32
 	times []float64
 
-	// Set by build2 for the pass in progress.
+	// limit is the most breakpoints a pass may place before it gives
+	// up. A search lowers it while a speculative pass runs, and 0, which
+	// every count passes, cancels that pass.
+	limit atomic.Int64
+	// cuts is how many breakpoints the last pass placed before it
+	// closed the set at the domain's end.
+	cuts int
+
+	// Set by run for the pass in progress.
 	threshold float64
 	baseline  bool
-	limit     int
 	lastBP    float64
 	horizon   float64 // +Inf before the first cut and in Build2Baseline, whose keys are all exact
 	minObj    int     // an object whose key is the least, or the sentinel
@@ -97,14 +106,31 @@ func newSweep(ds *tsdata.Dataset) *sweep {
 // already holds a closer set only needs to know that this ε is too
 // small.
 func (sw *sweep) build2(eps float64, baseline bool, limit int) (*Set, error) {
+	sw.limit.Store(int64(limit))
+	if ok, err := sw.run(eps, baseline); !ok {
+		return nil, err
+	}
+	return sw.set(eps), nil
+}
+
+// set returns the breakpoints the last pass, at eps, placed.
+func (sw *sweep) set(eps float64) *Set {
+	return &Set{Times: slices.Clone(sw.times), Epsilon: eps, M: sw.mass}
+}
+
+// run is build2's pass, which leaves its breakpoints in sw.times. It
+// reports false when it gives up, as soon as more than sw.limit
+// breakpoints stand at a cut or at a check every few thousand
+// segments.
+func (sw *sweep) run(eps float64, baseline bool) (bool, error) {
 	if eps <= 0 {
-		return nil, fmt.Errorf("breakpoint: eps must be positive, got %g", eps)
+		return false, fmt.Errorf("breakpoint: eps must be positive, got %g", eps)
 	}
 	sw.threshold = eps * sw.mass
 	if sw.threshold <= 0 {
-		return nil, fmt.Errorf("breakpoint: zero-mass dataset")
+		return false, fmt.Errorf("breakpoint: zero-mass dataset")
 	}
-	sw.baseline, sw.limit = baseline, limit
+	sw.baseline = baseline
 	for i := range sw.keys {
 		sw.keys[i] = math.Inf(1)
 	}
@@ -118,9 +144,12 @@ func (sw *sweep) build2(eps float64, baseline bool, limit int) (*Set, error) {
 	sw.times = append(sw.times[:0], sw.start)
 
 	for i := range sw.flat {
+		if i%checkEvery == 0 && sw.overLimit() {
+			return false, nil
+		}
 		ref := &sw.flat[i]
 		if !sw.fireBefore(ref.Segment.T1) {
-			return nil, nil
+			return false, nil
 		}
 		st := &sw.states[ref.Series]
 		// Fold the new segment into the object's accumulator.
@@ -140,13 +169,25 @@ func (sw *sweep) build2(eps float64, baseline bool, limit int) (*Set, error) {
 		}
 	}
 	if !sw.fireBefore(math.Inf(1)) {
-		return nil, nil
+		return false, nil
 	}
 
+	sw.cuts = len(sw.times)
 	if last := sw.times[len(sw.times)-1]; last < sw.end {
 		sw.times = append(sw.times, sw.end)
 	}
-	return &Set{Times: slices.Clone(sw.times), Epsilon: eps, M: sw.mass}, nil
+	return true, nil
+}
+
+// checkEvery is how many segments a pass folds between checks of its
+// limit, so that a cancelled pass stops soon even while it places no
+// breakpoint.
+const checkEvery = 4096
+
+// overLimit reports whether more breakpoints stand than the pass may
+// place.
+func (sw *sweep) overLimit() bool {
+	return int64(len(sw.times)) > sw.limit.Load()
 }
 
 // crossing re-bases object i's acc to lastBP and returns the time at
@@ -301,7 +342,7 @@ func (sw *sweep) fireBefore(until float64) bool {
 			sw.refresh(obj)
 			continue
 		}
-		if len(sw.times) > sw.limit {
+		if sw.overLimit() {
 			return false
 		}
 	}
@@ -319,6 +360,11 @@ func (sw *sweep) fireBefore(until float64) bool {
 // crossings lazily, when true, and Build2Baseline's, which recomputes
 // every object at each cut, otherwise. Both place the same
 // breakpoints, so lazy changes only how long the search takes.
+//
+// With more than one core (runtime.GOMAXPROCS), the search runs, beside
+// each probe, the probe it expects to take next, on a second copy of
+// the pass's scratch; see Build2WithTargetRs. The probe sequence, and
+// so the set returned, is the same on any number of cores.
 func Build2WithTargetR(ds *tsdata.Dataset, r int, lazy bool) (*Set, error) {
 	sets, err := Build2WithTargetRs(ds, []int{r}, lazy)
 	if err != nil {
@@ -330,16 +376,41 @@ func Build2WithTargetR(ds *tsdata.Dataset, r int, lazy bool) (*Set, error) {
 // Build2WithTargetRs is Build2WithTargetR for several budgets over one
 // dataset: sets[i] is what Build2WithTargetR(ds, rs[i], lazy) returns,
 // and the segments are put in time order once for all of them.
+//
+// With more than one core, each probe the search runs on the calling
+// goroutine has a speculative probe beside it, on a goroutine of the
+// search's own: the child of the bisection that the probe's outcome
+// is expected to pick. The guess assumes R·ε stays about constant
+// (R = R'·ε'/ε for the latest probe that ran to its end at ε', R'),
+// and before any probe has, that R > r. A probe whose guess held is
+// taken over once its parent resolves, its limit lowered to the one
+// the search would have passed it, and a result with more breakpoints
+// than that counts as abandoned, just as the probe run in turn would
+// have ended: the limit only ever shrinks. A probe whose guess failed
+// is cancelled and its result never looked at. So every probe the
+// search acts on is one it would have run on one core, with the same
+// outcome. No goroutine of the search outlives the call.
 func Build2WithTargetRs(ds *tsdata.Dataset, rs []int, lazy bool) ([]*Set, error) {
+	return build2WithTargetRs(ds, rs, lazy, nil)
+}
+
+// build2WithTargetRs is Build2WithTargetRs with the speculation's guess
+// replaced by guess when it is not nil; tests use it to make every
+// guess right or wrong.
+func build2WithTargetRs(ds *tsdata.Dataset, rs []int, lazy bool, guess func(eps float64, r int) bool) ([]*Set, error) {
 	for _, r := range rs {
 		if r < 2 {
 			return nil, fmt.Errorf("breakpoint: target r must be >= 2, got %d", r)
 		}
 	}
-	sw := newSweep(ds)
+	sr := search{sw: newSweep(ds), baseline: !lazy, guess: guess}
+	if runtime.GOMAXPROCS(0) > 1 {
+		sr.spec = startSpeculating(sr.sw, sr.baseline)
+		defer sr.spec.stop()
+	}
 	sets := make([]*Set, len(rs))
 	for i, r := range rs {
-		s, err := sw.searchR(r, lazy)
+		s, err := sr.searchR(r)
 		if err != nil {
 			return nil, err
 		}
@@ -348,11 +419,160 @@ func Build2WithTargetRs(ds *tsdata.Dataset, rs []int, lazy bool) ([]*Set, error)
 	return sets, nil
 }
 
+// search is the ε search behind Build2WithTargetRs.
+type search struct {
+	sw       *sweep // where the search runs its probes
+	baseline bool
+	guess    func(eps float64, r int) bool
+	spec     *speculator // nil on one core
+
+	// The latest probe that ran to its end, which the guess extrapolates
+	// from; lastR is 0 before there is one.
+	lastEps float64
+	lastR   int
+}
+
+// speculator runs a search's speculative probes on a goroutine of its
+// own, one at a time, on a second sweep that shares the search's
+// segments.
+type speculator struct {
+	sw       *sweep
+	baseline bool
+	probes   chan float64  // the ε of each probe to run
+	results  chan outcome  // each probe's outcome
+	exited   chan struct{} // closed once the goroutine ends
+	// pending is the ε of the probe in flight, 0 for none.
+	pending float64
+}
+
+// startSpeculating sets up a second sweep beside sw and starts the
+// goroutine that runs speculative probes on it.
+func startSpeculating(sw *sweep, baseline bool) *speculator {
+	sp := &speculator{
+		sw: &sweep{
+			flat:   sw.flat,
+			start:  sw.start,
+			end:    sw.end,
+			mass:   sw.mass,
+			states: make([]objState, len(sw.states)),
+			keys:   make([]float64, len(sw.keys)),
+			live:   make([]int32, 0, cap(sw.live)),
+		},
+		baseline: baseline,
+		probes:   make(chan float64),
+		results:  make(chan outcome, 1),
+		exited:   make(chan struct{}),
+	}
+	go sp.loop()
+	return sp
+}
+
+// outcome is what a speculative probe's pass returned.
+type outcome struct {
+	ok  bool // it ran to its end
+	err error
+}
+
+func (sp *speculator) loop() {
+	defer close(sp.exited)
+	for eps := range sp.probes {
+		ok, err := sp.sw.run(eps, sp.baseline)
+		sp.results <- outcome{ok, err}
+	}
+}
+
+// start runs the probe at eps under limit. Under a finite limit the
+// sweep's breakpoints get room for all the pass can place first, so
+// that how far a probe gets before it is cancelled or its limit
+// lowered does not change what it allocates.
+func (sp *speculator) start(eps float64, limit int) {
+	if limit < math.MaxInt && cap(sp.sw.times) < limit+1 {
+		sp.sw.times = make([]float64, 0, limit+1)
+	}
+	sp.sw.limit.Store(int64(limit))
+	sp.probes <- eps
+	sp.pending = eps
+}
+
+// take waits for the probe in flight, after lowering its limit to
+// limit, and returns its set, nil when it is abandoned: it placed more
+// than limit breakpoints before the domain's end, under this limit or
+// the higher one it started with.
+func (sp *speculator) take(eps float64, limit int) (*Set, error) {
+	sp.sw.limit.Store(int64(limit))
+	o := <-sp.results
+	sp.pending = 0
+	if !o.ok || sp.sw.cuts > limit {
+		return nil, o.err
+	}
+	return sp.sw.set(eps), nil
+}
+
+// cancel stops the probe in flight, if any, and waits for the goroutine
+// to let go of the sweep: a cancelled pass stops at its next cut or
+// within checkEvery segments.
+func (sp *speculator) cancel() {
+	if sp.pending == 0 {
+		return
+	}
+	sp.sw.limit.Store(0)
+	<-sp.results
+	sp.pending = 0
+}
+
+// stop cancels any probe in flight and waits for the goroutine to end.
+func (sp *speculator) stop() {
+	sp.cancel()
+	close(sp.probes)
+	<-sp.exited
+}
+
+// expectAbove reports whether the probe at eps is expected to place
+// more than r breakpoints, or to be abandoned, which the search takes
+// the same way.
+func (sr *search) expectAbove(eps float64, r int) bool {
+	if sr.guess != nil {
+		return sr.guess(eps, r)
+	}
+	return sr.lastR == 0 || float64(sr.lastR)*sr.lastEps/eps > float64(r)
+}
+
+// probe runs the search's probe at eps under limit and returns its set,
+// nil when it is abandoned. nextAbove is the bisection's next ε if
+// this probe places more than r breakpoints, nextBelow the one if it
+// places fewer. With more than one core, the one the guess picks runs
+// beside this probe unless last is set, and a speculative probe
+// already running at eps is taken over instead of run again.
+func (sr *search) probe(eps float64, limit, r int, nextAbove, nextBelow float64, last bool) (*Set, error) {
+	sp := sr.spec
+	if sp == nil {
+		return sr.sw.build2(eps, sr.baseline, limit)
+	}
+	if sp.pending == eps {
+		return sp.take(eps, limit)
+	}
+	sp.cancel()
+	if !last {
+		next := nextBelow
+		if sr.expectAbove(eps, r) {
+			next = nextAbove
+		}
+		sp.start(next, limit)
+	}
+	return sr.sw.build2(eps, sr.baseline, limit)
+}
+
 // searchR is the bisection behind Build2WithTargetR.
-func (sw *sweep) searchR(r int, lazy bool) (*Set, error) {
+func (sr *search) searchR(r int) (*Set, error) {
+	if sr.spec != nil {
+		// A probe left over from the previous budget's search ran
+		// under that search's limit, not this one's.
+		sr.spec.cancel()
+	}
+	const iters = 40
 	lo, hi := 1e-12, 1.0 // ε range; smaller ε -> more breakpoints
 	var best *Set
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < iters; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection over magnitudes
 		// Once a best is in hand, a probe that passes r by more than
 		// best misses it can only end as "R > r, not best".
@@ -360,7 +580,7 @@ func (sw *sweep) searchR(r int, lazy bool) (*Set, error) {
 		if best != nil {
 			limit = r + absInt(best.R()-r)
 		}
-		s, err := sw.build2(mid, !lazy, limit)
+		s, err := sr.probe(mid, limit, r, math.Sqrt(mid*hi), math.Sqrt(lo*mid), iter+1 == iters)
 		if err != nil {
 			return nil, err
 		}
@@ -368,6 +588,7 @@ func (sw *sweep) searchR(r int, lazy bool) (*Set, error) {
 			lo = mid
 			continue
 		}
+		sr.lastEps, sr.lastR = mid, s.R()
 		if best == nil || absInt(s.R()-r) < absInt(best.R()-r) {
 			best = s
 		}

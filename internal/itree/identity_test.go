@@ -246,7 +246,9 @@ func partitionIntervals(rng *rand.Rand, objects, segs, payloadSize int) []Interv
 // identityInputs are interval sets that stress the center: random
 // overlap, per-object partitions of one domain with sentinels sharing
 // endpoints (EXACT3's shape), heavy duplication, and sizes around the
-// point where selection hands over to a sort.
+// point where selection hands over to a sort. The larger partition set
+// holds several times splitMin intervals, so that with more than one
+// core Build decides its top subtrees on other goroutines.
 func identityInputs() map[string][]Interval {
 	rng := rand.New(rand.NewSource(22))
 	in := make(map[string][]Interval)
@@ -259,6 +261,7 @@ func identityInputs() map[string][]Interval {
 		in[fmt.Sprintf("random/%d", n)] = ivs
 	}
 	in["partitions"] = partitionIntervals(rng, 300, 20, 4)
+	in["partitions/split"] = partitionIntervals(rng, 1500, 20, 4)
 	var dup []Interval
 	for i := 0; i < 2000; i++ {
 		lo := float64(rng.Intn(5))
@@ -269,7 +272,11 @@ func identityInputs() map[string][]Interval {
 }
 
 func TestBuildIdenticalToReference(t *testing.T) {
-	for name, ivs := range identityInputs() {
+	inputs := identityInputs()
+	if n := len(inputs["partitions/split"]); n < 2*splitMin {
+		t.Fatalf("%d intervals: too few for Build to split the tree between goroutines", n)
+	}
+	for name, ivs := range inputs {
 		for _, bs := range []int{128, 4096} {
 			gdev, wdev := blockio.NewViewOnlyDevice(bs), blockio.NewViewOnlyDevice(bs)
 			got, err := Build(gdev, 4, ivs)
@@ -338,13 +345,21 @@ func TestSelectKth(t *testing.T) {
 }
 
 // BenchmarkItreeBuild is the EXACT3 stage of an index build at the
-// shard shape a compaction rebuilds (1,000 × 100, 28-byte payloads).
+// shard shape a compaction rebuilds (1,000 × 100, 28-byte payloads) and
+// at the benchmark's D-large (8,000 × 100).
 func BenchmarkItreeBuild(b *testing.B) {
-	ivs := partitionIntervals(rand.New(rand.NewSource(1)), 1000, 100, 28)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := Build(blockio.NewViewOnlyDevice(4096), 28, ivs); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range []struct {
+		name string
+		m    int
+	}{{"shard", 1000}, {"dlarge", 8000}} {
+		b.Run(sh.name, func(b *testing.B) {
+			ivs := partitionIntervals(rand.New(rand.NewSource(1)), sh.m, 100, 28)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Build(blockio.NewViewOnlyDevice(4096), 28, ivs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -59,6 +60,16 @@ const (
 // Build constructs the tree from the given intervals (any order).
 // Every payload must have length payloadSize and every interval must
 // satisfy Lo < Hi.
+//
+// It runs in two phases. The first decides the tree: each node's
+// center, the stable partition of its intervals into left, mid and
+// right, and its mid list's two orders, ascending lo and descending hi.
+// With more than one core (runtime.GOMAXPROCS), a subtree of at least
+// splitMin intervals is decided on another goroutine while one is free;
+// every node works in its own window of the scratch, so none waits on
+// another. The second phase lays the tree out on one goroutine, in
+// post-order (left subtree, right subtree, the two lists, the node), so
+// page ids and bytes do not depend on how the first phase was split.
 func Build(dev blockio.Device, payloadSize int, intervals []Interval) (*Tree, error) {
 	t := &Tree{dev: dev, payloadSize: payloadSize}
 	var err error
@@ -74,18 +85,26 @@ func Build(dev blockio.Device, payloadSize int, intervals []Interval) (*Tree, er
 		}
 	}
 	t.numIntervals = len(intervals)
-	b := &builder{
-		t:    t,
-		page: make([]byte, dev.BlockSize()),
-		ends: make([]float64, 2*len(intervals)),
-		part: make([]Interval, len(intervals)),
+	n := len(intervals)
+	pl := &planner{
+		ivs:   slices.Clone(intervals),
+		part:  make([]Interval, n),
+		ends:  make([]float64, 2*n),
+		keys:  make([]keyed, n),
+		order: make([]int32, 2*n),
 	}
-	root, height, err := b.build(slices.Clone(intervals), 0)
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		pl.slots = make(chan struct{}, procs-1)
+	}
+	root, err := pl.plan(0, n, 0)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
-	t.height = height
+	b := &builder{t: t, page: make([]byte, dev.BlockSize())}
+	if t.root, err = b.layout(root); err != nil {
+		return nil, err
+	}
+	t.height = root.treeHeight()
 	return t, nil
 }
 
@@ -146,26 +165,74 @@ func (t *Tree) Height() int { return t.height }
 // any balanced shape for in-range inputs.
 const maxDepth = 64
 
-// builder is Build's working state: the tree under construction and
-// scratch sized once for the whole input, which every node of the
-// recursion uses in turn and none holds on to.
-type builder struct {
-	t     *Tree
-	page  []byte           // the one page image every node and list page is laid out in
-	ends  []float64        // pickCenter's endpoints
-	part  []Interval       // a node's partition, then its lists being sorted
-	pages []blockio.PageID // the chain writeList is laying out
+// splitMin is the fewest intervals a subtree must hold for Build's
+// first phase to decide it on another goroutine: below it, starting
+// one costs more than it saves.
+const splitMin = 1 << 13
+
+// node is one node of the tree Build's first phase decides.
+type node struct {
+	center      float64
+	mid         []Interval // the node's intervals, in partition order
+	byLo, byHi  []int32    // mid's indexes, by ascending lo and by descending hi
+	left, right *node
+	height      int
 }
 
-// build lays out the subtree over ivs, which it reorders.
-func (b *builder) build(ivs []Interval, depth int) (blockio.PageID, int, error) {
-	if len(ivs) == 0 {
-		return blockio.InvalidPage, 0, nil
+func (nd *node) treeHeight() int {
+	if nd == nil {
+		return 0
 	}
+	return nd.height
+}
+
+// keyed is one mid interval's sort key and its index in mid.
+type keyed struct {
+	key float64
+	i   int32
+}
+
+// ascending and descending order keyed entries by key. slices.SortFunc
+// runs the same pattern-defeating quicksort as sort.Sort and only asks
+// whether a comparison is negative, so a list sorts exactly as sort.Sort
+// would sort its intervals under Less(i, j) = key i < key j (> for
+// descending), equal keys included.
+func ascending(a, b keyed) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+func descending(a, b keyed) int { return ascending(b, a) }
+
+// planner is Build's first phase: the intervals and scratch sized once
+// for the whole input. The subtree over ivs[lo:hi] reorders only that
+// window, and works only in the same window of part, keys and each
+// half of order and in ends[2*lo:2*hi], so subtrees decided on
+// different goroutines share nothing they write.
+type planner struct {
+	ivs   []Interval
+	part  []Interval    // a node's partition
+	ends  []float64     // pickCenter's endpoints
+	keys  []keyed       // a mid list being sorted
+	order []int32       // every node's byLo in the first half, byHi in the second
+	slots chan struct{} // one per goroutine plan may have running; nil on one core
+}
+
+// plan decides the subtree over ivs[lo:hi], which it reorders.
+func (p *planner) plan(lo, hi, depth int) (*node, error) {
+	if lo == hi {
+		return nil, nil
+	}
+	ivs := p.ivs[lo:hi]
 	if depth > maxDepth {
-		return blockio.InvalidPage, 0, fmt.Errorf("itree: degenerate recursion (depth %d, %d intervals)", depth, len(ivs))
+		return nil, fmt.Errorf("itree: degenerate recursion (depth %d, %d intervals)", depth, len(ivs))
 	}
-	center := pickCenter(ivs, b.ends[:2*len(ivs)])
+	center := pickCenter(ivs, p.ends[2*lo:2*hi])
 
 	// Partition ivs into left | mid | right, each keeping its input
 	// order.
@@ -180,9 +247,9 @@ func (b *builder) build(ivs []Interval, depth int) (blockio.PageID, int, error) 
 		}
 	}
 	if nm == 0 && (nl == len(ivs) || nl == 0) {
-		return blockio.InvalidPage, 0, fmt.Errorf("itree: center %g did not split %d intervals", center, len(ivs))
+		return nil, fmt.Errorf("itree: center %g did not split %d intervals", center, len(ivs))
 	}
-	part := b.part[:len(ivs)]
+	part := p.part[lo:hi]
 	l, m, r := 0, nl, nl+nm
 	for _, iv := range ivs {
 		switch {
@@ -198,62 +265,116 @@ func (b *builder) build(ivs []Interval, depth int) (blockio.PageID, int, error) 
 		}
 	}
 	copy(ivs, part)
-	left, mid, right := ivs[:nl], ivs[nl:nl+nm], ivs[nl+nm:]
 
-	leftPage, lh, err := b.build(left, depth+1)
-	if err != nil {
-		return blockio.InvalidPage, 0, err
+	at := lo + nl // where mid starts
+	nd := &node{
+		center: center,
+		mid:    ivs[nl : nl+nm],
+		byLo:   p.order[at : at+nm],
+		byHi:   p.order[len(p.ivs)+at : len(p.ivs)+at+nm],
 	}
-	rightPage, rh, err := b.build(right, depth+1)
-	if err != nil {
-		return blockio.InvalidPage, 0, err
+	// Lists: ascending lo, and descending hi. Each sort sees mid in
+	// partition order and compares keys as the interval comparisons
+	// would, so equal keys end up where sorting the intervals would
+	// put them.
+	keys := p.keys[at : at+nm]
+	for i, iv := range nd.mid {
+		keys[i] = keyed{iv.Lo, int32(i)}
+	}
+	slices.SortFunc(keys, ascending)
+	for i, k := range keys {
+		nd.byLo[i] = k.i
+	}
+	for i, iv := range nd.mid {
+		keys[i] = keyed{iv.Hi, int32(i)}
+	}
+	slices.SortFunc(keys, descending)
+	for i, k := range keys {
+		nd.byHi[i] = k.i
 	}
 
-	// Lists: ascending lo, and descending hi.
-	list := b.part[:nm]
-	copy(list, mid)
-	sort.Sort(byLo(list))
-	lHead, err := b.writeList(list)
-	if err != nil {
-		return blockio.InvalidPage, 0, err
+	var lerr, rerr error
+	if hi-lo >= splitMin && p.acquire() {
+		done := make(chan struct{})
+		go func() {
+			nd.left, lerr = p.plan(lo, at, depth+1)
+			<-p.slots
+			close(done)
+		}()
+		nd.right, rerr = p.plan(at+nm, hi, depth+1)
+		<-done
+	} else if nd.left, lerr = p.plan(lo, at, depth+1); lerr == nil {
+		nd.right, rerr = p.plan(at+nm, hi, depth+1)
 	}
-	copy(list, mid)
-	sort.Sort(byHiDesc(list))
-	rHead, err := b.writeList(list)
+	if lerr != nil {
+		return nil, lerr
+	}
+	if rerr != nil {
+		return nil, rerr
+	}
+	nd.height = 1 + max(nd.left.treeHeight(), nd.right.treeHeight())
+	return nd, nil
+}
+
+// acquire reports whether a goroutine may be started, taking its slot
+// if so; there are none on one core.
+func (p *planner) acquire() bool {
+	select {
+	case p.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// builder is Build's second phase: the tree being laid out and the
+// scratch every node and list page is laid out in.
+type builder struct {
+	t     *Tree
+	page  []byte           // the one page image every node and list page is laid out in
+	pages []blockio.PageID // the chain writeList is laying out
+}
+
+// layout writes the subtree under nd and returns its root page.
+func (b *builder) layout(nd *node) (blockio.PageID, error) {
+	if nd == nil {
+		return blockio.InvalidPage, nil
+	}
+	leftPage, err := b.layout(nd.left)
 	if err != nil {
-		return blockio.InvalidPage, 0, err
+		return blockio.InvalidPage, err
+	}
+	rightPage, err := b.layout(nd.right)
+	if err != nil {
+		return blockio.InvalidPage, err
+	}
+	lHead, err := b.writeList(nd.mid, nd.byLo)
+	if err != nil {
+		return blockio.InvalidPage, err
+	}
+	rHead, err := b.writeList(nd.mid, nd.byHi)
+	if err != nil {
+		return blockio.InvalidPage, err
 	}
 
 	page, err := b.t.dev.Alloc()
 	if err != nil {
-		return blockio.InvalidPage, 0, err
+		return blockio.InvalidPage, err
 	}
 	buf := b.page
 	clear(buf)
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(center))
+	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(nd.center))
 	putPageID(buf[8:], leftPage)
 	putPageID(buf[16:], rightPage)
 	putPageID(buf[24:], lHead)
-	binary.LittleEndian.PutUint32(buf[32:], uint32(nm))
+	binary.LittleEndian.PutUint32(buf[32:], uint32(len(nd.mid)))
 	putPageID(buf[36:], rHead)
-	binary.LittleEndian.PutUint32(buf[44:], uint32(nm))
+	binary.LittleEndian.PutUint32(buf[44:], uint32(len(nd.mid)))
 	if err := b.t.dev.Write(page, buf); err != nil {
-		return blockio.InvalidPage, 0, err
+		return blockio.InvalidPage, err
 	}
-	return page, 1 + max(lh, rh), nil
+	return page, nil
 }
-
-type byLo []Interval
-
-func (s byLo) Len() int           { return len(s) }
-func (s byLo) Less(i, j int) bool { return s[i].Lo < s[j].Lo }
-func (s byLo) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-type byHiDesc []Interval
-
-func (s byHiDesc) Len() int           { return len(s) }
-func (s byHiDesc) Less(i, j int) bool { return s[i].Hi > s[j].Hi }
-func (s byHiDesc) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // pickCenter returns the midpoint of the two middle endpoints of ivs,
 // which balances endpoint counts across children: with the 2n
@@ -318,10 +439,10 @@ func selectKth(a []float64, k int) {
 	}
 }
 
-// writeList serializes intervals into a chain of list pages, returning
-// the head page (InvalidPage when empty). Page order preserves slice
-// order so scan early-exit works.
-func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
+// writeList serializes ivs, in the order order lists their indexes,
+// into a chain of list pages, returning the head page (InvalidPage when
+// empty). Page order preserves that order so scan early-exit works.
+func (b *builder) writeList(ivs []Interval, order []int32) (blockio.PageID, error) {
 	if len(ivs) == 0 {
 		return blockio.InvalidPage, nil
 	}
@@ -349,7 +470,8 @@ func (b *builder) writeList(ivs []Interval) (blockio.PageID, error) {
 		}
 		putPageID(buf[2:], next)
 		off := listHeaderSize
-		for _, iv := range ivs[start:end] {
+		for _, i := range order[start:end] {
+			iv := &ivs[i]
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(iv.Lo))
 			binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(iv.Hi))
 			copy(buf[off+16:off+16+t.payloadSize], iv.Payload)

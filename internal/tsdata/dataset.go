@@ -3,6 +3,7 @@ package tsdata
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Dataset is the full temporal database: m objects with N total
@@ -131,38 +132,60 @@ type SegmentRef struct {
 // input ordering required by EXACT1 bulk-loading and breakpoint
 // construction, the in-memory counterpart of the paper's external sort
 // (the IO-metered variant lives in internal/extsort).
+//
+// Each series is already one run in that order (its left endpoints
+// strictly increase), so the result is a merge of the m runs. With more
+// than one core (runtime.GOMAXPROCS) and at least flatSplit segments,
+// the two halves of the series are merged on two goroutines and then
+// into one another; otherwise on the calling goroutine alone.
 func (d *Dataset) FlatSegments() []SegmentRef {
-	// Laid out series by series, the refs form one run per series, each
-	// already in order (a series' left endpoints strictly increase).
-	// Merging neighbouring runs pairwise keeps every run a block of
-	// consecutive series, so on equal times the ref from the left run
-	// has the smaller series and goes first; no further tie-break is
-	// needed.
-	out := make([]SegmentRef, 0, d.totalSegments)
-	runs := make([]int, 0, len(d.series)+1) // run k is out[runs[k]:runs[k+1]]
-	for _, s := range d.series {
-		runs = append(runs, len(out))
-		for j := 0; j < s.NumSegments(); j++ {
-			out = append(out, SegmentRef{Series: s.ID, Index: int32(j), Segment: s.Segment(j)})
-		}
+	runs := make([]int, len(d.series)+1) // series i's run is [runs[i], runs[i+1])
+	for i, s := range d.series {
+		runs[i+1] = runs[i] + s.NumSegments()
 	}
-	runs = append(runs, len(out))
-	tmp := make([]SegmentRef, len(out))
-	for len(runs) > 2 {
-		merged := runs[:0] // run k of the next round starts where run 2k did
-		for k := 0; k+1 < len(runs); k += 2 {
-			lo, end := runs[k], len(out)
-			mid := end
-			if k+2 < len(runs) {
-				mid, end = runs[k+1], runs[k+2]
-			}
-			merged = append(merged, lo)
-			mergeByT1(tmp[lo:end], out[lo:mid], out[mid:end])
-		}
-		runs = append(merged, len(out))
-		out, tmp = tmp, out
+	out := make([]SegmentRef, d.totalSegments)
+	tmp := make([]SegmentRef, d.totalSegments)
+	h := len(d.series) / 2
+	if h == 0 || d.totalSegments < flatSplit || runtime.GOMAXPROCS(0) < 2 {
+		flatten(out, tmp, d.series, runs)
+		return out
 	}
+	done := make(chan struct{})
+	go func() {
+		flatten(tmp, out, d.series[:h], runs[:h+1])
+		close(done)
+	}()
+	flatten(tmp, out, d.series[h:], runs[h:])
+	<-done
+	mergeByT1(out, tmp[:runs[h]], tmp[runs[h]:])
 	return out
+}
+
+// flatSplit is the fewest segments FlatSegments splits between two
+// goroutines: below it, starting one costs more than it saves.
+const flatSplit = 4096
+
+// flatten puts the refs of series into dst in (T1, series, index)
+// order, using tmp as scratch. runs[i] is where series[i]'s refs start
+// in both buffers, and runs[len(series)] is where the last one's end.
+// Each half of the series is flattened into tmp and the halves merged
+// into dst, so the buffers swap roles at every level and a series'
+// refs are written only into the buffer its level merges from. Merging
+// neighbouring blocks of series keeps ties in series order: on equal
+// times the left block's ref has the smaller series and goes first.
+func flatten(dst, tmp []SegmentRef, series []*Series, runs []int) {
+	if len(series) == 1 {
+		s := series[0]
+		run := dst[runs[0]:runs[1]]
+		for j := range run {
+			run[j] = SegmentRef{Series: s.ID, Index: int32(j), Segment: s.Segment(j)}
+		}
+		return
+	}
+	h := len(series) / 2
+	flatten(tmp, dst, series[:h], runs[:h+1])
+	flatten(tmp, dst, series[h:], runs[h:])
+	mergeByT1(dst[runs[0]:runs[len(series)]], tmp[runs[0]:runs[h]], tmp[runs[h]:runs[len(series)]])
 }
 
 // mergeByT1 merges a and b, each ascending in T1, into dst, taking from

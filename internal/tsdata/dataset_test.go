@@ -143,10 +143,12 @@ func TestDatasetClone(t *testing.T) {
 // sort.Slice over the order it documents, (T1, series, index), on data
 // where the tie-breaks decide: series sampled on a shared integer grid,
 // so most left endpoints recur across series. Series counts around
-// powers of two cover the merge's unpaired last run.
+// powers of two cover uneven halves; the largest count, odd, holds more
+// than flatSplit segments, so that with more than one core its halves
+// are merged on two goroutines.
 func TestFlatSegmentsMatchesSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, m := range []int{1, 2, 3, 7, 8, 9, 64, 65, 200} {
+	for _, m := range []int{1, 2, 3, 7, 8, 9, 64, 65, 200, 1001} {
 		series := make([]*Series, m)
 		for i := range series {
 			n := 1 + rng.Intn(12)
@@ -194,6 +196,9 @@ func TestFlatSegmentsMatchesSortReference(t *testing.T) {
 		}
 		if m > 3 && ties == 0 {
 			t.Fatalf("m=%d: no left endpoint recurs; the test data lost its ties", m)
+		}
+		if m == 1001 && len(want) < flatSplit {
+			t.Fatalf("m=%d: %d segments, too few for FlatSegments to split", m, len(want))
 		}
 	}
 }
