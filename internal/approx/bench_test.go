@@ -11,35 +11,74 @@ import (
 	"temporalrank/internal/tsdata"
 )
 
-// dLarge is the serving benchmark's D-large shape: 8,000 Temp-like
-// series of about 100 segments, indexed by APPX2+ at r = 150 and
-// kmax = 100. It is built once per test binary, since the testing
-// package calls a benchmark several times and the ε search takes
-// seconds.
-var dLarge struct {
+// benchShape is a Temp-like dataset of m series of about 100 segments
+// and its BREAKPOINTS2 set for r = 150, the benchmark's budget. Each is
+// built once per test binary, since the testing package calls a
+// benchmark several times and the ε search takes seconds.
+type benchShape struct {
+	name string
+	m    int
 	once sync.Once
 	ds   *tsdata.Dataset
+	bps  *breakpoint.Set
+	err  error
+}
+
+func (sh *benchShape) get(b *testing.B) (*tsdata.Dataset, *breakpoint.Set) {
+	b.Helper()
+	sh.once.Do(func() {
+		if sh.ds, sh.err = gen.Temp(gen.TempConfig{M: sh.m, Navg: 100, Seed: 7}); sh.err != nil {
+			return
+		}
+		sh.bps, sh.err = breakpoint.Build2WithTargetR(sh.ds, 150, true)
+	})
+	if sh.err != nil {
+		b.Fatal(sh.err)
+	}
+	return sh.ds, sh.bps
+}
+
+// shard is the shape a compaction rebuilds, 1,000 series; dLarge is the
+// serving benchmark's D-large shape, 8,000.
+var (
+	shard  = &benchShape{name: "shard", m: 1000}
+	dLarge = &benchShape{name: "dlarge", m: 8000}
+)
+
+// dLargeA2P is D-large indexed by APPX2+ at kmax = 100.
+var dLargeA2P struct {
+	once sync.Once
 	a2p  *Appx2Plus
 	err  error
 }
 
 func dLargeAppx2Plus(b *testing.B) (*tsdata.Dataset, *Appx2Plus) {
 	b.Helper()
-	dLarge.once.Do(func() {
-		if dLarge.ds, dLarge.err = gen.Temp(gen.TempConfig{M: 8000, Navg: 100, Seed: 7}); dLarge.err != nil {
-			return
-		}
-		bps, err := breakpoint.Build2WithTargetR(dLarge.ds, 150, true)
-		if err != nil {
-			dLarge.err = err
-			return
-		}
-		dLarge.a2p, dLarge.err = NewAppx2PlusWithBreaks(blockio.NewViewOnlyDevice(blockio.DefaultBlockSize), dLarge.ds, KindB2, bps, 100)
+	ds, bps := dLarge.get(b)
+	dLargeA2P.once.Do(func() {
+		dLargeA2P.a2p, dLargeA2P.err = NewAppx2PlusWithBreaks(blockio.NewViewOnlyDevice(blockio.DefaultBlockSize), ds, KindB2, bps, 100)
 	})
-	if dLarge.err != nil {
-		b.Fatal(dLarge.err)
+	if dLargeA2P.err != nil {
+		b.Fatal(dLargeA2P.err)
 	}
-	return dLarge.ds, dLarge.a2p
+	return ds, dLargeA2P.a2p
+}
+
+// BenchmarkBuildQuery2 is APPX2+'s list stage: the prefix columns at
+// r = 150 breakpoints and the dyadic lists at kmax = 100, packed onto a
+// fresh device.
+func BenchmarkBuildQuery2(b *testing.B) {
+	for _, sh := range []*benchShape{shard, dLarge} {
+		b.Run(sh.name, func(b *testing.B) {
+			ds, bps := sh.get(b)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := BuildQuery2(blockio.NewViewOnlyDevice(blockio.DefaultBlockSize), ds, bps, 100); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAppx2PlusTopK times one APPX2+ top-k query on D-large with

@@ -213,25 +213,52 @@ func walkList(dev blockio.Device, ref listRef, limit int, fn func(id tsdata.Seri
 	return nil
 }
 
-// prefixAtBreakpoints computes P[i][j] = σ_i(Start, b_j) for every
-// object i and breakpoint j in one pass per object, so any snapped
-// interval aggregate is P[i][j'] - P[i][j].
+// prefixColumns computes cols[j][i] = σ_i(Start, b_j) for every
+// breakpoint j and object i, so any snapped interval aggregate of
+// object i is cols[j'][i] - cols[j][i]. Each object fills its entries
+// in one forward walk over its segments (Series.RangesFrom), bit for
+// bit what Range gives, and the columns share one backing array: a
+// list over [b_lo, b_hi] then reads two contiguous columns.
 //
 // This replaces the paper's r-way running-sum sweep with an equivalent
-// prefix-matrix construction (see DESIGN.md §5.3); the resulting index
-// bytes are identical.
-func prefixAtBreakpoints(ds *tsdata.Dataset, times []float64) [][]float64 {
-	m := ds.NumSeries()
-	p := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		s := ds.Series(tsdata.SeriesID(i))
-		row := make([]float64, len(times))
-		for j, b := range times {
-			row[j] = s.Range(ds.Start(), b)
-		}
-		p[i] = row
+// prefix-matrix construction; the resulting index bytes are identical.
+func prefixColumns(ds *tsdata.Dataset, times []float64) [][]float64 {
+	m, r := ds.NumSeries(), len(times)
+	flat := make([]float64, r*m)
+	cols := make([][]float64, r)
+	for j := range cols {
+		cols[j] = flat[j*m : (j+1)*m : (j+1)*m]
 	}
-	return p
+	row := make([]float64, r)
+	for i := 0; i < m; i++ {
+		ds.Series(tsdata.SeriesID(i)).RangesFrom(ds.Start(), times, row)
+		for j, v := range row {
+			cols[j][i] = v
+		}
+	}
+	return cols
+}
+
+// listPicker selects the top-kmax list of one snapped interval from the
+// prefix columns, reusing one m-vector of interval scores.
+type listPicker struct {
+	cols   [][]float64
+	kmax   int
+	scores []float64
+}
+
+func newListPicker(ds *tsdata.Dataset, times []float64, kmax int) *listPicker {
+	return &listPicker{cols: prefixColumns(ds, times), kmax: kmax, scores: make([]float64, ds.NumSeries())}
+}
+
+// pick returns the top-kmax objects by σ_i(b_lo, b_hi) =
+// cols[hi][i] - cols[lo][i], in rank order.
+func (p *listPicker) pick(lo, hi int) []topk.Item {
+	l, h := p.cols[lo], p.cols[hi]
+	for i := range p.scores {
+		p.scores[i] = h[i] - l[i]
+	}
+	return topk.Collect(p.kmax, p.scores)
 }
 
 func validateQuery(t1, t2 float64) error {

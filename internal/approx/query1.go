@@ -32,7 +32,11 @@ type Query1 struct {
 	lower []*bptree.Tree
 }
 
-// BuildQuery1 materializes all r(r+1)/2 snapped intervals.
+// BuildQuery1 materializes all r(r+1)/2 snapped intervals. Each list
+// is the top-kmax of one difference of two prefix columns
+// (prefixColumns), selected with topk.Collect's threshold skip: the
+// same lists, and the same page bytes, as offering all m scores of each
+// interval to a collector.
 func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, kmax int) (*Query1, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("approx: kmax must be >= 1, got %d", kmax)
@@ -41,8 +45,7 @@ func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 		return nil, err
 	}
 	r := bps.R()
-	prefix := prefixAtBreakpoints(ds, bps.Times)
-	m := ds.NumSeries()
+	lists := newListPicker(ds, bps.Times, kmax)
 	packer, err := newListPacker(dev)
 	if err != nil {
 		return nil, err
@@ -55,11 +58,7 @@ func BuildQuery1(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 		for jp := j; jp < r; jp++ {
 			ref := listRef{head: blockio.InvalidPage}
 			if jp > j {
-				c := topk.NewCollector(kmax)
-				for i := 0; i < m; i++ {
-					c.Add(tsdata.SeriesID(i), prefix[i][jp]-prefix[i][j])
-				}
-				ref, err = packer.Put(c.Results())
+				ref, err = packer.Put(lists.pick(j, jp))
 				if err != nil {
 					return nil, err
 				}

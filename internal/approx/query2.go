@@ -36,7 +36,13 @@ type dyadicNode struct {
 	list        listRef
 }
 
-// BuildQuery2 materializes the O(r) dyadic interval lists.
+// BuildQuery2 materializes the O(r) dyadic interval lists, in
+// pre-order. Each list is the top-kmax of one difference of two prefix
+// columns (prefixColumns), selected with topk.Collect's threshold skip:
+// the same lists, and the same page bytes, as offering all m scores of
+// each interval to a collector. The m × r prefixes take one forward
+// walk per object, and every list is selected on the calling
+// goroutine.
 func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, kmax int) (*Query2, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("approx: kmax must be >= 1, got %d", kmax)
@@ -44,7 +50,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 	if err := bps.Validate(); err != nil {
 		return nil, err
 	}
-	prefix := prefixAtBreakpoints(ds, bps.Times)
+	lists := newListPicker(ds, bps.Times, kmax)
 	m := ds.NumSeries()
 	packer, err := newListPacker(dev)
 	if err != nil {
@@ -57,11 +63,7 @@ func BuildQuery2(dev blockio.Device, ds *tsdata.Dataset, bps *breakpoint.Set, km
 		idx := len(q.nodes)
 		q.nodes = append(q.nodes, dyadicNode{lo: lo, hi: hi, left: -1, right: -1})
 		// Materialize this node's top-kmax list over [b_lo, b_hi].
-		c := topk.NewCollector(kmax)
-		for i := 0; i < m; i++ {
-			c.Add(tsdata.SeriesID(i), prefix[i][hi]-prefix[i][lo])
-		}
-		ref, err := packer.Put(c.Results())
+		ref, err := packer.Put(lists.pick(lo, hi))
 		if err != nil {
 			return 0, err
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"temporalrank/internal/tsdata"
@@ -427,52 +428,128 @@ func TestBuild1MultipleCutsWithinElementaryInterval(t *testing.T) {
 	}
 }
 
+// referenceExtend is Set.Extend as it stood before it handed the
+// solver the area it had just computed: the solver evaluated that
+// integral again.
+func referenceExtend(s *Set, ds *tsdata.Dataset, firstNew float64) {
+	threshold := s.Epsilon * s.M
+	keep := max(sort.SearchFloat64s(s.Times, firstNew), 1)
+	s.Times = s.Times[:keep]
+	last := s.Times[keep-1]
+	if ds.End() <= last {
+		return
+	}
+	for {
+		next := math.Inf(1)
+		for _, ser := range ds.AllSeries() {
+			if ser.End() <= last {
+				continue
+			}
+			acc := 0.0
+			for j := ser.SegmentAt(math.Max(last, ser.Start())); j < ser.NumSegments(); j++ {
+				seg := ser.Segment(j)
+				from := math.Max(last, seg.T1)
+				if from >= seg.T2 {
+					continue
+				}
+				area := seg.AbsIntegralOver(from, seg.T2)
+				if acc+area >= threshold {
+					if t, ok := seg.SolveAbsIntegralForward(from, threshold-acc); ok && t < next {
+						next = t
+					}
+					break
+				}
+				acc += area
+			}
+		}
+		if math.IsInf(next, 1) || next <= last {
+			break
+		}
+		s.Times = append(s.Times, next)
+		last = next
+	}
+	if last < ds.End() {
+		s.Times = append(s.Times, ds.End())
+	}
+}
+
 func TestExtendPreservesLemma2(t *testing.T) {
-	ds := randomDataset(60, 12, 15, false)
-	eps := 0.03
-	s, err := Build2(ds, eps)
+	// constant is one object of value 1 in ten segments of length 10: at
+	// ε = 0.1 every crossing falls on a vertex, where the target the
+	// solver gets is the whole area of the segment it solves in.
+	constant, err := tsdata.NewSeries(0, []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBefore := s.R()
-	// Append new data to every object (the §4 update model). Objects
-	// end at different times, so some appends land inside the original
-	// breakpoint domain — Extend must repair those gaps too.
-	rng := rand.New(rand.NewSource(61))
-	firstNew := math.Inf(1)
-	for _, ser := range ds.AllSeries() {
-		end := ser.End()
-		if end < firstNew {
-			firstNew = end
+	constantDS, err := tsdata.NewDataset([]*tsdata.Series{constant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ds   *tsdata.Dataset
+		eps  float64
+	}{
+		{"positive", randomDataset(60, 12, 15, false), 0.03},
+		{"negative", randomDataset(60, 12, 15, true), 0.03},
+		{"constant", constantDS, 0.1},
+	} {
+		ds := c.ds
+		s, err := Build2(ds, c.eps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for a := 0; a < 20; a++ {
-			end += 0.2 + rng.Float64()
-			if err := ser.Append(end, rng.Float64()*100); err != nil {
-				t.Fatal(err)
+		rBefore := s.R()
+		// Append new data to every object (the §4 update model). Objects
+		// end at different times, so some appends land inside the original
+		// breakpoint domain — Extend must repair those gaps too.
+		rng := rand.New(rand.NewSource(61))
+		firstNew := math.Inf(1)
+		for _, ser := range ds.AllSeries() {
+			end := ser.End()
+			if end < firstNew {
+				firstNew = end
+			}
+			for a := 0; a < 20; a++ {
+				v := rng.Float64() * 100
+				if c.name == "constant" {
+					end, v = end+10, 1
+				} else {
+					end += 0.2 + rng.Float64()
+				}
+				if err := ser.Append(end, v); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	ds.Refresh()
-	if err := s.Extend(ds, firstNew); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.R() <= rBefore {
-		t.Errorf("Extend added no breakpoints (%d -> %d) despite new mass", rBefore, s.R())
-	}
-	if got := s.Times[len(s.Times)-1]; got != ds.End() {
-		t.Errorf("last breakpoint %g != new end %g", got, ds.End())
-	}
-	// Lemma 2 with the ORIGINAL threshold τ = ε·M_build must hold over
-	// the extended region too.
-	limit := s.Epsilon * s.M * (1 + 1e-7)
-	for j := 0; j+1 < len(s.Times); j++ {
-		for _, ser := range ds.AllSeries() {
-			if got := ser.AbsRange(s.Times[j], s.Times[j+1]); got > limit {
-				t.Fatalf("gap %d [%g,%g]: object %d |σ|=%g > τ=%g",
-					j, s.Times[j], s.Times[j+1], ser.ID, got, s.Epsilon*s.M)
+		ds.Refresh()
+		ref := &Set{Times: slices.Clone(s.Times), Epsilon: s.Epsilon, M: s.M}
+		if err := s.Extend(ds, firstNew); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// Extend places the reference's breakpoints bit for bit.
+		referenceExtend(ref, ds, firstNew)
+		if !slices.EqualFunc(s.Times, ref.Times, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: Extend placed %d breakpoints, not the reference's %d bit for bit", c.name, s.R(), ref.R())
+		}
+		if s.R() <= rBefore {
+			t.Errorf("%s: Extend added no breakpoints (%d -> %d) despite new mass", c.name, rBefore, s.R())
+		}
+		if got := s.Times[len(s.Times)-1]; got != ds.End() {
+			t.Errorf("%s: last breakpoint %g != new end %g", c.name, got, ds.End())
+		}
+		// Lemma 2 with the ORIGINAL threshold τ = ε·M_build must hold over
+		// the extended region too.
+		limit := s.Epsilon * s.M * (1 + 1e-7)
+		for j := 0; j+1 < len(s.Times); j++ {
+			for _, ser := range ds.AllSeries() {
+				if got := ser.AbsRange(s.Times[j], s.Times[j+1]); got > limit {
+					t.Fatalf("%s: gap %d [%g,%g]: object %d |σ|=%g > τ=%g",
+						c.name, j, s.Times[j], s.Times[j+1], ser.ID, got, s.Epsilon*s.M)
+				}
 			}
 		}
 	}

@@ -97,8 +97,13 @@ func newSweep(ds *tsdata.Dataset) *sweep {
 		states: make([]objState, ds.NumSeries()),
 		keys:   make([]float64, ds.NumSeries()+1),
 		live:   make([]int32, 0, ds.NumSeries()),
+		times:  make([]float64, 0, minTimes),
 	}
 }
+
+// minTimes is the room a sweep's breakpoints start with: every pass that
+// runs to its end places at least the domain's start and end.
+const minTimes = 2
 
 // build2 runs one max-rule pass at eps, Build2Baseline's when baseline
 // is set and Build2's otherwise. A pass that places more than limit
@@ -161,7 +166,7 @@ func (sw *sweep) run(eps float64, baseline bool) (bool, error) {
 			}
 			st.resetAt = sw.lastBP
 		}
-		st.acc += ref.Segment.AbsIntegralOver(math.Max(sw.lastBP, ref.Segment.T1), ref.Segment.T2)
+		st.acc += ref.Segment.AbsIntegralOver(max(sw.lastBP, ref.Segment.T1), ref.Segment.T2)
 		st.cur = ref.Segment
 		st.hasCur = true
 		if st.acc >= sw.threshold {
@@ -193,33 +198,42 @@ func (sw *sweep) overLimit() bool {
 // crossing re-bases object i's acc to lastBP and returns the time at
 // which it reaches the threshold within its current segment, or +Inf
 // if it does not.
+//
+// The crossing lies in [from, cur.T2], from = max(lastBP, cur.T1), and
+// ∫|g| over that span, rest, is the one integral it needs: the re-based
+// acc (AbsIntegralOver(lastBP, T2) clamps to the same from), the part
+// of acc that precedes from, and the solver's check and one-signed
+// piece all read it. crossing evaluates it once and hands it to
+// SolveAbsIntegralForwardWith, which returns what
+// SolveAbsIntegralForward would, bit for bit.
 func (sw *sweep) crossing(i int) float64 {
 	st := &sw.states[i]
 	if !st.hasCur {
 		return math.Inf(1)
 	}
-	// The crossing lies within the current segment's processed span.
-	from := math.Max(sw.lastBP, st.cur.T1)
+	from := max(sw.lastBP, st.cur.T1)
+	var rest float64
 	rebased := st.resetAt < sw.lastBP
 	if rebased {
 		// Drop the part of acc that precedes the current breakpoint.
 		// Only the current segment can straddle lastBP (any earlier
 		// segment of this object ended before some segment started
 		// at or before lastBP).
-		st.acc = st.cur.AbsIntegralOver(sw.lastBP, st.cur.T2)
+		rest = st.cur.AbsIntegralOver(from, st.cur.T2)
+		st.acc = rest
 		st.resetAt = sw.lastBP
 	}
 	if st.acc < sw.threshold {
 		return math.Inf(1)
 	}
-	// already is the part of acc that precedes from. Right after a
-	// re-base on lastBP == from, acc is the very integral subtracted
-	// here, so already is exactly 0.
+	// already is the part of acc that precedes from: exactly 0 right
+	// after a re-base, where acc is rest itself.
 	already := 0.0
-	if !rebased || from != sw.lastBP {
-		already = st.acc - st.cur.AbsIntegralOver(from, st.cur.T2)
+	if !rebased {
+		rest = st.cur.AbsIntegralOver(from, st.cur.T2)
+		already = st.acc - rest
 	}
-	t, ok := st.cur.SolveAbsIntegralForward(from, sw.threshold-already)
+	t, ok := st.cur.SolveAbsIntegralForwardWith(from, sw.threshold-already, rest)
 	if !ok {
 		return math.Inf(1)
 	}
@@ -333,7 +347,7 @@ func (sw *sweep) fireBefore(until float64) bool {
 			if sw.horizon == sw.lastBP {
 				h = sw.lastBP + 1.25*(sw.lastBP-sw.times[len(sw.times)-2])
 			}
-			sw.rekey(math.Max(until, h))
+			sw.rekey(max(until, h))
 			continue
 		}
 		if !sw.emit(t) {
@@ -457,6 +471,7 @@ func startSpeculating(sw *sweep, baseline bool) *speculator {
 			states: make([]objState, len(sw.states)),
 			keys:   make([]float64, len(sw.keys)),
 			live:   make([]int32, 0, cap(sw.live)),
+			times:  make([]float64, 0, minTimes),
 		},
 		baseline: baseline,
 		probes:   make(chan float64),
@@ -645,16 +660,16 @@ func (s *Set) Extend(ds *tsdata.Dataset, firstNew float64) error {
 				continue
 			}
 			acc := 0.0
-			j := ser.SegmentAt(math.Max(last, ser.Start()))
+			j := ser.SegmentAt(max(last, ser.Start()))
 			for ; j < ser.NumSegments(); j++ {
 				seg := ser.Segment(j)
-				from := math.Max(last, seg.T1)
+				from := max(last, seg.T1)
 				if from >= seg.T2 {
 					continue
 				}
 				area := seg.AbsIntegralOver(from, seg.T2)
 				if acc+area >= threshold {
-					t, ok := seg.SolveAbsIntegralForward(from, threshold-acc)
+					t, ok := seg.SolveAbsIntegralForwardWith(from, threshold-acc, area)
 					if ok && t < next {
 						next = t
 					}

@@ -46,31 +46,6 @@ type Method interface {
 	IndexPages() int
 }
 
-// collectTopK runs the shared final step of every method: push all m
-// aggregate scores through a size-k priority queue (pooled — this runs
-// once per query on every exact path). Once k items are held, a score
-// is offered only when it beats the heap's minimum: ids arrive in
-// ascending order, so an equal score would lose its tie to the held
-// item, and a NaN is refused either way.
-func collectTopK(k int, scores []float64) []topk.Item {
-	c := topk.GetCollector(k)
-	defer c.Release()
-	i := 0
-	for ; i < len(scores) && c.Len() < c.K(); i++ {
-		c.Add(tsdata.SeriesID(i), scores[i])
-	}
-	if i < len(scores) {
-		thr, _ := c.Threshold()
-		for ; i < len(scores); i++ {
-			if s := scores[i]; s > thr {
-				c.Add(tsdata.SeriesID(i), s)
-				thr, _ = c.Threshold()
-			}
-		}
-	}
-	return c.Results()
-}
-
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 

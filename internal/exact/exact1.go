@@ -134,7 +134,7 @@ func (e *Exact1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	if err != nil {
 		return nil, err
 	}
-	return collectTopK(k, sums), nil
+	return topk.Collect(k, sums), nil
 }
 
 // Score implements Method. Exact1 has no per-object access path, so

@@ -155,7 +155,7 @@ func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 		}
 		(*sums)[i] = s
 	}
-	items := collectTopK(k, *sums)
+	items := topk.Collect(k, *sums)
 	putScores(sums)
 	return items, nil
 }

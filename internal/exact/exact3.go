@@ -103,7 +103,7 @@ func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)
 	if adjust != nil {
 		adjust(*sums)
 	}
-	items := collectTopK(k, *sums)
+	items := topk.Collect(k, *sums)
 	putScores(sums)
 	return items, nil
 }

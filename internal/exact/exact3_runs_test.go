@@ -128,32 +128,6 @@ func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
 	}
 }
 
-// collectTopK's threshold skip returns what offering every score would.
-func TestCollectTopKMatchesPlainCollector(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	cases := map[string][]float64{
-		"ties":      {3, 1, 3, 2, 3, 3, 1, 2, 3, 0, 3},
-		"nan":       {nan, 2, 5, nan, 1, 5, nan, 7, nan},
-		"nan-first": {nan, nan, nan, 1, 2, 3},
-		"inf":       {-inf, inf, 0, -inf, inf, 1, -1, inf, -inf},
-		"mixed":     {0, -0.0, nan, inf, -inf, 0, 4, 4, nan, -inf},
-		"empty":     {},
-	}
-	rng := rand.New(rand.NewSource(1))
-	rnd := make([]float64, 500)
-	for i := range rnd {
-		rnd[i] = float64(rng.Intn(20))
-	}
-	cases["random-ties"] = rnd
-	for name, scores := range cases {
-		for _, k := range []int{1, 2, 3, 5, len(scores), len(scores) + 3} {
-			if got, want := collectTopK(k, scores), plainTopK(k, scores); !sameItems(got, want) {
-				t.Errorf("%s k=%d: got %v, want %v", name, k, got, want)
-			}
-		}
-	}
-}
-
 // BenchmarkExact3TopK times one EXACT3 top-k query at the shape of the
 // serving benchmark's D-large dataset: 8,000 Temp-like series of about
 // 100 segments, k = 20, random windows.

@@ -142,6 +142,32 @@ func (c *Collector) Results() []Item {
 	return out
 }
 
+// Collect returns the top k of scores, scores[i] being object i's, in
+// Results order: what offering every score to a Collector in id order
+// returns. Once k items are held, a score is offered only when it beats
+// the heap's minimum: ids arrive in ascending order, so an equal score
+// would lose its tie to the held item, and a NaN is refused either
+// way. The collector is pooled. Every exact method's final step and
+// every approximate index's list selection runs through it.
+func Collect(k int, scores []float64) []Item {
+	c := GetCollector(k)
+	defer c.Release()
+	i := 0
+	for ; i < len(scores) && c.Len() < c.K(); i++ {
+		c.Add(tsdata.SeriesID(i), scores[i])
+	}
+	if i < len(scores) {
+		thr, _ := c.Threshold()
+		for ; i < len(scores); i++ {
+			if s := scores[i]; s > thr {
+				c.Add(tsdata.SeriesID(i), s)
+				thr, _ = c.Threshold()
+			}
+		}
+	}
+	return c.Results()
+}
+
 // SortItems orders items by descending score, ties by ascending ID.
 func SortItems(items []Item) {
 	slices.SortFunc(items, func(a, b Item) int {

@@ -1,7 +1,9 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -403,6 +405,44 @@ func TestSortItemsMatchesReference(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("len %d: position %d is %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Collect's threshold skip returns what offering every score would.
+func TestCollectTopKMatchesPlainCollector(t *testing.T) {
+	plain := func(k int, scores []float64) []Item {
+		c := NewCollector(k)
+		for i, s := range scores {
+			c.Add(tsdata.SeriesID(i), s)
+		}
+		return c.Results()
+	}
+	same := func(a, b []Item) bool {
+		return slices.EqualFunc(a, b, func(x, y Item) bool {
+			return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+		})
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string][]float64{
+		"ties":      {3, 1, 3, 2, 3, 3, 1, 2, 3, 0, 3},
+		"nan":       {nan, 2, 5, nan, 1, 5, nan, 7, nan},
+		"nan-first": {nan, nan, nan, 1, 2, 3},
+		"inf":       {-inf, inf, 0, -inf, inf, 1, -1, inf, -inf},
+		"mixed":     {0, -0.0, nan, inf, -inf, 0, 4, 4, nan, -inf},
+		"empty":     {},
+	}
+	rng := rand.New(rand.NewSource(1))
+	rnd := make([]float64, 500)
+	for i := range rnd {
+		rnd[i] = float64(rng.Intn(20))
+	}
+	cases["random-ties"] = rnd
+	for name, scores := range cases {
+		for _, k := range []int{1, 2, 3, 5, len(scores), len(scores) + 3} {
+			if got, want := Collect(k, scores), plain(k, scores); !same(got, want) {
+				t.Errorf("%s k=%d: got %v, want %v", name, k, got, want)
 			}
 		}
 	}

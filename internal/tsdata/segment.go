@@ -52,8 +52,8 @@ func (s Segment) Integral() float64 {
 // disjoint, otherwise the area of the trapezoid between tL=max(t1,T1)
 // and tR=min(t2,T2).
 func (s Segment) IntegralOver(t1, t2 float64) float64 {
-	tL := math.Max(t1, s.T1)
-	tR := math.Min(t2, s.T2)
+	tL := max(t1, s.T1)
+	tR := min(t2, s.T2)
 	if tR <= tL {
 		return 0
 	}
@@ -63,8 +63,7 @@ func (s Segment) IntegralOver(t1, t2 float64) float64 {
 // IntegralFrom returns the integral over [t, T2] for t already known
 // to lie in [T1, T2]: IntegralOver(t, T2) without the clamping
 // min/max, bit-identical to it on that domain (At(T2) evaluates to
-// exactly V2). The stab visitors call this once per object per query,
-// where the two math.Max/Min calls of the general form are measurable.
+// exactly V2). The stab visitors call this once per object per query.
 func (s Segment) IntegralFrom(t float64) float64 {
 	if s.T2 <= t {
 		return 0
@@ -83,8 +82,8 @@ func (s Segment) AbsIntegral() float64 {
 // line crosses zero inside the clipped range the two sub-trapezoids are
 // accumulated separately.
 func (s Segment) AbsIntegralOver(t1, t2 float64) float64 {
-	tL := math.Max(t1, s.T1)
-	tR := math.Min(t2, s.T2)
+	tL := max(t1, s.T1)
+	tR := min(t2, s.T2)
 	if tR <= tL {
 		return 0
 	}
@@ -150,52 +149,62 @@ func (s Segment) SolveIntegralForward(from, target float64) (float64, bool) {
 // such that ∫_{from}^{t} |g| = target, or (0,false) if unreachable
 // within the segment. This is the threshold-crossing primitive of
 // breakpoint construction under the §4 negative-score extension (the
-// paper replaces σ by ∫|g| when defining M and thresholds).
+// paper replaces σ by ∫|g| when defining M and thresholds). It is
+// SolveAbsIntegralForwardWith given AbsIntegralOver(from, s.T2).
 func (s Segment) SolveAbsIntegralForward(from, target float64) (float64, bool) {
 	if target <= 0 {
 		return from, true
 	}
-	if s.AbsIntegralOver(from, s.T2)*(1+1e-12) < target {
+	return s.SolveAbsIntegralForwardWith(from, target, s.AbsIntegralOver(from, s.T2))
+}
+
+// SolveAbsIntegralForwardWith is SolveAbsIntegralForward for a caller
+// that already holds rest = AbsIntegralOver(from, s.T2), the integral
+// the solver checks target against and, when the line does not cross
+// zero inside (from, T2), the area of the one piece it solves in. With
+// that value it returns the same bits, and evaluates no integral over
+// [from, T2] again.
+func (s Segment) SolveAbsIntegralForwardWith(from, target, rest float64) (float64, bool) {
+	if target <= 0 {
+		return from, true
+	}
+	if rest*(1+1e-12) < target {
 		return 0, false
 	}
 	// Split [from, T2] at the segment's zero crossing (computed from the
-	// full span, so a `from` sitting on the crossing cannot stall).
-	cuts := []float64{from, s.T2}
+	// full span, so a `from` sitting on the crossing cannot stall), and
+	// solve in the first one-signed piece that reaches target.
+	a, b, area := from, s.T2, rest
 	if (s.V1 < 0) != (s.V2 < 0) && s.V1 != s.V2 {
 		tz := s.T1 + (s.T2-s.T1)*s.V1/(s.V1-s.V2)
 		if tz > from && tz < s.T2 {
-			cuts = []float64{from, tz, s.T2}
+			area = s.AbsIntegralOver(from, tz)
+			if target > area {
+				target -= area
+				a, area = tz, s.AbsIntegralOver(tz, s.T2)
+			} else {
+				b = tz
+			}
 		}
 	}
-	w := s.Slope()
-	remaining := target
-	for p := 0; p+1 < len(cuts); p++ {
-		a, b := cuts[p], cuts[p+1]
-		area := s.AbsIntegralOver(a, b)
-		if remaining > area && p+2 < len(cuts) {
-			remaining -= area
-			continue
-		}
-		// Solve within this one-signed piece: |g| has value |g(a)| and
-		// slope ±w according to the piece's sign.
-		sign := 1.0
-		if s.At((a+b)/2) < 0 {
-			sign = -1
-		}
-		v0 := sign * s.At(a)
-		if v0 < 0 {
-			v0 = 0 // rounding noise at the crossing
-		}
-		if remaining > area {
-			remaining = area // clamp rounding noise on the last piece
-		}
-		dt, ok := solveQuadIntegral(v0, sign*w, remaining, b-a)
-		if !ok {
-			return b, true // target met at the piece boundary modulo rounding
-		}
-		return a + dt, true
+	// Solve within [a, b]: |g| has value |g(a)| and slope ±w according
+	// to the piece's sign.
+	sign := 1.0
+	if s.At((a+b)/2) < 0 {
+		sign = -1
 	}
-	return 0, false
+	v0 := sign * s.At(a)
+	if v0 < 0 {
+		v0 = 0 // rounding noise at the crossing
+	}
+	if target > area {
+		target = area // clamp rounding noise on the last piece
+	}
+	dt, ok := solveQuadIntegral(v0, sign*s.Slope(), target, b-a)
+	if !ok {
+		return b, true // target met at the piece boundary modulo rounding
+	}
+	return a + dt, true
 }
 
 // solveQuadIntegral solves w/2·x² + v·x = target for the smallest

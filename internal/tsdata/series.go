@@ -170,8 +170,8 @@ func (s *Series) Range(t1, t2 float64) float64 {
 		return 0
 	}
 	// Clip to domain; outside the domain the function is 0.
-	t1 = math.Max(t1, s.Start())
-	t2 = math.Min(t2, s.End())
+	t1 = max(t1, s.Start())
+	t2 = min(t2, s.End())
 	if t2 <= t1 {
 		return 0
 	}
@@ -187,13 +187,50 @@ func (s *Series) Range(t1, t2 float64) float64 {
 	return mid + segL.IntegralOver(t1, segL.T2) + segR.IntegralOver(segR.T1, t2)
 }
 
+// RangesFrom sets dst[j] = Range(t1, t2s[j]) for every j, bit for bit,
+// in one forward walk: t2s must be nondecreasing. Where Range binary
+// searches both ends, the right end's segment index moves forward from
+// the previous entry's, and the left end's segment and its partial
+// trapezoid are found once; each entry is then Range's own expression
+// in Range's order of operations.
+func (s *Series) RangesFrom(t1 float64, t2s, dst []float64) {
+	lo, end := max(t1, s.Start()), s.End()
+	if lo >= end {
+		clear(dst[:len(t2s)])
+		return
+	}
+	jL := s.SegmentAt(lo)
+	segL := s.Segment(jL)
+	first := segL.IntegralOver(lo, segL.T2)
+	last := len(s.times) - 2 // SegmentAt's clamp
+	jR := jL
+	for k, t2 := range t2s {
+		// t2 <= t1 implies hi <= lo, Range's other empty case.
+		hi := min(t2, end)
+		if hi <= lo {
+			dst[k] = 0
+			continue
+		}
+		for jR < last && s.times[jR+1] <= hi {
+			jR++
+		}
+		if jR == jL {
+			dst[k] = segL.IntegralOver(lo, hi)
+			continue
+		}
+		segR := s.Segment(jR)
+		mid := s.prefix[jR] - s.prefix[jL+1]
+		dst[k] = mid + first + segR.IntegralOver(segR.T1, hi)
+	}
+}
+
 // AbsRange computes ∫_{t1}^{t2} |g_i| dt exactly.
 func (s *Series) AbsRange(t1, t2 float64) float64 {
 	if t2 <= t1 {
 		return 0
 	}
-	t1 = math.Max(t1, s.Start())
-	t2 = math.Min(t2, s.End())
+	t1 = max(t1, s.Start())
+	t2 = min(t2, s.End())
 	if t2 <= t1 {
 		return 0
 	}
