@@ -139,7 +139,9 @@ func BenchmarkUpdates(b *testing.B) {
 	})
 }
 
-// --- ablation benches (design choices DESIGN.md calls out) -------------
+// --- ablation benches: each design choice against its alternative -----
+// BREAKPOINTS1 vs BREAKPOINTS2 at one r, B2's efficient build vs its
+// baseline, EXACT3 with and without a page cache, EXACT2 against EXACT3.
 
 // BenchmarkAblation_B1VsB2 measures the two breakpoint constructions.
 func BenchmarkAblation_B1VsB2(b *testing.B) {

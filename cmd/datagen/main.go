@@ -61,7 +61,7 @@ func run(kind string, m, navg int, seed int64, format, out string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // on an error path; success closes below
 		w = f
 	}
 	switch format {
@@ -74,6 +74,12 @@ func run(kind string, m, navg int, seed int64, format, out string) error {
 	}
 	if err != nil {
 		return err
+	}
+	// A write the kernel deferred can still fail here.
+	if out != "-" {
+		if err := w.Close(); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(os.Stderr, "datagen: wrote %s dataset: m=%d N=%d domain=[%g,%g]\n",
 		kind, ds.NumSeries(), ds.NumSegments(), ds.Start(), ds.End())

@@ -565,10 +565,18 @@ func floatParam(r *http.Request, name string) (float64, error) {
 	return v, nil
 }
 
+// writeJSON marshals v before it writes the header, so a value JSON
+// cannot carry (a score that overflowed to ±Inf) answers 500 with an
+// error body instead of code with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()}) // a string map always marshals
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -148,9 +148,12 @@ func Updates(w io.Writer, p Params, numAppends int) (*Table, error) {
 	return t, nil
 }
 
-// Ablations runs the design-choice studies DESIGN.md calls out:
-// B1-vs-B2 effective ε, B2 construction variants, buffer-pool effect,
-// and the forest-vs-interval-tree comparison.
+// Ablations measures four design choices against their alternatives:
+// the ε BREAKPOINTS1 and BREAKPOINTS2 reach at the same r (B2 adapts to
+// the data, so it should reach a smaller one); BREAKPOINTS2's
+// efficient build against the baseline that recomputes every object at
+// each cut; EXACT3's query IOs with and without a buffer pool; and
+// EXACT2's IOs against EXACT3's single interval tree.
 func Ablations(w io.Writer, p Params) (*Table, error) {
 	ds, err := p.MakeDataset()
 	if err != nil {

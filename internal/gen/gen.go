@@ -10,9 +10,12 @@
 //     baseline punctuated by exponentially decaying spikes, Zipf-like
 //     object sizes, and object lifespans scattered across the domain.
 //
-// Both generators are deterministic given their Seed, and are scaled by
-// (M, Navg) flags rather than fixed to the paper's (out-of-reach)
-// dataset sizes; DESIGN.md records this substitution.
+// Neither real dataset ships with this repository, and their sizes are
+// out of reach of a test run, so the generators reproduce the shape
+// each method is sensitive to instead: smooth and positive (Temp)
+// against bursty and sparse (Meme). Both are deterministic given their
+// Seed, and are scaled by (M, Navg) rather than fixed to the paper's
+// sizes.
 package gen
 
 import (
