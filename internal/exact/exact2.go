@@ -221,12 +221,48 @@ func (e *Exact2) pageOf(id tsdata.SeriesID, t float64) blockio.PageID {
 // beyond t from the stored prefix. Past the last key (reachable only
 // through floating-point equality edge cases, as the domain is
 // clamped) the full prefix applies.
+//
+// The search starts at the slot t would fall in if the run's vertices
+// were evenly spread over its span, gallops from there to a bracket and
+// binary-searches only the bracket. Each probe of a plain binary search
+// over the page is a dependent load from a page that is often cold, and
+// a guess near e_L needs few of them. Keys increase along the run, so
+// the first key >= t is the same slot either way.
 func (e *Exact2) sigmaOn(id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
 	base := int(page-e.first) * e.perPage
 	lo := max(e.off[id], base) - base
 	hi := min(e.off[id+1], base+e.perPage) - base
-	// Binary search for the first slot in [lo, hi) whose key is >= t.
+	n := e.off[id+1] - e.off[id]
+	guess := float64(e.off[id]-base) + (t-e.starts[id])/(e.ends[id]-e.starts[id])*float64(n)
+	g := lo
+	if guess >= float64(hi-1) {
+		g = hi - 1
+	} else if guess > float64(lo) {
+		g = int(guess)
+	}
+	// Gallop to a bracket [l, h): every slot before l has a key < t, and
+	// the slot at h, when h < hi, has a key >= t.
 	l, h := lo, hi
+	if getF64(data[g*exact2SlotSize:]) < t {
+		l = g + 1
+		for step := 1; g+step < hi; step <<= 1 {
+			if getF64(data[(g+step)*exact2SlotSize:]) >= t {
+				h = g + step
+				break
+			}
+			l = g + step + 1
+		}
+	} else {
+		h = g
+		for step := 1; g-step >= lo; step <<= 1 {
+			if getF64(data[(g-step)*exact2SlotSize:]) < t {
+				l = g - step + 1
+				break
+			}
+			h = g - step
+		}
+	}
+	// Binary search for the first slot in [l, h) whose key is >= t.
 	for l < h {
 		mid := int(uint(l+h) >> 1)
 		if getF64(data[mid*exact2SlotSize:]) < t {

@@ -2,10 +2,12 @@ package exact
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"temporalrank/internal/blockio"
+	"temporalrank/internal/gen"
 	"temporalrank/internal/trerr"
 	"temporalrank/internal/tsdata"
 )
@@ -187,5 +189,118 @@ func TestRestoreExact2(t *testing.T) {
 	}
 	if _, err := RestoreExact2(short, ds, st); !errors.Is(err, trerr.ErrBadSnapshot) {
 		t.Errorf("short page image: err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// binarySigmaOn is sigmaOn with a plain binary search over the page's
+// slots of the run, the search the galloping one must agree with.
+func binarySigmaOn(e *Exact2, id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
+	base := int(page-e.first) * e.perPage
+	lo := max(e.off[id], base) - base
+	hi := min(e.off[id+1], base+e.perPage) - base
+	l, h := lo, hi
+	for l < h {
+		mid := int(uint(l+h) >> 1)
+		if getF64(data[mid*exact2SlotSize:]) < t {
+			l = mid + 1
+		} else {
+			h = mid
+		}
+	}
+	if l == hi {
+		return getF64(data[(hi-1)*exact2SlotSize+32:])
+	}
+	slot := data[l*exact2SlotSize:]
+	key := getF64(slot[0:])
+	seg := tsdata.Segment{T1: getF64(slot[8:]), T2: key, V1: getF64(slot[16:]), V2: getF64(slot[24:])}
+	return getF64(slot[32:]) - seg.IntegralOver(t, key)
+}
+
+// crowdedSeries has n segments over [0, 100] whose vertices crowd the
+// start (atEnd false) or the end, so the evenly-spread guess lands far
+// from the slot it looks for.
+func crowdedSeries(t *testing.T, id tsdata.SeriesID, n int, atEnd bool) *tsdata.Series {
+	t.Helper()
+	times := make([]float64, n+1)
+	values := make([]float64, n+1)
+	for j := range times {
+		x := float64(j) / float64(n)
+		if atEnd {
+			times[j] = 100 * (1 - math.Pow(1-x, 4))
+		} else {
+			times[j] = 100 * math.Pow(x, 4)
+		}
+		values[j] = float64(j%7) + 1
+	}
+	s, err := tsdata.NewSeries(id, times, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestExact2SigmaOnMatchesBinarySearch checks the galloping sigmaOn
+// against a plain binary search, Float64bits for Float64bits, at every
+// vertex time of every run, one ulp either side of it and halfway to
+// the next. The runs are Temp and RandomWalk series, series whose
+// vertices crowd one end, and one-segment series; at 512-byte blocks
+// they cross many pages, so the probes include the last key of a page
+// and the first key of the next.
+func TestExact2SigmaOnMatchesBinarySearch(t *testing.T) {
+	temp, err := gen.Temp(gen.TempConfig{M: 6, Navg: 120, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := gen.RandomWalk(gen.RandomWalkConfig{M: 6, Navg: 120, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	edge, err := tsdata.NewDataset([]*tsdata.Series{
+		crowdedSeries(t, 0, 200, false),
+		randomSeries(rng, 1, 1, false),
+		crowdedSeries(t, 2, 200, true),
+		randomSeries(rng, 3, 1, true),
+		crowdedSeries(t, 4, 5, false),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ds := range map[string]*tsdata.Dataset{"temp": temp, "walk": walk, "edge": edge} {
+		for _, bs := range []int{512, 4096} {
+			e, err := BuildExact2(blockio.NewViewOnlyDevice(bs), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bs == 512 && len(e.bnd) == 0 {
+				t.Fatalf("%s: no run crosses a page", name)
+			}
+			for _, s := range ds.AllSeries() {
+				var probes []float64
+				for j := 0; j <= s.NumSegments(); j++ {
+					v := s.VertexTime(j)
+					probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+					if j < s.NumSegments() {
+						probes = append(probes, (v+s.VertexTime(j+1))/2)
+					}
+				}
+				for _, pt := range probes {
+					if pt < s.Start() || pt > s.End() {
+						continue
+					}
+					page := e.pageOf(s.ID, pt)
+					v, err := blockio.View(e.dev, page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := e.sigmaOn(s.ID, page, v.Data(), pt)
+					want := binarySigmaOn(e, s.ID, page, v.Data(), pt)
+					v.Release()
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s block %d series %d t=%v: sigmaOn %v, binary search %v", name, bs, s.ID, pt, got, want)
+					}
+				}
+			}
+		}
 	}
 }

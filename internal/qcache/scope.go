@@ -127,10 +127,9 @@ func (j *Journal) Unchanged(since uint64, scope Scope) (upTo uint64, ok bool) {
 func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope Scope, fn func() (V, error)) (v V, cached bool, err error) {
 	for joined := 0; ; joined++ {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			e := el.Value.(*entry[K, V])
+		if e, ok := c.entries[key]; ok {
 			if c.scopedValidLocked(e, js) {
-				c.lru.MoveToFront(el)
+				e.visited = true
 				v = e.val // before unlocking: storeScopedLocked rewrites it
 				c.mu.Unlock()
 				c.hits.Add(1)
@@ -138,8 +137,7 @@ func (c *Cache[K, V]) DoScoped(ctx context.Context, key K, js []*Journal, scope 
 			}
 			// Invalidated by an overlapping event (or stored by the
 			// unscoped Do): reclaim the slot now.
-			c.lru.Remove(el)
-			delete(c.entries, key)
+			c.removeLocked(e)
 		}
 		// Snapshot the journal versions before fn runs: events recorded
 		// during fn must postdate the entry so the next lookup rechecks
@@ -222,22 +220,12 @@ func (c *Cache[K, V]) scopedValidLocked(e *entry[K, V], js []*Journal) bool {
 	return true
 }
 
-// storeScopedLocked inserts or refreshes a scoped entry, evicting from
-// the LRU tail past capacity. Caller holds c.mu.
+// storeScopedLocked inserts or refreshes a scoped entry, evicting one
+// entry when the cache is full (see pushLocked). Caller holds c.mu.
 func (c *Cache[K, V]) storeScopedLocked(key K, versions []uint64, scope Scope, val V) {
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry[K, V])
-		e.versions = versions
-		e.scope = scope
-		e.val = val
-		c.lru.MoveToFront(el)
+	if e, ok := c.entries[key]; ok {
+		e.versions, e.scope, e.val, e.visited = versions, scope, val, true
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&entry[K, V]{key: key, versions: versions, scope: scope, val: val})
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		e := back.Value.(*entry[K, V])
-		c.lru.Remove(back)
-		delete(c.entries, e.key)
-	}
+	c.pushLocked(&entry[K, V]{key: key, versions: versions, scope: scope, val: val})
 }

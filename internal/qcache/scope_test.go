@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -84,16 +85,35 @@ func TestJournalEvictionConservative(t *testing.T) {
 // invalidation: against a replayable model of every journal event, a
 // cached answer is served iff no event recorded since the entry's
 // (continually re-validated) version overlaps its scope — and a served
-// answer is always the exact value stored.
+// answer is always the exact value stored. Capacity equals the key
+// count, so no eviction interferes.
 func TestDoScopedProperty(t *testing.T) {
+	doScopedProperty(t, 6, 6, 42)
+}
+
+// TestDoScopedPropertyEvicting runs the model check with fewer slots
+// than keys, so the hand evicts while lookups invalidate and re-insert
+// entries under it: an entry the model expects may have been evicted,
+// but a served answer must still be the exact value stored and valid,
+// and Len must stay within capacity.
+func TestDoScopedPropertyEvicting(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		doScopedProperty(t, 12, 5, seed)
+	}
+}
+
+// doScopedProperty runs the model check over keys keys through a cache
+// of the given capacity. Below keys, the model's expected hit may miss
+// (the entry was evicted); every other prediction is exact.
+func doScopedProperty(t *testing.T, keys, capacity int, seed int64) {
+	t.Helper()
 	const (
-		keys   = 6
 		series = 4
 		steps  = 4000
 	)
-	rng := rand.New(rand.NewSource(42))
-	c := New[int, int](keys) // capacity == keys: no LRU eviction interferes
-	j := NewJournal(0)       // default capacity far above steps between lookups
+	rng := rand.New(rand.NewSource(seed))
+	c := New[int, int](capacity)
+	j := NewJournal(0) // default capacity far above steps between lookups
 	ctx := context.Background()
 
 	// The model: every event ever recorded, plus per-key entry state.
@@ -110,6 +130,7 @@ func TestDoScopedProperty(t *testing.T) {
 		return Scope{Series: rng.Intn(series), T1: t1, T2: t1 + rng.Float64()*20}
 	}
 	next := 1000 // distinct value per computation
+	evictions := 0
 
 	for step := 0; step < steps; step++ {
 		if rng.Intn(2) == 0 {
@@ -144,9 +165,16 @@ func TestDoScopedProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached != expectHit {
+		evicted := !cached && expectHit && capacity < keys
+		if evicted {
+			evictions++
+		}
+		if cached != expectHit && !evicted {
 			t.Fatalf("step %d key %d: cached=%v, model says %v (validatedAt=%d, events=%d)",
 				step, key, cached, expectHit, model[key].validatedAt, len(events))
+		}
+		if n := c.Len(); n > capacity {
+			t.Fatalf("step %d: Len = %d past capacity %d", step, n, capacity)
 		}
 		if cached {
 			if got != model[key].val {
@@ -164,6 +192,9 @@ func TestDoScopedProperty(t *testing.T) {
 	st := c.Stats()
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("degenerate run: %+v — property not exercised", st)
+	}
+	if capacity < keys && evictions == 0 {
+		t.Fatalf("no expected hit was evicted in %d steps — eviction not exercised", steps)
 	}
 }
 
@@ -319,5 +350,41 @@ func BenchmarkDoScopedHit(b *testing.B) {
 		if _, cached, _ := c.DoScoped(ctx, 1, js, scope, func() (int, error) { return 7, nil }); !cached {
 			b.Fatal("hit path missed")
 		}
+	}
+}
+
+// BenchmarkCacheZipfParallel drives DoScoped from every core over
+// Zipf(1.2)-drawn keys, 4,096 of them through 256 slots, so hits set
+// visited bits while misses move the hand and evict; one lookup in 64
+// first records a journal event that invalidates some cached windows.
+// Run it at -cpu=4 (and under -race) to put eviction, hits and
+// invalidation on real threads at once.
+func BenchmarkCacheZipfParallel(b *testing.B) {
+	const keys = 4096
+	c := New[int, int](256)
+	j := NewJournal(0)
+	js := []*Journal{j}
+	ctx := context.Background()
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		zipf := rand.NewZipf(rng, 1.2, 1, keys-1)
+		for i := 0; pb.Next(); i++ {
+			if i%64 == 0 {
+				t := float64(rng.Intn(keys))
+				j.Advance(Scope{Series: rng.Intn(4), T1: t, T2: t + 1})
+			}
+			key := int(zipf.Uint64())
+			scope := Scope{Series: key % 4, T1: float64(key), T2: float64(key + 8)}
+			v, _, err := c.DoScoped(ctx, key, js, scope, func() (int, error) { return key, nil })
+			if err != nil || v != key {
+				b.Errorf("DoScoped(%d) = (%d, %v)", key, v, err)
+				return
+			}
+		}
+	})
+	if n := c.Len(); n > c.Cap() {
+		b.Fatalf("Len = %d past capacity %d", n, c.Cap())
 	}
 }
