@@ -24,11 +24,9 @@ import (
 //   - Exact is true only when every shard answered exactly.
 //   - Epsilon is the worst (maximum) shard ε — the sound bound for the
 //     merged set, since each score is off by at most its own shard's ε.
-//   - IOs sums per-shard device deltas. Each delta is snapshotted
-//     inside its shard's goroutine against that shard's private device,
-//     so one query's shards never cross-attribute each other's IOs.
-//     (Two concurrent queries hitting the same shard can still swap
-//     IOs on that shard's device, as on any single node.)
+//   - IOs sums the shards' answers' IOs, each the count of that
+//     shard's own index calls, so neither one query's shards nor two
+//     concurrent queries on one shard cross-attribute each other's IOs.
 //   - Latency is the slowest shard's computation time (the critical
 //     path of the scatter), not the sum.
 //   - Method is the shards' common method, or MethodMixed when the

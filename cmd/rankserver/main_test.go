@@ -444,24 +444,27 @@ func TestAppendMultiIndex(t *testing.T) {
 	}
 }
 
-// TestQueryNonFiniteScore: an append whose segment area overflows
-// float64 is accepted, and a window over it scores +Inf, which JSON
-// cannot carry. /query must then answer 500 with an error body, not 200
-// with an empty one.
+// TestQueryNonFiniteScore: every append keeps its series' running
+// integral finite, but a run whose integral climbs from -1.5e308 to
+// +1.5e308 scores 3e308 over that window, which overflows to +Inf, and
+// JSON cannot carry that. /query must then answer 500 with an error body, not 200 with an
+// empty one.
 func TestQueryNonFiniteScore(t *testing.T) {
 	_, db, ts := testServer(t, temporalrank.MethodExact3)
-	tend := db.End() + 1e10
-	body, _ := json.Marshal(appendRequest{ID: 0, T: tend, V: 1e308})
-	resp, err := http.Post(ts.URL+"/append", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("append: status %d, want 200", resp.StatusCode)
+	tend := db.End()
+	for i, v := range []float64{0, -6e307, -6e307, -6e307, 6e307, 6e307, 6e307, 6e307, 6e307, 6e307} {
+		body, _ := json.Marshal(appendRequest{ID: 0, T: tend + float64(i+1), V: v})
+		resp, err := http.Post(ts.URL+"/append", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %d: status %d, want 200", i, resp.StatusCode)
+		}
 	}
 	var e struct{ Error string }
-	if code := getJSON(t, fmt.Sprintf("%s/query?k=3&t1=%f&t2=%f", ts.URL, db.Start(), tend), &e); code != http.StatusInternalServerError || e.Error == "" {
+	if code := getJSON(t, fmt.Sprintf("%s/query?k=3&t1=%f&t2=%f", ts.URL, tend+4, tend+10), &e); code != http.StatusInternalServerError || e.Error == "" {
 		t.Fatalf("/query over an infinite score: status %d, error %q; want 500 with an error", code, e.Error)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -231,6 +232,58 @@ func TestFailedCompactionRemovesSiblingIndexFiles(t *testing.T) {
 		}
 		if len(names) != 1 || names[0] != "a.idx" {
 			t.Fatalf("after failed compaction %d the directory holds %v, want only a.idx", attempt, names)
+		}
+	}
+}
+
+// TestAppendOverflowRefused: an append whose segment area overflows
+// float64 is refused, so no compaction folds an infinite integral into
+// the base, where EXACT3 would score Inf − Inf = NaN. It replays the
+// probe: the overflowing append, a compaction, an ordinary append far
+// past the end, a second compaction, then windows before, across and
+// past the refused segment.
+func TestAppendOverflowRefused(t *testing.T) {
+	db, err := temporalrank.NewDB([]temporalrank.SeriesInput{
+		{Times: []float64{0, 10, 20}, Values: []float64{1, 4, 2}},
+		{Times: []float64{0, 20}, Values: []float64{3, 3}},
+		{Times: []float64{0, 5, 20}, Values: []float64{2, 0, 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.BuildIndex(temporalrank.Options{Method: temporalrank.MethodExact3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := temporalrank.NewPlanner(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableMemtable(temporalrank.MemtableOptions{DisableAutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := p.Append(0, db.End()+1e10, 1e308); err == nil {
+		t.Fatal("an append whose segment area overflows float64 was accepted")
+	}
+	if err := p.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Append(0, 2e10, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]float64{{0, 1e10}, {1e9, 2e9}, {1.5e10, 2e10}, {5, 2e10}} {
+		ans, err := p.Run(ctx, temporalrank.SumQuery(3, w[0], w[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ans.Results {
+			if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+				t.Fatalf("window [%g, %g]: object %d scores %g", w[0], w[1], r.ID, r.Score)
+			}
 		}
 	}
 }

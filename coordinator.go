@@ -160,8 +160,6 @@ func (c *coordinator) run(ctx context.Context, q Query) (Answer, error) {
 		if sh == nil {
 			return nil
 		}
-		// A local shard snapshots its IO delta inside this goroutine,
-		// against its own device.
 		ans, err := sh.run(ctx, q)
 		if err != nil {
 			return err

@@ -98,32 +98,32 @@ func segmentObjects(objects [][]Sample, method SegmentationMethod, errBudget flo
 // Since the divisor is shared, the ranking equals the sum ranking (§4:
 // sum "automatically implies support for the avg aggregation"); only
 // the reported scores are rescaled.
-func (ix *Index) topKAvg(k int, t1, t2 float64) ([]Result, error) {
+func (ix *Index) topKAvg(k int, t1, t2 float64) ([]Result, uint64, error) {
 	if t2 <= t1 {
-		return nil, fmt.Errorf("temporalrank: %w: avg needs t2 > t1, got [%g,%g]", ErrBadInterval, t1, t2)
+		return nil, 0, fmt.Errorf("temporalrank: %w: avg needs t2 > t1, got [%g,%g]", ErrBadInterval, t1, t2)
 	}
-	res, err := ix.topK(k, t1, t2)
+	res, ios, err := ix.topK(k, t1, t2)
 	if err != nil {
-		return nil, err
+		return nil, ios, err
 	}
 	rescaleAvg(res, t1, t2)
-	return res, nil
+	return res, ios, nil
 }
 
 // instantTopK answers the instant query top-k(t): the k objects with
-// the largest g_i(t). Supported natively by EXACT3 (one stabbing
-// query); other methods fall back to the in-memory data, since the
-// paper treats instants as its predecessor's problem.
-func (ix *Index) instantTopK(k int, t float64) ([]Result, error) {
+// the largest g_i(t), with the call's IOs. Supported natively by EXACT3
+// (one stabbing query); other methods fall back to the in-memory data,
+// since the paper treats instants as its predecessor's problem.
+func (ix *Index) instantTopK(k int, t float64) ([]Result, uint64, error) {
 	e3, ok := ix.m.(*exact.Exact3)
 	if !ok {
-		return ix.db.instantTopK(k, t), nil
+		return ix.db.instantTopK(k, t), 0, nil
 	}
-	items, err := e3.InstantTopK(k, t)
+	items, ios, err := e3.InstantTopK(k, t)
 	if err != nil {
-		return nil, err
+		return nil, ios, err
 	}
-	return toResults(items), nil
+	return toResults(items), ios, nil
 }
 
 // instantTopK computes the instant query against the in-memory data.

@@ -516,9 +516,8 @@ func mergeExact3(ctx context.Context, q Query, g *generation[baseStack], ix *Ind
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	before := ix.DeviceIOs()
 	start := time.Now()
-	items, err := e3.TopKAdjusted(q.K, q.T1, q.T2, func(sums []float64) {
+	items, ios, err := e3.TopKAdjusted(q.K, q.T1, q.T2, func(sums []float64) {
 		add := func(id int, delta float64) { sums[id] += delta }
 		if g.Frozen != nil {
 			g.Frozen.CollectRange(q.T1, q.T2, add)
@@ -537,7 +536,7 @@ func mergeExact3(ctx context.Context, q Query, g *generation[baseStack], ix *Ind
 		Method:  ix.Method(),
 		Exact:   true,
 		Latency: time.Since(start),
-		IOs:     ix.iosSince(before),
+		IOs:     ios,
 	}, nil
 }
 

@@ -577,3 +577,61 @@ func TestApproxOnFileDevice(t *testing.T) {
 		t.Errorf("file-backed APPX1 avg precision %g", pr)
 	}
 }
+
+// TestTopKFoldsIOsOnce: an approximate query charges its page views
+// (lists, tree searches, APPX2+'s rescoring runs) to a count of its own,
+// none of which reaches the device until the count is folded, and
+// TopKIOs moves the device's count by exactly the IOs it reports, which
+// are the views TopK makes.
+func TestTopKFoldsIOsOnce(t *testing.T) {
+	ds := randomDataset(73, 40, 15, false)
+	t1 := ds.Start() + ds.Span()*0.2
+	t2 := ds.Start() + ds.Span()*0.7
+	for _, build := range []struct {
+		name string
+		mk   func(dev blockio.Device) (Index, error)
+		topK func(idx Index, ios *blockio.IOCount) error
+	}{
+		{"APPX1", func(dev blockio.Device) (Index, error) { return NewAppx1(dev, ds, KindB2, 0.01, 5) },
+			func(idx Index, ios *blockio.IOCount) error { _, err := idx.(*Appx1).q.topK(3, t1, t2, ios); return err }},
+		{"APPX2", func(dev blockio.Device) (Index, error) { return NewAppx2(dev, ds, KindB2, 0.01, 5) },
+			func(idx Index, ios *blockio.IOCount) error { _, err := idx.(*Appx2).q.topK(3, t1, t2, ios); return err }},
+		{"APPX2+", func(dev blockio.Device) (Index, error) { return NewAppx2Plus(dev, ds, KindB2, 0.01, 5) },
+			func(idx Index, ios *blockio.IOCount) error {
+				_, err := idx.(*Appx2Plus).topK(3, t1, t2, ios)
+				return err
+			}},
+	} {
+		dev := blockio.NewViewOnlyDevice(512)
+		idx, err := build.mk(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.ResetStats()
+		if _, err := idx.TopK(3, t1, t2); err != nil {
+			t.Fatal(err)
+		}
+		views := dev.Stats().Reads
+
+		dev.ResetStats()
+		var ios blockio.IOCount
+		if err := build.topK(idx, &ios); err != nil {
+			t.Fatal(err)
+		}
+		if r := dev.Stats().Reads; r != 0 {
+			t.Fatalf("%s: %d reads on the device before the count was folded", build.name, r)
+		}
+		if ios.Reads() == 0 || ios.Reads() != views {
+			t.Fatalf("%s: the count holds %d reads, TopK takes %d views", build.name, ios.Reads(), views)
+		}
+
+		dev.ResetStats()
+		_, n, err := idx.TopKIOs(3, t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := dev.Stats().Reads; n != views || r != views {
+			t.Fatalf("%s: TopKIOs reports %d IOs and the device counted %d, want %d", build.name, n, r, views)
+		}
+	}
+}

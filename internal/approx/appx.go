@@ -101,6 +101,14 @@ func (a *Appx1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	return a.q.TopK(k, t1, t2)
 }
 
+// TopKIOs implements exact.Method.
+func (a *Appx1) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
+	var ios blockio.IOCount
+	items, err := a.q.topK(k, t1, t2, &ios)
+	ios.Fold(a.dev)
+	return items, ios.Reads(), err
+}
+
 // Score implements exact.Method: the (ε,1) estimate if the object is
 // in the snapped interval's top-kmax, else trerr.ErrNotMaterialized —
 // the structure stores no estimate for objects outside the
@@ -153,6 +161,14 @@ func (a *Appx2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	return a.q.TopK(k, t1, t2)
 }
 
+// TopKIOs implements exact.Method.
+func (a *Appx2) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
+	var ios blockio.IOCount
+	items, err := a.q.topK(k, t1, t2, &ios)
+	ios.Fold(a.dev)
+	return items, ios.Reads(), err
+}
+
 // Score implements exact.Method (same convention as Appx1.Score:
 // trerr.ErrNotMaterialized when the object is outside the candidate
 // set, rather than a silent 0.0).
@@ -160,7 +176,9 @@ func (a *Appx2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if id < 0 || int(id) >= a.m {
 		return 0, fmt.Errorf("%s: %w: %d", a.name, trerr.ErrUnknownSeries, id)
 	}
-	acc, err := a.q.candidates(a.kmax, t1, t2)
+	var ios blockio.IOCount
+	acc, err := a.q.candidates(a.kmax, t1, t2, &ios)
+	ios.Fold(a.dev)
 	if err != nil {
 		return 0, err
 	}
@@ -213,10 +231,25 @@ func NewAppx2PlusWithBreaks(dev blockio.Device, ds *tsdata.Dataset, kind Kind, b
 	return &Appx2Plus{appxBase: newAppxBase("APPX2+", dev, ds, bps, kmax, kind), q: q, e2: e2}, nil
 }
 
-// TopK implements exact.Method: dyadic candidates, exact rescoring in
-// the order the merge first saw them.
+// TopK implements exact.Method.
 func (a *Appx2Plus) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
-	acc, err := a.q.candidates(k, t1, t2)
+	items, _, err := a.TopKIOs(k, t1, t2)
+	return items, err
+}
+
+// TopKIOs implements exact.Method: dyadic candidates, exact rescoring
+// in the order the merge first saw them, the lists' and the runs' page
+// views charged to one count.
+func (a *Appx2Plus) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
+	var ios blockio.IOCount
+	items, err := a.topK(k, t1, t2, &ios)
+	ios.Fold(a.dev)
+	return items, ios.Reads(), err
+}
+
+// topK is TopK charging its page views to ios.
+func (a *Appx2Plus) topK(k int, t1, t2 float64, ios *blockio.IOCount) ([]topk.Item, error) {
+	acc, err := a.q.candidates(k, t1, t2, ios)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +257,7 @@ func (a *Appx2Plus) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	c := topk.GetCollector(k)
 	defer c.Release()
 	for _, id := range acc.touched {
-		s, err := a.e2.Score(id, t1, t2)
+		s, err := a.e2.ScoreCounted(id, t1, t2, ios)
 		if err != nil {
 			return nil, err
 		}

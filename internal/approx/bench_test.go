@@ -3,6 +3,7 @@ package approx
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"temporalrank/internal/blockio"
@@ -81,16 +82,22 @@ func BenchmarkBuildQuery2(b *testing.B) {
 	}
 }
 
-// BenchmarkAppx2PlusTopK times one APPX2+ top-k query on D-large with
-// k = 20 over random windows.
-func BenchmarkAppx2PlusTopK(b *testing.B) {
-	ds, a := dLargeAppx2Plus(b)
+// dLargeWindows returns 1,024 random query windows over ds.
+func dLargeWindows(ds *tsdata.Dataset) [][2]float64 {
 	rng := rand.New(rand.NewSource(7))
 	windows := make([][2]float64, 1024)
 	for i := range windows {
 		t1 := ds.Start() + rng.Float64()*ds.Span()
 		windows[i] = [2]float64{t1, t1 + rng.Float64()*(ds.End()-t1)}
 	}
+	return windows
+}
+
+// BenchmarkAppx2PlusTopK times one APPX2+ top-k query on D-large with
+// k = 20 over random windows.
+func BenchmarkAppx2PlusTopK(b *testing.B) {
+	ds, a := dLargeAppx2Plus(b)
+	windows := dLargeWindows(ds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -99,4 +106,26 @@ func BenchmarkAppx2PlusTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAppx2PlusTopKParallel is BenchmarkAppx2PlusTopK from every
+// goroutine RunParallel starts at once, all viewing one device: the
+// per-query cost under concurrency (-cpu sets the goroutine count).
+func BenchmarkAppx2PlusTopKParallel(b *testing.B) {
+	ds, a := dLargeAppx2Plus(b)
+	windows := dLargeWindows(ds)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 97
+		for pb.Next() {
+			w := windows[i%len(windows)]
+			i++
+			if _, err := a.TopK(20, w[0], w[1]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -141,13 +141,13 @@ func (a *listPacker) Flush() error {
 }
 
 // readList reads up to limit items of a packed list (limit < 0 reads
-// all).
-func readList(dev blockio.Device, ref listRef, limit int) ([]topk.Item, error) {
+// all), charging its page views to ios.
+func readList(dev blockio.Device, ref listRef, limit int, ios *blockio.IOCount) ([]topk.Item, error) {
 	if ref.head == blockio.InvalidPage || ref.count == 0 || limit == 0 {
 		return nil, nil
 	}
 	out := make([]topk.Item, 0, listLen(ref, limit))
-	err := walkList(dev, ref, limit, func(id tsdata.SeriesID, score float64) error {
+	err := walkList(dev, ref, limit, ios, func(id tsdata.SeriesID, score float64) error {
 		out = append(out, topk.Item{ID: id, Score: score})
 		return nil
 	})
@@ -173,13 +173,13 @@ func listLen(ref listRef, limit int) int {
 // all of them) to fn in rank order, stopping at fn's first error. List
 // reads run once per (query, list) on the approximate read path; each
 // chained page is decoded in place from a zero-copy view, held only
-// while its entries are consumed.
-func walkList(dev blockio.Device, ref listRef, limit int, fn func(id tsdata.SeriesID, score float64) error) error {
+// while its entries are consumed, and charged to ios.
+func walkList(dev blockio.Device, ref listRef, limit int, ios *blockio.IOCount, fn func(id tsdata.SeriesID, score float64) error) error {
 	want := listLen(ref, limit)
 	if want == 0 {
 		return nil
 	}
-	v, err := blockio.View(dev, ref.head)
+	v, err := ios.View(dev, ref.head)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func walkList(dev blockio.Device, ref listRef, limit int, fn func(id tsdata.Seri
 				v.Release()
 				return fmt.Errorf("approx: list truncated at %d of %d entries", got, want)
 			}
-			nv, err := blockio.View(dev, next)
+			nv, err := ios.View(dev, next)
 			if err != nil {
 				v.Release()
 				return err

@@ -95,8 +95,17 @@ func (q *Query1) Breakpoints() *breakpoint.Set { return q.bps }
 
 // TopK answers the approximate query by snapping [t1,t2] to
 // [B(t1),B(t2)] through the two tree levels and reading the
-// materialized list. k must be <= kmax.
+// materialized list. k must be <= kmax. Its page reads are added to the
+// device's total once, when it ends.
 func (q *Query1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
+	var ios blockio.IOCount
+	items, err := q.topK(k, t1, t2, &ios)
+	ios.Fold(q.dev)
+	return items, err
+}
+
+// topK is TopK charging its page views to ios.
+func (q *Query1) topK(k int, t1, t2 float64, ios *blockio.IOCount) ([]topk.Item, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
@@ -105,7 +114,7 @@ func (q *Query1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	}
 	// Snap through the top-level tree: first breakpoint >= t1 (clamped
 	// to the last breakpoint when t1 exceeds the domain).
-	cur, err := q.ttop.SearchCeil(t1)
+	cur, err := q.ttop.SearchCeilCounted(t1, ios)
 	if errors.Is(err, bptree.ErrNotFound) {
 		return nil, nil // snapped interval is empty: no scored objects
 	}
@@ -115,20 +124,20 @@ func (q *Query1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 	j := int(binary.LittleEndian.Uint32(cur.Value()))
 	cur.Close()
 	// Snap t2 through the lower tree of b_j.
-	lc, err := q.lower[j].SearchCeil(t2)
+	lc, err := q.lower[j].SearchCeilCounted(t2, ios)
 	if errors.Is(err, bptree.ErrNotFound) {
 		// B(t2) beyond the last breakpoint: snap down to the last one
 		// (the paper assumes [t1,t2] ⊆ [0,T]; we clamp for robustness).
-		_, v, lerr := q.lower[j].Last()
+		_, v, lerr := q.lower[j].Last(ios)
 		if lerr != nil {
 			return nil, lerr
 		}
-		return readList(q.dev, decodeListRef(v), k)
+		return readList(q.dev, decodeListRef(v), k, ios)
 	}
 	if err != nil {
 		return nil, err
 	}
 	ref := decodeListRef(lc.Value())
 	lc.Close()
-	return readList(q.dev, ref, k)
+	return readList(q.dev, ref, k, ios)
 }

@@ -150,9 +150,18 @@ func (q *Query2) cover(a, b int, visit func(n int) error) error {
 
 // TopK answers the approximate query: snap, decompose into dyadic
 // nodes, merge their top-kmax lists by summing per-object scores, and
-// return the k best of the candidate set K (|K| <= 2k·log r).
+// return the k best of the candidate set K (|K| <= 2k·log r). Its page
+// reads are added to the device's total once, when it ends.
 func (q *Query2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
-	acc, err := q.candidates(k, t1, t2)
+	var ios blockio.IOCount
+	items, err := q.topK(k, t1, t2, &ios)
+	ios.Fold(q.dev)
+	return items, err
+}
+
+// topK is TopK charging its page views to ios.
+func (q *Query2) topK(k int, t1, t2 float64, ios *blockio.IOCount) ([]topk.Item, error) {
+	acc, err := q.candidates(k, t1, t2, ios)
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +177,9 @@ func (q *Query2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // candidates merges the candidate set K for a query into a pooled
 // accumulator: for each object in K, its summed score over the covering
 // dyadic intervals. APPX2 ranks K by these sums; APPX2+ rescores K
-// exactly. The caller releases the accumulator.
-func (q *Query2) candidates(k int, t1, t2 float64) (*mergeAcc, error) {
+// exactly. The list pages' views are charged to ios. The caller
+// releases the accumulator.
+func (q *Query2) candidates(k int, t1, t2 float64, ios *blockio.IOCount) (*mergeAcc, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
@@ -187,7 +197,7 @@ func (q *Query2) candidates(k int, t1, t2 float64) (*mergeAcc, error) {
 		return nil
 	}
 	err := q.cover(a, b, func(n int) error {
-		return walkList(q.dev, q.nodes[n].list, k, add)
+		return walkList(q.dev, q.nodes[n].list, k, ios, add)
 	})
 	if err != nil {
 		acc.release()

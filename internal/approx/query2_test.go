@@ -25,7 +25,7 @@ func (q *Query2) Decompose(a, b int) []int {
 // Candidates returns the merged candidate set K as a map: object ->
 // summed score over the covering dyadic intervals.
 func (q *Query2) Candidates(k int, t1, t2 float64) (map[tsdata.SeriesID]float64, error) {
-	acc, err := q.candidates(k, t1, t2)
+	acc, err := q.candidates(k, t1, t2, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func TestQuery2MergeMatchesMapMerge(t *testing.T) {
 		}
 		want := map[tsdata.SeriesID]float64{}
 		for _, n := range nodes {
-			items, err := readList(dev, q.nodes[n].list, k)
+			items, err := readList(dev, q.nodes[n].list, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -234,6 +234,13 @@ func (p *BufferPool) Read(id PageID, buf []byte) error {
 // instead, so View never fails just because the cache is saturated with
 // pins.
 func (p *BufferPool) View(id PageID) (PageView, error) {
+	v, _, err := p.view(id)
+	return v, err
+}
+
+// view is View, also reporting whether the page was a miss, which read
+// the device (see IOCount.View).
+func (p *BufferPool) view(id PageID) (PageView, bool, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	if slot, ok := sh.slots[id]; ok {
@@ -245,12 +252,13 @@ func (p *BufferPool) View(id PageID) (PageView, error) {
 		sh.hits++
 		data := fr.data
 		sh.mu.Unlock()
-		return PageView{data: data, sh: sh, slot: slot}, nil
+		return PageView{data: data, sh: sh, slot: slot}, false, nil
 	}
 	sh.misses++
 	writes := sh.writes
 	sh.mu.Unlock()
-	return p.fill(sh, id, writes)
+	v, err := p.fill(sh, id, writes)
+	return v, true, err
 }
 
 // pinLocked pins the frame in slot and lends it out, releasing sh.mu.

@@ -131,8 +131,10 @@ func BenchmarkBufferPoolParallelWrites(b *testing.B) {
 // BenchmarkMemDeviceViewParallel measures the in-memory read path every
 // built or restored index serves from: View/Release of random pages of
 // one shared MemDevice (4,096 pages of 4 KiB). A view is one atomic
-// load of the page table, a bounds check and the read counter, so
-// parallel readers share no lock.
+// load of the page table and a bounds check, so parallel readers share
+// no lock; counting it on the device's read counter is an atomic add on
+// one shared word, and charging it to the call's IOCount a plain
+// increment.
 func BenchmarkMemDeviceViewParallel(b *testing.B) {
 	const pages = 4096
 	d := NewMemDevice(DefaultBlockSize)
@@ -147,18 +149,39 @@ func BenchmarkMemDeviceViewParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := xorshift64(rand.Int63() | 1)
-		for pb.Next() {
-			v, err := d.View(PageID(rng.next() % pages))
-			if err != nil {
-				b.Fatal(err)
-			}
-			v.Release()
+	// device: each view counted on the device's shared counter; call:
+	// views charged to a goroutine's own IOCount, folded every 100
+	// views, about the pages one APPX2+ query views.
+	for _, perCall := range []bool{false, true} {
+		name := "device"
+		if perCall {
+			name = "call"
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := xorshift64(rand.Int63() | 1)
+				var ios IOCount
+				for n := 1; pb.Next(); n++ {
+					var v PageView
+					var err error
+					if perCall {
+						v, err = ios.View(d, PageID(rng.next()%pages))
+						if n%100 == 0 {
+							ios.Fold(d)
+						}
+					} else {
+						v, err = d.View(PageID(rng.next() % pages))
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					v.Release()
+				}
+				ios.Fold(d)
+			})
+		})
+	}
 }
 
 // BenchmarkFileDeviceViewParallel measures the read path every on-disk

@@ -52,11 +52,14 @@ func (s Stats) String() string {
 }
 
 // counters is the lock-free accounting shared by all devices: each
-// field is incremented atomically on the operation's hot path, so
-// Stats()/ResetStats() never contend with (or tear under) concurrent
-// queries. Counter updates are monotonic adds; a Snapshot taken during
-// concurrent traffic is a consistent-enough point-in-time reading for
-// the paper's IO metric (each field individually exact).
+// field is an atomic, so Stats()/ResetStats() never contend with (or
+// tear under) concurrent queries. Alloc, Read, Write and the device's
+// own View add one per operation; a query's views are added in one
+// batch when the query ends (IOCount.Fold). Counter updates are
+// monotonic adds; a Snapshot taken during concurrent traffic is a
+// consistent-enough point-in-time reading for the paper's IO metric
+// (each field individually exact once the queries in flight have
+// ended).
 type counters struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
@@ -132,6 +135,8 @@ type Device interface {
 // MemDevice is an in-memory Device. It is the default substrate for
 // tests and benchmarks: "IOs" are counted exactly as a disk-backed
 // device would count them, without the wall-clock noise of a real disk.
+// A view charged to a query's IOCount reaches the device's read count
+// when the query folds it, at its end.
 //
 // Locking. Alloc, Read, Write and Close take the device mutex. Alloc
 // appends the new page under it and then publishes the whole page
@@ -211,22 +216,34 @@ func (d *MemDevice) Read(id PageID, buf []byte) error {
 }
 
 // View implements Viewer: the returned view aliases the page's backing
-// array directly — zero copies, counted as one read. View takes no
-// lock (see MemDevice), so concurrent queries on one device never
-// contend, and a view taken before Close keeps reading its page's
-// bytes. MemDevice mutates
-// page bytes in place on Write, so callers must serialize views
-// against writers of the same page (the root package's indexes never
-// write a page after their build), and a released view must not be
-// used after a concurrent Write lands.
+// array directly — zero copies, counted as one read with an atomic add
+// on the device's counter. A query instead charges its views to its own
+// IOCount, which skips the add (see IOCount.View). View takes no lock
+// (see MemDevice), so concurrent queries on one device never contend,
+// and a view taken before Close keeps reading its page's bytes.
+// MemDevice mutates page bytes in place on Write, so callers must
+// serialize views against writers of the same page (the root package's
+// indexes never write a page after their build), and a released view
+// must not be used after a concurrent Write lands.
 func (d *MemDevice) View(id PageID) (PageView, error) {
+	v, err := d.viewUncounted(id)
+	if err == nil {
+		d.stats.reads.Add(1)
+	}
+	return v, err
+}
+
+// viewUncounted is View without the count (see IOCount.View).
+func (d *MemDevice) viewUncounted(id PageID) (PageView, error) {
 	page, err := d.page(id)
 	if err != nil {
 		return PageView{}, err
 	}
-	d.stats.reads.Add(1)
 	return PageView{data: page}, nil
 }
+
+// addReads adds the reads of a call's IOCount to the device's total.
+func (d *MemDevice) addReads(n uint64) { d.stats.reads.Add(n) }
 
 // Write implements Device.
 func (d *MemDevice) Write(id PageID, data []byte) error {
@@ -256,10 +273,12 @@ func (d *MemDevice) NumPages() int {
 }
 
 // Stats implements Device. Lock-free: safe to call while queries are
-// in flight without serializing against the data path.
+// in flight without serializing against the data path. A query's views
+// reach the total when the query ends (see IOCount).
 func (d *MemDevice) Stats() Stats { return d.stats.Snapshot() }
 
-// ResetStats implements Device. Lock-free.
+// ResetStats implements Device. Lock-free. A query in flight adds all
+// its reads when it ends, those before the reset too.
 func (d *MemDevice) ResetStats() { d.stats.Reset() }
 
 // Close implements Device.

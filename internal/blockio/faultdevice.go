@@ -69,13 +69,17 @@ func (d *FaultDevice) Read(id PageID, buf []byte) error {
 
 // View implements Viewer. It spends one operation from the budget, as
 // Read does, so query-time fault sweeps exercise the view path that
-// served devices take.
+// served devices take. A view charged to an IOCount spends one too
+// (see IOCount.View).
 func (d *FaultDevice) View(id PageID) (PageView, error) {
 	if err := d.take(); err != nil {
 		return PageView{}, err
 	}
 	return View(d.inner, id)
 }
+
+// addReads passes the reads of a call's IOCount to the inner device.
+func (d *FaultDevice) addReads(n uint64) { addReads(d.inner, n) }
 
 // Write implements Device.
 func (d *FaultDevice) Write(id PageID, data []byte) error {

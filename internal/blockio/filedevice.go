@@ -25,7 +25,8 @@ import (
 //
 // View (on unix systems only; elsewhere blockio.View falls back to a
 // pooled copy) serves a page in place from a read-only, shared mmap of
-// the file, counted as one read like Read. The mapping is made at the
+// the file, counted as one read like Read (a view charged to a query's
+// IOCount is counted when the query ends). The mapping is made at the
 // first View and published atomically, so a View of a mapped page
 // takes no lock; a View past its end maps the file again, under mu, at
 // twice the size (mapping past EOF is allowed, and the bounds check
@@ -169,11 +170,16 @@ func (d *FileDevice) Write(id PageID, data []byte) error {
 // NumPages implements Device. Lock-free.
 func (d *FileDevice) NumPages() int { return int(d.numPages.Load()) }
 
-// Stats implements Device. Lock-free.
+// Stats implements Device. Lock-free. A query's views reach the total
+// when the query ends (see IOCount).
 func (d *FileDevice) Stats() Stats { return d.stats.Snapshot() }
 
-// ResetStats implements Device. Lock-free.
+// ResetStats implements Device. Lock-free. A query in flight adds all
+// its reads when it ends, those before the reset too.
 func (d *FileDevice) ResetStats() { d.stats.Reset() }
+
+// addReads adds the reads of a call's IOCount to the device's total.
+func (d *FileDevice) addReads(n uint64) { d.stats.reads.Add(n) }
 
 // Sync implements Syncer: fsync, forcing completed WriteAt calls to
 // stable storage. Without it a crash can lose buffered writes — the

@@ -14,12 +14,22 @@ import (
 var liveMappings atomic.Int64
 
 // View implements Viewer: the page as a slice of the file's read-only
-// mapping — zero copies, counted as one read. When the page is already
-// mapped View takes no lock: one atomic load of the published mapping,
-// the bounds check and the read counter. The view keeps its mapping
-// alive until Release, across Close and an unlink of the file (see
-// FileDevice).
+// mapping — zero copies, counted as one read with an atomic add on the
+// device's counter. A query instead charges its views to its own
+// IOCount, which skips the add (see IOCount.View). When the page is
+// already mapped View takes no lock: one atomic load of the published
+// mapping and the bounds check. The view keeps its mapping alive until
+// Release, across Close and an unlink of the file (see FileDevice).
 func (d *FileDevice) View(id PageID) (PageView, error) {
+	v, err := d.viewUncounted(id)
+	if err == nil {
+		d.stats.reads.Add(1)
+	}
+	return v, err
+}
+
+// viewUncounted is View without the count (see IOCount.View).
+func (d *FileDevice) viewUncounted(id PageID) (PageView, error) {
 	if err := d.check(id); err != nil {
 		return PageView{}, err
 	}
@@ -32,7 +42,6 @@ func (d *FileDevice) View(id PageID) (PageView, error) {
 			return PageView{}, err
 		}
 	}
-	d.stats.reads.Add(1)
 	return PageView{data: m.data[off:end:end], m: m}, nil
 }
 

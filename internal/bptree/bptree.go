@@ -242,12 +242,20 @@ type Cursor struct {
 // the cursor needs no Close on any error return. The descent holds at
 // most one page view at a time (each internal node is released before
 // its child is mapped), so a search never pins more than one frame.
+// Each page view, the cursor's too, is counted on the device as it is
+// taken.
 func (t *Tree) SearchCeil(x float64) (Cursor, error) {
+	return t.SearchCeilCounted(x, nil)
+}
+
+// SearchCeilCounted is SearchCeil charging the search's page views to
+// ios (see blockio.IOCount.View); NextCounted charges the walk's.
+func (t *Tree) SearchCeilCounted(x float64, ios *blockio.IOCount) (Cursor, error) {
 	page := t.root
 	var v blockio.PageView
 	for {
 		var err error
-		v, err = blockio.View(t.dev, page)
+		v, err = ios.View(t.dev, page)
 		if err != nil {
 			return Cursor{}, err
 		}
@@ -282,7 +290,7 @@ func (t *Tree) SearchCeil(x float64) (Cursor, error) {
 	if lo == n {
 		// All keys in this leaf < x; the ceil (if any) is the first
 		// entry of the next leaf.
-		if !c.advanceLeaf() {
+		if !c.advanceLeaf(ios) {
 			c.Close()
 			if c.err != nil {
 				return Cursor{}, c.err
@@ -310,19 +318,24 @@ func (c *Cursor) Key() float64 { return c.t.leafKey(c.view.Data(), c.idx) }
 func (c *Cursor) Value() []byte { return c.t.leafValue(c.view.Data(), c.idx) }
 
 // Next advances to the following entry; it reports false at the end of
-// the tree or on IO error (check Err).
-func (c *Cursor) Next() bool {
+// the tree or on IO error (check Err). A page view is counted on the
+// device as it is taken.
+func (c *Cursor) Next() bool { return c.NextCounted(nil) }
+
+// NextCounted is Next charging a page view to ios (see
+// blockio.IOCount.View).
+func (c *Cursor) NextCounted(ios *blockio.IOCount) bool {
 	c.idx++
 	if c.idx < leafCount(c.view.Data()) {
 		return true
 	}
-	return c.advanceLeaf()
+	return c.advanceLeaf(ios)
 }
 
-func (c *Cursor) advanceLeaf() bool {
+func (c *Cursor) advanceLeaf(ios *blockio.IOCount) bool {
 	next := leafNext(c.view.Data())
 	for next != blockio.InvalidPage {
-		v, err := blockio.View(c.t.dev, next)
+		v, err := ios.View(c.t.dev, next)
 		if err != nil {
 			c.err = err
 			return false
@@ -443,14 +456,14 @@ func BulkLoad(dev blockio.Device, valueSize int, entries []Entry) (*Tree, error)
 	return t, nil
 }
 
-// Last returns the largest entry (key, value) in O(height) IOs; EXACT2
-// queries use it to read an object's full prefix σ_i(I_{i,n_i}) when a
-// search runs past the last key. The value is copied out, so no view
-// outlives the call.
-func (t *Tree) Last() (float64, []byte, error) {
+// Last returns the largest entry (key, value) in O(height) IOs; QUERY1
+// uses it to snap a window end past the last breakpoint. The value is
+// copied out, so no view outlives the call. The page views are charged
+// to ios (see blockio.IOCount.View; nil counts them on the device).
+func (t *Tree) Last(ios *blockio.IOCount) (float64, []byte, error) {
 	page := t.root
 	for {
-		v, err := blockio.View(t.dev, page)
+		v, err := ios.View(t.dev, page)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -62,7 +62,7 @@ func TestEmptyTree(t *testing.T) {
 	if _, err := tr.SearchCeil(0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("SearchCeil on empty = %v, want ErrNotFound", err)
 	}
-	if _, _, err := tr.Last(); !errors.Is(err, ErrNotFound) {
+	if _, _, err := tr.Last(nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Last on empty = %v, want ErrNotFound", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestBulkLoadMultiLevel(t *testing.T) {
 			t.Fatalf("SearchCeil(%g): key=%g val=%d", keys[i], c.Key(), dec8(c.Value()))
 		}
 	}
-	k, v, err := tr.Last()
+	k, v, err := tr.Last(nil)
 	if err != nil || k != keys[n-1] || dec8(v) != uint64(n-1) {
 		t.Errorf("Last = (%g, %d, %v), want (%g, %d)", k, dec8(v), err, keys[n-1], n-1)
 	}
@@ -317,4 +317,52 @@ func TestCapsBoundedByCountField(t *testing.T) {
 		t.Fatalf("SearchCeil(68000.5): err %v", err)
 	}
 	c.Close()
+}
+
+// TestSearchCeilCounted: a counted search and its cursor's counted walk
+// charge every page view to the call's count, none to the device until
+// the count is folded, and the same views SearchCeil and Next count on
+// the device.
+func TestSearchCeilCounted(t *testing.T) {
+	keys := make([]float64, 3000)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	dev := blockio.NewViewOnlyDevice(256)
+	tr, err := BulkLoad(dev, 8, mkEntries(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := func(c Cursor, ios *blockio.IOCount) {
+		for step := 0; step < 100 && c.NextCounted(ios); step++ {
+		}
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		c.Close()
+	}
+	dev.ResetStats()
+	c, err := tr.SearchCeil(1234.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(c, nil)
+	want := dev.Stats().Reads
+
+	dev.ResetStats()
+	var ios blockio.IOCount
+	if c, err = tr.SearchCeilCounted(1234.5, &ios); err != nil {
+		t.Fatal(err)
+	}
+	walk(c, &ios)
+	if r := dev.Stats().Reads; r != 0 {
+		t.Fatalf("counted search: %d reads on the device before the fold", r)
+	}
+	if ios.Reads() != want {
+		t.Fatalf("counted search charged %d reads, SearchCeil counts %d", ios.Reads(), want)
+	}
+	ios.Fold(dev)
+	if r := dev.Stats().Reads; r != want {
+		t.Fatalf("after the fold the device counts %d reads, want %d", r, want)
+	}
 }

@@ -29,7 +29,7 @@ func TestExact3TopKAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() {
 		t1 := lo + (hi-lo)*float64(i%8)/16
 		i++
-		items, err := e.TopKAdjusted(10, t1, t1+(hi-lo)/4, adjust)
+		items, _, err := e.TopKAdjusted(10, t1, t1+(hi-lo)/4, adjust)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,8 +37,14 @@ type Method interface {
 	// TopK answers top-k(t1,t2,sum): the k objects with the largest
 	// σ_i(t1,t2), ordered by descending aggregate score.
 	TopK(k int, t1, t2 float64) ([]topk.Item, error)
+	// TopKIOs is TopK that also returns the call's IOs: the page reads
+	// of its traversal, which it charges to a blockio.IOCount of its own
+	// and adds to the device's total once, when it ends. The count is
+	// the call's alone under any concurrency.
+	TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error)
 	// Score returns the method's estimate of σ_i(t1,t2) for one object
-	// (exact methods return the exact value).
+	// (exact methods return the exact value). Like TopK, it adds its page
+	// reads to the device's total once, when it ends.
 	Score(id tsdata.SeriesID, t1, t2 float64) (float64, error)
 	// Device exposes the index's block device for IO accounting.
 	Device() blockio.Device

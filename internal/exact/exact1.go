@@ -130,11 +130,19 @@ func (e *Exact1) IndexPages() int { return e.dev.NumPages() }
 
 // TopK implements Method.
 func (e *Exact1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
-	sums, err := e.runningSums(t1, t2)
+	items, _, err := e.TopKIOs(k, t1, t2)
+	return items, err
+}
+
+// TopKIOs implements Method.
+func (e *Exact1) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
+	var ios blockio.IOCount
+	sums, err := e.runningSums(t1, t2, &ios)
+	ios.Fold(e.dev)
 	if err != nil {
-		return nil, err
+		return nil, ios.Reads(), err
 	}
-	return topk.Collect(k, sums), nil
+	return topk.Collect(k, sums), ios.Reads(), nil
 }
 
 // Score implements Method. Exact1 has no per-object access path, so
@@ -142,7 +150,9 @@ func (e *Exact1) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
 // the interface (the harness only calls Score on approximate methods
 // and on Exact2/Exact3).
 func (e *Exact1) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
-	sums, err := e.runningSums(t1, t2)
+	var ios blockio.IOCount
+	sums, err := e.runningSums(t1, t2, &ios)
+	ios.Fold(e.dev)
 	if err != nil {
 		return 0, err
 	}
@@ -153,12 +163,13 @@ func (e *Exact1) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 }
 
 // runningSums performs the leaf sweep, returning σ_i(t1,t2) for all i.
-func (e *Exact1) runningSums(t1, t2 float64) ([]float64, error) {
+// Its page views are charged to ios.
+func (e *Exact1) runningSums(t1, t2 float64, ios *blockio.IOCount) ([]float64, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
 	sums := make([]float64, e.m)
-	cur, err := e.tree.SearchCeil(t1 - e.maxDur)
+	cur, err := e.tree.SearchCeilCounted(t1-e.maxDur, ios)
 	if errors.Is(err, bptree.ErrNotFound) {
 		return sums, nil
 	}
@@ -175,7 +186,7 @@ func (e *Exact1) runningSums(t1, t2 float64) ([]float64, error) {
 		id := getSeriesID(v[0:])
 		seg := tsdata.Segment{T1: segT1, T2: getF64(v[4:]), V1: getF64(v[12:]), V2: getF64(v[20:])}
 		sums[id] += seg.IntegralOver(t1, t2)
-		if !cur.Next() {
+		if !cur.NextCounted(ios) {
 			break
 		}
 	}

@@ -139,41 +139,61 @@ func (e *Exact2) Device() blockio.Device { return e.dev }
 // IndexPages implements Method.
 func (e *Exact2) IndexPages() int { return e.dev.NumPages() }
 
-// TopK implements Method: every object's score from its own run, into
-// a pooled σ-vector (getScores/putScores, as EXACT3), with the window
-// validated once for the whole query.
+// TopK implements Method.
 func (e *Exact2) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
+	items, _, err := e.TopKIOs(k, t1, t2)
+	return items, err
+}
+
+// TopKIOs implements Method: every object's score from its own run,
+// into a pooled σ-vector (getScores/putScores, as EXACT3), with the
+// window validated once for the whole query.
+func (e *Exact2) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
 	if err := validateQuery(t1, t2); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	var ios blockio.IOCount
 	sums := getScores(len(e.starts))
+	var err error
 	for i := range *sums {
-		s, err := e.score(tsdata.SeriesID(i), t1, t2)
-		if err != nil {
-			putScores(sums)
-			return nil, err
+		if (*sums)[i], err = e.score(tsdata.SeriesID(i), t1, t2, &ios); err != nil {
+			break
 		}
-		(*sums)[i] = s
+	}
+	ios.Fold(e.dev)
+	if err != nil {
+		putScores(sums)
+		return nil, ios.Reads(), err
 	}
 	items := topk.Collect(k, *sums)
 	putScores(sums)
-	return items, nil
+	return items, ios.Reads(), nil
 }
 
 // Score implements Method: Eq. (2) from the run's page (or pages) that
 // hold the ceilings of t1 and t2 — one page view when both share one.
 func (e *Exact2) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
+	var ios blockio.IOCount
+	s, err := e.ScoreCounted(id, t1, t2, &ios)
+	ios.Fold(e.dev)
+	return s, err
+}
+
+// ScoreCounted is Score charging its page views to ios, for a caller
+// that scores many objects in one call and folds the count once.
+func (e *Exact2) ScoreCounted(id tsdata.SeriesID, t1, t2 float64, ios *blockio.IOCount) (float64, error) {
 	if id < 0 || int(id) >= len(e.starts) {
 		return 0, fmt.Errorf("exact2: %w: %d", trerr.ErrUnknownSeries, id)
 	}
 	if err := validateQuery(t1, t2); err != nil {
 		return 0, err
 	}
-	return e.score(id, t1, t2)
+	return e.score(id, t1, t2, ios)
 }
 
-// score is Score for a known series and a validated window.
-func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
+// score is Score for a known series and a validated window, charging
+// its page views to ios.
+func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64, ios *blockio.IOCount) (float64, error) {
 	// Clamp to the object's domain; g_i is 0 outside it.
 	if t1 < e.starts[id] {
 		t1 = e.starts[id]
@@ -185,7 +205,7 @@ func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 		return 0, nil
 	}
 	p2 := e.pageOf(id, t2)
-	v, err := blockio.View(e.dev, p2)
+	v, err := ios.View(e.dev, p2)
 	if err != nil {
 		return 0, err
 	}
@@ -193,7 +213,7 @@ func (e *Exact2) score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	p1 := e.pageOf(id, t1)
 	if p1 != p2 {
 		v.Release()
-		if v, err = blockio.View(e.dev, p1); err != nil {
+		if v, err = ios.View(e.dev, p1); err != nil {
 			return 0, err
 		}
 	}

@@ -87,25 +87,33 @@ func (e *Exact3) IndexPages() int { return e.dev.NumPages() }
 // TopK implements Method: two stabbing queries then the shared top-k
 // pass.
 func (e *Exact3) TopK(k int, t1, t2 float64) ([]topk.Item, error) {
+	items, _, err := e.TopKAdjusted(k, t1, t2, nil)
+	return items, err
+}
+
+// TopKIOs implements Method.
+func (e *Exact3) TopKIOs(k int, t1, t2 float64) ([]topk.Item, uint64, error) {
 	return e.TopKAdjusted(k, t1, t2, nil)
 }
 
-// TopKAdjusted is TopK with a hook between the stabs and the top-k
+// TopKAdjusted is TopKIOs with a hook between the stabs and the top-k
 // pass: adjust, when non-nil, receives the σ-vector — σ_i(t1,t2) of
 // every object, indexed by series id — and may change entries in place,
 // as a caller does to add mass the index has not seen. The vector is
 // pooled and valid only during the call.
-func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)) ([]topk.Item, error) {
-	sums, err := e.allScores(t1, t2)
+func (e *Exact3) TopKAdjusted(k int, t1, t2 float64, adjust func(sums []float64)) ([]topk.Item, uint64, error) {
+	var ios blockio.IOCount
+	sums, err := e.allScores(t1, t2, &ios)
+	ios.Fold(e.dev)
 	if err != nil {
-		return nil, err
+		return nil, ios.Reads(), err
 	}
 	if adjust != nil {
 		adjust(*sums)
 	}
 	items := topk.Collect(k, *sums)
 	putScores(sums)
-	return items, nil
+	return items, ios.Reads(), nil
 }
 
 // scorePool recycles the per-query σ-vectors (one float64 per object)
@@ -142,19 +150,19 @@ func putScores(p *[]float64) {
 
 // allScores computes σ_i(t1,t2) for every object via two stabs into
 // one vector: the t2 stab stores σ_i(t_{i,0}, t2) and the t1 stab
-// subtracts σ_i(t_{i,0}, t1) in place. The returned vector comes from
-// scorePool; callers release it with putScores once the values are
-// consumed.
-func (e *Exact3) allScores(t1, t2 float64) (*[]float64, error) {
+// subtracts σ_i(t_{i,0}, t1) in place. The stabs' page views are
+// charged to ios. The returned vector comes from scorePool; callers
+// release it with putScores once the values are consumed.
+func (e *Exact3) allScores(t1, t2 float64, ios *blockio.IOCount) (*[]float64, error) {
 	if err := validateQuery(t1, t2); err != nil {
 		return nil, err
 	}
 	sums := getScores(e.m)
-	if err := e.stabSigma(*sums, t2, false); err != nil {
+	if err := e.stabSigma(*sums, t2, false, ios); err != nil {
 		putScores(sums)
 		return nil, err
 	}
-	if err := e.stabSigma(*sums, t1, true); err != nil {
+	if err := e.stabSigma(*sums, t1, true, ios); err != nil {
 		putScores(sums)
 		return nil, err
 	}
@@ -191,9 +199,9 @@ func recordSegment(r []byte) tsdata.Segment {
 // object's covering interval, whose prefix minus the partial trapezoid
 // beyond t gives the prefix aggregate at t. Each page's run of hits is
 // scored in one loop over its records.
-func (e *Exact3) stabSigma(out []float64, t float64, sub bool) error {
+func (e *Exact3) stabSigma(out []float64, t float64, sub bool, ios *blockio.IOCount) error {
 	stabT := e.clampStatic(t)
-	return e.tree.StabRuns(stabT, func(recs []byte) bool {
+	return e.tree.StabRuns(stabT, ios, func(recs []byte) bool {
 		for off := 0; off+exact3RecordSize <= len(recs); off += exact3RecordSize {
 			r := recs[off : off+exact3RecordSize]
 			s := getF64(r[36:]) - recordSegment(r).IntegralFrom(stabT)
@@ -214,7 +222,9 @@ func (e *Exact3) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 	if id < 0 || int(id) >= e.m {
 		return 0, fmt.Errorf("exact3: %w: %d", trerr.ErrUnknownSeries, id)
 	}
-	sums, err := e.allScores(t1, t2)
+	var ios blockio.IOCount
+	sums, err := e.allScores(t1, t2, &ios)
+	ios.Fold(e.dev)
 	if err != nil {
 		return 0, err
 	}
@@ -228,23 +238,26 @@ func (e *Exact3) Score(id tsdata.SeriesID, t1, t2 float64) (float64, error) {
 // Journal 2010): the k objects with the largest g_i(t) at one time
 // instant. A single stabbing query suffices — each returned interval
 // carries its object's segment, evaluated at t. Objects outside their
-// domain at t score 0 (their sentinel's flat-zero segment).
-func (e *Exact3) InstantTopK(k int, t float64) ([]topk.Item, error) {
+// domain at t score 0 (their sentinel's flat-zero segment). It returns
+// the call's IOs as TopKIOs does.
+func (e *Exact3) InstantTopK(k int, t float64) ([]topk.Item, uint64, error) {
 	if err := validateQuery(t, t); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c := topk.GetCollector(k)
 	defer c.Release()
 	stabT := e.clampStatic(t)
-	err := e.tree.StabRuns(stabT, func(recs []byte) bool {
+	var ios blockio.IOCount
+	err := e.tree.StabRuns(stabT, &ios, func(recs []byte) bool {
 		for off := 0; off+exact3RecordSize <= len(recs); off += exact3RecordSize {
 			r := recs[off : off+exact3RecordSize]
 			c.Add(getSeriesID(r[16:]), recordSegment(r).At(stabT))
 		}
 		return true
 	})
+	ios.Fold(e.dev)
 	if err != nil {
-		return nil, err
+		return nil, ios.Reads(), err
 	}
-	return c.Results(), nil
+	return c.Results(), ios.Reads(), nil
 }

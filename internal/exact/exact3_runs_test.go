@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"temporalrank/internal/blockio"
@@ -90,7 +92,7 @@ func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
 				[2]float64{ds.Start(), ds.End()})
 			for _, w := range windows {
 				want := referenceScores(t, e3, w[0], w[1])
-				got, err := e3.allScores(w[0], w[1])
+				got, err := e3.allScores(w[0], w[1], nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +118,7 @@ func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				inst, err := e3.InstantTopK(10, w[0])
+				inst, _, err := e3.InstantTopK(10, w[0])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,25 +130,45 @@ func TestExact3ScoresMatchPerIntervalReference(t *testing.T) {
 	}
 }
 
-// BenchmarkExact3TopK times one EXACT3 top-k query at the shape of the
-// serving benchmark's D-large dataset: 8,000 Temp-like series of about
-// 100 segments, k = 20, random windows.
+// dLarge is EXACT3 over the serving benchmark's D-large shape: 8,000
+// Temp-like series of about 100 segments, with 1,024 random windows. It
+// is built once per test binary, since the testing package calls a
+// benchmark several times.
+var dLarge struct {
+	once    sync.Once
+	e3      *Exact3
+	windows [][2]float64
+	err     error
+}
+
+func dLargeExact3(b *testing.B) (*Exact3, [][2]float64) {
+	b.Helper()
+	dLarge.once.Do(func() {
+		ds, err := gen.Temp(gen.TempConfig{M: 8000, Navg: 100, Seed: 7})
+		if err != nil {
+			dLarge.err = err
+			return
+		}
+		if dLarge.e3, dLarge.err = BuildExact3(blockio.NewViewOnlyDevice(blockio.DefaultBlockSize), ds); dLarge.err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(7))
+		dLarge.windows = make([][2]float64, 1024)
+		for i := range dLarge.windows {
+			a := ds.Start() + rng.Float64()*ds.Span()
+			dLarge.windows[i] = [2]float64{a, a + rng.Float64()*(ds.End()-a)}
+		}
+	})
+	if dLarge.err != nil {
+		b.Fatal(dLarge.err)
+	}
+	return dLarge.e3, dLarge.windows
+}
+
+// BenchmarkExact3TopK times one EXACT3 top-k query at the D-large shape,
+// k = 20, over random windows.
 func BenchmarkExact3TopK(b *testing.B) {
-	ds, err := gen.Temp(gen.TempConfig{M: 8000, Navg: 100, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev := blockio.NewViewOnlyDevice(blockio.DefaultBlockSize)
-	e3, err := BuildExact3(dev, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	windows := make([][2]float64, 1024)
-	for i := range windows {
-		a := ds.Start() + rng.Float64()*ds.Span()
-		windows[i] = [2]float64{a, a + rng.Float64()*(ds.End()-a)}
-	}
+	e3, windows := dLargeExact3(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,4 +177,25 @@ func BenchmarkExact3TopK(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkExact3TopKParallel is BenchmarkExact3TopK from every
+// goroutine RunParallel starts at once, all viewing one device: the
+// per-query cost under concurrency (-cpu sets the goroutine count).
+func BenchmarkExact3TopKParallel(b *testing.B) {
+	e3, windows := dLargeExact3(b)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 97
+		for pb.Next() {
+			w := windows[i%len(windows)]
+			i++
+			if _, err := e3.TopK(20, w[0], w[1]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -366,7 +366,7 @@ func TestExact3InstantTopK(t *testing.T) {
 		for _, s := range ds.AllSeries() {
 			want.Add(s.ID, s.At(at))
 		}
-		got, err := e3.InstantTopK(5, at)
+		got, _, err := e3.InstantTopK(5, at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestExact3InstantTopKOutsideDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e3.InstantTopK(3, ds.End()+100)
+	got, _, err := e3.InstantTopK(3, ds.End()+100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,5 +431,99 @@ func TestRestoreExact3ChecksIntervalCount(t *testing.T) {
 	bad.Tree.PayloadSize += 8
 	if _, err := RestoreExact3(dev, ds, bad); !errors.Is(err, trerr.ErrBadSnapshot) {
 		t.Errorf("payload of %d bytes: err = %v, want ErrBadSnapshot", bad.Tree.PayloadSize, err)
+	}
+}
+
+// TestQueryFoldsIOsOnce: a query charges its page views to a count of
+// its own and adds it to the device's total once. Each method's TopKIOs
+// moves the device's count by exactly the IOs it reports, which are the
+// views the same traversal counts on the device one by one, and Score
+// adds its reads too. EXACT3's two stabs charged to one count leave the
+// device untouched until the count is folded.
+func TestQueryFoldsIOsOnce(t *testing.T) {
+	ds := randomDataset(43, 60, 30, false)
+	t1 := ds.Start() + ds.Span()*0.2
+	t2 := ds.Start() + ds.Span()*0.7
+	var e3 *Exact3
+	for _, b := range []struct {
+		name  string
+		build func(dev blockio.Device) (Method, error)
+	}{
+		{"EXACT1", func(dev blockio.Device) (Method, error) { return BuildExact1(dev, ds) }},
+		{"EXACT2", func(dev blockio.Device) (Method, error) { return BuildExact2(dev, ds) }},
+		{"EXACT3", func(dev blockio.Device) (Method, error) { return BuildExact3(dev, ds) }},
+	} {
+		dev := blockio.NewViewOnlyDevice(512)
+		m, err := b.build(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.ResetStats()
+		_, ios, err := m.TopKIOs(5, t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Stats().Reads; ios == 0 || got != ios {
+			t.Fatalf("%s: TopKIOs reports %d IOs, the device counted %d", b.name, ios, got)
+		}
+
+		// The same traversal, each view counted on the device as taken.
+		dev.ResetStats()
+		switch m := m.(type) {
+		case *Exact1:
+			_, err = m.runningSums(t1, t2, nil)
+		case *Exact2:
+			for id := range m.starts {
+				if _, err = m.score(tsdata.SeriesID(id), t1, t2, nil); err != nil {
+					break
+				}
+			}
+		case *Exact3:
+			var sums *[]float64
+			if sums, err = m.allScores(t1, t2, nil); err == nil {
+				putScores(sums)
+			}
+			e3 = m
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if each := dev.Stats().Reads; each != ios {
+			t.Fatalf("%s: the traversal takes %d views, TopKIOs reported %d", b.name, each, ios)
+		}
+
+		dev.ResetStats()
+		for id := tsdata.SeriesID(0); id < 10; id++ {
+			if _, err := m.Score(id, t1, t2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dev.Stats().Reads == 0 {
+			t.Fatalf("%s: Score added no reads to the device", b.name)
+		}
+	}
+
+	dev := e3.Device()
+	dev.ResetStats()
+	var count blockio.IOCount
+	sums, err := e3.allScores(t1, t2, &count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putScores(sums)
+	if r := dev.Stats().Reads; count.Reads() == 0 || r != 0 {
+		t.Fatalf("EXACT3: stabs charged %d reads to their count, the device counted %d before the fold", count.Reads(), r)
+	}
+	count.Fold(dev)
+	if r := dev.Stats().Reads; r != count.Reads() {
+		t.Fatalf("EXACT3: folded %d reads, the device counts %d", count.Reads(), r)
+	}
+	dev.ResetStats()
+	_, ios, err := e3.InstantTopK(5, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ios == 0 || dev.Stats().Reads != ios {
+		t.Fatalf("EXACT3: InstantTopK reports %d IOs, the device counted %d", ios, dev.Stats().Reads)
 	}
 }

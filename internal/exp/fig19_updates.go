@@ -137,7 +137,7 @@ func Updates(w io.Writer, p Params, numAppends int) (*Table, error) {
 			return nil, fmt.Errorf("%s compact: %w", name, err)
 		}
 		elapsed := time.Since(start)
-		ios := pl.Indexes()[0].DeviceIOs()
+		ios := pl.Indexes()[0].Stats().DeviceIOs
 		t.Rows = append(t.Rows, []string{
 			string(name),
 			fmtDur(time.Duration(int64(elapsed) / int64(numAppends))),

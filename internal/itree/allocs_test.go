@@ -13,7 +13,7 @@ import (
 )
 
 // TestStabAllocs pins both stab forms at zero allocations: StabRuns
-// over multi-page lists, where the last page's run ends inside the page,
+// over multi-page lists, charged to a count of its own and folded, where the last page's run ends inside the page,
 // and Stab's per-record visits on top of it. Every object partitions
 // the domain, so each stab reports exactly one interval per object.
 func TestStabAllocs(t *testing.T) {
@@ -28,7 +28,8 @@ func TestStabAllocs(t *testing.T) {
 		}
 		ivs = append(ivs, Interval{Lo: lo, Hi: 100, Payload: payload(uint32(obj))})
 	}
-	tr, err := Build(blockio.NewViewOnlyDevice(512), 4, ivs)
+	dev := blockio.NewViewOnlyDevice(512)
+	tr, err := Build(dev, 4, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,12 @@ func TestStabAllocs(t *testing.T) {
 		name string
 		stab func(x float64) error
 	}{
-		{"StabRuns", func(x float64) error { return tr.StabRuns(x, countRun) }},
+		{"StabRuns", func(x float64) error {
+			var ios blockio.IOCount
+			err := tr.StabRuns(x, &ios, countRun)
+			ios.Fold(dev)
+			return err
+		}},
 		{"Stab", func(x float64) error { return tr.Stab(x, countOne) }},
 	} {
 		i := 0

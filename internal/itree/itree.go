@@ -487,10 +487,11 @@ func (b *builder) writeList(ivs []Interval, order []int32) (blockio.PageID, erro
 // Stab invokes visit for every stored interval containing x. The
 // payload slice passed to visit aliases the page view of the list page
 // being scanned; it is valid only for the duration of the visit call —
-// copy it to retain. Iteration stops early if visit returns false.
+// copy it to retain. Iteration stops early if visit returns false. Each
+// page view is counted on the device as it is taken.
 func (t *Tree) Stab(x float64, visit func(iv Interval) bool) error {
 	stride := t.RecordSize()
-	return t.StabRuns(x, func(recs []byte) bool {
+	return t.StabRuns(x, nil, func(recs []byte) bool {
 		for off := 0; off < len(recs); off += stride {
 			r := recs[off : off+stride]
 			if !visit(Interval{Lo: getF64(r), Hi: getF64(r[8:]), Payload: r[intervalSize:]}) {
@@ -508,18 +509,19 @@ func (t *Tree) RecordSize() int { return intervalSize + t.payloadSize }
 // StabRuns reports every stored interval containing x, a list page at a
 // time: run gets the records of one page that contain x, RecordSize
 // bytes each, aliasing the page view (valid only during the call). The
-// stab stops early if run returns false.
+// stab stops early if run returns false. Its page views are charged to
+// ios (see blockio.IOCount.View; nil counts them on the device).
 //
 // A node's lists are sorted so the records containing x are a prefix of
 // the chain: all of them when x is the center, else those with lo <= x
 // (ascending-lo list) or hi > x (descending-hi list). A binary search
 // finds where that prefix ends on its last page, so a stab views the
 // pages a record-at-a-time scan would, holding one view at a time.
-func (t *Tree) StabRuns(x float64, run func(recs []byte) bool) error {
+func (t *Tree) StabRuns(x float64, ios *blockio.IOCount, run func(recs []byte) bool) error {
 	stride := t.RecordSize()
 	page := t.root
 	for page != blockio.InvalidPage {
-		v, err := blockio.View(t.dev, page)
+		v, err := ios.View(t.dev, page)
 		if err != nil {
 			return err
 		}
@@ -536,7 +538,7 @@ func (t *Tree) StabRuns(x float64, run func(recs []byte) bool) error {
 		}
 		v.Release()
 		for head != blockio.InvalidPage {
-			if v, err = blockio.View(t.dev, head); err != nil {
+			if v, err = ios.View(t.dev, head); err != nil {
 				return err
 			}
 			buf := v.Data()

@@ -82,11 +82,14 @@ func referenceStab(t *testing.T, tr *Tree, x float64) (ids []uint32, pages int) 
 
 // runIDs stabs with StabRuns, checking that every record it is handed
 // contains x, and returns the sorted ids and the pages the stab viewed.
+// The stab charges its views to a count of its own, which reaches the
+// device only when it is folded.
 func runIDs(t *testing.T, tr *Tree, dev blockio.Device, x float64) (ids []uint32, pages int) {
 	t.Helper()
 	dev.ResetStats()
 	stride := tr.RecordSize()
-	err := tr.StabRuns(x, func(recs []byte) bool {
+	var ios blockio.IOCount
+	err := tr.StabRuns(x, &ios, func(recs []byte) bool {
 		if len(recs) == 0 || len(recs)%stride != 0 {
 			t.Fatalf("StabRuns(%g): run of %d bytes, records are %d", x, len(recs), stride)
 		}
@@ -102,8 +105,15 @@ func runIDs(t *testing.T, tr *Tree, dev blockio.Device, x float64) (ids []uint32
 	if err != nil {
 		t.Fatalf("StabRuns(%g): %v", x, err)
 	}
+	if r := dev.Stats().Reads; r != 0 {
+		t.Fatalf("StabRuns(%g): %d reads on the device before the count was folded", x, r)
+	}
+	ios.Fold(dev)
+	if r := dev.Stats().Reads; r != ios.Reads() {
+		t.Fatalf("StabRuns(%g): folded %d reads, the device counts %d", x, ios.Reads(), r)
+	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids, int(dev.Stats().Reads)
+	return ids, int(ios.Reads())
 }
 
 // centers returns the center of every node of tr.
@@ -192,7 +202,7 @@ func TestStabRunsEarlyExit(t *testing.T) {
 	}
 	dev.ResetStats()
 	runs := 0
-	if err := tr.StabRuns(50, func([]byte) bool {
+	if err := tr.StabRuns(50, nil, func([]byte) bool {
 		runs++
 		return false
 	}); err != nil {

@@ -102,11 +102,19 @@ func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 	// A run created since the check above wins; heads never return to 0.
 	h, c, off, last := t.run(id)
 	ch, n := int(h>>44), last-off+1
+	var total float64 // the run's running integral up to its last vertex
 	if h != 0 {
-		prevEnd = c.times[last]
+		prevEnd, fv, total = c.times[last], c.values[last], c.prefix[last]
 	}
 	if !(ts > prevEnd) || math.IsInf(ts, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
 		return prevEnd, fmt.Errorf("memtable: series %d: append (%g, %g) must be finite and after end %g", id, ts, v, prevEnd)
+	}
+	// A finite vertex can still overflow the run's integral, and every
+	// window over it would score ±Inf, or NaN once compaction folds it
+	// into the base.
+	total += tsdata.Segment{T1: prevEnd, T2: ts, V1: fv, V2: v}.Integral()
+	if math.IsInf(total, 0) || math.IsNaN(total) {
+		return prevEnd, fmt.Errorf("memtable: series %d: append (%g, %g) overflows the series' running integral", id, ts, v)
 	}
 	switch {
 	case h == 0:
@@ -123,8 +131,7 @@ func (t *Table) Append(id int, ts, v float64) (prevEnd float64, err error) {
 		copy(c.prefix[off:], old.prefix[from:from+n])
 	}
 	i := off + n
-	seg := tsdata.Segment{T1: prevEnd, T2: ts, V1: c.values[i-1], V2: v}
-	c.times[i], c.values[i], c.prefix[i] = ts, v, c.prefix[i-1]+seg.Integral()
+	c.times[i], c.values[i], c.prefix[i] = ts, v, total
 	if hn := uint64(ch)<<44 | uint64(off)<<32 | uint64(n+1); h == 0 {
 		t.publishRun(id, prevEnd, hn)
 	} else {

@@ -82,6 +82,35 @@ func TestTableAppendAndFrontier(t *testing.T) {
 	}
 }
 
+// TestTableAppendOverflow: a finite vertex whose segment area, or the
+// run's running integral with it, overflows float64 is refused before
+// anything is published, on a first append and on a later one alike.
+func TestTableAppendOverflow(t *testing.T) {
+	tb := NewTable(flatFrontier(2, 10, 2), 0)
+	if _, err := tb.Append(0, 10+1e10, 1e308); err == nil {
+		t.Fatal("first append whose area overflows accepted")
+	}
+	if tb.Segments() != 0 || tb.NumSeries() != 0 {
+		t.Fatalf("refused first append left %d segments / %d series", tb.Segments(), tb.NumSeries())
+	}
+	// Each segment's area is finite; the third takes the running
+	// integral past the largest float64.
+	for i, ts := range []float64{11, 12, 13} {
+		if _, err := tb.Append(1, ts, 6e307); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if _, err := tb.Append(1, 14, 6e307); err == nil {
+		t.Fatal("append whose running integral overflows accepted")
+	}
+	if ts, _, _ := tb.Frontier(1); ts != 13 || tb.Segments() != 3 {
+		t.Fatalf("refused append changed the table: frontier %g, %d segments", ts, tb.Segments())
+	}
+	if d := tb.Delta(1, 10, 20); math.IsInf(d, 0) || math.IsNaN(d) {
+		t.Fatalf("delta over the run is %g", d)
+	}
+}
+
 func TestTableDeltaAndAt(t *testing.T) {
 	// Base frontier (10, 2); run vertices (10,2) -> (12,4) -> (14,0).
 	tb := NewTable(flatFrontier(2, 10, 2), 0)

@@ -253,7 +253,7 @@ func estimateIOs(db *DB, ix *Index, q Query) float64 {
 	)
 	// Entries are a few dozen bytes across all structures; B is the
 	// fan-out / entries-per-block scale shared by every formula.
-	b := float64(ix.Stats().BlockSize) / 32
+	b := float64(ix.m.Device().BlockSize()) / 32
 	if b < 2 {
 		b = 2
 	}

@@ -185,17 +185,15 @@ type Answer struct {
 	// Latency is the wall time of the computation alone (queueing in a
 	// worker pool excluded).
 	Latency time.Duration
-	// IOs is the device IO delta observed over the call; 0 for the
-	// in-memory brute force. It counts page views and reads on the
-	// index's device: on an in-memory index and on an on-disk one
-	// alike (an on-disk index views its file's mapping in place, so
-	// the count is of logical page accesses, not of disk reads), and
-	// only the misses behind a CacheBlocks pool. A single index's
-	// device is shared by all in-flight queries, so under concurrency
-	// overlapping queries' IOs may be attributed to each other. Cluster answers avoid the
-	// cross-shard version of this: each shard's delta is snapshotted
-	// inside that shard's goroutine against its own private device, and
-	// the merged IOs value is the sum of those per-shard deltas.
+	// IOs is the page reads the query's index calls made; 0 for the
+	// in-memory brute force. It counts page views on the index's
+	// device: on an in-memory index and on an on-disk one alike (an
+	// on-disk index views its file's mapping in place, so the count is
+	// of logical page accesses, not of disk reads), and only the misses
+	// behind a CacheBlocks pool. Each call counts its own views and adds
+	// them to the device's total when it ends, so the count is this
+	// query's alone however many queries share the device. A Cluster
+	// answer's IOs is the sum of its shards'.
 	IOs uint64
 }
 
@@ -272,25 +270,24 @@ func (ix *Index) Run(ctx context.Context, q Query) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	before := ix.DeviceIOs()
 	start := time.Now()
 	var (
 		res []Result
+		ios uint64
 		err error
 	)
 	switch q.Agg {
 	case AggSum:
-		res, err = ix.topK(q.K, q.T1, q.T2)
+		res, ios, err = ix.topK(q.K, q.T1, q.T2)
 	case AggAvg:
-		res, err = ix.topKAvg(q.K, q.T1, q.T2)
+		res, ios, err = ix.topKAvg(q.K, q.T1, q.T2)
 	case AggInstant:
-		res, err = ix.instantTopK(q.K, q.T1)
+		res, ios, err = ix.instantTopK(q.K, q.T1)
 	}
 	if err != nil {
 		return Answer{}, err
 	}
 	elapsed := time.Since(start)
-	ios := ix.iosSince(before)
 	exact := !ix.Method().IsApprox() || q.Agg == AggInstant
 	var eps float64
 	if !exact {
@@ -304,15 +301,6 @@ func (ix *Index) Run(ctx context.Context, q Query) (Answer, error) {
 		Latency: elapsed,
 		IOs:     ios,
 	}, nil
-}
-
-// iosSince returns the index device's IOs since the DeviceIOs reading
-// before: Answer.IOs for a query that ran between the two.
-func (ix *Index) iosSince(before uint64) uint64 {
-	if after := ix.DeviceIOs(); after > before { // guard against a concurrent ResetStats
-		return after - before
-	}
-	return 0
 }
 
 // rescaleAvg converts sum scores into averages over [t1, t2].

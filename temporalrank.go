@@ -337,13 +337,14 @@ func (ix *Index) breakpoints() int {
 	return 0
 }
 
-// topK answers top-k(t1, t2, sum) through the index.
-func (ix *Index) topK(k int, t1, t2 float64) ([]Result, error) {
-	items, err := ix.m.TopK(k, t1, t2)
+// topK answers top-k(t1, t2, sum) through the index, with the call's
+// IOs.
+func (ix *Index) topK(k int, t1, t2 float64) ([]Result, uint64, error) {
+	items, ios, err := ix.m.TopKIOs(k, t1, t2)
 	if err != nil {
-		return nil, err
+		return nil, ios, err
 	}
-	return toResults(items), nil
+	return toResults(items), ios, nil
 }
 
 // Score returns the index's estimate of σ_i(t1,t2): exact for exact
@@ -371,7 +372,7 @@ type Stats struct {
 
 // Stats returns current index statistics. The device counters are
 // atomic, so this is safe (and non-blocking) even while queries are in
-// flight.
+// flight; DeviceIOs includes a query's IOs once the query has ended.
 func (ix *Index) Stats() Stats {
 	bs := ix.m.Device().BlockSize()
 	pages := ix.m.IndexPages()
@@ -385,16 +386,10 @@ func (ix *Index) Stats() Stats {
 }
 
 // ResetStats zeroes the device IO counters (for measuring one query).
+// A query in flight adds all its IOs when it ends, those before the
+// reset too.
 func (ix *Index) ResetStats() {
 	ix.m.Device().ResetStats()
-}
-
-// DeviceIOs returns the device's cumulative IO count (Stats().Total()).
-// Unlike Index.Stats it skips IndexPages(), whose NumPages() call takes
-// the device mutex — this touches only the atomic counters, so it is
-// the accessor Run samples around each query.
-func (ix *Index) DeviceIOs() uint64 {
-	return ix.m.Device().Stats().Total()
 }
 
 func toResults(items []topk.Item) []Result {
