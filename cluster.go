@@ -32,11 +32,8 @@ import (
 //   - Method is the shards' common method, or MethodMixed when the
 //     per-shard planners routed differently.
 //
-// Query.MaxEpsilon and Query.MaxIOs are routing hints applied by each
-// shard's planner independently: MaxEpsilon bounds every shard's ε
-// (hence the merged ε), while the advisory MaxIOs budget is honored
-// per shard, so a cluster answer may cost up to NumShards x MaxIOs in
-// total. As on a single node, the budget never relaxes correctness.
+// Query.MaxEpsilon is a routing hint applied by each shard's planner
+// independently: it bounds every shard's ε, hence the merged ε.
 //
 // Ingest is sharded the same way: Append routes one segment to its
 // owning shard, whose Planner.Append buffers it in that shard's
@@ -65,16 +62,10 @@ const MethodMixed Method = "MIXED"
 type ClusterOptions struct {
 	// Shards is the number of partitions (default 1).
 	Shards int
-	// Partitioner assigns series to shards (default HashPartition).
-	Partitioner Partitioner
 	// Indexes is the index set built on every shard, in Planner
 	// registration order. Empty means brute-force shards (every query
 	// answered by the shard DB's reference scan).
 	Indexes []Options
-	// Workers bounds how many shards one Run queries concurrently
-	// (default GOMAXPROCS). Construction always parallelizes across
-	// GOMAXPROCS regardless.
-	Workers int
 	// ResultCache, when > 0, attaches a result cache of that many
 	// entries to Run: repeated identical queries are answered from the
 	// stored merged answer, and concurrent identical queries coalesce
@@ -113,19 +104,12 @@ func NewClusterContext(ctx context.Context, series []SeriesInput, opts ClusterOp
 	if len(series) == 0 {
 		return nil, fmt.Errorf("temporalrank: no series given: %w", ErrNoInput)
 	}
-	part := opts.Partitioner
-	if part == nil {
-		part = HashPartition
-	}
 	// Series are routed in global-ID order, so every shard's global-ID
 	// list comes out ascending.
 	globals := make([][]int, n)
 	inputs := make([][]SeriesInput, n)
 	for id, in := range series {
-		s, err := checkPartition(part, id, n)
-		if err != nil {
-			return nil, err
-		}
+		s := hashPartition(id, n)
 		globals[s] = append(globals[s], id)
 		inputs[s] = append(inputs[s], in)
 	}
@@ -194,8 +178,10 @@ func NewClusterContext(ctx context.Context, series []SeriesInput, opts ClusterOp
 
 // assembleCluster builds a Cluster over its per-shard stacks (nil for an
 // empty shard), routing by their manifests' global-ID lists; a routing
-// violation wraps sentinel. Of opts only the runtime knobs Workers and
-// ResultCache apply here.
+// violation wraps sentinel. Of opts only ResultCache applies here. One
+// Run queries up to GOMAXPROCS shards at once (the coordinator's zero
+// workers): in-process shards are CPU work, like the build, restore and
+// compaction scatters.
 func assembleCluster(locals []*localShard, numSeries int, opts ClusterOptions, sentinel error) (*Cluster, error) {
 	c := &Cluster{locals: locals}
 	c.shards = make([]shard, len(locals))
@@ -214,7 +200,6 @@ func assembleCluster(locals []*localShard, numSeries int, opts ClusterOptions, s
 	if c.shardOf, err = routeTable(numSeries, globals, sentinel); err != nil {
 		return nil, err
 	}
-	c.workers = opts.Workers
 	if opts.ResultCache > 0 {
 		c.cache = qcache.New[queryKey, Answer](opts.ResultCache)
 	}

@@ -72,9 +72,9 @@ func sameRanking(t *testing.T, label string, got, want []temporalrank.Result) {
 }
 
 // TestClusterEquivalence is the randomized acceptance suite: for shard
-// counts {1, 2, 8}, both partitioners, and all three aggregates, a
-// Cluster over partitioned data must answer exactly like a single DB
-// over all of it — same IDs, same scores, same tie order.
+// counts {1, 2, 8} and all three aggregates, a Cluster over partitioned
+// data must answer exactly like a single DB over all of it — same IDs,
+// same scores, same tie order.
 func TestClusterEquivalence(t *testing.T) {
 	inputs := clusterInputs(t, 60, 30, 11)
 	db, err := temporalrank.NewDB(inputs)
@@ -84,46 +84,39 @@ func TestClusterEquivalence(t *testing.T) {
 	ctx := context.Background()
 	span := db.End() - db.Start()
 	for _, shards := range []int{1, 2, 8} {
-		for _, part := range []struct {
-			name string
-			p    temporalrank.Partitioner
-		}{{"hash", temporalrank.HashPartition}, {"modulo", temporalrank.ModuloPartition}} {
-			c, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{
-				Shards: shards, Partitioner: part.p,
-			})
-			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, part.name, err)
+		c, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{Shards: shards})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if c.NumSeries() != db.NumSeries() || c.NumSegments() != db.NumSegments() {
+			t.Fatalf("shards=%d: cluster shape (%d, %d) != db (%d, %d)",
+				shards, c.NumSeries(), c.NumSegments(), db.NumSeries(), db.NumSegments())
+		}
+		rng := rand.New(rand.NewSource(int64(shards)*100 + 7))
+		for trial := 0; trial < 20; trial++ {
+			t1 := db.Start() + rng.Float64()*span*0.8
+			t2 := t1 + rng.Float64()*span*0.2
+			k := 1 + rng.Intn(12)
+			queries := []temporalrank.Query{
+				temporalrank.SumQuery(k, t1, t2),
+				temporalrank.AvgQuery(k, t1, t2),
+				temporalrank.InstantQuery(k, t1),
 			}
-			if c.NumSeries() != db.NumSeries() || c.NumSegments() != db.NumSegments() {
-				t.Fatalf("shards=%d %s: cluster shape (%d, %d) != db (%d, %d)",
-					shards, part.name, c.NumSeries(), c.NumSegments(), db.NumSeries(), db.NumSegments())
-			}
-			rng := rand.New(rand.NewSource(int64(shards)*100 + 7))
-			for trial := 0; trial < 20; trial++ {
-				t1 := db.Start() + rng.Float64()*span*0.8
-				t2 := t1 + rng.Float64()*span*0.2
-				k := 1 + rng.Intn(12)
-				queries := []temporalrank.Query{
-					temporalrank.SumQuery(k, t1, t2),
-					temporalrank.AvgQuery(k, t1, t2),
-					temporalrank.InstantQuery(k, t1),
+			for _, q := range queries {
+				want, err := db.Run(ctx, q)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, q := range queries {
-					want, err := db.Run(ctx, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := c.Run(ctx, q)
-					if err != nil {
-						t.Fatalf("shards=%d %s agg=%s: %v", shards, part.name, q.Agg, err)
-					}
-					sameResults(t, string(q.Agg), got.Results, want.Results)
-					if !got.Exact || got.Epsilon != 0 {
-						t.Fatalf("brute-force shards must answer exactly: %+v", got)
-					}
-					if got.Method != temporalrank.MethodReference {
-						t.Fatalf("uniform shards reported method %q", got.Method)
-					}
+				got, err := c.Run(ctx, q)
+				if err != nil {
+					t.Fatalf("shards=%d agg=%s: %v", shards, q.Agg, err)
+				}
+				sameResults(t, string(q.Agg), got.Results, want.Results)
+				if !got.Exact || got.Epsilon != 0 {
+					t.Fatalf("brute-force shards must answer exactly: %+v", got)
+				}
+				if got.Method != temporalrank.MethodReference {
+					t.Fatalf("uniform shards reported method %q", got.Method)
 				}
 			}
 		}
@@ -254,7 +247,7 @@ func TestClusterApproxMetadata(t *testing.T) {
 // ctx.Err, both before it starts and mid-flight.
 func TestClusterCancellation(t *testing.T) {
 	inputs := clusterInputs(t, 64, 60, 5)
-	c, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{Shards: 8, Workers: 2})
+	c, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,9 +592,5 @@ func TestClusterBadOptions(t *testing.T) {
 	}
 	if _, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{Shards: -2}); err == nil {
 		t.Fatal("negative shards should fail")
-	}
-	bad := func(id, shards int) int { return shards + 3 }
-	if _, err := temporalrank.NewCluster(inputs, temporalrank.ClusterOptions{Shards: 2, Partitioner: bad}); err == nil {
-		t.Fatal("out-of-range partitioner should fail")
 	}
 }

@@ -1,11 +1,11 @@
-// Command rankquery loads a temporal dataset (CSV or TRK1 binary),
-// builds one of the paper's indexes, and answers aggregate top-k
+// Command rankquery loads a temporal dataset (CSV or TRK1 binary, told
+// apart by the file's first bytes), builds one of the paper's indexes, and answers aggregate top-k
 // queries: top-k(t1, t2, sum).
 //
 // Usage:
 //
 //	rankquery -data temp.csv -method EXACT3 -k 10 -t1 50 -t2 120
-//	rankquery -data meme.trk -binary -method APPX2 -k 20 -t1 10 -t2 60 -r 300
+//	rankquery -data meme.trk -method APPX2 -k 20 -t1 10 -t2 60 -r 300
 //
 // It prints the ranked objects with their aggregate scores and the
 // query's IO count and latency.
@@ -24,8 +24,7 @@ import (
 
 func main() {
 	var (
-		data    = flag.String("data", "", "dataset path (required)")
-		binary  = flag.Bool("binary", false, "dataset is TRK1 binary (default CSV)")
+		data    = flag.String("data", "", "dataset path, CSV or TRK1 binary (required)")
 		method  = flag.String("method", "EXACT3", "index method (EXACT1/2/3, APPX1-B, APPX2-B, APPX1, APPX2, APPX2+)")
 		k       = flag.Int("k", 10, "number of results")
 		t1      = flag.Float64("t1", 0, "query interval start")
@@ -35,13 +34,13 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-result exact scores for comparison")
 	)
 	flag.Parse()
-	if err := run(*data, *binary, *method, *k, *t1, *t2, *r, *kmax, *verbose); err != nil {
+	if err := run(*data, *method, *k, *t1, *t2, *r, *kmax, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "rankquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(data string, binary bool, method string, k int, t1, t2 float64, r, kmax int, verbose bool) error {
+func run(data, method string, k int, t1, t2 float64, r, kmax int, verbose bool) error {
 	if data == "" {
 		return fmt.Errorf("-data is required")
 	}
@@ -50,21 +49,11 @@ func run(data string, binary bool, method string, k int, t1, t2 float64, r, kmax
 		return err
 	}
 	defer f.Close()
-
-	var db *temporalrank.DB
-	if binary {
-		ds, err := tsio.ReadBinary(f)
-		if err != nil {
-			return err
-		}
-		db = temporalrank.NewDBFromDataset(ds)
-	} else {
-		ds, err := tsio.ReadCSV(f)
-		if err != nil {
-			return err
-		}
-		db = temporalrank.NewDBFromDataset(ds)
+	ds, err := tsio.Read(f)
+	if err != nil {
+		return err
 	}
+	db := temporalrank.NewDBFromDataset(ds)
 	fmt.Printf("loaded %d objects, %d segments, domain [%g, %g]\n",
 		db.NumSeries(), db.NumSegments(), db.Start(), db.End())
 

@@ -39,7 +39,7 @@ func writeFixture(t *testing.T, binary bool) string {
 func TestRunQueryCSV(t *testing.T) {
 	path := writeFixture(t, false)
 	for _, method := range []string{"EXACT1", "EXACT3", "APPX2"} {
-		if err := run(path, false, method, 5, 50, 150, 30, 10, true); err != nil {
+		if err := run(path, method, 5, 50, 150, 30, 10, true); err != nil {
 			t.Errorf("%s: %v", method, err)
 		}
 	}
@@ -48,24 +48,20 @@ func TestRunQueryCSV(t *testing.T) {
 func TestRunQueryBinaryDefaultInterval(t *testing.T) {
 	path := writeFixture(t, true)
 	// t2 <= t1 triggers the default-interval path.
-	if err := run(path, true, "EXACT3", 3, 0, 0, 30, 10, false); err != nil {
+	if err := run(path, "EXACT3", 3, 0, 0, 30, 10, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunQueryErrors(t *testing.T) {
-	if err := run("", false, "EXACT3", 5, 0, 1, 30, 10, false); err == nil {
+	if err := run("", "EXACT3", 5, 0, 1, 30, 10, false); err == nil {
 		t.Error("missing -data accepted")
 	}
-	if err := run("/nonexistent/file", false, "EXACT3", 5, 0, 1, 30, 10, false); err == nil {
+	if err := run("/nonexistent/file", "EXACT3", 5, 0, 1, 30, 10, false); err == nil {
 		t.Error("missing file accepted")
 	}
 	path := writeFixture(t, false)
-	if err := run(path, false, "NOPE", 5, 0, 1, 30, 10, false); err == nil {
+	if err := run(path, "NOPE", 5, 0, 1, 30, 10, false); err == nil {
 		t.Error("unknown method accepted")
-	}
-	// CSV parsed as binary must fail on magic.
-	if err := run(path, true, "EXACT3", 5, 0, 1, 30, 10, false); err == nil {
-		t.Error("CSV parsed as binary accepted")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,6 +90,36 @@ func TestStatsResultCacheBlock(t *testing.T) {
 	}
 	if _, ok := raw["result_cache"]; ok {
 		t.Fatal("/stats exposes result_cache on an uncached server")
+	}
+}
+
+// TestQueryIgnoresBudget: budget= is no query parameter, so it is
+// ignored like any unknown one. A query with it is the same cache entry
+// as one without, and answers with a byte-identical body.
+func TestQueryIgnoresBudget(t *testing.T) {
+	_, db, ts := testCachedServer(t, 2, 64)
+	url := fmt.Sprintf("%s/query?agg=sum&k=5&t1=%g&t2=%g&eps=0", ts.URL, db.Start(), db.End())
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	want := get(url)
+	for _, budget := range []string{"1", "100000", "abc"} {
+		if got := get(url + "&budget=" + budget); got != want {
+			t.Fatalf("budget=%s: body %s, want %s", budget, got, want)
+		}
 	}
 }
 

@@ -10,12 +10,13 @@
 //	rankserver -gen 5000x80 -method EXACT3 -shards 8
 //	rankserver -gen 5000x80 -method EXACT3 -data snapdir/
 //
-// When -data names a directory instead of a file, the server runs in
-// durable mode: on boot it restores the directory's per-shard snapshot
-// files (shard-*.trsnap) into a fully queryable cluster — no index is
-// rebuilt, so restart time is IO-bound, not compute-bound — and falls
-// back to -gen only when the directory holds no snapshot yet. A
-// snapshot generation is written on graceful shutdown (SIGINT/SIGTERM)
+// A -data file is a CSV or TRK1 binary dataset; its first bytes say
+// which. When -data names a directory instead of a file, the server
+// runs in durable mode: on boot it restores the directory's per-shard
+// snapshot files (shard-*.trsnap) into a fully queryable cluster — no
+// index is rebuilt, so restart time is IO-bound, not compute-bound —
+// and falls back to -gen only when the directory holds no snapshot yet.
+// A snapshot generation is written on graceful shutdown (SIGINT/SIGTERM)
 // and on demand via POST /checkpoint; each shard file commits
 // atomically, so a crash mid-checkpoint loses at most the new
 // generation, never the previous one. In durable mode the restored
@@ -27,7 +28,8 @@
 // parameter); eps=0 or no eps demands an exact answer. With -shards N
 // the dataset is hash-partitioned across N independent shards (each
 // its own DB, indexes, and device) and every query is scatter-gathered
-// with a deterministic top-k merge — same answers, parallel execution.
+// over up to GOMAXPROCS shards at once with a deterministic top-k merge
+// — same answers, parallel execution.
 //
 // Endpoints (all JSON):
 //
@@ -67,16 +69,13 @@ import (
 type config struct {
 	addr     string
 	data     string
-	binary   bool
 	genSpec  string
 	seed     int64
 	method   string
 	r        int
 	kmax     int
-	cache    int
 	workers  int
 	shards   int
-	swork    int
 	timeout  time.Duration
 	rcache   int
 	memtable int
@@ -87,17 +86,14 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.data, "data", "", "dataset path (CSV, or TRK1 with -binary), or a snapshot directory for durable restore/checkpoint")
-	flag.BoolVar(&cfg.binary, "binary", false, "dataset is TRK1 binary")
+	flag.StringVar(&cfg.data, "data", "", "dataset path (CSV or TRK1 binary, told apart by the file's first bytes), or a snapshot directory for durable restore/checkpoint")
 	flag.StringVar(&cfg.genSpec, "gen", "", "generate a synthetic dataset instead of loading: MxN (objects x avg segments), e.g. 500x80")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for -gen")
 	flag.StringVar(&cfg.method, "method", "EXACT3", "comma-separated index methods for the planner (EXACT1/2/3, APPX1-B, APPX2-B, APPX1, APPX2, APPX2+)")
 	flag.IntVar(&cfg.r, "r", 500, "breakpoint budget for approximate methods")
 	flag.IntVar(&cfg.kmax, "kmax", 200, "max k supported by approximate methods")
-	flag.IntVar(&cfg.cache, "cache", 0, "buffer pool (read cache) size in pages (0 = none)")
 	flag.IntVar(&cfg.workers, "workers", 0, "maximum /query requests running at once (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.shards, "shards", 1, "hash-partition the dataset across this many shards")
-	flag.IntVar(&cfg.swork, "shard-workers", 0, "per-query shard fan-out bound (0 = GOMAXPROCS; lower it to trade idle latency for less oversubscription under full load)")
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-query deadline (0 = none)")
 	flag.IntVar(&cfg.rcache, "result-cache", 0, "versioned result cache size in entries (0 = off); repeated identical queries are answered from cache and concurrent identical queries coalesce into one run")
 	flag.IntVar(&cfg.memtable, "memtable", 0, "memtable flush threshold of every shard: appends land in the shard's memtable and a background compaction rebuilds its indexes once this many segments are buffered (0 = the default, 4096)")
@@ -114,7 +110,7 @@ func main() {
 	if cfg.router != "" {
 		err = runRouter(cfg)
 	} else {
-		err = run(cfg.addr, cfg.data, cfg.binary, cfg.genSpec, cfg.seed, cfg.method, cfg.r, cfg.kmax, cfg.cache, cfg.workers, cfg.shards, cfg.swork, cfg.rcache, cfg.memtable, cfg.pprof, cfg.timeout)
+		err = run(cfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rankserver:", err)
@@ -127,9 +123,8 @@ func main() {
 // early beats silently ignoring a -gen or -method the operator
 // expected to matter.
 var localOnlyFlags = []string{
-	"data", "binary", "gen", "seed", "method", "r", "kmax",
-	"cache", "shards", "shard-workers", "result-cache",
-	"memtable",
+	"data", "gen", "seed", "method", "r", "kmax",
+	"shards", "result-cache", "memtable",
 }
 
 // validateConfig rejects bad flag combinations with a one-line error
@@ -232,9 +227,9 @@ func runRouter(cfg config) error {
 	return serveHTTP(cfg.addr, cfg.pprof, banner, srv, nil)
 }
 
-func run(addr, data string, binary bool, genSpec string, seed int64, methods string, r, kmax, cache, workers, shards, shardWorkers, resultCache, memtable int, pprofAddr string, timeout time.Duration) error {
-	snapDir := snapshotDir(data)
-	mtOpts := &temporalrank.MemtableOptions{FlushSegments: memtable}
+func run(cfg config) error {
+	snapDir := snapshotDir(cfg.data)
+	mtOpts := &temporalrank.MemtableOptions{FlushSegments: cfg.memtable}
 	var (
 		cluster *temporalrank.Cluster
 		err     error
@@ -242,8 +237,7 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 	if snapDir != "" && hasSnapshotFiles(snapDir) {
 		restoreStart := time.Now()
 		cluster, err = temporalrank.OpenClusterSnapshot(snapDir, temporalrank.ClusterOptions{
-			Workers:     shardWorkers,
-			ResultCache: resultCache,
+			ResultCache: cfg.rcache,
 			Memtable:    mtOpts,
 		})
 		if err != nil {
@@ -253,11 +247,11 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 			cluster.NumShards(), cluster.NumSeries(), cluster.NumSegments(),
 			snapDir, time.Since(restoreStart).Round(time.Millisecond))
 	} else {
-		dataFile := data
+		dataFile := cfg.data
 		if snapDir != "" {
 			dataFile = "" // -data is the snapshot target, -gen is the source
 		}
-		db, err := loadDB(dataFile, binary, genSpec, seed)
+		db, err := loadDB(dataFile, cfg.genSpec, cfg.seed)
 		if err != nil {
 			return err
 		}
@@ -265,16 +259,15 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 			db.NumSeries(), db.NumSegments(), db.Start(), db.End())
 
 		var opts []temporalrank.Options
-		for _, m := range strings.Split(methods, ",") {
+		for _, m := range strings.Split(cfg.method, ",") {
 			m = strings.TrimSpace(m)
 			if m == "" {
 				continue
 			}
 			opts = append(opts, temporalrank.Options{
-				Method:      temporalrank.Method(m),
-				TargetR:     r,
-				KMax:        kmax,
-				CacheBlocks: cache,
+				Method:  temporalrank.Method(m),
+				TargetR: cfg.r,
+				KMax:    cfg.kmax,
 			})
 		}
 		if len(opts) == 0 {
@@ -282,10 +275,9 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 		}
 		buildStart := time.Now()
 		cluster, err = temporalrank.NewClusterFromDB(db, temporalrank.ClusterOptions{
-			Shards:      shards,
+			Shards:      cfg.shards,
 			Indexes:     opts,
-			Workers:     shardWorkers,
-			ResultCache: resultCache,
+			ResultCache: cfg.rcache,
 			Memtable:    mtOpts,
 		})
 		if err != nil {
@@ -314,7 +306,7 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 		}
 	}
 
-	srv := newServer(cluster, workers, timeout)
+	srv := newServer(cluster, cfg.workers, cfg.timeout)
 	var onShutdown func() error
 	if snapDir != "" {
 		srv.snapDir = snapDir
@@ -327,8 +319,8 @@ func run(addr, data string, binary bool, genSpec string, seed int64, methods str
 			return nil
 		}
 	}
-	banner := fmt.Sprintf("serving %s on %s with %d workers", methods, addr, cap(srv.slots))
-	return serveHTTP(addr, pprofAddr, banner, srv, onShutdown)
+	banner := fmt.Sprintf("serving %s on %s with %d workers", cfg.method, cfg.addr, cap(srv.slots))
+	return serveHTTP(cfg.addr, cfg.pprof, banner, srv, onShutdown)
 }
 
 // serveHTTP runs srv on addr with opt-in side-listener profiling and
@@ -391,7 +383,7 @@ func hasSnapshotFiles(dir string) bool {
 	return err == nil && len(matches) > 0
 }
 
-func loadDB(data string, binary bool, genSpec string, seed int64) (*temporalrank.DB, error) {
+func loadDB(data, genSpec string, seed int64) (*temporalrank.DB, error) {
 	switch {
 	case genSpec != "":
 		var m, n int
@@ -409,14 +401,7 @@ func loadDB(data string, binary bool, genSpec string, seed int64) (*temporalrank
 			return nil, err
 		}
 		defer f.Close()
-		if binary {
-			ds, err := tsio.ReadBinary(f)
-			if err != nil {
-				return nil, err
-			}
-			return temporalrank.NewDBFromDataset(ds), nil
-		}
-		ds, err := tsio.ReadCSV(f)
+		ds, err := tsio.Read(f)
 		if err != nil {
 			return nil, err
 		}

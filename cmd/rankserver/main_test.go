@@ -5,16 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"temporalrank"
 	"temporalrank/internal/gen"
+	"temporalrank/internal/tsdata"
+	"temporalrank/internal/tsio"
 )
 
 // sumReference is the brute-force top-k(t1, t2, sum) answer.
@@ -533,18 +537,55 @@ func TestShardedServer(t *testing.T) {
 
 // TestLoadDBGen covers the synthetic data path used by -gen.
 func TestLoadDBGen(t *testing.T) {
-	db, err := loadDB("", false, "30x20", 2)
+	db, err := loadDB("", "30x20", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.NumSeries() != 30 {
 		t.Fatalf("got %d series, want 30", db.NumSeries())
 	}
-	if _, err := loadDB("", false, "garbage", 2); err == nil {
+	if _, err := loadDB("", "garbage", 2); err == nil {
 		t.Fatal("bad -gen spec should fail")
 	}
-	if _, err := loadDB("", false, "", 2); err == nil {
+	if _, err := loadDB("", "", 2); err == nil {
 		t.Fatal("missing -data and -gen should fail")
+	}
+}
+
+// TestLoadDBDetectsFormat: -data alone loads a TRK1 file and a CSV
+// file alike, each to the dataset written.
+func TestLoadDBDetectsFormat(t *testing.T) {
+	ds, err := gen.RandomWalk(gen.RandomWalkConfig{M: 12, Navg: 15, Seed: 8, Span: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func(io.Writer, *tsdata.Dataset) error{
+		"d.trk": tsio.WriteBinary,
+		"d.csv": tsio.WriteCSV,
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f, ds); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg := config{data: path, shards: 1}
+		if err := validateConfig(cfg, map[string]bool{"data": true}); err != nil {
+			t.Fatalf("%s: validateConfig: %v", name, err)
+		}
+		db, err := loadDB(cfg.data, cfg.genSpec, cfg.seed)
+		if err != nil {
+			t.Fatalf("%s: loadDB: %v", name, err)
+		}
+		if db.NumSeries() != ds.NumSeries() || db.NumSegments() != ds.NumSegments() {
+			t.Fatalf("%s: loaded (%d, %d), want (%d, %d)", name,
+				db.NumSeries(), db.NumSegments(), ds.NumSeries(), ds.NumSegments())
+		}
 	}
 }
 

@@ -230,11 +230,6 @@ func (s *server) parseQuery(r *http.Request) (temporalrank.Query, error) {
 			return q, fmt.Errorf("bad eps=%q: %w", raw, err)
 		}
 	}
-	if raw := r.URL.Query().Get("budget"); raw != "" {
-		if q.MaxIOs, err = strconv.ParseUint(raw, 10, 64); err != nil {
-			return q, fmt.Errorf("bad budget=%q: %w", raw, err)
-		}
-	}
 	return q, nil
 }
 

@@ -46,8 +46,10 @@ type coordinator struct {
 	// primary is each shard's primary method: the structure its score
 	// answers from.
 	primary []Method
-	// workers bounds how many shards one Run queries concurrently; 0
-	// means GOMAXPROCS.
+	// workers bounds how many shards one Run queries concurrently. The
+	// cluster type derives it from what its shards are: 0, for
+	// in-process shards, is GOMAXPROCS read at each Run, so the bound
+	// follows the process's GOMAXPROCS as it changes.
 	workers int
 	// cache stores merged answers (nil when disabled), so a repeated
 	// query skips the scatter AND the merge. Entries are validated
@@ -155,7 +157,11 @@ func (c *coordinator) run(ctx context.Context, q Query) (Answer, error) {
 	}
 	g := getGather(len(c.shards))
 	defer putGather(g)
-	err := scatter.Run(ctx, len(c.shards), c.queryWorkers(), func(ctx context.Context, i int) error {
+	workers := c.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err := scatter.Run(ctx, len(c.shards), workers, func(ctx context.Context, i int) error {
 		sh := c.shards[i]
 		if sh == nil {
 			return nil
@@ -171,14 +177,6 @@ func (c *coordinator) run(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, err
 	}
 	return c.mergeGather(q.K, g), nil
-}
-
-// queryWorkers resolves the scatter bound for one Run.
-func (c *coordinator) queryWorkers() int {
-	if c.workers > 0 {
-		return c.workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // mergeGather deterministically merges the answers a successful

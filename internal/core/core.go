@@ -196,18 +196,19 @@ func BuildMeasured(name MethodName, ds *tsdata.Dataset, cfg Config) (*BuildResul
 type QueryStats struct {
 	Items   []topk.Item
 	Elapsed time.Duration
-	IOs     blockio.Stats
+	// IOs is the query's own page reads: queries never write.
+	IOs uint64
 }
 
-// MeasureQuery runs one top-k query with the device counters isolated.
+// MeasureQuery runs one top-k query and counts its own IOs, so queries
+// measured at once on one device do not count each other's reads.
 func MeasureQuery(m exact.Method, k int, t1, t2 float64) (*QueryStats, error) {
-	m.Device().ResetStats()
 	start := time.Now()
-	items, err := m.TopK(k, t1, t2)
+	items, ios, err := m.TopKIOs(k, t1, t2)
 	if err != nil {
 		return nil, fmt.Errorf("core: query %s: %w", m.Name(), err)
 	}
-	return &QueryStats{Items: items, Elapsed: time.Since(start), IOs: m.Device().Stats()}, nil
+	return &QueryStats{Items: items, Elapsed: time.Since(start), IOs: ios}, nil
 }
 
 // Reference computes exact ground truth from the in-memory dataset

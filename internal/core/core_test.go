@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"temporalrank/internal/blockio"
@@ -100,15 +102,68 @@ func TestMeasureQueryIsolatesCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1.IOs.Reads == 0 || q2.IOs.Reads == 0 {
+	if q1.IOs == 0 || q2.IOs == 0 {
 		t.Error("queries reported zero IOs")
 	}
 	// Same query must report the same isolated IO count.
-	if q1.IOs.Reads != q2.IOs.Reads {
-		t.Errorf("counters not isolated: %d vs %d reads", q1.IOs.Reads, q2.IOs.Reads)
+	if q1.IOs != q2.IOs {
+		t.Errorf("counters not isolated: %d vs %d reads", q1.IOs, q2.IOs)
 	}
 	if len(q1.Items) != 5 {
 		t.Errorf("items = %d", len(q1.Items))
+	}
+}
+
+// TestMeasureQueryConcurrent: 32 goroutines measure the same seeded
+// queries at once on one EXACT3 and one APPX2+ index, and each gets the
+// count the query gets measured alone.
+func TestMeasureQueryConcurrent(t *testing.T) {
+	ds := fixture(t)
+	rng := rand.New(rand.NewSource(5))
+	span := ds.End() - ds.Start()
+	type window struct{ t1, t2 float64 }
+	qs := make([]window, 8)
+	for i := range qs {
+		t1 := ds.Start() + rng.Float64()*span*0.7
+		qs[i] = window{t1, t1 + span*(0.05+0.25*rng.Float64())}
+	}
+	for _, name := range []MethodName{Exact3, Appx2P} {
+		m, err := Build(name, ds, Config{TargetR: 20, KMax: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := make([]uint64, len(qs))
+		for i, q := range qs {
+			st, err := MeasureQuery(m, 5, q.t1, q.t2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial[i] = st.IOs
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 32)
+		for g := 0; g < 32; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range qs {
+					st, err := MeasureQuery(m, 5, q.t1, q.t2)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if st.IOs != serial[i] {
+						errs <- fmt.Errorf("%s query %d: %d IOs, %d measured alone", name, i, st.IOs, serial[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }
 
@@ -129,8 +184,8 @@ func TestCacheBlocksWrapsPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q2.IOs.Reads != 0 {
-		t.Errorf("second cached query still reads %d blocks", q2.IOs.Reads)
+	if q2.IOs != 0 {
+		t.Errorf("second cached query still reads %d blocks", q2.IOs)
 	}
 }
 

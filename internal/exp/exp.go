@@ -156,7 +156,7 @@ func MeasureQueries(m exact.Method, ds *tsdata.Dataset, qs []Query, k int) (*Met
 		if err != nil {
 			return nil, err
 		}
-		totalIOs += st.IOs.Total()
+		totalIOs += st.IOs
 		want := core.Reference(ds, k, q.T1, q.T2)
 		prSum += topk.PrecisionRecall(st.Items, want)
 		ratioSum += topk.ApproxRatio(st.Items, func(id tsdata.SeriesID) float64 {

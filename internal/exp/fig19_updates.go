@@ -206,7 +206,7 @@ func Ablations(w io.Writer, p Params) (*Table, error) {
 			if err != nil {
 				return -1
 			}
-			total += st.IOs.Total()
+			total += st.IOs
 		}
 		return float64(total) / float64(len(qs))
 	}

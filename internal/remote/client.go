@@ -12,64 +12,36 @@ import (
 	"time"
 )
 
-// ClientOptions tunes a Client. The zero value is usable: every field
-// falls back to the documented default.
-type ClientOptions struct {
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
-	// CallTimeout is the per-call guard applied when the caller's
-	// context carries no deadline of its own (default 10s). It exists
-	// so a hung peer can never pin a pooled connection forever.
-	CallTimeout time.Duration
-	// MaxIdlePerHost bounds pooled idle connections per address
-	// (default 2).
-	MaxIdlePerHost int
-	// Retries is how many additional attempts Call makes after a
-	// transport failure (default 2, so 3 attempts total). Application
-	// errors and context cancellation are never retried.
-	Retries int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between retry attempts (defaults 5ms and 100ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxFrame bounds one frame's payload (default DefaultMaxFrame).
-	MaxFrame int
-}
+// ClientOptions has no fields: every client uses the constants below.
+// It remains only because NewClient's callers outside this module
+// still pass ClientOptions{}; it goes, with NewClient's argument, once
+// they stop.
+type ClientOptions struct{}
 
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 10 * time.Second
-	}
-	if o.MaxIdlePerHost <= 0 {
-		o.MaxIdlePerHost = 2
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 100 * time.Millisecond
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
-	return o
-}
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 2 * time.Second
+	// callTimeout is the per-call guard applied when the caller's
+	// context carries no deadline of its own. It exists so a hung peer
+	// can never pin a pooled connection forever.
+	callTimeout = 10 * time.Second
+	// maxIdlePerHost bounds pooled idle connections per address.
+	maxIdlePerHost = 2
+	// maxRetries is how many additional attempts Call makes after a
+	// transport failure, so 3 attempts in all. Application errors and
+	// context cancellation are never retried.
+	maxRetries = 2
+	// backoffBase and backoffMax shape the jittered exponential backoff
+	// between retry attempts.
+	backoffBase = 5 * time.Millisecond
+	backoffMax  = 100 * time.Millisecond
+)
 
 // Client issues calls to remote servers with per-host connection
 // pooling. It is safe for concurrent use; each in-flight call owns one
 // connection exclusively (no multiplexing — concurrency is achieved by
 // opening more connections, bounded by the peers' accept capacity).
 type Client struct {
-	opts ClientOptions
-
 	mu     sync.Mutex
 	idle   map[string][]*clientConn
 	closed bool
@@ -84,9 +56,9 @@ type clientConn struct {
 
 func (cc *clientConn) close() { _ = cc.nc.Close() }
 
-// NewClient creates a client; opts fields at zero take their defaults.
-func NewClient(opts ClientOptions) *Client {
-	return &Client{opts: opts.withDefaults(), idle: make(map[string][]*clientConn)}
+// NewClient creates a client.
+func NewClient(ClientOptions) *Client {
+	return &Client{idle: make(map[string][]*clientConn)}
 }
 
 // Close drops every pooled connection. In-flight calls finish on their
@@ -107,11 +79,11 @@ func (c *Client) Close() error {
 
 // Call invokes method on addr, gob-encoding in as the argument and
 // decoding the reply into out (out may be nil for calls without a
-// reply body). Transport failures are retried up to Retries times with
+// reply body). Transport failures are retried up to maxRetries times with
 // jittered exponential backoff; application errors (those that unwrap
 // to *Error) and context cancellation are returned immediately.
 func (c *Client) Call(ctx context.Context, addr, method string, in, out any) error {
-	return c.do(ctx, addr, method, in, out, c.opts.Retries)
+	return c.do(ctx, addr, method, in, out, maxRetries)
 }
 
 // CallOnce is Call without retries — for non-idempotent methods
@@ -155,9 +127,9 @@ func Retryable(err error) bool {
 // backoff sleeps the jittered exponential delay for attempt, aborting
 // early when ctx is done.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.opts.BackoffBase << attempt
-	if d > c.opts.BackoffMax || d <= 0 {
-		d = c.opts.BackoffMax
+	d := backoffBase << attempt
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Full jitter in [d/2, d): desynchronizes retry storms from many
 	// clients that failed at the same instant.
@@ -222,7 +194,7 @@ func (c *Client) CallStream(ctx context.Context, addr, method string, in any) (i
 	var rc io.ReadCloser
 	for attempt := 0; ; attempt++ {
 		rc, err = c.openStream(ctx, addr, request{Method: method, Body: body})
-		if err == nil || !Retryable(err) || attempt >= c.opts.Retries {
+		if err == nil || !Retryable(err) || attempt >= maxRetries {
 			return rc, err
 		}
 		if berr := c.backoff(ctx, attempt); berr != nil {
@@ -259,13 +231,13 @@ func (c *Client) openStream(ctx context.Context, addr string, req request) (io.R
 // armed connection.
 func (c *Client) exchange(cc *clientConn, req request) (response, error) {
 	var resp response
-	if err := writeFrame(cc.bw, c.opts.MaxFrame, &req); err != nil {
+	if err := writeFrame(cc.bw, DefaultMaxFrame, &req); err != nil {
 		return resp, err
 	}
 	if err := cc.bw.Flush(); err != nil {
 		return resp, fmt.Errorf("remote: flush request: %w", err)
 	}
-	err := readFrame(cc.br, c.opts.MaxFrame, &resp)
+	err := readFrame(cc.br, DefaultMaxFrame, &resp)
 	return resp, err
 }
 
@@ -277,8 +249,8 @@ func (c *Client) exchange(cc *clientConn, req request) (response, error) {
 // conn and a late deadline write would poison its IO.
 func (c *Client) armConn(ctx context.Context, cc *clientConn) (int64, func()) {
 	deadline, ok := ctx.Deadline()
-	if !ok || deadline.After(time.Now().Add(c.opts.CallTimeout)) {
-		deadline = time.Now().Add(c.opts.CallTimeout)
+	if !ok || deadline.After(time.Now().Add(callTimeout)) {
+		deadline = time.Now().Add(callTimeout)
 	}
 	_ = cc.nc.SetDeadline(deadline)
 	wire := deadline.UnixNano()
@@ -327,7 +299,7 @@ func (c *Client) getConn(ctx context.Context, addr string) (*clientConn, error) 
 		return cc, nil
 	}
 	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
@@ -340,7 +312,7 @@ func (c *Client) getConn(ctx context.Context, addr string) (*clientConn, error) 
 
 func (c *Client) putConn(addr string, cc *clientConn) {
 	c.mu.Lock()
-	if c.closed || len(c.idle[addr]) >= c.opts.MaxIdlePerHost {
+	if c.closed || len(c.idle[addr]) >= maxIdlePerHost {
 		c.mu.Unlock()
 		cc.close()
 		return
@@ -372,7 +344,7 @@ func (r *streamReader) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		r.cur = response{}
-		if err := readFrame(r.cc.br, r.c.opts.MaxFrame, &r.cur); err != nil {
+		if err := readFrame(r.cc.br, DefaultMaxFrame, &r.cur); err != nil {
 			r.fail = true
 			return 0, err
 		}

@@ -189,7 +189,7 @@ func TestRetryOnTransportFailure(t *testing.T) {
 		}
 	}()
 
-	c := NewClient(ClientOptions{Retries: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	c := NewClient(ClientOptions{})
 	defer c.Close()
 	if err := c.Call(context.Background(), ln.Addr().String(), "flaky", nil, nil); err != nil {
 		t.Fatalf("call after retries: %v", err)
@@ -320,7 +320,7 @@ func TestServerCloseUnblocksHandlers(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	c := NewClient(ClientOptions{CallTimeout: 30 * time.Second})
+	c := NewClient(ClientOptions{})
 	defer c.Close()
 
 	done := make(chan error, 1)

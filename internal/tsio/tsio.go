@@ -6,6 +6,9 @@
 //     rows of different objects may interleave.
 //   - A compact binary format (magic "TRK1") for fast reload of large
 //     generated datasets.
+//
+// Read tells the two apart by the magic, so callers never name the
+// format of a file they read.
 package tsio
 
 import (
@@ -135,6 +138,17 @@ func WriteBinary(w io.Writer, ds *tsdata.Dataset) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Read parses a dataset in either format: input starting with the
+// binary magic "TRK1" is read as binary, anything else as CSV. No CSV
+// row can start that way, since its first field is an integer ID.
+func Read(r io.Reader) (*tsdata.Dataset, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(binaryMagic)); string(magic) == binaryMagic {
+		return ReadBinary(br)
+	}
+	return ReadCSV(br)
 }
 
 // ReadBinary parses the compact binary format.

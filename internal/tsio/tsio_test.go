@@ -142,3 +142,40 @@ func TestCSVNegativeValues(t *testing.T) {
 		t.Error("negatives lost in round trip")
 	}
 }
+
+// TestReadDetectsFormat: Read dispatches on the binary magic alone. Both
+// formats round-trip, input too short to hold the magic is CSV (and
+// fails as CSV), and a TRK1 header with a truncated body fails in the
+// binary reader instead of panicking or falling back to CSV.
+func TestReadDetectsFormat(t *testing.T) {
+	ds := fixture(t)
+	var csv, bin bytes.Buffer
+	if err := WriteCSV(&csv, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, ds); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{"csv": csv.Bytes(), "binary": bin.Bytes()} {
+		back, err := Read(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		datasetsEqual(t, ds, back)
+	}
+
+	for name, in := range map[string]string{"empty": "", "3 bytes": "TRK"} {
+		_, err := Read(strings.NewReader(in))
+		_, csvErr := ReadCSV(strings.NewReader(in))
+		if err == nil || csvErr == nil || err.Error() != csvErr.Error() {
+			t.Errorf("%s: Read err = %v, want the CSV reader's %v", name, err, csvErr)
+		}
+	}
+
+	trunc := bin.Bytes()[:len(binaryMagic)+8+20]
+	_, err := Read(bytes.NewReader(trunc))
+	_, binErr := ReadBinary(bytes.NewReader(trunc))
+	if err == nil || binErr == nil || err.Error() != binErr.Error() {
+		t.Errorf("truncated TRK1: Read err = %v, want the binary reader's %v", err, binErr)
+	}
+}

@@ -1,20 +1,16 @@
 package temporalrank
 
-import "fmt"
-
-// A Partitioner assigns a global series ID to one of n shards. The
-// paper's query family top-k(t1, t2, agg) decomposes over disjoint
-// object partitions — a global top-k is a k-way merge of per-partition
-// top-k answers — so any total, deterministic assignment is correct;
-// the choice only affects balance. A Partitioner must be pure: the same
-// (id, n) always yields the same shard in [0, n).
-type Partitioner func(id, shards int) int
-
-// HashPartition is the default Partitioner: a splitmix64 fingerprint of
-// the series ID modulo the shard count. It decorrelates shard
-// assignment from ID order, so datasets whose IDs encode ingest time or
-// tenant grouping still spread evenly.
-func HashPartition(id, shards int) int {
+// hashPartition places a global series ID on one of shards: a
+// splitmix64 fingerprint of the ID modulo the shard count. The paper's
+// query family top-k(t1, t2, agg) decomposes over disjoint object
+// partitions — a global top-k is a k-way merge of per-partition top-k
+// answers — so any total, deterministic assignment is correct; the
+// choice only affects balance. The fingerprint decorrelates placement
+// from ID order, so datasets whose IDs encode ingest time or tenant
+// grouping still spread evenly. Snapshots record the placement in each
+// shard's manifest, so changing this function moves only series of
+// clusters built afterwards.
+func hashPartition(id, shards int) int {
 	x := uint64(id) + 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -22,19 +18,4 @@ func HashPartition(id, shards int) int {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int(x % uint64(shards))
-}
-
-// ModuloPartition assigns id % shards — round-robin by ID. Perfectly
-// balanced when IDs are dense, and handy in tests because the
-// assignment is obvious by eye.
-func ModuloPartition(id, shards int) int { return id % shards }
-
-// checkPartition validates one Partitioner output before it is trusted
-// to index into the shard table.
-func checkPartition(p Partitioner, id, shards int) (int, error) {
-	s := p(id, shards)
-	if s < 0 || s >= shards {
-		return 0, fmt.Errorf("temporalrank: partitioner put series %d on shard %d, want [0,%d): %w", id, s, shards, ErrBadConfig)
-	}
-	return s, nil
 }

@@ -127,10 +127,9 @@ func (p *Planner) stack() baseStack { return p.ingest.layer.Load().Base }
 //     would fall back to that scan anyway.
 //   - MaxEpsilon > 0 routes to the approximate class: among indexes
 //     with ε <= MaxEpsilon and k <= KMax, the cheapest by EstimateIOs
-//     wins (indexes within the advisory MaxIOs budget preferred). The
-//     class preference is deliberate — an approximate index's query
-//     cost is independent of N, which is exactly why the caller
-//     declared a tolerance.
+//     wins. The class preference is deliberate — an approximate
+//     index's query cost is independent of N, which is exactly why the
+//     caller declared a tolerance.
 //   - MaxEpsilon == 0 (or no qualifying approximate index) routes to
 //     the cheapest exact index.
 //   - With no qualifying index at all (none registered, or purely
@@ -168,9 +167,8 @@ func planStack(st baseStack, q Query) Querier {
 // (approximate or exact) in the stack, or nil.
 func cheapestIn(st baseStack, q Query, wantApprox bool) *Index {
 	var (
-		best         *Index
-		bestCost     float64
-		bestInBudget bool
+		best     *Index
+		bestCost float64
 	)
 	for _, ix := range st.indexes {
 		if ix.Method().IsApprox() != wantApprox {
@@ -184,13 +182,8 @@ func cheapestIn(st baseStack, q Query, wantApprox bool) *Index {
 				continue
 			}
 		}
-		cost := estimateIOs(st.db, ix, q)
-		inBudget := q.MaxIOs == 0 || cost <= float64(q.MaxIOs)
-		switch {
-		case best == nil,
-			inBudget && !bestInBudget,
-			inBudget == bestInBudget && cost < bestCost:
-			best, bestCost, bestInBudget = ix, cost, inBudget
+		if cost := estimateIOs(st.db, ix, q); best == nil || cost < bestCost {
+			best, bestCost = ix, cost
 		}
 	}
 	return best

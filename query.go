@@ -13,10 +13,10 @@ import (
 
 // This file defines the unified query API: a first-class Query value
 // describing *what* the caller wants (aggregate, k, interval, error
-// tolerance, IO budget) and the Querier interface implemented by every
-// component that can answer one — the brute-force DB, every Index, the
-// Planner, and the Cluster and RemoteCluster coordinators. Run is the
-// only query entry point.
+// tolerance) and the Querier interface implemented by every component
+// that can answer one — the brute-force DB, every Index, the Planner,
+// and the Cluster and RemoteCluster coordinators. Run is the only query
+// entry point.
 
 // Agg selects a Query's aggregate, the paper's operator family
 // top-k(t1, t2, agg).
@@ -56,12 +56,6 @@ type Query struct {
 	// direct DB/Index execution, which always answer with their own
 	// guarantee (reported in Answer).
 	MaxEpsilon float64
-	// MaxIOs is an advisory per-query IO budget for the Planner: among
-	// the indexes satisfying MaxEpsilon it prefers one whose estimated
-	// cost fits the budget. 0 means unlimited. It never relaxes
-	// correctness — when no in-budget index qualifies, the cheapest
-	// qualifying one is used anyway.
-	MaxIOs uint64
 }
 
 // SumQuery builds the core aggregate query top-k(t1, t2, sum).
@@ -96,15 +90,15 @@ func (a Agg) aggTag() byte {
 // queryKey is a Query's canonical fixed-size cache identity. It is a
 // comparable value type, so result-cache lookups hash it without
 // allocating — the cached read path is zero-alloc end to end.
-type queryKey [41]byte
+type queryKey [33]byte
 
 // cacheKey returns the query's canonical identity for result caching:
 // two queries share a key exactly when every field that can influence
-// the answer (aggregate, k, interval, tolerance, IO budget — the last
-// two steer the Planner's routing, hence the reported method/ε) is
-// byte-identical after canonicalization. The zero Agg collapses onto
-// AggSum and an instant query's ignored T2 is canonicalized away, so
-// spelling variants of the same request hit the same entry.
+// the answer (aggregate, k, interval, tolerance — the last steers the
+// Planner's routing, hence the reported method/ε) is byte-identical
+// after canonicalization. The zero Agg collapses onto AggSum and an
+// instant query's ignored T2 is canonicalized away, so spelling
+// variants of the same request hit the same entry.
 func (q Query) cacheKey() queryKey {
 	q = q.withDefaults()
 	if q.Agg == AggInstant {
@@ -116,7 +110,6 @@ func (q Query) cacheKey() queryKey {
 	binary.LittleEndian.PutUint64(b[9:], math.Float64bits(q.T1))
 	binary.LittleEndian.PutUint64(b[17:], math.Float64bits(q.T2))
 	binary.LittleEndian.PutUint64(b[25:], math.Float64bits(q.MaxEpsilon))
-	binary.LittleEndian.PutUint64(b[33:], q.MaxIOs)
 	return b
 }
 
@@ -259,8 +252,8 @@ func (db *DB) Run(ctx context.Context, q Query) (Answer, error) {
 // Run implements Querier through the index. The answer carries the
 // index's own guarantee: exact methods (and instant queries, which are
 // answered exactly regardless of method) report Exact; approximate
-// methods report their ε. MaxEpsilon and MaxIOs are routing hints for
-// the Planner and are not re-checked here — calling Run on a specific
+// methods report their ε. MaxEpsilon is a routing hint for the
+// Planner and is not re-checked here — calling Run on a specific
 // index is the "I chose this structure" path.
 func (ix *Index) Run(ctx context.Context, q Query) (Answer, error) {
 	q = q.withDefaults()

@@ -486,9 +486,9 @@ func (c *Cluster) Checkpoint(dir string) error {
 // files Cluster.Checkpoint wrote under dir. The shard count, the
 // series-to-shard routing, and every shard's DB, indexes, and planner
 // come from the snapshots; only the runtime knobs of opts are applied
-// (Workers, ResultCache, Memtable — the rest is ignored, since the
-// partitioning is already fixed in the files). Shards restore in
-// parallel. Like every restore path, no index is rebuilt.
+// (ResultCache, Memtable — the rest is ignored, since the partitioning
+// is already fixed in the files). Shards restore in parallel. Like
+// every restore path, no index is rebuilt.
 func OpenClusterSnapshot(dir string, opts ClusterOptions) (*Cluster, error) {
 	paths, err := listSnapshotFiles(dir)
 	if err != nil {
