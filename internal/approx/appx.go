@@ -256,8 +256,9 @@ func (a *Appx2Plus) topK(k int, t1, t2 float64, ios *blockio.IOCount) ([]topk.It
 	defer acc.release()
 	c := topk.GetCollector(k)
 	defer c.Release()
+	// candidates validated the window and every id in acc.touched.
 	for _, id := range acc.touched {
-		s, err := a.e2.ScoreCounted(id, t1, t2, ios)
+		s, err := a.e2.ScoreValid(id, t1, t2, ios)
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,9 @@ import "testing"
 // allocations in the steady state: View and Release on a MemDevice, on
 // a mapped FileDevice, on a buffer-pool hit, on a buffer-pool miss (the fill reads into the
 // buffer the evicted frame handed back), and through the pooled-copy
-// fallback (GetPageBuf, Read, PutPageBuf); and a buffer-pool Read hit
-// into caller scratch.
+// fallback (GetPageBuf, Read, PutPageBuf); through a count bound to a
+// MemDevice and to a FileDevice; and a buffer-pool Read hit into caller
+// scratch.
 func TestViewAllocs(t *testing.T) {
 	const pages = 8
 	pool, dev := newTestPool(t, pages, pages, 2)
@@ -51,6 +52,27 @@ func TestViewAllocs(t *testing.T) {
 		})
 		if got != 0 {
 			t.Errorf("%s: View/Release allocates %.1f allocs/op, want 0", tc.name, got)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		dev  Device
+	}{{"MemDevice", dev}, {"FileDevice", file}} {
+		var c IOCount
+		id := PageID(0)
+		got := testing.AllocsPerRun(200, func() {
+			v, err := c.View(tc.dev, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Data()[0] != byte(id) {
+				t.Fatalf("page %d: header byte %d", id, v.Data()[0])
+			}
+			v.Release()
+			id = (id + 1) % pages
+		})
+		if got != 0 {
+			t.Errorf("%s: bound IOCount View/Release allocates %.1f allocs/op, want 0", tc.name, got)
 		}
 	}
 	id := PageID(0)

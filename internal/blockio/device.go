@@ -184,10 +184,10 @@ func (d *MemDevice) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// page returns the bytes of page id in the published table, or the
-// error every operation reports for a closed device or an out-of-range
-// id.
-func (d *MemDevice) page(id PageID) ([]byte, error) {
+// table returns the published page table once it holds page id, or
+// the error every operation reports for a closed device or an
+// out-of-range id.
+func (d *MemDevice) table(id PageID) ([][]byte, error) {
 	pages := d.pages.Load()
 	if pages == nil {
 		return nil, ErrClosed
@@ -195,7 +195,16 @@ func (d *MemDevice) page(id PageID) ([]byte, error) {
 	if id < 0 || int(id) >= len(*pages) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrPageBounds, id, len(*pages))
 	}
-	return (*pages)[id], nil
+	return *pages, nil
+}
+
+// page returns the bytes of page id in the published table (see table).
+func (d *MemDevice) page(id PageID) ([]byte, error) {
+	pages, err := d.table(id)
+	if err != nil {
+		return nil, err
+	}
+	return pages[id], nil
 }
 
 // Read implements Device. It keeps the mutex, so a copy never
@@ -217,29 +226,32 @@ func (d *MemDevice) Read(id PageID, buf []byte) error {
 
 // View implements Viewer: the returned view aliases the page's backing
 // array directly — zero copies, counted as one read with an atomic add
-// on the device's counter. A query instead charges its views to its own
-// IOCount, which skips the add (see IOCount.View). View takes no lock
-// (see MemDevice), so concurrent queries on one device never contend,
-// and a view taken before Close keeps reading its page's bytes.
-// MemDevice mutates page bytes in place on Write, so callers must
-// serialize views against writers of the same page (the root package's
-// indexes never write a page after their build), and a released view
-// must not be used after a concurrent Write lands.
+// on the device's counter. A query instead views through its own
+// IOCount, which loads the page table once per call and skips both the
+// add and this call (see IOCount). View takes no lock (see MemDevice),
+// so concurrent queries on one device never contend, and a view taken
+// before Close keeps reading its page's bytes. MemDevice mutates page
+// bytes in place on Write, so callers must serialize views against
+// writers of the same page (the root package's indexes never write a
+// page after their build), and a released view must not be used after
+// a concurrent Write lands.
 func (d *MemDevice) View(id PageID) (PageView, error) {
-	v, err := d.viewUncounted(id)
-	if err == nil {
-		d.stats.reads.Add(1)
-	}
-	return v, err
-}
-
-// viewUncounted is View without the count (see IOCount.View).
-func (d *MemDevice) viewUncounted(id PageID) (PageView, error) {
 	page, err := d.page(id)
 	if err != nil {
 		return PageView{}, err
 	}
+	d.stats.reads.Add(1)
 	return PageView{data: page}, nil
+}
+
+// bind implements binder: the published page table, whose pages never
+// move, so a count may view them until the call ends.
+func (d *MemDevice) bind(id PageID) (binding, error) {
+	pages, err := d.table(id)
+	if err != nil {
+		return binding{}, err
+	}
+	return binding{pages: pages}, nil
 }
 
 // addReads adds the reads of a call's IOCount to the device's total.

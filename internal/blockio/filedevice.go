@@ -26,7 +26,8 @@ import (
 // View (on unix systems only; elsewhere blockio.View falls back to a
 // pooled copy) serves a page in place from a read-only, shared mmap of
 // the file, counted as one read like Read (a view charged to a query's
-// IOCount is counted when the query ends). The mapping is made at the
+// IOCount is counted when the query ends, and the count loads the
+// published mapping once per call). The mapping is made at the
 // first View and published atomically, so a View of a mapped page
 // takes no lock; a View past its end maps the file again, under mu, at
 // twice the size (mapping past EOF is allowed, and the bounds check

@@ -15,34 +15,38 @@ var liveMappings atomic.Int64
 
 // View implements Viewer: the page as a slice of the file's read-only
 // mapping — zero copies, counted as one read with an atomic add on the
-// device's counter. A query instead charges its views to its own
-// IOCount, which skips the add (see IOCount.View). When the page is
-// already mapped View takes no lock: one atomic load of the published
-// mapping and the bounds check. The view keeps its mapping alive until
-// Release, across Close and an unlink of the file (see FileDevice).
+// device's counter. A query instead views through its own IOCount,
+// which loads the mapping once per call and skips both the add and
+// this call (see IOCount). When the page is already mapped View takes
+// no lock: one atomic load of the published mapping and the bounds
+// check. The view keeps its mapping alive until Release, across Close
+// and an unlink of the file (see FileDevice).
 func (d *FileDevice) View(id PageID) (PageView, error) {
-	v, err := d.viewUncounted(id)
-	if err == nil {
-		d.stats.reads.Add(1)
-	}
-	return v, err
-}
-
-// viewUncounted is View without the count (see IOCount.View).
-func (d *FileDevice) viewUncounted(id PageID) (PageView, error) {
-	if err := d.check(id); err != nil {
+	b, err := d.bind(id)
+	if err != nil {
 		return PageView{}, err
 	}
+	d.stats.reads.Add(1)
+	return b.fileView(id), nil
+}
+
+// bind implements binder: the published mapping, remapped first if
+// page id lies past it, and the pages of it that lie in the file.
+func (d *FileDevice) bind(id PageID) (binding, error) {
+	if err := d.check(id); err != nil {
+		return binding{}, err
+	}
 	bs := int64(d.blockSize)
-	off, end := int64(id)*bs, int64(id+1)*bs
+	end := (int64(id) + 1) * bs
 	m := d.mapped.Load()
 	if m == nil || int64(len(m.data)) < end {
 		var err error
 		if m, err = d.remap(end); err != nil {
-			return PageView{}, err
+			return binding{}, err
 		}
 	}
-	return PageView{data: m.data[off:end:end], m: m}, nil
+	n := min(d.numPages.Load(), int64(len(m.data))/bs)
+	return binding{m: m, mpages: int(n), bs: d.blockSize}, nil
 }
 
 // remap publishes a mapping that reaches at least byte end of the file:

@@ -172,3 +172,52 @@ func TestFileDeviceViewDuringGrowth(t *testing.T) {
 		t.Errorf("View after Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestIOCountFileViewHoldsMapping: a view through a count bound to a
+// FileDevice holds the mapping it was cut from, as the device's own
+// View does, so it keeps reading its page after a view past the bound
+// mapping remaps the file and after Close.
+func TestIOCountFileViewHoldsMapping(t *testing.T) {
+	const blockSize = 128
+	d := newStampedFileDevice(t, 3, blockSize)
+	var c IOCount
+	v, err := c.View(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	if first := d.mapped.Load(); v.m != first || c.m != first {
+		t.Fatal("a bound view does not hold the device's mapping")
+	}
+	buf := make([]byte, blockSize)
+	id, err := d.Alloc() // past the bound mapping
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampPage(buf, id, 0)
+	if err := d.Write(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.View(d, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Release()
+	if w.m == v.m || w.m != d.mapped.Load() {
+		t.Fatal("a view past the bound mapping was not cut from the remapped file")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []struct {
+		v  PageView
+		id PageID
+	}{{v, 0}, {w, id}} {
+		if msg := stampError(x.v.Data(), x.id); msg != "" {
+			t.Errorf("bound view of page %d %s after a remap and Close", x.id, msg)
+		}
+	}
+	if c.Reads() != 2 {
+		t.Errorf("count charged %d reads, want 2", c.Reads())
+	}
+}

@@ -2,6 +2,8 @@ package blockio
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -97,5 +99,110 @@ func TestIOCountCharges(t *testing.T) {
 	}
 	if r := direct.Stats().Reads; r != 1 {
 		t.Fatalf("nil count: device counts %d reads, want 1", r)
+	}
+}
+
+// TestIOCountBound runs one sequence of operations twice on each kind
+// of device, built the same way: once viewing through a nil count,
+// which charges each view to the device as it happens, and once
+// through one count, which binds to the devices that bind. Each run
+// must see the same bytes and the same errors at every step, and once
+// the count is folded, the same device Stats; the count's Reads must be
+// the reads the nil run's device counted. The sequence views pages out
+// of range, and pages allocated after the count bound, which on a
+// FileDevice lie past the bound mapping (and, after its remap at twice
+// the size, inside the mapping but past the pages bound with it). The
+// FaultDevice's budget runs out midway, so both runs must fail at the
+// same view; the count binds to its inner MemDevice.
+func TestIOCountBound(t *testing.T) {
+	const blockSize = 128
+	const built = 4
+	build := func(t *testing.T, d Device) Device {
+		buf := make([]byte, blockSize)
+		for i := 0; i < built; i++ {
+			id, err := d.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillTestPage(buf, id, byte(id)+1)
+			if err := d.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	file := func(t *testing.T) *FileDevice {
+		d, err := OpenFileDevice(filepath.Join(t.TempDir(), "bound.pages"), blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	_, fileBinds := any((*FileDevice)(nil)).(binder) // on unix systems
+	kinds := []struct {
+		name  string
+		make  func(t *testing.T) Device
+		binds bool
+	}{
+		{"MemDevice", func(t *testing.T) Device { return build(t, NewMemDevice(blockSize)) }, true},
+		{"ViewOnlyDevice", func(t *testing.T) Device { return build(t, NewViewOnlyDevice(blockSize)) }, true},
+		{"FileDevice", func(t *testing.T) Device { return build(t, file(t)) }, fileBinds},
+		{"FaultDevice", func(t *testing.T) Device {
+			d := NewFaultDevice(NewMemDevice(blockSize), -1)
+			build(t, d)
+			d.Arm(14)
+			return d
+		}, true},
+		{"BufferPool", func(t *testing.T) Device { return build(t, NewBufferPool(NewMemDevice(blockSize), 2)) }, false},
+		{"foreign", func(t *testing.T) Device { return build(t, wrapped{NewMemDevice(blockSize)}) }, false},
+	}
+	// -1 allocates and writes a page; anything else views that id.
+	steps := []PageID{0, 1, 2, 3, 1, 9, -2, 3, -1, 4, 0, -1, -1, 6, 5, 7, 2, 0, 1, 3, 6}
+	run := func(t *testing.T, d Device, c *IOCount) []string {
+		buf := make([]byte, blockSize)
+		var out []string
+		for _, id := range steps {
+			if id == -1 {
+				id, err := d.Alloc()
+				if err == nil {
+					fillTestPage(buf, id, byte(id)+1)
+					err = d.Write(id, buf)
+				}
+				out = append(out, fmt.Sprintf("alloc %d: %v", id, err))
+				continue
+			}
+			v, err := c.View(d, id)
+			out = append(out, fmt.Sprintf("view %d: %x %v", id, v.Data(), err))
+			v.Release()
+		}
+		return out
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			perView := k.make(t)
+			before := perView.Stats()
+			want := run(t, perView, nil)
+			wantReads := perView.Stats().Reads - before.Reads
+
+			d := k.make(t)
+			var c IOCount
+			got := run(t, d, &c)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: bound count gives %s, nil count %s", i, got[i], want[i])
+				}
+			}
+			if c.Reads() != wantReads {
+				t.Errorf("count charged %d reads; the nil count's device counted %d", c.Reads(), wantReads)
+			}
+			c.Fold(d)
+			if got, want := d.Stats(), perView.Stats(); got != want {
+				t.Errorf("after the fold the device counts %v; with a nil count %v", got, want)
+			}
+			if bound := c.dev != nil; bound != k.binds {
+				t.Errorf("count bound: %v, want %v", bound, k.binds)
+			}
+		})
 	}
 }

@@ -192,12 +192,19 @@ func TestRestoreExact2(t *testing.T) {
 	}
 }
 
+// sigmaOn is score's lookup of σ_i(t_{i,0}, t) on page, the run's page
+// returned by pageOf: the guess, then the galloping search from it.
+func (e *Exact2) sigmaOn(id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
+	lo, hi, g := e.guess(id, page, t)
+	return sigmaFrom(data, lo, hi, g, getF64(data[g*exact2SlotSize:]), t)
+}
+
 // binarySigmaOn is sigmaOn with a plain binary search over the page's
 // slots of the run, the search the galloping one must agree with.
 func binarySigmaOn(e *Exact2, id tsdata.SeriesID, page blockio.PageID, data []byte, t float64) float64 {
 	base := int(page-e.first) * e.perPage
-	lo := max(e.off[id], base) - base
-	hi := min(e.off[id+1], base+e.perPage) - base
+	lo := max(e.runs[id].off, base) - base
+	hi := min(e.runs[id+1].off, base+e.perPage) - base
 	l, h := lo, hi
 	for l < h {
 		mid := int(uint(l+h) >> 1)

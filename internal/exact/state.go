@@ -68,7 +68,7 @@ func RestoreExact2(dev blockio.Device, ds *tsdata.Dataset, st Exact2State) (*Exa
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, trerr.ErrBadSnapshot)
 	}
-	n := e.off[len(e.off)-1]
+	n := e.runs[len(e.runs)-1].off
 	if n != ds.NumSegments() {
 		return nil, fmt.Errorf("exact2: restore: %d slots for %d segments: %w", n, ds.NumSegments(), trerr.ErrBadSnapshot)
 	}

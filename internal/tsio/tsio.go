@@ -151,6 +151,12 @@ func Read(r io.Reader) (*tsdata.Dataset, error) {
 	return ReadCSV(br)
 }
 
+// maxPrealloc caps the capacity ReadBinary reserves on the strength of
+// a count the file claims (64 KiB of floats); larger collections grow
+// as their elements are actually read, so a forged or corrupt count
+// costs memory only for the bytes the file really holds.
+const maxPrealloc = 1 << 13
+
 // ReadBinary parses the compact binary format.
 func ReadBinary(r io.Reader) (*tsdata.Dataset, error) {
 	br := bufio.NewReader(r)
@@ -175,7 +181,7 @@ func ReadBinary(r io.Reader) (*tsdata.Dataset, error) {
 	if m == 0 || m > 1<<32 {
 		return nil, fmt.Errorf("tsio: implausible object count %d", m)
 	}
-	series := make([]*tsdata.Series, m)
+	series := make([]*tsdata.Series, 0, min(m, maxPrealloc))
 	for i := uint64(0); i < m; i++ {
 		n, err := readU64()
 		if err != nil {
@@ -184,8 +190,8 @@ func ReadBinary(r io.Reader) (*tsdata.Dataset, error) {
 		if n < 2 || n > 1<<40 {
 			return nil, fmt.Errorf("tsio: object %d has implausible vertex count %d", i, n)
 		}
-		times := make([]float64, n)
-		values := make([]float64, n)
+		times := make([]float64, 0, min(n, maxPrealloc))
+		values := make([]float64, 0, min(n, maxPrealloc))
 		for j := uint64(0); j < n; j++ {
 			tb, err := readU64()
 			if err != nil {
@@ -195,14 +201,14 @@ func ReadBinary(r io.Reader) (*tsdata.Dataset, error) {
 			if err != nil {
 				return nil, err
 			}
-			times[j] = math.Float64frombits(tb)
-			values[j] = math.Float64frombits(vb)
+			times = append(times, math.Float64frombits(tb))
+			values = append(values, math.Float64frombits(vb))
 		}
 		s, err := tsdata.NewSeries(tsdata.SeriesID(i), times, values)
 		if err != nil {
 			return nil, fmt.Errorf("tsio: object %d: %w", i, err)
 		}
-		series[i] = s
+		series = append(series, s)
 	}
 	return tsdata.NewDataset(series)
 }

@@ -2,6 +2,8 @@ package tsio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,4 +180,71 @@ func TestReadDetectsFormat(t *testing.T) {
 	if err == nil || binErr == nil || err.Error() != binErr.Error() {
 		t.Errorf("truncated TRK1: Read err = %v, want the binary reader's %v", err, binErr)
 	}
+}
+
+// binaryHeader is a TRK1 file's first bytes: the magic, then the given
+// counts as they are written (the object count, then the first object's
+// vertex count, and so on).
+func binaryHeader(counts ...uint64) []byte {
+	b := []byte(binaryMagic)
+	for _, c := range counts {
+		b = binary.LittleEndian.AppendUint64(b, c)
+	}
+	return b
+}
+
+// TestReadBinaryForgedCounts: a header claiming 2^32 objects, and an
+// object claiming 2^40 vertices, each with no body behind it, fail with
+// an error after allocating less than 1 MB, instead of reserving what
+// the counts claim.
+func TestReadBinaryForgedCounts(t *testing.T) {
+	for name, in := range map[string][]byte{
+		"2^32 objects":  binaryHeader(1 << 32),
+		"2^40 vertices": binaryHeader(1, 1<<40, 0, 0),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing, want < 1 MB", name, got)
+		}
+	}
+}
+
+// FuzzReadBinary: whatever the bytes, ReadBinary returns a dataset or an
+// error and never panics, and a dataset it returns is written back as a
+// prefix of the bytes it was read from.
+func FuzzReadBinary(f *testing.F) {
+	ds, err := gen.Temp(gen.TempConfig{M: 3, Navg: 4, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := WriteBinary(&valid, ds); err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n <= valid.Len(); n++ {
+		f.Add(valid.Bytes()[:n])
+	}
+	f.Add(binaryHeader(1 << 32))
+	f.Add(binaryHeader(1<<32 + 1))
+	f.Add(binaryHeader(1, 1<<40, 0, 0))
+	f.Add(binaryHeader(2, 2, 0, 0, 1, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteBinary(&again, ds); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, again.Bytes()) {
+			t.Fatal("re-encoded dataset differs from the bytes it was read from")
+		}
+	})
 }

@@ -15,6 +15,8 @@ package temporalrank_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"temporalrank"
@@ -92,6 +94,52 @@ func TestClusterRunAllocs(t *testing.T) {
 			t.Errorf("shards=%d: uncached Cluster.Run allocates %.1f allocs/op, want %.0f", tc.shards, allocs, tc.uncached)
 		}
 	}
+}
+
+// TestClusterRunAllocsMultiCore pins the uncached Cluster.Run at
+// GOMAXPROCS(2), where the scatter starts a goroutine per Run with more
+// than one shard: one allocation more than TestClusterRunAllocs counts,
+// which testing.AllocsPerRun measures at GOMAXPROCS 1. This test counts
+// the heap allocations of many Runs itself (a runtime.MemStats Mallocs
+// delta, which also sees the runtime's own allocations, a few hundredths
+// per Run), so it pins their mean to within a quarter.
+func TestClusterRunAllocsMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct {
+		shards   int
+		uncached float64
+	}{{1, 2}, {2, 17}, {8, 35}} {
+		c := benchCluster(t, tc.shards, 0)
+		if allocs := multiCoreRunAllocs(t, c, c.Start(), c.End()-c.Start()); math.Abs(allocs-tc.uncached) > 0.25 {
+			t.Errorf("shards=%d: uncached Cluster.Run at GOMAXPROCS(2) allocates %.2f allocs/op, want %.0f", tc.shards, allocs, tc.uncached)
+		}
+	}
+}
+
+// multiCoreRunAllocs is steadyRunAllocs at the caller's GOMAXPROCS: the
+// mean heap allocations of 1,000 Runs over the same rotation.
+func multiCoreRunAllocs(t *testing.T, qr temporalrank.Querier, start, span float64) float64 {
+	t.Helper()
+	ctx := context.Background()
+	qs := make([]temporalrank.Query, 8)
+	for i := range qs {
+		t1 := start + span*float64(i)/16
+		qs[i] = temporalrank.SumQuery(10, t1, t1+span/4)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := qr.Run(ctx, qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(len(qs))
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(runs)
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs
 }
 
 // TestPlannerMergedRunAllocs pins the σ-vector merge's allocations: a
